@@ -7,211 +7,20 @@ and direct constructions for p-groups built on Hamiltonian paths of the
 reduced power-graph complement.
 """
 
-from .errors import (
-    BadPathError,
-    BadVertexError,
-    ConstructionFailedError,
-    CrossAdjacencyError,
-    EmptyLabellingError,
-    EvenPrimeError,
-    GroupValidationError,
-    InvalidLabellingError,
-    MissingLabelError,
-    NoIdentityError,
-    NotAssociativeError,
-    NotClosedError,
-    NotLatinSquareError,
-    NotPGroupError,
-    ParameterTooSmallError,
-    PglambdaError,
-    SameClassError,
-    SearchTimeoutError,
-    SingleClassError,
-    SpanTooLargeError,
-    ThinLevelError,
-    TooLargeError,
-    UnequalSizesError,
-)
-from .groups import (
-    DEFAULT_MAX_ORDER,
-    FiniteGroup,
-    OrderTable,
-    element_order,
-    format_cayley,
-    is_maximal_class,
-    lower_central_series,
-    make_cyclic,
-    make_dihedral,
-    make_direct_product,
-    make_elementary_abelian,
-    make_heisenberg,
-    make_quaternion,
-    make_semidihedral,
-    max_group_order,
-    order_table,
-    parse_cayley,
-    prime_power,
-    validate_group,
-)
-from .powergraph import (
-    ClassPartition,
-    CyclicClass,
-    Graph,
-    LowerHookReport,
-    PowerGraph,
-    build_power_graph,
-    check_lower_hook,
-    classes_adjacent,
-    complement,
-    cyclic_classes,
-    delete_vertex,
-    euler_phi,
-    to_dot,
-    to_edge_list,
-)
-from .labelling import (
-    DEFAULT_SEARCH_CAP,
-    DEFAULT_TIME_BUDGET,
-    ConstructionInfo,
-    Evidence,
-    HamPath,
-    Labelling,
-    LambdaCertificate,
-    LowerBound,
-    Violation,
-    certificate_doc,
-    certificate_to_json,
-    check_ham_path,
-    exact_lambda,
-    find_group_ham_path,
-    find_hamiltonian_path,
-    format_labelling_csv,
-    labelling_to_path,
-    parse_labelling_csv,
-    path_to_labelling,
-    power_graph_lower_bound,
-    reduced_complement,
-    span,
-    validate_labelling,
-)
-from .construct import (
-    OrderedClassFamily,
-    PathSegment,
-    build_interleaved_path,
-    construct_labelling_quaternion,
-    construct_path_dihedral,
-    construct_path_general,
-    construct_path_semidihedral,
-    lambda_p_group,
-    order_classes_for_descent,
-    recognize_family,
-)
-from .catalog import CatalogEntry, build_catalogue_groups, catalogue
-from .suites import SUITE_NAMES, SuiteResult, run_suites
+from . import catalog, construct, errors, groups, labelling, powergraph, suites
+from .catalog import *  # noqa: F401,F403
+from .construct import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .labelling import *  # noqa: F401,F403
+from .powergraph import *  # noqa: F401,F403
+from .suites import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "PglambdaError",
-    "GroupValidationError",
-    "NotClosedError",
-    "NoIdentityError",
-    "NotAssociativeError",
-    "NotLatinSquareError",
-    "ParameterTooSmallError",
-    "EvenPrimeError",
-    "TooLargeError",
-    "NotPGroupError",
-    "BadVertexError",
-    "SameClassError",
-    "MissingLabelError",
-    "EmptyLabellingError",
-    "InvalidLabellingError",
-    "BadPathError",
-    "SpanTooLargeError",
-    "SearchTimeoutError",
-    "UnequalSizesError",
-    "SingleClassError",
-    "CrossAdjacencyError",
-    "ThinLevelError",
-    "ConstructionFailedError",
-    # groups
-    "DEFAULT_MAX_ORDER",
-    "FiniteGroup",
-    "OrderTable",
-    "element_order",
-    "format_cayley",
-    "is_maximal_class",
-    "lower_central_series",
-    "make_cyclic",
-    "make_dihedral",
-    "make_direct_product",
-    "make_elementary_abelian",
-    "make_heisenberg",
-    "make_quaternion",
-    "make_semidihedral",
-    "max_group_order",
-    "order_table",
-    "parse_cayley",
-    "prime_power",
-    "validate_group",
-    # power graphs
-    "Graph",
-    "PowerGraph",
-    "CyclicClass",
-    "ClassPartition",
-    "LowerHookReport",
-    "build_power_graph",
-    "complement",
-    "delete_vertex",
-    "euler_phi",
-    "cyclic_classes",
-    "classes_adjacent",
-    "check_lower_hook",
-    "to_dot",
-    "to_edge_list",
-    # labellings
-    "DEFAULT_SEARCH_CAP",
-    "DEFAULT_TIME_BUDGET",
-    "Labelling",
-    "HamPath",
-    "Violation",
-    "LowerBound",
-    "Evidence",
-    "ConstructionInfo",
-    "LambdaCertificate",
-    "validate_labelling",
-    "span",
-    "check_ham_path",
-    "path_to_labelling",
-    "labelling_to_path",
-    "find_hamiltonian_path",
-    "find_group_ham_path",
-    "reduced_complement",
-    "power_graph_lower_bound",
-    "exact_lambda",
-    "certificate_doc",
-    "certificate_to_json",
-    "format_labelling_csv",
-    "parse_labelling_csv",
-    # constructions
-    "OrderedClassFamily",
-    "PathSegment",
-    "build_interleaved_path",
-    "order_classes_for_descent",
-    "construct_path_general",
-    "construct_path_dihedral",
-    "construct_path_semidihedral",
-    "construct_labelling_quaternion",
-    "recognize_family",
-    "lambda_p_group",
-    # catalogue and suites
-    "CatalogEntry",
-    "catalogue",
-    "build_catalogue_groups",
-    "SuiteResult",
-    "SUITE_NAMES",
-    "run_suites",
+# Each public name is declared once, in its own module's __all__.
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, groups, powergraph, labelling, construct, catalog, suites)
+    for name in module.__all__
 ]

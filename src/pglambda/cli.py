@@ -43,10 +43,10 @@ from .labelling import (
     DEFAULT_TIME_BUDGET,
     LambdaCertificate,
     certificate_doc,
+    certificate_problems,
     exact_lambda,
     format_labelling_csv,
     parse_labelling_csv,
-    power_graph_lower_bound,
     span,
     validate_labelling,
 )
@@ -150,22 +150,21 @@ def _is_constructible(group: FiniteGroup) -> bool:
     return group.order == 1 or prime_power(group.order) is not None
 
 
-def _certificate_problems(graph, cert: LambdaCertificate) -> list[str]:
-    """Internal consistency: valid witness, span = λ, λ ≥ graph lower bound."""
-    problems = []
-    violations = validate_labelling(graph, cert.witness)
-    if violations:
-        problems.append(f"witness violates labelling constraints: {violations[0]}")
-    if cert.witness.span != cert.value:
-        problems.append(f"witness span {cert.witness.span} != lambda {cert.value}")
-    lower = power_graph_lower_bound(graph)
-    if cert.value < lower.value:
-        problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.value}")
-    return problems
+class _Violation(Exception):
+    """A mathematical violation found while running a command (exit code 2)."""
+
+
+def _exact_certificate(graph, cap: int, budget: float) -> LambdaCertificate:
+    """Exact-search certificate, checked (lambda_p_group checks its own)."""
+    cert = exact_lambda(graph, max_vertices=cap, time_budget=budget)
+    problems = certificate_problems(graph, cert)
+    if problems:
+        raise _Violation("\n".join(f"consistency failure: {p}" for p in problems))
+    return cert
 
 
 def _compute_certificate(group: FiniteGroup, method: str, cap: int,
-                         budget: float) -> tuple[LambdaCertificate, str]:
+                         budget: float) -> LambdaCertificate:
     """Resolve 'auto' and run the requested method(s); raises on disagreement."""
     graph = build_power_graph(group)
     if method == "auto":
@@ -178,22 +177,18 @@ def _compute_certificate(group: FiniteGroup, method: str, cap: int,
                 f"order {group.order} is not a prime power and exceeds the "
                 f"exact-search cap {cap}; no method applies")
     if method == "constructive":
-        return lambda_p_group(group), method
+        return lambda_p_group(group)
     if method == "exact":
-        return exact_lambda(graph, max_vertices=cap, time_budget=budget), method
+        return _exact_certificate(graph, cap, budget)
     constructive = lambda_p_group(group)
     exact = exact_lambda(graph, max_vertices=cap, time_budget=budget)
     if constructive.value != exact.value:
-        raise _Disagreement(
-            f"constructive lambda {constructive.value} != "
+        raise _Violation(
+            f"disagreement: constructive lambda {constructive.value} != "
             f"exact-search lambda {exact.value} for order {group.order}")
     print(f"constructive {constructive.value} / exact-search {exact.value}: agree",
           file=sys.stderr)
-    return constructive, "both"
-
-
-class _Disagreement(Exception):
-    """Constructive and exact methods returned different λ values."""
+    return constructive
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +208,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if is_p:
         cert = lambda_p_group(group)
     elif group.order <= args.search_cap:
-        cert = exact_lambda(graph, max_vertices=args.search_cap,
-                            time_budget=args.time_budget)
+        cert = _exact_certificate(graph, args.search_cap, args.time_budget)
     else:
         note = (f"order {group.order} is not a prime power and exceeds the "
                 f"exact-search cap {args.search_cap}; lambda not computed")
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    if cert is not None:
-        problems = _certificate_problems(graph, cert)
-        if problems:
-            for problem in problems:
-                print(f"consistency failure: {problem}", file=sys.stderr)
-            return 2
 
     doc = {
         "spec": args.spec,
@@ -283,12 +270,8 @@ def _print_analyze_table(doc: dict) -> None:
 
 def cmd_lambda(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
-    try:
-        cert, _ = _compute_certificate(group, args.method, args.search_cap,
-                                       args.time_budget)
-    except _Disagreement as exc:
-        print(f"disagreement: {exc}", file=sys.stderr)
-        return 2
+    cert = _compute_certificate(group, args.method, args.search_cap,
+                                args.time_budget)
     if args.witness_csv:
         with open(args.witness_csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(format_labelling_csv(cert.witness))
@@ -446,6 +429,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except _Violation as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except (SearchTimeoutError, TooLargeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         if isinstance(exc, SearchTimeoutError):

@@ -16,40 +16,25 @@ re-validates every witness against the actual power graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
     ConstructionFailedError,
+    CrossAdjacencyError,
     NotPGroupError,
-    ParameterTooSmallError,
-    SearchTimeoutError,
     SingleClassError,
     ThinLevelError,
-    TooLargeError,
     UnequalSizesError,
 )
-from .errors import CrossAdjacencyError
-from .groups import (
-    FiniteGroup,
-    make_dihedral,
-    make_quaternion,
-    make_semidihedral,
-    order_table,
-    prime_power,
-)
+from .groups import FiniteGroup, order_table, prime_power
 from .labelling import (
     ConstructionInfo,
     Evidence,
-    HamPath,
     Labelling,
     LambdaCertificate,
-    check_ham_path,
-    exact_lambda,
+    certificate_problems,
     find_hamiltonian_path,
     path_to_labelling,
-    power_graph_lower_bound,
-    validate_labelling,
 )
 from .powergraph import (
     ClassPartition,
@@ -63,48 +48,17 @@ from .powergraph import (
 )
 
 __all__ = [
-    "OrderedClassFamily",
-    "PathSegment",
     "build_interleaved_path",
     "order_classes_for_descent",
-    "construct_path_general",
-    "construct_path_dihedral",
-    "construct_path_semidihedral",
-    "construct_labelling_quaternion",
     "recognize_family",
     "lambda_p_group",
 ]
 
-
-@dataclass(frozen=True)
-class OrderedClassFamily:
-    """Equal-size vertex classes in a fixed order, ready to interleave."""
-
-    classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.classes[0]) if self.classes else 0
+Path = tuple[int, ...]
+Joints = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class PathSegment:
-    """A complement-path fragment with its two endpoints exposed."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def first(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def last(self) -> int:
-        return self.vertices[-1]
-
-
-def build_interleaved_path(graph: Graph,
-                           family: OrderedClassFamily | Sequence[Sequence[int]],
-                           ) -> PathSegment:
+def build_interleaved_path(graph: Graph, classes: Sequence[Sequence[int]]) -> Path:
     """Column-major interleaving of the classes: w11, w21, .., w_rN.
 
     Consecutive vertices always come from different classes, so the
@@ -112,8 +66,7 @@ def build_interleaved_path(graph: Graph,
     non-adjacent; that and the size conditions are verified here.
     Members of each class are taken in ascending index order.
     """
-    raw = family.classes if isinstance(family, OrderedClassFamily) else family
-    classes = tuple(tuple(sorted(c)) for c in raw)
+    classes = [tuple(sorted(c)) for c in classes]
     if len(classes) < 2:
         raise SingleClassError(f"interleaving needs at least 2 classes, got {len(classes)}")
     sizes = {len(c) for c in classes}
@@ -141,32 +94,29 @@ def build_interleaved_path(graph: Graph,
                 raise CrossAdjacencyError(
                     f"vertex {u} of class {a} is adjacent to vertex {v} of class {b}")
 
-    vertices = tuple(classes[r][col]
-                     for col in range(size) for r in range(len(classes)))
-    return PathSegment(vertices)
+    return tuple(classes[r][col] for col in range(size) for r in range(len(classes)))
 
 
 def order_classes_for_descent(partition: ClassPartition,
-                              graph: PowerGraph) -> list[OrderedClassFamily]:
-    """Class families per order level, top order first, joinable in sequence.
+                              graph: PowerGraph) -> list[tuple[tuple[int, ...], ...]]:
+    """Class members per order level, top order first, joinable in sequence.
 
-    Levels are reordered so the last class of each level is non-adjacent
-    to the first class of the level below.  A class has at most one
-    adjacent class per lower level (its cyclic subgroup contains a unique
-    subgroup of each order), so with at least two classes per level a
-    non-adjacent choice always exists; fewer than two raises ThinLevel.
+    Each level is a tuple of classes (each a tuple of members), ready for
+    build_interleaved_path.  Levels are reordered so the last class of
+    each level is non-adjacent to the first class of the level below.  A
+    class has at most one adjacent class per lower level (its cyclic
+    subgroup contains a unique subgroup of each order), so with at least
+    two classes per level a non-adjacent choice always exists; fewer than
+    two raises ThinLevel.
     """
     group = graph.group
     pp = prime_power(group.order)
     if pp is None:
         raise NotPGroupError(f"order {group.order} is not a prime power")
     p = pp[0]
-    exponent = max(partition.orders)
-    e = 0
-    while p ** e < exponent:
-        e += 1
+    _, e = prime_power(max(partition.orders))
 
-    families = []
+    levels = []
     prev_last: CyclicClass | None = None
     for i in range(e, 0, -1):
         level = list(partition.by_order.get(p ** i, ()))
@@ -181,42 +131,27 @@ def order_classes_for_descent(partition: ClassPartition,
                 raise ConstructionFailedError(
                     f"every class of order {p ** i} is adjacent to the level above")
             level = [level[pick]] + level[:pick] + level[pick + 1:]
-        families.append(OrderedClassFamily(tuple(c.members for c in level)))
+        levels.append(tuple(c.members for c in level))
         prev_last = level[-1]
-    return families
+    return levels
 
 
-def _descent_path(group: FiniteGroup,
-                  graph: PowerGraph) -> tuple[HamPath, tuple[tuple[int, int], ...]]:
-    partition = cyclic_classes(group)
-    families = order_classes_for_descent(partition, graph)
+def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
     vertices: list[int] = []
     joints: list[tuple[int, int]] = []
-    for family in families:
-        segment = build_interleaved_path(graph, family)
+    for level in order_classes_for_descent(cyclic_classes(graph.group), graph):
+        segment = build_interleaved_path(graph, level)
         if vertices:
-            a, b = vertices[-1], segment.first
-            if graph.adjacent(a, b):
-                raise ConstructionFailedError(f"level joint ({a}, {b}) is adjacent")
-            joints.append((a, b))
-        vertices.extend(segment.vertices)
-    path = HamPath(tuple(vertices), group.identity)
-    check_ham_path(graph, path)
-    return path, tuple(joints)
-
-
-def construct_path_general(group: FiniteGroup) -> HamPath:
-    """Level-descent complement path for a p-group with ≥ 2 classes per level."""
-    path, _ = _descent_path(group, build_power_graph(group))
-    return path
+            joints.append((vertices[-1], segment[0]))
+        vertices.extend(segment)
+    return tuple(vertices), tuple(joints)
 
 
 # ---------------------------------------------------------------------------
 # the three 2-group families
 
 
-def _involution_alternation_path(group: FiniteGroup, graph: PowerGraph,
-                                 x: int) -> HamPath:
+def _involution_alternation_path(group: FiniteGroup, x: int) -> Path:
     """Dihedral path: outside involutions alternated with ⟨x⟩ ∖ {1}.
 
     Each outside element w generates only {1, w}, so it is non-adjacent
@@ -232,13 +167,10 @@ def _involution_alternation_path(group: FiniteGroup, graph: PowerGraph,
         vertices.append(w)
         if i < len(inside):
             vertices.append(inside[i])
-    path = HamPath(tuple(vertices), group.identity)
-    check_ham_path(graph, path)
-    return path
+    return tuple(vertices)
 
 
-def _seed_alternation_path(group: FiniteGroup, graph: PowerGraph, x: int,
-                           y: int) -> tuple[HamPath, tuple[tuple[int, int], ...]]:
+def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Joints]:
     """Semidihedral path: a 6-vertex seed, then outside/high-order alternation.
 
     The seed pairs the three outside elements y, x²y, x⁴y with the three
@@ -265,12 +197,10 @@ def _seed_alternation_path(group: FiniteGroup, graph: PowerGraph, x: int,
         vertices.append(w)
         if i < len(tail_inside):
             vertices.append(tail_inside[i])
-    path = HamPath(tuple(vertices), group.identity)
-    check_ham_path(graph, path)
-    return path, joints
+    return tuple(vertices), joints
 
 
-def _restricted_path_labelling(group: FiniteGroup, graph: PowerGraph,
+def _restricted_path_labelling(graph: PowerGraph,
                                z: int) -> tuple[Labelling, ConstructionInfo]:
     """Span-(|G|+1) witness when a non-identity vertex z is universal.
 
@@ -278,8 +208,8 @@ def _restricted_path_labelling(group: FiniteGroup, graph: PowerGraph,
     complement restricted to G ∖ {1, z}, identity at −2, the path at
     0..|G|−3, and z parked at |G|−1 where it clears every label by ≥ 2.
     """
-    n = group.order
-    identity = group.identity
+    n = graph.n
+    identity = graph.group.identity
     keep = [v for v in range(n) if v not in (identity, z)]
     pos = {v: i for i, v in enumerate(keep)}
     sub = []
@@ -289,54 +219,19 @@ def _restricted_path_labelling(group: FiniteGroup, graph: PowerGraph,
             if u in pos:
                 mask |= 1 << pos[u]
         sub.append(mask)
-    restricted_complement = complement(Graph(len(keep), sub))
-    found = find_hamiltonian_path(restricted_complement)
-    if found is not None:
-        ordered = [keep[i] for i in found]
-        labels = [0] * n
-        labels[identity] = -2
-        labels[z] = n - 1
-        for i, v in enumerate(ordered):
-            labels[v] = i
-        return (Labelling(tuple(labels)),
-                ConstructionInfo("restricted-complement-path", tuple(ordered), ()))
-    # No restricted path (not expected for any real input): fall back to
-    # the exact oracle, seeded with the already-proven lower bound.
-    try:
-        cert = exact_lambda(graph, n + 1, max_vertices=n)
-    except (SearchTimeoutError, TooLargeError) as exc:
+    found = find_hamiltonian_path(complement(Graph(len(keep), sub)))
+    if found is None:
         raise ConstructionFailedError(
-            f"restricted path absent and the exact fallback failed: {exc}") from exc
-    return cert.witness, ConstructionInfo("exact-search-fallback", (), ())
-
-
-def construct_path_dihedral(e: int) -> HamPath:
-    """Complement path for the dihedral group of order 2^(e+1), e ≥ 2."""
-    if e < 2:
-        raise ParameterTooSmallError(f"dihedral construction needs e >= 2, got {e}")
-    group = make_dihedral(2 ** (e + 1))
-    return _involution_alternation_path(group, build_power_graph(group), x=1)
-
-
-def construct_path_semidihedral(e: int) -> HamPath:
-    """Complement path for the semidihedral group of order 2^(e+1), e ≥ 3."""
-    if e < 3:
-        raise ParameterTooSmallError(f"semidihedral construction needs e >= 3, got {e}")
-    group = make_semidihedral(2 ** (e + 1))
-    path, _ = _seed_alternation_path(group, build_power_graph(group),
-                                     x=1, y=2 ** e)
-    return path
-
-
-def construct_labelling_quaternion(e: int) -> Labelling:
-    """Span-(2^(e+1)+1) labelling for the generalized quaternion group, e ≥ 2."""
-    if e < 2:
-        raise ParameterTooSmallError(f"quaternion construction needs e >= 2, got {e}")
-    group = make_quaternion(2 ** (e + 1))
-    graph = build_power_graph(group)
-    z = 2 ** (e - 1)  # x^(2^(e-1)), the unique involution
-    labelling, _ = _restricted_path_labelling(group, graph, z)
-    return labelling
+            f"no Hamiltonian path in the complement restricted to G minus "
+            f"{{{identity}, {z}}}")
+    ordered = [keep[i] for i in found]
+    labels = [0] * n
+    labels[identity] = -2
+    labels[z] = n - 1
+    for i, v in enumerate(ordered):
+        labels[v] = i
+    return (Labelling(tuple(labels)),
+            ConstructionInfo("restricted-complement-path", tuple(ordered), ()))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +239,11 @@ def construct_labelling_quaternion(e: int) -> Labelling:
 
 
 def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | None:
-    """Find (x, y) realizing the two-generator presentation, or None.
+    """Find (x, y) realizing the dihedral or semidihedral presentation, or None.
 
     x is the smallest-index element of order |G|/2; y is the
-    smallest-index element outside ⟨x⟩ (an involution for the dihedral
-    and semidihedral cases).  The defining relations are then verified
-    on the table.
+    smallest-index involution outside ⟨x⟩.  The defining relations are
+    then verified on the table.
     """
     ot = order_table(group)
     m = group.order // 2
@@ -358,23 +252,12 @@ def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | Non
         return None
     x = xs[0]
     inside = group.cyclic_subgroup(x)
-    if family == "quaternion":
-        outside = [g for g in range(group.order) if g not in inside]
-    else:
-        outside = [g for g in range(group.order)
-                   if g not in inside and ot.orders[g] == 2]
+    outside = [g for g in range(group.order)
+               if g not in inside and ot.orders[g] == 2]
     if not outside:
         return None
     y = outside[0]
-
-    if family == "quaternion":
-        if group.compose(y, y) != group.power(x, m // 2):
-            return None
-        twist = m - 1
-    else:
-        if group.compose(y, y) != group.identity:
-            return None
-        twist = m - 1 if family == "dihedral" else m // 2 - 1
+    twist = m - 1 if family == "dihedral" else m // 2 - 1
     conjugate = group.compose(group.compose(group.inverse(y), x), y)
     if conjugate != group.power(x, twist):
         return None
@@ -413,28 +296,19 @@ def recognize_family(group: FiniteGroup) -> str:
     return "general"
 
 
-def _checked(graph: PowerGraph, cert: LambdaCertificate) -> LambdaCertificate:
-    """Re-validate a constructive certificate against the actual graph."""
-    violations = validate_labelling(graph, cert.witness)
-    if violations:
-        raise ConstructionFailedError(
-            f"witness violates the labelling constraints: {violations[0]}")
-    if cert.witness.span != cert.value:
-        raise ConstructionFailedError(
-            f"witness span {cert.witness.span} != certified value {cert.value}")
-    return cert
-
-
 def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     """λ of the power graph of any p-group, with witness and evidence.
 
-    Dispatch: cyclic → even labels 0,2,.. on the complete power graph
-    (λ = 2(p^e − 1)); a universal non-identity vertex (generalized
-    quaternion) → restricted path, λ = |G|+1; dihedral/semidihedral →
-    their explicit alternations; every other p-group → level descent;
-    the last three all achieve λ = |G|.  The trivial group is allowed as
-    a degenerate cyclic case with λ = 0.
+    Dispatch on recognize_family: cyclic → even labels 0,2,.. on the
+    complete power graph (λ = 2(p^e − 1)); generalized quaternion → its
+    unique involution is a universal non-identity vertex, so a restricted
+    path gives λ = |G|+1; dihedral/semidihedral → their explicit
+    alternations; every other p-group → level descent; the last three all
+    achieve λ = |G|.  The trivial group is allowed as a degenerate cyclic
+    case with λ = 0.  The certificate is checked against the power graph
+    before it is returned.
     """
+    family = recognize_family(group)
     n = group.order
     if n == 1:
         return LambdaCertificate(
@@ -442,58 +316,45 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
             evidence=Evidence(kind="degenerate", bound=0),
             method="constructive",
             construction=ConstructionInfo("degenerate", (), ()))
-    ot = order_table(group)
-    if ot.p_group_prime is None:
-        raise NotPGroupError(f"order {n} is not a prime power")
     graph = build_power_graph(group)
 
-    if ot.exponent == n:
+    if family == "cyclic":
         # cyclic p-group: subgroups are totally ordered, the graph is complete
         if not all(graph.degree(v) == n - 1 for v in range(n)):
             raise ConstructionFailedError(
                 "exponent equals the order but the power graph is not complete")
-        witness = Labelling(tuple(2 * v for v in range(n)))
-        return _checked(graph, LambdaCertificate(
-            value=2 * (n - 1), witness=witness,
+        cert = LambdaCertificate(
+            value=2 * (n - 1), witness=Labelling(tuple(2 * v for v in range(n))),
             evidence=Evidence(kind="complete-graph-bound", bound=2 * (n - 1)),
             method="constructive",
-            construction=ConstructionInfo("cyclic-even-spacing", (), ())))
-
-    lower = power_graph_lower_bound(graph)
-    if lower.kind == "universal-nonidentity-vertex":
-        assert lower.vertex is not None
-        witness, info = _restricted_path_labelling(group, graph, lower.vertex)
-        return _checked(graph, LambdaCertificate(
+            construction=ConstructionInfo("cyclic-even-spacing", (), ()))
+    elif family == "quaternion":
+        z = order_table(group).orders.index(2)
+        witness, info = _restricted_path_labelling(graph, z)
+        cert = LambdaCertificate(
             value=n + 1, witness=witness,
-            evidence=Evidence(kind=lower.kind, bound=n + 1, vertex=lower.vertex),
-            method="constructive", construction=info))
-
-    partition = cyclic_classes(group)
-    if (n >= 8 and ot.exponent == n // 2
-            and partition.class_number(2) == 1 + n // 2):
-        located = _locate_generators(group, "dihedral")
-        if located is None:
-            raise ConstructionFailedError(
-                "dihedral class signature but the relations do not hold")
-        path = _involution_alternation_path(group, graph, located[0])
-        joints: tuple[tuple[int, int], ...] = ()
-        kind = "involution-alternation"
-    elif (n >= 16 and ot.exponent == n // 2
-            and partition.class_number(2) == 1 + n // 4
-            and partition.class_number(4) == 1 + n // 8):
-        located = _locate_generators(group, "semidihedral")
-        if located is None:
-            raise ConstructionFailedError(
-                "semidihedral class signature but the relations do not hold")
-        path, joints = _seed_alternation_path(group, graph, *located)
-        kind = "seed-alternation"
+            evidence=Evidence(kind="universal-nonidentity-vertex", bound=n + 1,
+                              vertex=z),
+            method="constructive", construction=info)
     else:
-        path, joints = _descent_path(group, graph)
-        kind = "class-interleaving-descent"
+        joints: Joints = ()
+        if family == "dihedral":
+            x, _ = _locate_generators(group, family)
+            path = _involution_alternation_path(group, x)
+            kind = "involution-alternation"
+        elif family == "semidihedral":
+            path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
+            kind = "seed-alternation"
+        else:
+            path, joints = _descent_path(graph)
+            kind = "class-interleaving-descent"
+        cert = LambdaCertificate(
+            value=n, witness=path_to_labelling(graph, path),
+            evidence=Evidence(kind="power-graph-bound", bound=n),
+            method="constructive",
+            construction=ConstructionInfo(kind, path, joints))
 
-    witness = path_to_labelling(graph, path)
-    return _checked(graph, LambdaCertificate(
-        value=n, witness=witness,
-        evidence=Evidence(kind="power-graph-bound", bound=n),
-        method="constructive",
-        construction=ConstructionInfo(kind, path.vertices, joints)))
+    problems = certificate_problems(graph, cert)
+    if problems:
+        raise ConstructionFailedError(problems[0])
+    return cert

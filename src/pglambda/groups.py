@@ -9,6 +9,7 @@ so that everything computed downstream is reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -29,9 +30,9 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
+    "CyclicSubgroups",
     "FiniteGroup",
     "OrderTable",
-    "element_order",
     "format_cayley",
     "is_maximal_class",
     "lower_central_series",
@@ -78,12 +79,17 @@ class FiniteGroup:
     immutable after construction (the table is a read-only array) and are
     therefore safe to share across threads.
 
+    Derived structures (inverses, cyclic subgroups, element orders, cyclic
+    classes, the power graph) are computed on first use and cached here, so
+    each is built once per group.
+
     This class does not itself verify the group axioms; go through
     :func:`validate_group` for untrusted tables.
     """
 
     __slots__ = ("mul", "order", "identity", "names", "family_tag",
-                 "_inverses", "_order_table")
+                 "_inverses", "_subgroups", "_order_table", "_classes",
+                 "_power_graph")
 
     def __init__(self, mul: np.ndarray | Sequence[Sequence[int]],
                  identity: int = 0,
@@ -99,7 +105,10 @@ class FiniteGroup:
         self.names = tuple(names) if names is not None else None
         self.family_tag = family_tag
         self._inverses: np.ndarray | None = None
+        self._subgroups: CyclicSubgroups | None = None
         self._order_table: OrderTable | None = None
+        self._classes = None      # powergraph.ClassPartition, see cyclic_classes
+        self._power_graph = None  # powergraph.PowerGraph, see build_power_graph
 
     def __repr__(self) -> str:
         tag = self.family_tag or "table"
@@ -135,22 +144,43 @@ class FiniteGroup:
             k >>= 1
         return acc
 
+    def cyclic_subgroups(self) -> CyclicSubgroups:
+        """Every cyclic subgroup, from one walk of ⟨g⟩ per subgroup; cached.
+
+        The other generators of ⟨g⟩ are the g^k with gcd(k, |g|) = 1, so
+        walking from them would only repeat the same subgroup.
+        """
+        if self._subgroups is None:
+            index = [-1] * self.order
+            elements: list[tuple[int, ...]] = []
+            generators: list[tuple[int, ...]] = []
+            for g in range(self.order):
+                if index[g] >= 0:
+                    continue
+                powers = [self.identity]
+                acc = g
+                while acc != self.identity:
+                    powers.append(acc)
+                    acc = int(self.mul[acc, g])
+                m = len(powers)
+                gens = tuple(sorted(powers[k] for k in range(m) if math.gcd(k, m) == 1))
+                for h in gens:
+                    index[h] = len(elements)
+                elements.append(tuple(powers))
+                generators.append(gens)
+            self._subgroups = CyclicSubgroups(tuple(elements), tuple(generators),
+                                              tuple(index))
+        return self._subgroups
+
     def element_order(self, g: int) -> int:
         """Least k > 0 with g^k = identity."""
-        k, acc = 1, g
-        while acc != self.identity:
-            acc = int(self.mul[acc, g])
-            k += 1
-        return k
+        sub = self.cyclic_subgroups()
+        return len(sub.elements[sub.index[g]])
 
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
         """⟨g⟩ as a set of element indices; its size is element_order(g)."""
-        members = {self.identity}
-        acc = g
-        while acc != self.identity:
-            members.add(acc)
-            acc = int(self.mul[acc, g])
-        return frozenset(members)
+        sub = self.cyclic_subgroups()
+        return frozenset(sub.elements[sub.index[g]])
 
     def subgroup_generated(self, generators: Iterable[int]) -> frozenset[int]:
         """Close the generators under products by worklist saturation.
@@ -178,6 +208,20 @@ class FiniteGroup:
 
 
 @dataclass(frozen=True)
+class CyclicSubgroups:
+    """The distinct cyclic subgroups of a group, each stored once.
+
+    Subgroup i is ``elements[i]``, the powers g⁰, g¹, .. of its
+    smallest-index generator g; ``generators[i]`` lists, ascending, every
+    element that generates it; ``index[h]`` is the subgroup h generates.
+    """
+
+    elements: tuple[tuple[int, ...], ...]
+    generators: tuple[tuple[int, ...], ...]
+    index: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class OrderTable:
     """Element orders of a group, with the exponent and p-group prime."""
 
@@ -189,7 +233,8 @@ class OrderTable:
 def order_table(group: FiniteGroup) -> OrderTable:
     """All element orders plus the exponent; cached on the group."""
     if group._order_table is None:
-        orders = tuple(group.element_order(g) for g in range(group.order))
+        sub = group.cyclic_subgroups()
+        orders = tuple(len(sub.elements[i]) for i in sub.index)
         pp = prime_power(group.order)
         group._order_table = OrderTable(
             orders=orders,
@@ -197,11 +242,6 @@ def order_table(group: FiniteGroup) -> OrderTable:
             p_group_prime=pp[0] if pp else None,
         )
     return group._order_table
-
-
-def element_order(group: FiniteGroup, g: int) -> int:
-    """Order of element g (module-level convenience for the method)."""
-    return group.element_order(g)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -41,6 +41,7 @@ __all__ = [
     "Evidence",
     "LambdaCertificate",
     "ConstructionInfo",
+    "certificate_problems",
     "validate_labelling",
     "span",
     "check_ham_path",
@@ -410,6 +411,24 @@ class LambdaCertificate:
     evidence: Evidence
     method: str
     construction: ConstructionInfo | None = None
+
+
+def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str]:
+    """What is wrong with a certificate; empty when it checks out.
+
+    The witness must be a valid labelling of the graph, its span must be
+    the certified λ, and λ may not fall below power_graph_lower_bound.
+    """
+    problems = []
+    violations = validate_labelling(graph, cert.witness)
+    if violations:
+        problems.append(f"witness violates labelling constraints: {violations[0]}")
+    if cert.witness.span != cert.value:
+        problems.append(f"witness span {cert.witness.span} != lambda {cert.value}")
+    lower = power_graph_lower_bound(graph)
+    if cert.value < lower.value:
+        problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.value}")
+    return problems
 
 
 class _TimeUp(Exception):

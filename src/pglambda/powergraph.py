@@ -96,15 +96,25 @@ class PowerGraph(Graph):
 
 
 def build_power_graph(group: FiniteGroup) -> PowerGraph:
-    """Join distinct a, b whenever a ∈ ⟨b⟩ or b ∈ ⟨a⟩."""
-    n = group.order
-    neighbors = [0] * n
-    for g in range(n):
-        for h in group.cyclic_subgroup(g):
-            if h != g:
-                neighbors[g] |= 1 << h
-                neighbors[h] |= 1 << g
-    return PowerGraph(n, neighbors, group, names=group.names)
+    """Join distinct a, b whenever a ∈ ⟨b⟩ or b ∈ ⟨a⟩; cached on the group.
+
+    Each generator of a cyclic subgroup is joined to the whole subgroup,
+    so the graph comes from one pass over the distinct subgroups.
+    """
+    if group._power_graph is None:
+        sub = group.cyclic_subgroups()
+        neighbors = [0] * group.order
+        for elements, gens in zip(sub.elements, sub.generators):
+            inside = sum(1 << h for h in elements)
+            gens_mask = sum(1 << g for g in gens)
+            for g in gens:
+                neighbors[g] |= inside
+            for h in elements:
+                neighbors[h] |= gens_mask
+        neighbors = [mask & ~(1 << v) for v, mask in enumerate(neighbors)]
+        group._power_graph = PowerGraph(group.order, neighbors, group,
+                                        names=group.names)
+    return group._power_graph
 
 
 def complement(graph: Graph) -> Graph:
@@ -198,22 +208,22 @@ class ClassPartition:
 
 
 def cyclic_classes(group: FiniteGroup) -> ClassPartition:
-    """Partition by the relation ⟨g₁⟩ = ⟨g₂⟩."""
-    buckets: dict[frozenset[int], list[int]] = {}
-    for g in range(group.order):
-        buckets.setdefault(group.cyclic_subgroup(g), []).append(g)
-    classes = sorted(
-        (CyclicClass(order=len(sub), members=tuple(sorted(members)))
-         for sub, members in buckets.items()),
-        key=lambda c: (c.order, c.members[0]),
-    )
-    by_order: dict[int, list[CyclicClass]] = {}
-    for c in classes:
-        by_order.setdefault(c.order, []).append(c)
-    return ClassPartition(
-        classes=tuple(classes),
-        by_order={n: tuple(cs) for n, cs in by_order.items()},
-    )
+    """Partition by the relation ⟨g₁⟩ = ⟨g₂⟩; cached on the group."""
+    if group._classes is None:
+        sub = group.cyclic_subgroups()
+        classes = sorted(
+            (CyclicClass(order=len(elements), members=gens)
+             for elements, gens in zip(sub.elements, sub.generators)),
+            key=lambda c: (c.order, c.members[0]),
+        )
+        by_order: dict[int, list[CyclicClass]] = {}
+        for c in classes:
+            by_order.setdefault(c.order, []).append(c)
+        group._classes = ClassPartition(
+            classes=tuple(classes),
+            by_order={n: tuple(cs) for n, cs in by_order.items()},
+        )
+    return group._classes
 
 
 def classes_adjacent(partition: ClassPartition, c1: CyclicClass,

@@ -3,18 +3,23 @@
 Each suite checks one verifiable statement about power graphs of finite
 groups and reports per-group pass/fail records.  Suites that need the
 exhaustive labelling search only run it on groups up to `exact_cap`
-(default 32); everything else runs on the whole selection.
+(default DEFAULT_SEARCH_CAP, 32); everything else runs on the whole
+selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .catalog import build_catalogue_groups
 from .construct import lambda_p_group
 from .groups import FiniteGroup, OrderTable, is_maximal_class, order_table
 from .labelling import (
+    DEFAULT_SEARCH_CAP,
+    DEFAULT_TIME_BUDGET,
+    LambdaCertificate,
     exact_lambda,
     find_group_ham_path,
     labelling_to_path,
@@ -32,8 +37,6 @@ from .powergraph import (
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
-DEFAULT_EXACT_CAP = 32
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -45,11 +48,22 @@ class SuiteResult:
 
 @dataclass(frozen=True)
 class _Subject:
+    """A named group; what the suites derive from it is computed once."""
+
     name: str
     group: FiniteGroup
-    graph: PowerGraph
-    partition: ClassPartition
-    orders: OrderTable
+
+    @cached_property
+    def graph(self) -> PowerGraph:
+        return build_power_graph(self.group)
+
+    @cached_property
+    def partition(self) -> ClassPartition:
+        return cyclic_classes(self.group)
+
+    @cached_property
+    def orders(self) -> OrderTable:
+        return order_table(self.group)
 
     @property
     def n(self) -> int:
@@ -58,6 +72,11 @@ class _Subject:
     @property
     def prime(self) -> int | None:
         return self.orders.p_group_prime
+
+    @cached_property
+    def certificate(self) -> LambdaCertificate:
+        """The constructive certificate, built once per p-group subject."""
+        return lambda_p_group(self.group)
 
 
 def _result(suite: str, subject: _Subject, passed: bool, detail: str) -> SuiteResult:
@@ -194,7 +213,7 @@ def _suite_span_path_equivalence(subjects: Sequence[_Subject], cap: int,
         if not 3 <= s.n <= cap:
             continue
         path = find_group_ham_path(s.graph)
-        cert = exact_lambda(s.graph, time_budget=budget)
+        cert = exact_lambda(s.graph, max_vertices=cap, time_budget=budget)
         ok = (path is not None) == (cert.value == s.n)
         detail = (f"lambda = {cert.value}, path "
                   f"{'found' if path is not None else 'absent'}")
@@ -220,8 +239,8 @@ def _suite_constructive_matches_exact(subjects: Sequence[_Subject], cap: int,
     for s in subjects:
         if s.prime is None or s.n > cap:
             continue
-        constructive = lambda_p_group(s.group)
-        exact = exact_lambda(s.graph, time_budget=budget)
+        constructive = s.certificate
+        exact = exact_lambda(s.graph, max_vertices=cap, time_budget=budget)
         ok = constructive.value == exact.value
         out.append(_result("constructive-matches-exact", s, ok,
                            f"constructive {constructive.value}, exact {exact.value}"))
@@ -235,7 +254,7 @@ def _suite_constructive_witness_valid(subjects: Sequence[_Subject], cap: int,
     for s in subjects:
         if s.prime is None:
             continue
-        cert = lambda_p_group(s.group)
+        cert = s.certificate
         violations = validate_labelling(s.graph, cert.witness)
         expected = _formula_lambda(s)
         ok = (not violations and cert.witness.span == cert.value
@@ -253,7 +272,7 @@ def _suite_round_trip(subjects: Sequence[_Subject], cap: int,
     for s in subjects:
         if s.prime is None:
             continue
-        cert = lambda_p_group(s.group)
+        cert = s.certificate
         if cert.value != s.n:
             continue
         path = labelling_to_path(s.graph, cert.witness)
@@ -284,22 +303,15 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 def run_suites(max_order: int = 32,
                extra_groups: Sequence[tuple[str, FiniteGroup]] = (),
                *,
-               exact_cap: int = DEFAULT_EXACT_CAP,
-               time_budget: float = 60.0) -> list[SuiteResult]:
+               exact_cap: int = DEFAULT_SEARCH_CAP,
+               time_budget: float = DEFAULT_TIME_BUDGET) -> list[SuiteResult]:
     """Run every suite over the catalogue (≤ max_order) plus any extra groups."""
-    subjects = []
-    for entry, group in build_catalogue_groups(max_order):
-        subjects.append(_make_subject(entry.name, group))
-    for name, group in extra_groups:
-        subjects.append(_make_subject(name, group))
+    subjects = [_Subject(entry.name, group)
+                for entry, group in build_catalogue_groups(max_order)]
+    subjects.extend(_Subject(name, group) for name, group in extra_groups)
 
     results: list[SuiteResult] = []
     for _, fn in _SUITES:
         results.extend(fn(subjects, exact_cap, time_budget))
     return results
 
-
-def _make_subject(name: str, group: FiniteGroup) -> _Subject:
-    graph = build_power_graph(group)
-    return _Subject(name=name, group=group, graph=graph,
-                    partition=cyclic_classes(group), orders=order_table(group))

@@ -272,6 +272,16 @@ def test_suite_pretty_lines(capsys):
     assert out.count("PASS") > 10
 
 
+def test_suite_search_cap_reaches_the_exact_suites(capsys):
+    code, out, _ = run(capsys, "suite", "--max-order", "8", "--group", "dihedral:64",
+                       "--search-cap", "64")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["failures"] == 0
+    exact_on_d64 = {r["suite"] for r in doc["results"] if r["subject"] == "dihedral:64"}
+    assert {"span-path-equivalence", "constructive-matches-exact"} <= exact_on_d64
+
+
 def test_suite_max_order_above_cap_is_resource_limited(capsys):
     code, _, err = run(capsys, "suite", "--max-order", "1024")
     assert code == 3

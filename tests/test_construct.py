@@ -8,11 +8,9 @@ import random
 import pytest
 
 from pglambda import (
-    ConstructionFailedError,
     CrossAdjacencyError,
     Graph,
     NotPGroupError,
-    OrderedClassFamily,
     ParameterTooSmallError,
     SingleClassError,
     ThinLevelError,
@@ -20,10 +18,6 @@ from pglambda import (
     build_interleaved_path,
     build_power_graph,
     check_ham_path,
-    construct_labelling_quaternion,
-    construct_path_dihedral,
-    construct_path_general,
-    construct_path_semidihedral,
     cyclic_classes,
     lambda_p_group,
     make_cyclic,
@@ -47,26 +41,27 @@ from pglambda import (
 def test_interleaving_is_column_major():
     graph = Graph(5, [0] * 5)  # no edges: every interleaving is admissible
     segment = build_interleaved_path(graph, [(1, 2), (3, 4)])
-    assert segment.vertices == (1, 3, 2, 4)
-    assert (segment.first, segment.last) == (1, 4)
+    assert segment == (1, 3, 2, 4)
 
 
 def test_interleaving_sorts_class_members():
     graph = Graph(5, [0] * 5)
     segment = build_interleaved_path(graph, [(2, 1), (4, 3)])
-    assert segment.vertices == (1, 3, 2, 4)
+    assert segment == (1, 3, 2, 4)
 
 
 def test_interleaving_accepts_family_and_plain_lists():
+    # a descent level (a tuple of member tuples) and the same classes as
+    # plain lists interleave identically
     group = make_elementary_abelian(3, 2)
     graph = build_power_graph(group)
     classes = tuple(c.members for c in cyclic_classes(group).by_order[3])
     assert len(classes) == 4 and all(len(c) == 2 for c in classes)
 
-    segment = build_interleaved_path(graph, OrderedClassFamily(classes))
-    assert segment.vertices == build_interleaved_path(graph, list(classes)).vertices
-    assert sorted(segment.vertices) == sorted(itertools.chain(*classes))
-    for a, b in itertools.pairwise(segment.vertices):
+    segment = build_interleaved_path(graph, classes)
+    assert segment == build_interleaved_path(graph, [list(c) for c in classes])
+    assert sorted(segment) == sorted(itertools.chain(*classes))
+    for a, b in itertools.pairwise(segment):
         assert not graph.adjacent(a, b)
 
 
@@ -104,15 +99,15 @@ def test_interleaving_rejects_adjacent_classes():
 def test_descent_levels_for_c2_x_c4():
     group = make_direct_product(make_cyclic(2), make_cyclic(4))
     graph = build_power_graph(group)
-    families = order_classes_for_descent(cyclic_classes(group), graph)
-    assert len(families) == 2  # order-4 level, then order-2 level
-    assert [len(f.classes) for f in families] == [2, 3]
-    assert [f.size for f in families] == [2, 1]
+    levels = order_classes_for_descent(cyclic_classes(group), graph)
+    assert len(levels) == 2  # order-4 level, then order-2 level
+    assert [len(level) for level in levels] == [2, 3]
+    assert [{len(c) for c in level} for level in levels] == [{2}, {1}]
 
     # the junction between consecutive levels must avoid the edge
-    upper, lower = families
-    a = upper.classes[-1][-1]
-    b = lower.classes[0][0]
+    upper, lower = levels
+    a = upper[-1][-1]
+    b = lower[0][0]
     assert not graph.adjacent(a, b)
 
 
@@ -136,8 +131,9 @@ def test_descent_rejects_non_p_groups():
     make_heisenberg(3),
 ], ids=["elemab2^2", "elemab3^2", "c2xc4", "c3xc9", "heis3"])
 def test_general_construction_yields_a_complement_path(group):
-    path = construct_path_general(group)
-    check_ham_path(build_power_graph(group), path)
+    cert = lambda_p_group(group)
+    assert cert.construction.kind == "class-interleaving-descent"
+    check_ham_path(build_power_graph(group), cert.construction.path)
 
 
 # ---------------------------------------------------------------------------
@@ -146,59 +142,71 @@ def test_general_construction_yields_a_complement_path(group):
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
 def test_dihedral_paths(e):
-    path = construct_path_dihedral(e)
     group = make_dihedral(2 ** (e + 1))
+    cert = lambda_p_group(group)
+    assert cert.construction.kind == "involution-alternation"
+    path = cert.construction.path
     graph = build_power_graph(group)
     check_ham_path(graph, path)
     # the alternation starts and ends on reflections (outside involutions)
-    assert group.element_order(path.vertices[0]) == 2
-    assert group.element_order(path.vertices[-1]) == 2
+    assert group.element_order(path[0]) == 2
+    assert group.element_order(path[-1]) == 2
 
 
 def test_dihedral_needs_e_at_least_two():
+    # the smallest dihedral 2-group is of order 8 = 2^(2+1)
     with pytest.raises(ParameterTooSmallError):
-        construct_path_dihedral(1)
+        make_dihedral(4)
+    assert lambda_p_group(make_dihedral(8)).construction.kind == "involution-alternation"
 
 
 @pytest.mark.parametrize("e", [3, 4, 5])
 def test_semidihedral_paths(e):
-    path = construct_path_semidihedral(e)
-    graph = build_power_graph(make_semidihedral(2 ** (e + 1)))
-    check_ham_path(graph, path)
+    group = make_semidihedral(2 ** (e + 1))
+    cert = lambda_p_group(group)
+    assert cert.construction.kind == "seed-alternation"
+    check_ham_path(build_power_graph(group), cert.construction.path)
 
 
 def test_semidihedral_seed_for_order_16():
-    path = construct_path_semidihedral(3)
+    cert = lambda_p_group(make_semidihedral(16))
     # y, x^4, x^2y, x^2, x^4y, x^6 in the canonical table (y = index 8)
-    seed = path.vertices[:6]
+    seed = cert.construction.path[:6]
     assert seed == (8, 4, 10, 2, 12, 6)
+    assert cert.construction.joints == ((6, cert.construction.path[6]),)
     graph = build_power_graph(make_semidihedral(16))
     for a, b in itertools.pairwise(seed):
         assert not graph.adjacent(a, b)
 
 
 def test_semidihedral_needs_e_at_least_three():
+    # the smallest semidihedral 2-group is of order 16 = 2^(3+1)
     with pytest.raises(ParameterTooSmallError):
-        construct_path_semidihedral(2)
+        make_semidihedral(8)
+    assert lambda_p_group(make_semidihedral(16)).construction.kind == "seed-alternation"
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
 def test_quaternion_labellings(e):
-    labels = construct_labelling_quaternion(e)
     n = 2 ** (e + 1)
     group = make_quaternion(n)
+    cert = lambda_p_group(group)
+    labels = cert.witness
     graph = build_power_graph(group)
     assert validate_labelling(graph, labels) == []
     assert labels.span == n + 1
     assert labels.labels[group.identity] == -2
     z = 2 ** (e - 1)  # the unique involution x^(2^(e-1))
     assert group.element_order(z) == 2
+    assert cert.evidence.vertex == z
     assert labels.labels[z] == n - 1
 
 
 def test_quaternion_needs_e_at_least_two():
+    # the smallest generalized quaternion group is of order 8 = 2^(2+1)
     with pytest.raises(ParameterTooSmallError):
-        construct_labelling_quaternion(1)
+        make_quaternion(4)
+    assert lambda_p_group(make_quaternion(8)).value == 9
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from pglambda import (
     NotPGroupError,
     ParameterTooSmallError,
     TooLargeError,
-    element_order,
     format_cayley,
     is_maximal_class,
     lower_central_series,
@@ -43,7 +42,7 @@ from pglambda import (
 def test_cyclic_element_orders_match_gcd_formula(n):
     group = make_cyclic(n)
     for g in range(n):
-        assert element_order(group, g) == n // math.gcd(n, g)
+        assert group.element_order(g) == n // math.gcd(n, g)
 
 
 def test_power_matches_repeated_multiplication():
@@ -111,7 +110,7 @@ def test_validate_rejects_non_latin_monoid():
 def test_validate_accepts_trivial_group():
     group = validate_group([[0]])
     assert group.order == 1
-    assert element_order(group, 0) == 1
+    assert group.element_order(0) == 1
 
 
 def test_validate_rejects_non_square():
@@ -127,7 +126,7 @@ def test_dihedral_relations():
     group = make_dihedral(16)
     x, y = 1, 8
     m = 8
-    assert element_order(group, x) == m
+    assert group.element_order(x) == m
     assert group.compose(y, y) == group.identity
     conj = group.compose(group.compose(group.inverse(y), x), y)
     assert conj == group.power(x, m - 1)
@@ -139,7 +138,7 @@ def test_quaternion_relations_and_unique_involution():
     assert group.compose(y, y) == group.power(x, 4)  # y^2 = x^(m/2)
     conj = group.compose(group.compose(group.inverse(y), x), y)
     assert conj == group.power(x, 7)
-    involutions = [g for g in range(16) if element_order(group, g) == 2]
+    involutions = [g for g in range(16) if group.element_order(g) == 2]
     assert involutions == [4]  # x^(m/2) and nothing else
 
 
@@ -155,7 +154,7 @@ def test_semidihedral_relations():
 def test_elementary_abelian_every_element_has_order_p():
     group = make_elementary_abelian(3, 3)
     assert group.order == 27
-    assert all(element_order(group, g) == 3 for g in range(1, 27))
+    assert all(group.element_order(g) == 3 for g in range(1, 27))
 
 
 def test_heisenberg_is_nonabelian_of_exponent_p():
@@ -169,7 +168,7 @@ def test_heisenberg_is_nonabelian_of_exponent_p():
 def test_direct_product_orders_are_lcms():
     group = make_direct_product(make_cyclic(4), make_cyclic(6))
     assert group.order == 24
-    orders = {element_order(group, g) for g in range(24)}
+    orders = {group.element_order(g) for g in range(24)}
     assert orders == {1, 2, 3, 4, 6, 12}
 
 
@@ -247,7 +246,7 @@ def test_cayley_round_trip_via_ingested_group(s3_group):
     back = parse_cayley(text)
     assert np.array_equal(back.mul, s3_group.mul)
     assert back.order == 6
-    assert sorted(element_order(back, g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(back.element_order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
 def test_cayley_format_starts_with_order_line():
