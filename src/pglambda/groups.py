@@ -1,21 +1,21 @@
 """Finite groups as explicit multiplication tables.
 
-Groups live on element indices ``0..n-1`` with an immutable numpy Cayley
-table.  The family constructors (cyclic, dihedral, generalized quaternion,
-semidihedral, elementary abelian, Heisenberg, direct product) fix a
-deterministic element enumeration — powers of x first, then the y-coset —
-so that everything computed downstream is reproducible.
+Groups live on element indices ``0..n-1`` with an immutable Cayley table,
+a tuple of row tuples.  The family constructors (cyclic, dihedral,
+generalized quaternion, semidihedral, elementary abelian, Heisenberg,
+direct product) fix a deterministic element enumeration — powers of x
+first, then the y-coset — so that everything computed downstream is
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import chain, product
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EvenPrimeError,
@@ -52,10 +52,7 @@ __all__ = [
 
 DEFAULT_MAX_ORDER = 512
 
-# Associativity is checked on all n³ triples up to this order and on a
-# seeded random sample of 10·n² triples above it.
-EXHAUSTIVE_ASSOC_LIMIT = 256
-_ASSOC_SAMPLE_SEED = 0x1A71
+Table = tuple[tuple[int, ...], ...]
 
 
 def max_group_order() -> int:
@@ -75,9 +72,9 @@ def max_group_order() -> int:
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    ``mul[g, h]`` is the product g·h on element indices.  Instances are
-    immutable after construction (the table is a read-only array) and are
-    therefore safe to share across threads.
+    ``mul[g][h]`` is the product g·h on element indices.  Instances are
+    immutable after construction (the table is a tuple of row tuples) and
+    are therefore safe to share across threads.
 
     Derived structures (inverses, cyclic subgroups, element orders, cyclic
     classes, the power graph) are computed on first use and cached here, so
@@ -91,20 +88,17 @@ class FiniteGroup:
                  "_inverses", "_subgroups", "_order_table", "_classes",
                  "_power_graph")
 
-    def __init__(self, mul: np.ndarray | Sequence[Sequence[int]],
+    def __init__(self, mul: Sequence[Sequence[int]],
                  identity: int = 0,
                  names: Sequence[str] | None = None,
                  family_tag: str | None = None) -> None:
-        table = np.array(mul, dtype=np.int32, copy=True)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValueError(f"multiplication table must be square, got shape {table.shape}")
-        table.setflags(write=False)
+        table = _square_table(mul)
         self.mul = table
-        self.order = int(table.shape[0])
+        self.order = len(table)
         self.identity = int(identity)
         self.names = tuple(names) if names is not None else None
         self.family_tag = family_tag
-        self._inverses: np.ndarray | None = None
+        self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
         self._order_table: OrderTable | None = None
         self._classes = None      # powergraph.ClassPartition, see cyclic_classes
@@ -118,19 +112,21 @@ class FiniteGroup:
         return self.names[g] if self.names else str(g)
 
     def compose(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
+        return self.mul[a][b]
 
     @property
-    def inverses(self) -> np.ndarray:
-        """inverses[g] = g⁻¹ (unique because rows are permutations)."""
+    def inverses(self) -> tuple[int, ...]:
+        """inverses[g] = g⁻¹, read off the cyclic subgroups: (h^k)⁻¹ = h^(m−k)."""
         if self._inverses is None:
-            inv = np.argmax(self.mul == self.identity, axis=1)
-            inv.setflags(write=False)
-            self._inverses = inv
+            inv = [self.identity] * self.order
+            for powers in self.cyclic_subgroups().elements:
+                for k, h in enumerate(powers):
+                    inv[h] = powers[-k]
+            self._inverses = tuple(inv)
         return self._inverses
 
     def inverse(self, g: int) -> int:
-        return int(self.inverses[g])
+        return self.inverses[g]
 
     def power(self, g: int, k: int) -> int:
         """g**k for any integer k; negative powers go through the inverse."""
@@ -139,8 +135,8 @@ class FiniteGroup:
         acc, base = self.identity, g
         while k:
             if k & 1:
-                acc = int(self.mul[acc, base])
-            base = int(self.mul[base, base])
+                acc = self.mul[acc][base]
+            base = self.mul[base][base]
             k >>= 1
         return acc
 
@@ -151,6 +147,7 @@ class FiniteGroup:
         walking from them would only repeat the same subgroup.
         """
         if self._subgroups is None:
+            mul = self.mul
             index = [-1] * self.order
             elements: list[tuple[int, ...]] = []
             generators: list[tuple[int, ...]] = []
@@ -161,7 +158,7 @@ class FiniteGroup:
                 acc = g
                 while acc != self.identity:
                     powers.append(acc)
-                    acc = int(self.mul[acc, g])
+                    acc = mul[acc][g]
                 m = len(powers)
                 gens = tuple(sorted(powers[k] for k in range(m) if math.gcd(k, m) == 1))
                 for h in gens:
@@ -195,7 +192,7 @@ class FiniteGroup:
         while work:
             a = work.pop()
             for g in gens:
-                b = int(mul[a, g])
+                b = mul[a][g]
                 if b not in reached:
                     reached.add(b)
                     work.append(b)
@@ -204,7 +201,7 @@ class FiniteGroup:
     def commutator(self, a: int, b: int) -> int:
         """a⁻¹·b⁻¹·a·b."""
         mul = self.mul
-        return int(mul[mul[self.inverse(a), self.inverse(b)], mul[a, b]])
+        return mul[mul[self.inverse(a)][self.inverse(b)]][mul[a][b]]
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,57 @@ def _is_prime(n: int) -> bool:
 # validation
 
 
-def validate_group(mul: Sequence[Sequence[int]] | np.ndarray,
+def _square_table(mul: Sequence[Sequence[int]]) -> Table:
+    """The table as a tuple of row tuples; ValueError unless it is square."""
+    table = tuple(map(tuple, mul))
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise ValueError(f"multiplication table must be square, got {n} rows "
+                         f"of lengths {sorted({len(row) for row in table})}")
+    return table
+
+
+def _greedy_generators(mul: Table, identity: int) -> Iterator[int]:
+    """Yield generators, each the smallest element not yet reached.
+
+    The reached set starts at the identity and is closed under right
+    multiplication by the generators yielded so far; it grows when the
+    caller asks for the next generator, and the generators run out once
+    it holds every element.  On a group table it is the subgroup they
+    generate, so there are at most log₂ n of them.
+    """
+    n = len(mul)
+    reached = bytearray(n)
+    reached[identity] = 1
+    members = [identity]
+    gens: list[int] = []
+    for g in range(n):
+        if reached[g]:
+            continue
+        yield g
+        gens.append(g)
+        # earlier members are closed under the earlier generators, so they
+        # need only g; each new member needs every generator
+        work = []
+        for r in members:
+            h = mul[r][g]
+            if not reached[h]:
+                reached[h] = 1
+                work.append(h)
+        members.extend(work)
+        while work:
+            row = mul[work.pop()]
+            for q in gens:
+                h = row[q]
+                if not reached[h]:
+                    reached[h] = 1
+                    members.append(h)
+                    work.append(h)
+        if len(members) == n:
+            return
+
+
+def validate_group(mul: Sequence[Sequence[int]],
                    identity: int = 0,
                    *,
                    names: Sequence[str] | None = None,
@@ -277,54 +324,49 @@ def validate_group(mul: Sequence[Sequence[int]] | np.ndarray,
 
     Checks run in a fixed order — closure, identity, associativity, Latin
     square — and the first violation is reported with the offending
-    cell/triple.  Associativity is exhaustive up to order 256 and a
-    deterministic random sample of 10·n² triples above that.
+    cell/triple.
+
+    Associativity is decided exhaustively by Light's test (Clifford &
+    Preston, *The Algebraic Theory of Semigroups*, 1961): the elements g
+    with (x·g)·y = x·(g·y) for all x, y are closed under the product, so it
+    suffices to check a generating set, one row comparison per (x, g).
+    The test needs only the identity, not the Latin property.
 
     Returns a :class:`FiniteGroup` on success.
     """
-    table = np.asarray(mul, dtype=np.int64)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ValueError(f"multiplication table must be square, got shape {table.shape}")
-    n = int(table.shape[0])
+    table = _square_table([tuple(map(int, row)) for row in mul])
+    n = len(table)
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
     if not 0 <= identity < n:
         raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
 
-    bad = np.argwhere((table < 0) | (table >= n))
-    if bad.size:
-        g, h = (int(v) for v in bad[0])
-        raise NotClosedError(
-            f"cell ({g}, {h}) holds {int(table[g, h])}, outside 0..{n - 1}")
+    for g, row in enumerate(table):
+        if min(row) < 0 or max(row) >= n:
+            h = next(h for h, v in enumerate(row) if not 0 <= v < n)
+            raise NotClosedError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
 
-    idx = np.arange(n)
-    left_bad = table[identity, :] != idx
-    right_bad = table[:, identity] != idx
-    if left_bad.any() or right_bad.any():
-        g = int(np.argmax(left_bad)) if left_bad.any() else int(np.argmax(right_bad))
-        raise NoIdentityError(f"element {identity} does not act as identity on element {g}")
+    idx = tuple(range(n))
+    for line in (table[identity], tuple(row[identity] for row in table)):
+        if line != idx:
+            g = next(g for g in idx if line[g] != g)
+            raise NoIdentityError(f"element {identity} does not act as identity on element {g}")
 
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        for a in range(n):
-            lhs = table[table[a, :], :]   # (b, c) ↦ (a·b)·c
-            rhs = table[a, table]         # (b, c) ↦ a·(b·c)
-            if not np.array_equal(lhs, rhs):
-                b, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
-                raise NotAssociativeError(
-                    f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {b}, {c})")
-    else:
-        rng = random.Random(_ASSOC_SAMPLE_SEED)
-        for _ in range(10 * n * n):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if table[table[a, b], c] != table[a, table[b, c]]:
-                raise NotAssociativeError(
-                    f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {b}, {c})")
+    # a generator exists only when n ≥ 2, so itemgetter returns tuples
+    for g in _greedy_generators(table, identity):
+        lhs = list(map(table.__getitem__, (row[g] for row in table)))  # a ↦ c ↦ (a·g)·c
+        rhs = list(map(itemgetter(*table[g]), table))                  # a ↦ c ↦ a·(g·c)
+        if lhs != rhs:
+            a = next(a for a in idx if lhs[a] != rhs[a])
+            c = next(c for c in idx if lhs[a][c] != rhs[a][c])
+            raise NotAssociativeError(
+                f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {g}, {c})")
 
-    for g in range(n):
-        if np.unique(table[g, :]).size != n:
+    for g, row in enumerate(table):
+        if len(set(row)) != n:
             raise NotLatinSquareError(f"row {g} is not a permutation of 0..{n - 1}")
-    for h in range(n):
-        if np.unique(table[:, h]).size != n:
+    for h, column in enumerate(zip(*table)):
+        if len(set(column)) != n:
             raise NotLatinSquareError(f"column {h} is not a permutation of 0..{n - 1}")
 
     if names is not None and len(names) != n:
@@ -352,31 +394,43 @@ def _coset_names(m: int) -> list[str]:
     return _power_names(m) + outside
 
 
+def _rotations(values: tuple[int, ...]) -> Table:
+    """Rotation a of values is values[a:] + values[:a]."""
+    return tuple(values[a:] + values[:a] for a in range(len(values)))
+
+
+def _product_table(g: Table, h: Table) -> Table:
+    """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
+    nh = len(h)
+    # shifted[b][k] is row b of h moved to the block of g-element k
+    shifted = [[tuple(map((k * nh).__add__, row)) for k in range(len(g))] for row in h]
+    return tuple(tuple(chain.from_iterable(map(shifted[b].__getitem__, row_a)))
+                 for row_a in g for b in range(nh))
+
+
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n: mul[i][j] = (i + j) mod n, identity 0."""
     if n < 1:
         raise ParameterTooSmallError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, 0, names=_power_names(n), family_tag="cyclic")
+    return FiniteGroup(_rotations(tuple(range(n))), 0, names=_power_names(n),
+                       family_tag="cyclic")
 
 
-def _two_generator_table(m: int, twist: int, y_square: int) -> np.ndarray:
+def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
     """Table for ⟨x, y⟩ with |x| = m, y·x^b = x^{twist·b}·y, y² = x^{y_square}.
 
     Elements are encoded as x^a y^s ↦ a + s·m, so
     (x^a y^s)(x^b y^t) = x^{a + twist^s·b + [s and t]·y_square} y^{s xor t}.
+    Row x^a is two rotations; row x^a y reads two rotations through
+    b ↦ twist·b mod m.
     """
-    n = 2 * m
-    table = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        s, a = divmod(i, m)
-        for j in range(n):
-            t, b = divmod(j, m)
-            exp = a + (twist * b if s else b) + (y_square if s and t else 0)
-            table[i, j] = exp % m + (m if s != t else 0)
-    return table
+    powers = _rotations(tuple(range(m)))        # x^a · x^b = x^{a+b}
+    coset = _rotations(tuple(range(m, 2 * m)))  # x^a · x^b y = x^{a+b} y
+    twisted = itemgetter(*(twist * b % m for b in range(m)))
+    x_rows = [powers[a] + coset[a] for a in range(m)]
+    y_rows = [twisted(coset[a]) + twisted(powers[(a + y_square) % m]) for a in range(m)]
+    return tuple(x_rows + y_rows)
 
 
 def _two_exponent(order: int, smallest: int, family: str) -> int:
@@ -426,14 +480,10 @@ def make_semidihedral(order: int) -> FiniteGroup:
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
     nh = h.order
-    n = g.order * nh
-    hi = np.arange(n) // nh
-    lo = np.arange(n) % nh
-    table = (g.mul[hi[:, None], hi[None, :]].astype(np.int64) * nh
-             + h.mul[lo[:, None], lo[None, :]])
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
     identity = g.identity * nh + h.identity
-    return FiniteGroup(table, identity, names=names, family_tag="product")
+    return FiniteGroup(_product_table(g.mul, h.mul), identity, names=names,
+                       family_tag="product")
 
 
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -444,11 +494,11 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise ParameterTooSmallError(f"k must be >= 1, got {k}")
     n = p ** k
     _check_cap(n, "elementary abelian group")
-    digits = np.stack(np.unravel_index(np.arange(n), (p,) * k), axis=1)
-    sums = (digits[:, None, :] + digits[None, :, :]) % p
-    weights = p ** np.arange(k - 1, -1, -1)
-    table = sums @ weights
-    names = ["(" + ",".join(str(d) for d in row) + ")" for row in digits]
+    cyclic = _rotations(tuple(range(p)))
+    table = cyclic
+    for _ in range(k - 1):
+        table = _product_table(cyclic, table)  # the first digit is the most significant
+    names = ["(" + ",".join(map(str, digits)) + ")" for digits in product(range(p), repeat=k)]
     return FiniteGroup(table, 0, names=names, family_tag="elemab")
 
 
@@ -464,12 +514,15 @@ def make_heisenberg(p: int) -> FiniteGroup:
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p ** 3
     _check_cap(n, "Heisenberg group")
-    a, b, c = np.unravel_index(np.arange(n), (p, p, p))
-    aa = (a[:, None] + a[None, :]) % p
-    bb = (b[:, None] + b[None, :]) % p
-    cc = (c[:, None] + c[None, :] + a[:, None] * b[None, :]) % p
-    table = (aa * p + bb) * p + cc
-    names = [f"({a[i]},{b[i]},{c[i]})" for i in range(n)]
+    # blocks[q][s][c'] = q·p + (s + c') mod p: the run of p products that share
+    # their first two coordinates q = (a+a', b+b') and the shift s = c + a·b'
+    rotations = _rotations(tuple(range(p)))
+    blocks = [[tuple(map((q * p).__add__, rot)) for rot in rotations] for q in range(p * p)]
+    triples = list(product(range(p), repeat=3))
+    table = [tuple(chain.from_iterable(blocks[(a + a2) % p * p + (b + b2) % p][(c + a * b2) % p]
+                                       for a2 in range(p) for b2 in range(p)))
+             for a, b, c in triples]
+    names = [f"({a},{b},{c})" for a, b, c in triples]
     return FiniteGroup(table, 0, names=names, family_tag="heisenberg")
 
 
@@ -480,20 +533,18 @@ def make_heisenberg(p: int) -> FiniteGroup:
 def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     """Chain γ₁ = G, γ_{i+1} = ⟨[h, g] : h ∈ γᵢ, g ∈ G⟩, until stable.
 
-    Each step generates the subgroup from all commutators of the previous
-    term against the whole group (closure by worklist saturation).  For a
-    nilpotent group the chain ends with the trivial subgroup.
+    Each step generates the subgroup (closure by worklist saturation) from
+    the commutators [h, y] with h in the previous term and y in a
+    generating set of G.  These suffice: γᵢ is normal, so [h, w·y] =
+    [h, y]·[h, w]·[[h, w], y] is a product of them by induction on the
+    length of w·y as a word in the generators.  For a nilpotent group the
+    chain ends with the trivial subgroup.
     """
-    mul = group.mul
-    inv = group.inverses
-    everyone = np.arange(group.order)
+    gens = list(_greedy_generators(group.mul, group.identity))
     series = [frozenset(range(group.order))]
     while True:
-        current = np.array(sorted(series[-1]))
-        # [h, g] = h⁻¹ g⁻¹ h g, vectorized over all pairs
-        comms = mul[mul[inv[current][:, None], inv[everyone][None, :]],
-                    mul[current[:, None], everyone[None, :]]]
-        nxt = group.subgroup_generated(int(v) for v in np.unique(comms))
+        nxt = group.subgroup_generated({group.commutator(h, y)
+                                        for h in series[-1] for y in gens})
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -523,7 +574,7 @@ def format_cayley(group: FiniteGroup) -> str:
     """
     lines = [str(group.order)]
     for g in range(group.order):
-        lines.append(" ".join(str(int(v)) for v in group.mul[g]))
+        lines.append(" ".join(map(str, group.mul[g])))
     if group.names and not any("," in name for name in group.names):
         lines.append("names: " + ",".join(group.names))
     return "\n".join(lines) + "\n"

@@ -132,22 +132,33 @@ def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Vio
     """Every violating pair with its distance; empty list means valid.
 
     Distances beyond 2 are unconstrained; d = 2 means non-adjacent with a
-    common neighbour.
+    common neighbour.  Violations come in ascending (u, v) order, u < v.
+    Only pairs whose labels differ by less than max(j, k) can violate, so
+    the vertices are sorted by label and only pairs inside that window are
+    tested.
     """
     lab = _normalize_labels(graph.n, labels)
     neigh = graph.neighbors
+    window = max(j, k)
+    n = graph.n
+    by_label = sorted(range(n), key=lab.__getitem__)
     out = []
-    for u in range(graph.n):
-        for v in range(u + 1, graph.n):
+    for i, x in enumerate(by_label):
+        for t in range(i + 1, n):
+            y = by_label[t]
+            gap = lab[y] - lab[x]
+            if gap >= window:
+                break
+            u, v = min(x, y), max(x, y)
             if (neigh[u] >> v) & 1:
                 distance, required = 1, j
             elif neigh[u] & neigh[v]:
                 distance, required = 2, k
             else:
                 continue
-            gap = abs(lab[u] - lab[v])
             if gap < required:
                 out.append(Violation(u, v, distance, gap, required))
+    out.sort(key=lambda w: (w.u, w.v))
     return out
 
 
@@ -475,10 +486,9 @@ def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
     domains = [full] * n
     domains[order[0]] = (1 << (s // 2 + 1)) - 1
     labels = [-1] * n
-    state = {"unassigned": (1 << n) - 1, "ticks": 0}
+    unassigned = (1 << n) - 1
 
     def doomed() -> bool:
-        unassigned = state["unassigned"]
         if all_distinct:
             union = 0
             need = 0
@@ -497,51 +507,67 @@ def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
                 return True
         return False
 
-    def assign(i: int) -> bool:
-        if i == n:
-            return True
-        state["ticks"] += 1
-        if state["ticks"] >= 1024:
-            state["ticks"] = 0
-            if time.monotonic() > deadline:
-                raise _TimeUp
+    # Depth-first over positions i of `order`, with an explicit stack so the
+    # depth is not bounded by the interpreter's recursion limit: untried[i]
+    # holds the labels still to try at position i, undo[i] the domains the
+    # label now placed there narrowed (None while none is placed).
+    untried = [0] * n
+    undo: list[list[tuple[int, int]] | None] = [None] * n
+    untried[0] = domains[order[0]]
+    ticks = 0
+    i = 0
+    while True:
         u = order[i]
-        for lab in iter_bits(domains[u]):
-            labels[u] = lab
-            state["unassigned"] &= ~(1 << u)
-            unassigned = state["unassigned"]
-            wide = (0b111 << lab) >> 1  # {lab−1, lab, lab+1}
-            single = 1 << lab
-            changed: list[tuple[int, int]] = []
-            ok = True
-            for v in iter_bits(d1[u] & unassigned):
+        if undo[i] is not None:
+            for v, old in undo[i]:
+                domains[v] = old
+            undo[i] = None
+            unassigned |= 1 << u
+        mask = untried[i]
+        if not mask:
+            if i == 0:
+                return None
+            i -= 1
+            continue
+        low = mask & -mask
+        untried[i] = mask ^ low
+        lab = low.bit_length() - 1
+        labels[u] = lab
+        unassigned &= ~(1 << u)
+        wide = (0b111 << lab) >> 1  # {lab−1, lab, lab+1}
+        single = 1 << lab
+        changed: list[tuple[int, int]] = []
+        undo[i] = changed
+        ok = True
+        for v in iter_bits(d1[u] & unassigned):
+            old = domains[v]
+            new = old & ~wide
+            if new != old:
+                domains[v] = new
+                changed.append((v, old))
+                if not new:
+                    ok = False
+                    break
+        if ok:
+            for v in iter_bits(d2[u] & unassigned):
                 old = domains[v]
-                new = old & ~wide
+                new = old & ~single
                 if new != old:
                     domains[v] = new
                     changed.append((v, old))
                     if not new:
                         ok = False
                         break
-            if ok:
-                for v in iter_bits(d2[u] & unassigned):
-                    old = domains[v]
-                    new = old & ~single
-                    if new != old:
-                        domains[v] = new
-                        changed.append((v, old))
-                        if not new:
-                            ok = False
-                            break
-            if ok and not doomed() and assign(i + 1):
-                return True
-            for v, old in changed:
-                domains[v] = old
-            state["unassigned"] |= 1 << u
-            labels[u] = -1
-        return False
-
-    return labels[:] if assign(0) else None
+        if ok and not doomed():
+            i += 1
+            if i == n:
+                return labels[:]
+            ticks += 1
+            if ticks >= 1024:
+                ticks = 0
+                if time.monotonic() > deadline:
+                    raise _TimeUp
+            untried[i] = domains[order[i]]
 
 
 def exact_lambda(graph: Graph, start_span: int = 0, *,

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -83,6 +85,40 @@ def test_labels_accept_mapping_and_labelling_forms():
     assert validate_labelling(graph, Labelling((0, 2))) == []
     with pytest.raises(MissingLabelError):
         validate_labelling(graph, {0: 0})
+
+
+def _all_pairs_violations(graph, labels, j, k):
+    """The definition, pair by pair: the reference for validate_labelling."""
+    neigh = graph.neighbors
+    out = []
+    for u in range(graph.n):
+        for v in range(u + 1, graph.n):
+            if (neigh[u] >> v) & 1:
+                distance, required = 1, j
+            elif neigh[u] & neigh[v]:
+                distance, required = 2, k
+            else:
+                continue
+            gap = abs(labels[u] - labels[v])
+            if gap < required:
+                out.append((u, v, distance, gap, required))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False),
+       st.integers(min_value=-1, max_value=4), st.integers(min_value=-1, max_value=4))
+def test_validate_labelling_matches_the_all_pairs_definition(n, rnd, j, k):
+    neigh = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rnd.random() < 0.4:
+            neigh[u] |= 1 << v
+            neigh[v] |= 1 << u
+    graph = Graph(n, neigh)
+    labels = [rnd.randrange(-3, n + 3) for _ in range(n)]
+    got = [(w.u, w.v, w.distance, w.gap, w.required)
+           for w in validate_labelling(graph, labels, j, k)]
+    assert got == _all_pairs_violations(graph, labels, j, k)
 
 
 def test_span_examples():
@@ -286,6 +322,20 @@ def test_exact_lambda_size_and_argument_errors():
         exact_lambda(Graph(0, []))
     with pytest.raises(ValueError):
         exact_lambda(_complete_graph(3), start_span=-1)
+
+
+def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
+    # the search goes one level deeper per vertex: 81 levels here, under a
+    # limit that leaves room for 40 more nested calls
+    graph = build_power_graph(make_elementary_abelian(3, 4))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        cert = exact_lambda(graph, max_vertices=graph.n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.value == graph.n
+    assert validate_labelling(graph, cert.witness) == []
 
 
 def test_exact_lambda_trivial_graph():
