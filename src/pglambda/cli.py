@@ -21,7 +21,12 @@ import time
 
 from .catalog import catalogue
 from .construct import lambda_p_group, recognize_family
-from .errors import PglambdaError, SearchTimeoutError, TooLargeError
+from .errors import (
+    ConstructionFailedError,
+    PglambdaError,
+    SearchTimeoutError,
+    TooLargeError,
+)
 from .groups import (
     FiniteGroup,
     format_cayley,
@@ -429,7 +434,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _Violation as exc:
+    except (_Violation, ConstructionFailedError) as exc:
         print(exc, file=sys.stderr)
         return 2
     except (SearchTimeoutError, TooLargeError) as exc:

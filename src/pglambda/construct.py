@@ -8,10 +8,12 @@ each order level column by column gives a complement path, and the
 levels chain together because each class is adjacent to at most one
 class of the level below it.  Dihedral groups get a direct alternation,
 semidihedral groups a short seed segment followed by an alternation,
-and generalized quaternion groups a restricted-complement path that
-yields span |G|+1 (their unique involution is universal, so |G| is
-impossible).  The dispatcher picks the branch from the group itself and
-re-validates every witness against the actual power graph.
+and generalized quaternion groups an alternation of ⟨x⟩ ∖ {1, z} with
+the coset ⟨x⟩y, a path on G ∖ {1, z} that yields span |G|+1 (the unique
+involution z is universal, so |G| is impossible).  Every path is read
+off the group's elements; nothing is searched for.  The dispatcher picks
+the branch from the group itself and re-validates every witness against
+the actual power graph.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .labelling import (
     Labelling,
     LambdaCertificate,
     certificate_problems,
-    find_hamiltonian_path,
     path_to_labelling,
 )
 from .powergraph import (
@@ -42,7 +43,6 @@ from .powergraph import (
     Graph,
     PowerGraph,
     build_power_graph,
-    complement,
     cyclic_classes,
     iter_bits,
 )
@@ -151,6 +151,13 @@ def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
 # the three 2-group families
 
 
+def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
+    """first[0], second[0], first[1], second[1], .., then the rest of the longer."""
+    short = min(len(first), len(second))
+    pairs = tuple(v for pair in zip(first, second) for v in pair)
+    return pairs + tuple(first[short:]) + tuple(second[short:])
+
+
 def _involution_alternation_path(group: FiniteGroup, x: int) -> Path:
     """Dihedral path: outside involutions alternated with ⟨x⟩ ∖ {1}.
 
@@ -162,12 +169,7 @@ def _involution_alternation_path(group: FiniteGroup, x: int) -> Path:
     inside = [group.power(x, k) for k in range(1, m)]
     in_set = group.cyclic_subgroup(x)
     outside = [g for g in range(group.order) if g not in in_set]
-    vertices = []
-    for i, w in enumerate(outside):
-        vertices.append(w)
-        if i < len(inside):
-            vertices.append(inside[i])
-    return tuple(vertices)
+    return _alternate(outside, inside)
 
 
 def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Joints]:
@@ -190,48 +192,21 @@ def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Jo
     small = {xk(0), xk(m // 4), xk(m // 2), xk(3 * m // 4)}
     tail_outside = [xky(k) for k in range(m) if k not in (0, 2, 4)]
     tail_inside = [xk(k) for k in range(m) if xk(k) not in small]
-
-    vertices = list(seed)
-    joints = ((seed[-1], tail_outside[0]),)
-    for i, w in enumerate(tail_outside):
-        vertices.append(w)
-        if i < len(tail_inside):
-            vertices.append(tail_inside[i])
-    return tuple(vertices), joints
+    return seed + _alternate(tail_outside, tail_inside), ((seed[-1], tail_outside[0]),)
 
 
-def _restricted_path_labelling(graph: PowerGraph,
-                               z: int) -> tuple[Labelling, ConstructionInfo]:
-    """Span-(|G|+1) witness when a non-identity vertex z is universal.
+def _quaternion_path(group: FiniteGroup, x: int, y: int) -> Path:
+    """Generalized quaternion path on G ∖ {1, z}, z = x^(m/2) the involution.
 
-    Any span-|G| labelling is ruled out, so: Hamiltonian path on the
-    complement restricted to G ∖ {1, z}, identity at −2, the path at
-    0..|G|−3, and z parked at |G|−1 where it clears every label by ≥ 2.
+    Each x^k y generates {1, x^k y, z, x^(k+m/2) y}, so it is non-adjacent
+    to ⟨x⟩ ∖ {1, z} and to x^(k±1) y: the m − 2 elements of ⟨x⟩ ∖ {1, z}
+    (ascending k in x^k) alternate with the m elements x^k y (ascending
+    k), starting inside, and the last two x^k y end the path.
     """
-    n = graph.n
-    identity = graph.group.identity
-    keep = [v for v in range(n) if v not in (identity, z)]
-    pos = {v: i for i, v in enumerate(keep)}
-    sub = []
-    for v in keep:
-        mask = 0
-        for u in iter_bits(graph.neighbors[v]):
-            if u in pos:
-                mask |= 1 << pos[u]
-        sub.append(mask)
-    found = find_hamiltonian_path(complement(Graph(len(keep), sub)))
-    if found is None:
-        raise ConstructionFailedError(
-            f"no Hamiltonian path in the complement restricted to G minus "
-            f"{{{identity}, {z}}}")
-    ordered = [keep[i] for i in found]
-    labels = [0] * n
-    labels[identity] = -2
-    labels[z] = n - 1
-    for i, v in enumerate(ordered):
-        labels[v] = i
-    return (Labelling(tuple(labels)),
-            ConstructionInfo("restricted-complement-path", tuple(ordered), ()))
+    m = group.element_order(x)
+    inside = [group.power(x, k) for k in range(1, m) if k != m // 2]
+    outside = [group.compose(group.power(x, k), y) for k in range(m)]
+    return _alternate(inside, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +214,12 @@ def _restricted_path_labelling(graph: PowerGraph,
 
 
 def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | None:
-    """Find (x, y) realizing the dihedral or semidihedral presentation, or None.
+    """Find (x, y) realizing a dihedral, semidihedral or quaternion presentation.
 
     x is the smallest-index element of order |G|/2; y is the
-    smallest-index involution outside ⟨x⟩.  The defining relations are
-    then verified on the table.
+    smallest-index element outside ⟨x⟩ of order 2 (order 4 for the
+    quaternion family).  The relation y⁻¹xy = x^twist is then verified
+    on the table; None if any step fails.
     """
     ot = order_table(group)
     m = group.order // 2
@@ -252,12 +228,13 @@ def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | Non
         return None
     x = xs[0]
     inside = group.cyclic_subgroup(x)
+    y_order = 4 if family == "quaternion" else 2
     outside = [g for g in range(group.order)
-               if g not in inside and ot.orders[g] == 2]
+               if g not in inside and ot.orders[g] == y_order]
     if not outside:
         return None
     y = outside[0]
-    twist = m - 1 if family == "dihedral" else m // 2 - 1
+    twist = m // 2 - 1 if family == "semidihedral" else m - 1
     conjugate = group.compose(group.compose(group.inverse(y), x), y)
     if conjugate != group.power(x, twist):
         return None
@@ -329,13 +306,21 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
             method="constructive",
             construction=ConstructionInfo("cyclic-even-spacing", (), ()))
     elif family == "quaternion":
-        z = order_table(group).orders.index(2)
-        witness, info = _restricted_path_labelling(graph, z)
+        # the involution z is universal, so |G| is impossible: identity at
+        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
+        x, y = _locate_generators(group, family)
+        z = group.power(x, n // 4)
+        path = _quaternion_path(group, x, y)
+        labels = [n - 1] * n
+        labels[group.identity] = -2
+        for i, v in enumerate(path):
+            labels[v] = i
         cert = LambdaCertificate(
-            value=n + 1, witness=witness,
+            value=n + 1, witness=Labelling(tuple(labels)),
             evidence=Evidence(kind="universal-nonidentity-vertex", bound=n + 1,
                               vertex=z),
-            method="constructive", construction=info)
+            method="constructive",
+            construction=ConstructionInfo("restricted-complement-path", path, ()))
     else:
         joints: Joints = ()
         if family == "dihedral":
@@ -356,5 +341,6 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
 
     problems = certificate_problems(graph, cert)
     if problems:
-        raise ConstructionFailedError(problems[0])
+        raise ConstructionFailedError(f"constructive certificate fails its check: "
+                                      f"{problems[0]}")
     return cert

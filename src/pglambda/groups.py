@@ -588,8 +588,9 @@ def parse_cayley(text: str) -> FiniteGroup:
     the elements.  Element 0 must be the identity.  Blank lines and lines
     starting with ``#`` are ignored.
 
-    Raises ValueError on malformed input; the validate_group errors
-    propagate for tables that are not groups.
+    Raises ValueError on malformed input, TooLarge when the count exceeds
+    the group-order cap (before any row is parsed); the validate_group
+    errors propagate for tables that are not groups.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -601,6 +602,7 @@ def parse_cayley(text: str) -> FiniteGroup:
         raise ValueError(f"first line must be the element count, got {lines[0]!r}") from exc
     if n < 1:
         raise ValueError("element count must be positive")
+    _check_cap(n, "Cayley table")
 
     rows = lines[1:]
     names = None

@@ -289,7 +289,8 @@ def _next_candidates(neigh: Sequence[int], full: int, cur: int, visited: int) ->
     return ordered
 
 
-def _ham_from(neigh: Sequence[int], full: int, start: int) -> tuple[int, ...] | None:
+def _ham_from(neigh: Sequence[int], full: int, start: int,
+              deadline: float) -> tuple[int, ...] | None:
     path = [start]
     visited = 1 << start
     frames = [_next_candidates(neigh, full, start, visited)]
@@ -301,6 +302,9 @@ def _ham_from(neigh: Sequence[int], full: int, start: int) -> tuple[int, ...] | 
             frames.pop()
             visited &= ~(1 << path.pop())
             continue
+        if time.monotonic() > deadline:
+            raise SearchTimeoutError(f"Hamiltonian path search on {full.bit_count()} "
+                                     "vertices ran out of its time budget")
         v = frame.pop()
         path.append(v)
         visited |= 1 << v
@@ -310,14 +314,15 @@ def _ham_from(neigh: Sequence[int], full: int, start: int) -> tuple[int, ...] | 
     return None
 
 
-def find_hamiltonian_path(graph: Graph,
-                          max_vertices: int | None = None) -> tuple[int, ...] | None:
+def find_hamiltonian_path(graph: Graph, max_vertices: int | None = None, *,
+                          time_budget: float = DEFAULT_TIME_BUDGET
+                          ) -> tuple[int, ...] | None:
     """A Hamiltonian path of the graph, or None as exhaustive proof of absence.
 
     Deterministic: start vertices ascend by (degree, index) and the search
     prefers low-degree continuations.  A graph with more than two degree-1
     vertices, an isolated vertex (n ≥ 2), or a disconnected vertex set is
-    rejected immediately.
+    rejected immediately.  Raises Timeout once ``time_budget`` runs out.
     """
     from .groups import max_group_order
 
@@ -341,8 +346,9 @@ def find_hamiltonian_path(graph: Graph,
     by_degree = sorted(range(n), key=lambda v: (degrees[v], v))
     # a degree-1 vertex must be an endpoint, so starting there is complete
     pendant_starts = [v for v in by_degree if degrees[v] == 1]
+    deadline = time.monotonic() + time_budget
     for start in pendant_starts or by_degree:
-        found = _ham_from(neigh, full, start)
+        found = _ham_from(neigh, full, start, deadline)
         if found is not None:
             return found
     return None
@@ -354,10 +360,11 @@ def reduced_complement(graph: PowerGraph) -> tuple[Graph, tuple[int, ...]]:
     return complement(reduced), kept
 
 
-def find_group_ham_path(graph: PowerGraph) -> HamPath | None:
+def find_group_ham_path(graph: PowerGraph, *,
+                        time_budget: float = DEFAULT_TIME_BUDGET) -> HamPath | None:
     """Search the reduced complement; None is an exhaustive absence proof."""
     comp, kept = reduced_complement(graph)
-    found = find_hamiltonian_path(comp)
+    found = find_hamiltonian_path(comp, time_budget=time_budget)
     if found is None:
         return None
     return HamPath(tuple(kept[v] for v in found), graph.group.identity)

@@ -212,7 +212,7 @@ def _suite_span_path_equivalence(subjects: Sequence[_Subject], cap: int,
     for s in subjects:
         if not 3 <= s.n <= cap:
             continue
-        path = find_group_ham_path(s.graph)
+        path = find_group_ham_path(s.graph, time_budget=budget)
         cert = exact_lambda(s.graph, max_vertices=cap, time_budget=budget)
         ok = (path is not None) == (cert.value == s.n)
         detail = (f"lambda = {cert.value}, path "

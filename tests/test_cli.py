@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from pglambda import format_cayley, make_cyclic
 from pglambda.cli import main, parse_group_spec
 
 
@@ -188,6 +194,20 @@ def test_lambda_constructive_rejects_non_p_group(capsys):
     assert "not a prime power" in err
 
 
+@pytest.mark.parametrize("method", ["constructive", "exact"])
+def test_a_certificate_failing_its_check_exits_2_for_either_method(method, capsys,
+                                                                    monkeypatch):
+    def planted(graph, cert):
+        return ["planted problem"]
+
+    monkeypatch.setattr("pglambda.construct.certificate_problems", planted)
+    monkeypatch.setattr("pglambda.cli.certificate_problems", planted)
+    code, out, err = run(capsys, "lambda", "dihedral:8", "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "planted problem" in err
+
+
 def test_lambda_witness_csv_checks_back_clean(tmp_path, capsys):
     witness = tmp_path / "w.csv"
     code, _, _ = run(capsys, "lambda", "quaternion:8", "--witness-csv", str(witness))
@@ -282,6 +302,20 @@ def test_suite_search_cap_reaches_the_exact_suites(capsys):
     assert {"span-path-equivalence", "constructive-matches-exact"} <= exact_on_d64
 
 
+def test_suite_time_budget_bounds_the_hamiltonian_search():
+    # C2 x C10 has no span-20 path, and proving that takes far longer than
+    # the budget; the suite must stop with exit 3, not run on unbounded.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "pglambda.cli", "suite", "--max-order", "1",
+            "--group", "product:cyclic:2,cyclic:10", "--time-budget", "0.5"]
+    started = time.monotonic()
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
+    assert result.returncode == 3
+    assert "Hamiltonian path search" in result.stderr
+    assert time.monotonic() - started < 10
+
+
 def test_suite_max_order_above_cap_is_resource_limited(capsys):
     code, _, err = run(capsys, "suite", "--max-order", "1024")
     assert code == 3
@@ -296,6 +330,16 @@ def test_group_order_cap_gives_exit_3(capsys):
     code, _, err = run(capsys, "analyze", "cyclic:1024")
     assert code == 3
     assert "512" in err
+
+
+def test_file_input_respects_the_group_order_cap(tmp_path, capsys, monkeypatch):
+    table = tmp_path / "c64.txt"
+    table.write_text(format_cayley(make_cyclic(64)), encoding="utf-8")
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "16")
+    code, out, err = run(capsys, "analyze", f"file:{table}")
+    assert code == 3
+    assert out == ""
+    assert "exceeds the cap 16" in err
 
 
 def test_exact_search_cap_gives_exit_3(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -15,6 +16,7 @@ from pglambda import (
     SingleClassError,
     ThinLevelError,
     UnequalSizesError,
+    build_catalogue_groups,
     build_interleaved_path,
     build_power_graph,
     check_ham_path,
@@ -200,6 +202,13 @@ def test_quaternion_labellings(e):
     assert group.element_order(z) == 2
     assert cert.evidence.vertex == z
     assert labels.labels[z] == n - 1
+    # x^k (index k) for k ≠ 0, m/2 alternates with x^k y (index m + k),
+    # starting inside; the last two x^k y close the path
+    m = n // 2
+    inside = [k for k in range(1, m) if k != m // 2]
+    outside = [m + k for k in range(m)]
+    expected = [v for pair in zip(inside, outside) for v in pair] + outside[m - 2:]
+    assert cert.construction.path == tuple(expected)
 
 
 def test_quaternion_needs_e_at_least_two():
@@ -261,11 +270,16 @@ def test_recognition_is_invariant_under_relabelling(maker, family):
         assert recognize_family(_shuffled_copy(maker(), seed)) == family
 
 
-def test_scrambled_dihedral_still_gets_a_constructive_certificate():
-    group = _shuffled_copy(make_dihedral(16), 5)
+@pytest.mark.parametrize("maker,value,kind", [
+    (make_dihedral, 16, "involution-alternation"),
+    (make_semidihedral, 16, "seed-alternation"),
+    (make_quaternion, 17, "restricted-complement-path"),
+], ids=["dihedral", "semidihedral", "quaternion"])
+def test_scrambled_table_still_gets_a_constructive_certificate(maker, value, kind):
+    group = _shuffled_copy(maker(16), 5)
     cert = lambda_p_group(group)
-    assert cert.value == 16
-    assert cert.construction.kind == "involution-alternation"
+    assert cert.value == value
+    assert cert.construction.kind == kind
     assert validate_labelling(build_power_graph(group), cert.witness) == []
 
 
@@ -330,3 +344,16 @@ def test_dispatcher_path_matches_witness_order():
     path = cert.construction.path
     labels = cert.witness.labels
     assert [labels[v] for v in path] == list(range(len(path)))
+
+
+def test_construction_never_searches(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("a constructive certificate ran the Hamiltonian search")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pglambda") and hasattr(module, "find_hamiltonian_path"):
+            monkeypatch.setattr(module, "find_hamiltonian_path", no_search)
+    groups = [group for _, group in build_catalogue_groups(p_groups_only=True)]
+    for group in groups + [make_quaternion(512)]:
+        cert = lambda_p_group(group)
+        assert cert.method == "constructive"

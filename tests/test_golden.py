@@ -2,7 +2,10 @@
 
 The digests were captured before the analysis pipeline was reorganised
 (one cached cyclic-subgroup pass, one family dispatch, one certificate
-checker), so any change to the bytes a user sees fails here.  The specs
+checker), so any change to the bytes a user sees fails here.  The
+quaternion:64 and quaternion:512 digests were captured while the
+quaternion path was still found by a Hamiltonian search; the written-down
+path replacing it prints the same bytes from order 16 up.  The specs
 reach every constructive branch (degenerate, cyclic, quaternion,
 dihedral, semidihedral, class descent on an abelian, a non-abelian and a
 product group), the exact search (`analyze cyclic:6`, `lambda cyclic:12
@@ -33,6 +36,8 @@ GOLDEN = [
     ("lambda cyclic:1 --stable", "2f01b9728a71ef6e50c8e12313a8ec51594da9e6a50cd91900e0e6da1fdad8d4"),
     ("lambda cyclic:16 --stable", "8344d3a7c3131874bce2f4dbe9bfe9e63a0cf6ba94941b89b754238600c039f3"),
     ("lambda quaternion:16 --stable", "0af7d60cacbe9628eb444a7196af50bf907ea93e7237ece4386939d1aa5bf3c9"),
+    ("lambda quaternion:64 --stable", "887e3173c83e10098106ffe612cb4e5c0ff5246c891e2c498fb62d34bedb07c5"),
+    ("analyze quaternion:512 --stable", "f00fc7c445beafdf4d24e4eb03bb589221693605cec1d6cccda85fc54c3309e3"),
     ("lambda dihedral:32 --stable", "b38ecf15bf572c28662adfacba39a89659bdd7bcf40157e04b3e23181da0c09f"),
     ("lambda semidihedral:32 --stable", "a5cba7be207830bc107cc68e7f08f9f5bb2fed69da4697606926a06e1bdf3ae9"),
     ("lambda elemab:3,2 --stable", "c62ff538a6e5b62f7608706c053d4b3cc067beeec7c39154354b3eaccf489d12"),

@@ -294,6 +294,14 @@ def test_size_cap_tracks_environment(monkeypatch):
     make_cyclic(16)  # at the cap is fine
 
 
+def test_parse_cayley_refuses_an_order_above_the_cap_before_reading_rows(monkeypatch):
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "16")
+    with pytest.raises(TooLargeError):
+        parse_cayley("17\nthese rows are never parsed\n")
+    with pytest.raises(ValueError, match="expected 16 table rows"):
+        parse_cayley("16\n")  # at the cap the rows are read as usual
+
+
 # ---------------------------------------------------------------------------
 # lower central series and maximal class
 
