@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -75,7 +76,12 @@ def _positive_int(text: str, what: str) -> int:
     return value
 
 
-def _spec_shape_ok(spec: str) -> bool:
+# A product of more factors than this has order ≥ 2^33 unless factors are
+# trivial; the limit bounds the depth and the cost of splitting a spec.
+_MAX_PRODUCTS = 32
+
+
+def _spec_shape_ok(spec: str, seen: dict[str, bool]) -> bool:
     """Grammar-only validity, used to split product:SPEC,SPEC arguments."""
     kind, sep, rest = spec.partition(":")
     if not sep:
@@ -86,25 +92,37 @@ def _spec_shape_ok(spec: str) -> bool:
         parts = rest.split(",")
         return len(parts) == 2 and all(p.isdigit() for p in parts)
     if kind == "product":
-        try:
-            _split_product(rest)
-        except ValueError:
-            return False
-        return True
+        return _first_split(rest, seen) is not None
     if kind == "file":
         return bool(rest)
     return False
 
 
+def _first_split(rest: str, seen: dict[str, bool]) -> tuple[str, str] | None:
+    """The split at the leftmost comma giving two well-formed specs.
+
+    ``seen`` memoizes shape verdicts: nested products would otherwise test
+    the same substrings again and again, exponentially often.
+    """
+    def shape_ok(spec: str) -> bool:
+        if spec not in seen:
+            seen[spec] = _spec_shape_ok(spec, seen)
+        return seen[spec]
+
+    for i, ch in enumerate(rest):
+        if ch == "," and shape_ok(rest[:i]) and shape_ok(rest[i + 1:]):
+            return rest[:i], rest[i + 1:]
+    return None
+
+
 def _split_product(rest: str) -> tuple[str, str]:
     """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs."""
-    for i, ch in enumerate(rest):
-        if ch != ",":
-            continue
-        left, right = rest[:i], rest[i + 1:]
-        if _spec_shape_ok(left) and _spec_shape_ok(right):
-            return left, right
-    raise ValueError(f"cannot split {rest!r} into two group specs")
+    if rest.count("product:") >= _MAX_PRODUCTS:
+        raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
+    parts = _first_split(rest, {})
+    if parts is None:
+        raise ValueError(f"cannot split {rest!r} into two group specs")
+    return parts
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -157,6 +175,25 @@ def _is_constructible(group: FiniteGroup) -> bool:
 
 class _Violation(Exception):
     """A mathematical violation found while running a command (exit code 2)."""
+
+
+def _search_cap(text: str) -> int:
+    try:
+        return _positive_int(text, "the search cap")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _time_budget(text: str) -> float:
+    """Seconds: finite and ≥ 0 (a NaN deadline would never expire)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text!r}")
+    return value
 
 
 def _exact_certificate(graph, cap: int, budget: float) -> LambdaCertificate:
@@ -379,9 +416,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="human-readable output instead of compact JSON")
         p.add_argument("--stable", action="store_true",
                        help="omit timing fields so output is byte-reproducible")
-        p.add_argument("--search-cap", type=int, default=DEFAULT_SEARCH_CAP,
+        p.add_argument("--search-cap", type=_search_cap, default=DEFAULT_SEARCH_CAP,
                        metavar="N", help="max group order for the exact search")
-        p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET,
+        p.add_argument("--time-budget", type=_time_budget, default=DEFAULT_TIME_BUDGET,
                        metavar="SECONDS", help="time limit for the exact search")
 
     p = sub.add_parser("analyze", help="group, class-number, and lambda report")

@@ -385,6 +385,12 @@ def _check_cap(n: int, what: str) -> None:
                             f"(raise LAMBDA_MAX_ORDER to override)")
 
 
+def _power_over_cap(p: int, k: int, what: str) -> TooLargeError:
+    """The error for an order p**k known to exceed the cap without forming it."""
+    return TooLargeError(f"{what} of order {p}^{k} exceeds the cap "
+                         f"{max_group_order()} (raise LAMBDA_MAX_ORDER to override)")
+
+
 def _power_names(n: int) -> list[str]:
     return ["1"] + ["x"] * (n > 1) + [f"x^{k}" for k in range(2, n)]
 
@@ -434,12 +440,11 @@ def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
 
 
 def _two_exponent(order: int, smallest: int, family: str) -> int:
-    pp = prime_power(order)
-    if pp is None or pp[0] != 2 or order < smallest:
+    if order < smallest or order & (order - 1):
         raise ParameterTooSmallError(
             f"{family} order must be 2^(e+1) with order >= {smallest}, got {order}")
     _check_cap(order, f"{family} group")
-    return pp[1] - 1
+    return order.bit_length() - 2
 
 
 def make_dihedral(order: int) -> FiniteGroup:
@@ -488,10 +493,17 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     """k-fold direct power of C_p, on base-p digit vectors."""
+    # p**k ≥ max(p, 2**k): a huge p or k is refused before the primality
+    # test or the power, which would not finish
+    cap = max_group_order()
+    if p > cap:
+        raise _power_over_cap(p, k, "elementary abelian group")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ParameterTooSmallError(f"k must be >= 1, got {k}")
+    if k >= cap.bit_length():
+        raise _power_over_cap(p, k, "elementary abelian group")
     n = p ** k
     _check_cap(n, "elementary abelian group")
     cyclic = _rotations(tuple(range(p)))
@@ -510,6 +522,8 @@ def make_heisenberg(p: int) -> FiniteGroup:
     """
     if p == 2:
         raise EvenPrimeError("the construction needs an odd prime; p=2 was given")
+    if p > max_group_order():  # before the primality test, slow for huge p
+        raise _power_over_cap(p, 3, "Heisenberg group")
     if not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p ** 3

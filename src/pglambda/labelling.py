@@ -9,7 +9,9 @@ identity, and the two conversions here are mutually inverse.
 
 The exact oracle is independent of all group theory: ascending-span
 backtracking over label domains with forward checking, a clique-packing
-prune, and an all-distinct pigeonhole prune.
+prune, and an all-distinct pigeonhole prune, started at a proven floor
+(the clique bound, and on graphs of diameter ≤ 2 a path-cover bound
+read off the closed-twin classes).
 """
 
 from __future__ import annotations
@@ -473,18 +475,77 @@ def _gap2_packing(mask: int) -> int:
     return count
 
 
+def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
+    """Closed neighbourhood N[v] = d1[v] | {v} ↦ bitmask of the vertices
+    sharing it, in order of each class's smallest vertex."""
+    classes: dict[int, int] = {}
+    for v, mask in enumerate(d1):
+        closed = mask | 1 << v
+        classes[closed] = classes.get(closed, 0) | 1 << v
+    return classes
+
+
+def _distance_two(d1: Sequence[int], classes: dict[int, int]) -> list[int]:
+    """d2[v]: the vertices outside N[v] that share a neighbour with v.
+
+    A closed-twin class lies wholly inside N[v] or wholly outside it, and
+    its members' d1 masks differ only in members, which lie in N[v] when
+    the class does; so the union of d1 over one representative of each
+    class inside N[v], less N[v], is d2[v] for the whole class of v.
+    """
+    reps = 0
+    for members in classes.values():
+        reps |= members & -members
+    d2 = [0] * len(d1)
+    for closed, members in classes.items():
+        reach = 0
+        for w in iter_bits(closed & reps):
+            reach |= d1[w]
+        reach &= ~closed
+        for v in iter_bits(members):
+            d2[v] = reach
+    return d2
+
+
+def _path_cover_floor(n: int, classes: dict[int, int]) -> int:
+    """A proven floor on the span of a graph whose labels are all distinct.
+
+    Sorted by label, the vertices fall into runs of consecutive labels;
+    a run is a path in the complement, and each gap between runs is ≥ 2,
+    so span ≥ n − 2 + c, c being the fewest complement paths covering
+    all vertices (Georges, Mauro & Whittlesey 1994).  Universal vertices
+    are isolated in the complement, one path each.  For a class T of the
+    rest R, with complement neighbourhood N: T is independent there and
+    every path neighbour of a T vertex lies in N, so a path holds at
+    most one more T vertex than N vertices, and when it holds exactly
+    one more it is T N T … N T and nothing else.  Hence c counts at
+    least |T| − |N| paths through T, plus one when R ⊄ T ∪ N.
+    """
+    everyone = (1 << n) - 1
+    universal = classes.get(everyone, 0)
+    rest = everyone & ~universal
+    paths = 1 if rest else 0
+    for closed, members in classes.items():
+        if closed == everyone:
+            continue
+        away = everyone & ~closed
+        excess = members.bit_count() - away.bit_count()
+        if excess > 0:
+            paths = max(paths, excess + (1 if rest & ~(members | away) else 0))
+    return n - 2 + universal.bit_count() + paths
+
+
 def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
-                   clique: int, all_distinct: bool,
+                   floor: int, clique: int, all_distinct: bool,
                    deadline: float) -> list[int] | None:
     """One exhaustive feasibility probe: labels ⊆ {0..s} or None.
 
-    Fixed vertex order (descending degree), ascending label choice, with
+    Spans below the proven ``floor`` are refuted outright.  Otherwise a
+    fixed vertex order (descending degree), ascending label choice, with
     forward checking; the first vertex is capped at s/2 to break the
     reflection symmetry.  Raises _TimeUp past the deadline.
     """
-    if all_distinct and s < n - 1:
-        return None
-    if 2 * (clique.bit_count() - 1) > s:
+    if s < floor:
         return None
 
     order = sorted(range(n),
@@ -606,26 +667,22 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     deadline = time.monotonic() + time_budget
     d1 = list(graph.neighbors)
     everyone = (1 << n) - 1
-    d2 = []
-    for u in range(n):
-        mask = 0
-        for v in range(n):
-            if v != u and not (d1[u] >> v) & 1 and d1[u] & d1[v]:
-                mask |= 1 << v
-        d2.append(mask)
+    classes = _closed_twin_classes(d1)
+    d2 = _distance_two(d1, classes)
     all_distinct = all((d1[u] | d2[u]) == everyone ^ (1 << u) for u in range(n))
     clique = _greedy_clique(graph)
 
     floor = 2 * (clique.bit_count() - 1)
     if all_distinct:
-        floor = max(floor, n - 1)
+        floor = max(floor, _path_cover_floor(n, classes))
     s = max(start_span, floor)
     proven = floor  # spans below this are impossible by the bounds above
     last_refuted = -10
 
     try:
         while True:
-            found = _span_feasible(d1, d2, n, s, clique, all_distinct, deadline)
+            found = _span_feasible(d1, d2, n, s, floor, clique, all_distinct,
+                                   deadline)
             if found is not None:
                 break
             last_refuted = s
@@ -642,8 +699,8 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     try:
         # certify sigma−1 (and walk down if a caller overshot start_span)
         while sigma > 0 and sigma - 1 != last_refuted:
-            below = _span_feasible(d1, d2, n, sigma - 1, clique, all_distinct,
-                                   deadline)
+            below = _span_feasible(d1, d2, n, sigma - 1, floor, clique,
+                                   all_distinct, deadline)
             if below is None:
                 last_refuted = sigma - 1
                 break
@@ -724,8 +781,10 @@ def parse_labelling_csv(text: str, n: int,
     duplicates raise ValueError; coverage is left to validate_labelling.
     """
     name_index = {name: i for i, name in enumerate(names)} if names else {}
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise ValueError(f"labelling CSV is malformed: {exc}") from None
     if not rows or [cell.strip() for cell in rows[0]] != ["element", "label"]:
         raise ValueError("labelling CSV must start with the header 'element,label'")
     out: dict[int, int] = {}

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from pglambda import format_cayley, make_cyclic
+from pglambda import build_power_graph, format_cayley, make_cyclic, span, validate_labelling
 from pglambda.cli import main, parse_group_spec
 
 
@@ -57,6 +57,34 @@ def test_parse_group_spec_rejects_malformed(spec):
     with pytest.raises(Exception):
         parse_group_spec(spec)
     assert main(["analyze", spec, "--stable"]) == 1
+
+
+def test_nested_product_specs_split_in_polynomial_time():
+    # each level used to re-test every split of the levels below it
+    depth = 24
+    spec = "product:" * depth + "cyclic:1" + ",cyclic:1" * depth
+    started = time.monotonic()
+    assert parse_group_spec(spec).order == 1
+    with pytest.raises(ValueError):
+        parse_group_spec(spec[:-len(",cyclic:1")])
+    assert time.monotonic() - started < 2.0
+    with pytest.raises(ValueError, match="at most 32 products"):
+        parse_group_spec("product:" * 33 + "cyclic:1" + ",cyclic:1" * 33)
+
+
+@pytest.mark.parametrize("spec", [
+    "dihedral:1" + "0" * 400,             # above float range
+    "quaternion:100000000000000000039",   # a prime far above the cap
+    "heisenberg:1000000000000000003",
+    "elemab:1000000000000000003,2",
+    "elemab:2,1000000000000",
+])
+def test_huge_spec_parameters_are_refused_at_once(spec, capsys):
+    started = time.monotonic()
+    code, _, err = run(capsys, "analyze", spec)
+    assert code in (1, 3)
+    assert "Traceback" not in err
+    assert time.monotonic() - started < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +216,24 @@ def test_lambda_exact_on_non_p_group(capsys):
     assert json.loads(out)["lambda"] == 8
 
 
+@pytest.mark.parametrize("spec,expected", [
+    ("cyclic:24", 32),
+    ("product:cyclic:2,cyclic:10", 21),
+])
+def test_exact_method_decides_the_former_timeouts(spec, expected, capsys):
+    started = time.monotonic()
+    code, out, _ = run(capsys, "lambda", spec, "--method", "exact")
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] == expected
+    assert doc["evidence"] == {"kind": "exhaustive-search-at-span",
+                               "span": expected - 1, "bound": expected}
+    graph = build_power_graph(parse_group_spec(spec))
+    assert validate_labelling(graph, doc["labels"]) == []
+    assert span(doc["labels"]) == expected
+
+
 def test_lambda_constructive_rejects_non_p_group(capsys):
     code, _, err = run(capsys, "lambda", "cyclic:6", "--method", "constructive")
     assert code == 1
@@ -239,6 +285,14 @@ def test_check_incomplete_labelling_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", "cyclic:4", str(partial))
     assert code == 1
     assert "covers 2 of 4" in err
+
+
+def test_check_overlong_csv_field_is_an_input_error(tmp_path, capsys):
+    labelling = tmp_path / "l.csv"
+    labelling.write_text("element,label\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", "cyclic:4", str(labelling))
+    assert code == 1
+    assert "field larger than field limit" in err
 
 
 def test_check_custom_separations(tmp_path, capsys):
@@ -367,6 +421,22 @@ def test_corrupted_cayley_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", f"file:{table}")
     assert code == 1
     assert "associative" in err.lower()
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--time-budget", "nan"),
+    ("--time-budget", "inf"),
+    ("--time-budget", "-inf"),
+    ("--time-budget", "-1"),
+    ("--search-cap", "-5"),
+    ("--search-cap", "0"),
+])
+def test_out_of_range_search_limits_are_input_errors(option, value, capsys):
+    code, out, err = run(capsys, "lambda", "cyclic:24", "--method", "exact",
+                         f"{option}={value}")
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}" in err and value in err
 
 
 def test_help_and_no_arguments(capsys):

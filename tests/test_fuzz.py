@@ -1,0 +1,106 @@
+"""Fuzzed untrusted input through the command line, in process.
+
+Spec strings, labelling-CSV text, ``LAMBDA_MAX_ORDER`` values and the
+``--time-budget``/``--search-cap`` values may be anything; every call must
+end with an exit code in 0–3 and never print a traceback.  Groups are
+kept small (an order cap of 64 where the input does not set it) and the
+search budgets short, so the whole file runs in a few seconds.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from pglambda.cli import main
+
+# text that can travel through argv, a file and the environment
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=40)
+_NUMBER = st.one_of(st.integers(min_value=-3, max_value=70),
+                    st.integers(min_value=-10 ** 30, max_value=10 ** 30)).map(str)
+_FAMILIES = ("cyclic", "dihedral", "quaternion", "semidihedral", "heisenberg")
+
+_SPECS = st.recursive(
+    st.one_of(
+        st.builds("{}:{}".format, st.sampled_from(_FAMILIES), st.one_of(_NUMBER, _TEXT)),
+        st.builds("elemab:{},{}".format, _NUMBER, _NUMBER),
+        st.builds("file:{}".format, _TEXT),
+        _TEXT,
+    ),
+    lambda inner: st.builds("product:{},{}".format, inner, inner),
+    max_leaves=4,
+)
+
+_SETTINGS = settings(max_examples=75, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _run(*argv: str) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def _assert_clean(code: int, err: str) -> None:
+    assert 0 <= code <= 3
+    assert "Traceback" not in err
+
+
+@contextlib.contextmanager
+def _max_order(value: str):
+    saved = os.environ.get("LAMBDA_MAX_ORDER")
+    os.environ["LAMBDA_MAX_ORDER"] = value
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["LAMBDA_MAX_ORDER"]
+        else:
+            os.environ["LAMBDA_MAX_ORDER"] = saved
+
+
+@_SETTINGS
+@given(spec=_SPECS, command=st.sampled_from(("analyze", "lambda")))
+def test_fuzzed_specs_exit_cleanly(spec, command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # file: specs resolve in an empty directory
+    with _max_order("64"):
+        _assert_clean(*_run(command, spec, "--search-cap=12", "--time-budget=0.2"))
+
+
+_CSV_ROWS = st.lists(
+    st.tuples(st.one_of(_NUMBER, st.sampled_from(("1", "x", "x^2", "x^7")), _TEXT),
+              st.one_of(_NUMBER, _TEXT)),
+    max_size=10,
+).map(lambda rows: "element,label\n" + "".join(f"{e},{v}\n" for e, v in rows))
+
+
+@_SETTINGS
+@given(text=st.one_of(_CSV_ROWS, _TEXT))
+def test_fuzzed_labelling_csvs_exit_cleanly(text, tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(text, encoding="utf-8")
+    _assert_clean(*_run("check", "cyclic:8", str(path)))
+
+
+@_SETTINGS
+@given(value=st.one_of(_NUMBER, _TEXT))
+def test_fuzzed_order_caps_exit_cleanly(value):
+    with _max_order(value):
+        _assert_clean(*_run("analyze", "dihedral:16", "--stable"))
+
+
+_LIMITS = st.one_of(_NUMBER, _TEXT, st.floats().map(repr),
+                    st.sampled_from(("nan", "inf", "-inf", "1e309", " 0.5 ", "0")))
+
+
+@_SETTINGS
+@given(budget=_LIMITS, cap=_LIMITS)
+def test_fuzzed_search_limits_exit_cleanly(budget, cap):
+    with _max_order("64"):
+        _assert_clean(*_run("lambda", "cyclic:12", "--method", "exact",
+                            f"--time-budget={budget}", f"--search-cap={cap}"))

@@ -50,6 +50,91 @@ GOLDEN = [
 ]
 
 
+# `lambda SPEC --method exact --stable` for every other catalogue group of
+# order ≤ 32, captured before the exact oracle started from its path-cover
+# floor, which must leave every witness and evidence record unchanged.
+GOLDEN += [
+    ("lambda cyclic:2 --method exact --stable",
+     "3cacb9d6b9639fa3ce60b66e7f3b4fcf993d9b139a1ebad0315f776a198fc5c7"),
+    ("lambda cyclic:3 --method exact --stable",
+     "d1a3c8c454b21dc662a26a82345b65c7b27209e8b04184a95cd043d3aa686397"),
+    ("lambda cyclic:4 --method exact --stable",
+     "18f85822475ee8a39e51b77b13e3a5a3ae0681b8835354bfa7433be6b3799d99"),
+    ("lambda elemab:2,2 --method exact --stable",
+     "97fe6b1a9735314ee0524dd7b99bd5fa25fd6b4b22d8c52508e42fd214c7c72a"),
+    ("lambda cyclic:5 --method exact --stable",
+     "df34701194aa78924b264db507588da4785417a6432630e0efe1dd420fccb3f4"),
+    ("lambda cyclic:6 --method exact --stable",
+     "299252ffc8b2ba69b68ba5d0417d934c5a5490b06ff90bbd7d5970804f065c85"),
+    ("lambda cyclic:7 --method exact --stable",
+     "e12d372b3ce08a45ed716d444eed0efb41f50a4a592e4c83281371b71b45ea25"),
+    ("lambda cyclic:8 --method exact --stable",
+     "5b0547b8e585839f860a352c3f06043972f47f44338dff14915b2eecf960ac7f"),
+    ("lambda dihedral:8 --method exact --stable",
+     "8200221cc782e01315ffd972cde10255a2d1a7e02438e2bf60da910e1b97c426"),
+    ("lambda elemab:2,3 --method exact --stable",
+     "7f07dd61e4aee3e219c94c40511e4ed9312a6c504578c17e47e5ef55b4b75825"),
+    ("lambda product:cyclic:2,cyclic:4 --method exact --stable",
+     "89d2648bb3f4e74b37db7c42f01554005fc304b78ca6d19e8d34814216044426"),
+    ("lambda quaternion:8 --method exact --stable",
+     "5117690f35927e6f738e5f9ad1409ffede1d2cede2ac0baa5c92fc926b18ee22"),
+    ("lambda cyclic:9 --method exact --stable",
+     "b968cd57c2b5e2390bf5004c7f675159f8b0809c530c84c0c00ea961566c161e"),
+    ("lambda elemab:3,2 --method exact --stable",
+     "cd7c05866a0296b5507fd5afe4ddea63e62dc55cc2c9b2979d0a3601942cb6aa"),
+    ("lambda cyclic:10 --method exact --stable",
+     "2f5632afe0886d41fc3d36080cd41e397b21452634160a640d5aceb298c5fa83"),
+    ("lambda cyclic:11 --method exact --stable",
+     "368b9924784a7a17e0739c6d2dcef299f1d929ad528bf25d5f3db1cb8ae205ab"),
+    ("lambda product:cyclic:2,cyclic:6 --method exact --stable",
+     "18e632a79a7d38adb9e3b953043db4cf561aeeacdf368f6890953fc6d10edb39"),
+    ("lambda cyclic:13 --method exact --stable",
+     "aad9dce33b5b1b960b6a5c819e079eb742379050fb77b1c6fd1c62e937ab6791"),
+    ("lambda cyclic:15 --method exact --stable",
+     "2dbab1a86c25a470901d045a9682d8c4909be9c21f9904c2d6afd9da934ebfde"),
+    ("lambda cyclic:16 --method exact --stable",
+     "9b6dfb5b419966e79d23f56f8bb6d4d83608d86cd7e314ec604130f67fd9b66c"),
+    ("lambda dihedral:16 --method exact --stable",
+     "83cd0fc5f2cf9346140551f8c037da583ac6616d8dbe0022606dd9f0cf1bafa9"),
+    ("lambda elemab:2,4 --method exact --stable",
+     "7661a866cfecbedc2c77840e4408650773d24350c0ce93e976e6ac8430590645"),
+    ("lambda product:cyclic:2,cyclic:8 --method exact --stable",
+     "c8c0ddb9801b526c041c9931eed3c2d47562d59ebbc981c490f3c9619e4d39cb"),
+    ("lambda product:cyclic:4,cyclic:4 --method exact --stable",
+     "abee710786980f857739e24cee9a40020156d66c5e098b21880eabb522421532"),
+    ("lambda quaternion:16 --method exact --stable",
+     "613b8346c5b791ab5492a41f1aa297da213e084294a321a631946cbd476f81c9"),
+    ("lambda semidihedral:16 --method exact --stable",
+     "32c2a8390e61e15cc3abfdd4fef8d9eab634dc0666d180e918ce1c8cf934b3c0"),
+    ("lambda cyclic:25 --method exact --stable",
+     "172856a9d307945941f1bdd6715250ecd544ab712b3bc7321fbc963ef73a1060"),
+    ("lambda elemab:5,2 --method exact --stable",
+     "63d275117d164565437ce8ff737f3ba7523fcb26097f525952a9e9bd9ad1c5da"),
+    ("lambda cyclic:27 --method exact --stable",
+     "16a53c49a185f812ac90201b74e556d458da3ba208e60bad2504983c5a995505"),
+    ("lambda elemab:3,3 --method exact --stable",
+     "d867e3477bba12b3424801d7444a1b0c695ad13b862cbffc79de4ea5325ee2d4"),
+    ("lambda heisenberg:3 --method exact --stable",
+     "d867e3477bba12b3424801d7444a1b0c695ad13b862cbffc79de4ea5325ee2d4"),
+    ("lambda product:cyclic:3,cyclic:9 --method exact --stable",
+     "107710d26eec4836e9ac5976964fd5e4e5a23215f93f3ad8b7bf263cfb3d3f03"),
+    ("lambda cyclic:32 --method exact --stable",
+     "7b2b7fdc54bd1967a1db3a34bfb14260e8e77a6335ddf2711a72dfb651d03175"),
+    ("lambda dihedral:32 --method exact --stable",
+     "1c83e88ab68b1382f5d9594e5ad054bf85d667d26ada526dc6f7e532cc646155"),
+    ("lambda elemab:2,5 --method exact --stable",
+     "523f24922eca94150170a14867c2fe2a7732a803f988725e3f83aea8456fbe83"),
+    ("lambda product:cyclic:2,cyclic:16 --method exact --stable",
+     "88cdc177082d3952ada4ffdfce06840e0e9f31faca64f22a5d4261637599b078"),
+    ("lambda product:cyclic:4,cyclic:8 --method exact --stable",
+     "6a36551b8156f5e94e1c53e173f8b66f2b23a750de5b429a6b3dce3ce6dfa612"),
+    ("lambda quaternion:32 --method exact --stable",
+     "78e313d1e8ebbd85a387dd6c8da96214c4ad0a5b8d700268183bcf18c59cd68a"),
+    ("lambda semidihedral:32 --method exact --stable",
+     "e20da8dd2bf1dfb383d053fab385aeecf768fa3e5e36f0e6af4929db37b82fbf"),
+]
+
+
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_stable_stdout_is_byte_identical(command, digest, capsys, monkeypatch):
     monkeypatch.chdir(DATA)

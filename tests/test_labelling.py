@@ -9,7 +9,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pglambda import (
     BadPathError,
@@ -342,6 +342,109 @@ def test_exact_lambda_trivial_graph():
     cert = exact_lambda(Graph(1, [0]))
     assert cert.value == 0
     assert cert.evidence.kind == "degenerate"
+
+
+def _random_graph(rnd: random.Random, n: int, density: float) -> list[int]:
+    masks = [0] * n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rnd.random() < density:
+                masks[a] |= 1 << b
+                masks[b] |= 1 << a
+    return masks
+
+
+def _blow_up(base: list[int], sizes: list[int]) -> list[int]:
+    """Replace base vertex i by a clique of sizes[i] closed twins."""
+    first = [sum(sizes[:i]) for i in range(len(sizes))]
+    block = [((1 << size) - 1) << start for size, start in zip(sizes, first)]
+    masks = []
+    for i, size in enumerate(sizes):
+        around = block[i]
+        for j in range(len(base)):
+            if (base[i] >> j) & 1:
+                around |= block[j]
+        masks.extend(around & ~(1 << (first[i] + t)) for t in range(size))
+    return masks
+
+
+@st.composite
+def _graphs_with_twins(draw, max_base: int, max_size: int) -> Graph:
+    rnd = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(min_value=1, max_value=max_base))
+    sizes = [draw(st.integers(min_value=1, max_value=max_size)) for _ in range(m)]
+    base = _random_graph(rnd, m, draw(st.floats(min_value=0.2, max_value=0.9)))
+    masks = _blow_up(base, sizes)
+    return Graph(len(masks), masks)
+
+
+def _all_pairs_distance_two(d1: list[int]) -> list[int]:
+    """Reference: v ≠ u, not adjacent, with a common neighbour."""
+    n = len(d1)
+    d2 = []
+    for u in range(n):
+        mask = 0
+        for v in range(n):
+            if v != u and not (d1[u] >> v) & 1 and d1[u] & d1[v]:
+                mask |= 1 << v
+        d2.append(mask)
+    return d2
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_with_twins(max_base=8, max_size=4))
+def test_distance_two_masks_match_the_all_pairs_definition(graph):
+    d1 = list(graph.neighbors)
+    classes = labelling_module._closed_twin_classes(d1)
+    assert labelling_module._distance_two(d1, classes) == _all_pairs_distance_two(d1)
+
+
+def _diameter_at_most_two(d1: list[int]) -> bool:
+    n = len(d1)
+    d2 = _all_pairs_distance_two(d1)
+    return all(d1[u] | d2[u] | 1 << u == (1 << n) - 1 for u in range(n))
+
+
+def _brute_force_lambda(d1: list[int]) -> int:
+    """λ of a graph of diameter ≤ 2, over every order of the vertices.
+
+    Labels are pairwise distinct there; listed by label, a vertex clashes
+    only with its label neighbours, which need gap 2 when adjacent and 1
+    otherwise.  best[S][v] is the least span of the vertex set S ending
+    at v (a Held–Karp table).
+    """
+    n = len(d1)
+    inf = 4 * n
+    best = [[inf] * n for _ in range(1 << n)]
+    for v in range(n):
+        best[1 << v][v] = 0
+    for seen in range(1, 1 << n):
+        for v in range(n):
+            here = best[seen][v]
+            if here == inf:
+                continue
+            for w in range(n):
+                if not (seen >> w) & 1:
+                    step = 2 if (d1[v] >> w) & 1 else 1
+                    grown = seen | 1 << w
+                    best[grown][w] = min(best[grown][w], here + step)
+    return min(best[(1 << n) - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.builds(lambda n, d, rnd: Graph(n, _random_graph(rnd, n, d)),
+              st.integers(min_value=1, max_value=7),
+              st.floats(min_value=0.3, max_value=1.0),
+              st.randoms(use_true_random=False)),
+    _graphs_with_twins(max_base=4, max_size=3).filter(lambda g: g.n <= 7)))
+def test_exact_floor_never_exceeds_brute_force_lambda(graph):
+    d1 = list(graph.neighbors)
+    assume(_diameter_at_most_two(d1))
+    truth = _brute_force_lambda(d1)
+    classes = labelling_module._closed_twin_classes(d1)
+    assert labelling_module._path_cover_floor(graph.n, classes) <= truth
+    assert exact_lambda(graph).value == truth
 
 
 def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
