@@ -8,10 +8,11 @@ Hamiltonian path in the complement of the power graph minus the
 identity, and the two conversions here are mutually inverse.
 
 The exact oracle is independent of all group theory: ascending-span
-backtracking over label domains with forward checking, a clique-packing
-prune, and an all-distinct pigeonhole prune, started at a proven floor
-(the clique bound, and on graphs of diameter ≤ 2 a path-cover bound
-read off the closed-twin classes).
+backtracking over one label domain per twin module with forward
+checking, ascending labels among twins, a clique-packing prune, and an
+all-distinct pigeonhole prune, started at a proven floor (the clique
+bound, and on graphs of diameter ≤ 2 a path-cover bound read off the
+closed-twin classes).
 """
 
 from __future__ import annotations
@@ -464,15 +465,18 @@ def _greedy_clique(graph: Graph) -> int:
     return mask
 
 
-def _gap2_packing(mask: int) -> int:
-    """Max count of pairwise-≥2-separated values in the bitmask (greedy is
-    optimal here: taking the smallest value never hurts)."""
-    count = 0
-    while mask:
-        low = mask & -mask
-        count += 1
-        mask &= -1 << (low.bit_length() + 1)
-    return count
+def _gap2_packing(mask: int, evens: int) -> int:
+    """Max count of pairwise-≥2-separated values in the bitmask.
+
+    Greedy is optimal (taking the smallest value never hurts), and on a
+    run of L consecutive values it takes the values at even offsets from
+    the run's start, ⌈L/2⌉ of them.  Adding the even-position run starts
+    carries through exactly the runs they begin, so ``from_even`` is the
+    union of those runs; ``evens`` holds bits 0, 2, 4, … past the top bit.
+    """
+    starts = mask & ~(mask << 1)
+    from_even = mask & ~(mask + (starts & evens))
+    return ((from_even & evens) | (mask & ~from_even & ~evens)).bit_count()
 
 
 def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
@@ -535,62 +539,111 @@ def _path_cover_floor(n: int, classes: dict[int, int]) -> int:
     return n - 2 + universal.bit_count() + paths
 
 
-def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
-                   floor: int, clique: int, all_distinct: bool,
-                   deadline: float) -> list[int] | None:
+def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
+    """Twin modules, each named by its least member: least member ↦ members.
+
+    The closed-twin classes of two or more vertices, then the vertices
+    left over grouped by open neighbourhood.  This partitions the
+    vertices: an open twin w of a vertex u with a closed twin v would be
+    adjacent to v, so lie in N[v] = N[u], which an open twin cannot.
+    Every vertex outside a module is adjacent to all of its members or to
+    none, and so lies at the same distance from each of them.
+    """
+    modules = []
+    by_open: dict[int, int] = {}
+    for members in classes.values():
+        if members & (members - 1):
+            modules.append(members)
+        else:
+            nbrs = d1[members.bit_length() - 1]
+            by_open[nbrs] = by_open.get(nbrs, 0) | members
+    modules.extend(by_open.values())
+    return {(members & -members).bit_length() - 1: members for members in modules}
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """The graph as the exact search walks it, built once per graph.
+
+    Modules are named by their least member; ``near`` and ``far`` map a
+    module to the bitmask of the modules (as bits of their names) at
+    distance 1 and 2 from its members, itself included when its members
+    are mutually adjacent or at distance 2.
+    """
+
+    order: tuple[int, ...]             # vertex order of the search
+    home: tuple[int, ...]              # vertex ↦ its module
+    members: dict[int, int]            # module ↦ bitmask of its members
+    names: int                         # bitmask of the module names
+    near: dict[int, int]
+    far: dict[int, int]
+    clique: tuple[tuple[int, int], ...]  # (module, its greedy-clique members)
+    floor: int                         # spans below this are refuted
+    all_distinct: bool                 # diameter ≤ 2: labels pairwise distinct
+
+
+def _narrow(domain: dict[int, int], modules: int, keep: int,
+            changed: list[tuple[int, int]]) -> bool:
+    """Keep only ``keep``'s labels in each module's domain, logging the old
+    domains in ``changed``; False as soon as one is left empty."""
+    for r in iter_bits(modules):
+        old = domain[r]
+        new = old & keep
+        if new != old:
+            domain[r] = new
+            changed.append((r, old))
+            if not new:
+                return False
+    return True
+
+
+def _span_feasible(q: _Quotient, s: int, deadline: float) -> list[int] | None:
     """One exhaustive feasibility probe: labels ⊆ {0..s} or None.
 
-    Spans below the proven ``floor`` are refuted outright.  Otherwise a
-    fixed vertex order (descending degree), ascending label choice, with
+    Spans below the proven floor are refuted outright.  Otherwise a fixed
+    vertex order (descending degree), ascending label choice, with
     forward checking; the first vertex is capped at s/2 to break the
-    reflection symmetry.  Raises _TimeUp past the deadline.
+    reflection symmetry.  The unassigned members of a twin module share
+    one domain, so an assignment narrows one domain per module it meets,
+    and the wipeout, pigeonhole and clique-packing tests read one domain
+    per live module.  Twins are interchangeable, so each module's members
+    take ascending labels in search order (non-decreasing for twins with
+    no neighbours, which may share a label).  Swapping two twins' labels
+    keeps a labelling valid, so the lexicographically least labelling in
+    search order, the one this search returns, already has ascending
+    twins: the cut keeps every witness and refutation.  Raises _TimeUp
+    past the deadline.
     """
-    if s < floor:
+    if s < q.floor:
         return None
 
-    order = sorted(range(n),
-                   key=lambda v: (-d1[v].bit_count(), -d2[v].bit_count(), v))
+    order, home, members, near, far = q.order, q.home, q.members, q.near, q.far
+    n = len(order)
     full = (1 << (s + 1)) - 1
-    domains = [full] * n
-    domains[order[0]] = (1 << (s // 2 + 1)) - 1
+    evens = ((1 << 2 * (s // 2 + 1)) - 1) // 3  # bits 0, 2, …, ≥ s − 1
+    domain = dict.fromkeys(members, full)
+    live = q.names  # modules with an unassigned member
     labels = [-1] * n
     unassigned = (1 << n) - 1
 
-    def doomed() -> bool:
-        if all_distinct:
-            union = 0
-            need = 0
-            for v in iter_bits(unassigned):
-                union |= domains[v]
-                need += 1
-            if union.bit_count() < need:
-                return True
-        in_clique = clique & unassigned
-        need = in_clique.bit_count()
-        if need:
-            union = 0
-            for v in iter_bits(in_clique):
-                union |= domains[v]
-            if _gap2_packing(union) < need:
-                return True
-        return False
-
     # Depth-first over positions i of `order`, with an explicit stack so the
     # depth is not bounded by the interpreter's recursion limit: untried[i]
-    # holds the labels still to try at position i, undo[i] the domains the
-    # label now placed there narrowed (None while none is placed).
+    # holds the labels still to try at position i, undo[i] the module
+    # domains the label now placed there narrowed, oldest first (None while
+    # none is placed).
     untried = [0] * n
     undo: list[list[tuple[int, int]] | None] = [None] * n
-    untried[0] = domains[order[0]]
+    untried[0] = (1 << (s // 2 + 1)) - 1
     ticks = 0
     i = 0
     while True:
         u = order[i]
         if undo[i] is not None:
-            for v, old in undo[i]:
-                domains[v] = old
+            for r, old in reversed(undo[i]):
+                domain[r] = old
             undo[i] = None
             unassigned |= 1 << u
+            live |= 1 << home[u]
         mask = untried[i]
         if not mask:
             if i == 0:
@@ -601,32 +654,30 @@ def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
         untried[i] = mask ^ low
         lab = low.bit_length() - 1
         labels[u] = lab
-        unassigned &= ~(1 << u)
-        wide = (0b111 << lab) >> 1  # {lab−1, lab, lab+1}
-        single = 1 << lab
-        changed: list[tuple[int, int]] = []
+        unassigned ^= 1 << u
+        own = home[u]
+        changed = [(own, domain[own])]
         undo[i] = changed
-        ok = True
-        for v in iter_bits(d1[u] & unassigned):
-            old = domains[v]
-            new = old & ~wide
-            if new != old:
-                domains[v] = new
-                changed.append((v, old))
-                if not new:
-                    ok = False
-                    break
+        if members[own] & unassigned:
+            domain[own] &= -1 << lab  # twin symmetry: the rest take labels ≥ lab
+        else:
+            live ^= 1 << own
+        ok = (_narrow(domain, near[own] & live, ~((0b111 << lab) >> 1), changed)
+              and _narrow(domain, far[own] & live, ~low, changed))
+        if ok and q.all_distinct:
+            union = 0
+            for r in iter_bits(live):
+                union |= domain[r]
+            ok = union.bit_count() >= n - 1 - i
         if ok:
-            for v in iter_bits(d2[u] & unassigned):
-                old = domains[v]
-                new = old & ~single
-                if new != old:
-                    domains[v] = new
-                    changed.append((v, old))
-                    if not new:
-                        ok = False
-                        break
-        if ok and not doomed():
+            union = need = 0
+            for r, part in q.clique:
+                part &= unassigned
+                if part:
+                    union |= domain[r]
+                    need += part.bit_count()
+            ok = not need or _gap2_packing(union, evens) >= need
+        if ok:
             i += 1
             if i == n:
                 return labels[:]
@@ -635,7 +686,47 @@ def _span_feasible(d1: Sequence[int], d2: Sequence[int], n: int, s: int,
                 ticks = 0
                 if time.monotonic() > deadline:
                     raise _TimeUp
-            untried[i] = domains[order[i]]
+            untried[i] = domain[home[order[i]]]
+
+
+def _quotient(graph: Graph) -> _Quotient:
+    """Twin modules, distance masks, search order and floor of the graph."""
+    n = graph.n
+    d1 = list(graph.neighbors)
+    everyone = (1 << n) - 1
+    classes = _closed_twin_classes(d1)
+    d2 = _distance_two(d1, classes)
+    all_distinct = all((d1[u] | d2[u]) == everyone ^ (1 << u) for u in range(n))
+    clique = _greedy_clique(graph)
+    floor = 2 * (clique.bit_count() - 1)
+    if all_distinct:
+        floor = max(floor, _path_cover_floor(n, classes))
+
+    modules = _twin_modules(d1, classes)
+    names = 0
+    home = [0] * n
+    for r, members in modules.items():
+        names |= 1 << r
+        for v in iter_bits(members):
+            home[v] = r
+
+    def reach(masks: Sequence[int]) -> dict[int, int]:
+        return {r: masks[r] & names | (1 << r if masks[r] & members else 0)
+                for r, members in modules.items()}
+
+    return _Quotient(
+        order=tuple(sorted(range(n), key=lambda v: (-d1[v].bit_count(),
+                                                    -d2[v].bit_count(), v))),
+        home=tuple(home),
+        members=modules,
+        names=names,
+        near=reach(d1),
+        far=reach(d2),
+        clique=tuple((r, members & clique) for r, members in modules.items()
+                     if members & clique),
+        floor=floor,
+        all_distinct=all_distinct,
+    )
 
 
 def exact_lambda(graph: Graph, start_span: int = 0, *,
@@ -644,9 +735,12 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     """Minimum L(2,1) span by ascending-span exhaustive search.
 
     Knows nothing about groups: works on the bare graph, which is what
-    makes it an independent oracle.  The certificate's witness achieves
-    the span and the evidence records the exhaustive refutation of
-    span−1 (run explicitly even when the first probed span succeeds).
+    makes it an independent oracle.  The graph's twin modules, their
+    distance-1 and distance-2 modules, the search order and the proven
+    floor are worked out once (``_quotient``); each span probe then
+    searches that quotient.  The certificate's witness achieves the span
+    and the evidence records the exhaustive refutation of span−1 (run
+    explicitly even when the first probed span succeeds).
 
     Raises Timeout with the best proven bounds when the budget runs out,
     and TooLarge above ``max_vertices``.
@@ -665,24 +759,14 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
             evidence=Evidence(kind="degenerate", bound=0), method="exact-search")
 
     deadline = time.monotonic() + time_budget
-    d1 = list(graph.neighbors)
-    everyone = (1 << n) - 1
-    classes = _closed_twin_classes(d1)
-    d2 = _distance_two(d1, classes)
-    all_distinct = all((d1[u] | d2[u]) == everyone ^ (1 << u) for u in range(n))
-    clique = _greedy_clique(graph)
-
-    floor = 2 * (clique.bit_count() - 1)
-    if all_distinct:
-        floor = max(floor, _path_cover_floor(n, classes))
-    s = max(start_span, floor)
-    proven = floor  # spans below this are impossible by the bounds above
+    q = _quotient(graph)
+    s = max(start_span, q.floor)
+    proven = q.floor  # spans below this are impossible by the bounds above
     last_refuted = -10
 
     try:
         while True:
-            found = _span_feasible(d1, d2, n, s, floor, clique, all_distinct,
-                                   deadline)
+            found = _span_feasible(q, s, deadline)
             if found is not None:
                 break
             last_refuted = s
@@ -699,8 +783,7 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     try:
         # certify sigma−1 (and walk down if a caller overshot start_span)
         while sigma > 0 and sigma - 1 != last_refuted:
-            below = _span_feasible(d1, d2, n, sigma - 1, floor, clique,
-                                   all_distinct, deadline)
+            below = _span_feasible(q, sigma - 1, deadline)
             if below is None:
                 last_refuted = sigma - 1
                 break

@@ -234,6 +234,33 @@ def test_exact_method_decides_the_former_timeouts(spec, expected, capsys):
     assert span(doc["labels"]) == expected
 
 
+def test_exact_method_decides_cyclic_120_within_its_budget(capsys):
+    # 120 vertices in 16 closed-twin classes: the search over twin modules
+    # with ascending twins decides it; one domain per vertex ran out of time
+    code, out, _ = run(capsys, "lambda", "cyclic:120", "--method", "exact",
+                       "--search-cap", "512", "--time-budget", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] == 152
+    assert doc["evidence"] == {"kind": "exhaustive-search-at-span",
+                               "span": 151, "bound": 152}
+    graph = build_power_graph(make_cyclic(120))
+    assert validate_labelling(graph, doc["labels"]) == []
+    assert span(doc["labels"]) == 152
+
+
+@pytest.mark.parametrize("spec", [
+    "cyclic:512", "dihedral:512", "quaternion:512", "semidihedral:512",
+    "elemab:2,9", "product:cyclic:16,cyclic:32", "heisenberg:7", "elemab:3,5",
+])
+def test_both_methods_agree_on_large_p_groups(spec, capsys):
+    code, out, err = run(capsys, "lambda", spec, "--method", "both",
+                         "--search-cap", "512")
+    assert code == 0
+    value = json.loads(out)["lambda"]
+    assert f"constructive {value} / exact-search {value}: agree" in err
+
+
 def test_lambda_constructive_rejects_non_p_group(capsys):
     code, _, err = run(capsys, "lambda", "cyclic:6", "--method", "constructive")
     assert code == 1

@@ -16,10 +16,12 @@ relative to tests/data because `analyze` echoes it.
 from __future__ import annotations
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
+from pglambda import Graph, exact_lambda
 from pglambda.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -135,6 +137,42 @@ GOLDEN += [
 ]
 
 
+# `lambda SPEC --method exact --search-cap 512 --stable` on the p-groups of
+# order 64–512 that the benchmark cross-checks, and on the other order-512
+# families, captured before the exact oracle searched one domain per twin
+# module, which must leave every witness and evidence record unchanged.
+GOLDEN += [
+    ("lambda cyclic:64 --method exact --search-cap 512 --stable",
+     "20c6d6c098fb424ee83b211aaf7726ea52a342cc8c09cb05203858cb5a8984e7"),
+    ("lambda quaternion:64 --method exact --search-cap 512 --stable",
+     "783e55640b115dc31ad2cea66f75e632730c3cc59aab48583c7a2302f5449010"),
+    ("lambda heisenberg:5 --method exact --search-cap 512 --stable",
+     "05769fef1cb0ffb7effdcc9c949280a673e0f3f13e8df862ddb6da1f63885244"),
+    ("lambda semidihedral:128 --method exact --search-cap 512 --stable",
+     "868ad29e02f530c3ec23744228f4726c7d196a49eb36e6f2f601a3c634ab8c08"),
+    ("lambda dihedral:256 --method exact --search-cap 512 --stable",
+     "cfaaa2a377dbf7da6f6b8e1c718cffd5918c30cb50f4d7d4b3e1e7d7d7b13fd4"),
+    ("lambda quaternion:256 --method exact --search-cap 512 --stable",
+     "0b6e2ab59c2e1e36adb4c101c0c512fea5fa11ddcf9b3037475010427ebf399c"),
+    ("lambda elemab:3,5 --method exact --search-cap 512 --stable",
+     "8eac11e698d6fa36e38f3e5aeff8eda26fa909436b44159225bef139746c94ee"),
+    ("lambda heisenberg:7 --method exact --search-cap 512 --stable",
+     "1117ca07f09cbb6cc8781035c8f1f472fdd6e2f27ec8f752a50f412e84fbc295"),
+    ("lambda cyclic:512 --method exact --search-cap 512 --stable",
+     "5e3ad24f031ae3cfc340e6e2955a8579b96161707973074dd09ee46ba4ec9bec"),
+    ("lambda elemab:2,9 --method exact --search-cap 512 --stable",
+     "9e30ee49644970f6d461f12b33d16bbb79c7c73b1396f5141eb58226d4c863c6"),
+    ("lambda dihedral:512 --method exact --search-cap 512 --stable",
+     "8c18e4f1192b01fbf0643a8bc1f2b40579b3a0ad9a998fe668b084d909239791"),
+    ("lambda semidihedral:512 --method exact --search-cap 512 --stable",
+     "03f8828fe47fe75eaa3f6fef72798f5f72beecd345310fd75df64860e8a5b077"),
+    ("lambda quaternion:512 --method exact --search-cap 512 --stable",
+     "a8f9c98047972dd13fde05a943291026d4c9dfe933abbf2c68b074367e082c38"),
+    ("lambda product:cyclic:16,cyclic:32 --method exact --search-cap 512 --stable",
+     "41bdf4222ce0b667dfc7ec003f4175067be9cdf50d7716b9e41f0bde525ec4a5"),
+]
+
+
 @pytest.mark.parametrize("command,digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_stable_stdout_is_byte_identical(command, digest, capsys, monkeypatch):
     monkeypatch.chdir(DATA)
@@ -142,3 +180,50 @@ def test_stable_stdout_is_byte_identical(command, digest, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    """A graph on 1–10 vertices: a random base graph on the first k, then
+    each further vertex an isolated vertex, an open twin or a closed twin
+    of an earlier one, and the vertices shuffled."""
+    n = rng.randint(1, 10)
+    k = rng.randint(1, n)
+    p = rng.random()
+    nb = [0] * n
+    for u in range(k):
+        for v in range(u + 1, k):
+            if rng.random() < p:
+                nb[u] |= 1 << v
+                nb[v] |= 1 << u
+    for v in range(k, n):
+        kind = rng.randrange(3)  # 0 open twin, 1 closed twin, 2 isolated
+        if kind == 2:
+            continue
+        w = rng.randrange(v)
+        nb[v] = nb[w]
+        for x in range(n):
+            if nb[w] >> x & 1:
+                nb[x] |= 1 << v
+        if kind == 1:
+            nb[v] |= 1 << w
+            nb[w] |= 1 << v
+    perm = list(range(n))
+    rng.shuffle(perm)
+    out = [0] * n
+    for v in range(n):
+        for x in range(n):
+            if nb[v] >> x & 1:
+                out[perm[v]] |= 1 << perm[x]
+    return Graph(n, out)
+
+
+def test_exact_certificates_on_random_graphs_are_unchanged():
+    # One sha256 over (value, witness, evidence) of exact_lambda on 2,000
+    # seeded random graphs, captured with the per-vertex search.
+    rng = random.Random(20240601)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        cert = exact_lambda(_random_graph(rng))
+        digest.update(repr((cert.value, cert.witness.labels, cert.evidence)).encode())
+    assert digest.hexdigest() == (
+        "a5bed2f01ae6aeb499262d36a25ffa17ce242a1adf2a7e45f6c3e1074f974db3")

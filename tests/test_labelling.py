@@ -9,7 +9,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pglambda import (
     BadPathError,
@@ -445,6 +445,86 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
     classes = labelling_module._closed_twin_classes(d1)
     assert labelling_module._path_cover_floor(graph.n, classes) <= truth
     assert exact_lambda(graph).value == truth
+
+
+def _brute_force_span(d1: list[int]) -> int:
+    """λ of any graph: the least s such that some vector of labels in
+    {0..s} keeps gap 2 on edges and 1 at distance 2, found by trying the
+    vectors in order, vertex by vertex (most neighbours first), dropping a
+    prefix once it clashes."""
+    n = len(d1)
+    d2 = _all_pairs_distance_two(d1)
+    order = sorted(range(n), key=lambda v: -d1[v].bit_count())
+    need = [[(t, 2 if (d1[v] >> w) & 1 else 1) for t, w in enumerate(order[:i])
+             if ((d1[v] | d2[v]) >> w) & 1] for i, v in enumerate(order)]
+
+    def fits(labels: list[int], s: int) -> bool:
+        i = len(labels)
+        if i == n:
+            return True
+        return any(all(abs(lab - labels[t]) >= gap for t, gap in need[i])
+                   and fits(labels + [lab], s) for lab in range(s + 1))
+
+    s = 0
+    while not fits([], s):
+        s += 1
+    return s
+
+
+@st.composite
+def _graphs_with_loose_twins(draw) -> Graph:
+    """Up to 7 vertices: a random base graph, then isolated vertices, open
+    twins and closed twins of earlier vertices, all shuffled."""
+    rnd = draw(st.randoms(use_true_random=False))
+    m = draw(st.integers(min_value=1, max_value=7))
+    masks = _random_graph(rnd, m, draw(st.floats(min_value=0.0, max_value=1.0)))
+    for kind in draw(st.lists(st.sampled_from(["isolated", "open", "closed"]),
+                              max_size=7 - m)):
+        v = len(masks)
+        masks.append(0)
+        if kind == "isolated":
+            continue
+        w = rnd.randrange(v)
+        masks[v] = masks[w]
+        for x in range(v):
+            if (masks[w] >> x) & 1:
+                masks[x] |= 1 << v
+        if kind == "closed":
+            masks[v] |= 1 << w
+            masks[w] |= 1 << v
+    perm = list(range(len(masks)))
+    rnd.shuffle(perm)
+    shuffled = [0] * len(masks)
+    for v, mask in enumerate(masks):
+        for x in range(len(masks)):
+            if (mask >> x) & 1:
+                shuffled[perm[v]] |= 1 << perm[x]
+    return Graph(len(masks), shuffled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs_with_loose_twins())
+@example(Graph(4, [0, 0, 0, 0]))  # isolated twins may share a label: λ = 0
+@example(Graph(5, [0b00010, 0b00001, 0, 0, 0]))
+def test_exact_lambda_is_minimal_on_any_graph(graph):
+    cert = exact_lambda(graph)
+    assert validate_labelling(graph, cert.witness) == []
+    assert cert.witness.span == cert.value
+    assert cert.value == _brute_force_span(list(graph.neighbors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=300),
+       st.integers(min_value=0, max_value=(1 << 301) - 1))
+def test_gap2_packing_matches_the_greedy_walk(s, mask):
+    mask &= (1 << (s + 1)) - 1
+    evens = ((1 << 2 * (s // 2 + 1)) - 1) // 3
+    count, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        count += 1
+        rest &= -1 << (low.bit_length() + 1)
+    assert labelling_module._gap2_packing(mask, evens) == count
 
 
 def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
