@@ -22,12 +22,7 @@ import time
 
 from .catalog import catalogue
 from .construct import lambda_p_group, recognize_family
-from .errors import (
-    ConstructionFailedError,
-    PglambdaError,
-    SearchTimeoutError,
-    TooLargeError,
-)
+from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
     FiniteGroup,
     format_cayley,
@@ -173,6 +168,14 @@ def _is_constructible(group: FiniteGroup) -> bool:
     return group.order == 1 or prime_power(group.order) is not None
 
 
+def _auto_method(group: FiniteGroup, cap: int) -> str | None:
+    """The method 'auto' runs: both when the exact search fits under the
+    cap, else whichever applies; None when neither does."""
+    if _is_constructible(group):
+        return "both" if group.order <= cap else "constructive"
+    return "exact" if group.order <= cap else None
+
+
 class _Violation(Exception):
     """A mathematical violation found while running a command (exit code 2)."""
 
@@ -210,11 +213,8 @@ def _compute_certificate(group: FiniteGroup, method: str, cap: int,
     """Resolve 'auto' and run the requested method(s); raises on disagreement."""
     graph = build_power_graph(group)
     if method == "auto":
-        if _is_constructible(group):
-            method = "both" if group.order <= cap else "constructive"
-        elif group.order <= cap:
-            method = "exact"
-        else:
+        method = _auto_method(group, cap)
+        if method is None:
             raise ValueError(
                 f"order {group.order} is not a prime power and exceeds the "
                 f"exact-search cap {cap}; no method applies")
@@ -244,13 +244,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ot = order_table(group)
     is_p = _is_constructible(group)
 
+    method = _auto_method(group, args.search_cap)
     started = time.perf_counter()
     note = None
     cert: LambdaCertificate | None = None
-    if is_p:
-        cert = lambda_p_group(group)
-    elif group.order <= args.search_cap:
+    if method == "exact":
         cert = _exact_certificate(graph, args.search_cap, args.time_budget)
+    elif method is not None:  # analyze certifies p-groups constructively only
+        cert = lambda_p_group(group)
     else:
         note = (f"order {group.order} is not a prime power and exceeds the "
                 f"exact-search cap {args.search_cap}; lambda not computed")
@@ -476,15 +477,9 @@ def main(argv=None) -> int:
         return 2
     except (SearchTimeoutError, TooLargeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        if isinstance(exc, SearchTimeoutError):
-            if exc.lower_bound is not None:
-                print(f"proven lower bound: {exc.lower_bound}", file=sys.stderr)
-            if exc.upper_bound is not None:
-                print(f"known upper bound: {exc.upper_bound}", file=sys.stderr)
+        if isinstance(exc, SearchTimeoutError) and exc.lower_bound is not None:
+            print(f"proven lower bound: {exc.lower_bound}", file=sys.stderr)
         return 3
-    except PglambdaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

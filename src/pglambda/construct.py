@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import (
-    ConstructionFailedError,
-    CrossAdjacencyError,
-    NotPGroupError,
-    SingleClassError,
-    ThinLevelError,
-    UnequalSizesError,
-)
+from .errors import ConstructionFailedError
 from .groups import FiniteGroup, order_table, prime_power
 from .labelling import (
     ConstructionInfo,
@@ -68,13 +61,13 @@ def build_interleaved_path(graph: Graph, classes: Sequence[Sequence[int]]) -> Pa
     """
     classes = [tuple(sorted(c)) for c in classes]
     if len(classes) < 2:
-        raise SingleClassError(f"interleaving needs at least 2 classes, got {len(classes)}")
+        raise ValueError(f"interleaving needs at least 2 classes, got {len(classes)}")
     sizes = {len(c) for c in classes}
     if len(sizes) != 1:
-        raise UnequalSizesError(f"class sizes differ: {sorted(sizes)}")
+        raise ValueError(f"class sizes differ: {sorted(sizes)}")
     size = sizes.pop()
     if size == 0:
-        raise UnequalSizesError("classes must be non-empty")
+        raise ValueError("classes must be non-empty")
 
     masks = [sum(1 << v for v in c) for c in classes]
     hoods = []
@@ -91,7 +84,7 @@ def build_interleaved_path(graph: Graph, classes: Sequence[Sequence[int]]) -> Pa
             if overlap:
                 v = next(iter_bits(overlap))
                 u = next(u for u in classes[a] if graph.adjacent(u, v))
-                raise CrossAdjacencyError(
+                raise ValueError(
                     f"vertex {u} of class {a} is adjacent to vertex {v} of class {b}")
 
     return tuple(classes[r][col] for col in range(size) for r in range(len(classes)))
@@ -107,12 +100,12 @@ def order_classes_for_descent(partition: ClassPartition,
     class has at most one adjacent class per lower level (its cyclic
     subgroup contains a unique subgroup of each order), so with at least
     two classes per level a non-adjacent choice always exists; fewer than
-    two raises ThinLevel.
+    two raise ValueError.
     """
     group = graph.group
     pp = prime_power(group.order)
     if pp is None:
-        raise NotPGroupError(f"order {group.order} is not a prime power")
+        raise ValueError(f"order {group.order} is not a prime power")
     p = pp[0]
     _, e = prime_power(max(partition.orders))
 
@@ -121,7 +114,7 @@ def order_classes_for_descent(partition: ClassPartition,
     for i in range(e, 0, -1):
         level = list(partition.by_order.get(p ** i, ()))
         if len(level) < 2:
-            raise ThinLevelError(
+            raise ValueError(
                 f"{len(level)} class(es) of order {p ** i}; interleaving needs >= 2")
         if prev_last is not None:
             pick = next((idx for idx, c in enumerate(level)
@@ -254,7 +247,7 @@ def recognize_family(group: FiniteGroup) -> str:
         return "cyclic"
     ot = order_table(group)
     if ot.p_group_prime is None:
-        raise NotPGroupError(f"order {n} is not a prime power")
+        raise ValueError(f"order {n} is not a prime power")
     if ot.exponent == n:
         return "cyclic"
     partition = cyclic_classes(group)

@@ -1,8 +1,19 @@
-"""Exception types raised across the package.
+"""Exception types the command line maps to exit codes.
 
-Everything derives from :class:`PglambdaError` so callers can catch the
-package's failures with a single except clause.  Validation errors carry
-enough context in their message to locate the offending cell/element.
+Bad input — a malformed spec or file, a parameter out of range, a group
+the method does not apply to — raises a plain :class:`ValueError` whose
+message names the offending value; the CLI prints it as
+``error: <message>`` and exits 1.  The package's own classes all derive
+from :class:`PglambdaError`:
+
+- :class:`GroupValidationError` (also a ``ValueError``, exit 1): a
+  multiplication table breaks a group axiom, reported at the first
+  offending cell or triple;
+- :class:`TooLargeError` (exit 3): a group or graph exceeds a size cap;
+- :class:`SearchTimeoutError` (exit 3): an exhaustive search ran out of
+  time, carrying the lower bound it had proven;
+- :class:`ConstructionFailedError` (exit 2): a constructive certificate
+  failed, which would contradict the theorem it implements.
 """
 
 from __future__ import annotations
@@ -10,26 +21,8 @@ from __future__ import annotations
 __all__ = [
     "PglambdaError",
     "GroupValidationError",
-    "NotClosedError",
-    "NoIdentityError",
-    "NotAssociativeError",
-    "NotLatinSquareError",
-    "ParameterTooSmallError",
-    "EvenPrimeError",
     "TooLargeError",
-    "NotPGroupError",
-    "BadVertexError",
-    "SameClassError",
-    "MissingLabelError",
-    "EmptyLabellingError",
-    "InvalidLabellingError",
-    "BadPathError",
-    "SpanTooLargeError",
     "SearchTimeoutError",
-    "UnequalSizesError",
-    "SingleClassError",
-    "CrossAdjacencyError",
-    "ThinLevelError",
     "ConstructionFailedError",
 ]
 
@@ -38,115 +31,24 @@ class PglambdaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# ---------------------------------------------------------------------------
-# group construction / validation
-
-
 class GroupValidationError(PglambdaError, ValueError):
     """A multiplication table violates one of the group axioms."""
-
-
-class NotClosedError(GroupValidationError):
-    """A table cell lies outside ``0..n-1``."""
-
-
-class NoIdentityError(GroupValidationError):
-    """The designated identity element does not act as an identity."""
-
-
-class NotAssociativeError(GroupValidationError):
-    """Some triple ``(a, b, c)`` has ``(ab)c != a(bc)``."""
-
-
-class NotLatinSquareError(GroupValidationError):
-    """Some row or column of the table is not a permutation."""
-
-
-class ParameterTooSmallError(PglambdaError, ValueError):
-    """A family constructor was given a parameter below its minimum."""
-
-
-class EvenPrimeError(PglambdaError, ValueError):
-    """An odd prime was required but 2 was supplied."""
 
 
 class TooLargeError(PglambdaError):
     """The requested object exceeds the configured size cap."""
 
 
-class NotPGroupError(PglambdaError, ValueError):
-    """The operation requires a group of prime-power order."""
-
-
-# ---------------------------------------------------------------------------
-# graphs and class partitions
-
-
-class BadVertexError(PglambdaError, IndexError):
-    """A vertex index is out of range for the graph."""
-
-
-class SameClassError(PglambdaError, ValueError):
-    """Two distinct cyclic classes were required but one was given twice."""
-
-
-# ---------------------------------------------------------------------------
-# labellings and paths
-
-
-class MissingLabelError(PglambdaError, ValueError):
-    """A labelling does not assign a label to every vertex."""
-
-
-class EmptyLabellingError(PglambdaError, ValueError):
-    """The span of an empty labelling is undefined."""
-
-
-class InvalidLabellingError(PglambdaError, ValueError):
-    """A labelling violates the distance-1 or distance-2 constraint."""
-
-
-class BadPathError(PglambdaError, ValueError):
-    """A vertex sequence is not a Hamiltonian path of the intended graph."""
-
-
-class SpanTooLargeError(PglambdaError, ValueError):
-    """A labelling's span rules out the requested conversion."""
-
-
 class SearchTimeoutError(PglambdaError):
     """An exhaustive search exceeded its time budget.
 
-    Carries the bounds that were established before the budget ran out:
-    ``lower_bound`` is proven (all smaller spans are infeasible);
-    ``upper_bound`` is ``None`` unless some witness had been found.
+    ``lower_bound`` is proven (all smaller spans are infeasible), or
+    ``None`` when the search established none.
     """
 
-    def __init__(self, message: str, *, lower_bound: int | None = None,
-                 upper_bound: int | None = None) -> None:
+    def __init__(self, message: str, *, lower_bound: int | None = None) -> None:
         super().__init__(message)
         self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
-
-
-# ---------------------------------------------------------------------------
-# interleaved-path construction
-
-
-class UnequalSizesError(PglambdaError, ValueError):
-    """Interleaving requires all classes to have the same size."""
-
-
-class SingleClassError(PglambdaError, ValueError):
-    """Interleaving requires at least two classes per level."""
-
-
-class CrossAdjacencyError(PglambdaError, ValueError):
-    """Two vertices from distinct classes of one level are adjacent."""
-
-
-class ThinLevelError(PglambdaError, ValueError):
-    """Some order level of the class partition has fewer than two classes."""
 
 
 class ConstructionFailedError(PglambdaError):

@@ -17,16 +17,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    EvenPrimeError,
-    NoIdentityError,
-    NotAssociativeError,
-    NotClosedError,
-    NotLatinSquareError,
-    NotPGroupError,
-    ParameterTooSmallError,
-    TooLargeError,
-)
+from .errors import GroupValidationError, TooLargeError
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
@@ -344,13 +335,14 @@ def validate_group(mul: Sequence[Sequence[int]],
     for g, row in enumerate(table):
         if min(row) < 0 or max(row) >= n:
             h = next(h for h, v in enumerate(row) if not 0 <= v < n)
-            raise NotClosedError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
+            raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
 
     idx = tuple(range(n))
     for line in (table[identity], tuple(row[identity] for row in table)):
         if line != idx:
             g = next(g for g in idx if line[g] != g)
-            raise NoIdentityError(f"element {identity} does not act as identity on element {g}")
+            raise GroupValidationError(
+                f"element {identity} does not act as identity on element {g}")
 
     # a generator exists only when n ≥ 2, so itemgetter returns tuples
     for g in _greedy_generators(table, identity):
@@ -359,15 +351,15 @@ def validate_group(mul: Sequence[Sequence[int]],
         if lhs != rhs:
             a = next(a for a in idx if lhs[a] != rhs[a])
             c = next(c for c in idx if lhs[a][c] != rhs[a][c])
-            raise NotAssociativeError(
+            raise GroupValidationError(
                 f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {g}, {c})")
 
     for g, row in enumerate(table):
         if len(set(row)) != n:
-            raise NotLatinSquareError(f"row {g} is not a permutation of 0..{n - 1}")
+            raise GroupValidationError(f"row {g} is not a permutation of 0..{n - 1}")
     for h, column in enumerate(zip(*table)):
         if len(set(column)) != n:
-            raise NotLatinSquareError(f"column {h} is not a permutation of 0..{n - 1}")
+            raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
 
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
@@ -417,7 +409,7 @@ def _product_table(g: Table, h: Table) -> Table:
 def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n: mul[i][j] = (i + j) mod n, identity 0."""
     if n < 1:
-        raise ParameterTooSmallError(f"cyclic group needs n >= 1, got {n}")
+        raise ValueError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
     return FiniteGroup(_rotations(tuple(range(n))), 0, names=_power_names(n),
                        family_tag="cyclic")
@@ -441,7 +433,7 @@ def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
 
 def _two_exponent(order: int, smallest: int, family: str) -> int:
     if order < smallest or order & (order - 1):
-        raise ParameterTooSmallError(
+        raise ValueError(
             f"{family} order must be 2^(e+1) with order >= {smallest}, got {order}")
     _check_cap(order, f"{family} group")
     return order.bit_length() - 2
@@ -501,7 +493,7 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
-        raise ParameterTooSmallError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {k}")
     if k >= cap.bit_length():
         raise _power_over_cap(p, k, "elementary abelian group")
     n = p ** k
@@ -521,7 +513,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
     indexed as a·p² + b·p + c.  Non-abelian of order p³ and exponent p.
     """
     if p == 2:
-        raise EvenPrimeError("the construction needs an odd prime; p=2 was given")
+        raise ValueError("the construction needs an odd prime; p=2 was given")
     if p > max_group_order():  # before the primality test, slow for huge p
         raise _power_over_cap(p, 3, "Heisenberg group")
     if not _is_prime(p):
@@ -569,10 +561,10 @@ def is_maximal_class(group: FiniteGroup) -> bool:
     """True iff a p-group of order pⁿ has nilpotency class exactly n−1."""
     pp = prime_power(group.order)
     if pp is None:
-        raise NotPGroupError(f"order {group.order} is not a prime power")
+        raise ValueError(f"order {group.order} is not a prime power")
     series = lower_central_series(group)
     if series[-1] != frozenset({group.identity}):
-        raise NotPGroupError("lower central series does not terminate at the identity")
+        raise ValueError("lower central series does not terminate at the identity")
     return len(series) - 1 == pp[1] - 1
 
 

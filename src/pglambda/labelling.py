@@ -24,15 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    BadPathError,
-    EmptyLabellingError,
-    InvalidLabellingError,
-    MissingLabelError,
-    SearchTimeoutError,
-    SpanTooLargeError,
-    TooLargeError,
-)
+from .errors import SearchTimeoutError, TooLargeError
 from .powergraph import Graph, PowerGraph, complement, delete_vertex, iter_bits
 
 __all__ = [
@@ -72,11 +64,9 @@ DEFAULT_TIME_BUDGET = 60.0
 
 @dataclass(frozen=True)
 class Labelling:
-    """Integer labels indexed by vertex, with separation parameters."""
+    """Integer labels indexed by vertex."""
 
     labels: tuple[int, ...]
-    j: int = 2
-    k: int = 1
 
     @property
     def span(self) -> int:
@@ -117,17 +107,17 @@ class Violation:
 
 
 def _normalize_labels(n: int, labels) -> list[int]:
-    """Flatten any accepted labels form to a dense list; MissingLabel if short."""
+    """Flatten any accepted labels form to a dense list; ValueError if short."""
     if isinstance(labels, Labelling):
         labels = labels.labels
     if isinstance(labels, Mapping):
         missing = [v for v in range(n) if v not in labels]
         if missing:
-            raise MissingLabelError(f"no label for vertex {missing[0]}")
+            raise ValueError(f"no label for vertex {missing[0]}")
         return [int(labels[v]) for v in range(n)]
     out = [int(v) for v in labels]
     if len(out) != n:
-        raise MissingLabelError(f"expected {n} labels, got {len(out)}")
+        raise ValueError(f"expected {n} labels, got {len(out)}")
     return out
 
 
@@ -166,7 +156,7 @@ def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Vio
 
 
 def span(labels) -> int:
-    """max − min of the labels; EmptyLabelling when there are none."""
+    """max − min of the labels; ValueError when there are none."""
     if isinstance(labels, Labelling):
         values = labels.labels
     elif isinstance(labels, Mapping):
@@ -174,7 +164,7 @@ def span(labels) -> int:
     else:
         values = tuple(labels)
     if not values:
-        raise EmptyLabellingError("span of an empty labelling is undefined")
+        raise ValueError("span of an empty labelling is undefined")
     return max(values) - min(values)
 
 
@@ -189,19 +179,19 @@ def _as_ham_path(graph: PowerGraph, path) -> HamPath:
 
 
 def check_ham_path(graph: PowerGraph, path: HamPath | Sequence[int]) -> None:
-    """Raise BadPath unless the path covers G minus the identity exactly
+    """Raise ValueError unless the path covers G minus the identity exactly
     once with every consecutive pair NON-adjacent in the power graph."""
     identity = graph.group.identity
     path = _as_ham_path(graph, path)
     if path.excluded != identity:
-        raise BadPathError(f"excluded vertex {path.excluded} is not the identity {identity}")
+        raise ValueError(f"excluded vertex {path.excluded} is not the identity {identity}")
     expected = set(range(graph.n)) - {identity}
     got = list(path.vertices)
     if len(got) != len(set(got)) or set(got) != expected:
-        raise BadPathError("path does not cover the non-identity elements exactly once")
+        raise ValueError("path does not cover the non-identity elements exactly once")
     for a, b in zip(got, got[1:]):
         if graph.adjacent(a, b):
-            raise BadPathError(f"consecutive pair ({a}, {b}) is adjacent in the power graph")
+            raise ValueError(f"consecutive pair ({a}, {b}) is adjacent in the power graph")
 
 
 def path_to_labelling(graph: PowerGraph, path: HamPath | Sequence[int]) -> Labelling:
@@ -229,21 +219,21 @@ def labelling_to_path(graph: PowerGraph, labels) -> HamPath:
     lab = _normalize_labels(n, labels)
     violations = validate_labelling(graph, lab)
     if violations:
-        raise InvalidLabellingError(
+        raise ValueError(
             f"not a valid L(2,1)-labelling: {len(violations)} violations, "
             f"first: {violations[0]}")
     got = span(lab)
     if got != n:
-        raise SpanTooLargeError(f"conversion needs span exactly {n}, got {got}")
+        raise ValueError(f"conversion needs span exactly {n}, got {got}")
     identity = graph.group.identity
     rest = sorted((lab[v], v) for v in range(n) if v != identity)
     if not (lab[identity] < rest[0][0] or lab[identity] > rest[-1][0]):
-        raise InvalidLabellingError(
+        raise ValueError(
             "identity label is interior; the graph cannot be a power graph")
     base = rest[0][0]
     for offset, (value, _) in enumerate(rest):
         if value != base + offset:
-            raise InvalidLabellingError(
+            raise ValueError(
                 "non-identity labels are not consecutive; the graph cannot "
                 "be a power graph")
     path = HamPath(tuple(v for _, v in rest), identity)
@@ -600,8 +590,7 @@ def _narrow(domain: dict[int, int], modules: int, keep: int,
 def _span_feasible(q: _Quotient, s: int, deadline: float) -> list[int] | None:
     """One exhaustive feasibility probe: labels ⊆ {0..s} or None.
 
-    Spans below the proven floor are refuted outright.  Otherwise a fixed
-    vertex order (descending degree), ascending label choice, with
+    A fixed vertex order (descending degree), ascending label choice, with
     forward checking; the first vertex is capped at s/2 to break the
     reflection symmetry.  The unassigned members of a twin module share
     one domain, so an assignment narrows one domain per module it meets,
@@ -614,9 +603,6 @@ def _span_feasible(q: _Quotient, s: int, deadline: float) -> list[int] | None:
     twins: the cut keeps every witness and refutation.  Raises _TimeUp
     past the deadline.
     """
-    if s < q.floor:
-        return None
-
     order, home, members, near, far = q.order, q.home, q.members, q.near, q.far
     n = len(order)
     full = (1 << (s + 1)) - 1
@@ -729,8 +715,7 @@ def _quotient(graph: Graph) -> _Quotient:
     )
 
 
-def exact_lambda(graph: Graph, start_span: int = 0, *,
-                 max_vertices: int = DEFAULT_SEARCH_CAP,
+def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
                  time_budget: float = DEFAULT_TIME_BUDGET) -> LambdaCertificate:
     """Minimum L(2,1) span by ascending-span exhaustive search.
 
@@ -738,12 +723,12 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     makes it an independent oracle.  The graph's twin modules, their
     distance-1 and distance-2 modules, the search order and the proven
     floor are worked out once (``_quotient``); each span probe then
-    searches that quotient.  The certificate's witness achieves the span
-    and the evidence records the exhaustive refutation of span−1 (run
-    explicitly even when the first probed span succeeds).
+    searches that quotient, from the floor up.  The certificate's witness
+    achieves the span and the evidence records the refutation of span−1:
+    searched, or below the floor.
 
-    Raises Timeout with the best proven bounds when the budget runs out,
-    and TooLarge above ``max_vertices``.
+    Raises SearchTimeoutError with the proven bound when the budget runs
+    out, and TooLargeError above ``max_vertices``.
     """
     n = graph.n
     if n == 0:
@@ -751,8 +736,6 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
     if n > max_vertices:
         raise TooLargeError(f"exact search capped at {max_vertices} vertices, "
                             f"graph has {n}")
-    if start_span < 0:
-        raise ValueError(f"start_span must be >= 0, got {start_span}")
     if n == 1:
         return LambdaCertificate(
             value=0, witness=Labelling((0,)),
@@ -760,42 +743,18 @@ def exact_lambda(graph: Graph, start_span: int = 0, *,
 
     deadline = time.monotonic() + time_budget
     q = _quotient(graph)
-    s = max(start_span, q.floor)
-    proven = q.floor  # spans below this are impossible by the bounds above
-    last_refuted = -10
-
+    s = q.floor  # spans below s are impossible: by the bounds, then refuted
     try:
-        while True:
-            found = _span_feasible(q, s, deadline)
-            if found is not None:
-                break
-            last_refuted = s
-            proven = s + 1
+        while (found := _span_feasible(q, s, deadline)) is None:
             s += 1
     except _TimeUp:
         raise SearchTimeoutError(
-            f"no result within {time_budget:.1f}s; proven lambda >= {proven}",
-            lower_bound=proven) from None
+            f"no result within {time_budget:.1f}s; proven lambda >= {s}",
+            lower_bound=s) from None
 
     low = min(found)
     labels = [lab - low for lab in found]
     sigma = max(labels)
-    try:
-        # certify sigma−1 (and walk down if a caller overshot start_span)
-        while sigma > 0 and sigma - 1 != last_refuted:
-            below = _span_feasible(q, sigma - 1, deadline)
-            if below is None:
-                last_refuted = sigma - 1
-                break
-            low = min(below)
-            labels = [lab - low for lab in below]
-            sigma = max(labels)
-    except _TimeUp:
-        raise SearchTimeoutError(
-            f"witness of span {sigma} found but span {sigma - 1} not yet "
-            f"refuted within {time_budget:.1f}s",
-            lower_bound=proven, upper_bound=sigma) from None
-
     witness = Labelling(tuple(labels))
     if sigma == 0:
         evidence = Evidence(kind="degenerate", bound=0)

@@ -447,7 +447,37 @@ def test_corrupted_cayley_file(tmp_path, capsys):
     table.write_text("4\n0 1 2 3\n1 2 3 0\n2 3 1 1\n3 0 1 2\n", encoding="utf-8")
     code, _, err = run(capsys, "analyze", f"file:{table}")
     assert code == 1
-    assert "associative" in err.lower()
+    assert "(a·b)·c != a·(b·c)" in err
+
+
+@pytest.mark.parametrize("argv,table,message", [
+    (["analyze", "dihedral:6"], None,
+     "dihedral order must be 2^(e+1) with order >= 8, got 6"),
+    (["analyze", "heisenberg:2"], None,
+     "the construction needs an odd prime; p=2 was given"),
+    (["analyze", "quaternion:12"], None,
+     "quaternion order must be 2^(e+1) with order >= 8, got 12"),
+    (["lambda", "cyclic:6", "--method", "constructive"], None,
+     "order 6 is not a prime power"),
+    (["analyze"], "2\n0 1\n1 5\n", "cell (1, 1) holds 5, outside 0..1"),
+    (["analyze"], "2\n1 0\n0 1\n",
+     "element 0 does not act as identity on element 0"),
+    (["analyze"], "4\n0 1 2 3\n1 2 3 0\n2 3 1 1\n3 0 1 2\n",
+     "(a·b)·c != a·(b·c) for (a, b, c) = (1, 1, 2)"),
+    (["analyze"], "3\n0 1 2\n1 1 1\n2 2 2\n", "row 1 is not a permutation of 0..2"),
+], ids=["dihedral:6", "heisenberg:2", "quaternion:12", "constructive-cyclic:6",
+        "cell-out-of-range", "no-identity", "not-associative", "not-latin"])
+def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
+                                                capsys):
+    if table is not None:
+        path = tmp_path / "table.txt"
+        path.write_text(table, encoding="utf-8")
+        argv = [*argv, f"file:{path}"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("option,value", [

@@ -12,15 +12,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pglambda import (
-    BadPathError,
-    EmptyLabellingError,
     Graph,
     HamPath,
-    InvalidLabellingError,
     Labelling,
-    MissingLabelError,
     SearchTimeoutError,
-    SpanTooLargeError,
     TooLargeError,
     build_power_graph,
     certificate_to_json,
@@ -83,7 +78,7 @@ def test_labels_accept_mapping_and_labelling_forms():
     graph = _complete_graph(2)
     assert validate_labelling(graph, {0: 0, 1: 2}) == []
     assert validate_labelling(graph, Labelling((0, 2))) == []
-    with pytest.raises(MissingLabelError):
+    with pytest.raises(ValueError, match="no label for vertex 1"):
         validate_labelling(graph, {0: 0})
 
 
@@ -125,7 +120,7 @@ def test_span_examples():
     assert span((0,)) == 0
     assert span((-2, 0, 1)) == 3
     assert span({0: 5, 1: 11}) == 6
-    with pytest.raises(EmptyLabellingError):
+    with pytest.raises(ValueError, match="span of an empty labelling is undefined"):
         span(())
 
 
@@ -155,14 +150,14 @@ def test_labelling_to_path_inverts_and_ignores_translation():
 def test_labelling_to_path_rejects_wrong_span():
     group = make_cyclic(4)
     graph = build_power_graph(group)
-    with pytest.raises(SpanTooLargeError):
+    with pytest.raises(ValueError, match="conversion needs span exactly 4, got 6"):
         labelling_to_path(graph, (0, 2, 4, 6))  # valid but span 6, not 4
 
 
 def test_labelling_to_path_rejects_invalid_labelling():
     group = make_elementary_abelian(2, 2)
     graph = build_power_graph(group)
-    with pytest.raises(InvalidLabellingError):
+    with pytest.raises(ValueError, match=r"not a valid L\(2,1\)-labelling"):
         labelling_to_path(graph, (0, 1, 2, 4))  # identity gap 1
 
 
@@ -170,14 +165,15 @@ def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
     group = make_elementary_abelian(2, 2)
     graph = build_power_graph(group)
     check_ham_path(graph, (1, 2, 3))
-    with pytest.raises(BadPathError):
+    cover = "does not cover the non-identity elements exactly once"
+    with pytest.raises(ValueError, match=cover):
         check_ham_path(graph, (1, 2))  # missing a vertex
-    with pytest.raises(BadPathError):
+    with pytest.raises(ValueError, match=cover):
         check_ham_path(graph, (1, 2, 2))  # repeat
-    with pytest.raises(BadPathError):
+    with pytest.raises(ValueError, match="excluded vertex 1 is not the identity 0"):
         check_ham_path(graph, HamPath((1, 2, 3), excluded=1))
     cyclic = build_power_graph(make_cyclic(4))
-    with pytest.raises(BadPathError):
+    with pytest.raises(ValueError, match=r"consecutive pair \(1, 2\) is adjacent"):
         check_ham_path(cyclic, (1, 2, 3))  # all pairs adjacent in C4
 
 
@@ -278,12 +274,6 @@ def test_exact_lambda_certificate_shape():
     assert validate_labelling(build_power_graph(make_quaternion(8)), cert.witness) == []
 
 
-def test_exact_lambda_start_span_overshoot_still_finds_minimum():
-    graph = build_power_graph(make_cyclic(4))
-    cert = exact_lambda(graph, start_span=10)
-    assert cert.value == 6
-
-
 def test_exact_lambda_invariant_under_relabelling():
     group = make_dihedral(16)
     graph = build_power_graph(group)
@@ -320,8 +310,6 @@ def test_exact_lambda_size_and_argument_errors():
         exact_lambda(_complete_graph(5), max_vertices=4)
     with pytest.raises(ValueError):
         exact_lambda(Graph(0, []))
-    with pytest.raises(ValueError):
-        exact_lambda(_complete_graph(3), start_span=-1)
 
 
 def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pglambda import (
-    BadVertexError,
     Graph,
-    SameClassError,
     build_power_graph,
     check_lower_hook,
     classes_adjacent,
@@ -96,7 +94,7 @@ def test_delete_vertex_renumbers_and_keeps_adjacency():
 
 def test_delete_vertex_rejects_bad_index():
     graph = build_power_graph(make_cyclic(4))
-    with pytest.raises(BadVertexError):
+    with pytest.raises(ValueError, match=r"vertex 4 out of range 0\.\.3"):
         delete_vertex(graph, 4)
 
 
@@ -142,9 +140,12 @@ def test_classes_adjacent_on_c6():
     by_order = {cls.order: cls for cls in partition}
     c2, c3, c6 = by_order[2], by_order[3], by_order[6]
     assert not classes_adjacent(partition, c2, c3, graph)
-    assert classes_adjacent(partition, c2, c6, graph, verify_all=True)
-    assert classes_adjacent(partition, c3, c6, graph, verify_all=True)
-    with pytest.raises(SameClassError):
+    assert classes_adjacent(partition, c2, c6, graph)
+    assert classes_adjacent(partition, c3, c6, graph)
+    # one cross pair decides: every other pair agrees
+    for a, b, joined in ((c2, c3, False), (c2, c6, True), (c3, c6, True)):
+        assert {graph.adjacent(u, v) for u in a.members for v in b.members} == {joined}
+    with pytest.raises(ValueError, match="given twice"):
         classes_adjacent(partition, c2, c2, graph)
 
 
