@@ -7,20 +7,29 @@ and direct constructions for p-groups built on Hamiltonian paths of the
 reduced power-graph complement.
 """
 
-from . import catalog, construct, errors, groups, labelling, powergraph, suites
-from .catalog import *  # noqa: F401,F403
-from .construct import *  # noqa: F401,F403
-from .errors import *  # noqa: F401,F403
-from .groups import *  # noqa: F401,F403
-from .labelling import *  # noqa: F401,F403
-from .powergraph import *  # noqa: F401,F403
-from .suites import *  # noqa: F401,F403
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each public name is declared once, in its own module's __all__.
-__all__ = ["__version__"] + [
-    name
-    for module in (errors, groups, powergraph, labelling, construct, catalog, suites)
-    for name in module.__all__
-]
+# Each public name is declared once, in its own module's __all__.  The
+# package re-exports them on first use (PEP 562), in dependency order, so
+# importing one module, the command line say, loads only what it imports.
+_MODULES = ("errors", "groups", "powergraph", "labelling", "construct", "catalog", "suites")
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = ["__version__"] + [
+            public for short in _MODULES for public in __getattr__(short).__all__]
+    else:
+        for short in _MODULES:
+            module = __getattr__(short)
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

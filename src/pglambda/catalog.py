@@ -8,8 +8,7 @@ iteration order everywhere; nothing downstream re-sorts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -26,8 +25,7 @@ from .groups import (
 __all__ = ["CatalogEntry", "catalogue", "build_catalogue_groups"]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     order: int
     build: Callable[[], FiniteGroup]

@@ -20,7 +20,6 @@ import math
 import sys
 import time
 
-from .catalog import catalogue
 from .construct import lambda_p_group, recognize_family
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
@@ -52,7 +51,6 @@ from .labelling import (
     validate_labelling,
 )
 from .powergraph import build_power_graph, cyclic_classes, to_dot, to_edge_list
-from .suites import run_suites
 
 __all__ = ["main", "parse_group_spec"]
 
@@ -61,13 +59,15 @@ __all__ = ["main", "parse_group_spec"]
 # group spec parsing
 
 
-def _positive_int(text: str, what: str) -> int:
+def _positive_int(text: str, what: str, least: int = 1) -> int:
+    """``text`` as an integer, positive unless a lower ``least`` is given."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
-    if value <= 0:
-        raise ValueError(f"{what} must be positive, got {value}")
+    if value < least:
+        raise ValueError(f"{what} must be "
+                         f"{'positive' if least == 1 else f'>= {least}'}, got {value}")
     return value
 
 
@@ -180,11 +180,14 @@ class _Violation(Exception):
     """A mathematical violation found while running a command (exit code 2)."""
 
 
-def _search_cap(text: str) -> int:
-    try:
-        return _positive_int(text, "the search cap")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_option(what: str, least: int = 1):
+    """An argparse type: an integer ≥ ``least``, else an input error (exit 1)."""
+    def parse(text: str) -> int:
+        try:
+            return _positive_int(text, what, least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _time_budget(text: str) -> float:
@@ -367,6 +370,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
+    from .catalog import catalogue  # imported here: no other command needs them
+    from .suites import run_suites
+
     if args.max_order > max_group_order():
         raise TooLargeError(
             f"--max-order {args.max_order} exceeds the cap {max_group_order()} "
@@ -417,8 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="human-readable output instead of compact JSON")
         p.add_argument("--stable", action="store_true",
                        help="omit timing fields so output is byte-reproducible")
-        p.add_argument("--search-cap", type=_search_cap, default=DEFAULT_SEARCH_CAP,
-                       metavar="N", help="max group order for the exact search")
+        p.add_argument("--search-cap", type=_int_option("the search cap"),
+                       default=DEFAULT_SEARCH_CAP, metavar="N",
+                       help="max group order for the exact search")
         p.add_argument("--time-budget", type=_time_budget, default=DEFAULT_TIME_BUDGET,
                        metavar="SECONDS", help="time limit for the exact search")
 
@@ -440,8 +447,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a labelling CSV against a group")
     p.add_argument("spec")
     p.add_argument("labelling", help="CSV file with header element,label")
-    p.add_argument("-j", type=int, default=2, help="distance-1 separation (default 2)")
-    p.add_argument("-k", type=int, default=1, help="distance-2 separation (default 1)")
+    p.add_argument("-j", type=_int_option("a separation", 0), default=2,
+                   help="distance-1 separation (default 2)")
+    p.add_argument("-k", type=_int_option("a separation", 0), default=1,
+                   help="distance-2 separation (default 1)")
     common(p)
     p.set_defaults(func=cmd_check)
 
@@ -454,8 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("suite", help="run the property suites over the catalogue")
-    p.add_argument("--max-order", type=int, default=32, metavar="N",
-                   help="largest catalogue group to include (default 32)")
+    p.add_argument("--max-order", type=_int_option("the maximum order"), default=32,
+                   metavar="N", help="largest catalogue group to include (default 32)")
     p.add_argument("--group", action="append", default=[], metavar="SPEC",
                    help="extra group to include (repeatable)")
     common(p)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupValidationError, TooLargeError
 
@@ -195,8 +194,7 @@ class FiniteGroup:
         return mul[mul[self.inverse(a)][self.inverse(b)]][mul[a][b]]
 
 
-@dataclass(frozen=True)
-class CyclicSubgroups:
+class CyclicSubgroups(NamedTuple):
     """The distinct cyclic subgroups of a group, each stored once.
 
     Subgroup i is ``elements[i]``, the powers g⁰, g¹, .. of its
@@ -209,8 +207,7 @@ class CyclicSubgroups:
     index: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrderTable:
+class OrderTable(NamedTuple):
     """Element orders of a group, with the exponent and p-group prime."""
 
     orders: tuple[int, ...]

@@ -17,12 +17,9 @@ closed-twin classes).
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import time
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SearchTimeoutError, TooLargeError
 from .powergraph import Graph, PowerGraph, complement, delete_vertex, iter_bits
@@ -62,8 +59,7 @@ DEFAULT_TIME_BUDGET = 60.0
 # labellings
 
 
-@dataclass(frozen=True)
-class Labelling:
+class Labelling(NamedTuple):
     """Integer labels indexed by vertex."""
 
     labels: tuple[int, ...]
@@ -75,12 +71,17 @@ class Labelling:
     def __getitem__(self, v: int) -> int:
         return self.labels[v]
 
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.labels)
+
     def __len__(self) -> int:
         return len(self.labels)
 
+    def __reduce__(self):  # copy and pickle would otherwise iterate the labels
+        return Labelling, (self.labels,)
 
-@dataclass(frozen=True)
-class HamPath:
+
+class HamPath(NamedTuple):
     """Ordering of all non-identity elements, consecutive pairs non-adjacent.
 
     ``excluded`` is the identity vertex, the one element left out of the
@@ -91,8 +92,7 @@ class HamPath:
     excluded: int
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One labelled pair breaking a separation constraint."""
 
     u: int
@@ -367,8 +367,7 @@ def find_group_ham_path(graph: PowerGraph, *,
 # lower bounds and the exact oracle
 
 
-@dataclass(frozen=True)
-class LowerBound:
+class LowerBound(NamedTuple):
     """A proven lower bound on λ with the reason it holds."""
 
     value: int
@@ -394,8 +393,7 @@ def power_graph_lower_bound(graph: PowerGraph) -> LowerBound:
     return LowerBound(n, "power-graph-bound")
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Why λ−1 is impossible: the lower-bound side of a certificate."""
 
     kind: str
@@ -404,8 +402,7 @@ class Evidence:
     vertex: int | None = None
 
 
-@dataclass(frozen=True)
-class ConstructionInfo:
+class ConstructionInfo(NamedTuple):
     """How a constructive witness was assembled."""
 
     kind: str
@@ -413,8 +410,7 @@ class ConstructionInfo:
     joints: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class LambdaCertificate:
+class LambdaCertificate(NamedTuple):
     """λ value with a witness labelling and lower-bound evidence."""
 
     value: int
@@ -551,8 +547,7 @@ def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
     return {(members & -members).bit_length() - 1: members for members in modules}
 
 
-@dataclass(frozen=True)
-class _Quotient:
+class _Quotient(NamedTuple):
     """The graph as the exact search walks it, built once per graph.
 
     Modules are named by their least member; ``near`` and ``far`` map a
@@ -799,6 +794,9 @@ def certificate_to_json(cert: LambdaCertificate, *, indent: int | None = None) -
 
 def format_labelling_csv(labels) -> str:
     """CSV with header element,label; elements written as indices."""
+    import csv  # only the two CSV functions use csv and io
+    import io
+
     if isinstance(labels, Labelling):
         labels = labels.labels
     buf = io.StringIO()
@@ -822,6 +820,9 @@ def parse_labelling_csv(text: str, n: int,
     a known element name.  Malformed rows, unknown elements, and
     duplicates raise ValueError; coverage is left to validate_labelling.
     """
+    import csv
+    import io
+
     name_index = {name: i for i, name in enumerate(names)} if names else {}
     try:
         rows = [row for row in csv.reader(io.StringIO(text)) if row]

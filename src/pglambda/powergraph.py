@@ -9,9 +9,8 @@ the package lives at the level of these classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .groups import FiniteGroup, prime_power
 
@@ -157,8 +156,7 @@ def euler_phi(n: int) -> int:
 # cyclic classes
 
 
-@dataclass(frozen=True)
-class CyclicClass:
+class CyclicClass(NamedTuple):
     """All elements generating one cyclic subgroup.
 
     ``order`` is the common element order; nontrivial classes have
@@ -176,8 +174,7 @@ class CyclicClass:
         return g in self.members
 
 
-@dataclass(frozen=True)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     """Cyclic classes of a group, canonically ordered.
 
     Classes are sorted by (order, representative); ``class_number(n)``
@@ -186,7 +183,7 @@ class ClassPartition:
     """
 
     classes: tuple[CyclicClass, ...]
-    by_order: Mapping[int, tuple[CyclicClass, ...]] = field(repr=False)
+    by_order: Mapping[int, tuple[CyclicClass, ...]]
 
     def class_number(self, n: int) -> int:
         return len(self.by_order.get(n, ()))
@@ -204,6 +201,9 @@ class ClassPartition:
 
     def __len__(self) -> int:
         return len(self.classes)
+
+    def __reduce__(self):  # copy and pickle would otherwise iterate the classes
+        return ClassPartition, (self.classes, self.by_order)
 
 
 def cyclic_classes(group: FiniteGroup) -> ClassPartition:
@@ -243,8 +243,7 @@ def classes_adjacent(partition: ClassPartition, c1: CyclicClass,
 # the lower-hook property
 
 
-@dataclass(frozen=True)
-class LowerHookReport:
+class LowerHookReport(NamedTuple):
     """Outcome of the class-triple adjacency check.
 
     The property: whenever a class U is adjacent to classes V₁ and V₂

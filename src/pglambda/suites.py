@@ -9,9 +9,8 @@ selection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .catalog import build_catalogue_groups
 from .construct import lambda_p_group
@@ -38,20 +37,19 @@ from .powergraph import (
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     subject: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
 class _Subject:
     """A named group; what the suites derive from it is computed once."""
 
-    name: str
-    group: FiniteGroup
+    def __init__(self, name: str, group: FiniteGroup) -> None:
+        self.name = name
+        self.group = group
 
     @cached_property
     def graph(self) -> PowerGraph:

@@ -496,6 +496,24 @@ def test_out_of_range_search_limits_are_input_errors(option, value, capsys):
     assert f"argument {option}" in err and value in err
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["suite", "--max-order", "0"], "--max-order"),
+    (["suite", "--max-order", "-3"], "--max-order"),
+    (["check", "cyclic:8", "LABELS", "-j", "-1"], "-j"),
+    (["check", "cyclic:8", "LABELS", "-k", "-1"], "-k"),
+    (["check", "cyclic:8", "LABELS", "-j", "two"], "-j"),
+])
+def test_out_of_range_counts_are_input_errors(argv, option, tmp_path, capsys):
+    labels = tmp_path / "zeros.csv"  # valid only if separations could be negative
+    labels.write_text("element,label\n" + "".join(f"{v},0\n" for v in range(8)),
+                      encoding="utf-8")
+    argv = [str(labels) if arg == "LABELS" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"argument {option}" in err and argv[-1] in err
+
+
 def test_help_and_no_arguments(capsys):
     assert main(["--help"]) == 0  # argparse SystemExit(0) is absorbed
     assert "analyze" in capsys.readouterr().out

@@ -104,3 +104,13 @@ def test_fuzzed_search_limits_exit_cleanly(budget, cap):
     with _max_order("64"):
         _assert_clean(*_run("lambda", "cyclic:12", "--method", "exact",
                             f"--time-budget={budget}", f"--search-cap={cap}"))
+
+
+@_SETTINGS
+@given(value=st.one_of(_NUMBER, _TEXT))
+def test_fuzzed_suite_max_orders_exit_cleanly(value):
+    with _max_order("8"):
+        code, err = _run("suite", f"--max-order={value}", "--time-budget=0.2")
+    _assert_clean(code, err)
+    if code == 0:  # a passing suite was given an order it could check
+        assert int(value) >= 1

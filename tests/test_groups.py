@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,8 @@ from pglambda import (
     validate_group,
 )
 from pglambda.cli import parse_group_spec
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +398,70 @@ def test_parse_cayley_reports_broken_axioms_with_group_errors():
 
 
 def test_the_command_line_does_not_import_numpy():
-    src = Path(__file__).resolve().parents[1] / "src"
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import pglambda.cli; "
              "print('numpy' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", probe, str(src)],
+    result = subprocess.run([sys.executable, "-c", probe, str(_SRC)],
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_a_command_loads_only_the_modules_it_runs():
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        sys.path.insert(0, sys.argv[1])
+        bare = set(sys.modules)
+        from pglambda.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["analyze", "cyclic:8", "--stable"], ["lambda", "cyclic:8"],
+                         ["export", "cyclic:8"]):
+                assert main(argv) == 0
+        print(" ".join(sorted(set(sys.modules) - bare)))
+    """)
+    result = subprocess.run([sys.executable, "-c", probe, str(_SRC)],
+                            capture_output=True, text=True, check=True)
+    loaded = set(result.stdout.split())
+    assert "pglambda.labelling" in loaded
+    assert not loaded & {"dataclasses", "csv", "pglambda.suites", "pglambda.catalog"}
+
+
+# The package's public names, as re-exported before its imports became lazy.
+_PUBLIC_NAMES = [
+    "CatalogEntry", "ClassPartition", "ConstructionFailedError", "ConstructionInfo",
+    "CyclicClass", "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
+    "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph", "GroupValidationError",
+    "HamPath", "Labelling", "LambdaCertificate", "LowerBound", "LowerHookReport",
+    "OrderTable", "PglambdaError", "PowerGraph", "SUITE_NAMES", "SearchTimeoutError",
+    "SuiteResult", "TooLargeError", "Violation", "__version__",
+    "build_catalogue_groups", "build_interleaved_path", "build_power_graph",
+    "catalogue", "certificate_doc", "certificate_problems", "certificate_to_json",
+    "check_ham_path", "check_lower_hook", "classes_adjacent", "complement",
+    "cyclic_classes", "delete_vertex", "euler_phi", "exact_lambda",
+    "find_group_ham_path", "find_hamiltonian_path", "format_cayley",
+    "format_labelling_csv", "is_maximal_class", "labelling_to_path", "lambda_p_group",
+    "lower_central_series", "make_cyclic", "make_dihedral", "make_direct_product",
+    "make_elementary_abelian", "make_heisenberg", "make_quaternion",
+    "make_semidihedral", "max_group_order", "order_classes_for_descent", "order_table",
+    "parse_cayley", "parse_labelling_csv", "path_to_labelling",
+    "power_graph_lower_bound", "prime_power", "recognize_family", "reduced_complement",
+    "run_suites", "span", "to_dot", "to_edge_list", "validate_group",
+    "validate_labelling",
+]
+
+
+def test_the_package_exports_its_public_names():
+    import pglambda
+
+    assert sorted(pglambda.__all__) == _PUBLIC_NAMES
+    names: dict = {}
+    exec("from pglambda import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == _PUBLIC_NAMES
+    assert all(names[name] is getattr(pglambda, name) for name in _PUBLIC_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        pglambda.no_such_name
+
+
+def test_the_readme_library_example_runs_in_a_fresh_interpreter():
+    readme = (_SRC.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```python\n(from pglambda import .*?)```", readme, re.S).group(1)
+    probe = "import sys; sys.path.insert(0, sys.argv[1])\n" + example
+    subprocess.run([sys.executable, "-c", probe, str(_SRC)], check=True)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import inspect
 import itertools
 import json
+import pickle
 import random
 import sys
 
@@ -18,21 +20,27 @@ from pglambda import (
     SearchTimeoutError,
     TooLargeError,
     build_power_graph,
+    catalogue,
     certificate_to_json,
     check_ham_path,
+    check_lower_hook,
+    cyclic_classes,
     exact_lambda,
     find_group_ham_path,
     find_hamiltonian_path,
     format_labelling_csv,
     labelling_to_path,
+    lambda_p_group,
     make_cyclic,
     make_dihedral,
     make_elementary_abelian,
     make_quaternion,
+    order_table,
     parse_labelling_csv,
     path_to_labelling,
     power_graph_lower_bound,
     reduced_complement,
+    run_suites,
     span,
     validate_labelling,
 )
@@ -80,6 +88,34 @@ def test_labels_accept_mapping_and_labelling_forms():
     assert validate_labelling(graph, Labelling((0, 2))) == []
     with pytest.raises(ValueError, match="no label for vertex 1"):
         validate_labelling(graph, {0: 0})
+
+
+def test_a_labelling_iterates_indexes_and_measures_its_labels():
+    labelling = Labelling((3, 1))
+    assert list(labelling) == [3, 1]
+    assert len(labelling) == 2 and labelling[0] == 3 and labelling[-1] == 1
+    assert span(labelling) == labelling.span == 2
+    assert format_labelling_csv(labelling) == "element,label\n0,3\n1,1\n"
+
+
+def test_records_are_read_only_and_copy_whole():
+    group = make_cyclic(8)
+    graph = build_power_graph(group)
+    partition = cyclic_classes(group)
+    cert = lambda_p_group(group)
+    records = [
+        group.cyclic_subgroups(), order_table(group), partition, partition.classes[0],
+        check_lower_hook(group), cert, cert.witness, cert.evidence, cert.construction,
+        HamPath((1, 2, 3), excluded=0), validate_labelling(graph, (0,) * 8)[0],
+        power_graph_lower_bound(graph), labelling_module._quotient(graph),
+        run_suites(2)[0], catalogue(2)[0],
+    ]
+    for record in records:
+        for field in type(record)._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps((cert, partition))) == (cert, partition)
 
 
 def _all_pairs_violations(graph, labels, j, k):
@@ -175,6 +211,14 @@ def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
     cyclic = build_power_graph(make_cyclic(4))
     with pytest.raises(ValueError, match=r"consecutive pair \(1, 2\) is adjacent"):
         check_ham_path(cyclic, (1, 2, 3))  # all pairs adjacent in C4
+
+
+def test_path_helpers_take_a_ham_path_or_a_vertex_sequence():
+    graph = build_power_graph(make_elementary_abelian(2, 2))
+    path = HamPath((1, 2, 3), excluded=0)
+    assert labelling_module._as_ham_path(graph, path) is path
+    assert labelling_module._as_ham_path(graph, [1, 2, 3]) == path
+    assert path_to_labelling(graph, path) == path_to_labelling(graph, (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ def test_cyclic_classes_of_c12_one_class_per_divisor():
     partition = cyclic_classes(make_cyclic(12))
     assert partition.orders == (1, 2, 3, 4, 6, 12)
     assert [partition.class_number(d) for d in partition.orders] == [1] * 6
+    assert list(partition) == list(partition.classes) and len(partition) == 6
     for cls in partition:
         assert len(cls.members) == euler_phi(cls.order)
 
