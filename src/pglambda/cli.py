@@ -20,7 +20,6 @@ import math
 import sys
 import time
 
-from .construct import lambda_p_group, recognize_family
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
     FiniteGroup,
@@ -214,6 +213,7 @@ def _exact_certificate(graph, cap: int, budget: float) -> LambdaCertificate:
 def _compute_certificate(group: FiniteGroup, method: str, cap: int,
                          budget: float) -> LambdaCertificate:
     """Resolve 'auto' and run the requested method(s); raises on disagreement."""
+    from .construct import lambda_p_group  # only the certifying commands load it
     graph = build_power_graph(group)
     if method == "auto":
         method = _auto_method(group, cap)
@@ -241,6 +241,7 @@ def _compute_certificate(group: FiniteGroup, method: str, cap: int,
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .construct import lambda_p_group, recognize_family
     group = parse_group_spec(args.spec)
     graph = build_power_graph(group)
     partition = cyclic_classes(group)

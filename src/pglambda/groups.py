@@ -320,6 +320,11 @@ def validate_group(mul: Sequence[Sequence[int]],
     suffices to check a generating set, one row comparison per (x, g).
     The test needs only the identity, not the Latin property.
 
+    The Latin property is read off the units: the table is by then a finite
+    monoid, where g·h = e forces h·g = e, so row g is a permutation iff it
+    holds the identity e; when every row does, the monoid is a group and
+    every column is a permutation too.
+
     Returns a :class:`FiniteGroup` on success.
     """
     table = _square_table([tuple(map(int, row)) for row in mul])
@@ -328,8 +333,16 @@ def validate_group(mul: Sequence[Sequence[int]],
         raise ValueError("multiplication table must have at least one element")
     if not 0 <= identity < n:
         raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
+    return _checked_group(table, identity, range(n), names, family_tag)
 
-    for g, row in enumerate(table):
+
+def _checked_group(table: Table, identity: int, unranged: Iterable[int],
+                   names: Sequence[str] | None, family_tag: str | None) -> FiniteGroup:
+    """validate_group on a square int table whose rows outside ``unranged``
+    (ascending) are known to hold only cells in 0..n-1."""
+    n = len(table)
+    for g in unranged:
+        row = table[g]
         if min(row) < 0 or max(row) >= n:
             h = next(h for h, v in enumerate(row) if not 0 <= v < n)
             raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
@@ -351,15 +364,15 @@ def validate_group(mul: Sequence[Sequence[int]],
             raise GroupValidationError(
                 f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {g}, {c})")
 
-    for g, row in enumerate(table):
-        if len(set(row)) != n:
+    for g, row in enumerate(table):  # units, see validate_group
+        if identity not in row:
             raise GroupValidationError(f"row {g} is not a permutation of 0..{n - 1}")
-    for h, column in enumerate(zip(*table)):
-        if len(set(column)) != n:
-            raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
 
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
+    if names is not None and ("" in names or len(set(names)) != n):
+        g = next(g for g, name in enumerate(names) if not name or name in names[:g])
+        raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")
     return FiniteGroup(table, identity, names=names, family_tag=family_tag)
 
 
@@ -587,9 +600,9 @@ def parse_cayley(text: str) -> FiniteGroup:
     """Parse the text format and validate the table.
 
     Line 1 is the element count n, the next n lines are the table rows
-    (0-based indices), and an optional final line ``names: a,b,c`` names
-    the elements.  Element 0 must be the identity.  Blank lines and lines
-    starting with ``#`` are ignored.
+    (0-based indices), and an optional final line ``names: a,b,c`` gives
+    the elements distinct, non-empty names.  Element 0 must be the
+    identity.  Blank lines and lines starting with ``#`` are ignored.
 
     Raises ValueError on malformed input, TooLarge when the count exceeds
     the group-order cap (before any row is parsed); the validate_group
@@ -615,15 +628,24 @@ def parse_cayley(text: str) -> FiniteGroup:
     if len(rows) != n:
         raise ValueError(f"expected {n} table rows, got {len(rows)}")
 
+    # "0".."n-1" map to n shared ints, in range, which Light's test compares
+    # by identity; a row with any other token goes through int() instead
+    cells = dict(zip(map(str, range(n)), range(n)))
     table = []
+    unranged = []
     for g, row in enumerate(rows):
+        tokens = row.split()
         try:
-            entries = [int(tok) for tok in row.split()]
-        except ValueError as exc:
-            raise ValueError(f"table row {g} holds a non-integer token") from exc
+            entries = tuple(map(cells.__getitem__, tokens))
+        except KeyError:
+            try:
+                entries = tuple(map(int, tokens))
+            except ValueError as exc:
+                raise ValueError(f"table row {g} holds a non-integer token") from exc
+            unranged.append(g)
         if len(entries) != n:
             raise ValueError(f"table row {g} has {len(entries)} entries, expected {n}")
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return validate_group(table, 0, names=names, family_tag="file")
+    return _checked_group(tuple(table), 0, unranged, names, "file")

@@ -206,6 +206,9 @@ class ClassPartition(NamedTuple):
         return ClassPartition, (self.classes, self.by_order)
 
 
+del ClassPartition._asdict, ClassPartition._replace  # they would take the classes for fields
+
+
 def cyclic_classes(group: FiniteGroup) -> ClassPartition:
     """Partition by the relation ⟨g₁⟩ = ⟨g₂⟩; cached on the group."""
     if group._classes is None:

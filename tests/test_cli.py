@@ -465,14 +465,20 @@ def test_corrupted_cayley_file(tmp_path, capsys):
     (["analyze"], "4\n0 1 2 3\n1 2 3 0\n2 3 1 1\n3 0 1 2\n",
      "(a·b)·c != a·(b·c) for (a, b, c) = (1, 1, 2)"),
     (["analyze"], "3\n0 1 2\n1 1 1\n2 2 2\n", "row 1 is not a permutation of 0..2"),
+    (["check"], "2\n0 1\n1 0\nnames: a,a\n", "element 1 has an empty or repeated name 'a'"),
 ], ids=["dihedral:6", "heisenberg:2", "quaternion:12", "constructive-cyclic:6",
-        "cell-out-of-range", "no-identity", "not-associative", "not-latin"])
+        "cell-out-of-range", "no-identity", "not-associative", "not-latin",
+        "repeated-names"])
 def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
                                                 capsys):
     if table is not None:
         path = tmp_path / "table.txt"
         path.write_text(table, encoding="utf-8")
         argv = [*argv, f"file:{path}"]
+        if argv[0] == "check":
+            csv = tmp_path / "labels.csv"
+            csv.write_text("element,label\na,0\n1,2\n", encoding="utf-8")
+            argv.append(str(csv))
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -8,12 +8,15 @@ import re
 import subprocess
 import sys
 import textwrap
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pglambda.groups as groups_module
 from pglambda import (
+    FiniteGroup,
     GroupValidationError,
     TooLargeError,
     build_power_graph,
@@ -393,6 +396,192 @@ def test_parse_cayley_reports_broken_axioms_with_group_errors():
         parse_cayley("4\n0 1 2 3\n1 2 3 0\n2 3 1 1\n3 0 1 2\n")
 
 
+@pytest.mark.parametrize("names,message", [
+    ("a,a,b,c", "element 1 has an empty or repeated name 'a'"),
+    ("a,b,c,b", "element 3 has an empty or repeated name 'b'"),
+    ("a,,b,c", "element 1 has an empty or repeated name ''"),
+    ("a,b,c,", "element 3 has an empty or repeated name ''"),
+])
+def test_parse_cayley_rejects_repeated_and_empty_names(names, message):
+    # a repeated name would leave all but one of its elements unnameable
+    # in a labelling CSV
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        parse_cayley(f"4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 2\nnames: {names}\n")
+    assert type(info.value) is ValueError
+
+
+# The parser and validator before cells were shared ints and the Latin
+# property was read off the units: the reference for the differential tests.
+def _reference_validate_group(mul, identity=0, *, names=None, family_tag=None):
+    table = groups_module._square_table([tuple(map(int, row)) for row in mul])
+    n = len(table)
+    if n == 0:
+        raise ValueError("multiplication table must have at least one element")
+    if not 0 <= identity < n:
+        raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
+    for g, row in enumerate(table):
+        if min(row) < 0 or max(row) >= n:
+            h = next(h for h, v in enumerate(row) if not 0 <= v < n)
+            raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
+    idx = tuple(range(n))
+    for line in (table[identity], tuple(row[identity] for row in table)):
+        if line != idx:
+            g = next(g for g in idx if line[g] != g)
+            raise GroupValidationError(
+                f"element {identity} does not act as identity on element {g}")
+    for g in groups_module._greedy_generators(table, identity):
+        lhs = list(map(table.__getitem__, (row[g] for row in table)))
+        rhs = list(map(itemgetter(*table[g]), table))
+        if lhs != rhs:
+            a = next(a for a in idx if lhs[a] != rhs[a])
+            c = next(c for c in idx if lhs[a][c] != rhs[a][c])
+            raise GroupValidationError(
+                f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {g}, {c})")
+    for g, row in enumerate(table):
+        if len(set(row)) != n:
+            raise GroupValidationError(f"row {g} is not a permutation of 0..{n - 1}")
+    for h, column in enumerate(zip(*table)):
+        if len(set(column)) != n:
+            raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
+    if names is not None and len(names) != n:
+        raise ValueError(f"expected {n} element names, got {len(names)}")
+    return FiniteGroup(table, identity, names=names, family_tag=family_tag)
+
+
+def _reference_parse_cayley(text):
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty Cayley-table input")
+    try:
+        n = int(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError("element count must be positive")
+    groups_module._check_cap(n, "Cayley table")
+    rows = lines[1:]
+    names = None
+    if rows and rows[-1].startswith("names:"):
+        names = [piece.strip() for piece in rows[-1][len("names:"):].split(",")]
+        rows = rows[:-1]
+    if len(rows) != n:
+        raise ValueError(f"expected {n} table rows, got {len(rows)}")
+    table = []
+    for g, row in enumerate(rows):
+        try:
+            entries = [int(tok) for tok in row.split()]
+        except ValueError as exc:
+            raise ValueError(f"table row {g} holds a non-integer token") from exc
+        if len(entries) != n:
+            raise ValueError(f"table row {g} has {len(entries)} entries, expected {n}")
+        table.append(entries)
+    if names is not None and len(names) != n:
+        raise ValueError(f"expected {n} element names, got {len(names)}")
+    return _reference_validate_group(table, 0, names=names, family_tag="file")
+
+
+def _outcome(call):
+    """What a call gives: the group's fields, or the error's class and message."""
+    try:
+        group = call()
+    except (ValueError, TooLargeError) as exc:
+        return type(exc), str(exc)
+    return group.mul, group.identity, group.names, group.family_tag
+
+
+_SMALL_TABLES = [entry.build().mul for entry in catalogue(max_order=12)]
+
+
+def _monoid(kind, n):
+    """An associative table with identity 0 that is not a group for n ≥ 2."""
+    if kind == "max":
+        return [[max(a, b) for b in range(n)] for a in range(n)]
+    if kind == "left-zero":  # x·y = x off the identity
+        return [list(range(n))] + [[a] * n for a in range(1, n)]
+    swap = [1, 0, *range(2, n)]  # multiplication mod n, with 1 at index 0
+    return [[swap[swap[a] * swap[b] % n] for b in range(n)] for a in range(n)]
+
+
+def _odd_tokens(value, n):
+    """Tokens int() reads, but not as "0".."n-1", and tokens it rejects."""
+    digit = chr(0x660 + value) if 0 <= value < 10 else str(value)  # Arabic-Indic
+    return [f"0{value}", f"+{value}", f"{value}_0", digit, "-1", str(n), "x",
+            f"{value}.0", ""]
+
+
+@st.composite
+def _tables(draw):
+    kind = draw(st.sampled_from(["group", "scrambled", "monoid", "random"]))
+    if kind in ("group", "scrambled"):
+        table = [list(row) for row in draw(st.sampled_from(_SMALL_TABLES))]
+        n = len(table)
+        if kind == "scrambled":  # keeps the identity at index 0
+            sigma = [0, *draw(st.permutations(range(1, n)))]
+            scrambled = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    scrambled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+            table = scrambled
+    elif kind == "monoid":
+        n = draw(st.integers(min_value=2, max_value=9))
+        table = _monoid(draw(st.sampled_from(["max", "left-zero", "mod"])), n)
+    else:  # identity row and column, random interior
+        n = draw(st.integers(min_value=1, max_value=5))
+        cell = st.integers(min_value=0, max_value=n - 1)
+        table = [list(range(n))] + [
+            [a] + draw(st.lists(cell, min_size=n - 1, max_size=n - 1)) for a in range(1, n)]
+    return table
+
+
+@st.composite
+def _cayley_texts(draw):
+    table = draw(_tables())
+    n = len(table)
+    rows = [list(map(str, row)) for row in table]
+    index = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):  # one-cell perturbations
+        a, b = draw(index), draw(index)
+        rows[a][b] = draw(st.sampled_from(_odd_tokens(table[a][b], n))
+                          | st.integers(min_value=-1, max_value=n).map(str))
+    names = draw(st.sampled_from([None, None, "distinct", "distinct", "few"]))
+    if names == "few":  # mostly the wrong count
+        names = draw(st.lists(st.sampled_from(["a", "b", ""]), min_size=n - 1,
+                              max_size=n + 1))
+    elif names == "distinct":  # with up to two names blanked or repeated
+        names = [f"g{i}" for i in range(n)]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            names[draw(index)] = draw(st.sampled_from(["", names[draw(index)]]))
+    lines = [str(n), *(" ".join(row) for row in rows)]
+    if names is not None:
+        lines.append("names: " + ",".join(names))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cayley_texts())
+def test_parse_cayley_agrees_with_the_reference_parser(text):
+    expected = _outcome(lambda: _reference_parse_cayley(text))
+    got = _outcome(lambda: parse_cayley(text))
+    names = expected[2] if isinstance(expected[0], tuple) else None
+    if names is not None and ("" in names or len(set(names)) != len(names)):
+        # the one deliberate change: names must be distinct and non-empty
+        assert got[0] is ValueError and "name" in got[1]
+    else:
+        assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(), st.data())
+def test_validate_group_agrees_with_the_reference_validator(table, data):
+    n = len(table)
+    identity = data.draw(st.integers(min_value=-1, max_value=n))
+    cell = data.draw(st.integers(min_value=-1, max_value=n))
+    table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = cell
+    assert (_outcome(lambda: validate_group(table, identity))
+            == _outcome(lambda: _reference_validate_group(table, identity)))
+
+
 # ---------------------------------------------------------------------------
 # start-up
 
@@ -405,23 +594,36 @@ def test_the_command_line_does_not_import_numpy():
     assert result.stdout.strip() == "False"
 
 
-def test_a_command_loads_only_the_modules_it_runs():
+def test_a_command_loads_only_the_modules_it_runs(tmp_path):
+    search, construct = "pglambda._search", "pglambda.construct"
+    # cyclic:8's power graph is complete, so labels 0, 2, .., 14 are valid
+    labels = tmp_path / "labels.csv"
+    labels.write_text("element,label\n" + "".join(f"{v},{2 * v}\n" for v in range(8)),
+                      encoding="utf-8")
+    table = _SRC.parent / "tests" / "data" / "semidihedral16-scrambled.txt"
+    cases = [  # argv, modules it must load, modules it must not
+        (["analyze", "cyclic:8", "--stable"], {construct}, {search, "csv"}),
+        (["analyze", f"file:{table}", "--stable"], {construct}, {search, "csv"}),
+        (["check", "cyclic:8", str(labels)], {"csv"}, {search, construct}),
+        (["export", "cyclic:8"], set(), {search, construct, "csv"}),
+        (["lambda", "cyclic:8", "--method", "exact"], {search}, {"csv"}),
+    ]
     probe = textwrap.dedent("""
         import contextlib, io, sys
         sys.path.insert(0, sys.argv[1])
         bare = set(sys.modules)
         from pglambda.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
-            for argv in (["analyze", "cyclic:8", "--stable"], ["lambda", "cyclic:8"],
-                         ["export", "cyclic:8"]):
-                assert main(argv) == 0
+            assert main(sys.argv[2:]) == 0
         print(" ".join(sorted(set(sys.modules) - bare)))
     """)
-    result = subprocess.run([sys.executable, "-c", probe, str(_SRC)],
-                            capture_output=True, text=True, check=True)
-    loaded = set(result.stdout.split())
-    assert "pglambda.labelling" in loaded
-    assert not loaded & {"dataclasses", "csv", "pglambda.suites", "pglambda.catalog"}
+    for argv, loads, skips in cases:
+        result = subprocess.run([sys.executable, "-c", probe, str(_SRC), *argv],
+                                capture_output=True, text=True, check=True)
+        loaded = set(result.stdout.split())
+        assert loads | {"pglambda.labelling"} <= loaded, argv
+        assert not loaded & (skips | {"dataclasses", "pglambda.suites",
+                                      "pglambda.catalog"}), argv
 
 
 # The package's public names, as re-exported before its imports became lazy.

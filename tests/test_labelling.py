@@ -44,6 +44,7 @@ from pglambda import (
     span,
     validate_labelling,
 )
+import pglambda._search as search_module
 import pglambda.labelling as labelling_module
 
 
@@ -98,6 +99,13 @@ def test_a_labelling_iterates_indexes_and_measures_its_labels():
     assert format_labelling_csv(labelling) == "element,label\n0,3\n1,1\n"
 
 
+def test_content_iterating_records_have_no_asdict_or_replace():
+    # namedtuple's _asdict and _replace would take the contents for fields
+    for record in (Labelling((1, 2)), Labelling(()), cyclic_classes(make_cyclic(8))):
+        assert not hasattr(record, "_asdict") and not hasattr(record, "_replace")
+    assert repr(Labelling((1, 2))) == "Labelling(labels=(1, 2))"
+
+
 def test_records_are_read_only_and_copy_whole():
     group = make_cyclic(8)
     graph = build_power_graph(group)
@@ -107,7 +115,7 @@ def test_records_are_read_only_and_copy_whole():
         group.cyclic_subgroups(), order_table(group), partition, partition.classes[0],
         check_lower_hook(group), cert, cert.witness, cert.evidence, cert.construction,
         HamPath((1, 2, 3), excluded=0), validate_labelling(graph, (0,) * 8)[0],
-        power_graph_lower_bound(graph), labelling_module._quotient(graph),
+        power_graph_lower_bound(graph), search_module._quotient(graph),
         run_suites(2)[0], catalogue(2)[0],
     ]
     for record in records:
@@ -427,8 +435,8 @@ def _all_pairs_distance_two(d1: list[int]) -> list[int]:
 @given(_graphs_with_twins(max_base=8, max_size=4))
 def test_distance_two_masks_match_the_all_pairs_definition(graph):
     d1 = list(graph.neighbors)
-    classes = labelling_module._closed_twin_classes(d1)
-    assert labelling_module._distance_two(d1, classes) == _all_pairs_distance_two(d1)
+    classes = search_module._closed_twin_classes(d1)
+    assert search_module._distance_two(d1, classes) == _all_pairs_distance_two(d1)
 
 
 def _diameter_at_most_two(d1: list[int]) -> bool:
@@ -474,8 +482,8 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
     d1 = list(graph.neighbors)
     assume(_diameter_at_most_two(d1))
     truth = _brute_force_lambda(d1)
-    classes = labelling_module._closed_twin_classes(d1)
-    assert labelling_module._path_cover_floor(graph.n, classes) <= truth
+    classes = search_module._closed_twin_classes(d1)
+    assert search_module._path_cover_floor(graph.n, classes) <= truth
     assert exact_lambda(graph).value == truth
 
 
@@ -556,7 +564,7 @@ def test_gap2_packing_matches_the_greedy_walk(s, mask):
         low = rest & -rest
         count += 1
         rest &= -1 << (low.bit_length() + 1)
-    assert labelling_module._gap2_packing(mask, evens) == count
+    assert search_module._gap2_packing(mask, evens) == count
 
 
 def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
@@ -582,7 +590,7 @@ def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
                 masks[b] |= 1 << a
     graph = Graph(n, masks)
 
-    monkeypatch.setattr(labelling_module, "time", LeapClock())
+    monkeypatch.setattr(search_module, "time", LeapClock())
     with pytest.raises(SearchTimeoutError) as info:
         exact_lambda(graph, time_budget=1.0)
     assert info.value.lower_bound is not None
