@@ -1,6 +1,6 @@
-"""The searches of labelling.find_hamiltonian_path and exact_lambda, which
-import this module on first call: a command that runs neither does not
-compile it.  Both searches read the clock only here."""
+"""The search of labelling.exact_lambda, which imports this module on
+first call: a command that does not search does not compile it.  The
+search reads the clock only here."""
 
 from __future__ import annotations
 
@@ -9,95 +9,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import SearchTimeoutError
 from .powergraph import Graph, iter_bits
-
-
-def _connected(neigh: Sequence[int], domain: int, start: int) -> bool:
-    seen = frontier = 1 << start
-    while frontier:
-        grow = 0
-        for v in iter_bits(frontier):
-            grow |= neigh[v]
-        frontier = grow & domain & ~seen
-        seen |= frontier
-    return seen == domain
-
-
-def _next_candidates(neigh: Sequence[int], full: int, cur: int, visited: int) -> list[int]:
-    """Unvisited neighbours of cur worth trying, best candidate last.
-
-    Sound prunes: the rest of the path is a Hamiltonian path of
-    rem ∪ {cur} starting at cur, so that set must be connected and can
-    hold at most one further degree-1 vertex (the far endpoint).
-    """
-    rem = full & ~visited
-    cand = neigh[cur] & rem
-    if not cand:
-        return []
-    domain = rem | (1 << cur)
-    if not _connected(neigh, domain, cur):
-        return []
-    pendants = 0
-    for v in iter_bits(rem):
-        if (neigh[v] & domain).bit_count() <= 1:
-            pendants += 1
-            if pendants > 1:
-                return []
-    ordered = sorted(iter_bits(cand),
-                     key=lambda v: ((neigh[v] & rem).bit_count(), v))
-    ordered.reverse()  # the stack pops from the end
-    return ordered
-
-
-def _ham_from(neigh: Sequence[int], full: int, start: int,
-              deadline: float) -> tuple[int, ...] | None:
-    path = [start]
-    visited = 1 << start
-    frames = [_next_candidates(neigh, full, start, visited)]
-    while frames:
-        if visited == full:
-            return tuple(path)
-        frame = frames[-1]
-        if not frame:
-            frames.pop()
-            visited &= ~(1 << path.pop())
-            continue
-        if time.monotonic() > deadline:
-            raise SearchTimeoutError(f"Hamiltonian path search on {full.bit_count()} "
-                                     "vertices ran out of its time budget")
-        v = frame.pop()
-        path.append(v)
-        visited |= 1 << v
-        if visited == full:
-            return tuple(path)
-        frames.append(_next_candidates(neigh, full, v, visited))
-    return None
-
-
-def hamiltonian_path(graph: Graph, time_budget: float) -> tuple[int, ...] | None:
-    """The search of find_hamiltonian_path, on a graph within its cap."""
-    n = graph.n
-    if n == 0:
-        return ()
-    if n == 1:
-        return (0,)
-    neigh = graph.neighbors
-    full = (1 << n) - 1
-    degrees = [neigh[v].bit_count() for v in range(n)]
-    if any(d == 0 for d in degrees):
-        return None
-    if sum(1 for d in degrees if d == 1) > 2:
-        return None
-    if not _connected(neigh, full, 0):
-        return None
-    by_degree = sorted(range(n), key=lambda v: (degrees[v], v))
-    # a degree-1 vertex must be an endpoint, so starting there is complete
-    pendant_starts = [v for v in by_degree if degrees[v] == 1]
-    deadline = time.monotonic() + time_budget
-    for start in pendant_starts or by_degree:
-        found = _ham_from(neigh, full, start, deadline)
-        if found is not None:
-            return found
-    return None
 
 
 def _greedy_clique(graph: Graph) -> int:

@@ -226,7 +226,7 @@ def _compute_certificate(group: FiniteGroup, method: str, cap: int,
     if method == "exact":
         return _exact_certificate(graph, cap, budget)
     constructive = lambda_p_group(group)
-    exact = exact_lambda(graph, max_vertices=cap, time_budget=budget)
+    exact = _exact_certificate(graph, cap, budget)
     if constructive.value != exact.value:
         raise _Violation(
             f"disagreement: constructive lambda {constructive.value} != "

@@ -12,7 +12,7 @@ backtracking over one label domain per twin module with forward
 checking, ascending labels among twins, a clique-packing prune, and an
 all-distinct pigeonhole prune, started at a proven floor (the clique
 bound, and on graphs of diameter ≤ 2 a path-cover bound read off the
-closed-twin classes).  Both searches run in ``_search``, loaded on first use.
+closed-twin classes).  The search runs in ``_search``, loaded on first use.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import json
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TooLargeError
-from .powergraph import Graph, PowerGraph, complement, delete_vertex
+from .powergraph import Graph, PowerGraph
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET",
     "Labelling",
-    "HamPath",
     "Violation",
     "Evidence",
     "LambdaCertificate",
@@ -38,9 +37,6 @@ __all__ = [
     "check_ham_path",
     "path_to_labelling",
     "labelling_to_path",
-    "find_hamiltonian_path",
-    "reduced_complement",
-    "find_group_ham_path",
     "power_graph_lower_bound",
     "LowerBound",
     "exact_lambda",
@@ -81,17 +77,6 @@ class Labelling(NamedTuple):
 
 
 del Labelling._asdict, Labelling._replace  # they would take the labels for fields
-
-
-class HamPath(NamedTuple):
-    """Ordering of all non-identity elements, consecutive pairs non-adjacent.
-
-    ``excluded`` is the identity vertex, the one element left out of the
-    sequence.  Validity is relative to a power graph; see check_ham_path.
-    """
-
-    vertices: tuple[int, ...]
-    excluded: int
 
 
 class Violation(NamedTuple):
@@ -170,21 +155,11 @@ def span(labels) -> int:
 # Hamiltonian paths in the reduced complement
 
 
-def _as_ham_path(graph: PowerGraph, path) -> HamPath:
-    if isinstance(path, HamPath):
-        return path
-    return HamPath(tuple(path), graph.group.identity)
-
-
-def check_ham_path(graph: PowerGraph, path: HamPath | Sequence[int]) -> None:
+def check_ham_path(graph: PowerGraph, path: Sequence[int]) -> None:
     """Raise ValueError unless the path covers G minus the identity exactly
     once with every consecutive pair NON-adjacent in the power graph."""
-    identity = graph.group.identity
-    path = _as_ham_path(graph, path)
-    if path.excluded != identity:
-        raise ValueError(f"excluded vertex {path.excluded} is not the identity {identity}")
-    expected = set(range(graph.n)) - {identity}
-    got = list(path.vertices)
+    expected = set(range(graph.n)) - {graph.group.identity}
+    got = list(path)
     if len(got) != len(set(got)) or set(got) != expected:
         raise ValueError("path does not cover the non-identity elements exactly once")
     for a, b in zip(got, got[1:]):
@@ -192,18 +167,17 @@ def check_ham_path(graph: PowerGraph, path: HamPath | Sequence[int]) -> None:
             raise ValueError(f"consecutive pair ({a}, {b}) is adjacent in the power graph")
 
 
-def path_to_labelling(graph: PowerGraph, path: HamPath | Sequence[int]) -> Labelling:
+def path_to_labelling(graph: PowerGraph, path: Sequence[int]) -> Labelling:
     """Identity ↦ −2 and the i-th path vertex ↦ i: valid with span |G|."""
-    path = _as_ham_path(graph, path)
     check_ham_path(graph, path)
     labels = [0] * graph.n
-    labels[path.excluded] = -2
-    for i, v in enumerate(path.vertices):
+    labels[graph.group.identity] = -2
+    for i, v in enumerate(path):
         labels[v] = i
     return Labelling(tuple(labels))
 
 
-def labelling_to_path(graph: PowerGraph, labels) -> HamPath:
+def labelling_to_path(graph: PowerGraph, labels) -> tuple[int, ...]:
     """Invert path_to_labelling for any valid span-|G| labelling.
 
     Valid span-|G| labels occupy an interval of |G|+1 integers with one
@@ -234,44 +208,9 @@ def labelling_to_path(graph: PowerGraph, labels) -> HamPath:
             raise ValueError(
                 "non-identity labels are not consecutive; the graph cannot "
                 "be a power graph")
-    path = HamPath(tuple(v for _, v in rest), identity)
+    path = tuple(v for _, v in rest)
     check_ham_path(graph, path)
     return path
-
-
-def find_hamiltonian_path(graph: Graph, max_vertices: int | None = None, *,
-                          time_budget: float = DEFAULT_TIME_BUDGET
-                          ) -> tuple[int, ...] | None:
-    """A Hamiltonian path of the graph, or None as exhaustive proof of absence.
-
-    Deterministic: start vertices ascend by (degree, index) and the search
-    prefers low-degree continuations.  A graph with more than two degree-1
-    vertices, an isolated vertex (n ≥ 2), or a disconnected vertex set is
-    rejected immediately.  Raises Timeout once ``time_budget`` runs out.
-    """
-    from .groups import max_group_order
-    cap = max_vertices if max_vertices is not None else max_group_order()
-    n = graph.n
-    if n > cap:
-        raise TooLargeError(f"Hamiltonian search capped at {cap} vertices, graph has {n}")
-    from ._search import hamiltonian_path
-    return hamiltonian_path(graph, time_budget)
-
-
-def reduced_complement(graph: PowerGraph) -> tuple[Graph, tuple[int, ...]]:
-    """Complement of the power graph minus the identity; kept[new] = old."""
-    reduced, kept = delete_vertex(graph, graph.group.identity)
-    return complement(reduced), kept
-
-
-def find_group_ham_path(graph: PowerGraph, *,
-                        time_budget: float = DEFAULT_TIME_BUDGET) -> HamPath | None:
-    """Search the reduced complement; None is an exhaustive absence proof."""
-    comp, kept = reduced_complement(graph)
-    found = find_hamiltonian_path(comp, time_budget=time_budget)
-    if found is None:
-        return None
-    return HamPath(tuple(kept[v] for v in found), graph.group.identity)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ __all__ = [
     "ClassPartition",
     "LowerHookReport",
     "build_power_graph",
-    "complement",
-    "delete_vertex",
     "euler_phi",
     "cyclic_classes",
     "classes_adjacent",
@@ -113,27 +111,6 @@ def build_power_graph(group: FiniteGroup) -> PowerGraph:
         group._power_graph = PowerGraph(group.order, neighbors, group,
                                         names=group.names)
     return group._power_graph
-
-
-def complement(graph: Graph) -> Graph:
-    """Same vertices, exactly the non-edges (always a plain Graph)."""
-    full = (1 << graph.n) - 1
-    neighbors = [full & ~(graph.neighbors[v] | (1 << v)) for v in range(graph.n)]
-    return Graph(graph.n, neighbors, names=graph.names)
-
-
-def delete_vertex(graph: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Remove one vertex; returns (subgraph, kept) with kept[new] = old."""
-    if not 0 <= v < graph.n:
-        raise ValueError(f"vertex {v} out of range 0..{graph.n - 1}")
-    low = (1 << v) - 1
-    kept = tuple(u for u in range(graph.n) if u != v)
-    neighbors = []
-    for u in kept:
-        m = graph.neighbors[u]
-        neighbors.append((m & low) | ((m >> (v + 1)) << v))
-    names = tuple(graph.name(u) for u in kept) if graph.names else None
-    return Graph(graph.n - 1, neighbors, names=names), kept
 
 
 def euler_phi(n: int) -> int:

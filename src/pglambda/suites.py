@@ -3,8 +3,8 @@
 Each suite checks one verifiable statement about power graphs of finite
 groups and reports per-group pass/fail records.  Suites that need the
 exhaustive labelling search only run it on groups up to `exact_cap`
-(default DEFAULT_SEARCH_CAP, 32); everything else runs on the whole
-selection.
+(default DEFAULT_SEARCH_CAP, 32), once per group; everything else runs
+on the whole selection.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .labelling import (
     DEFAULT_TIME_BUDGET,
     LambdaCertificate,
     exact_lambda,
-    find_group_ham_path,
     labelling_to_path,
     path_to_labelling,
     validate_labelling,
@@ -45,11 +44,16 @@ class SuiteResult(NamedTuple):
 
 
 class _Subject:
-    """A named group; what the suites derive from it is computed once."""
+    """A named group; what the suites derive from it is computed once.
 
-    def __init__(self, name: str, group: FiniteGroup) -> None:
+    ``cap`` and ``budget`` limit its exact search: vertices and seconds.
+    """
+
+    def __init__(self, name: str, group: FiniteGroup, cap: int, budget: float) -> None:
         self.name = name
         self.group = group
+        self.cap = cap
+        self.budget = budget
 
     @cached_property
     def graph(self) -> PowerGraph:
@@ -76,13 +80,17 @@ class _Subject:
         """The constructive certificate, built once per p-group subject."""
         return lambda_p_group(self.group)
 
+    @cached_property
+    def exact(self) -> LambdaCertificate:
+        """The exact-search certificate, searched once per subject."""
+        return exact_lambda(self.graph, max_vertices=self.cap, time_budget=self.budget)
+
 
 def _result(suite: str, subject: _Subject, passed: bool, detail: str) -> SuiteResult:
     return SuiteResult(suite, subject.name, passed, detail)
 
 
-def _suite_power_graph_shape(subjects: Sequence[_Subject], cap: int,
-                             budget: float) -> list[SuiteResult]:
+def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Identity universal, diameter ≤ 2, class sizes φ(d), classes cover G."""
     out = []
     for s in subjects:
@@ -111,8 +119,7 @@ def _suite_power_graph_shape(subjects: Sequence[_Subject], cap: int,
     return out
 
 
-def _suite_congruences(subjects: Sequence[_Subject], cap: int,
-                       budget: float) -> list[SuiteResult]:
+def _suite_congruences(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
     out = []
     for s in subjects:
@@ -156,8 +163,7 @@ def _family_class_expectations(tag: str, order: int) -> dict[int, int]:
     return expected
 
 
-def _suite_family_class_numbers(subjects: Sequence[_Subject], cap: int,
-                                budget: float) -> list[SuiteResult]:
+def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Exact per-order class counts for the three maximal-class 2-group families."""
     out = []
     for s in subjects:
@@ -175,8 +181,7 @@ def _suite_family_class_numbers(subjects: Sequence[_Subject], cap: int,
     return out
 
 
-def _suite_lower_hook(subjects: Sequence[_Subject], cap: int,
-                      budget: float) -> list[SuiteResult]:
+def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Hook holds on p-groups; composite-order groups may (and C6 must) break it."""
     out = []
     for s in subjects:
@@ -203,18 +208,27 @@ def _suite_lower_hook(subjects: Sequence[_Subject], cap: int,
     return out
 
 
-def _suite_span_path_equivalence(subjects: Sequence[_Subject], cap: int,
-                                 budget: float) -> list[SuiteResult]:
-    """λ = |G| exactly when the reduced complement has a Hamiltonian path."""
+def _suite_span_path_equivalence(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+    """λ = |G| exactly when the reduced complement has a Hamiltonian path.
+
+    Both sides are read off the exact certificate.  At λ = |G| its witness
+    converts to a path, which labelling_to_path checks with check_ham_path.
+    At λ > |G| the search refuted span |G|, and path_to_labelling would
+    turn any path into a span-|G| labelling, so there is none.
+    """
     out = []
     for s in subjects:
-        if not 3 <= s.n <= cap:
+        if not 3 <= s.n <= s.cap:
             continue
-        path = find_group_ham_path(s.graph, time_budget=budget)
-        cert = exact_lambda(s.graph, max_vertices=cap, time_budget=budget)
-        ok = (path is not None) == (cert.value == s.n)
-        detail = (f"lambda = {cert.value}, path "
-                  f"{'found' if path is not None else 'absent'}")
+        value = s.exact.value
+        ok, detail = value > s.n, f"lambda = {value}, path absent"
+        if value == s.n:
+            try:
+                labelling_to_path(s.graph, s.exact.witness)
+            except ValueError as exc:
+                detail = f"lambda = {value}, no path from the witness: {exc}"
+            else:
+                ok, detail = True, f"lambda = {value}, path found"
         out.append(_result("span-path-equivalence", s, ok, detail))
     return out
 
@@ -230,23 +244,21 @@ def _formula_lambda(s: _Subject) -> int:
     return s.n
 
 
-def _suite_constructive_matches_exact(subjects: Sequence[_Subject], cap: int,
-                                      budget: float) -> list[SuiteResult]:
+def _suite_constructive_matches_exact(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Constructive λ equals the exhaustive-search λ on small p-groups."""
     out = []
     for s in subjects:
-        if s.prime is None or s.n > cap:
+        if s.prime is None or s.n > s.cap:
             continue
         constructive = s.certificate
-        exact = exact_lambda(s.graph, max_vertices=cap, time_budget=budget)
+        exact = s.exact
         ok = constructive.value == exact.value
         out.append(_result("constructive-matches-exact", s, ok,
                            f"constructive {constructive.value}, exact {exact.value}"))
     return out
 
 
-def _suite_constructive_witness_valid(subjects: Sequence[_Subject], cap: int,
-                                      budget: float) -> list[SuiteResult]:
+def _suite_constructive_witness_valid(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Constructive witnesses validate on the real graph and hit the formula value."""
     out = []
     for s in subjects:
@@ -263,8 +275,7 @@ def _suite_constructive_witness_valid(subjects: Sequence[_Subject], cap: int,
     return out
 
 
-def _suite_round_trip(subjects: Sequence[_Subject], cap: int,
-                      budget: float) -> list[SuiteResult]:
+def _suite_round_trip(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """labelling_to_path inverts path_to_labelling on every span-|G| witness."""
     out = []
     for s in subjects:
@@ -276,7 +287,7 @@ def _suite_round_trip(subjects: Sequence[_Subject], cap: int,
         path = labelling_to_path(s.graph, cert.witness)
         relabelled = path_to_labelling(s.graph, path)
         back = labelling_to_path(s.graph, relabelled)
-        ok = (back.vertices == path.vertices
+        ok = (back == path
               and relabelled.span == s.n
               and not validate_labelling(s.graph, relabelled))
         out.append(_result("labelling-path-round-trip", s, ok,
@@ -304,12 +315,13 @@ def run_suites(max_order: int = 32,
                exact_cap: int = DEFAULT_SEARCH_CAP,
                time_budget: float = DEFAULT_TIME_BUDGET) -> list[SuiteResult]:
     """Run every suite over the catalogue (≤ max_order) plus any extra groups."""
-    subjects = [_Subject(entry.name, group)
+    subjects = [_Subject(entry.name, group, exact_cap, time_budget)
                 for entry, group in build_catalogue_groups(max_order)]
-    subjects.extend(_Subject(name, group) for name, group in extra_groups)
+    subjects.extend(_Subject(name, group, exact_cap, time_budget)
+                    for name, group in extra_groups)
 
     results: list[SuiteResult] = []
     for _, fn in _SUITES:
-        results.extend(fn(subjects, exact_cap, time_budget))
+        results.extend(fn(subjects))
     return results
 

@@ -18,17 +18,18 @@ from pglambda import (
     build_catalogue_groups,
     build_power_graph,
     catalogue,
+    check_ham_path,
     check_lower_hook,
     classes_adjacent,
     cyclic_classes,
     exact_lambda,
-    find_group_ham_path,
     labelling_to_path,
     lambda_p_group,
     make_cyclic,
     make_quaternion,
     order_table,
     path_to_labelling,
+    power_graph_lower_bound,
     validate_labelling,
 )
 from pglambda.cli import main, parse_group_spec
@@ -121,15 +122,23 @@ def test_span_equals_order_iff_complement_path_exists(s3_group):
     names = [name for name, _ in subjects]
     assert "cyclic:6" in names and "cyclic:10" in names
 
+    # λ = |G|: the exact witness converts to a complement path.  λ > |G|:
+    # the search refuted every span below λ, |G| included, and any path
+    # would convert to a span-|G| labelling, so there is none.
+    found = 0
     for name, group in subjects:
         if group.order < 3:
             continue  # complement path degenerates below 3 vertices
         graph = build_power_graph(group)
-        path = find_group_ham_path(graph)
-        value = exact_lambda(graph).value
-        assert (path is not None) == (value == group.order), (
-            f"{name}: path {'found' if path else 'absent'} "
-            f"but lambda {value} vs order {group.order}")
+        cert = exact_lambda(graph)
+        assert cert.value >= group.order, name
+        if cert.value == group.order:
+            check_ham_path(graph, labelling_to_path(graph, cert.witness))
+            found += 1
+        else:
+            assert cert.evidence.kind == "exhaustive-search-at-span", name
+            assert cert.evidence.span >= group.order, name
+    assert found >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +236,7 @@ def test_constructive_paths_round_trip_and_validate():
         labels = path_to_labelling(graph, path)
         assert validate_labelling(graph, labels) == [], entry.name
         assert labels.span == group.order, entry.name
-        assert labelling_to_path(graph, labels).vertices == tuple(path), entry.name
+        assert labelling_to_path(graph, labels) == tuple(path), entry.name
     assert seen_path_kinds >= {"involution-alternation", "seed-alternation",
                                "class-interleaving-descent"}
 
@@ -245,6 +254,8 @@ def test_q8_has_no_span_8_labelling_and_no_complement_path():
     assert cert.evidence.kind == "exhaustive-search-at-span"
     assert cert.evidence.span == 8  # span 8 exhaustively refuted
 
-    assert find_group_ham_path(graph) is None
+    # x² is universal, so isolated in the reduced complement: no path
+    lower = power_graph_lower_bound(graph)
+    assert (lower.value, lower.kind) == (9, "universal-nonidentity-vertex")
 
     assert time.perf_counter() - started < 5.0

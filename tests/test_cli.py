@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from pglambda import build_power_graph, format_cayley, make_cyclic, span, validate_labelling
+from pglambda import (
+    Evidence,
+    Labelling,
+    LambdaCertificate,
+    build_power_graph,
+    format_cayley,
+    make_cyclic,
+    span,
+    validate_labelling,
+)
 from pglambda.cli import main, parse_group_spec
 
 
@@ -201,6 +206,21 @@ def test_lambda_both_methods_agree(capsys):
     assert set(doc) >= {"lambda", "method", "evidence", "labels"}
 
 
+# λ(D8) = 8, with a witness that is no labelling of its power graph
+_INVALID_D8_CERT = LambdaCertificate(
+    value=8, witness=Labelling(tuple(range(8))),
+    evidence=Evidence(kind="exhaustive-search-at-span", bound=8, span=7),
+    method="exact-search")
+
+
+def test_lambda_both_checks_the_exact_certificate(capsys, monkeypatch):
+    monkeypatch.setattr("pglambda.cli.exact_lambda",
+                        lambda *args, **kwargs: _INVALID_D8_CERT)
+    code, _, err = run(capsys, "lambda", "dihedral:8", "--method", "both")
+    assert code == 2
+    assert "consistency failure: witness violates labelling constraints" in err
+
+
 def test_lambda_constructive_emits_construction(capsys):
     code, out, _ = run(capsys, "lambda", "dihedral:16", "--method", "constructive")
     assert code == 0
@@ -383,17 +403,38 @@ def test_suite_search_cap_reaches_the_exact_suites(capsys):
     assert {"span-path-equivalence", "constructive-matches-exact"} <= exact_on_d64
 
 
-def test_suite_time_budget_bounds_the_hamiltonian_search():
-    # C2 x C10 has no span-20 path, and proving that takes far longer than
-    # the budget; the suite must stop with exit 3, not run on unbounded.
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    argv = [sys.executable, "-m", "pglambda.cli", "suite", "--max-order", "1",
-            "--group", "product:cyclic:2,cyclic:10", "--time-budget", "0.5"]
+def test_suite_decides_span_path_equivalence_on_c2_x_c10(capsys):
+    # no path in the reduced complement: the exact certificate (lambda 21)
+    # refutes span 20, which any such path would give
     started = time.monotonic()
-    result = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=30)
-    assert result.returncode == 3
-    assert "Hamiltonian path search" in result.stderr
+    code, out, _ = run(capsys, "suite", "--max-order", "1",
+                       "--group", "product:cyclic:2,cyclic:10")
+    assert time.monotonic() - started < 1.0
+    assert code == 0
+    details = {r["suite"]: r["detail"] for r in json.loads(out)["results"]}
+    assert details["span-path-equivalence"] == "lambda = 21, path absent"
+
+
+def test_suite_counts_a_witness_without_a_path_as_a_failed_check(capsys, monkeypatch):
+    # lambda = |G| with a witness that converts to no path: exit 2, not 1
+    monkeypatch.setattr("pglambda.suites.exact_lambda",
+                        lambda *args, **kwargs: _INVALID_D8_CERT)
+    code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "dihedral:8")
+    assert code == 2
+    assert "failed property: span-path-equivalence on dihedral:8" in err
+    failed = [r for r in json.loads(out)["results"] if not r["passed"]]
+    assert failed[0]["detail"].startswith("lambda = 8, no path from the witness: "
+                                          "not a valid L(2,1)-labelling")
+
+
+def test_suite_time_budget_bounds_the_exact_search(capsys):
+    # the exact search on C36 outlasts the budget; the suite stops with
+    # exit 3 and the bound it proved
+    started = time.monotonic()
+    code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:36",
+                       "--search-cap", "36", "--time-budget", "0.5")
+    assert code == 3
+    assert "proven lower bound: 48" in err
     assert time.monotonic() - started < 10
 
 

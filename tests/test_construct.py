@@ -342,11 +342,11 @@ def test_dispatcher_path_matches_witness_order():
 
 def test_construction_never_searches(monkeypatch):
     def no_search(*args, **kwargs):
-        raise AssertionError("a constructive certificate ran the Hamiltonian search")
+        raise AssertionError("a constructive certificate ran the exact search")
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("pglambda") and hasattr(module, "find_hamiltonian_path"):
-            monkeypatch.setattr(module, "find_hamiltonian_path", no_search)
+        if name.startswith("pglambda") and hasattr(module, "exact_lambda"):
+            monkeypatch.setattr(module, "exact_lambda", no_search)
     groups = [group for _, group in build_catalogue_groups(p_groups_only=True)]
     for group in groups + [make_quaternion(512)]:
         cert = lambda_p_group(group)

@@ -630,23 +630,22 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
 _PUBLIC_NAMES = [
     "CatalogEntry", "ClassPartition", "ConstructionFailedError", "ConstructionInfo",
     "CyclicClass", "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
-    "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph", "GroupValidationError",
-    "HamPath", "Labelling", "LambdaCertificate", "LowerBound", "LowerHookReport",
-    "OrderTable", "PglambdaError", "PowerGraph", "SUITE_NAMES", "SearchTimeoutError",
-    "SuiteResult", "TooLargeError", "Violation", "__version__",
-    "build_catalogue_groups", "build_interleaved_path", "build_power_graph",
-    "catalogue", "certificate_doc", "certificate_problems", "certificate_to_json",
-    "check_ham_path", "check_lower_hook", "classes_adjacent", "complement",
-    "cyclic_classes", "delete_vertex", "euler_phi", "exact_lambda",
-    "find_group_ham_path", "find_hamiltonian_path", "format_cayley",
-    "format_labelling_csv", "is_maximal_class", "labelling_to_path", "lambda_p_group",
-    "lower_central_series", "make_cyclic", "make_dihedral", "make_direct_product",
-    "make_elementary_abelian", "make_heisenberg", "make_quaternion",
-    "make_semidihedral", "max_group_order", "order_classes_for_descent", "order_table",
-    "parse_cayley", "parse_labelling_csv", "path_to_labelling",
-    "power_graph_lower_bound", "prime_power", "recognize_family", "reduced_complement",
-    "run_suites", "span", "to_dot", "to_edge_list", "validate_group",
-    "validate_labelling",
+    "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph",
+    "GroupValidationError", "Labelling", "LambdaCertificate", "LowerBound",
+    "LowerHookReport", "OrderTable", "PglambdaError", "PowerGraph", "SUITE_NAMES",
+    "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
+    "__version__", "build_catalogue_groups", "build_interleaved_path",
+    "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
+    "certificate_to_json", "check_ham_path", "check_lower_hook", "classes_adjacent",
+    "cyclic_classes", "euler_phi", "exact_lambda", "format_cayley",
+    "format_labelling_csv", "is_maximal_class", "labelling_to_path",
+    "lambda_p_group", "lower_central_series", "make_cyclic", "make_dihedral",
+    "make_direct_product", "make_elementary_abelian", "make_heisenberg",
+    "make_quaternion", "make_semidihedral", "max_group_order",
+    "order_classes_for_descent", "order_table", "parse_cayley",
+    "parse_labelling_csv", "path_to_labelling", "power_graph_lower_bound",
+    "prime_power", "recognize_family", "run_suites", "span", "to_dot",
+    "to_edge_list", "validate_group", "validate_labelling",
 ]
 
 

@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pglambda import (
     Graph,
-    HamPath,
     Labelling,
     SearchTimeoutError,
     TooLargeError,
@@ -26,8 +25,6 @@ from pglambda import (
     check_lower_hook,
     cyclic_classes,
     exact_lambda,
-    find_group_ham_path,
-    find_hamiltonian_path,
     format_labelling_csv,
     labelling_to_path,
     lambda_p_group,
@@ -39,13 +36,11 @@ from pglambda import (
     parse_labelling_csv,
     path_to_labelling,
     power_graph_lower_bound,
-    reduced_complement,
     run_suites,
     span,
     validate_labelling,
 )
 import pglambda._search as search_module
-import pglambda.labelling as labelling_module
 
 
 def _complete_graph(n: int) -> Graph:
@@ -114,7 +109,7 @@ def test_records_are_read_only_and_copy_whole():
     records = [
         group.cyclic_subgroups(), order_table(group), partition, partition.classes[0],
         check_lower_hook(group), cert, cert.witness, cert.evidence, cert.construction,
-        HamPath((1, 2, 3), excluded=0), validate_labelling(graph, (0,) * 8)[0],
+        validate_labelling(graph, (0,) * 8)[0],
         power_graph_lower_bound(graph), search_module._quotient(graph),
         run_suites(2)[0], catalogue(2)[0],
     ]
@@ -184,11 +179,11 @@ def test_path_to_labelling_on_the_involution_star():
 def test_labelling_to_path_inverts_and_ignores_translation():
     group = make_dihedral(8)
     graph = build_power_graph(group)
-    path = find_group_ham_path(graph)
+    path = lambda_p_group(group).construction.path
     labels = path_to_labelling(graph, path)
-    assert labelling_to_path(graph, labels).vertices == path.vertices
+    assert labelling_to_path(graph, labels) == path
     shifted = [v + 17 for v in labels.labels]
-    assert labelling_to_path(graph, shifted).vertices == path.vertices
+    assert labelling_to_path(graph, shifted) == path
 
 
 def test_labelling_to_path_rejects_wrong_span():
@@ -214,49 +209,76 @@ def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
         check_ham_path(graph, (1, 2))  # missing a vertex
     with pytest.raises(ValueError, match=cover):
         check_ham_path(graph, (1, 2, 2))  # repeat
-    with pytest.raises(ValueError, match="excluded vertex 1 is not the identity 0"):
-        check_ham_path(graph, HamPath((1, 2, 3), excluded=1))
+    with pytest.raises(ValueError, match=cover):
+        check_ham_path(graph, (0, 1, 2, 3))  # the identity is not on the path
     cyclic = build_power_graph(make_cyclic(4))
     with pytest.raises(ValueError, match=r"consecutive pair \(1, 2\) is adjacent"):
         check_ham_path(cyclic, (1, 2, 3))  # all pairs adjacent in C4
 
 
 def test_path_helpers_take_a_ham_path_or_a_vertex_sequence():
+    # a path is a plain vertex tuple, and any sequence of vertices will do
     graph = build_power_graph(make_elementary_abelian(2, 2))
-    path = HamPath((1, 2, 3), excluded=0)
-    assert labelling_module._as_ham_path(graph, path) is path
-    assert labelling_module._as_ham_path(graph, [1, 2, 3]) == path
-    assert path_to_labelling(graph, path) == path_to_labelling(graph, (1, 2, 3))
+    path = labelling_to_path(graph, (-2, 0, 1, 2))
+    assert path == (1, 2, 3)
+    assert path_to_labelling(graph, path) == path_to_labelling(graph, [1, 2, 3])
+    assert path_to_labelling(graph, path) == path_to_labelling(graph, range(1, 4))
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian path search
+# Hamiltonian paths: a reference search for the equivalence test below
+
+
+def _held_karp_path(neigh: list[int]) -> tuple[int, ...] | None:
+    """A Hamiltonian path of the graph, or None when it has none.
+
+    ends[S] is the bitmask of the vertices at which some path through
+    exactly the vertex set S ends (a Held–Karp table); a path through all
+    vertices is read back from the full set, one predecessor at a time.
+    """
+    n = len(neigh)
+    if n == 0:
+        return ()
+    ends = [0] * (1 << n)
+    for v in range(n):
+        ends[1 << v] = 1 << v
+    for seen in range(1, 1 << n):
+        for v in range(n):
+            if (ends[seen] >> v) & 1:
+                for w in range(n):
+                    if (neigh[v] >> w) & 1 and not (seen >> w) & 1:
+                        ends[seen | 1 << w] |= 1 << w
+    seen = (1 << n) - 1
+    if not ends[seen]:
+        return None
+    v = (ends[seen] & -ends[seen]).bit_length() - 1
+    path = [v]
+    while seen != 1 << v:
+        seen &= ~(1 << v)
+        before = ends[seen] & neigh[v]
+        v = (before & -before).bit_length() - 1
+        path.append(v)
+    return tuple(path)
 
 
 def test_ham_path_on_triangle_and_line():
     triangle = _complete_graph(3)
-    assert find_hamiltonian_path(triangle) is not None
-    line = Graph(3, [0b010, 0b101, 0b010])
-    assert find_hamiltonian_path(line) == (0, 1, 2)
+    assert sorted(_held_karp_path(list(triangle.neighbors))) == [0, 1, 2]
+    line = [0b010, 0b101, 0b010]
+    assert _held_karp_path(line) in {(0, 1, 2), (2, 1, 0)}
 
 
 def test_ham_path_absent_in_star_with_three_leaves():
-    star = Graph(4, [0b1110, 0b0001, 0b0001, 0b0001])
-    assert find_hamiltonian_path(star) is None
+    assert _held_karp_path([0b1110, 0b0001, 0b0001, 0b0001]) is None
 
 
 def test_ham_path_absent_in_disconnected_graph():
-    assert find_hamiltonian_path(Graph(2, [0, 0])) is None
+    assert _held_karp_path([0, 0]) is None
 
 
 def test_ham_path_degenerate_sizes():
-    assert find_hamiltonian_path(Graph(0, [])) == ()
-    assert find_hamiltonian_path(Graph(1, [0])) == (0,)
-
-
-def test_ham_path_respects_vertex_cap():
-    with pytest.raises(TooLargeError):
-        find_hamiltonian_path(_complete_graph(6), max_vertices=5)
+    assert _held_karp_path([]) == ()
+    assert _held_karp_path([0]) == (0,)
 
 
 def test_ham_path_result_is_a_real_path():
@@ -264,25 +286,22 @@ def test_ham_path_result_is_a_real_path():
     n = 8
     masks = [sum(1 << (v ^ (1 << b)) for b in range(3)) for v in range(n)]
     cube = Graph(n, masks)
-    path = find_hamiltonian_path(cube)
+    path = _held_karp_path(masks)
     assert sorted(path) == list(range(n))
     assert all(cube.adjacent(a, b) for a, b in itertools.pairwise(path))
 
 
-def test_reduced_complement_drops_identity():
-    graph = build_power_graph(make_quaternion(8))
-    reduced, kept = reduced_complement(graph)
-    assert reduced.n == 7
-    assert kept == tuple(range(1, 8))
-
-
 def test_group_ham_path_exists_for_dihedral_but_not_quaternion():
+    # D8: the exact witness has span |G| and converts to a complement path
     d8 = build_power_graph(make_dihedral(8))
-    path = find_group_ham_path(d8)
-    check_ham_path(d8, path)
+    cert = exact_lambda(d8)
+    assert cert.value == 8
+    check_ham_path(d8, labelling_to_path(d8, cert.witness))
 
+    # Q8: its involution is universal, so isolated in the reduced complement
     q8 = build_power_graph(make_quaternion(8))
-    assert find_group_ham_path(q8) is None
+    assert power_graph_lower_bound(q8).kind == "universal-nonidentity-vertex"
+    assert exact_lambda(q8).value == 9
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +504,19 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
     classes = search_module._closed_twin_classes(d1)
     assert search_module._path_cover_floor(graph.n, classes) <= truth
     assert exact_lambda(graph).value == truth
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.floats(min_value=0.0, max_value=1.0),
+       st.randoms(use_true_random=False))
+def test_lambda_is_n_iff_the_reduced_complement_has_a_path(n, density, rnd):
+    # the equivalence the span-path-equivalence suite reads off the exact
+    # certificate, on any graph with a universal vertex 0 (diameter ≤ 2)
+    rest = _random_graph(rnd, n - 1, density)
+    d1 = [(1 << n) - 2] + [(mask << 1) | 1 for mask in rest]
+    complement = [((1 << (n - 1)) - 1) & ~(mask | 1 << v) for v, mask in enumerate(rest)]
+    has_path = _held_karp_path(complement) is not None
+    assert has_path == (_brute_force_lambda(d1) == n)
 
 
 def _brute_force_span(d1: list[int]) -> int:

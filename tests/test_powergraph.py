@@ -12,9 +12,7 @@ from pglambda import (
     build_power_graph,
     check_lower_hook,
     classes_adjacent,
-    complement,
     cyclic_classes,
-    delete_vertex,
     euler_phi,
     make_cyclic,
     make_dihedral,
@@ -70,32 +68,6 @@ def test_identity_is_universal():
     for group in (make_quaternion(8), make_elementary_abelian(2, 3)):
         graph = build_power_graph(group)
         assert graph.is_universal(graph.group.identity)
-
-
-def test_complement_flips_every_pair():
-    graph = build_power_graph(make_dihedral(8))
-    comp = complement(graph)
-    for a in range(8):
-        assert not comp.adjacent(a, a)
-        for b in range(8):
-            if a != b:
-                assert comp.adjacent(a, b) != graph.adjacent(a, b)
-
-
-def test_delete_vertex_renumbers_and_keeps_adjacency():
-    graph = build_power_graph(make_cyclic(6))
-    smaller, kept = delete_vertex(graph, 3)
-    assert kept == (0, 1, 2, 4, 5)
-    assert smaller.n == 5
-    for i, u in enumerate(kept):
-        for j, v in enumerate(kept):
-            assert smaller.adjacent(i, j) == graph.adjacent(u, v)
-
-
-def test_delete_vertex_rejects_bad_index():
-    graph = build_power_graph(make_cyclic(4))
-    with pytest.raises(ValueError, match=r"vertex 4 out of range 0\.\.3"):
-        delete_vertex(graph, 4)
 
 
 # ---------------------------------------------------------------------------
