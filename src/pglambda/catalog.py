@@ -1,110 +1,49 @@
 """Built-in group catalogue.
 
 Every entry names a group by the same spec string the command line
-accepts, so suite reports can be reproduced verbatim with single
-commands.  The catalogue order (ascending order, then name) is the
-iteration order everywhere; nothing downstream re-sorts.
+accepts, and is built by the same parser, so suite reports can be
+reproduced verbatim with single commands.  Each spec is stored with its
+group's order, so that a selection by order builds nothing above it.
+The catalogue order (ascending order, then spec) is the iteration order
+everywhere; nothing downstream re-sorts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from .groups import FiniteGroup, parse_group_spec
 
-from .groups import (
-    FiniteGroup,
-    make_cyclic,
-    make_dihedral,
-    make_direct_product,
-    make_elementary_abelian,
-    make_heisenberg,
-    make_quaternion,
-    make_semidihedral,
-    prime_power,
+__all__ = ["catalogue"]
+
+# (order, spec), sorted: cyclic groups, elementary abelian groups, products
+# of two cyclic groups (one, C2×C6, not a p-group), the three maximal-class
+# 2-group families and the Heisenberg groups of order 27 and 125.
+_ENTRIES: tuple[tuple[int, str], ...] = (
+    (2, "cyclic:2"), (3, "cyclic:3"), (4, "cyclic:4"), (4, "elemab:2,2"),
+    (5, "cyclic:5"), (6, "cyclic:6"), (7, "cyclic:7"),
+    (8, "cyclic:8"), (8, "dihedral:8"), (8, "elemab:2,3"),
+    (8, "product:cyclic:2,cyclic:4"), (8, "quaternion:8"),
+    (9, "cyclic:9"), (9, "elemab:3,2"), (10, "cyclic:10"), (11, "cyclic:11"),
+    (12, "cyclic:12"), (12, "product:cyclic:2,cyclic:6"), (13, "cyclic:13"),
+    (15, "cyclic:15"),
+    (16, "cyclic:16"), (16, "dihedral:16"), (16, "elemab:2,4"),
+    (16, "product:cyclic:2,cyclic:8"), (16, "product:cyclic:4,cyclic:4"),
+    (16, "quaternion:16"), (16, "semidihedral:16"),
+    (25, "cyclic:25"), (25, "elemab:5,2"),
+    (27, "cyclic:27"), (27, "elemab:3,3"), (27, "heisenberg:3"),
+    (27, "product:cyclic:3,cyclic:9"),
+    (32, "cyclic:32"), (32, "dihedral:32"), (32, "elemab:2,5"),
+    (32, "product:cyclic:2,cyclic:16"), (32, "product:cyclic:4,cyclic:8"),
+    (32, "quaternion:32"), (32, "semidihedral:32"),
+    (49, "cyclic:49"), (49, "elemab:7,2"),
+    (64, "cyclic:64"), (64, "dihedral:64"), (64, "elemab:2,6"),
+    (64, "quaternion:64"), (64, "semidihedral:64"),
+    (81, "cyclic:81"), (81, "product:cyclic:3,cyclic:27"),
+    (81, "product:cyclic:9,cyclic:9"),
+    (125, "heisenberg:5"),
 )
 
-__all__ = ["CatalogEntry", "catalogue", "build_catalogue_groups"]
 
-
-class CatalogEntry(NamedTuple):
-    name: str
-    order: int
-    build: Callable[[], FiniteGroup]
-
-    @property
-    def is_p_group(self) -> bool:
-        return prime_power(self.order) is not None
-
-
-def _cyclic(n: int) -> CatalogEntry:
-    return CatalogEntry(f"cyclic:{n}", n, lambda: make_cyclic(n))
-
-
-def _dihedral(n: int) -> CatalogEntry:
-    return CatalogEntry(f"dihedral:{n}", n, lambda: make_dihedral(n))
-
-
-def _quaternion(n: int) -> CatalogEntry:
-    return CatalogEntry(f"quaternion:{n}", n, lambda: make_quaternion(n))
-
-
-def _semidihedral(n: int) -> CatalogEntry:
-    return CatalogEntry(f"semidihedral:{n}", n, lambda: make_semidihedral(n))
-
-
-def _elemab(p: int, k: int) -> CatalogEntry:
-    return CatalogEntry(f"elemab:{p},{k}", p ** k,
-                        lambda: make_elementary_abelian(p, k))
-
-
-def _heisenberg(p: int) -> CatalogEntry:
-    return CatalogEntry(f"heisenberg:{p}", p ** 3, lambda: make_heisenberg(p))
-
-
-def _product(a: int, b: int) -> CatalogEntry:
-    return CatalogEntry(f"product:cyclic:{a},cyclic:{b}", a * b,
-                        lambda: make_direct_product(make_cyclic(a), make_cyclic(b)))
-
-
-_ENTRIES: tuple[CatalogEntry, ...] = tuple(sorted((
-    # cyclic p-groups
-    _cyclic(2), _cyclic(3), _cyclic(4), _cyclic(5), _cyclic(7), _cyclic(8),
-    _cyclic(9), _cyclic(11), _cyclic(13), _cyclic(16), _cyclic(25),
-    _cyclic(27), _cyclic(32), _cyclic(49), _cyclic(64), _cyclic(81),
-    # cyclic non-p-groups
-    _cyclic(6), _cyclic(10), _cyclic(12), _cyclic(15),
-    # elementary abelian
-    _elemab(2, 2), _elemab(2, 3), _elemab(3, 2), _elemab(2, 4), _elemab(5, 2),
-    _elemab(2, 5), _elemab(3, 3), _elemab(7, 2), _elemab(2, 6),
-    # other abelian p-groups
-    _product(2, 4), _product(2, 8), _product(4, 4), _product(2, 16),
-    _product(4, 8), _product(3, 9), _product(3, 27), _product(9, 9),
-    # an abelian non-p-group product
-    _product(2, 6),
-    # maximal-class 2-groups
-    _dihedral(8), _dihedral(16), _dihedral(32), _dihedral(64),
-    _quaternion(8), _quaternion(16), _quaternion(32), _quaternion(64),
-    _semidihedral(16), _semidihedral(32), _semidihedral(64),
-    # non-abelian odd-order p-groups
-    _heisenberg(3), _heisenberg(5),
-), key=lambda entry: (entry.order, entry.name)))
-
-
-def catalogue(max_order: int | None = None,
-              p_groups_only: bool = False) -> list[CatalogEntry]:
-    """Catalogue entries, optionally capped by order / restricted to p-groups."""
-    out = []
-    for entry in _ENTRIES:
-        if max_order is not None and entry.order > max_order:
-            continue
-        if p_groups_only and not entry.is_p_group:
-            continue
-        out.append(entry)
-    return out
-
-
-def build_catalogue_groups(max_order: int | None = None,
-                           p_groups_only: bool = False,
-                           ) -> Iterator[tuple[CatalogEntry, FiniteGroup]]:
-    """Yield (entry, built group) in catalogue order."""
-    for entry in catalogue(max_order, p_groups_only):
-        yield entry, entry.build()
+def catalogue(max_order: int) -> list[tuple[str, FiniteGroup]]:
+    """(spec, built group) for every entry of order at most ``max_order``."""
+    return [(spec, parse_group_spec(spec)) for order, spec in _ENTRIES
+            if order <= max_order]

@@ -2,11 +2,8 @@
 
 Subcommands: analyze (group + power-graph report), lambda (certificate),
 check (validate a labelling CSV), export (dot / edges / cayley), suite
-(property suites over the catalogue).
-
-Group spec grammar:
-    cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
-    elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
+(property suites over the catalogue).  Every command takes its group as
+a spec string; the grammar is in :mod:`pglambda.groups`, which parses it.
 
 Exit codes: 0 success, 1 input error, 2 mathematical violation or
 method disagreement, 3 resource limit (size cap or search timeout).
@@ -22,28 +19,17 @@ import time
 
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
-    FiniteGroup,
+    _positive_int,
     format_cayley,
     is_maximal_class,
-    make_cyclic,
-    make_dihedral,
-    make_direct_product,
-    make_elementary_abelian,
-    make_heisenberg,
-    make_quaternion,
-    make_semidihedral,
     max_group_order,
     order_table,
-    parse_cayley,
-    prime_power,
+    parse_group_spec,
 )
 from .labelling import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
-    LambdaCertificate,
     certificate_doc,
-    certificate_problems,
-    exact_lambda,
     format_labelling_csv,
     parse_labelling_csv,
     span,
@@ -51,108 +37,7 @@ from .labelling import (
 )
 from .powergraph import build_power_graph, cyclic_classes, to_dot, to_edge_list
 
-__all__ = ["main", "parse_group_spec"]
-
-
-# ---------------------------------------------------------------------------
-# group spec parsing
-
-
-def _positive_int(text: str, what: str, least: int = 1) -> int:
-    """``text`` as an integer, positive unless a lower ``least`` is given."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text!r}") from None
-    if value < least:
-        raise ValueError(f"{what} must be "
-                         f"{'positive' if least == 1 else f'>= {least}'}, got {value}")
-    return value
-
-
-# A product of more factors than this has order ≥ 2^33 unless factors are
-# trivial; the limit bounds the depth and the cost of splitting a spec.
-_MAX_PRODUCTS = 32
-
-
-def _spec_shape_ok(spec: str, seen: dict[str, bool]) -> bool:
-    """Grammar-only validity, used to split product:SPEC,SPEC arguments."""
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        return False
-    if kind in ("cyclic", "dihedral", "quaternion", "semidihedral", "heisenberg"):
-        return rest.isdigit()
-    if kind == "elemab":
-        parts = rest.split(",")
-        return len(parts) == 2 and all(p.isdigit() for p in parts)
-    if kind == "product":
-        return _first_split(rest, seen) is not None
-    if kind == "file":
-        return bool(rest)
-    return False
-
-
-def _first_split(rest: str, seen: dict[str, bool]) -> tuple[str, str] | None:
-    """The split at the leftmost comma giving two well-formed specs.
-
-    ``seen`` memoizes shape verdicts: nested products would otherwise test
-    the same substrings again and again, exponentially often.
-    """
-    def shape_ok(spec: str) -> bool:
-        if spec not in seen:
-            seen[spec] = _spec_shape_ok(spec, seen)
-        return seen[spec]
-
-    for i, ch in enumerate(rest):
-        if ch == "," and shape_ok(rest[:i]) and shape_ok(rest[i + 1:]):
-            return rest[:i], rest[i + 1:]
-    return None
-
-
-def _split_product(rest: str) -> tuple[str, str]:
-    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs."""
-    if rest.count("product:") >= _MAX_PRODUCTS:
-        raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
-    parts = _first_split(rest, {})
-    if parts is None:
-        raise ValueError(f"cannot split {rest!r} into two group specs")
-    return parts
-
-
-def parse_group_spec(spec: str) -> FiniteGroup:
-    """Build the group a spec string describes (see module docstring for grammar)."""
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        raise ValueError(
-            f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
-    if kind == "cyclic":
-        return make_cyclic(_positive_int(rest, "cyclic order"))
-    if kind == "dihedral":
-        return make_dihedral(_positive_int(rest, "dihedral order"))
-    if kind == "quaternion":
-        return make_quaternion(_positive_int(rest, "quaternion order"))
-    if kind == "semidihedral":
-        return make_semidihedral(_positive_int(rest, "semidihedral order"))
-    if kind == "elemab":
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"elemab takes P,K — got {rest!r}")
-        return make_elementary_abelian(_positive_int(parts[0], "prime"),
-                                       _positive_int(parts[1], "rank"))
-    if kind == "heisenberg":
-        return make_heisenberg(_positive_int(rest, "prime"))
-    if kind == "product":
-        left, right = _split_product(rest)
-        g, h = parse_group_spec(left), parse_group_spec(right)
-        if g.order * h.order > max_group_order():
-            raise TooLargeError(
-                f"product order {g.order * h.order} exceeds the cap "
-                f"{max_group_order()} (LAMBDA_MAX_ORDER)")
-        return make_direct_product(g, h)
-    if kind == "file":
-        with open(rest, "r", encoding="utf-8") as handle:
-            return parse_cayley(handle.read())
-    raise ValueError(f"unknown group family {kind!r}")
+__all__ = ["main"]
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +46,6 @@ def parse_group_spec(spec: str) -> FiniteGroup:
 
 def _emit(doc: object, pretty: bool) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2 if pretty else None))
-
-
-def _is_constructible(group: FiniteGroup) -> bool:
-    return group.order == 1 or prime_power(group.order) is not None
-
-
-def _auto_method(group: FiniteGroup, cap: int) -> str | None:
-    """The method 'auto' runs: both when the exact search fits under the
-    cap, else whichever applies; None when neither does."""
-    if _is_constructible(group):
-        return "both" if group.order <= cap else "constructive"
-    return "exact" if group.order <= cap else None
-
-
-class _Violation(Exception):
-    """A mathematical violation found while running a command (exit code 2)."""
 
 
 def _int_option(what: str, least: int = 1):
@@ -201,64 +70,22 @@ def _time_budget(text: str) -> float:
     return value
 
 
-def _exact_certificate(graph, cap: int, budget: float) -> LambdaCertificate:
-    """Exact-search certificate, checked (lambda_p_group checks its own)."""
-    cert = exact_lambda(graph, max_vertices=cap, time_budget=budget)
-    problems = certificate_problems(graph, cert)
-    if problems:
-        raise _Violation("\n".join(f"consistency failure: {p}" for p in problems))
-    return cert
-
-
-def _compute_certificate(group: FiniteGroup, method: str, cap: int,
-                         budget: float) -> LambdaCertificate:
-    """Resolve 'auto' and run the requested method(s); raises on disagreement."""
-    from .construct import lambda_p_group  # only the certifying commands load it
-    graph = build_power_graph(group)
-    if method == "auto":
-        method = _auto_method(group, cap)
-        if method is None:
-            raise ValueError(
-                f"order {group.order} is not a prime power and exceeds the "
-                f"exact-search cap {cap}; no method applies")
-    if method == "constructive":
-        return lambda_p_group(group)
-    if method == "exact":
-        return _exact_certificate(graph, cap, budget)
-    constructive = lambda_p_group(group)
-    exact = _exact_certificate(graph, cap, budget)
-    if constructive.value != exact.value:
-        raise _Violation(
-            f"disagreement: constructive lambda {constructive.value} != "
-            f"exact-search lambda {exact.value} for order {group.order}")
-    print(f"constructive {constructive.value} / exact-search {exact.value}: agree",
-          file=sys.stderr)
-    return constructive
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .construct import lambda_p_group, recognize_family
+    from .construct import certify, recognize_family  # only certifying commands load it
     group = parse_group_spec(args.spec)
     graph = build_power_graph(group)
     partition = cyclic_classes(group)
     ot = order_table(group)
-    is_p = _is_constructible(group)
+    is_p = group.order == 1 or ot.p_group_prime is not None
 
-    method = _auto_method(group, args.search_cap)
     started = time.perf_counter()
-    note = None
-    cert: LambdaCertificate | None = None
-    if method == "exact":
-        cert = _exact_certificate(graph, args.search_cap, args.time_budget)
-    elif method is not None:  # analyze certifies p-groups constructively only
-        cert = lambda_p_group(group)
-    else:
-        note = (f"order {group.order} is not a prime power and exceeds the "
-                f"exact-search cap {args.search_cap}; lambda not computed")
+    # analyze certifies p-groups constructively only
+    certs = certify(group, "constructive" if is_p else "auto",
+                    cap=args.search_cap, budget=args.time_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
     doc = {
@@ -276,10 +103,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "edges": graph.edge_count(),
         },
         "class_numbers": [[d, partition.class_number(d)] for d in partition.orders],
-        "lambda": certificate_doc(cert) if cert is not None else None,
+        "lambda": certificate_doc(certs[0]) if certs else None,
     }
-    if note is not None:
-        doc["note"] = note
+    if not certs:
+        doc["note"] = (f"order {group.order} is not a prime power and exceeds the "
+                       f"exact-search cap {args.search_cap}; lambda not computed")
     if not args.stable:
         doc["timing_ms"] = round(elapsed_ms, 3)
 
@@ -316,9 +144,17 @@ def _print_analyze_table(doc: dict) -> None:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
+    from .construct import certify
     group = parse_group_spec(args.spec)
-    cert = _compute_certificate(group, args.method, args.search_cap,
-                                args.time_budget)
+    certs = certify(group, args.method, cap=args.search_cap, budget=args.time_budget)
+    if not certs:
+        raise ValueError(
+            f"order {group.order} is not a prime power and exceeds the "
+            f"exact-search cap {args.search_cap}; no method applies")
+    if len(certs) == 2:
+        print(f"constructive {certs[0].value} / exact-search {certs[1].value}: agree",
+              file=sys.stderr)
+    cert = certs[0]
     if args.witness_csv:
         with open(args.witness_csv, "w", encoding="utf-8", newline="") as handle:
             handle.write(format_labelling_csv(cert.witness))
@@ -379,12 +215,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
             f"--max-order {args.max_order} exceeds the cap {max_group_order()} "
             "(LAMBDA_MAX_ORDER)")
     extras = [(spec, parse_group_spec(spec)) for spec in args.group]
-    results = run_suites(args.max_order, extras,
-                         exact_cap=args.search_cap, time_budget=args.time_budget)
+    subjects = catalogue(args.max_order) + extras
+    results = run_suites(subjects, exact_cap=args.search_cap,
+                         time_budget=args.time_budget)
     failures = [r for r in results if not r.passed]
     doc = {
         "max_order": args.max_order,
-        "subjects": len(catalogue(args.max_order)) + len(extras),
+        "subjects": len(subjects),
         "checks": len(results),
         "failures": len(failures),
         "first_failure": (f"{failures[0].suite}: {failures[0].subject}"
@@ -482,7 +319,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (_Violation, ConstructionFailedError) as exc:
+    except ConstructionFailedError as exc:
         print(exc, file=sys.stderr)
         return 2
     except (SearchTimeoutError, TooLargeError) as exc:

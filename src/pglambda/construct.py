@@ -14,6 +14,10 @@ involution z is universal, so |G| is impossible).  Every path is read
 off the group's elements; nothing is searched for.  The dispatcher picks
 the branch from the group itself and re-validates every witness against
 the actual power graph.
+
+:func:`certify` is the one place that decides which methods run on a
+group, this construction or the exact search, and checks what they
+return: every command and suite gets its certificates from it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,14 @@ from typing import Sequence
 from .errors import ConstructionFailedError
 from .groups import FiniteGroup, order_table, prime_power
 from .labelling import (
+    DEFAULT_SEARCH_CAP,
+    DEFAULT_TIME_BUDGET,
     ConstructionInfo,
     Evidence,
     Labelling,
     LambdaCertificate,
     certificate_problems,
+    exact_lambda,
     path_to_labelling,
 )
 from .powergraph import (
@@ -45,6 +52,7 @@ __all__ = [
     "order_classes_for_descent",
     "recognize_family",
     "lambda_p_group",
+    "certify",
 ]
 
 Path = tuple[int, ...]
@@ -337,3 +345,44 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
         raise ConstructionFailedError(f"constructive certificate fails its check: "
                                       f"{problems[0]}")
     return cert
+
+
+def certify(group: FiniteGroup, method: str = "auto", *,
+            cap: int = DEFAULT_SEARCH_CAP,
+            budget: float = DEFAULT_TIME_BUDGET) -> list[LambdaCertificate]:
+    """The checked certificates ``method`` yields, constructive first.
+
+    ``method`` is 'constructive', 'exact', 'both' or 'auto'.  'auto' runs
+    both on a p-group (or the trivial group) of order at most ``cap`` and
+    the construction above it; on any other group it runs the exact
+    search within the cap and nothing, returning [], beyond it.  The
+    exact search is limited to ``cap`` vertices and ``budget`` seconds,
+    and its certificate is checked here (lambda_p_group checks its own).
+    A failed check, or two methods that disagree, raise
+    ConstructionFailedError.
+    """
+    if method == "auto":
+        if group.order == 1 or prime_power(group.order) is not None:
+            method = "both" if group.order <= cap else "constructive"
+        elif group.order <= cap:
+            method = "exact"
+        else:
+            return []
+    if method not in ("constructive", "exact", "both"):
+        raise ValueError(f"unknown method {method!r}")
+    certs = []
+    if method != "exact":
+        certs.append(lambda_p_group(group))
+    if method != "constructive":
+        graph = build_power_graph(group)
+        cert = exact_lambda(graph, max_vertices=cap, time_budget=budget)
+        problems = certificate_problems(graph, cert)
+        if problems:
+            raise ConstructionFailedError(
+                "\n".join(f"consistency failure: {p}" for p in problems))
+        certs.append(cert)
+    if len(certs) == 2 and certs[0].value != certs[1].value:
+        raise ConstructionFailedError(
+            f"disagreement: constructive lambda {certs[0].value} != "
+            f"exact-search lambda {certs[1].value} for order {group.order}")
+    return certs

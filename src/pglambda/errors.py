@@ -12,8 +12,9 @@ from :class:`PglambdaError`:
 - :class:`TooLargeError` (exit 3): a group or graph exceeds a size cap;
 - :class:`SearchTimeoutError` (exit 3): an exhaustive search ran out of
   time, carrying the lower bound it had proven;
-- :class:`ConstructionFailedError` (exit 2): a constructive certificate
-  failed, which would contradict the theorem it implements.
+- :class:`ConstructionFailedError` (exit 2): a certificate failed its
+  check, constructive (which would contradict the theorem it implements)
+  or from the exact search, or the two methods disagreed on λ.
 """
 
 from __future__ import annotations
@@ -52,4 +53,4 @@ class SearchTimeoutError(PglambdaError):
 
 
 class ConstructionFailedError(PglambdaError):
-    """A constructive procedure could not produce the promised witness."""
+    """A certificate failed its check, or two methods disagreed on λ."""

@@ -6,6 +6,11 @@ generalized quaternion, semidihedral, elementary abelian, Heisenberg,
 direct product) fix a deterministic element enumeration — powers of x
 first, then the y-coset — so that everything computed downstream is
 reproducible.
+
+Groups are named by spec strings, which :func:`parse_group_spec` builds
+for the command line and the catalogue alike:
+    cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
+    elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "max_group_order",
     "order_table",
     "parse_cayley",
+    "parse_group_spec",
     "prime_power",
     "validate_group",
 ]
@@ -649,3 +655,104 @@ def parse_cayley(text: str) -> FiniteGroup:
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
     return _checked_group(tuple(table), 0, unranged, names, "file")
+
+
+# ---------------------------------------------------------------------------
+# group spec strings
+
+
+def _positive_int(text: str, what: str, least: int = 1) -> int:
+    """``text`` as an integer, positive unless a lower ``least`` is given."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+    if value < least:
+        raise ValueError(f"{what} must be "
+                         f"{'positive' if least == 1 else f'>= {least}'}, got {value}")
+    return value
+
+
+# A product of more factors than this has order ≥ 2^33 unless factors are
+# trivial; the limit bounds the depth and the cost of splitting a spec.
+_MAX_PRODUCTS = 32
+
+
+def _spec_shape_ok(spec: str, seen: dict[str, bool]) -> bool:
+    """Grammar-only validity, used to split product:SPEC,SPEC arguments."""
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        return False
+    if kind in ("cyclic", "dihedral", "quaternion", "semidihedral", "heisenberg"):
+        return rest.isdigit()
+    if kind == "elemab":
+        parts = rest.split(",")
+        return len(parts) == 2 and all(p.isdigit() for p in parts)
+    if kind == "product":
+        return _first_split(rest, seen) is not None
+    if kind == "file":
+        return bool(rest)
+    return False
+
+
+def _first_split(rest: str, seen: dict[str, bool]) -> tuple[str, str] | None:
+    """The split at the leftmost comma giving two well-formed specs.
+
+    ``seen`` memoizes shape verdicts: nested products would otherwise test
+    the same substrings again and again, exponentially often.
+    """
+    def shape_ok(spec: str) -> bool:
+        if spec not in seen:
+            seen[spec] = _spec_shape_ok(spec, seen)
+        return seen[spec]
+
+    for i, ch in enumerate(rest):
+        if ch == "," and shape_ok(rest[:i]) and shape_ok(rest[i + 1:]):
+            return rest[:i], rest[i + 1:]
+    return None
+
+
+def _split_product(rest: str) -> tuple[str, str]:
+    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs."""
+    if rest.count("product:") >= _MAX_PRODUCTS:
+        raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
+    parts = _first_split(rest, {})
+    if parts is None:
+        raise ValueError(f"cannot split {rest!r} into two group specs")
+    return parts
+
+
+def parse_group_spec(spec: str) -> FiniteGroup:
+    """Build the group a spec string describes (see the module docstring)."""
+    kind, sep, rest = spec.partition(":")
+    if not sep:
+        raise ValueError(
+            f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
+    if kind == "cyclic":
+        return make_cyclic(_positive_int(rest, "cyclic order"))
+    if kind == "dihedral":
+        return make_dihedral(_positive_int(rest, "dihedral order"))
+    if kind == "quaternion":
+        return make_quaternion(_positive_int(rest, "quaternion order"))
+    if kind == "semidihedral":
+        return make_semidihedral(_positive_int(rest, "semidihedral order"))
+    if kind == "elemab":
+        parts = rest.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"elemab takes P,K — got {rest!r}")
+        return make_elementary_abelian(_positive_int(parts[0], "prime"),
+                                       _positive_int(parts[1], "rank"))
+    if kind == "heisenberg":
+        return make_heisenberg(_positive_int(rest, "prime"))
+    if kind == "product":
+        left, right = _split_product(rest)
+        g, h = parse_group_spec(left), parse_group_spec(right)
+        if g.order * h.order > max_group_order():
+            raise TooLargeError(
+                f"product order {g.order * h.order} exceeds the cap "
+                f"{max_group_order()} (LAMBDA_MAX_ORDER)")
+        return make_direct_product(g, h)
+    if kind == "file":
+        with open(rest, "r", encoding="utf-8") as handle:
+            return parse_cayley(handle.read())
+    raise ValueError(f"unknown group family {kind!r}")

@@ -17,7 +17,6 @@ closed-twin classes).  The search runs in ``_search``, loaded on first use.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import TooLargeError
@@ -41,7 +40,6 @@ __all__ = [
     "LowerBound",
     "exact_lambda",
     "certificate_doc",
-    "certificate_to_json",
     "format_labelling_csv",
     "parse_labelling_csv",
 ]
@@ -349,11 +347,6 @@ def certificate_doc(cert: LambdaCertificate) -> dict:
             "joints": [list(j) for j in cert.construction.joints],
         }
     return doc
-
-
-def certificate_to_json(cert: LambdaCertificate, *, indent: int | None = None) -> str:
-    """Deterministic JSON rendering (sorted keys, no volatile fields)."""
-    return json.dumps(certificate_doc(cert), sort_keys=True, indent=indent)
 
 
 def format_labelling_csv(labels) -> str:

@@ -23,7 +23,6 @@ __all__ = [
     "build_power_graph",
     "euler_phi",
     "cyclic_classes",
-    "classes_adjacent",
     "check_lower_hook",
     "to_dot",
     "to_edge_list",
@@ -203,20 +202,6 @@ def cyclic_classes(group: FiniteGroup) -> ClassPartition:
             by_order={n: tuple(cs) for n, cs in by_order.items()},
         )
     return group._classes
-
-
-def classes_adjacent(partition: ClassPartition, c1: CyclicClass,
-                     c2: CyclicClass, graph: Graph) -> bool:
-    """Whether two distinct cyclic classes are joined in the power graph.
-
-    Adjacency between elements depends only on their generated subgroups,
-    so one cross pair decides the whole class pair.
-    """
-    if c1.members == c2.members:
-        raise ValueError(f"class of {c1.representative} given twice")
-    if c1 not in partition.classes or c2 not in partition.classes:
-        raise ValueError("classes do not belong to the given partition")
-    return graph.adjacent(c1.representative, c2.representative)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Each suite checks one verifiable statement about power graphs of finite
 groups and reports per-group pass/fail records.  Suites that need the
 exhaustive labelling search only run it on groups up to `exact_cap`
-(default DEFAULT_SEARCH_CAP, 32), once per group; everything else runs
-on the whole selection.
+(the command line's --search-cap), once per group; everything else runs
+on the whole selection.  Every certificate comes from construct.certify,
+so each is checked before a suite reads it.
 """
 
 from __future__ import annotations
@@ -12,14 +13,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .catalog import build_catalogue_groups
-from .construct import lambda_p_group
+from .construct import certify
 from .groups import FiniteGroup, OrderTable, is_maximal_class, order_table
 from .labelling import (
-    DEFAULT_SEARCH_CAP,
-    DEFAULT_TIME_BUDGET,
     LambdaCertificate,
-    exact_lambda,
     labelling_to_path,
     path_to_labelling,
     validate_labelling,
@@ -78,12 +75,12 @@ class _Subject:
     @cached_property
     def certificate(self) -> LambdaCertificate:
         """The constructive certificate, built once per p-group subject."""
-        return lambda_p_group(self.group)
+        return certify(self.group, "constructive")[0]
 
     @cached_property
     def exact(self) -> LambdaCertificate:
         """The exact-search certificate, searched once per subject."""
-        return exact_lambda(self.graph, max_vertices=self.cap, time_budget=self.budget)
+        return certify(self.group, "exact", cap=self.cap, budget=self.budget)[0]
 
 
 def _result(suite: str, subject: _Subject, passed: bool, detail: str) -> SuiteResult:
@@ -309,16 +306,11 @@ _SUITES = (
 SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 
-def run_suites(max_order: int = 32,
-               extra_groups: Sequence[tuple[str, FiniteGroup]] = (),
-               *,
-               exact_cap: int = DEFAULT_SEARCH_CAP,
-               time_budget: float = DEFAULT_TIME_BUDGET) -> list[SuiteResult]:
-    """Run every suite over the catalogue (≤ max_order) plus any extra groups."""
-    subjects = [_Subject(entry.name, group, exact_cap, time_budget)
-                for entry, group in build_catalogue_groups(max_order)]
-    subjects.extend(_Subject(name, group, exact_cap, time_budget)
-                    for name, group in extra_groups)
+def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
+               exact_cap: int, time_budget: float) -> list[SuiteResult]:
+    """Run every suite over the named groups, e.g. catalogue(max_order)."""
+    subjects = [_Subject(name, group, exact_cap, time_budget)
+                for name, group in subjects]
 
     results: list[SuiteResult] = []
     for _, fn in _SUITES:

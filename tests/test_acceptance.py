@@ -15,12 +15,10 @@ import time
 import pytest
 
 from pglambda import (
-    build_catalogue_groups,
     build_power_graph,
     catalogue,
     check_ham_path,
     check_lower_hook,
-    classes_adjacent,
     cyclic_classes,
     exact_lambda,
     labelling_to_path,
@@ -28,11 +26,19 @@ from pglambda import (
     make_cyclic,
     make_quaternion,
     order_table,
+    parse_group_spec,
     path_to_labelling,
     power_graph_lower_bound,
+    prime_power,
     validate_labelling,
 )
-from pglambda.cli import main, parse_group_spec
+from pglambda.cli import main
+
+
+def _p_groups(max_order: int):
+    """The catalogue's (spec, group) pairs whose group is a p-group."""
+    return [(spec, group) for spec, group in catalogue(max_order)
+            if prime_power(group.order)]
 
 
 def _formula_lambda(group) -> int:
@@ -86,27 +92,25 @@ def test_exact_lambda_fixtures(spec, expected):
 def test_constructive_matches_oracle_across_the_catalogue(capsys):
     started = time.perf_counter()
 
-    small = [e for e in catalogue(32, p_groups_only=True)]
+    small = _p_groups(32)
     assert len(small) >= 20
-    for entry in small:
-        code = main(["lambda", entry.name, "--method", "both"])
+    for spec, group in small:
+        code = main(["lambda", spec, "--method", "both"])
         captured = capsys.readouterr()
-        assert code == 0, f"{entry.name}: exit {code} ({captured.err.strip()})"
+        assert code == 0, f"{spec}: exit {code} ({captured.err.strip()})"
         doc = json.loads(captured.out)
-        assert doc["lambda"] == _formula_lambda(entry.build())
+        assert doc["lambda"] == _formula_lambda(group)
 
-    larger = [e for e in catalogue(81, p_groups_only=True) if e.order > 32]
-    names = {e.name for e in larger}
+    larger = [(spec, group) for spec, group in _p_groups(81) if group.order > 32]
     assert {"dihedral:64", "semidihedral:64", "quaternion:64", "heisenberg:3",
             "product:cyclic:3,cyclic:9", "elemab:3,3"} <= (
-        {e.name for e in catalogue(81, p_groups_only=True)})
-    for entry in larger:
-        group = entry.build()
+        {spec for spec, _ in _p_groups(81)})
+    for spec, group in larger:
         cert = lambda_p_group(group)
-        assert cert.value == _formula_lambda(group), entry.name
+        assert cert.value == _formula_lambda(group), spec
         graph = build_power_graph(group)
-        assert validate_labelling(graph, cert.witness) == [], entry.name
-        assert cert.witness.span == cert.value, entry.name
+        assert validate_labelling(graph, cert.witness) == [], spec
+        assert cert.witness.span == cert.value, spec
 
     assert time.perf_counter() - started < 60.0
 
@@ -117,7 +121,7 @@ def test_constructive_matches_oracle_across_the_catalogue(capsys):
 
 
 def test_span_equals_order_iff_complement_path_exists(s3_group):
-    subjects = [(e.name, e.build()) for e in catalogue(32)]
+    subjects = catalogue(32)
     subjects.append(("sym3-ingested", s3_group))
     names = [name for name, _ in subjects]
     assert "cyclic:6" in names and "cyclic:10" in names
@@ -149,8 +153,7 @@ def test_class_number_congruences_hold_exactly():
     from pglambda import is_maximal_class
 
     checked = 0
-    for entry in catalogue(81, p_groups_only=True):
-        group = entry.build()
+    for spec, group in _p_groups(81):
         ot = order_table(group)
         p = ot.p_group_prime
         if group.order <= p or ot.exponent == group.order:
@@ -158,13 +161,13 @@ def test_class_number_congruences_hold_exactly():
         if p == 2 and is_maximal_class(group):
             continue  # dihedral / quaternion / semidihedral are exempt
         partition = cyclic_classes(group)
-        assert partition.class_number(p) % p ** 2 == (1 + p) % p ** 2, entry.name
+        assert partition.class_number(p) % p ** 2 == (1 + p) % p ** 2, spec
         e = 1
         while p ** (e + 1) <= ot.exponent:
             e += 1
         for i in range(2, e + 1):
             assert partition.class_number(p ** i) % p == 0, (
-                f"{entry.name}: class number of order p^{i}")
+                f"{spec}: class number of order p^{i}")
         checked += 1
     assert checked >= 8
 
@@ -194,9 +197,9 @@ def test_maximal_class_family_class_numbers():
 
 
 def test_lower_hook_on_p_groups_and_the_order_6_counterexample():
-    for entry in catalogue(64, p_groups_only=True):
-        report = check_lower_hook(entry.build())
-        assert report.is_p_group and report.holds, entry.name
+    for spec, group in _p_groups(64):
+        report = check_lower_hook(group)
+        assert report.is_p_group and report.holds, spec
 
     group = make_cyclic(6)
     report = check_lower_hook(group)
@@ -208,10 +211,6 @@ def test_lower_hook_on_p_groups_and_the_order_6_counterexample():
     # order-2 and order-3 classes are non-adjacent, yet the order-6 class
     # hooks both from above
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    assert not classes_adjacent(partition, v1, v2, graph)
-    assert classes_adjacent(partition, u, v1, graph)
-    assert classes_adjacent(partition, u, v2, graph)
     for a, b, joined in ((v1, v2, False), (u, v1, True), (u, v2, True)):
         assert {graph.adjacent(x, y) for x in a.members for y in b.members} == {joined}
 
@@ -222,8 +221,7 @@ def test_lower_hook_on_p_groups_and_the_order_6_counterexample():
 
 def test_constructive_paths_round_trip_and_validate():
     seen_path_kinds = set()
-    for entry in catalogue(81, p_groups_only=True):
-        group = entry.build()
+    for spec, group in _p_groups(81):
         cert = lambda_p_group(group)
         if not cert.construction or not cert.construction.path:
             continue
@@ -234,9 +232,9 @@ def test_constructive_paths_round_trip_and_validate():
         path = cert.construction.path
 
         labels = path_to_labelling(graph, path)
-        assert validate_labelling(graph, labels) == [], entry.name
-        assert labels.span == group.order, entry.name
-        assert labelling_to_path(graph, labels) == tuple(path), entry.name
+        assert validate_labelling(graph, labels) == [], spec
+        assert labels.span == group.order, spec
+        assert labelling_to_path(graph, labels) == tuple(path), spec
     assert seen_path_kinds >= {"involution-alternation", "seed-alternation",
                                "class-interleaving-descent"}
 

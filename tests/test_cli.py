@@ -14,10 +14,12 @@ from pglambda import (
     build_power_graph,
     format_cayley,
     make_cyclic,
+    parse_group_spec,
     span,
     validate_labelling,
 )
-from pglambda.cli import main, parse_group_spec
+from pglambda.catalog import _ENTRIES
+from pglambda.cli import main
 
 
 def run(capsys, *argv):
@@ -214,7 +216,7 @@ _INVALID_D8_CERT = LambdaCertificate(
 
 
 def test_lambda_both_checks_the_exact_certificate(capsys, monkeypatch):
-    monkeypatch.setattr("pglambda.cli.exact_lambda",
+    monkeypatch.setattr("pglambda.construct.exact_lambda",
                         lambda *args, **kwargs: _INVALID_D8_CERT)
     code, _, err = run(capsys, "lambda", "dihedral:8", "--method", "both")
     assert code == 2
@@ -294,7 +296,6 @@ def test_a_certificate_failing_its_check_exits_2_for_either_method(method, capsy
         return ["planted problem"]
 
     monkeypatch.setattr("pglambda.construct.certificate_problems", planted)
-    monkeypatch.setattr("pglambda.cli.certificate_problems", planted)
     code, out, err = run(capsys, "lambda", "dihedral:8", "--method", method)
     assert code == 2
     assert out == ""
@@ -416,15 +417,40 @@ def test_suite_decides_span_path_equivalence_on_c2_x_c10(capsys):
 
 
 def test_suite_counts_a_witness_without_a_path_as_a_failed_check(capsys, monkeypatch):
-    # lambda = |G| with a witness that converts to no path: exit 2, not 1
-    monkeypatch.setattr("pglambda.suites.exact_lambda",
+    # lambda = |G| with a witness that converts to no path: the shared
+    # certificate check rejects it before any suite reads it (exit 2, not 1)
+    monkeypatch.setattr("pglambda.construct.exact_lambda",
                         lambda *args, **kwargs: _INVALID_D8_CERT)
     code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "dihedral:8")
     assert code == 2
-    assert "failed property: span-path-equivalence on dihedral:8" in err
-    failed = [r for r in json.loads(out)["results"] if not r["passed"]]
-    assert failed[0]["detail"].startswith("lambda = 8, no path from the witness: "
-                                          "not a valid L(2,1)-labelling")
+    assert out == ""
+    assert "consistency failure: witness violates labelling constraints" in err
+
+
+def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
+    # lambda(Q8) = 9 > |G|: span-path-equivalence reads only the value, so
+    # the witness must be checked where the certificate is made
+    bad_q8 = LambdaCertificate(
+        value=9, witness=Labelling(tuple(range(8))),
+        evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8),
+        method="exact-search")
+    monkeypatch.setattr("pglambda.construct.exact_lambda",
+                        lambda *args, **kwargs: bad_q8)
+    code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "quaternion:8")
+    assert code == 2
+    assert "consistency failure" in err
+
+
+def test_catalogue_entries_are_sorted_unique_and_of_their_order(capsys, monkeypatch):
+    assert list(_ENTRIES) == sorted(set(_ENTRIES))
+    assert len({spec for _, spec in _ENTRIES}) == len(_ENTRIES)
+    for order, spec in _ENTRIES:
+        assert parse_group_spec(spec).order == order, spec
+    # a selection builds nothing above its order, even under a low cap
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "16")
+    code, out, _ = run(capsys, "suite", "--max-order", "8")
+    assert code == 0
+    assert json.loads(out)["subjects"] == sum(order <= 8 for order, _ in _ENTRIES)
 
 
 def test_suite_time_budget_bounds_the_exact_search(capsys):

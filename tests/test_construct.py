@@ -10,7 +10,6 @@ import pytest
 
 from pglambda import (
     Graph,
-    build_catalogue_groups,
     build_interleaved_path,
     build_power_graph,
     check_ham_path,
@@ -23,7 +22,9 @@ from pglambda import (
     make_heisenberg,
     make_quaternion,
     make_semidihedral,
+    catalogue,
     order_classes_for_descent,
+    prime_power,
     recognize_family,
     validate_group,
     validate_labelling,
@@ -347,7 +348,7 @@ def test_construction_never_searches(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("pglambda") and hasattr(module, "exact_lambda"):
             monkeypatch.setattr(module, "exact_lambda", no_search)
-    groups = [group for _, group in build_catalogue_groups(p_groups_only=True)]
+    groups = [group for _, group in catalogue(512) if prime_power(group.order)]
     for group in groups + [make_quaternion(512)]:
         cert = lambda_p_group(group)
         assert cert.method == "constructive"

@@ -11,7 +11,6 @@ from pglambda import (
     Graph,
     build_power_graph,
     check_lower_hook,
-    classes_adjacent,
     cyclic_classes,
     euler_phi,
     make_cyclic,
@@ -112,24 +111,9 @@ def test_classes_adjacent_on_c6():
     partition = cyclic_classes(group)
     by_order = {cls.order: cls for cls in partition}
     c2, c3, c6 = by_order[2], by_order[3], by_order[6]
-    assert not classes_adjacent(partition, c2, c3, graph)
-    assert classes_adjacent(partition, c2, c6, graph)
-    assert classes_adjacent(partition, c3, c6, graph)
-    # one cross pair decides: every other pair agrees
+    # every cross pair of two classes agrees
     for a, b, joined in ((c2, c3, False), (c2, c6, True), (c3, c6, True)):
         assert {graph.adjacent(u, v) for u in a.members for v in b.members} == {joined}
-    with pytest.raises(ValueError, match="given twice"):
-        classes_adjacent(partition, c2, c2, graph)
-
-
-def test_classes_adjacent_rejects_foreign_class():
-    group = make_cyclic(6)
-    graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    other = cyclic_classes(make_cyclic(10))
-    foreign = next(iter(other))
-    with pytest.raises(ValueError):
-        classes_adjacent(partition, foreign, next(iter(partition)), graph)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +143,9 @@ def test_lower_hook_counterexample_in_c6():
     # double-check the triple: u hooks both, but the pair is not adjacent
     group = make_cyclic(6)
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    assert classes_adjacent(partition, u, v1, graph)
-    assert classes_adjacent(partition, u, v2, graph)
-    assert not classes_adjacent(partition, v1, v2, graph)
+    assert graph.adjacent(u.representative, v1.representative)
+    assert graph.adjacent(u.representative, v2.representative)
+    assert not graph.adjacent(v1.representative, v2.representative)
 
 
 def test_lower_hook_vacuous_on_symmetric_group(s3_group):
