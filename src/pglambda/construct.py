@@ -12,8 +12,9 @@ and generalized quaternion groups an alternation of ⟨x⟩ ∖ {1, z} with
 the coset ⟨x⟩y, a path on G ∖ {1, z} that yields span |G|+1 (the unique
 involution z is universal, so |G| is impossible).  Every path is read
 off the group's elements; nothing is searched for.  The dispatcher picks
-the branch from the group itself and re-validates every witness against
-the actual power graph.
+the branch from the group itself; certificate_problems, not the
+construction, checks each witness and path against the power graph, and
+a failed check raises ConstructionFailedError (exit 2).
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and checks what they
@@ -31,7 +32,6 @@ from .labelling import (
     DEFAULT_TIME_BUDGET,
     ConstructionInfo,
     Evidence,
-    Labelling,
     LambdaCertificate,
     certificate_problems,
     exact_lambda,
@@ -40,11 +40,9 @@ from .labelling import (
 from .powergraph import (
     ClassPartition,
     CyclicClass,
-    Graph,
     PowerGraph,
     build_power_graph,
     cyclic_classes,
-    iter_bits,
 )
 
 __all__ = [
@@ -59,43 +57,14 @@ Path = tuple[int, ...]
 Joints = tuple[tuple[int, int], ...]
 
 
-def build_interleaved_path(graph: Graph, classes: Sequence[Sequence[int]]) -> Path:
+def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     """Column-major interleaving of the classes: w11, w21, .., w_rN.
 
-    Consecutive vertices always come from different classes, so the
-    segment is a complement path as soon as cross-class pairs are
-    non-adjacent; that and the size conditions are verified here.
-    Members of each class are taken in ascending index order.
+    Members are taken in ascending order and columns stop at the shortest
+    class.  Unchecked: certificate_problems checks the whole path.
     """
-    classes = [tuple(sorted(c)) for c in classes]
-    if len(classes) < 2:
-        raise ValueError(f"interleaving needs at least 2 classes, got {len(classes)}")
-    sizes = {len(c) for c in classes}
-    if len(sizes) != 1:
-        raise ValueError(f"class sizes differ: {sorted(sizes)}")
-    size = sizes.pop()
-    if size == 0:
-        raise ValueError("classes must be non-empty")
-
-    masks = [sum(1 << v for v in c) for c in classes]
-    hoods = []
-    for c in classes:
-        acc = 0
-        for v in c:
-            acc |= graph.neighbors[v]
-        hoods.append(acc)
-    for a in range(len(classes)):
-        for b in range(a + 1, len(classes)):
-            if masks[a] & masks[b]:
-                raise ValueError(f"classes {a} and {b} share a vertex")
-            overlap = hoods[a] & masks[b]
-            if overlap:
-                v = next(iter_bits(overlap))
-                u = next(u for u in classes[a] if graph.adjacent(u, v))
-                raise ValueError(
-                    f"vertex {u} of class {a} is adjacent to vertex {v} of class {b}")
-
-    return tuple(classes[r][col] for col in range(size) for r in range(len(classes)))
+    columns = zip(*(sorted(c) for c in classes))
+    return tuple(v for column in columns for v in column)
 
 
 def order_classes_for_descent(partition: ClassPartition,
@@ -107,8 +76,8 @@ def order_classes_for_descent(partition: ClassPartition,
     each level is non-adjacent to the first class of the level below.  A
     class has at most one adjacent class per lower level (its cyclic
     subgroup contains a unique subgroup of each order), so with at least
-    two classes per level a non-adjacent choice always exists; fewer than
-    two raise ValueError.
+    two classes per level a non-adjacent choice always exists; a level
+    with fewer than two raises ConstructionFailedError.
     """
     group = graph.group
     pp = prime_power(group.order)
@@ -122,7 +91,7 @@ def order_classes_for_descent(partition: ClassPartition,
     for i in range(e, 0, -1):
         level = list(partition.by_order.get(p ** i, ()))
         if len(level) < 2:
-            raise ValueError(
+            raise ConstructionFailedError(
                 f"{len(level)} class(es) of order {p ** i}; interleaving needs >= 2")
         if prev_last is not None:
             pick = next((idx for idx, c in enumerate(level)
@@ -141,7 +110,7 @@ def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
     vertices: list[int] = []
     joints: list[tuple[int, int]] = []
     for level in order_classes_for_descent(cyclic_classes(graph.group), graph):
-        segment = build_interleaved_path(graph, level)
+        segment = build_interleaved_path(level)
         if vertices:
             joints.append((vertices[-1], segment[0]))
         vertices.extend(segment)
@@ -283,14 +252,14 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     path gives λ = |G|+1; dihedral/semidihedral → their explicit
     alternations; every other p-group → level descent; the last three all
     achieve λ = |G|.  The trivial group is allowed as a degenerate cyclic
-    case with λ = 0.  The certificate is checked against the power graph
-    before it is returned.
+    case with λ = 0.  The certificate is checked by certificate_problems
+    before it is returned; a failed check raises ConstructionFailedError.
     """
     family = recognize_family(group)
     n = group.order
     if n == 1:
         return LambdaCertificate(
-            value=0, witness=Labelling((0,)),
+            value=0, witness=(0,),
             evidence=Evidence(kind="degenerate", bound=0),
             method="constructive",
             construction=ConstructionInfo("degenerate", (), ()))
@@ -298,11 +267,8 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
 
     if family == "cyclic":
         # cyclic p-group: subgroups are totally ordered, the graph is complete
-        if not all(graph.degree(v) == n - 1 for v in range(n)):
-            raise ConstructionFailedError(
-                "exponent equals the order but the power graph is not complete")
         cert = LambdaCertificate(
-            value=2 * (n - 1), witness=Labelling(tuple(2 * v for v in range(n))),
+            value=2 * (n - 1), witness=tuple(2 * v for v in range(n)),
             evidence=Evidence(kind="complete-graph-bound", bound=2 * (n - 1)),
             method="constructive",
             construction=ConstructionInfo("cyclic-even-spacing", (), ()))
@@ -317,7 +283,7 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
         for i, v in enumerate(path):
             labels[v] = i
         cert = LambdaCertificate(
-            value=n + 1, witness=Labelling(tuple(labels)),
+            value=n + 1, witness=tuple(labels),
             evidence=Evidence(kind="universal-nonidentity-vertex", bound=n + 1,
                               vertex=z),
             method="constructive",

@@ -11,6 +11,7 @@ Groups are named by spec strings, which :func:`parse_group_spec` builds
 for the command line and the catalogue alike:
     cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
     elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
+with every parameter N, ORDER, P, K written in ASCII digits.
 """
 
 from __future__ import annotations
@@ -673,6 +674,17 @@ def _positive_int(text: str, what: str, least: int = 1) -> int:
     return value
 
 
+def _spec_digits(text: str) -> bool:
+    """The one rule for spec parameters, parsed or split: ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _spec_int(text: str, what: str) -> int:
+    if not _spec_digits(text):
+        raise ValueError(f"{what} must be a positive integer in ASCII digits, got {text!r}")
+    return _positive_int(text, what)
+
+
 # A product of more factors than this has order ≥ 2^33 unless factors are
 # trivial; the limit bounds the depth and the cost of splitting a spec.
 _MAX_PRODUCTS = 32
@@ -684,10 +696,10 @@ def _spec_shape_ok(spec: str, seen: dict[str, bool]) -> bool:
     if not sep:
         return False
     if kind in ("cyclic", "dihedral", "quaternion", "semidihedral", "heisenberg"):
-        return rest.isdigit()
+        return _spec_digits(rest)
     if kind == "elemab":
         parts = rest.split(",")
-        return len(parts) == 2 and all(p.isdigit() for p in parts)
+        return len(parts) == 2 and all(map(_spec_digits, parts))
     if kind == "product":
         return _first_split(rest, seen) is not None
     if kind == "file":
@@ -729,21 +741,21 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         raise ValueError(
             f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
     if kind == "cyclic":
-        return make_cyclic(_positive_int(rest, "cyclic order"))
+        return make_cyclic(_spec_int(rest, "cyclic order"))
     if kind == "dihedral":
-        return make_dihedral(_positive_int(rest, "dihedral order"))
+        return make_dihedral(_spec_int(rest, "dihedral order"))
     if kind == "quaternion":
-        return make_quaternion(_positive_int(rest, "quaternion order"))
+        return make_quaternion(_spec_int(rest, "quaternion order"))
     if kind == "semidihedral":
-        return make_semidihedral(_positive_int(rest, "semidihedral order"))
+        return make_semidihedral(_spec_int(rest, "semidihedral order"))
     if kind == "elemab":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"elemab takes P,K — got {rest!r}")
-        return make_elementary_abelian(_positive_int(parts[0], "prime"),
-                                       _positive_int(parts[1], "rank"))
+        return make_elementary_abelian(_spec_int(parts[0], "prime"),
+                                       _spec_int(parts[1], "rank"))
     if kind == "heisenberg":
-        return make_heisenberg(_positive_int(rest, "prime"))
+        return make_heisenberg(_spec_int(rest, "prime"))
     if kind == "product":
         left, right = _split_product(rest)
         g, h = parse_group_spec(left), parse_group_spec(right)

@@ -1,11 +1,15 @@
 """L(2,1)-labellings: validation, span, path conversions, and exact search.
 
-A labelling is valid when labels differ by ≥ j across edges and by ≥ k
-across distance-2 pairs (defaults j=2, k=1).  On a power graph every
+A labelling is a tuple of labels indexed by vertex, valid when labels
+differ by ≥ j across edges and by ≥ k across distance-2 pairs
+(defaults j=2, k=1).  On a power graph every
 distinct pair is within distance 2, so a valid L(2,1)-labelling has all
 labels distinct; a span-|G| labelling is then the same data as a
 Hamiltonian path in the complement of the power graph minus the
 identity, and the two conversions here are mutually inverse.
+
+A certificate is a witness plus lower-bound evidence, and
+:func:`certificate_problems` is its one checker.
 
 The exact oracle is independent of all group theory: ascending-span
 backtracking over one label domain per twin module with forward
@@ -17,7 +21,7 @@ closed-twin classes).  The search runs in ``_search``, loaded on first use.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import TooLargeError
 from .powergraph import Graph, PowerGraph
@@ -25,7 +29,6 @@ from .powergraph import Graph, PowerGraph
 __all__ = [
     "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET",
-    "Labelling",
     "Violation",
     "Evidence",
     "LambdaCertificate",
@@ -37,7 +40,6 @@ __all__ = [
     "path_to_labelling",
     "labelling_to_path",
     "power_graph_lower_bound",
-    "LowerBound",
     "exact_lambda",
     "certificate_doc",
     "format_labelling_csv",
@@ -50,31 +52,6 @@ DEFAULT_TIME_BUDGET = 60.0
 
 # ---------------------------------------------------------------------------
 # labellings
-
-
-class Labelling(NamedTuple):
-    """Integer labels indexed by vertex."""
-
-    labels: tuple[int, ...]
-
-    @property
-    def span(self) -> int:
-        return span(self.labels)
-
-    def __getitem__(self, v: int) -> int:
-        return self.labels[v]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.labels)
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __reduce__(self):  # copy and pickle would otherwise iterate the labels
-        return Labelling, (self.labels,)
-
-
-del Labelling._asdict, Labelling._replace  # they would take the labels for fields
 
 
 class Violation(NamedTuple):
@@ -91,19 +68,6 @@ class Violation(NamedTuple):
                 f"|gap| = {self.gap} < {self.required}")
 
 
-def _normalize_labels(n: int, labels) -> list[int]:
-    """Flatten any accepted labels form to a dense list; ValueError if short."""
-    if isinstance(labels, Mapping):  # a Labelling iterates its labels
-        missing = [v for v in range(n) if v not in labels]
-        if missing:
-            raise ValueError(f"no label for vertex {missing[0]}")
-        return [int(labels[v]) for v in range(n)]
-    out = [int(v) for v in labels]
-    if len(out) != n:
-        raise ValueError(f"expected {n} labels, got {len(out)}")
-    return out
-
-
 def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Violation]:
     """Every violating pair with its distance; empty list means valid.
 
@@ -113,10 +77,12 @@ def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Vio
     the vertices are sorted by label and only pairs inside that window are
     tested.
     """
-    lab = _normalize_labels(graph.n, labels)
+    n = graph.n
+    lab = [int(v) for v in labels]
+    if len(lab) != n:
+        raise ValueError(f"expected {n} labels, got {len(lab)}")
     neigh = graph.neighbors
     window = max(j, k)
-    n = graph.n
     by_label = sorted(range(n), key=lab.__getitem__)
     out = []
     for i, x in enumerate(by_label):
@@ -138,15 +104,11 @@ def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Vio
     return out
 
 
-def span(labels) -> int:
+def span(labels: Sequence[int]) -> int:
     """max − min of the labels; ValueError when there are none."""
-    if isinstance(labels, Mapping):
-        values = tuple(labels.values())
-    else:
-        values = tuple(labels)
-    if not values:
+    if not labels:
         raise ValueError("span of an empty labelling is undefined")
-    return max(values) - min(values)
+    return max(labels) - min(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -165,17 +127,17 @@ def check_ham_path(graph: PowerGraph, path: Sequence[int]) -> None:
             raise ValueError(f"consecutive pair ({a}, {b}) is adjacent in the power graph")
 
 
-def path_to_labelling(graph: PowerGraph, path: Sequence[int]) -> Labelling:
-    """Identity ↦ −2 and the i-th path vertex ↦ i: valid with span |G|."""
-    check_ham_path(graph, path)
+def path_to_labelling(graph: PowerGraph, path: Sequence[int]) -> tuple[int, ...]:
+    """Identity ↦ −2 and the i-th path vertex ↦ i: span |G|, and valid
+    when check_ham_path accepts the path, which is not checked here."""
     labels = [0] * graph.n
     labels[graph.group.identity] = -2
     for i, v in enumerate(path):
         labels[v] = i
-    return Labelling(tuple(labels))
+    return tuple(labels)
 
 
-def labelling_to_path(graph: PowerGraph, labels) -> tuple[int, ...]:
+def labelling_to_path(graph: PowerGraph, labels: Sequence[int]) -> tuple[int, ...]:
     """Invert path_to_labelling for any valid span-|G| labelling.
 
     Valid span-|G| labels occupy an interval of |G|+1 integers with one
@@ -186,59 +148,22 @@ def labelling_to_path(graph: PowerGraph, labels) -> tuple[int, ...]:
     so label translations of the input produce the same path.
     """
     n = graph.n
-    lab = _normalize_labels(n, labels)
-    violations = validate_labelling(graph, lab)
+    violations = validate_labelling(graph, labels)
     if violations:
         raise ValueError(
             f"not a valid L(2,1)-labelling: {len(violations)} violations, "
             f"first: {violations[0]}")
-    got = span(lab)
+    got = span(labels)
     if got != n:
         raise ValueError(f"conversion needs span exactly {n}, got {got}")
     identity = graph.group.identity
-    rest = sorted((lab[v], v) for v in range(n) if v != identity)
-    if not (lab[identity] < rest[0][0] or lab[identity] > rest[-1][0]):
-        raise ValueError(
-            "identity label is interior; the graph cannot be a power graph")
-    base = rest[0][0]
-    for offset, (value, _) in enumerate(rest):
-        if value != base + offset:
-            raise ValueError(
-                "non-identity labels are not consecutive; the graph cannot "
-                "be a power graph")
-    path = tuple(v for _, v in rest)
+    path = tuple(sorted((v for v in range(n) if v != identity), key=labels.__getitem__))
     check_ham_path(graph, path)
     return path
 
 
 # ---------------------------------------------------------------------------
 # lower bounds and the exact oracle
-
-
-class LowerBound(NamedTuple):
-    """A proven lower bound on λ with the reason it holds."""
-
-    value: int
-    kind: str
-    vertex: int | None = None
-
-
-def power_graph_lower_bound(graph: PowerGraph) -> LowerBound:
-    """λ ≥ |G| for any power graph; ≥ |G|+1 with a universal non-identity.
-
-    All labels are distinct (diameter ≤ 2) and the universal identity
-    forces a further gap of 2, giving |G|.  A universal non-identity
-    vertex is isolated in the reduced complement, so for |G| ≥ 3 no
-    Hamiltonian path exists there and the bound tightens by one.
-    """
-    n = graph.n
-    if n <= 1:
-        return LowerBound(0, "degenerate")
-    if n >= 3:
-        for v in range(n):
-            if v != graph.group.identity and graph.is_universal(v):
-                return LowerBound(n + 1, "universal-nonidentity-vertex", vertex=v)
-    return LowerBound(n, "power-graph-bound")
 
 
 class Evidence(NamedTuple):
@@ -248,6 +173,24 @@ class Evidence(NamedTuple):
     bound: int
     span: int | None = None
     vertex: int | None = None
+
+
+def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
+    """λ ≥ |G| for any power graph; ≥ |G|+1 with a universal non-identity.
+
+    All labels are distinct (diameter ≤ 2) and the universal identity
+    forces a further gap of 2, giving |G|.  A universal non-identity
+    vertex is isolated in the reduced complement, so for |G| ≥ 3 no
+    Hamiltonian path exists there and the bound tightens by one.
+    """
+    n = graph.n
+    if n <= 1:
+        return Evidence("degenerate", 0)
+    if n >= 3:
+        for v in range(n):
+            if v != graph.group.identity and graph.is_universal(v):
+                return Evidence("universal-nonidentity-vertex", n + 1, vertex=v)
+    return Evidence("power-graph-bound", n)
 
 
 class ConstructionInfo(NamedTuple):
@@ -262,10 +205,24 @@ class LambdaCertificate(NamedTuple):
     """λ value with a witness labelling and lower-bound evidence."""
 
     value: int
-    witness: Labelling
+    witness: tuple[int, ...]
     evidence: Evidence
     method: str
     construction: ConstructionInfo | None = None
+
+
+def _evidence_holds(graph: PowerGraph, evidence: Evidence) -> bool:
+    """Whether the graph proves λ ≥ evidence.bound for the stated reason;
+    of a searched refutation only the span (bound − 1) is checked."""
+    n, kind, bound, v = graph.n, evidence.kind, evidence.bound, evidence.vertex
+    if kind == "exhaustive-search-at-span":
+        return evidence.span == bound - 1
+    if kind == "complete-graph-bound":
+        return bound == 2 * (n - 1) and all(map(graph.is_universal, range(n)))
+    if kind == "universal-nonidentity-vertex":
+        return (bound == n + 1 and n >= 3 and v in range(n)
+                and v != graph.group.identity and graph.is_universal(v))
+    return (kind, bound) in (("power-graph-bound", n), ("degenerate", 0))
 
 
 def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str]:
@@ -273,16 +230,27 @@ def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str
 
     The witness must be a valid labelling of the graph, its span must be
     the certified λ, and λ may not fall below power_graph_lower_bound.
+    The evidence must prove λ (_evidence_holds), and a constructive path
+    at λ = |G| must pass check_ham_path.
     """
+    if len(cert.witness) != graph.n:
+        return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
     problems = []
     violations = validate_labelling(graph, cert.witness)
     if violations:
         problems.append(f"witness violates labelling constraints: {violations[0]}")
-    if cert.witness.span != cert.value:
-        problems.append(f"witness span {cert.witness.span} != lambda {cert.value}")
+    if span(cert.witness) != cert.value:
+        problems.append(f"witness span {span(cert.witness)} != lambda {cert.value}")
     lower = power_graph_lower_bound(graph)
-    if cert.value < lower.value:
-        problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.value}")
+    if cert.value < lower.bound:
+        problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.bound}")
+    if cert.evidence.bound != cert.value or not _evidence_holds(graph, cert.evidence):
+        problems.append(f"{cert.evidence.kind} evidence does not prove lambda {cert.value}")
+    if cert.construction and cert.construction.path and cert.value == graph.n:
+        try:
+            check_ham_path(graph, cert.construction.path)
+        except ValueError as exc:
+            problems.append(f"construction path: {exc}")
     return problems
 
 
@@ -312,7 +280,7 @@ def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
     low = min(found)
     labels = [lab - low for lab in found]
     sigma = max(labels)
-    witness = Labelling(tuple(labels))
+    witness = tuple(labels)
     if sigma == 0:
         evidence = Evidence(kind="degenerate", bound=0)
     else:
@@ -338,7 +306,7 @@ def certificate_doc(cert: LambdaCertificate) -> dict:
         "lambda": cert.value,
         "method": cert.method,
         "evidence": evidence,
-        "labels": list(cert.witness.labels),
+        "labels": list(cert.witness),
     }
     if cert.construction is not None:
         doc["construction"] = {
@@ -349,7 +317,7 @@ def certificate_doc(cert: LambdaCertificate) -> dict:
     return doc
 
 
-def format_labelling_csv(labels) -> str:
+def format_labelling_csv(labels: Sequence[int]) -> str:
     """CSV with header element,label; elements written as indices."""
     import csv  # only the two CSV functions use csv and io
     import io
@@ -357,23 +325,18 @@ def format_labelling_csv(labels) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["element", "label"])
-    if isinstance(labels, Mapping):
-        rows: Iterable[tuple[int, int]] = sorted(labels.items())
-    else:
-        rows = enumerate(labels)
-    for element, label in rows:
-        writer.writerow([element, label])
+    writer.writerows(enumerate(labels))
     return buf.getvalue()
 
 
 def parse_labelling_csv(text: str, n: int,
-                        names: Sequence[str] | None = None) -> dict[int, int]:
+                        names: Sequence[str] | None = None) -> tuple[int, ...]:
     """Read a labelling CSV; elements may be indices or element names.
 
-    Returns {vertex: label}.  A numeric element column is always read as
-    an index (names like "1" cannot shadow it); anything else must match
-    a known element name.  Malformed rows, unknown elements, and
-    duplicates raise ValueError; coverage is left to validate_labelling.
+    Returns the labels indexed by vertex.  A numeric element column is
+    always read as an index (names like "1" cannot shadow it); anything
+    else must match a known element name.  Malformed rows, unknown
+    elements, duplicates and missing elements raise ValueError.
     """
     import csv
     import io
@@ -405,4 +368,8 @@ def parse_labelling_csv(text: str, n: int,
         if vertex in out:
             raise ValueError(f"element {key!r} labelled twice")
         out[vertex] = label
-    return out
+    if len(out) != n:
+        missing = next(v for v in range(n) if v not in out)
+        raise ValueError(f"labelling covers {len(out)} of {n} elements "
+                         f"(first missing index: {missing})")
+    return tuple(out[v] for v in range(n))

@@ -14,20 +14,20 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .construct import certify
-from .groups import FiniteGroup, OrderTable, is_maximal_class, order_table
+from .groups import FiniteGroup, is_maximal_class, order_table
 from .labelling import (
     LambdaCertificate,
     labelling_to_path,
     path_to_labelling,
+    span,
     validate_labelling,
 )
 from .powergraph import (
-    ClassPartition,
-    PowerGraph,
     build_power_graph,
     check_lower_hook,
     cyclic_classes,
     euler_phi,
+    iter_bits,
 )
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
@@ -41,8 +41,9 @@ class SuiteResult(NamedTuple):
 
 
 class _Subject:
-    """A named group; what the suites derive from it is computed once.
+    """A named group and its certificates, each computed once.
 
+    The group caches its own power graph, cyclic classes and order table.
     ``cap`` and ``budget`` limit its exact search: vertices and seconds.
     """
 
@@ -52,25 +53,13 @@ class _Subject:
         self.cap = cap
         self.budget = budget
 
-    @cached_property
-    def graph(self) -> PowerGraph:
-        return build_power_graph(self.group)
-
-    @cached_property
-    def partition(self) -> ClassPartition:
-        return cyclic_classes(self.group)
-
-    @cached_property
-    def orders(self) -> OrderTable:
-        return order_table(self.group)
-
     @property
     def n(self) -> int:
         return self.group.order
 
     @property
     def prime(self) -> int | None:
-        return self.orders.p_group_prime
+        return order_table(self.group).p_group_prime
 
     @cached_property
     def certificate(self) -> LambdaCertificate:
@@ -92,19 +81,19 @@ def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     out = []
     for s in subjects:
         problems = []
+        graph = build_power_graph(s.group)
         full = (1 << s.n) - 1
-        if s.n > 1 and not s.graph.is_universal(s.group.identity):
+        if s.n > 1 and not graph.is_universal(s.group.identity):
             problems.append("identity is not universal")
-        for v in range(s.n):
-            reach = s.graph.neighbors[v] | (1 << v)
-            for u in list(range(s.n)):
-                if (s.graph.neighbors[v] >> u) & 1:
-                    reach |= s.graph.neighbors[u]
+        for v, hood in enumerate(graph.neighbors):
+            reach = hood | (1 << v)
+            for u in iter_bits(hood):
+                reach |= graph.neighbors[u]
             if reach != full:
                 problems.append(f"vertex {v} cannot reach everything in 2 steps")
                 break
         covered = 0
-        for cls in s.partition:
+        for cls in cyclic_classes(s.group):
             if len(cls.members) != euler_phi(cls.order):
                 problems.append(
                     f"class of order {cls.order} has {len(cls.members)} members")
@@ -120,18 +109,19 @@ def _suite_congruences(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
     out = []
     for s in subjects:
-        p = s.prime
-        if p is None or s.orders.exponent == s.n or s.n == 1:
+        p, exponent = s.prime, order_table(s.group).exponent
+        if p is None or exponent == s.n or s.n == 1:
             continue
         if p == 2 and is_maximal_class(s.group):
             continue
         problems = []
-        m1 = s.partition.class_number(p)
+        partition = cyclic_classes(s.group)
+        m1 = partition.class_number(p)
         if m1 % (p * p) != (1 + p) % (p * p):
             problems.append(f"m({p}) = {m1} is not 1+{p} mod {p * p}")
         q = p * p
-        while q <= s.orders.exponent:
-            mi = s.partition.class_number(q)
+        while q <= exponent:
+            mi = partition.class_number(q)
             if mi % p != 0:
                 problems.append(f"m({q}) = {mi} is not divisible by {p}")
             q *= p
@@ -168,8 +158,9 @@ def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResul
         if tag not in ("dihedral", "quaternion", "semidihedral"):
             continue
         expected = _family_class_expectations(tag, s.n)
-        actual = {d: s.partition.class_number(d) for d in expected}
-        extra = [d for d in s.partition.orders if d not in expected]
+        partition = cyclic_classes(s.group)
+        actual = {d: partition.class_number(d) for d in expected}
+        extra = [d for d in partition.orders if d not in expected]
         ok = actual == expected and not extra
         detail = (f"class numbers {sorted(actual.items())}" if ok else
                   f"expected {sorted(expected.items())}, got {sorted(actual.items())}"
@@ -221,7 +212,7 @@ def _suite_span_path_equivalence(subjects: Sequence[_Subject]) -> list[SuiteResu
         ok, detail = value > s.n, f"lambda = {value}, path absent"
         if value == s.n:
             try:
-                labelling_to_path(s.graph, s.exact.witness)
+                labelling_to_path(build_power_graph(s.group), s.exact.witness)
             except ValueError as exc:
                 detail = f"lambda = {value}, no path from the witness: {exc}"
             else:
@@ -234,9 +225,9 @@ def _formula_lambda(s: _Subject) -> int:
     """Independent expectation: 2(p^e − 1) cyclic, |G|+1 unique-involution 2-group, else |G|."""
     if s.n == 1:
         return 0
-    if s.orders.exponent == s.n:
+    if order_table(s.group).exponent == s.n:
         return 2 * (s.n - 1)
-    if s.prime == 2 and s.partition.class_number(2) == 1:
+    if s.prime == 2 and cyclic_classes(s.group).class_number(2) == 1:
         return s.n + 1
     return s.n
 
@@ -262,11 +253,11 @@ def _suite_constructive_witness_valid(subjects: Sequence[_Subject]) -> list[Suit
         if s.prime is None:
             continue
         cert = s.certificate
-        violations = validate_labelling(s.graph, cert.witness)
+        violations = validate_labelling(build_power_graph(s.group), cert.witness)
         expected = _formula_lambda(s)
-        ok = (not violations and cert.witness.span == cert.value
+        ok = (not violations and span(cert.witness) == cert.value
               and cert.value == expected)
-        detail = (f"value {cert.value}, span {cert.witness.span}, "
+        detail = (f"value {cert.value}, span {span(cert.witness)}, "
                   f"expected {expected}, violations {len(violations)}")
         out.append(_result("constructive-witness-valid", s, ok, detail))
     return out
@@ -281,12 +272,13 @@ def _suite_round_trip(subjects: Sequence[_Subject]) -> list[SuiteResult]:
         cert = s.certificate
         if cert.value != s.n:
             continue
-        path = labelling_to_path(s.graph, cert.witness)
-        relabelled = path_to_labelling(s.graph, path)
-        back = labelling_to_path(s.graph, relabelled)
+        graph = build_power_graph(s.group)
+        path = labelling_to_path(graph, cert.witness)
+        relabelled = path_to_labelling(graph, path)
+        back = labelling_to_path(graph, relabelled)
         ok = (back == path
-              and relabelled.span == s.n
-              and not validate_labelling(s.graph, relabelled))
+              and span(relabelled) == s.n
+              and not validate_labelling(graph, relabelled))
         out.append(_result("labelling-path-round-trip", s, ok,
                            "round trip stable" if ok else "path changed"))
     return out

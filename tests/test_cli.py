@@ -9,7 +9,6 @@ import pytest
 
 from pglambda import (
     Evidence,
-    Labelling,
     LambdaCertificate,
     build_power_graph,
     format_cayley,
@@ -210,7 +209,7 @@ def test_lambda_both_methods_agree(capsys):
 
 # λ(D8) = 8, with a witness that is no labelling of its power graph
 _INVALID_D8_CERT = LambdaCertificate(
-    value=8, witness=Labelling(tuple(range(8))),
+    value=8, witness=tuple(range(8)),
     evidence=Evidence(kind="exhaustive-search-at-span", bound=8, span=7),
     method="exact-search")
 
@@ -300,6 +299,52 @@ def test_a_certificate_failing_its_check_exits_2_for_either_method(method, capsy
     assert code == 2
     assert out == ""
     assert "planted problem" in err
+
+
+def test_a_construction_that_repeats_a_vertex_exits_2(capsys, monkeypatch):
+    import pglambda.construct as construct
+    descent = construct._descent_path
+
+    def repeating(graph):
+        path, joints = descent(graph)
+        return path[:1] + path[:-1], joints
+
+    monkeypatch.setattr(construct, "_descent_path", repeating)
+    code, out, err = run(capsys, "analyze", "elemab:3,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("constructive certificate fails its check: ")
+
+
+def _raise_top_label(cert):
+    """λ + 1 with a valid witness of that span, still claiming the same kind."""
+    high = max(cert.witness)
+    top = cert.witness.index(high)
+    witness = cert.witness[:top] + (high + 1,) + cert.witness[top + 1:]
+    return cert._replace(value=cert.value + 1, witness=witness,
+                         evidence=cert.evidence._replace(bound=cert.value + 1))
+
+
+@pytest.mark.parametrize("spec,kind,corrupt", [
+    ("dihedral:8", "power-graph-bound", _raise_top_label),
+    ("quaternion:8", "universal-nonidentity-vertex",
+     lambda cert: cert._replace(evidence=cert.evidence._replace(vertex=1))),
+])
+def test_corrupted_constructive_evidence_exits_2(spec, kind, corrupt, capsys, monkeypatch):
+    monkeypatch.setattr("pglambda.construct.LambdaCertificate",
+                        lambda **fields: corrupt(LambdaCertificate(**fields)))
+    code, out, err = run(capsys, "lambda", spec, "--method", "constructive")
+    assert (code, out) == (2, "")
+    assert err == (f"constructive certificate fails its check: {kind} evidence "
+                   "does not prove lambda 9\n")  # 8 + 1 on D8, 9 on Q8
+
+
+def test_a_complete_graph_bound_on_an_incomplete_graph_exits_2(capsys, monkeypatch):
+    # the cyclic branch trusts the dispatcher; the checker re-derives completeness
+    monkeypatch.setattr("pglambda.construct.recognize_family", lambda group: "cyclic")
+    code, out, err = run(capsys, "lambda", "elemab:2,2", "--method", "constructive")
+    assert (code, out) == (2, "")
+    assert err == ("constructive certificate fails its check: complete-graph-bound "
+                   "evidence does not prove lambda 6\n")
 
 
 def test_lambda_witness_csv_checks_back_clean(tmp_path, capsys):
@@ -431,7 +476,7 @@ def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
     # lambda(Q8) = 9 > |G|: span-path-equivalence reads only the value, so
     # the witness must be checked where the certificate is made
     bad_q8 = LambdaCertificate(
-        value=9, witness=Labelling(tuple(range(8))),
+        value=9, witness=tuple(range(8)),
         evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8),
         method="exact-search")
     monkeypatch.setattr("pglambda.construct.exact_lambda",

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from pglambda import (
-    Graph,
+    ConstructionFailedError,
     build_interleaved_path,
     build_power_graph,
     check_ham_path,
@@ -26,6 +26,7 @@ from pglambda import (
     order_classes_for_descent,
     prime_power,
     recognize_family,
+    span,
     validate_group,
     validate_labelling,
 )
@@ -36,15 +37,11 @@ from pglambda import (
 
 
 def test_interleaving_is_column_major():
-    graph = Graph(5, [0] * 5)  # no edges: every interleaving is admissible
-    segment = build_interleaved_path(graph, [(1, 2), (3, 4)])
-    assert segment == (1, 3, 2, 4)
+    assert build_interleaved_path([(1, 2), (3, 4)]) == (1, 3, 2, 4)
 
 
 def test_interleaving_sorts_class_members():
-    graph = Graph(5, [0] * 5)
-    segment = build_interleaved_path(graph, [(2, 1), (4, 3)])
-    assert segment == (1, 3, 2, 4)
+    assert build_interleaved_path([(2, 1), (4, 3)]) == (1, 3, 2, 4)
 
 
 def test_interleaving_accepts_family_and_plain_lists():
@@ -55,38 +52,30 @@ def test_interleaving_accepts_family_and_plain_lists():
     classes = tuple(c.members for c in cyclic_classes(group).by_order[3])
     assert len(classes) == 4 and all(len(c) == 2 for c in classes)
 
-    segment = build_interleaved_path(graph, classes)
-    assert segment == build_interleaved_path(graph, [list(c) for c in classes])
+    segment = build_interleaved_path(classes)
+    assert segment == build_interleaved_path([list(c) for c in classes])
     assert sorted(segment) == sorted(itertools.chain(*classes))
     for a, b in itertools.pairwise(segment):
         assert not graph.adjacent(a, b)
 
 
-def test_interleaving_rejects_single_class():
-    with pytest.raises(ValueError, match="interleaving needs at least 2 classes, got 1"):
-        build_interleaved_path(Graph(3, [0] * 3), [(1, 2)])
+def test_interleaving_stops_at_the_shortest_class():
+    # the interleaving checks nothing; the certificate check sees what it drops
+    assert build_interleaved_path([(1, 2)]) == (1, 2)
+    assert build_interleaved_path([(1, 2), (3,)]) == (1, 3)
+    assert build_interleaved_path([(), ()]) == ()
 
 
-def test_interleaving_rejects_unequal_or_empty_classes():
-    graph = Graph(4, [0] * 4)
-    with pytest.raises(ValueError, match=r"class sizes differ: \[1, 2\]"):
-        build_interleaved_path(graph, [(1, 2), (3,)])
-    with pytest.raises(ValueError, match="classes must be non-empty"):
-        build_interleaved_path(graph, [(), ()])
-
-
-def test_interleaving_rejects_shared_vertices():
-    with pytest.raises(ValueError, match="share a vertex"):
-        build_interleaved_path(Graph(4, [0] * 4), [(1, 2), (2, 3)])
-
-
-def test_interleaving_rejects_adjacent_classes():
-    # in a cyclic group the power graph is complete, so the class of
-    # order 3 is adjacent to the class of order 9
-    group = make_cyclic(9)
-    graph = build_power_graph(group)
-    with pytest.raises(ValueError, match="of class 0 is adjacent to vertex .* of class 1"):
-        build_interleaved_path(graph, [(3, 6), (1, 2)])
+@pytest.mark.parametrize("interleave", [
+    lambda classes: build_interleaved_path([classes[0]] * len(classes)),  # shared vertices
+    lambda classes: tuple(v for c in classes for v in sorted(c)),  # adjacent steps
+    lambda classes: build_interleaved_path([classes[0], ()]),  # unequal sizes
+], ids=["shared", "adjacent", "unequal"])
+def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch):
+    monkeypatch.setattr("pglambda.construct.build_interleaved_path", interleave)
+    with pytest.raises(ConstructionFailedError,
+                       match="constructive certificate fails its check"):
+        lambda_p_group(make_elementary_abelian(3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +99,7 @@ def test_descent_levels_for_c2_x_c4():
 
 def test_descent_rejects_levels_with_one_class():
     group = make_cyclic(8)
-    with pytest.raises(ValueError, match="interleaving needs >= 2"):
+    with pytest.raises(ConstructionFailedError, match="interleaving needs >= 2"):
         order_classes_for_descent(cyclic_classes(group), build_power_graph(group))
 
 
@@ -191,12 +180,12 @@ def test_quaternion_labellings(e):
     labels = cert.witness
     graph = build_power_graph(group)
     assert validate_labelling(graph, labels) == []
-    assert labels.span == n + 1
-    assert labels.labels[group.identity] == -2
+    assert span(labels) == n + 1
+    assert labels[group.identity] == -2
     z = 2 ** (e - 1)  # the unique involution x^(2^(e-1))
     assert group.element_order(z) == 2
     assert cert.evidence.vertex == z
-    assert labels.labels[z] == n - 1
+    assert labels[z] == n - 1
     # x^k (index k) for k ≠ 0, m/2 alternates with x^k y (index m + k),
     # starting inside; the last two x^k y close the path
     m = n // 2
@@ -309,7 +298,7 @@ def test_dispatcher_routes_and_values(group, value, kind):
     assert cert.construction.kind == kind
     graph = build_power_graph(group)
     assert validate_labelling(graph, cert.witness) == []
-    assert cert.witness.span == value
+    assert span(cert.witness) == value
 
 
 def test_dispatcher_evidence_kinds():
@@ -337,7 +326,7 @@ def test_dispatcher_path_matches_witness_order():
     group = make_dihedral(16)
     cert = lambda_p_group(group)
     path = cert.construction.path
-    labels = cert.witness.labels
+    labels = cert.witness
     assert [labels[v] for v in path] == list(range(len(path)))
 
 

@@ -13,8 +13,9 @@ import contextlib
 import io
 import os
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from pglambda import TooLargeError, parse_group_spec
 from pglambda.cli import main
 
 # text that can travel through argv, a file and the environment
@@ -114,3 +115,34 @@ def test_fuzzed_suite_max_orders_exit_cleanly(value):
     _assert_clean(code, err)
     if code == 0:  # a passing suite was given an order it could check
         assert int(value) >= 1
+
+
+# parameters near the ASCII-digit rule: signs, spaces, underscores,
+# commas and non-ASCII digits (Arabic-Indic three, superscript two)
+_PARAMS = st.text("0123456789+-_ ,\u0663\u00b2x", max_size=3)
+_GRAMMAR_SPECS = st.recursive(
+    st.builds("{}:{}".format, st.sampled_from(_FAMILIES + ("elemab",)), _PARAMS),
+    lambda inner: st.builds("product:{},{}".format, inner, inner),
+    max_leaves=3,
+)
+
+
+def _parses(spec: str) -> bool:
+    try:
+        parse_group_spec(spec)
+    except (ValueError, TooLargeError):
+        return False
+    return True
+
+
+@_SETTINGS
+@example("cyclic:3_0")
+@example("cyclic:+3")
+@example("cyclic: 3")
+@example("cyclic:\u0663")
+@example("elemab:2,3")
+@given(spec=_GRAMMAR_SPECS)
+def test_a_spec_parses_alone_exactly_when_it_parses_as_a_product_factor(spec):
+    # one grammar rule serves parsing and splitting product:SPEC,SPEC
+    with _max_order("64"):
+        assert _parses(spec) == _parses(f"product:{spec},cyclic:1"), spec

@@ -631,7 +631,7 @@ _PUBLIC_NAMES = [
     "ClassPartition", "ConstructionFailedError", "ConstructionInfo",
     "CyclicClass", "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph",
-    "GroupValidationError", "Labelling", "LambdaCertificate", "LowerBound",
+    "GroupValidationError", "LambdaCertificate",
     "LowerHookReport", "OrderTable", "PglambdaError", "PowerGraph", "SUITE_NAMES",
     "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
     "__version__", "build_interleaved_path",

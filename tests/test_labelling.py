@@ -7,19 +7,21 @@ import inspect
 import itertools
 import pickle
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pglambda import (
+    Evidence,
     Graph,
-    Labelling,
     SearchTimeoutError,
     TooLargeError,
     build_power_graph,
     catalogue,
     certificate_doc,
+    certificate_problems,
     check_ham_path,
     check_lower_hook,
     cyclic_classes,
@@ -77,27 +79,25 @@ def test_far_apart_vertices_are_unconstrained():
     assert validate_labelling(graph, (0, 2, 0, 2)) == []
 
 
-def test_labels_accept_mapping_and_labelling_forms():
+def test_a_labelling_is_one_label_per_vertex_in_any_sequence():
     graph = _complete_graph(2)
-    assert validate_labelling(graph, {0: 0, 1: 2}) == []
-    assert validate_labelling(graph, Labelling((0, 2))) == []
-    with pytest.raises(ValueError, match="no label for vertex 1"):
-        validate_labelling(graph, {0: 0})
+    assert validate_labelling(graph, (0, 2)) == []
+    assert validate_labelling(graph, [0, 2]) == []
+    with pytest.raises(ValueError, match="expected 2 labels, got 1"):
+        validate_labelling(graph, (0,))
 
 
 def test_a_labelling_iterates_indexes_and_measures_its_labels():
-    labelling = Labelling((3, 1))
-    assert list(labelling) == [3, 1]
-    assert len(labelling) == 2 and labelling[0] == 3 and labelling[-1] == 1
-    assert span(labelling) == labelling.span == 2
-    assert format_labelling_csv(labelling) == "element,label\n0,3\n1,1\n"
+    labelling = path_to_labelling(build_power_graph(make_elementary_abelian(2, 2)), (3, 1, 2))
+    assert type(labelling) is tuple and labelling[3] == 0 and list(labelling) == [-2, 1, 2, 0]
+    assert span(labelling) == 4
+    assert format_labelling_csv(labelling) == "element,label\n0,-2\n1,1\n2,2\n3,0\n"
 
 
 def test_content_iterating_records_have_no_asdict_or_replace():
     # namedtuple's _asdict and _replace would take the contents for fields
-    for record in (Labelling((1, 2)), Labelling(()), cyclic_classes(make_cyclic(8))):
-        assert not hasattr(record, "_asdict") and not hasattr(record, "_replace")
-    assert repr(Labelling((1, 2))) == "Labelling(labels=(1, 2))"
+    record = cyclic_classes(make_cyclic(8))
+    assert not hasattr(record, "_asdict") and not hasattr(record, "_replace")
 
 
 def test_records_are_read_only_and_copy_whole():
@@ -107,7 +107,7 @@ def test_records_are_read_only_and_copy_whole():
     cert = lambda_p_group(group)
     records = [
         group.cyclic_subgroups(), order_table(group), partition, partition.classes[0],
-        check_lower_hook(group), cert, cert.witness, cert.evidence, cert.construction,
+        check_lower_hook(group), cert, cert.evidence, cert.construction,
         validate_labelling(graph, (0,) * 8)[0],
         power_graph_lower_bound(graph), search_module._quotient(graph),
         run_suites(catalogue(2), exact_cap=32, time_budget=60.0)[0],
@@ -157,7 +157,7 @@ def test_validate_labelling_matches_the_all_pairs_definition(n, rnd, j, k):
 def test_span_examples():
     assert span((0,)) == 0
     assert span((-2, 0, 1)) == 3
-    assert span({0: 5, 1: 11}) == 6
+    assert span([5, 11]) == 6
     with pytest.raises(ValueError, match="span of an empty labelling is undefined"):
         span(())
 
@@ -170,8 +170,8 @@ def test_path_to_labelling_on_the_involution_star():
     group = make_elementary_abelian(2, 2)
     graph = build_power_graph(group)
     labels = path_to_labelling(graph, (1, 2, 3))
-    assert labels.labels == (-2, 0, 1, 2)
-    assert labels.span == 4
+    assert labels == (-2, 0, 1, 2)
+    assert span(labels) == 4
     assert validate_labelling(graph, labels) == []
 
 
@@ -181,7 +181,7 @@ def test_labelling_to_path_inverts_and_ignores_translation():
     path = lambda_p_group(group).construction.path
     labels = path_to_labelling(graph, path)
     assert labelling_to_path(graph, labels) == path
-    shifted = [v + 17 for v in labels.labels]
+    shifted = [v + 17 for v in labels]
     assert labelling_to_path(graph, shifted) == path
 
 
@@ -311,15 +311,14 @@ def test_lower_bound_kinds():
     assert power_graph_lower_bound(build_power_graph(make_cyclic(1))).kind == "degenerate"
 
     plain = power_graph_lower_bound(build_power_graph(make_dihedral(8)))
-    assert (plain.value, plain.kind) == (8, "power-graph-bound")
+    assert plain == Evidence("power-graph-bound", 8)
 
     q8 = power_graph_lower_bound(build_power_graph(make_quaternion(8)))
-    assert (q8.value, q8.kind) == (9, "universal-nonidentity-vertex")
-    assert q8.vertex == 2  # x², the unique involution
+    assert q8 == Evidence("universal-nonidentity-vertex", 9, vertex=2)  # x², the involution
 
     # order 2 stays at the plain bound: labels {0, 2} already realize it
     c2 = power_graph_lower_bound(build_power_graph(make_cyclic(2)))
-    assert (c2.value, c2.kind) == (2, "power-graph-bound")
+    assert c2 == Evidence("power-graph-bound", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,27 @@ def test_lower_bound_kinds():
 def test_exact_lambda_of_complete_graphs(n):
     cert = exact_lambda(_complete_graph(n))
     assert cert.value == 2 * (n - 1)
-    assert sorted(cert.witness.labels) == [2 * k for k in range(n)]
+    assert sorted(cert.witness) == [2 * k for k in range(n)]
+
+
+def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
+    graph = build_power_graph(make_quaternion(8))
+    cert = exact_lambda(graph)
+    assert certificate_problems(graph, cert) == []
+    held = Evidence("universal-nonidentity-vertex", 9, vertex=2)
+    assert certificate_problems(graph, cert._replace(evidence=held)) == []
+    for evidence in (Evidence("exhaustive-search-at-span", 9, span=7),
+                     Evidence("universal-nonidentity-vertex", 9, vertex=1),
+                     Evidence("universal-nonidentity-vertex", 9),
+                     Evidence("complete-graph-bound", 9),
+                     Evidence("power-graph-bound", 9),
+                     Evidence("degenerate", 9),
+                     Evidence("exhaustive-search-at-span", 10, span=9),
+                     Evidence("no-such-kind", 9)):
+        assert certificate_problems(graph, cert._replace(evidence=evidence)) == [
+            f"{evidence.kind} evidence does not prove lambda 9"], evidence
+    assert certificate_problems(graph, cert._replace(witness=cert.witness[:7])) == [
+        "witness has 7 labels for 8 vertices"]
 
 
 def test_exact_lambda_certificate_shape():
@@ -340,7 +359,7 @@ def test_exact_lambda_certificate_shape():
     assert cert.evidence.kind == "exhaustive-search-at-span"
     assert cert.evidence.span == 8
     assert cert.evidence.bound == 9
-    assert min(cert.witness.labels) == 0
+    assert min(cert.witness) == 0
     assert validate_labelling(build_power_graph(make_quaternion(8)), cert.witness) == []
 
 
@@ -372,7 +391,7 @@ def test_exact_lambda_witness_always_validates(n, rnd):
     graph = Graph(n, masks)
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []
-    assert cert.witness.span == cert.value
+    assert span(cert.witness) == cert.value
 
 
 def test_exact_lambda_size_and_argument_errors():
@@ -580,7 +599,7 @@ def _graphs_with_loose_twins(draw) -> Graph:
 def test_exact_lambda_is_minimal_on_any_graph(graph):
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []
-    assert cert.witness.span == cert.value
+    assert span(cert.witness) == cert.value
     assert cert.value == _brute_force_span(list(graph.neighbors))
 
 
@@ -644,14 +663,29 @@ def test_labelling_csv_round_trip():
     text = format_labelling_csv((-2, 0, 4, 2))
     assert text == "element,label\n0,-2\n1,0\n2,4\n3,2\n"
     parsed = parse_labelling_csv(text, 4)
-    assert parsed == {0: -2, 1: 0, 2: 4, 3: 2}
+    assert parsed == (-2, 0, 4, 2)
 
 
 def test_labelling_csv_accepts_names_with_numeric_indices_priority():
     names = ("1", "x", "x^2", "x^3")
     text = "element,label\n0,-2\nx,0\nx^2,2\n3,4\n"
     parsed = parse_labelling_csv(text, 4, names)
-    assert parsed == {0: -2, 1: 0, 2: 2, 3: 4}
+    assert parsed == (-2, 0, 2, 4)
+
+
+def test_labelling_csv_in_any_row_order_gives_a_dense_tuple():
+    parsed = parse_labelling_csv("element,label\n2,7\n0,5\n1,6\n", 3)
+    assert parsed == (5, 6, 7) and type(parsed) is tuple
+
+
+@pytest.mark.parametrize("text,covered,missing", [
+    ("element,label\n", 0, 0),
+    ("element,label\n0,0\n1,2\n3,4\n", 3, 2),
+])
+def test_labelling_csv_rejects_partial_coverage(text, covered, missing):
+    with pytest.raises(ValueError, match=re.escape(
+            f"labelling covers {covered} of 4 elements (first missing index: {missing})")):
+        parse_labelling_csv(text, 4)
 
 
 @pytest.mark.parametrize("text", [
