@@ -19,12 +19,12 @@ import time
 
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
-    _positive_int,
+    _digits_int,
     format_cayley,
     is_maximal_class,
     max_group_order,
-    order_table,
     parse_group_spec,
+    prime_power,
 )
 from .labelling import (
     DEFAULT_SEARCH_CAP,
@@ -35,7 +35,7 @@ from .labelling import (
     span,
     validate_labelling,
 )
-from .powergraph import build_power_graph, cyclic_classes, to_dot, to_edge_list
+from .powergraph import build_power_graph, to_dot, to_edge_list
 
 __all__ = ["main"]
 
@@ -49,10 +49,11 @@ def _emit(doc: object, pretty: bool) -> None:
 
 
 def _int_option(what: str, least: int = 1):
-    """An argparse type: an integer ≥ ``least``, else an input error (exit 1)."""
+    """An argparse type: an integer ≥ ``least`` in ASCII digits, else an
+    input error (exit 1)."""
     def parse(text: str) -> int:
         try:
-            return _positive_int(text, what, least)
+            return _digits_int(text, what, least)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -78,9 +79,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .construct import certify, recognize_family  # only certifying commands load it
     group = parse_group_spec(args.spec)
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    ot = order_table(group)
-    is_p = group.order == 1 or ot.p_group_prime is not None
+    sub = group.cyclic_subgroups()
+    pp = prime_power(group.order)
+    is_p = group.order == 1 or pp is not None
 
     started = time.perf_counter()
     # analyze certifies p-groups constructively only
@@ -92,8 +93,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "spec": args.spec,
         "group": {
             "order": group.order,
-            "exponent": ot.exponent,
-            "prime": ot.p_group_prime,
+            "exponent": max(sub.by_order),
+            "prime": pp[0] if pp else None,
             "family": recognize_family(group) if is_p else "not-a-p-group",
             "maximal_class": is_maximal_class(group) if (
                 is_p and group.order > 1) else None,
@@ -102,7 +103,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "vertices": graph.n,
             "edges": graph.edge_count(),
         },
-        "class_numbers": [[d, partition.class_number(d)] for d in partition.orders],
+        "class_numbers": [[d, len(ids)] for d, ids in sub.by_order.items()],
         "lambda": certificate_doc(certs[0]) if certs else None,
     }
     if not certs:

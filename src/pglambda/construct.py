@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ConstructionFailedError
-from .groups import FiniteGroup, order_table, prime_power
+from .groups import FiniteGroup, prime_power
 from .labelling import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
@@ -37,13 +37,7 @@ from .labelling import (
     exact_lambda,
     path_to_labelling,
 )
-from .powergraph import (
-    ClassPartition,
-    CyclicClass,
-    PowerGraph,
-    build_power_graph,
-    cyclic_classes,
-)
+from .powergraph import PowerGraph, build_power_graph
 
 __all__ = [
     "build_interleaved_path",
@@ -67,49 +61,49 @@ def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     return tuple(v for column in columns for v in column)
 
 
-def order_classes_for_descent(partition: ClassPartition,
-                              graph: PowerGraph) -> list[tuple[tuple[int, ...], ...]]:
+def order_classes_for_descent(graph: PowerGraph) -> list[tuple[tuple[int, ...], ...]]:
     """Class members per order level, top order first, joinable in sequence.
 
-    Each level is a tuple of classes (each a tuple of members), ready for
-    build_interleaved_path.  Levels are reordered so the last class of
-    each level is non-adjacent to the first class of the level below.  A
-    class has at most one adjacent class per lower level (its cyclic
-    subgroup contains a unique subgroup of each order), so with at least
-    two classes per level a non-adjacent choice always exists; a level
-    with fewer than two raises ConstructionFailedError.
+    Each level is a tuple of cyclic classes of ``graph.group`` (each a
+    tuple of members), ready for build_interleaved_path.  Levels are
+    reordered so the last class of each level is non-adjacent to the first
+    class of the level below.  A class has at most one adjacent class per
+    lower level (its cyclic subgroup contains a unique subgroup of each
+    order), so with at least two classes per level a non-adjacent choice
+    always exists; a level with fewer than two raises
+    ConstructionFailedError.
     """
     group = graph.group
     pp = prime_power(group.order)
     if pp is None:
         raise ValueError(f"order {group.order} is not a prime power")
     p = pp[0]
-    _, e = prime_power(max(partition.orders))
+    sub = group.cyclic_subgroups()
+    _, e = prime_power(max(sub.by_order))
 
     levels = []
-    prev_last: CyclicClass | None = None
+    prev_last: int | None = None
     for i in range(e, 0, -1):
-        level = list(partition.by_order.get(p ** i, ()))
+        level = [sub.generators[c] for c in sub.by_order.get(p ** i, ())]
         if len(level) < 2:
             raise ConstructionFailedError(
                 f"{len(level)} class(es) of order {p ** i}; interleaving needs >= 2")
         if prev_last is not None:
-            pick = next((idx for idx, c in enumerate(level)
-                         if not graph.adjacent(prev_last.representative,
-                                               c.representative)), None)
+            pick = next((idx for idx, members in enumerate(level)
+                         if not graph.adjacent(prev_last, members[0])), None)
             if pick is None:
                 raise ConstructionFailedError(
                     f"every class of order {p ** i} is adjacent to the level above")
             level = [level[pick]] + level[:pick] + level[pick + 1:]
-        levels.append(tuple(c.members for c in level))
-        prev_last = level[-1]
+        levels.append(tuple(level))
+        prev_last = level[-1][0]
     return levels
 
 
 def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
     vertices: list[int] = []
     joints: list[tuple[int, int]] = []
-    for level in order_classes_for_descent(cyclic_classes(graph.group), graph):
+    for level in order_classes_for_descent(graph):
         segment = build_interleaved_path(level)
         if vertices:
             joints.append((vertices[-1], segment[0]))
@@ -135,7 +129,7 @@ def _involution_alternation_path(group: FiniteGroup, x: int) -> Path:
     to all of ⟨x⟩; with 2^e outside elements against 2^e − 1 inside ones
     the alternation starts and ends outside.
     """
-    m = group.element_order(x)
+    m = group.cyclic_subgroups().orders[x]
     inside = [group.power(x, k) for k in range(1, m)]
     in_set = group.cyclic_subgroup(x)
     outside = [g for g in range(group.order) if g not in in_set]
@@ -150,7 +144,7 @@ def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Jo
     outside elements (ascending k in x^k y) with the 2^e − 4 elements of
     ⟨x⟩ of order ≥ 8, starting and ending outside.
     """
-    m = group.element_order(x)
+    m = group.cyclic_subgroups().orders[x]
 
     def xk(k: int) -> int:
         return group.power(x, k)
@@ -173,7 +167,7 @@ def _quaternion_path(group: FiniteGroup, x: int, y: int) -> Path:
     (ascending k in x^k) alternate with the m elements x^k y (ascending
     k), starting inside, and the last two x^k y end the path.
     """
-    m = group.element_order(x)
+    m = group.cyclic_subgroups().orders[x]
     inside = [group.power(x, k) for k in range(1, m) if k != m // 2]
     outside = [group.compose(group.power(x, k), y) for k in range(m)]
     return _alternate(inside, outside)
@@ -191,16 +185,16 @@ def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | Non
     quaternion family).  The relation y⁻¹xy = x^twist is then verified
     on the table; None if any step fails.
     """
-    ot = order_table(group)
+    orders = group.cyclic_subgroups().orders
     m = group.order // 2
-    xs = [g for g in range(group.order) if ot.orders[g] == m]
+    xs = [g for g in range(group.order) if orders[g] == m]
     if not xs:
         return None
     x = xs[0]
     inside = group.cyclic_subgroup(x)
     y_order = 4 if family == "quaternion" else 2
     outside = [g for g in range(group.order)
-               if g not in inside and ot.orders[g] == y_order]
+               if g not in inside and orders[g] == y_order]
     if not outside:
         return None
     y = outside[0]
@@ -222,22 +216,22 @@ def recognize_family(group: FiniteGroup) -> str:
     n = group.order
     if n == 1:
         return "cyclic"
-    ot = order_table(group)
-    if ot.p_group_prime is None:
+    if prime_power(n) is None:
         raise ValueError(f"order {n} is not a prime power")
-    if ot.exponent == n:
+    sub = group.cyclic_subgroups()
+    exponent = max(sub.by_order)
+    if exponent == n:
         return "cyclic"
-    partition = cyclic_classes(group)
-    if partition.class_number(2) == 1:
+    if sub.class_number(2) == 1:
         # non-cyclic with a unique involution: generalized quaternion
         return "quaternion"
-    if (n >= 8 and ot.exponent == n // 2
-            and partition.class_number(2) == 1 + n // 2
+    if (n >= 8 and exponent == n // 2
+            and sub.class_number(2) == 1 + n // 2
             and _locate_generators(group, "dihedral") is not None):
         return "dihedral"
-    if (n >= 16 and ot.exponent == n // 2
-            and partition.class_number(2) == 1 + n // 4
-            and partition.class_number(4) == 1 + n // 8
+    if (n >= 16 and exponent == n // 2
+            and sub.class_number(2) == 1 + n // 4
+            and sub.class_number(4) == 1 + n // 8
             and _locate_generators(group, "semidihedral") is not None):
         return "semidihedral"
     return "general"

@@ -7,11 +7,17 @@ direct product) fix a deterministic element enumeration — powers of x
 first, then the y-coset — so that everything computed downstream is
 reproducible.
 
+The cyclic structure has one record, ``FiniteGroup.cyclic_subgroups()``:
+the distinct cyclic subgroups in class order, with the cyclic classes
+(their generators), every element's order and the class numbers m(d)
+read off it.
+
 Groups are named by spec strings, which :func:`parse_group_spec` builds
 for the command line and the catalogue alike:
     cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
     elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
-with every parameter N, ORDER, P, K written in ASCII digits.
+with every parameter N, ORDER, P, K written in ASCII digits, the rule
+that the integer options and LAMBDA_MAX_ORDER follow too.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ __all__ = [
     "DEFAULT_MAX_ORDER",
     "CyclicSubgroups",
     "FiniteGroup",
-    "OrderTable",
     "format_cayley",
     "is_maximal_class",
     "lower_central_series",
@@ -40,7 +45,6 @@ __all__ = [
     "make_quaternion",
     "make_semidihedral",
     "max_group_order",
-    "order_table",
     "parse_cayley",
     "parse_group_spec",
     "prime_power",
@@ -57,13 +61,7 @@ def max_group_order() -> int:
     raw = os.environ.get("LAMBDA_MAX_ORDER")
     if raw is None:
         return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"LAMBDA_MAX_ORDER must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("LAMBDA_MAX_ORDER must be positive")
-    return value
+    return _digits_int(raw, "LAMBDA_MAX_ORDER")
 
 
 class FiniteGroup:
@@ -73,17 +71,16 @@ class FiniteGroup:
     immutable after construction (the table is a tuple of row tuples) and
     are therefore safe to share across threads.
 
-    Derived structures (inverses, cyclic subgroups, element orders, cyclic
-    classes, the power graph) are computed on first use and cached here, so
-    each is built once per group.
+    Derived structures (inverses, the cyclic subgroups with the element
+    orders and cyclic classes read off them, the power graph) are computed
+    on first use and cached here, so each is built once per group.
 
     This class does not itself verify the group axioms; go through
     :func:`validate_group` for untrusted tables.
     """
 
     __slots__ = ("mul", "order", "identity", "names", "family_tag",
-                 "_inverses", "_subgroups", "_order_table", "_classes",
-                 "_power_graph")
+                 "_inverses", "_subgroups", "_power_graph")
 
     def __init__(self, mul: Sequence[Sequence[int]],
                  identity: int = 0,
@@ -97,8 +94,6 @@ class FiniteGroup:
         self.family_tag = family_tag
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
-        self._order_table: OrderTable | None = None
-        self._classes = None      # powergraph.ClassPartition, see cyclic_classes
         self._power_graph = None  # powergraph.PowerGraph, see build_power_graph
 
     def __repr__(self) -> str:
@@ -141,38 +136,41 @@ class FiniteGroup:
         """Every cyclic subgroup, from one walk of ⟨g⟩ per subgroup; cached.
 
         The other generators of ⟨g⟩ are the g^k with gcd(k, |g|) = 1, so
-        walking from them would only repeat the same subgroup.
+        walking from them would only repeat the same subgroup.  The walk
+        meets each subgroup at its least generator, so a stable sort by
+        order puts the subgroups in class order.
         """
         if self._subgroups is None:
-            mul = self.mul
-            index = [-1] * self.order
-            elements: list[tuple[int, ...]] = []
-            generators: list[tuple[int, ...]] = []
-            for g in range(self.order):
-                if index[g] >= 0:
+            mul, e, n = self.mul, self.identity, self.order
+            index, orders = [0] * n, [0] * n
+            walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+            for g in range(n):
+                if orders[g]:
                     continue
-                powers = [self.identity]
+                powers = [e]
                 acc = g
-                while acc != self.identity:
+                while acc != e:
                     powers.append(acc)
                     acc = mul[acc][g]
                 m = len(powers)
                 gens = tuple(sorted(powers[k] for k in range(m) if math.gcd(k, m) == 1))
                 for h in gens:
-                    index[h] = len(elements)
-                elements.append(tuple(powers))
-                generators.append(gens)
-            self._subgroups = CyclicSubgroups(tuple(elements), tuple(generators),
-                                              tuple(index))
+                    orders[h] = m
+                walks.append((tuple(powers), gens))
+            walks.sort(key=lambda walk: len(walk[0]))
+            by_order: dict[int, list[int]] = {}
+            for i, (powers, gens) in enumerate(walks):
+                for h in gens:
+                    index[h] = i
+                by_order.setdefault(len(powers), []).append(i)
+            elements, generators = zip(*walks)
+            self._subgroups = CyclicSubgroups(
+                elements, generators, tuple(index), tuple(orders),
+                {m: tuple(ids) for m, ids in by_order.items()})
         return self._subgroups
 
-    def element_order(self, g: int) -> int:
-        """Least k > 0 with g^k = identity."""
-        sub = self.cyclic_subgroups()
-        return len(sub.elements[sub.index[g]])
-
     def cyclic_subgroup(self, g: int) -> frozenset[int]:
-        """⟨g⟩ as a set of element indices; its size is element_order(g)."""
+        """⟨g⟩ as a set of element indices."""
         sub = self.cyclic_subgroups()
         return frozenset(sub.elements[sub.index[g]])
 
@@ -202,38 +200,25 @@ class FiniteGroup:
 
 
 class CyclicSubgroups(NamedTuple):
-    """The distinct cyclic subgroups of a group, each stored once.
+    """The distinct cyclic subgroups of a group, each stored once, in class
+    order: ascending order, then least generator.
 
     Subgroup i is ``elements[i]``, the powers g⁰, g¹, .. of its
     smallest-index generator g; ``generators[i]`` lists, ascending, every
-    element that generates it; ``index[h]`` is the subgroup h generates.
+    element that generates it, its cyclic class.  ``index[h]`` is the
+    subgroup h generates and ``orders[h]`` the order of h; ``by_order``
+    maps each realised order, ascending, to its subgroups' indices.
     """
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
     index: tuple[int, ...]
-
-
-class OrderTable(NamedTuple):
-    """Element orders of a group, with the exponent and p-group prime."""
-
     orders: tuple[int, ...]
-    exponent: int
-    p_group_prime: int | None
+    by_order: dict[int, tuple[int, ...]]
 
-
-def order_table(group: FiniteGroup) -> OrderTable:
-    """All element orders plus the exponent; cached on the group."""
-    if group._order_table is None:
-        sub = group.cyclic_subgroups()
-        orders = tuple(len(sub.elements[i]) for i in sub.index)
-        pp = prime_power(group.order)
-        group._order_table = OrderTable(
-            orders=orders,
-            exponent=max(orders),
-            p_group_prime=pp[0] if pp else None,
-        )
-    return group._order_table
+    def class_number(self, d: int) -> int:
+        """m(d), the number of cyclic subgroups of order d; 0 when none."""
+        return len(self.by_order.get(d, ()))
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -662,27 +647,22 @@ def parse_cayley(text: str) -> FiniteGroup:
 # group spec strings
 
 
-def _positive_int(text: str, what: str, least: int = 1) -> int:
-    """``text`` as an integer, positive unless a lower ``least`` is given."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+def _spec_digits(text: str) -> bool:
+    """The one rule for the integers a user writes (spec parameters, parsed
+    or split, integer options and LAMBDA_MAX_ORDER): ASCII digits."""
+    return text.isascii() and text.isdigit()
+
+
+def _digits_int(text: str, what: str, least: int = 1) -> int:
+    """``text`` as an integer ≥ ``least``, written as _spec_digits says."""
+    if not _spec_digits(text):
+        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
+        raise ValueError(f"{what} must be {kind} in ASCII digits, got {text!r}")
+    value = int(text)
     if value < least:
         raise ValueError(f"{what} must be "
                          f"{'positive' if least == 1 else f'>= {least}'}, got {value}")
     return value
-
-
-def _spec_digits(text: str) -> bool:
-    """The one rule for spec parameters, parsed or split: ASCII digits."""
-    return text.isascii() and text.isdigit()
-
-
-def _spec_int(text: str, what: str) -> int:
-    if not _spec_digits(text):
-        raise ValueError(f"{what} must be a positive integer in ASCII digits, got {text!r}")
-    return _positive_int(text, what)
 
 
 # A product of more factors than this has order ≥ 2^33 unless factors are
@@ -741,21 +721,21 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         raise ValueError(
             f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
     if kind == "cyclic":
-        return make_cyclic(_spec_int(rest, "cyclic order"))
+        return make_cyclic(_digits_int(rest, "cyclic order"))
     if kind == "dihedral":
-        return make_dihedral(_spec_int(rest, "dihedral order"))
+        return make_dihedral(_digits_int(rest, "dihedral order"))
     if kind == "quaternion":
-        return make_quaternion(_spec_int(rest, "quaternion order"))
+        return make_quaternion(_digits_int(rest, "quaternion order"))
     if kind == "semidihedral":
-        return make_semidihedral(_spec_int(rest, "semidihedral order"))
+        return make_semidihedral(_digits_int(rest, "semidihedral order"))
     if kind == "elemab":
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"elemab takes P,K — got {rest!r}")
-        return make_elementary_abelian(_spec_int(parts[0], "prime"),
-                                       _spec_int(parts[1], "rank"))
+        return make_elementary_abelian(_digits_int(parts[0], "prime"),
+                                       _digits_int(parts[1], "rank"))
     if kind == "heisenberg":
-        return make_heisenberg(_spec_int(rest, "prime"))
+        return make_heisenberg(_digits_int(rest, "prime"))
     if kind == "product":
         left, right = _split_product(rest)
         g, h = parse_group_spec(left), parse_group_spec(right)

@@ -143,9 +143,12 @@ def labelling_to_path(graph: PowerGraph, labels: Sequence[int]) -> tuple[int, ..
     Valid span-|G| labels occupy an interval of |G|+1 integers with one
     interior hole, and the identity label sits at one end with the hole
     beside it; the remaining labels are consecutive, and ordering their
-    preimages ascending gives the path.  Re-anchoring the identity below
-    the rest and translating yields the canonical image {−2, 0, .., |G|−2},
-    so label translations of the input produce the same path.
+    preimages ascending gives the path.  Consecutive path vertices carry
+    labels 1 apart, so validity makes them non-adjacent: the path is a
+    Hamiltonian path of the reduced complement by this argument, and is
+    not checked again.  Re-anchoring the identity below the rest and
+    translating yields the canonical image {−2, 0, .., |G|−2}, so label
+    translations of the input produce the same path.
     """
     n = graph.n
     violations = validate_labelling(graph, labels)
@@ -157,9 +160,7 @@ def labelling_to_path(graph: PowerGraph, labels: Sequence[int]) -> tuple[int, ..
     if got != n:
         raise ValueError(f"conversion needs span exactly {n}, got {got}")
     identity = graph.group.identity
-    path = tuple(sorted((v for v in range(n) if v != identity), key=labels.__getitem__))
-    check_ham_path(graph, path)
-    return path
+    return tuple(sorted((v for v in range(n) if v != identity), key=labels.__getitem__))
 
 
 # ---------------------------------------------------------------------------

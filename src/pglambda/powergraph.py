@@ -1,28 +1,25 @@
-"""Power graphs of finite groups, cyclic classes, and class adjacency.
+"""Power graphs of finite groups and the lower-hook check on cyclic classes.
 
 The power graph joins two distinct elements when one is a power of the
 other, which makes the identity universal and keeps every pair of
 vertices within distance 2.  Elements generating the same cyclic
-subgroup form a cyclic class; most of the structure used elsewhere in
-the package lives at the level of these classes.
+subgroup form a cyclic class, a clique of the graph; the classes, their
+orders and their class numbers are read off
+``FiniteGroup.cyclic_subgroups()``, where class i generates subgroup i.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
-from .groups import FiniteGroup, prime_power
+from .groups import FiniteGroup
 
 __all__ = [
     "Graph",
     "PowerGraph",
-    "CyclicClass",
-    "ClassPartition",
-    "LowerHookReport",
     "build_power_graph",
     "euler_phi",
-    "cyclic_classes",
     "check_lower_hook",
     "to_dot",
     "to_edge_list",
@@ -129,131 +126,37 @@ def euler_phi(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cyclic classes
-
-
-class CyclicClass(NamedTuple):
-    """All elements generating one cyclic subgroup.
-
-    ``order`` is the common element order; nontrivial classes have
-    exactly euler_phi(order) members.
-    """
-
-    order: int
-    members: tuple[int, ...]
-
-    @property
-    def representative(self) -> int:
-        return self.members[0]
-
-    def __contains__(self, g: int) -> bool:
-        return g in self.members
-
-
-class ClassPartition(NamedTuple):
-    """Cyclic classes of a group, canonically ordered.
-
-    Classes are sorted by (order, representative); ``class_number(n)``
-    is the number of cyclic subgroups of order n, 0 when the order is
-    not realized.
-    """
-
-    classes: tuple[CyclicClass, ...]
-    by_order: Mapping[int, tuple[CyclicClass, ...]]
-
-    def class_number(self, n: int) -> int:
-        return len(self.by_order.get(n, ()))
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(sorted(self.by_order))
-
-    def class_numbers(self) -> dict[int, int]:
-        """{order: class count} for every realized order."""
-        return {n: len(self.by_order[n]) for n in self.orders}
-
-    def __iter__(self) -> Iterator[CyclicClass]:
-        return iter(self.classes)
-
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __reduce__(self):  # copy and pickle would otherwise iterate the classes
-        return ClassPartition, (self.classes, self.by_order)
-
-
-del ClassPartition._asdict, ClassPartition._replace  # they would take the classes for fields
-
-
-def cyclic_classes(group: FiniteGroup) -> ClassPartition:
-    """Partition by the relation ⟨g₁⟩ = ⟨g₂⟩; cached on the group."""
-    if group._classes is None:
-        sub = group.cyclic_subgroups()
-        classes = sorted(
-            (CyclicClass(order=len(elements), members=gens)
-             for elements, gens in zip(sub.elements, sub.generators)),
-            key=lambda c: (c.order, c.members[0]),
-        )
-        by_order: dict[int, list[CyclicClass]] = {}
-        for c in classes:
-            by_order.setdefault(c.order, []).append(c)
-        group._classes = ClassPartition(
-            classes=tuple(classes),
-            by_order={n: tuple(cs) for n, cs in by_order.items()},
-        )
-    return group._classes
-
-
-# ---------------------------------------------------------------------------
 # the lower-hook property
 
 
-class LowerHookReport(NamedTuple):
-    """Outcome of the class-triple adjacency check.
+def check_lower_hook(group: FiniteGroup) -> tuple[int, int, int] | None:
+    """The first counterexample (U, V₁, V₂) to the lower-hook property, or None.
 
-    The property: whenever a class U is adjacent to classes V₁ and V₂
-    whose orders do not exceed U's, then V₁ and V₂ are adjacent — and
+    The property: whenever a cyclic class U is adjacent to classes V₁ and
+    V₂ whose orders do not exceed U's, then V₁ and V₂ are adjacent — and
     V₁ = V₂ is forced when their orders are equal.  It holds in every
-    p-group but can fail elsewhere.
-    """
-
-    is_p_group: bool
-    holds: bool
-    counterexample: tuple[CyclicClass, CyclicClass, CyclicClass] | None
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_lower_hook(group: FiniteGroup) -> LowerHookReport:
-    """Exhaustively check the lower-hook property over all class triples.
-
-    Returns the first counterexample triple (U, V₁, V₂) in canonical
-    class order, or a passing report.
+    p-group but can fail elsewhere.  Classes are named by their index in
+    ``group.cyclic_subgroups()`` and checked in that order.
     """
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    classes = partition.classes
-    m = len(classes)
-    is_p = prime_power(group.order) is not None
+    sub = group.cyclic_subgroups()
+    reps = [gens[0] for gens in sub.generators]
+    sizes = [len(elements) for elements in sub.elements]
+    m = len(reps)
 
     class_adj = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if graph.adjacent(classes[i].representative, classes[j].representative):
+            if graph.adjacent(reps[i], reps[j]):
                 class_adj[i] |= 1 << j
                 class_adj[j] |= 1 << i
 
     for u in range(m):
-        below = [v for v in iter_bits(class_adj[u])
-                 if classes[v].order <= classes[u].order]
+        below = [v for v in iter_bits(class_adj[u]) if sizes[v] <= sizes[u]]
         for v1, v2 in combinations(below, 2):
-            same_order = classes[v1].order == classes[v2].order
-            if same_order or not (class_adj[v1] >> v2) & 1:
-                return LowerHookReport(
-                    is_p_group=is_p, holds=False,
-                    counterexample=(classes[u], classes[v1], classes[v2]))
-    return LowerHookReport(is_p_group=is_p, holds=True, counterexample=None)
+            if sizes[v1] == sizes[v2] or not (class_adj[v1] >> v2) & 1:
+                return u, v1, v2
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .construct import certify
-from .groups import FiniteGroup, is_maximal_class, order_table
+from .groups import FiniteGroup, is_maximal_class, prime_power
 from .labelling import (
     LambdaCertificate,
     labelling_to_path,
@@ -22,13 +22,7 @@ from .labelling import (
     span,
     validate_labelling,
 )
-from .powergraph import (
-    build_power_graph,
-    check_lower_hook,
-    cyclic_classes,
-    euler_phi,
-    iter_bits,
-)
+from .powergraph import build_power_graph, check_lower_hook, euler_phi, iter_bits
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
 
@@ -43,7 +37,7 @@ class SuiteResult(NamedTuple):
 class _Subject:
     """A named group and its certificates, each computed once.
 
-    The group caches its own power graph, cyclic classes and order table.
+    The group caches its own power graph and cyclic subgroups.
     ``cap`` and ``budget`` limit its exact search: vertices and seconds.
     """
 
@@ -59,7 +53,12 @@ class _Subject:
 
     @property
     def prime(self) -> int | None:
-        return order_table(self.group).p_group_prime
+        pp = prime_power(self.n)
+        return pp[0] if pp else None
+
+    @property
+    def exponent(self) -> int:
+        return max(self.group.cyclic_subgroups().by_order)
 
     @cached_property
     def certificate(self) -> LambdaCertificate:
@@ -93,11 +92,12 @@ def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> list[SuiteResult]:
                 problems.append(f"vertex {v} cannot reach everything in 2 steps")
                 break
         covered = 0
-        for cls in cyclic_classes(s.group):
-            if len(cls.members) != euler_phi(cls.order):
+        sub = s.group.cyclic_subgroups()
+        for elements, members in zip(sub.elements, sub.generators):
+            if len(members) != euler_phi(len(elements)):
                 problems.append(
-                    f"class of order {cls.order} has {len(cls.members)} members")
-            covered += len(cls.members)
+                    f"class of order {len(elements)} has {len(members)} members")
+            covered += len(members)
         if covered != s.n:
             problems.append(f"classes cover {covered} of {s.n} elements")
         out.append(_result("power-graph-shape", s, not problems,
@@ -109,19 +109,19 @@ def _suite_congruences(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
     out = []
     for s in subjects:
-        p, exponent = s.prime, order_table(s.group).exponent
+        p, exponent = s.prime, s.exponent
         if p is None or exponent == s.n or s.n == 1:
             continue
         if p == 2 and is_maximal_class(s.group):
             continue
         problems = []
-        partition = cyclic_classes(s.group)
-        m1 = partition.class_number(p)
+        sub = s.group.cyclic_subgroups()
+        m1 = sub.class_number(p)
         if m1 % (p * p) != (1 + p) % (p * p):
             problems.append(f"m({p}) = {m1} is not 1+{p} mod {p * p}")
         q = p * p
         while q <= exponent:
-            mi = partition.class_number(q)
+            mi = sub.class_number(q)
             if mi % p != 0:
                 problems.append(f"m({q}) = {mi} is not divisible by {p}")
             q *= p
@@ -158,9 +158,9 @@ def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResul
         if tag not in ("dihedral", "quaternion", "semidihedral"):
             continue
         expected = _family_class_expectations(tag, s.n)
-        partition = cyclic_classes(s.group)
-        actual = {d: partition.class_number(d) for d in expected}
-        extra = [d for d in partition.orders if d not in expected]
+        sub = s.group.cyclic_subgroups()
+        actual = {d: sub.class_number(d) for d in expected}
+        extra = [d for d in sub.by_order if d not in expected]
         ok = actual == expected and not extra
         detail = (f"class numbers {sorted(actual.items())}" if ok else
                   f"expected {sorted(expected.items())}, got {sorted(actual.items())}"
@@ -173,25 +173,19 @@ def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     """Hook holds on p-groups; composite-order groups may (and C6 must) break it."""
     out = []
     for s in subjects:
-        report = check_lower_hook(s.group)
+        triple = check_lower_hook(s.group)
+        elements = s.group.cyclic_subgroups().elements
+        orders = None if triple is None else tuple(len(elements[c]) for c in triple)
         if s.prime is not None:
-            detail = "holds" if report.holds else f"counterexample {report.counterexample}"
-            out.append(_result("lower-hook", s, report.holds, detail))
+            detail = "holds" if orders is None else f"counterexample of orders {orders}"
+            out.append(_result("lower-hook", s, orders is None, detail))
         elif s.name == "cyclic:6":
-            ok = not report.holds and report.counterexample is not None
-            if ok:
-                u, v1, v2 = report.counterexample
-                ok = (u.order, v1.order, v2.order) == (6, 2, 3)
-                detail = f"expected break found: orders ({u.order}, {v1.order}, {v2.order})"
-            else:
-                detail = "expected a counterexample, found none"
-            out.append(_result("lower-hook", s, ok, detail))
+            detail = ("expected a counterexample, found none" if orders is None else
+                      f"expected break found: orders {orders}")
+            out.append(_result("lower-hook", s, orders == (6, 2, 3), detail))
         else:
-            if report.holds:
-                detail = "holds (no triple to break it)"
-            else:
-                u, v1, v2 = report.counterexample
-                detail = f"breaks as allowed: orders ({u.order}, {v1.order}, {v2.order})"
+            detail = ("holds (no triple to break it)" if orders is None else
+                      f"breaks as allowed: orders {orders}")
             out.append(_result("lower-hook", s, True, detail))
     return out
 
@@ -200,9 +194,11 @@ def _suite_span_path_equivalence(subjects: Sequence[_Subject]) -> list[SuiteResu
     """λ = |G| exactly when the reduced complement has a Hamiltonian path.
 
     Both sides are read off the exact certificate.  At λ = |G| its witness
-    converts to a path, which labelling_to_path checks with check_ham_path.
-    At λ > |G| the search refuted span |G|, and path_to_labelling would
-    turn any path into a span-|G| labelling, so there is none.
+    converts to a path: labelling_to_path checks that the witness is valid
+    with span |G|, which makes the sorted vertices a path of the reduced
+    complement.  At λ > |G| the search refuted span |G|, and
+    path_to_labelling would turn any path into a span-|G| labelling, so
+    there is none.
     """
     out = []
     for s in subjects:
@@ -225,9 +221,9 @@ def _formula_lambda(s: _Subject) -> int:
     """Independent expectation: 2(p^e − 1) cyclic, |G|+1 unique-involution 2-group, else |G|."""
     if s.n == 1:
         return 0
-    if order_table(s.group).exponent == s.n:
+    if s.exponent == s.n:
         return 2 * (s.n - 1)
-    if s.prime == 2 and cyclic_classes(s.group).class_number(2) == 1:
+    if s.prime == 2 and s.group.cyclic_subgroups().class_number(2) == 1:
         return s.n + 1
     return s.n
 

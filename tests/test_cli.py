@@ -620,6 +620,11 @@ def test_out_of_range_search_limits_are_input_errors(option, value, capsys):
     (["check", "cyclic:8", "LABELS", "-j", "-1"], "-j"),
     (["check", "cyclic:8", "LABELS", "-k", "-1"], "-k"),
     (["check", "cyclic:8", "LABELS", "-j", "two"], "-j"),
+    # options follow the spec-parameter rule: ASCII digits only
+    (["check", "cyclic:8", "LABELS", "-k", "-0"], "-k"),
+    (["suite", "--max-order", "+8"], "--max-order"),
+    (["lambda", "cyclic:8", "--search-cap", " 1_6"], "--search-cap"),
+    (["lambda", "cyclic:8", "--search-cap", "\u0663\u0662"], "--search-cap"),
 ])
 def test_out_of_range_counts_are_input_errors(argv, option, tmp_path, capsys):
     labels = tmp_path / "zeros.csv"  # valid only if separations could be negative
@@ -630,6 +635,14 @@ def test_out_of_range_counts_are_input_errors(argv, option, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"argument {option}" in err and argv[-1] in err
+
+
+def test_lambda_max_order_not_in_ascii_digits_is_an_input_error(capsys, monkeypatch):
+    # LAMBDA_MAX_ORDER follows the spec-parameter rule
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", " +1_0")
+    code, out, err = run(capsys, "lambda", "cyclic:8")
+    assert (code, out) == (1, "")
+    assert "LAMBDA_MAX_ORDER must be a positive integer in ASCII digits, got ' +1_0'" in err
 
 
 def test_help_and_no_arguments(capsys):

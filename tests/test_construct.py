@@ -13,7 +13,6 @@ from pglambda import (
     build_interleaved_path,
     build_power_graph,
     check_ham_path,
-    cyclic_classes,
     lambda_p_group,
     make_cyclic,
     make_dihedral,
@@ -49,7 +48,8 @@ def test_interleaving_accepts_family_and_plain_lists():
     # plain lists interleave identically
     group = make_elementary_abelian(3, 2)
     graph = build_power_graph(group)
-    classes = tuple(c.members for c in cyclic_classes(group).by_order[3])
+    sub = group.cyclic_subgroups()
+    classes = tuple(sub.generators[i] for i in sub.by_order[3])
     assert len(classes) == 4 and all(len(c) == 2 for c in classes)
 
     segment = build_interleaved_path(classes)
@@ -85,7 +85,7 @@ def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch)
 def test_descent_levels_for_c2_x_c4():
     group = make_direct_product(make_cyclic(2), make_cyclic(4))
     graph = build_power_graph(group)
-    levels = order_classes_for_descent(cyclic_classes(group), graph)
+    levels = order_classes_for_descent(graph)
     assert len(levels) == 2  # order-4 level, then order-2 level
     assert [len(level) for level in levels] == [2, 3]
     assert [{len(c) for c in level} for level in levels] == [{2}, {1}]
@@ -100,13 +100,13 @@ def test_descent_levels_for_c2_x_c4():
 def test_descent_rejects_levels_with_one_class():
     group = make_cyclic(8)
     with pytest.raises(ConstructionFailedError, match="interleaving needs >= 2"):
-        order_classes_for_descent(cyclic_classes(group), build_power_graph(group))
+        order_classes_for_descent(build_power_graph(group))
 
 
 def test_descent_rejects_non_p_groups():
     group = make_cyclic(6)
     with pytest.raises(ValueError, match="is not a prime power"):
-        order_classes_for_descent(cyclic_classes(group), build_power_graph(group))
+        order_classes_for_descent(build_power_graph(group))
 
 
 @pytest.mark.parametrize("group", [
@@ -135,8 +135,9 @@ def test_dihedral_paths(e):
     graph = build_power_graph(group)
     check_ham_path(graph, path)
     # the alternation starts and ends on reflections (outside involutions)
-    assert group.element_order(path[0]) == 2
-    assert group.element_order(path[-1]) == 2
+    orders = group.cyclic_subgroups().orders
+    assert orders[path[0]] == 2
+    assert orders[path[-1]] == 2
 
 
 def test_dihedral_needs_e_at_least_two():
@@ -183,7 +184,7 @@ def test_quaternion_labellings(e):
     assert span(labels) == n + 1
     assert labels[group.identity] == -2
     z = 2 ** (e - 1)  # the unique involution x^(2^(e-1))
-    assert group.element_order(z) == 2
+    assert group.cyclic_subgroups().orders[z] == 2
     assert cert.evidence.vertex == z
     assert labels[z] == n - 1
     # x^k (index k) for k ≠ 0, m/2 alternates with x^k y (index m + k),

@@ -12,11 +12,12 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from pglambda import TooLargeError, parse_group_spec
-from pglambda.cli import main
+from pglambda import TooLargeError, max_group_order, parse_group_spec
+from pglambda.cli import _build_parser, main
 
 # text that can travel through argv, a file and the environment
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -146,3 +147,67 @@ def test_a_spec_parses_alone_exactly_when_it_parses_as_a_product_factor(spec):
     # one grammar rule serves parsing and splitting product:SPEC,SPEC
     with _max_order("64"):
         assert _parses(spec) == _parses(f"product:{spec},cyclic:1"), spec
+
+
+# integers as a user may write them: ASCII and other digits, signs,
+# spaces, underscores, and plain numbers
+_INTEGER_TEXT = st.one_of(
+    _NUMBER,
+    st.text("0123456789+-_ \t\u0663\u00b2\uff11x", max_size=4),
+    st.builds("{}{}{}".format, st.sampled_from(("", " ", "+", "-", "0")), _NUMBER,
+              st.sampled_from(("", " ", "_0", "\n"))),
+)
+# (argv before the value, option, least accepted value)
+_INTEGER_OPTIONS = (
+    (["lambda", "cyclic:8"], "--search-cap", 1),
+    (["suite"], "--max-order", 1),
+    (["check", "cyclic:8", "w.csv"], "-j", 0),
+    (["check", "cyclic:8", "w.csv"], "-k", 0),
+)
+
+
+def _accepted(text: str, least: int) -> bool:
+    return re.fullmatch("[0-9]+", text) is not None and int(text) >= least
+
+
+def _named(text: str) -> str:
+    """How a refusal names the value: as written, or parsed when below range."""
+    return f"got {int(text)}" if re.fullmatch("[0-9]+", text) else repr(text)
+
+
+@_SETTINGS
+@example(" 1_6", 0)
+@example("\u0663\u0662", 0)
+@example("+8", 1)
+@example("-0", 2)
+@given(text=_INTEGER_TEXT, option=st.integers(0, len(_INTEGER_OPTIONS) - 1))
+def test_an_integer_option_is_accepted_exactly_when_it_is_ascii_digits_in_range(
+        text, option):
+    head, flag, least = _INTEGER_OPTIONS[option]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            args = _build_parser().parse_args(head + [f"{flag}={text}"])
+        except SystemExit:
+            args = None
+    assert (args is not None) == _accepted(text, least), err.getvalue()
+    if args is None:
+        assert _named(text) in err.getvalue()
+    else:
+        assert vars(args)[flag.lstrip("-").replace("-", "_")] == int(text)
+
+
+@_SETTINGS
+@example(" +1_0")
+@example("16 ")
+@given(text=_INTEGER_TEXT)
+def test_lambda_max_order_is_accepted_exactly_when_it_is_ascii_digits_in_range(text):
+    with _max_order(text):
+        try:
+            cap = max_group_order()
+        except ValueError as exc:
+            cap = None
+            assert _named(text) in str(exc)
+    assert (cap is not None) == _accepted(text, 1)
+    if cap is not None:
+        assert cap == int(text)

@@ -21,7 +21,6 @@ from pglambda import (
     TooLargeError,
     build_power_graph,
     catalogue,
-    cyclic_classes,
     exact_lambda,
     format_cayley,
     is_maximal_class,
@@ -34,7 +33,6 @@ from pglambda import (
     make_quaternion,
     make_semidihedral,
     lambda_p_group,
-    order_table,
     parse_cayley,
     parse_group_spec,
     prime_power,
@@ -53,7 +51,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 def test_cyclic_element_orders_match_gcd_formula(n):
     group = make_cyclic(n)
     for g in range(n):
-        assert group.element_order(g) == n // math.gcd(n, g)
+        assert group.cyclic_subgroups().orders[g] == n // math.gcd(n, g)
 
 
 # sha256 of format_cayley and of the newline-joined element names, captured
@@ -111,14 +109,48 @@ def test_inverses_cancel():
             assert group.compose(group.inverse(g), g) == group.identity
 
 
-def test_order_table_exponent_and_prime():
-    ot = order_table(make_semidihedral(16))
-    assert ot.exponent == 8
-    assert ot.p_group_prime == 2
-    assert sorted(ot.orders) == [1, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8, 8, 8, 8]
+def test_element_orders_and_exponent_from_the_cyclic_subgroups():
+    sub = make_semidihedral(16).cyclic_subgroups()
+    assert max(sub.by_order) == 8
+    assert sorted(sub.orders) == [1, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8, 8, 8, 8]
+    assert max(make_cyclic(12).cyclic_subgroups().by_order) == 12
 
-    assert order_table(make_cyclic(12)).p_group_prime is None
-    assert order_table(make_cyclic(12)).exponent == 12
+
+def _cyclic_subgroups_by_multiplication(group) -> dict[int, set[frozenset[int]]]:
+    """{d: the distinct ⟨g⟩ of order d}, each ⟨g⟩ walked on the table."""
+    found: dict[int, set[frozenset[int]]] = {}
+    for g in range(group.order):
+        powers, acc = {group.identity}, g
+        while acc != group.identity:
+            powers.add(acc)
+            acc = group.mul[acc][g]
+        found.setdefault(len(powers), set()).add(frozenset(powers))
+    return found
+
+
+def test_the_cyclic_subgroup_record_across_the_catalogue():
+    scrambled = (_SRC.parent / "tests" / "data" / "semidihedral16-scrambled.txt")
+    groups = [group for _, group in catalogue(81)]
+    groups.append(parse_cayley(scrambled.read_text(encoding="utf-8")))
+    for group in groups:
+        n = group.order
+        sub = group.cyclic_subgroups()
+        # class order: ascending order, then least generator
+        keys = [(len(elements), members[0])
+                for elements, members in zip(sub.elements, sub.generators)]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert all(sub.orders[h] == len(sub.elements[sub.index[h]]) for h in range(n))
+        # the generators partition G, each class inside its subgroup
+        assert sorted(h for members in sub.generators for h in members) == list(range(n))
+        for i, members in enumerate(sub.generators):
+            assert list(members) == sorted(members)
+            assert all(sub.index[h] == i and h in sub.elements[i] for h in members)
+        assert list(sub.by_order) == sorted(sub.by_order)
+        assert [i for ids in sub.by_order.values() for i in ids] == list(range(len(keys)))
+        expected = _cyclic_subgroups_by_multiplication(group)
+        assert {frozenset(e) for e in sub.elements} == set().union(*expected.values())
+        for d in range(1, n + 1):
+            assert sub.class_number(d) == len(expected.get(d, ())), (group, d)
 
 
 def test_prime_power_recognition():
@@ -193,8 +225,8 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
 
     def invariants(g):
         graph = build_power_graph(g)
-        partition = cyclic_classes(g)
-        classes = [partition.class_number(d) for d in partition.orders]
+        sub = g.cyclic_subgroups()
+        classes = [sub.class_number(d) for d in sub.by_order]
         if prime_power(group.order):
             return recognize_family(g), classes, lambda_p_group(g).value
         return None, classes, exact_lambda(graph).value
@@ -210,7 +242,7 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
 def test_validate_accepts_trivial_group():
     group = validate_group([[0]])
     assert group.order == 1
-    assert group.element_order(0) == 1
+    assert group.cyclic_subgroups().orders == (1,)
 
 
 def test_validate_rejects_non_square():
@@ -226,7 +258,7 @@ def test_dihedral_relations():
     group = make_dihedral(16)
     x, y = 1, 8
     m = 8
-    assert group.element_order(x) == m
+    assert group.cyclic_subgroups().orders[x] == m
     assert group.compose(y, y) == group.identity
     conj = group.compose(group.compose(group.inverse(y), x), y)
     assert conj == group.power(x, m - 1)
@@ -238,7 +270,7 @@ def test_quaternion_relations_and_unique_involution():
     assert group.compose(y, y) == group.power(x, 4)  # y^2 = x^(m/2)
     conj = group.compose(group.compose(group.inverse(y), x), y)
     assert conj == group.power(x, 7)
-    involutions = [g for g in range(16) if group.element_order(g) == 2]
+    involutions = [g for g in range(16) if group.cyclic_subgroups().orders[g] == 2]
     assert involutions == [4]  # x^(m/2) and nothing else
 
 
@@ -254,13 +286,13 @@ def test_semidihedral_relations():
 def test_elementary_abelian_every_element_has_order_p():
     group = make_elementary_abelian(3, 3)
     assert group.order == 27
-    assert all(group.element_order(g) == 3 for g in range(1, 27))
+    assert group.cyclic_subgroups().orders[1:] == (3,) * 26
 
 
 def test_heisenberg_is_nonabelian_of_exponent_p():
     group = make_heisenberg(3)
     assert group.order == 27
-    assert order_table(group).exponent == 3
+    assert max(group.cyclic_subgroups().by_order) == 3
     assert any(group.compose(a, b) != group.compose(b, a)
                for a in range(27) for b in range(27))
 
@@ -268,7 +300,7 @@ def test_heisenberg_is_nonabelian_of_exponent_p():
 def test_direct_product_orders_are_lcms():
     group = make_direct_product(make_cyclic(4), make_cyclic(6))
     assert group.order == 24
-    orders = {group.element_order(g) for g in range(24)}
+    orders = set(group.cyclic_subgroups().orders)
     assert orders == {1, 2, 3, 4, 6, 12}
 
 
@@ -364,7 +396,7 @@ def test_cayley_round_trip_via_ingested_group(s3_group):
     back = parse_cayley(text)
     assert back.mul == s3_group.mul
     assert back.order == 6
-    assert sorted(back.element_order(g) for g in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(back.cyclic_subgroups().orders) == [1, 2, 2, 2, 3, 3]
 
 
 def test_cayley_format_starts_with_order_line():
@@ -628,21 +660,21 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
 
 # The package's public names, as re-exported before its imports became lazy.
 _PUBLIC_NAMES = [
-    "ClassPartition", "ConstructionFailedError", "ConstructionInfo",
-    "CyclicClass", "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
+    "ConstructionFailedError", "ConstructionInfo",
+    "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph",
     "GroupValidationError", "LambdaCertificate",
-    "LowerHookReport", "OrderTable", "PglambdaError", "PowerGraph", "SUITE_NAMES",
+    "PglambdaError", "PowerGraph", "SUITE_NAMES",
     "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
     "__version__", "build_interleaved_path",
     "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
     "certify", "check_ham_path", "check_lower_hook",
-    "cyclic_classes", "euler_phi", "exact_lambda", "format_cayley",
+    "euler_phi", "exact_lambda", "format_cayley",
     "format_labelling_csv", "is_maximal_class", "labelling_to_path",
     "lambda_p_group", "lower_central_series", "make_cyclic", "make_dihedral",
     "make_direct_product", "make_elementary_abelian", "make_heisenberg",
     "make_quaternion", "make_semidihedral", "max_group_order",
-    "order_classes_for_descent", "order_table", "parse_cayley",
+    "order_classes_for_descent", "parse_cayley",
     "parse_group_spec", "parse_labelling_csv", "path_to_labelling", "power_graph_lower_bound",
     "prime_power", "recognize_family", "run_suites", "span", "to_dot",
     "to_edge_list", "validate_group", "validate_labelling",

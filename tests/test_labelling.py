@@ -23,8 +23,6 @@ from pglambda import (
     certificate_doc,
     certificate_problems,
     check_ham_path,
-    check_lower_hook,
-    cyclic_classes,
     exact_lambda,
     format_labelling_csv,
     labelling_to_path,
@@ -33,7 +31,6 @@ from pglambda import (
     make_dihedral,
     make_elementary_abelian,
     make_quaternion,
-    order_table,
     parse_labelling_csv,
     path_to_labelling,
     power_graph_lower_bound,
@@ -94,20 +91,13 @@ def test_a_labelling_iterates_indexes_and_measures_its_labels():
     assert format_labelling_csv(labelling) == "element,label\n0,-2\n1,1\n2,2\n3,0\n"
 
 
-def test_content_iterating_records_have_no_asdict_or_replace():
-    # namedtuple's _asdict and _replace would take the contents for fields
-    record = cyclic_classes(make_cyclic(8))
-    assert not hasattr(record, "_asdict") and not hasattr(record, "_replace")
-
-
 def test_records_are_read_only_and_copy_whole():
     group = make_cyclic(8)
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
+    subgroups = group.cyclic_subgroups()
     cert = lambda_p_group(group)
     records = [
-        group.cyclic_subgroups(), order_table(group), partition, partition.classes[0],
-        check_lower_hook(group), cert, cert.evidence, cert.construction,
+        subgroups, cert, cert.evidence, cert.construction,
         validate_labelling(graph, (0,) * 8)[0],
         power_graph_lower_bound(graph), search_module._quotient(graph),
         run_suites(catalogue(2), exact_cap=32, time_budget=60.0)[0],
@@ -117,7 +107,7 @@ def test_records_are_read_only_and_copy_whole():
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
         assert copy.deepcopy(record) == record
-    assert pickle.loads(pickle.dumps((cert, partition))) == (cert, partition)
+    assert pickle.loads(pickle.dumps((cert, subgroups))) == (cert, subgroups)
 
 
 def _all_pairs_violations(graph, labels, j, k):

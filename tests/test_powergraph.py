@@ -11,7 +11,6 @@ from pglambda import (
     Graph,
     build_power_graph,
     check_lower_hook,
-    cyclic_classes,
     euler_phi,
     make_cyclic,
     make_dihedral,
@@ -79,41 +78,40 @@ def test_euler_phi_matches_gcd_count(n):
 
 
 def test_cyclic_classes_of_c12_one_class_per_divisor():
-    partition = cyclic_classes(make_cyclic(12))
-    assert partition.orders == (1, 2, 3, 4, 6, 12)
-    assert [partition.class_number(d) for d in partition.orders] == [1] * 6
-    assert list(partition) == list(partition.classes) and len(partition) == 6
-    for cls in partition:
-        assert len(cls.members) == euler_phi(cls.order)
+    sub = make_cyclic(12).cyclic_subgroups()
+    assert tuple(sub.by_order) == (1, 2, 3, 4, 6, 12)
+    assert [sub.class_number(d) for d in sub.by_order] == [1] * 6
+    assert len(sub.generators) == 6
+    for elements, members in zip(sub.elements, sub.generators):
+        assert len(members) == euler_phi(len(elements))
 
 
 def test_cyclic_classes_of_semidihedral_16():
-    partition = cyclic_classes(make_semidihedral(16))
-    assert [(d, partition.class_number(d)) for d in partition.orders] == [
+    sub = make_semidihedral(16).cyclic_subgroups()
+    assert [(d, sub.class_number(d)) for d in sub.by_order] == [
         (1, 1), (2, 5), (4, 3), (8, 1)]
 
 
 def test_class_number_of_absent_order_is_zero():
-    partition = cyclic_classes(make_cyclic(4))
-    assert partition.class_number(3) == 0
+    assert make_cyclic(4).cyclic_subgroups().class_number(3) == 0
 
 
 def test_classes_cover_the_group_exactly():
     for group in (make_quaternion(32), make_heisenberg(3), make_cyclic(15)):
-        partition = cyclic_classes(group)
-        seen = sorted(v for cls in partition for v in cls.members)
+        seen = sorted(v for members in group.cyclic_subgroups().generators for v in members)
         assert seen == list(range(group.order))
 
 
 def test_classes_adjacent_on_c6():
     group = make_cyclic(6)
     graph = build_power_graph(group)
-    partition = cyclic_classes(group)
-    by_order = {cls.order: cls for cls in partition}
+    sub = group.cyclic_subgroups()
+    by_order = {len(elements): members
+                for elements, members in zip(sub.elements, sub.generators)}
     c2, c3, c6 = by_order[2], by_order[3], by_order[6]
     # every cross pair of two classes agrees
     for a, b, joined in ((c2, c3, False), (c2, c6, True), (c3, c6, True)):
-        assert {graph.adjacent(u, v) for u in a.members for v in b.members} == {joined}
+        assert {graph.adjacent(u, v) for u in a for v in b} == {joined}
 
 
 # ---------------------------------------------------------------------------
@@ -128,31 +126,25 @@ def test_classes_adjacent_on_c6():
     lambda: make_direct_product(make_cyclic(3), make_cyclic(9)),
 ])
 def test_lower_hook_holds_on_p_groups(build):
-    report = check_lower_hook(build())
-    assert report.is_p_group
-    assert report.holds
-    assert bool(report)
+    assert check_lower_hook(build()) is None
 
 
 def test_lower_hook_counterexample_in_c6():
-    report = check_lower_hook(make_cyclic(6))
-    assert not report.is_p_group
-    assert not report.holds
-    u, v1, v2 = report.counterexample
-    assert (u.order, v1.order, v2.order) == (6, 2, 3)
-    # double-check the triple: u hooks both, but the pair is not adjacent
     group = make_cyclic(6)
+    sub = group.cyclic_subgroups()
+    u, v1, v2 = check_lower_hook(group)
+    assert tuple(len(sub.elements[c]) for c in (u, v1, v2)) == (6, 2, 3)
+    # double-check the triple: u hooks both, but the pair is not adjacent
     graph = build_power_graph(group)
-    assert graph.adjacent(u.representative, v1.representative)
-    assert graph.adjacent(u.representative, v2.representative)
-    assert not graph.adjacent(v1.representative, v2.representative)
+    rep_u, rep_v1, rep_v2 = (sub.generators[c][0] for c in (u, v1, v2))
+    assert graph.adjacent(rep_u, rep_v1)
+    assert graph.adjacent(rep_u, rep_v2)
+    assert not graph.adjacent(rep_v1, rep_v2)
 
 
 def test_lower_hook_vacuous_on_symmetric_group(s3_group):
     # no element order divides a larger one here, so nothing to hook
-    report = check_lower_hook(s3_group)
-    assert not report.is_p_group
-    assert report.holds
+    assert check_lower_hook(s3_group) is None
 
 
 # ---------------------------------------------------------------------------
