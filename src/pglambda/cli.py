@@ -246,8 +246,18 @@ def cmd_suite(args: argparse.Namespace) -> int:
 # parser and entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses '--' as an option's attached value (--search-cap=--, -j--),
+    which Python 3.10 and 3.11 turn into [] without calling the type."""
+
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and action.nargs is None and arg_strings in ([], ["--"]):
+            raise argparse.ArgumentError(action, "expected a value, got '--'")
+        return super()._get_values(action, arg_strings)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pglambda",
         description="Lambda numbers of power graphs of finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,11 +31,12 @@ from .labelling import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
     ConstructionInfo,
-    Evidence,
     LambdaCertificate,
     certificate_problems,
     exact_lambda,
     path_to_labelling,
+    power_graph_lower_bound,
+    span,
 )
 from .powergraph import PowerGraph, build_power_graph
 
@@ -71,29 +72,27 @@ def order_classes_for_descent(graph: PowerGraph) -> list[tuple[tuple[int, ...], 
     lower level (its cyclic subgroup contains a unique subgroup of each
     order), so with at least two classes per level a non-adjacent choice
     always exists; a level with fewer than two raises
-    ConstructionFailedError.
+    ConstructionFailedError.  A p-group realises every order p^i up to its
+    exponent, so the levels are the realised orders above 1.
     """
     group = graph.group
-    pp = prime_power(group.order)
-    if pp is None:
+    if prime_power(group.order) is None:
         raise ValueError(f"order {group.order} is not a prime power")
-    p = pp[0]
     sub = group.cyclic_subgroups()
-    _, e = prime_power(max(sub.by_order))
 
     levels = []
     prev_last: int | None = None
-    for i in range(e, 0, -1):
-        level = [sub.generators[c] for c in sub.by_order.get(p ** i, ())]
+    for order in reversed(tuple(sub.by_order)[1:]):
+        level = [sub.generators[c] for c in sub.by_order[order]]
         if len(level) < 2:
             raise ConstructionFailedError(
-                f"{len(level)} class(es) of order {p ** i}; interleaving needs >= 2")
+                f"{len(level)} class(es) of order {order}; interleaving needs >= 2")
         if prev_last is not None:
             pick = next((idx for idx, members in enumerate(level)
                          if not graph.adjacent(prev_last, members[0])), None)
             if pick is None:
                 raise ConstructionFailedError(
-                    f"every class of order {p ** i} is adjacent to the level above")
+                    f"every class of order {order} is adjacent to the level above")
             level = [level[pick]] + level[:pick] + level[pick + 1:]
         levels.append(tuple(level))
         prev_last = level[-1][0]
@@ -112,7 +111,7 @@ def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
 
 
 # ---------------------------------------------------------------------------
-# the three 2-group families
+# the three 2-group families: xs = (x⁰, .., x^(m−1)) lists ⟨x⟩, |x| = m = |G|/2
 
 
 def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
@@ -122,21 +121,19 @@ def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
     return pairs + tuple(first[short:]) + tuple(second[short:])
 
 
-def _involution_alternation_path(group: FiniteGroup, x: int) -> Path:
+def _involution_alternation_path(group: FiniteGroup, xs: Sequence[int]) -> Path:
     """Dihedral path: outside involutions alternated with ⟨x⟩ ∖ {1}.
 
     Each outside element w generates only {1, w}, so it is non-adjacent
     to all of ⟨x⟩; with 2^e outside elements against 2^e − 1 inside ones
     the alternation starts and ends outside.
     """
-    m = group.cyclic_subgroups().orders[x]
-    inside = [group.power(x, k) for k in range(1, m)]
-    in_set = group.cyclic_subgroup(x)
-    outside = [g for g in range(group.order) if g not in in_set]
-    return _alternate(outside, inside)
+    outside = sorted(set(range(group.order)).difference(xs))
+    return _alternate(outside, xs[1:])
 
 
-def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Joints]:
+def _seed_alternation_path(group: FiniteGroup, xs: Sequence[int],
+                           y: int) -> tuple[Path, Joints]:
     """Semidihedral path: a 6-vertex seed, then outside/high-order alternation.
 
     The seed pairs the three outside elements y, x²y, x⁴y with the three
@@ -144,22 +141,15 @@ def _seed_alternation_path(group: FiniteGroup, x: int, y: int) -> tuple[Path, Jo
     outside elements (ascending k in x^k y) with the 2^e − 4 elements of
     ⟨x⟩ of order ≥ 8, starting and ending outside.
     """
-    m = group.cyclic_subgroups().orders[x]
-
-    def xk(k: int) -> int:
-        return group.power(x, k)
-
-    def xky(k: int) -> int:
-        return group.compose(xk(k), y)
-
-    seed = (xky(0), xk(m // 2), xky(2), xk(m // 4), xky(4), xk(3 * m // 4))
-    small = {xk(0), xk(m // 4), xk(m // 2), xk(3 * m // 4)}
-    tail_outside = [xky(k) for k in range(m) if k not in (0, 2, 4)]
-    tail_inside = [xk(k) for k in range(m) if xk(k) not in small]
+    m = len(xs)
+    xys = [group.mul[xk][y] for xk in xs]
+    seed = (xys[0], xs[m // 2], xys[2], xs[m // 4], xys[4], xs[3 * m // 4])
+    tail_outside = [xky for k, xky in enumerate(xys) if k not in (0, 2, 4)]
+    tail_inside = [xk for k, xk in enumerate(xs) if k % (m // 4)]
     return seed + _alternate(tail_outside, tail_inside), ((seed[-1], tail_outside[0]),)
 
 
-def _quaternion_path(group: FiniteGroup, x: int, y: int) -> Path:
+def _quaternion_path(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
     """Generalized quaternion path on G ∖ {1, z}, z = x^(m/2) the involution.
 
     Each x^k y generates {1, x^k y, z, x^(k+m/2) y}, so it is non-adjacent
@@ -167,9 +157,9 @@ def _quaternion_path(group: FiniteGroup, x: int, y: int) -> Path:
     (ascending k in x^k) alternate with the m elements x^k y (ascending
     k), starting inside, and the last two x^k y end the path.
     """
-    m = group.cyclic_subgroups().orders[x]
-    inside = [group.power(x, k) for k in range(1, m) if k != m // 2]
-    outside = [group.compose(group.power(x, k), y) for k in range(m)]
+    m = len(xs)
+    inside = [xk for k, xk in enumerate(xs) if k % (m // 2)]
+    outside = [group.mul[xk][y] for xk in xs]
     return _alternate(inside, outside)
 
 
@@ -177,32 +167,29 @@ def _quaternion_path(group: FiniteGroup, x: int, y: int) -> Path:
 # recognition and the dispatcher
 
 
-def _locate_generators(group: FiniteGroup, family: str) -> tuple[int, int] | None:
-    """Find (x, y) realizing a dihedral, semidihedral or quaternion presentation.
+def _locate_generators(group: FiniteGroup,
+                       family: str) -> tuple[tuple[int, ...], int] | None:
+    """Find (xs, y) realizing a dihedral, semidihedral or quaternion presentation.
 
-    x is the smallest-index element of order |G|/2; y is the
-    smallest-index element outside ⟨x⟩ of order 2 (order 4 for the
-    quaternion family).  The relation y⁻¹xy = x^twist is then verified
-    on the table; None if any step fails.
+    x is the smallest-index element of order |G|/2, hence the least
+    generator of ⟨x⟩, whose record in the cyclic subgroups lists its
+    powers xs = (x⁰, .., x^(m−1)).  y is the smallest-index element outside
+    ⟨x⟩ of order 2 (order 4 for the quaternion family).  The relation
+    y⁻¹xy = x^twist is then verified on the table; None if any step fails.
     """
-    orders = group.cyclic_subgroups().orders
+    sub = group.cyclic_subgroups()
     m = group.order // 2
-    xs = [g for g in range(group.order) if orders[g] == m]
-    if not xs:
+    x = next((g for g, d in enumerate(sub.orders) if d == m), None)
+    if x is None:
         return None
-    x = xs[0]
-    inside = group.cyclic_subgroup(x)
+    xs = sub.elements[sub.index[x]]
     y_order = 4 if family == "quaternion" else 2
-    outside = [g for g in range(group.order)
-               if g not in inside and orders[g] == y_order]
-    if not outside:
+    y = next((g for g, d in enumerate(sub.orders) if d == y_order and g not in xs), None)
+    if y is None:
         return None
-    y = outside[0]
     twist = m // 2 - 1 if family == "semidihedral" else m - 1
-    conjugate = group.compose(group.compose(group.inverse(y), x), y)
-    if conjugate != group.power(x, twist):
-        return None
-    return x, y
+    mul = group.mul
+    return (xs, y) if mul[mul[group.inverses[y]][x]][y] == xs[twist] else None
 
 
 def recognize_family(group: FiniteGroup) -> str:
@@ -237,6 +224,36 @@ def recognize_family(group: FiniteGroup) -> str:
     return "general"
 
 
+def _construction(graph: PowerGraph, family: str) -> tuple[str, Path, Joints,
+                                                           tuple[int, ...]]:
+    """(kind, path, joints, witness) of the branch ``family`` dispatches to."""
+    group, n = graph.group, graph.n
+    if n == 1:
+        return "degenerate", (), (), (0,)
+    if family == "cyclic":
+        # cyclic p-group: subgroups are totally ordered, the graph is complete
+        return "cyclic-even-spacing", (), (), tuple(range(0, 2 * n, 2))
+    if family == "quaternion":
+        # the involution z is universal, so |G| is impossible: identity at
+        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
+        xs, y = _locate_generators(group, family)
+        path = _quaternion_path(group, xs, y)
+        labels = list(path_to_labelling(graph, path))
+        labels[xs[n // 4]] = n - 1
+        return "restricted-complement-path", path, (), tuple(labels)
+    joints: Joints = ()
+    if family == "dihedral":
+        xs, _ = _locate_generators(group, family)
+        path, kind = _involution_alternation_path(group, xs), "involution-alternation"
+    elif family == "semidihedral":
+        path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
+        kind = "seed-alternation"
+    else:
+        path, joints = _descent_path(graph)
+        kind = "class-interleaving-descent"
+    return kind, path, joints, path_to_labelling(graph, path)
+
+
 def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     """λ of the power graph of any p-group, with witness and evidence.
 
@@ -245,61 +262,19 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     unique involution is a universal non-identity vertex, so a restricted
     path gives λ = |G|+1; dihedral/semidihedral → their explicit
     alternations; every other p-group → level descent; the last three all
-    achieve λ = |G|.  The trivial group is allowed as a degenerate cyclic
-    case with λ = 0.  The certificate is checked by certificate_problems
-    before it is returned; a failed check raises ConstructionFailedError.
+    achieve λ = |G|.  The trivial group is a degenerate cyclic case with
+    λ = 0.  The branches only build the witness: λ is its span and the
+    evidence is power_graph_lower_bound.  certificate_problems checks the
+    certificate before it is returned; a failure raises
+    ConstructionFailedError.
     """
     family = recognize_family(group)
-    n = group.order
-    if n == 1:
-        return LambdaCertificate(
-            value=0, witness=(0,),
-            evidence=Evidence(kind="degenerate", bound=0),
-            method="constructive",
-            construction=ConstructionInfo("degenerate", (), ()))
     graph = build_power_graph(group)
-
-    if family == "cyclic":
-        # cyclic p-group: subgroups are totally ordered, the graph is complete
-        cert = LambdaCertificate(
-            value=2 * (n - 1), witness=tuple(2 * v for v in range(n)),
-            evidence=Evidence(kind="complete-graph-bound", bound=2 * (n - 1)),
-            method="constructive",
-            construction=ConstructionInfo("cyclic-even-spacing", (), ()))
-    elif family == "quaternion":
-        # the involution z is universal, so |G| is impossible: identity at
-        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
-        x, y = _locate_generators(group, family)
-        z = group.power(x, n // 4)
-        path = _quaternion_path(group, x, y)
-        labels = [n - 1] * n
-        labels[group.identity] = -2
-        for i, v in enumerate(path):
-            labels[v] = i
-        cert = LambdaCertificate(
-            value=n + 1, witness=tuple(labels),
-            evidence=Evidence(kind="universal-nonidentity-vertex", bound=n + 1,
-                              vertex=z),
-            method="constructive",
-            construction=ConstructionInfo("restricted-complement-path", path, ()))
-    else:
-        joints: Joints = ()
-        if family == "dihedral":
-            x, _ = _locate_generators(group, family)
-            path = _involution_alternation_path(group, x)
-            kind = "involution-alternation"
-        elif family == "semidihedral":
-            path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
-            kind = "seed-alternation"
-        else:
-            path, joints = _descent_path(graph)
-            kind = "class-interleaving-descent"
-        cert = LambdaCertificate(
-            value=n, witness=path_to_labelling(graph, path),
-            evidence=Evidence(kind="power-graph-bound", bound=n),
-            method="constructive",
-            construction=ConstructionInfo(kind, path, joints))
-
+    kind, path, joints, witness = _construction(graph, family)
+    cert = LambdaCertificate(
+        value=span(witness), witness=witness,
+        evidence=power_graph_lower_bound(graph), method="constructive",
+        construction=ConstructionInfo(kind, path, joints))
     problems = certificate_problems(graph, cert)
     if problems:
         raise ConstructionFailedError(f"constructive certificate fails its check: "

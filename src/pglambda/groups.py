@@ -103,9 +103,6 @@ class FiniteGroup:
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
 
-    def compose(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     @property
     def inverses(self) -> tuple[int, ...]:
         """inverses[g] = g⁻¹, read off the cyclic subgroups: (h^k)⁻¹ = h^(m−k)."""
@@ -116,21 +113,6 @@ class FiniteGroup:
                     inv[h] = powers[-k]
             self._inverses = tuple(inv)
         return self._inverses
-
-    def inverse(self, g: int) -> int:
-        return self.inverses[g]
-
-    def power(self, g: int, k: int) -> int:
-        """g**k for any integer k; negative powers go through the inverse."""
-        if k < 0:
-            g, k = self.inverse(g), -k
-        acc, base = self.identity, g
-        while k:
-            if k & 1:
-                acc = self.mul[acc][base]
-            base = self.mul[base][base]
-            k >>= 1
-        return acc
 
     def cyclic_subgroups(self) -> CyclicSubgroups:
         """Every cyclic subgroup, from one walk of ⟨g⟩ per subgroup; cached.
@@ -169,11 +151,6 @@ class FiniteGroup:
                 {m: tuple(ids) for m, ids in by_order.items()})
         return self._subgroups
 
-    def cyclic_subgroup(self, g: int) -> frozenset[int]:
-        """⟨g⟩ as a set of element indices."""
-        sub = self.cyclic_subgroups()
-        return frozenset(sub.elements[sub.index[g]])
-
     def subgroup_generated(self, generators: Iterable[int]) -> frozenset[int]:
         """Close the generators under products by worklist saturation.
 
@@ -195,8 +172,8 @@ class FiniteGroup:
 
     def commutator(self, a: int, b: int) -> int:
         """a⁻¹·b⁻¹·a·b."""
-        mul = self.mul
-        return mul[mul[self.inverse(a)][self.inverse(b)]][mul[a][b]]
+        mul, inv = self.mul, self.inverses
+        return mul[mul[inv[a]][inv[b]]][mul[a][b]]
 
 
 class CyclicSubgroups(NamedTuple):
@@ -658,6 +635,8 @@ def _digits_int(text: str, what: str, least: int = 1) -> int:
     if not _spec_digits(text):
         kind = "a positive integer" if least == 1 else f"an integer >= {least}"
         raise ValueError(f"{what} must be {kind} in ASCII digits, got {text!r}")
+    if len(text) > 4300:  # int() refuses these on Python 3.11, not on 3.10
+        raise ValueError(f"{what} may have at most 4300 digits, got {len(text)}")
     value = int(text)
     if value < least:
         raise ValueError(f"{what} must be "

@@ -177,16 +177,20 @@ class Evidence(NamedTuple):
 
 
 def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
-    """λ ≥ |G| for any power graph; ≥ |G|+1 with a universal non-identity.
+    """The one derivation of a lower bound on λ: the first case that applies.
 
-    All labels are distinct (diameter ≤ 2) and the universal identity
-    forces a further gap of 2, giving |G|.  A universal non-identity
-    vertex is isolated in the reduced complement, so for |G| ≥ 3 no
-    Hamiltonian path exists there and the bound tightens by one.
+    0 on at most one vertex.  2(|G| − 1) when every vertex is universal:
+    a complete graph needs its labels 2 apart.  Otherwise all labels are
+    distinct (diameter ≤ 2) and the universal identity forces a further
+    gap of 2, giving |G|; a universal non-identity ``vertex`` is isolated
+    in the reduced complement, so for |G| ≥ 3 no Hamiltonian path exists
+    there and the bound is |G| + 1.  On a p-group the bound is λ.
     """
     n = graph.n
     if n <= 1:
         return Evidence("degenerate", 0)
+    if all(map(graph.is_universal, range(n))):
+        return Evidence("complete-graph-bound", 2 * (n - 1))
     if n >= 3:
         for v in range(n):
             if v != graph.group.identity and graph.is_universal(v):
@@ -212,27 +216,15 @@ class LambdaCertificate(NamedTuple):
     construction: ConstructionInfo | None = None
 
 
-def _evidence_holds(graph: PowerGraph, evidence: Evidence) -> bool:
-    """Whether the graph proves λ ≥ evidence.bound for the stated reason;
-    of a searched refutation only the span (bound − 1) is checked."""
-    n, kind, bound, v = graph.n, evidence.kind, evidence.bound, evidence.vertex
-    if kind == "exhaustive-search-at-span":
-        return evidence.span == bound - 1
-    if kind == "complete-graph-bound":
-        return bound == 2 * (n - 1) and all(map(graph.is_universal, range(n)))
-    if kind == "universal-nonidentity-vertex":
-        return (bound == n + 1 and n >= 3 and v in range(n)
-                and v != graph.group.identity and graph.is_universal(v))
-    return (kind, bound) in (("power-graph-bound", n), ("degenerate", 0))
-
-
 def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str]:
     """What is wrong with a certificate; empty when it checks out.
 
     The witness must be a valid labelling of the graph, its span must be
     the certified λ, and λ may not fall below power_graph_lower_bound.
-    The evidence must prove λ (_evidence_holds), and a constructive path
-    at λ = |G| must pass check_ham_path.
+    The evidence must prove λ: its bound is λ, and it is either a searched
+    refutation of span λ − 1 (of which only that span is checked) or
+    exactly what power_graph_lower_bound derives.  A constructive path at
+    λ = |G| must pass check_ham_path.
     """
     if len(cert.witness) != graph.n:
         return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
@@ -245,8 +237,11 @@ def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str
     lower = power_graph_lower_bound(graph)
     if cert.value < lower.bound:
         problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.bound}")
-    if cert.evidence.bound != cert.value or not _evidence_holds(graph, cert.evidence):
-        problems.append(f"{cert.evidence.kind} evidence does not prove lambda {cert.value}")
+    ev = cert.evidence
+    proved = (ev.span == ev.bound - 1 if ev.kind == "exhaustive-search-at-span"
+              else ev == lower)
+    if ev.bound != cert.value or not proved:
+        problems.append(f"{ev.kind} evidence does not prove lambda {cert.value}")
     if cert.construction and cert.construction.path and cert.value == graph.n:
         try:
             check_ham_path(graph, cert.construction.path)

@@ -11,6 +11,8 @@ from pglambda import (
     Evidence,
     LambdaCertificate,
     build_power_graph,
+    certificate_problems,
+    exact_lambda,
     format_cayley,
     make_cyclic,
     parse_group_spec,
@@ -19,6 +21,7 @@ from pglambda import (
 )
 from pglambda.catalog import _ENTRIES
 from pglambda.cli import main
+from pglambda.suites import run_suites
 
 
 def run(capsys, *argv):
@@ -301,6 +304,19 @@ def test_a_certificate_failing_its_check_exits_2_for_either_method(method, capsy
     assert "planted problem" in err
 
 
+def test_methods_that_disagree_exit_2(capsys, monkeypatch):
+    # an exact certificate for lambda(D8) + 1 that passes its own check
+    graph = build_power_graph(parse_group_spec("dihedral:8"))
+    exact = _raise_top_label(exact_lambda(graph))._replace(
+        evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8))
+    assert certificate_problems(graph, exact) == []
+    monkeypatch.setattr("pglambda.construct.exact_lambda", lambda *args, **kwargs: exact)
+    code, out, err = run(capsys, "lambda", "dihedral:8", "--method", "both")
+    assert (code, out) == (2, "")
+    assert err == ("disagreement: constructive lambda 8 != exact-search lambda 9 "
+                   "for order 8\n")
+
+
 def test_a_construction_that_repeats_a_vertex_exits_2(capsys, monkeypatch):
     import pglambda.construct as construct
     descent = construct._descent_path
@@ -339,11 +355,12 @@ def test_corrupted_constructive_evidence_exits_2(spec, kind, corrupt, capsys, mo
 
 
 def test_a_complete_graph_bound_on_an_incomplete_graph_exits_2(capsys, monkeypatch):
-    # the cyclic branch trusts the dispatcher; the checker re-derives completeness
+    # the cyclic branch trusts the dispatcher; the evidence is derived from
+    # the graph, and |G| = 4 does not prove the even spacing's 6
     monkeypatch.setattr("pglambda.construct.recognize_family", lambda group: "cyclic")
     code, out, err = run(capsys, "lambda", "elemab:2,2", "--method", "constructive")
     assert (code, out) == (2, "")
-    assert err == ("constructive certificate fails its check: complete-graph-bound "
+    assert err == ("constructive certificate fails its check: power-graph-bound "
                    "evidence does not prove lambda 6\n")
 
 
@@ -484,6 +501,28 @@ def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
     code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "quaternion:8")
     assert code == 2
     assert "consistency failure" in err
+
+
+def test_a_failed_property_exits_2_and_names_it(capsys, monkeypatch):
+    monkeypatch.setattr("pglambda.suites._formula_lambda", lambda s: -1)
+    code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:2")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["first_failure"] == "constructive-witness-valid: cyclic:2"
+    assert err == ("failed property: constructive-witness-valid on cyclic:2 "
+                   "(value 2, span 2, expected -1, violations 0)\n")
+
+
+def test_semidihedral_class_numbers_match_the_family_expectations():
+    subjects = [(f"semidihedral:{n}", parse_group_spec(f"semidihedral:{n}"))
+                for n in (16, 32)]
+    details = {r.subject: r.detail
+               for r in run_suites(subjects, exact_cap=1, time_budget=1.0)
+               if r.suite == "family-class-numbers" and r.passed}
+    assert details == {
+        "semidihedral:16": "class numbers [(1, 1), (2, 5), (4, 3), (8, 1)]",
+        "semidihedral:32": "class numbers [(1, 1), (2, 9), (4, 5), (8, 1), (16, 1)]",
+    }
 
 
 def test_catalogue_entries_are_sorted_unique_and_of_their_order(capsys, monkeypatch):
@@ -635,6 +674,46 @@ def test_out_of_range_counts_are_input_errors(argv, option, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"argument {option}" in err and argv[-1] in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["lambda", "cyclic:8", "--search-ca=--"], "--search-cap"),
+    (["lambda", "cyclic:8", "--time-budget=--"], "--time-budget"),
+    (["lambda", "cyclic:8", "--method=--"], "--method"),
+    (["lambda", "cyclic:8", "--witness-csv=--"], "--witness-csv"),
+    (["check", "cyclic:8", "w.csv", "-j--"], "-j"),
+    (["check", "cyclic:8", "w.csv", "-k=--"], "-k"),
+    (["suite", "--max-order=--"], "--max-order"),
+    (["suite", "--group=--"], "--group"),
+    (["export", "cyclic:8", "--output=--"], "--output"),
+    (["export", "cyclic:8", "-o--"], "--output/-o"),
+])
+def test_an_attached_double_dash_is_refused_as_an_option_value(argv, option, tmp_path,
+                                                               capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # nothing may be written under the name '--'
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument {option}" in err and "'--'" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,setting", [
+    (["lambda", "cyclic:8", "--search-cap", "1" * 5000], "the search cap"),
+    (["check", "cyclic:8", "w.csv", "-k", "0" * 4301], "a separation"),
+    (["analyze", "cyclic:" + "1" * 5000], "cyclic order"),
+    (["analyze", "elemab:2," + "1" * 5000], "rank"),
+    (["lambda", "cyclic:8", "ENV"], "LAMBDA_MAX_ORDER"),
+])
+def test_integers_over_4300_digits_are_input_errors(argv, setting, capsys, monkeypatch):
+    # Python 3.11's int() refuses them and 3.10's accepts them; both exit 1 here
+    if argv[-1] == "ENV":
+        monkeypatch.setenv("LAMBDA_MAX_ORDER", "5" * 4301)
+        argv = argv[:-1]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"{setting} may have at most 4300 digits, got " in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_lambda_max_order_not_in_ascii_digits_is_an_input_error(capsys, monkeypatch):

@@ -238,7 +238,7 @@ def _shuffled_copy(group, seed):
     mul = [[0] * group.order for _ in range(group.order)]
     for a in range(group.order):
         for b in range(group.order):
-            mul[sigma[a]][sigma[b]] = sigma[group.compose(a, b)]
+            mul[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
     return validate_group(mul, identity=sigma[group.identity],
                           family_tag="scrambled")
 

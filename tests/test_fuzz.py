@@ -180,6 +180,8 @@ def _named(text: str) -> str:
 @example("\u0663\u0662", 0)
 @example("+8", 1)
 @example("-0", 2)
+@example("--", 0)
+@example("--", 2)
 @given(text=_INTEGER_TEXT, option=st.integers(0, len(_INTEGER_OPTIONS) - 1))
 def test_an_integer_option_is_accepted_exactly_when_it_is_ascii_digits_in_range(
         text, option):

@@ -93,20 +93,19 @@ def test_constructor_tables_are_pinned(spec, table_digest, names_digest):
     assert hashlib.sha256("\n".join(group.names).encode()).hexdigest() == names_digest
 
 
-def test_power_matches_repeated_multiplication():
-    group = make_dihedral(16)
-    for g in range(group.order):
-        acc = group.identity
-        for k in range(20):
-            assert group.power(g, k) == acc
-            acc = group.compose(acc, g)
+def _power(group, g, k):
+    """g**k by k repeated multiplications, independent of the group's records."""
+    acc = group.identity
+    for _ in range(k):
+        acc = group.mul[acc][g]
+    return acc
 
 
 def test_inverses_cancel():
     for group in (make_quaternion(16), make_semidihedral(32), make_heisenberg(3)):
         for g in range(group.order):
-            assert group.compose(g, group.inverse(g)) == group.identity
-            assert group.compose(group.inverse(g), g) == group.identity
+            assert group.mul[g][group.inverses[g]] == group.identity
+            assert group.mul[group.inverses[g]][g] == group.identity
 
 
 def test_element_orders_and_exponent_from_the_cyclic_subgroups():
@@ -220,7 +219,7 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            table[sigma[a]][sigma[b]] = sigma[group.compose(a, b)]
+            table[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
     scrambled = validate_group(table, identity=sigma[group.identity])
 
     def invariants(g):
@@ -259,17 +258,17 @@ def test_dihedral_relations():
     x, y = 1, 8
     m = 8
     assert group.cyclic_subgroups().orders[x] == m
-    assert group.compose(y, y) == group.identity
-    conj = group.compose(group.compose(group.inverse(y), x), y)
-    assert conj == group.power(x, m - 1)
+    assert group.mul[y][y] == group.identity
+    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    assert conj == _power(group, x, m - 1)
 
 
 def test_quaternion_relations_and_unique_involution():
     group = make_quaternion(16)
     x, y = 1, 8
-    assert group.compose(y, y) == group.power(x, 4)  # y^2 = x^(m/2)
-    conj = group.compose(group.compose(group.inverse(y), x), y)
-    assert conj == group.power(x, 7)
+    assert group.mul[y][y] == _power(group, x, 4)  # y^2 = x^(m/2)
+    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    assert conj == _power(group, x, 7)
     involutions = [g for g in range(16) if group.cyclic_subgroups().orders[g] == 2]
     assert involutions == [4]  # x^(m/2) and nothing else
 
@@ -278,9 +277,9 @@ def test_semidihedral_relations():
     group = make_semidihedral(32)
     x, y = 1, 16
     m = 16
-    conj = group.compose(group.compose(group.inverse(y), x), y)
-    assert conj == group.power(x, m // 2 - 1)
-    assert group.compose(y, y) == group.identity
+    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    assert conj == _power(group, x, m // 2 - 1)
+    assert group.mul[y][y] == group.identity
 
 
 def test_elementary_abelian_every_element_has_order_p():
@@ -293,7 +292,7 @@ def test_heisenberg_is_nonabelian_of_exponent_p():
     group = make_heisenberg(3)
     assert group.order == 27
     assert max(group.cyclic_subgroups().by_order) == 3
-    assert any(group.compose(a, b) != group.compose(b, a)
+    assert any(group.mul[a][b] != group.mul[b][a]
                for a in range(27) for b in range(27))
 
 

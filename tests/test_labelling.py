@@ -306,9 +306,11 @@ def test_lower_bound_kinds():
     q8 = power_graph_lower_bound(build_power_graph(make_quaternion(8)))
     assert q8 == Evidence("universal-nonidentity-vertex", 9, vertex=2)  # x², the involution
 
-    # order 2 stays at the plain bound: labels {0, 2} already realize it
+    # a cyclic p-group's power graph is complete: labels 2 apart
     c2 = power_graph_lower_bound(build_power_graph(make_cyclic(2)))
-    assert c2 == Evidence("power-graph-bound", 2)
+    assert c2 == Evidence("complete-graph-bound", 2)
+    c8 = power_graph_lower_bound(build_power_graph(make_cyclic(8)))
+    assert c8 == Evidence("complete-graph-bound", 14)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +342,10 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
             f"{evidence.kind} evidence does not prove lambda 9"], evidence
     assert certificate_problems(graph, cert._replace(witness=cert.witness[:7])) == [
         "witness has 7 labels for 8 vertices"]
+    low = cert._replace(value=8, evidence=Evidence("exhaustive-search-at-span", 8, span=7))
+    assert certificate_problems(graph, low) == [
+        "witness span 9 != lambda 8",
+        "lambda 8 below the universal-nonidentity-vertex bound 9"]
 
 
 def test_exact_lambda_certificate_shape():
