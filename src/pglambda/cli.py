@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -59,15 +60,17 @@ def _int_option(what: str, least: int = 1):
     return parse
 
 
+_SECONDS = re.compile(r"[0-9]+(\.[0-9]*)?|\.[0-9]+")
+
+
 def _time_budget(text: str) -> float:
-    """Seconds: finite and ≥ 0 (a NaN deadline would never expire)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
+    """Seconds in ASCII digits with at most one decimal point, and finite:
+    signs, exponents, underscores, spaces and other digits are refused,
+    as in the integer options."""
+    value = float(text) if _SECONDS.fullmatch(text) else math.nan
+    if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds >= 0, got {text!r}")
+            f"must be a finite number of seconds >= 0 in ASCII digits, got {text!r}")
     return value
 
 
@@ -210,8 +213,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
         raise TooLargeError(
             f"--max-order {args.max_order} exceeds the cap {max_group_order()} "
             "(LAMBDA_MAX_ORDER)")
-    extras = [(spec, parse_group_spec(spec)) for spec in args.group]
-    subjects = catalogue(args.max_order) + extras
+    subjects = catalogue(args.max_order)
+    selected = {spec for spec, _ in subjects}
+    subjects += [(spec, parse_group_spec(spec)) for spec in dict.fromkeys(args.group)
+                 if spec not in selected]
     results = run_suites(subjects, exact_cap=args.search_cap,
                          time_budget=args.time_budget)
     failures = [r for r in results if not r.passed]

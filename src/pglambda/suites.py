@@ -1,27 +1,22 @@
 """Property suites over the built-in catalogue.
 
-Each suite checks one verifiable statement about power graphs of finite
-groups and reports per-group pass/fail records.  Suites that need the
-exhaustive labelling search only run it on groups up to `exact_cap`
-(the command line's --search-cap), once per group; everything else runs
-on the whole selection.  Every certificate comes from construct.certify,
-so each is checked before a suite reads it.
+Each suite checks one statement about power graphs of finite groups that
+certification does not already check, and reports per-group pass/fail
+records.  Every subject is certified before any suite runs, by one call
+to construct.certify with the 'auto' dispatch of the `lambda` command:
+the construction on p-groups, the exact search on any group of order at
+most ``exact_cap`` (the command line's --search-cap).  certify checks
+every certificate and raises when the two methods disagree, so the
+suites read only checked, agreeing values.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .construct import certify
 from .groups import FiniteGroup, is_maximal_class, prime_power
-from .labelling import (
-    LambdaCertificate,
-    labelling_to_path,
-    path_to_labelling,
-    span,
-    validate_labelling,
-)
+from .labelling import LambdaCertificate
 from .powergraph import build_power_graph, check_lower_hook, euler_phi, iter_bits
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
@@ -34,18 +29,15 @@ class SuiteResult(NamedTuple):
     detail: str
 
 
-class _Subject:
-    """A named group and its certificates, each computed once.
+class _Subject(NamedTuple):
+    """A named group and the certificates certify returned for it.
 
     The group caches its own power graph and cyclic subgroups.
-    ``cap`` and ``budget`` limit its exact search: vertices and seconds.
     """
 
-    def __init__(self, name: str, group: FiniteGroup, cap: int, budget: float) -> None:
-        self.name = name
-        self.group = group
-        self.cap = cap
-        self.budget = budget
+    name: str
+    group: FiniteGroup
+    certificates: list[LambdaCertificate]
 
     @property
     def n(self) -> int:
@@ -59,16 +51,6 @@ class _Subject:
     @property
     def exponent(self) -> int:
         return max(self.group.cyclic_subgroups().by_order)
-
-    @cached_property
-    def certificate(self) -> LambdaCertificate:
-        """The constructive certificate, built once per p-group subject."""
-        return certify(self.group, "constructive")[0]
-
-    @cached_property
-    def exact(self) -> LambdaCertificate:
-        """The exact-search certificate, searched once per subject."""
-        return certify(self.group, "exact", cap=self.cap, budget=self.budget)[0]
 
 
 def _result(suite: str, subject: _Subject, passed: bool, detail: str) -> SuiteResult:
@@ -170,50 +152,25 @@ def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResul
 
 
 def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
-    """Hook holds on p-groups; composite-order groups may (and C6 must) break it."""
-    out = []
-    for s in subjects:
-        triple = check_lower_hook(s.group)
-        elements = s.group.cyclic_subgroups().elements
-        orders = None if triple is None else tuple(len(elements[c]) for c in triple)
-        if s.prime is not None:
-            detail = "holds" if orders is None else f"counterexample of orders {orders}"
-            out.append(_result("lower-hook", s, orders is None, detail))
-        elif s.name == "cyclic:6":
-            detail = ("expected a counterexample, found none" if orders is None else
-                      f"expected break found: orders {orders}")
-            out.append(_result("lower-hook", s, orders == (6, 2, 3), detail))
-        else:
-            detail = ("holds (no triple to break it)" if orders is None else
-                      f"breaks as allowed: orders {orders}")
-            out.append(_result("lower-hook", s, True, detail))
-    return out
+    """The hook holds exactly when every element order is a prime power.
 
-
-def _suite_span_path_equivalence(subjects: Sequence[_Subject]) -> list[SuiteResult]:
-    """λ = |G| exactly when the reduced complement has a Hamiltonian path.
-
-    Both sides are read off the exact certificate.  At λ = |G| its witness
-    converts to a path: labelling_to_path checks that the witness is valid
-    with span |G|, which makes the sorted vertices a path of the reduced
-    complement.  At λ > |G| the search refuted span |G|, and
-    path_to_labelling would turn any path into a span-|G| labelling, so
-    there is none.
+    In a cyclic group of prime-power order the subgroups form a chain, so
+    any two classes a class hooks are adjacent and of distinct orders.  An
+    element whose order has two prime divisors p ≠ q hooks the classes of
+    orders p and q, and those are not adjacent.
     """
     out = []
     for s in subjects:
-        if not 3 <= s.n <= s.cap:
-            continue
-        value = s.exact.value
-        ok, detail = value > s.n, f"lambda = {value}, path absent"
-        if value == s.n:
-            try:
-                labelling_to_path(build_power_graph(s.group), s.exact.witness)
-            except ValueError as exc:
-                detail = f"lambda = {value}, no path from the witness: {exc}"
-            else:
-                ok, detail = True, f"lambda = {value}, path found"
-        out.append(_result("span-path-equivalence", s, ok, detail))
+        sub = s.group.cyclic_subgroups()
+        mixed = next((d for d in sub.by_order if d > 1 and prime_power(d) is None), None)
+        triple = check_lower_hook(s.group)
+        found = ("holds" if triple is None else
+                 f"counterexample of orders {tuple(len(sub.elements[c]) for c in triple)}")
+        if mixed is None:
+            out.append(_result("lower-hook", s, triple is None, found))
+        else:
+            out.append(_result("lower-hook", s, triple is not None,
+                               f"{found}; element order {mixed} implies a break"))
     return out
 
 
@@ -228,55 +185,16 @@ def _formula_lambda(s: _Subject) -> int:
     return s.n
 
 
-def _suite_constructive_matches_exact(subjects: Sequence[_Subject]) -> list[SuiteResult]:
-    """Constructive λ equals the exhaustive-search λ on small p-groups."""
-    out = []
-    for s in subjects:
-        if s.prime is None or s.n > s.cap:
-            continue
-        constructive = s.certificate
-        exact = s.exact
-        ok = constructive.value == exact.value
-        out.append(_result("constructive-matches-exact", s, ok,
-                           f"constructive {constructive.value}, exact {exact.value}"))
-    return out
-
-
-def _suite_constructive_witness_valid(subjects: Sequence[_Subject]) -> list[SuiteResult]:
-    """Constructive witnesses validate on the real graph and hit the formula value."""
+def _suite_lambda_matches_formula(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+    """The certified λ of every p-group equals the closed form."""
     out = []
     for s in subjects:
         if s.prime is None:
             continue
-        cert = s.certificate
-        violations = validate_labelling(build_power_graph(s.group), cert.witness)
-        expected = _formula_lambda(s)
-        ok = (not violations and span(cert.witness) == cert.value
-              and cert.value == expected)
-        detail = (f"value {cert.value}, span {span(cert.witness)}, "
-                  f"expected {expected}, violations {len(violations)}")
-        out.append(_result("constructive-witness-valid", s, ok, detail))
-    return out
-
-
-def _suite_round_trip(subjects: Sequence[_Subject]) -> list[SuiteResult]:
-    """labelling_to_path inverts path_to_labelling on every span-|G| witness."""
-    out = []
-    for s in subjects:
-        if s.prime is None:
-            continue
-        cert = s.certificate
-        if cert.value != s.n:
-            continue
-        graph = build_power_graph(s.group)
-        path = labelling_to_path(graph, cert.witness)
-        relabelled = path_to_labelling(graph, path)
-        back = labelling_to_path(graph, relabelled)
-        ok = (back == path
-              and span(relabelled) == s.n
-              and not validate_labelling(graph, relabelled))
-        out.append(_result("labelling-path-round-trip", s, ok,
-                           "round trip stable" if ok else "path changed"))
+        value, expected = s.certificates[0].value, _formula_lambda(s)
+        methods = " and ".join(cert.method for cert in s.certificates)
+        out.append(_result("lambda-matches-formula", s, value == expected,
+                           f"lambda {value} by {methods}, formula {expected}"))
     return out
 
 
@@ -285,10 +203,7 @@ _SUITES = (
     ("class-number-congruences", _suite_congruences),
     ("family-class-numbers", _suite_family_class_numbers),
     ("lower-hook", _suite_lower_hook),
-    ("span-path-equivalence", _suite_span_path_equivalence),
-    ("constructive-matches-exact", _suite_constructive_matches_exact),
-    ("constructive-witness-valid", _suite_constructive_witness_valid),
-    ("labelling-path-round-trip", _suite_round_trip),
+    ("lambda-matches-formula", _suite_lambda_matches_formula),
 )
 
 SUITE_NAMES = tuple(name for name, _ in _SUITES)
@@ -296,12 +211,13 @@ SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
                exact_cap: int, time_budget: float) -> list[SuiteResult]:
-    """Run every suite over the named groups, e.g. catalogue(max_order)."""
-    subjects = [_Subject(name, group, exact_cap, time_budget)
+    """Certify the named groups, e.g. catalogue(max_order), then run every
+    suite over them."""
+    subjects = [_Subject(name, group,
+                         certify(group, "auto", cap=exact_cap, budget=time_budget))
                 for name, group in subjects]
 
     results: list[SuiteResult] = []
     for _, fn in _SUITES:
         results.extend(fn(subjects))
     return results
-

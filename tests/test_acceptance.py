@@ -212,6 +212,25 @@ def test_lower_hook_on_p_groups_and_the_order_6_counterexample():
                 for y in sub.generators[b]} == {joined}
 
 
+def test_lower_hook_holds_exactly_when_every_element_order_is_a_prime_power(
+        s3_cayley_file, capsys):
+    sym3 = f"file:{s3_cayley_file}"
+    mixed = set()
+    for spec, group in catalogue(81) + [(sym3, parse_group_spec(sym3))]:
+        prime_powers = all(d == 1 or prime_power(d) for d in group.cyclic_subgroups().by_order)
+        assert (check_lower_hook(group) is None) == prime_powers, spec
+        if not prime_powers:
+            mixed.add(spec)
+    assert mixed == {"cyclic:6", "cyclic:10", "cyclic:12", "cyclic:15",
+                     "product:cyclic:2,cyclic:6"}
+
+    # S3 is no p-group, yet its element orders 1, 2 and 3 are prime powers
+    code = main(["suite", "--max-order", "1", "--group", sym3])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [r["detail"] for r in doc["results"] if r["suite"] == "lower-hook"] == ["holds"]
+
+
 # ---------------------------------------------------------------------------
 # 7. path/labelling round trips on every constructive witness
 

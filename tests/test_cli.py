@@ -311,10 +311,12 @@ def test_methods_that_disagree_exit_2(capsys, monkeypatch):
         evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8))
     assert certificate_problems(graph, exact) == []
     monkeypatch.setattr("pglambda.construct.exact_lambda", lambda *args, **kwargs: exact)
-    code, out, err = run(capsys, "lambda", "dihedral:8", "--method", "both")
-    assert (code, out) == (2, "")
-    assert err == ("disagreement: constructive lambda 8 != exact-search lambda 9 "
-                   "for order 8\n")
+    for argv in (["lambda", "dihedral:8", "--method", "both"],
+                 ["suite", "--max-order", "1", "--group", "dihedral:8"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == ("disagreement: constructive lambda 8 != exact-search lambda 9 "
+                       "for order 8\n")
 
 
 def test_a_construction_that_repeats_a_vertex_exits_2(capsys, monkeypatch):
@@ -443,10 +445,22 @@ def test_suite_passes_on_small_catalogue(capsys):
     doc = json.loads(out)
     assert doc["failures"] == 0
     assert doc["first_failure"] is None
-    assert doc["checks"] > 50
+    # 12 subjects: power-graph-shape and lower-hook on each, the formula on
+    # the 11 p-groups, congruences on 2 of them and family class numbers on 2
+    assert doc["checks"] == 12 * 2 + 11 + 2 + 2
     suites = {r["suite"] for r in doc["results"]}
-    assert "lower-hook" in suites and "constructive-matches-exact" in suites
+    assert "lower-hook" in suites and "lambda-matches-formula" in suites
     assert any(r["subject"] == "cyclic:6" for r in doc["results"])
+
+
+def test_suite_adds_a_catalogued_group_once(capsys):
+    code, out, _ = run(capsys, "suite", "--max-order", "8",
+                       "--group", "cyclic:6", "--group", "cyclic:6")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["subjects"] == sum(order <= 8 for order, _ in _ENTRIES)
+    on_c6 = [r["suite"] for r in doc["results"] if r["subject"] == "cyclic:6"]
+    assert on_c6 == ["power-graph-shape", "lower-hook"]
 
 
 def test_suite_pretty_lines(capsys):
@@ -462,20 +476,19 @@ def test_suite_search_cap_reaches_the_exact_suites(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["failures"] == 0
-    exact_on_d64 = {r["suite"] for r in doc["results"] if r["subject"] == "dihedral:64"}
-    assert {"span-path-equivalence", "constructive-matches-exact"} <= exact_on_d64
+    details = {r["suite"]: r["detail"] for r in doc["results"]
+               if r["subject"] == "dihedral:64"}
+    assert details["lambda-matches-formula"] == (
+        "lambda 64 by constructive and exact-search, formula 64")
 
 
-def test_suite_decides_span_path_equivalence_on_c2_x_c10(capsys):
-    # no path in the reduced complement: the exact certificate (lambda 21)
-    # refutes span 20, which any such path would give
+def test_suite_searches_c2_x_c10_in_under_a_second(capsys):
+    # a non-p-group within the cap is still searched (lambda 21 > |G|)
     started = time.monotonic()
-    code, out, _ = run(capsys, "suite", "--max-order", "1",
-                       "--group", "product:cyclic:2,cyclic:10")
+    code, _, _ = run(capsys, "suite", "--max-order", "1",
+                     "--group", "product:cyclic:2,cyclic:10")
     assert time.monotonic() - started < 1.0
     assert code == 0
-    details = {r["suite"]: r["detail"] for r in json.loads(out)["results"]}
-    assert details["span-path-equivalence"] == "lambda = 21, path absent"
 
 
 def test_suite_counts_a_witness_without_a_path_as_a_failed_check(capsys, monkeypatch):
@@ -490,8 +503,8 @@ def test_suite_counts_a_witness_without_a_path_as_a_failed_check(capsys, monkeyp
 
 
 def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
-    # lambda(Q8) = 9 > |G|: span-path-equivalence reads only the value, so
-    # the witness must be checked where the certificate is made
+    # lambda(Q8) = 9 > |G|: the suites read only the value, so the witness
+    # must be checked where the certificate is made
     bad_q8 = LambdaCertificate(
         value=9, witness=tuple(range(8)),
         evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8),
@@ -508,9 +521,20 @@ def test_a_failed_property_exits_2_and_names_it(capsys, monkeypatch):
     code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:2")
     assert code == 2
     doc = json.loads(out)
-    assert doc["first_failure"] == "constructive-witness-valid: cyclic:2"
-    assert err == ("failed property: constructive-witness-valid on cyclic:2 "
-                   "(value 2, span 2, expected -1, violations 0)\n")
+    assert doc["first_failure"] == "lambda-matches-formula: cyclic:2"
+    assert err == ("failed property: lambda-matches-formula on cyclic:2 "
+                   "(lambda 2 by constructive and exact-search, formula -1)\n")
+
+
+def test_a_hook_that_holds_on_an_element_of_mixed_order_fails_the_suite(capsys,
+                                                                        monkeypatch):
+    # C10 has an element of order 10, so the hook must break there
+    monkeypatch.setattr("pglambda.suites.check_lower_hook", lambda group: None)
+    code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:10")
+    assert code == 2
+    assert json.loads(out)["first_failure"] == "lower-hook: cyclic:10"
+    assert err == ("failed property: lower-hook on cyclic:10 "
+                   "(holds; element order 10 implies a break)\n")
 
 
 def test_semidihedral_class_numbers_match_the_family_expectations():
@@ -642,6 +666,12 @@ def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
     ("--time-budget", "inf"),
     ("--time-budget", "-inf"),
     ("--time-budget", "-1"),
+    # ASCII digits with at most one decimal point, as the integer options
+    ("--time-budget", "\u0663"),
+    ("--time-budget", "1_0"),
+    ("--time-budget", " 2"),
+    ("--time-budget", "+1"),
+    ("--time-budget", "1e1"),
     ("--search-cap", "-5"),
     ("--search-cap", "0"),
 ])

@@ -108,6 +108,41 @@ def test_fuzzed_search_limits_exit_cleanly(budget, cap):
                             f"--time-budget={budget}", f"--search-cap={cap}"))
 
 
+# seconds as a user may write them: digits with points, signs, exponents,
+# spaces, underscores and other digits
+_SECONDS_TEXT = st.one_of(
+    _LIMITS,
+    st.text("0123456789.+-_eE \u0663\uff11", max_size=5),
+    st.builds("{}{}{}".format, st.sampled_from(("", ".", "+", " ")), _NUMBER,
+              st.sampled_from(("", ".", ".5", "e1", "_0", " "))),
+)
+
+
+@_SETTINGS
+@example("\u0663")
+@example("1_0")
+@example(" 2")
+@example("+1")
+@example("1e1")
+@example("1" * 400)
+@example(".")
+@given(text=_SECONDS_TEXT)
+def test_a_time_budget_is_accepted_exactly_when_it_is_ascii_digits_with_one_point(text):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            args = _build_parser().parse_args(["lambda", "cyclic:8", f"--time-budget={text}"])
+        except SystemExit:
+            args = None
+    shape = re.fullmatch(r"[0-9]+(\.[0-9]*)?|\.[0-9]+", text) is not None
+    accepted = shape and float(text) != float("inf")  # 400 digits overflow a float
+    assert (args is not None) == accepted, err.getvalue()
+    if args is None:
+        assert "argument --time-budget" in err.getvalue() and repr(text) in err.getvalue()
+    else:
+        assert args.time_budget == float(text)
+
+
 @_SETTINGS
 @given(value=st.one_of(_NUMBER, _TEXT))
 def test_fuzzed_suite_max_orders_exit_cleanly(value):

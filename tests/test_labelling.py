@@ -524,8 +524,9 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
 @given(st.integers(min_value=2, max_value=8), st.floats(min_value=0.0, max_value=1.0),
        st.randoms(use_true_random=False))
 def test_lambda_is_n_iff_the_reduced_complement_has_a_path(n, density, rnd):
-    # the equivalence the span-path-equivalence suite reads off the exact
-    # certificate, on any graph with a universal vertex 0 (diameter ≤ 2)
+    # the paper's equivalence (λ = n exactly when the reduced complement
+    # has a Hamiltonian path), on any graph with a universal vertex 0
+    # (diameter ≤ 2)
     rest = _random_graph(rnd, n - 1, density)
     d1 = [(1 << n) - 2] + [(mask << 1) | 1 for mask in rest]
     complement = [((1 << (n - 1)) - 1) & ~(mask | 1 << v) for v, mask in enumerate(rest)]
