@@ -1,6 +1,14 @@
 """The search of labelling.exact_lambda, which imports this module on
 first call: a command that does not search does not compile it.  The
-search reads the clock only here."""
+search reads the clock only here.
+
+On a graph of diameter ≤ 2 every two labels differ, so listing the
+vertices by label gives an ordering in which consecutive labels are 1
+apart across a non-adjacent pair and 2 apart across an adjacent pair, a
+*bump*: λ = n − 1 + the fewest bumps over all orderings (Georges, Mauro
+& Whittlesey 1994).  The members of a twin module are interchangeable,
+so the search orders modules, not vertices, and never meets a label.
+"""
 
 from __future__ import annotations
 
@@ -18,20 +26,6 @@ def _greedy_clique(graph: Graph) -> int:
         if graph.neighbors[v] & mask == mask:
             mask |= 1 << v
     return mask
-
-
-def _gap2_packing(mask: int, evens: int) -> int:
-    """Max count of pairwise-≥2-separated values in the bitmask.
-
-    Greedy is optimal (taking the smallest value never hurts), and on a
-    run of L consecutive values it takes the values at even offsets from
-    the run's start, ⌈L/2⌉ of them.  Adding the even-position run starts
-    carries through exactly the runs they begin, so ``from_even`` is the
-    union of those runs; ``evens`` holds bits 0, 2, 4, … past the top bit.
-    """
-    starts = mask & ~(mask << 1)
-    from_even = mask & ~(mask + (starts & evens))
-    return ((from_even & evens) | (mask & ~from_even & ~evens)).bit_count()
 
 
 def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
@@ -66,32 +60,29 @@ def _distance_two(d1: Sequence[int], classes: dict[int, int]) -> list[int]:
     return d2
 
 
-def _path_cover_floor(n: int, classes: dict[int, int]) -> int:
-    """A proven floor on the span of a graph whose labels are all distinct.
+def _path_cover_floor(n: int, classes: dict[int, int]) -> tuple[int, int]:
+    """A proven floor on the span, and the closed-twin class T that sets
+    it (0 when none does).
 
-    Sorted by label, the vertices fall into runs of consecutive labels;
-    a run is a path in the complement, and each gap between runs is ≥ 2,
-    so span ≥ n − 2 + c, c being the fewest complement paths covering
-    all vertices (Georges, Mauro & Whittlesey 1994).  Universal vertices
-    are isolated in the complement, one path each.  For a class T of the
-    rest R, with complement neighbourhood N: T is independent there and
-    every path neighbour of a T vertex lies in N, so a path holds at
-    most one more T vertex than N vertices, and when it holds exactly
-    one more it is T N T … N T and nothing else.  Hence c counts at
-    least |T| − |N| paths through T, plus one when R ⊄ T ∪ N.
+    The runs between bumps are paths in the complement, so span ≥
+    n − 2 + c for the fewest complement paths c covering the vertices.
+    Universal vertices are isolated there, one path each.  A class T of
+    the rest R is independent there, with complement neighbourhood N, so
+    a path holds at most one more T vertex than N vertices, and then is
+    T N T … N T: c counts |T| − |N| paths through T, one more when
+    R ⊄ T ∪ N, and T sets the floor when that beats R's one path.
     """
     everyone = (1 << n) - 1
     universal = classes.get(everyone, 0)
     rest = everyone & ~universal
-    paths = 1 if rest else 0
+    paths, setter = (1 if rest else 0), 0
     for closed, members in classes.items():
-        if closed == everyone:
-            continue
         away = everyone & ~closed
-        excess = members.bit_count() - away.bit_count()
-        if excess > 0:
-            paths = max(paths, excess + (1 if rest & ~(members | away) else 0))
-    return n - 2 + universal.bit_count() + paths
+        excess = (members.bit_count() - away.bit_count()
+                  + (1 if rest & ~(members | away) else 0))
+        if closed != everyone and excess > paths:
+            paths, setter = excess, members
+    return n - 2 + universal.bit_count() + paths, setter
 
 
 def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
@@ -117,174 +108,154 @@ def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
 
 
 class _Quotient(NamedTuple):
-    """The graph as the exact search walks it, built once per graph.
+    """The graph as the search walks it, built once per graph.
 
-    Modules are named by their least member; ``near`` and ``far`` map a
-    module to the bitmask of the modules (as bits of their names) at
-    distance 1 and 2 from its members, itself included when its members
-    are mutually adjacent or at distance 2.
+    Modules are numbered in the order of their least members.  ``near[m]``
+    holds the modules, as bits, whose members are adjacent to m's (m's own
+    when they are pairwise adjacent, which makes m *tight*, as a single
+    vertex is): moving from m to one of them is a bump.
     """
 
-    order: tuple[int, ...]             # vertex order of the search
-    home: tuple[int, ...]              # vertex ↦ its module
-    members: dict[int, int]            # module ↦ bitmask of its members
-    names: int                         # bitmask of the module names
-    near: dict[int, int]
-    far: dict[int, int]
-    clique: tuple[tuple[int, int], ...]  # (module, its greedy-clique members)
-    floor: int                         # spans below this are refuted
-    all_distinct: bool                 # diameter ≤ 2: labels pairwise distinct
-
-
-def _narrow(domain: dict[int, int], modules: int, keep: int,
-            changed: list[tuple[int, int]]) -> bool:
-    """Keep only ``keep``'s labels in each module's domain, logging the old
-    domains in ``changed``; False as soon as one is left empty."""
-    for r in iter_bits(modules):
-        old = domain[r]
-        new = old & keep
-        if new != old:
-            domain[r] = new
-            changed.append((r, old))
-            if not new:
-                return False
-    return True
-
-
-def _span_feasible(q: _Quotient, s: int, deadline: float, budget: float) -> list[int] | None:
-    """One exhaustive feasibility probe: labels ⊆ {0..s} or None.
-
-    A fixed vertex order (descending degree), ascending label choice, with
-    forward checking; the first vertex is capped at s/2 to break the
-    reflection symmetry.  The unassigned members of a twin module share
-    one domain, so an assignment narrows one domain per module it meets,
-    and the wipeout, pigeonhole and clique-packing tests read one domain
-    per live module.  Twins are interchangeable, so each module's members
-    take ascending labels in search order (non-decreasing for twins with
-    no neighbours, which may share a label).  Swapping two twins' labels
-    keeps a labelling valid, so the lexicographically least labelling in
-    search order, the one this search returns, already has ascending
-    twins: the cut keeps every witness and refutation.  Past the deadline
-    raises SearchTimeoutError: every span below s is refuted.
-    """
-    order, home, members, near, far = q.order, q.home, q.members, q.near, q.far
-    n = len(order)
-    full = (1 << (s + 1)) - 1
-    evens = ((1 << 2 * (s // 2 + 1)) - 1) // 3  # bits 0, 2, …, ≥ s − 1
-    domain = dict.fromkeys(members, full)
-    live = q.names  # modules with an unassigned member
-    labels = [-1] * n
-    unassigned = (1 << n) - 1
-
-    # Depth-first over positions i of `order`, with an explicit stack so the
-    # depth is not bounded by the interpreter's recursion limit: untried[i]
-    # holds the labels still to try at position i, undo[i] the module
-    # domains the label now placed there narrowed, oldest first (None while
-    # none is placed).
-    untried = [0] * n
-    undo: list[list[tuple[int, int]] | None] = [None] * n
-    untried[0] = (1 << (s // 2 + 1)) - 1
-    ticks = 0
-    i = 0
-    while True:
-        u = order[i]
-        if undo[i] is not None:
-            for r, old in reversed(undo[i]):
-                domain[r] = old
-            undo[i] = None
-            unassigned |= 1 << u
-            live |= 1 << home[u]
-        mask = untried[i]
-        if not mask:
-            if i == 0:
-                return None
-            i -= 1
-            continue
-        low = mask & -mask
-        untried[i] = mask ^ low
-        lab = low.bit_length() - 1
-        labels[u] = lab
-        unassigned ^= 1 << u
-        own = home[u]
-        changed = [(own, domain[own])]
-        undo[i] = changed
-        if members[own] & unassigned:
-            domain[own] &= -1 << lab  # twin symmetry: the rest take labels ≥ lab
-        else:
-            live ^= 1 << own
-        ok = (_narrow(domain, near[own] & live, ~((0b111 << lab) >> 1), changed)
-              and _narrow(domain, far[own] & live, ~low, changed))
-        if ok and q.all_distinct:
-            union = 0
-            for r in iter_bits(live):
-                union |= domain[r]
-            ok = union.bit_count() >= n - 1 - i
-        if ok:
-            union = need = 0
-            for r, part in q.clique:
-                part &= unassigned
-                if part:
-                    union |= domain[r]
-                    need += part.bit_count()
-            ok = not need or _gap2_packing(union, evens) >= need
-        if ok:
-            i += 1
-            if i == n:
-                return labels[:]
-            ticks += 1
-            if ticks >= 1024:
-                ticks = 0
-                if time.monotonic() > deadline:
-                    raise SearchTimeoutError(f"no result within {budget:.1f}s; "
-                                             f"proven lambda >= {s}", lower_bound=s)
-            untried[i] = domain[home[order[i]]]
+    n: int
+    members: tuple[int, ...]                 # module ↦ bitmask of its vertices
+    near: tuple[int, ...]
+    tight: tuple[tuple[int, int, int], ...]  # (module, near | itself, its rank), by rank
+    floor: int                               # spans below this are refuted
+    evidence: tuple[str, tuple[int, ...] | None]  # what sets the floor: kind, vertices
 
 
 def _quotient(graph: Graph) -> _Quotient:
-    """Twin modules, distance masks, search order and floor of the graph."""
+    """Twin modules, their adjacency, and the floor of a graph of
+    diameter ≤ 2; ValueError on any other graph."""
     n = graph.n
     d1 = list(graph.neighbors)
-    everyone = (1 << n) - 1
     classes = _closed_twin_classes(d1)
     d2 = _distance_two(d1, classes)
-    all_distinct = all((d1[u] | d2[u]) == everyone ^ (1 << u) for u in range(n))
-    clique = _greedy_clique(graph)
-    floor = 2 * (clique.bit_count() - 1)
-    if all_distinct:
-        floor = max(floor, _path_cover_floor(n, classes))
+    if any(d1[v] | d2[v] | 1 << v != (1 << n) - 1 for v in range(n)):
+        raise ValueError("the exact search needs a graph of diameter at most 2")
+    floor, setter = _path_cover_floor(n, classes)
+    evidence = ("path-cover-floor", tuple(iter_bits(setter)) or None)
+    clique = tuple(iter_bits(_greedy_clique(graph)))
+    if 2 * (len(clique) - 1) > floor:
+        floor, evidence = 2 * (len(clique) - 1), ("clique-packing", clique)
 
-    modules = _twin_modules(d1, classes)
-    names = 0
-    home = [0] * n
-    for r, members in modules.items():
-        names |= 1 << r
-        for v in iter_bits(members):
-            home[v] = r
-
-    def reach(masks: Sequence[int]) -> dict[int, int]:
-        return {r: masks[r] & names | (1 << r if masks[r] & members else 0)
-                for r, members in modules.items()}
-
-    return _Quotient(
-        order=tuple(sorted(range(n), key=lambda v: (-d1[v].bit_count(),
-                                                    -d2[v].bit_count(), v))),
-        home=tuple(home),
-        members=modules,
-        names=names,
-        near=reach(d1),
-        far=reach(d2),
-        clique=tuple((r, members & clique) for r, members in modules.items()
-                     if members & clique),
-        floor=floor,
-        all_distinct=all_distinct,
-    )
+    members = tuple(m for _, m in sorted(_twin_modules(d1, classes).items()))
+    home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
+    near = []
+    for mask in members:
+        beside, todo = 0, d1[mask.bit_length() - 1]
+        while todo:  # one step per neighbouring module
+            other = home[(todo & -todo).bit_length() - 1]
+            beside |= 1 << other
+            todo &= ~members[other]
+        near.append(beside)
+    tight = sorted(((m, near[m] | 1 << m,
+                     mask.bit_count() + (d1[mask.bit_length() - 1] | mask).bit_count())
+                    for m, mask in enumerate(members)
+                    if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
+    return _Quotient(n, members, tuple(near), tuple(tight), floor, evidence)
 
 
-def least_span_labels(graph: Graph, time_budget: float) -> list[int]:
-    """exact_lambda's search: labels of least span, probed from the floor up."""
+def least_span_labels(graph: Graph, time_budget: float
+                      ) -> tuple[list[int], tuple[str, tuple[int, ...] | None] | None]:
+    """exact_lambda's search: labels of least span from 0, and the floor
+    (kind, vertices) that refutes one less, or None when a search did.
+
+    Depth first over module sequences, for bump allowances from the
+    floor's up.  From the last module, moves without a bump come first,
+    and among either kind the module of highest rank (members left, plus
+    the vertices left in it or beside it), ties to the lower number.
+    ``failed`` maps a (members left per module, last module) state to the
+    most bumps its rest was shown not to fit in.  One bound prunes: the
+    members left of a tight module follow distinct vertices, each a bump
+    unless it is left apart from the module (or is the last one placed,
+    and apart), so a tight module's rank less the vertices left, less one
+    when the last is apart, counts bumps into it; the counts add up.  Past
+    the deadline raises SearchTimeoutError: λ ≥ the span probed.
+    """
     deadline = time.monotonic() + time_budget
     q = _quotient(graph)
-    s = q.floor  # spans below s are impossible: by the bounds, then refuted
-    while (found := _span_feasible(q, s, deadline, time_budget)) is None:
-        s += 1
-    return found
+    members, near, tight, k = q.members, q.near, q.tight, len(q.members)
+    covers = [tuple(iter_bits(near[m] | 1 << m)) for m in range(k)]
+    weight, radix = [], 1  # members left per module, as one mixed-radix key
+    for mask in members:
+        weight.append(radix)
+        radix *= mask.bit_count() + 1
+    left, rank = [0] * k, [0] * k
+    by_rank = [0] * (2 * q.n + 1)  # rank ↦ the modules with members left, as bits
+    ranks = key = rest = used = 0  # ranks: bits of the non-empty by_rank
+    seq, failed = [], {}  # the modules placed, and the failed states
+
+    def moves(bumping: int, spare: int):
+        for wanted in (~bumping, bumping) if spare else (~bumping,):
+            todo = ranks
+            while todo:
+                r = todo.bit_length() - 1
+                todo ^= 1 << r
+                yield from iter_bits(by_rank[r] & wanted)
+
+    def shift(m: int, step: int) -> None:
+        """Put back (step > 0) or take (step < 0) |step| members of module m."""
+        nonlocal ranks, key, rest
+        for t in covers[m]:  # out of their buckets …
+            if left[t]:
+                by_rank[rank[t]] ^= 1 << t
+                if not by_rank[rank[t]]:
+                    ranks ^= 1 << rank[t]
+        left[m] += step
+        rank[m] += step
+        for t in covers[m]:  # … and back in at their new rank
+            rank[t] += step
+            if left[t]:
+                by_rank[rank[t]] |= 1 << t
+                ranks |= 1 << rank[t]
+        key += step * weight[m]
+        rest += step
+
+    for m, mask in enumerate(members):
+        shift(m, mask.bit_count())
+    allowance = base = q.floor - (q.n - 1)
+    frames = [moves(0, allowance)]
+    ticks = 0
+    while rest:
+        ticks += 1
+        if ticks % 1024 == 0 and time.monotonic() > deadline:
+            s = q.n - 1 + allowance
+            raise SearchTimeoutError(f"no result within {time_budget:.1f}s; "
+                                     f"proven lambda >= {s}", lower_bound=s)
+        m = next(frames[-1], -1)
+        if m < 0:  # every move from here fails
+            frames.pop()
+            if not seq:  # every sequence: allow one more bump
+                allowance += 1
+                frames.append(moves(0, allowance))
+                continue
+            last = seq.pop()
+            failed[key * k + last] = allowance - used
+            used -= near[seq[-1]] >> last & 1 if seq else 0
+            shift(last, 1)
+            continue
+        bump = near[seq[-1]] >> m & 1 if seq else 0
+        shift(m, -1)
+        spare = allowance - used - bump
+        need = 0
+        for t, reach, most in tight:
+            if most <= rest:
+                break
+            need += max(rank[t] - rest - (reach >> m & 1 ^ 1), 0)
+        if rest and (need > spare or failed.get(key * k + m, -1) >= spare):
+            shift(m, 1)
+            continue
+        seq.append(m)
+        used += bump
+        frames.append(moves(near[m], spare))
+
+    unused = list(members)  # steps of 1, and of 2 across a bump
+    labels = [0] * q.n
+    label = -1
+    for i, m in enumerate(seq):
+        v = (unused[m] & -unused[m]).bit_length() - 1
+        unused[m] ^= 1 << v
+        label += 1 + (i > 0 and near[seq[i - 1]] >> m & 1)
+        labels[v] = label
+    return labels, q.evidence if allowance == base else None

@@ -11,12 +11,11 @@ identity, and the two conversions here are mutually inverse.
 A certificate is a witness plus lower-bound evidence, and
 :func:`certificate_problems` is its one checker.
 
-The exact oracle is independent of all group theory: ascending-span
-backtracking over one label domain per twin module with forward
-checking, ascending labels among twins, a clique-packing prune, and an
-all-distinct pigeonhole prune, started at a proven floor (the clique
-bound, and on graphs of diameter ≤ 2 a path-cover bound read off the
-closed-twin classes).  The search runs in ``_search``, loaded on first use.
+The exact oracle is independent of all group theory.  On a graph of
+diameter ≤ 2, λ = n − 1 + the fewest bumps (adjacent consecutive
+vertices) over orderings of the vertices, and ``_search``, loaded on
+first use, searches sequences of twin modules for them, from a proven
+floor (the clique bound or a path-cover bound) up.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import TooLargeError
-from .powergraph import Graph, PowerGraph
+from .powergraph import Graph, PowerGraph, iter_bits
 
 __all__ = [
     "DEFAULT_SEARCH_CAP",
@@ -174,6 +173,7 @@ class Evidence(NamedTuple):
     bound: int
     span: int | None = None
     vertex: int | None = None
+    vertices: tuple[int, ...] | None = None
 
 
 def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
@@ -216,15 +216,43 @@ class LambdaCertificate(NamedTuple):
     construction: ConstructionInfo | None = None
 
 
+def _floor_evidence(graph: Graph, ev: Evidence) -> Evidence | None:
+    """ev's floor re-derived from the bare graph; None when ev is none.
+
+    ``clique-packing``: pairwise adjacent vertices C take labels 2 apart,
+    so λ ≥ 2(|C| − 1).  ``path-cover-floor``: a universal vertex makes all
+    labels differ, and then λ ≥ n − 2 + u + |T| − |N| + [R ⊄ T ∪ N] for u
+    universal vertices, the rest R, and closed twins T (none, or the ones
+    given) with complement neighbourhood N (``_search._path_cover_floor``).
+    """
+    n, nbrs, everyone = graph.n, graph.neighbors, (1 << graph.n) - 1
+    vertices = ev.vertices or ()
+    mask = sum({1 << v for v in vertices if 0 <= v < n})
+    if tuple(iter_bits(mask)) != tuple(vertices):  # ascending, distinct, in range
+        return None
+    closed = {nbrs[v] | 1 << v for v in vertices}
+    if ev.kind == "clique-packing" and all(c & mask == mask for c in closed):
+        bound = 2 * (len(vertices) - 1)
+    elif (ev.kind == "path-cover-floor" and len(closed) <= 1 and everyone not in closed
+          and (universal := sum(1 << v for v in range(n) if graph.is_universal(v)))):
+        away = everyone & ~closed.pop() if closed else 0
+        bound = (n - 2 + universal.bit_count() + len(vertices) - away.bit_count()
+                 + (1 if everyone & ~(universal | mask | away) else 0))
+    else:
+        return None
+    return Evidence(ev.kind, bound, vertices=ev.vertices)
+
+
 def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str]:
     """What is wrong with a certificate; empty when it checks out.
 
     The witness must be a valid labelling of the graph, its span must be
     the certified λ, and λ may not fall below power_graph_lower_bound.
-    The evidence must prove λ: its bound is λ, and it is either a searched
-    refutation of span λ − 1 (of which only that span is checked) or
-    exactly what power_graph_lower_bound derives.  A constructive path at
-    λ = |G| must pass check_ham_path.
+    The evidence must prove λ: its bound is λ, and it is a searched
+    refutation of span λ − 1 (of which only that span is checked), or
+    exactly what power_graph_lower_bound or the exact search's floor
+    derive from the graph.  A constructive path at λ = |G| must pass
+    check_ham_path.
     """
     if len(cert.witness) != graph.n:
         return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
@@ -239,7 +267,7 @@ def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str
         problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.bound}")
     ev = cert.evidence
     proved = (ev.span == ev.bound - 1 if ev.kind == "exhaustive-search-at-span"
-              else ev == lower)
+              else ev == lower or ev == _floor_evidence(graph, ev))
     if ev.bound != cert.value or not proved:
         problems.append(f"{ev.kind} evidence does not prove lambda {cert.value}")
     if cert.construction and cert.construction.path and cert.value == graph.n:
@@ -252,15 +280,14 @@ def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str
 
 def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
                  time_budget: float = DEFAULT_TIME_BUDGET) -> LambdaCertificate:
-    """Minimum L(2,1) span by ascending-span exhaustive search.
+    """Minimum L(2,1) span of a graph of diameter ≤ 2, by exhaustive search.
 
     Knows nothing about groups: works on the bare graph, which is what
-    makes it an independent oracle.  The graph's twin modules, their
-    distance-1 and distance-2 modules, the search order and the proven
-    floor are worked out once (``_search._quotient``); each span probe then
-    searches that quotient, from the floor up.  The certificate's witness
-    achieves the span and the evidence records the refutation of span−1:
-    searched, or below the floor.
+    makes it an independent oracle.  Every power graph has diameter ≤ 2;
+    any other graph raises ValueError.  The evidence is the floor when
+    the first bump allowance probed succeeds (``path-cover-floor`` or
+    ``clique-packing``), and the refutation of span λ − 1 when a probe
+    searched and failed.
 
     Raises SearchTimeoutError with the proven bound when the budget runs
     out, and TooLargeError above ``max_vertices``.
@@ -272,17 +299,16 @@ def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
         raise TooLargeError(f"exact search capped at {max_vertices} vertices, "
                             f"graph has {n}")
     from ._search import least_span_labels
-    found = least_span_labels(graph, time_budget)
-    low = min(found)
-    labels = [lab - low for lab in found]
+    labels, floor = least_span_labels(graph, time_budget)
     sigma = max(labels)
-    witness = tuple(labels)
     if sigma == 0:
         evidence = Evidence(kind="degenerate", bound=0)
-    else:
+    elif floor is None:
         evidence = Evidence(kind="exhaustive-search-at-span", span=sigma - 1,
                             bound=sigma)
-    return LambdaCertificate(value=sigma, witness=witness, evidence=evidence,
+    else:
+        evidence = Evidence(kind=floor[0], bound=sigma, vertices=floor[1])
+    return LambdaCertificate(value=sigma, witness=tuple(labels), evidence=evidence,
                              method="exact-search")
 
 
@@ -298,6 +324,8 @@ def certificate_doc(cert: LambdaCertificate) -> dict:
         evidence["span"] = cert.evidence.span
     if cert.evidence.vertex is not None:
         evidence["vertex"] = cert.evidence.vertex
+    if cert.evidence.vertices is not None:
+        evidence["vertices"] = list(cert.evidence.vertices)
     doc: dict[str, object] = {
         "lambda": cert.value,
         "method": cert.method,

@@ -15,8 +15,10 @@ import time
 import pytest
 
 from pglambda import (
+    Evidence,
     build_power_graph,
     catalogue,
+    certificate_problems,
     check_ham_path,
     check_lower_hook,
     exact_lambda,
@@ -71,6 +73,10 @@ FIXTURES = [
     ("elemab:2,2", 4),
     ("product:cyclic:2,cyclic:4", 8),
     ("elemab:3,2", 9),
+    # beyond the default cap: C48, and C2×C2×Cp at |G| + p − 4, its floor
+    ("cyclic:48", 64),
+    ("product:cyclic:2,product:cyclic:2,cyclic:13", 61),
+    ("product:cyclic:2,product:cyclic:2,cyclic:31", 151),
 ]
 
 
@@ -78,7 +84,7 @@ FIXTURES = [
 def test_exact_lambda_fixtures(spec, expected):
     group = parse_group_spec(spec)
     started = time.perf_counter()
-    cert = exact_lambda(build_power_graph(group))
+    cert = exact_lambda(build_power_graph(group), max_vertices=group.order)
     elapsed = time.perf_counter() - started
     assert cert.value == expected
     assert elapsed < 10.0
@@ -126,7 +132,7 @@ def test_span_equals_order_iff_complement_path_exists(s3_group):
     assert "cyclic:6" in names and "cyclic:10" in names
 
     # λ = |G|: the exact witness converts to a complement path.  λ > |G|:
-    # the search refuted every span below λ, |G| included, and any path
+    # the evidence refutes every span below λ, |G| included, and any path
     # would convert to a span-|G| labelling, so there is none.
     found = 0
     for name, group in subjects:
@@ -139,8 +145,8 @@ def test_span_equals_order_iff_complement_path_exists(s3_group):
             check_ham_path(graph, labelling_to_path(graph, cert.witness))
             found += 1
         else:
-            assert cert.evidence.kind == "exhaustive-search-at-span", name
-            assert cert.evidence.span >= group.order, name
+            assert certificate_problems(graph, cert) == [], name
+            assert cert.evidence.bound > group.order, name
     assert found >= 10
 
 
@@ -265,8 +271,10 @@ def test_q8_has_no_span_8_labelling_and_no_complement_path():
 
     cert = exact_lambda(graph)
     assert cert.value == 9
-    assert cert.evidence.kind == "exhaustive-search-at-span"
-    assert cert.evidence.span == 8  # span 8 exhaustively refuted
+    # span 8 refuted by the path-cover floor: 8 − 2 + 2 universal vertices
+    # + 1 path for the other six, re-derived by certificate_problems
+    assert cert.evidence == Evidence("path-cover-floor", 9)
+    assert certificate_problems(graph, cert) == []
 
     # x² is universal, so isolated in the reduced complement: no path
     lower = power_graph_lower_bound(graph)

@@ -31,6 +31,7 @@ from pglambda import (
     make_dihedral,
     make_elementary_abelian,
     make_quaternion,
+    parse_group_spec,
     parse_labelling_csv,
     path_to_labelling,
     power_graph_lower_bound,
@@ -327,6 +328,7 @@ def test_exact_lambda_of_complete_graphs(n):
 def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
     graph = build_power_graph(make_quaternion(8))
     cert = exact_lambda(graph)
+    assert cert.evidence == Evidence("path-cover-floor", 9)
     assert certificate_problems(graph, cert) == []
     held = Evidence("universal-nonidentity-vertex", 9, vertex=2)
     assert certificate_problems(graph, cert._replace(evidence=held)) == []
@@ -337,6 +339,15 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
                      Evidence("power-graph-bound", 9),
                      Evidence("degenerate", 9),
                      Evidence("exhaustive-search-at-span", 10, span=9),
+                     Evidence("path-cover-floor", 9, span=8),
+                     Evidence("path-cover-floor", 10),
+                     Evidence("path-cover-floor", 9, vertices=(1, 3)),  # x, x³: no excess
+                     Evidence("path-cover-floor", 9, vertices=(1, 4)),  # not closed twins
+                     Evidence("path-cover-floor", 9, vertices=(0, 2)),  # universal
+                     Evidence("path-cover-floor", 9, vertices=(3, 1)),
+                     Evidence("clique-packing", 9, vertices=(0, 1, 2, 3)),  # bound 6
+                     Evidence("clique-packing", 9, vertices=(0, 1, 2, 3, 4)),
+                     Evidence("clique-packing", 9, vertices=(0, 1, 8)),
                      Evidence("no-such-kind", 9)):
         assert certificate_problems(graph, cert._replace(evidence=evidence)) == [
             f"{evidence.kind} evidence does not prove lambda 9"], evidence
@@ -348,15 +359,55 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
         "lambda 8 below the universal-nonidentity-vertex bound 9"]
 
 
+@pytest.mark.parametrize("spec,evidence", [
+    # ties with the clique floor: every vertex of C8 is universal, and C12
+    # has a clique of nine
+    ("cyclic:8", Evidence("path-cover-floor", 14)),
+    ("cyclic:12", Evidence("path-cover-floor", 16)),
+    # the four elements of order 5 are closed twins whose only complement
+    # neighbours are the three involutions
+    ("product:cyclic:2,cyclic:10", Evidence("path-cover-floor", 21, vertices=(2, 4, 6, 8))),
+])
+def test_exact_floor_evidence_is_re_derived_from_the_graph(spec, evidence):
+    graph = build_power_graph(parse_group_spec(spec))
+    cert = exact_lambda(graph)
+    assert cert.evidence == evidence
+    assert certificate_problems(graph, cert) == []
+    if evidence.vertices:
+        fewer = evidence._replace(vertices=evidence.vertices[:-1])
+        assert certificate_problems(graph, cert._replace(evidence=fewer)) == [
+            f"path-cover-floor evidence does not prove lambda {cert.value}"]
+
+
+def test_clique_packing_evidence_is_re_derived_from_the_graph():
+    graph = build_power_graph(make_cyclic(4))
+    clique = Evidence("clique-packing", 6, vertices=(0, 1, 2, 3))
+    cert = exact_lambda(graph)._replace(evidence=clique)
+    assert certificate_problems(graph, cert) == []
+    assert certificate_doc(cert)["evidence"] == {
+        "kind": "clique-packing", "bound": 6, "vertices": [0, 1, 2, 3]}
+    for vertices in ((0, 1, 2), (0, 1, 2, 3, 3), (0, 1, 2, 4), (1, 0, 2, 3)):
+        bad = cert._replace(evidence=clique._replace(vertices=vertices))
+        assert certificate_problems(graph, bad) == [
+            "clique-packing evidence does not prove lambda 6"], vertices
+
+
 def test_exact_lambda_certificate_shape():
     cert = exact_lambda(build_power_graph(make_quaternion(8)))
     assert cert.value == 9
     assert cert.method == "exact-search"
-    assert cert.evidence.kind == "exhaustive-search-at-span"
-    assert cert.evidence.span == 8
-    assert cert.evidence.bound == 9
+    assert cert.evidence == Evidence("path-cover-floor", 9)
     assert min(cert.witness) == 0
     assert validate_labelling(build_power_graph(make_quaternion(8)), cert.witness) == []
+
+
+def test_exact_lambda_searches_when_the_floor_falls_short():
+    # the 4-cycle: floors 2 (an edge) and 3 (one path), but its complement
+    # is two disjoint edges, so every ordering of it has a bump
+    graph = Graph(4, [0b0110, 0b1001, 0b1001, 0b0110])
+    cert = exact_lambda(graph)
+    assert cert.value == 4 == _brute_force_lambda(list(graph.neighbors))
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 4, span=3)
 
 
 def test_exact_lambda_invariant_under_relabelling():
@@ -378,13 +429,9 @@ def test_exact_lambda_invariant_under_relabelling():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=9), st.randoms(use_true_random=False))
 def test_exact_lambda_witness_always_validates(n, rnd):
-    masks = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rnd.random() < 0.4:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    graph = Graph(n, masks)
+    # a random graph on n − 1 vertices, and a universal vertex
+    masks = _random_graph(rnd, n - 1, 0.4)
+    graph = Graph(n, [mask | 1 << (n - 1) for mask in masks] + [(1 << (n - 1)) - 1])
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []
     assert span(cert.witness) == cert.value
@@ -395,6 +442,15 @@ def test_exact_lambda_size_and_argument_errors():
         exact_lambda(_complete_graph(5), max_vertices=4)
     with pytest.raises(ValueError):
         exact_lambda(Graph(0, []))
+
+
+@pytest.mark.parametrize("graph", [
+    Graph(4, [0b0010, 0b0101, 0b1010, 0b0100]),  # the path P4
+    Graph(2, [0, 0]),                            # two isolated vertices
+])
+def test_exact_lambda_refuses_a_graph_of_diameter_above_two(graph):
+    with pytest.raises(ValueError, match="diameter at most 2"):
+        exact_lambda(graph)
 
 
 def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -516,7 +572,7 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
     assume(_diameter_at_most_two(d1))
     truth = _brute_force_lambda(d1)
     classes = search_module._closed_twin_classes(d1)
-    assert search_module._path_cover_floor(graph.n, classes) <= truth
+    assert search_module._path_cover_floor(graph.n, classes)[0] <= truth
     assert exact_lambda(graph).value == truth
 
 
@@ -559,41 +615,40 @@ def _brute_force_span(d1: list[int]) -> int:
 
 
 @st.composite
-def _graphs_with_loose_twins(draw) -> Graph:
-    """Up to 7 vertices: a random base graph, then isolated vertices, open
-    twins and closed twins of earlier vertices, all shuffled."""
+def _graphs_with_a_universal_vertex(draw, max_n: int) -> Graph:
+    """Up to max_n vertices: a random base graph, then open twins and
+    closed twins of earlier vertices, then a universal vertex, all
+    shuffled; so the diameter is at most 2."""
     rnd = draw(st.randoms(use_true_random=False))
-    m = draw(st.integers(min_value=1, max_value=7))
+    m = draw(st.integers(min_value=1, max_value=max_n - 1))
     masks = _random_graph(rnd, m, draw(st.floats(min_value=0.0, max_value=1.0)))
-    for kind in draw(st.lists(st.sampled_from(["isolated", "open", "closed"]),
-                              max_size=7 - m)):
+    for kind in draw(st.lists(st.sampled_from(["open", "closed"]), max_size=max_n - 1 - m)):
         v = len(masks)
-        masks.append(0)
-        if kind == "isolated":
-            continue
         w = rnd.randrange(v)
-        masks[v] = masks[w]
+        masks.append(masks[w])
         for x in range(v):
             if (masks[w] >> x) & 1:
                 masks[x] |= 1 << v
         if kind == "closed":
             masks[v] |= 1 << w
             masks[w] |= 1 << v
-    perm = list(range(len(masks)))
+    n = len(masks) + 1
+    masks = [mask | 1 << (n - 1) for mask in masks] + [(1 << (n - 1)) - 1]
+    perm = list(range(n))
     rnd.shuffle(perm)
-    shuffled = [0] * len(masks)
+    shuffled = [0] * n
     for v, mask in enumerate(masks):
-        for x in range(len(masks)):
+        for x in range(n):
             if (mask >> x) & 1:
                 shuffled[perm[v]] |= 1 << perm[x]
-    return Graph(len(masks), shuffled)
+    return Graph(n, shuffled)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_graphs_with_loose_twins())
-@example(Graph(4, [0, 0, 0, 0]))  # isolated twins may share a label: λ = 0
-@example(Graph(5, [0b00010, 0b00001, 0, 0, 0]))
-def test_exact_lambda_is_minimal_on_any_graph(graph):
+@given(_graphs_with_a_universal_vertex(max_n=7))
+@example(Graph(1, [0]))
+@example(Graph(3, [0b110, 0b101, 0b011]))
+def test_exact_lambda_is_minimal_on_any_graph_of_diameter_two(graph):
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []
     assert span(cert.witness) == cert.value
@@ -601,17 +656,15 @@ def test_exact_lambda_is_minimal_on_any_graph(graph):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=300),
-       st.integers(min_value=0, max_value=(1 << 301) - 1))
-def test_gap2_packing_matches_the_greedy_walk(s, mask):
-    mask &= (1 << (s + 1)) - 1
-    evens = ((1 << 2 * (s // 2 + 1)) - 1) // 3
-    count, rest = 0, mask
-    while rest:
-        low = rest & -rest
-        count += 1
-        rest &= -1 << (low.bit_length() + 1)
-    assert search_module._gap2_packing(mask, evens) == count
+@given(_graphs_with_a_universal_vertex(max_n=9))
+def test_module_search_finds_the_fewest_bumps(graph):
+    # λ = n − 1 + the fewest bumps, by Held–Karp over every ordering.  This
+    # generator is what shows a gap bound charged to open twins as wrong.
+    cert = exact_lambda(graph)
+    assert cert.value == _brute_force_lambda(list(graph.neighbors))
+    assert validate_labelling(graph, cert.witness) == []
+    searched = cert.evidence.kind == "exhaustive-search-at-span"
+    assert searched == (cert.value > search_module._quotient(graph).floor)
 
 
 def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
@@ -625,23 +678,14 @@ def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
             self.calls += 1
             return 0.0 if self.calls == 1 else 1e9
 
-    # a seeded random graph whose first span refutation needs many steps,
-    # so the search is guaranteed to consult the clock at least once
-    rnd = random.Random(1)
-    n = 14
-    masks = [0] * n
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rnd.random() < 0.35:
-                masks[a] |= 1 << b
-                masks[b] |= 1 << a
-    graph = Graph(n, masks)
+    # C36's first bump budget takes many steps, so the search is
+    # guaranteed to consult the clock at least once
+    graph = build_power_graph(make_cyclic(36))
 
     monkeypatch.setattr(search_module, "time", LeapClock())
     with pytest.raises(SearchTimeoutError) as info:
-        exact_lambda(graph, time_budget=1.0)
-    assert info.value.lower_bound is not None
-    assert info.value.lower_bound >= 0
+        exact_lambda(graph, max_vertices=36, time_budget=1.0)
+    assert info.value.lower_bound == search_module._quotient(graph).floor
 
 
 # ---------------------------------------------------------------------------
