@@ -176,11 +176,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     doc = {
         "valid": not violations,
         "span": span(labels),
-        "violations": [
-            {"u": v.u, "v": v.v, "distance": v.distance,
-             "gap": v.gap, "required": v.required}
-            for v in violations
-        ],
+        "violations": [v._asdict() for v in violations],
     }
     _emit(doc, args.pretty)
     return 0 if not violations else 2
@@ -192,11 +188,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         payload = to_dot(build_power_graph(group))
     elif args.format == "edges":
         payload = to_edge_list(build_power_graph(group))
-    elif args.format == "cayley":
-        payload = format_cayley(group)
     else:
-        raise ValueError(f"unknown export format {args.format!r} "
-                         "(expected dot, edges, or cayley)")
+        payload = format_cayley(group)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
@@ -227,11 +220,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         "failures": len(failures),
         "first_failure": (f"{failures[0].suite}: {failures[0].subject}"
                           if failures else None),
-        "results": [
-            {"suite": r.suite, "subject": r.subject,
-             "passed": r.passed, "detail": r.detail}
-            for r in results
-        ],
+        "results": [r._asdict() for r in results],
     }
     if args.pretty:
         for r in results:
@@ -267,11 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Lambda numbers of power graphs of finite groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of compact JSON")
         p.add_argument("--stable", action="store_true",
                        help="omit timing fields so output is byte-reproducible")
+
+    def search_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--search-cap", type=_int_option("the search cap"),
                        default=DEFAULT_SEARCH_CAP, metavar="N",
                        help="max group order for the exact search")
@@ -280,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="group, class-number, and lambda report")
     p.add_argument("spec", help="group spec, e.g. semidihedral:16")
-    common(p)
+    output_options(p)
+    search_options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("lambda", help="lambda certificate for a group")
@@ -290,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="auto = both methods when feasible, else whichever applies")
     p.add_argument("--witness-csv", metavar="FILE",
                    help="also write the witness labelling as CSV")
-    common(p)
+    output_options(p)
+    search_options(p)
     p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("check", help="validate a labelling CSV against a group")
@@ -300,15 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="distance-1 separation (default 2)")
     p.add_argument("-k", type=_int_option("a separation", 0), default=1,
                    help="distance-2 separation (default 1)")
-    common(p)
+    output_options(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("export", help="write the graph or Cayley table")
     p.add_argument("spec")
-    p.add_argument("--format", default="dot",
-                   help="dot | edges | cayley (default dot)")
+    p.add_argument("--format", choices=("dot", "edges", "cayley"), default="dot",
+                   help="what to write (default dot)")
     p.add_argument("--output", "-o", metavar="FILE", help="write here instead of stdout")
-    common(p)
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("suite", help="run the property suites over the catalogue")
@@ -316,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="N", help="largest catalogue group to include (default 32)")
     p.add_argument("--group", action="append", default=[], metavar="SPEC",
                    help="extra group to include (repeatable)")
-    common(p)
+    output_options(p)
+    search_options(p)
     p.set_defaults(func=cmd_suite)
 
     return parser

@@ -318,18 +318,12 @@ def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
 
 def certificate_doc(cert: LambdaCertificate) -> dict:
     """Certificate as a plain JSON-ready dict: {lambda, method, evidence, labels}."""
-    evidence: dict[str, object] = {"kind": cert.evidence.kind,
-                                   "bound": cert.evidence.bound}
-    if cert.evidence.span is not None:
-        evidence["span"] = cert.evidence.span
-    if cert.evidence.vertex is not None:
-        evidence["vertex"] = cert.evidence.vertex
-    if cert.evidence.vertices is not None:
-        evidence["vertices"] = list(cert.evidence.vertices)
     doc: dict[str, object] = {
         "lambda": cert.value,
         "method": cert.method,
-        "evidence": evidence,
+        "evidence": {key: list(value) if isinstance(value, tuple) else value
+                     for key, value in cert.evidence._asdict().items()
+                     if value is not None},
         "labels": list(cert.witness),
     }
     if cert.construction is not None:

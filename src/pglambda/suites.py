@@ -12,7 +12,7 @@ suites read only checked, agreeing values.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .construct import certify
 from .groups import FiniteGroup, is_maximal_class, prime_power
@@ -53,13 +53,12 @@ class _Subject(NamedTuple):
         return max(self.group.cyclic_subgroups().by_order)
 
 
-def _result(suite: str, subject: _Subject, passed: bool, detail: str) -> SuiteResult:
-    return SuiteResult(suite, subject.name, passed, detail)
+# A suite yields (subject, passed, detail); run_suites adds its name.
+_Check = tuple[_Subject, bool, str]
 
 
-def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """Identity universal, diameter ≤ 2, class sizes φ(d), classes cover G."""
-    out = []
     for s in subjects:
         problems = []
         graph = build_power_graph(s.group)
@@ -82,17 +81,14 @@ def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> list[SuiteResult]:
             covered += len(members)
         if covered != s.n:
             problems.append(f"classes cover {covered} of {s.n} elements")
-        out.append(_result("power-graph-shape", s, not problems,
-                           "; ".join(problems) or "ok"))
-    return out
+        yield s, not problems, "; ".join(problems) or "ok"
 
 
-def _suite_congruences(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+def _suite_congruences(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
-    out = []
     for s in subjects:
         p, exponent = s.prime, s.exponent
-        if p is None or exponent == s.n or s.n == 1:
+        if p is None or exponent == s.n:
             continue
         if p == 2 and is_maximal_class(s.group):
             continue
@@ -107,9 +103,7 @@ def _suite_congruences(subjects: Sequence[_Subject]) -> list[SuiteResult]:
             if mi % p != 0:
                 problems.append(f"m({q}) = {mi} is not divisible by {p}")
             q *= p
-        out.append(_result("class-number-congruences", s, not problems,
-                           "; ".join(problems) or f"m({p}) = {m1}"))
-    return out
+        yield s, not problems, "; ".join(problems) or f"m({p}) = {m1}"
 
 
 def _family_class_expectations(tag: str, order: int) -> dict[int, int]:
@@ -132,9 +126,8 @@ def _family_class_expectations(tag: str, order: int) -> dict[int, int]:
     return expected
 
 
-def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """Exact per-order class counts for the three maximal-class 2-group families."""
-    out = []
     for s in subjects:
         tag = s.group.family_tag
         if tag not in ("dihedral", "quaternion", "semidihedral"):
@@ -147,11 +140,10 @@ def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> list[SuiteResul
         detail = (f"class numbers {sorted(actual.items())}" if ok else
                   f"expected {sorted(expected.items())}, got {sorted(actual.items())}"
                   + (f", unexpected orders {extra}" if extra else ""))
-        out.append(_result("family-class-numbers", s, ok, detail))
-    return out
+        yield s, ok, detail
 
 
-def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+def _suite_lower_hook(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """The hook holds exactly when every element order is a prime power.
 
     In a cyclic group of prime-power order the subgroups form a chain, so
@@ -159,7 +151,6 @@ def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
     element whose order has two prime divisors p ≠ q hooks the classes of
     orders p and q, and those are not adjacent.
     """
-    out = []
     for s in subjects:
         sub = s.group.cyclic_subgroups()
         mixed = next((d for d in sub.by_order if d > 1 and prime_power(d) is None), None)
@@ -167,17 +158,13 @@ def _suite_lower_hook(subjects: Sequence[_Subject]) -> list[SuiteResult]:
         found = ("holds" if triple is None else
                  f"counterexample of orders {tuple(len(sub.elements[c]) for c in triple)}")
         if mixed is None:
-            out.append(_result("lower-hook", s, triple is None, found))
+            yield s, triple is None, found
         else:
-            out.append(_result("lower-hook", s, triple is not None,
-                               f"{found}; element order {mixed} implies a break"))
-    return out
+            yield s, triple is not None, f"{found}; element order {mixed} implies a break"
 
 
 def _formula_lambda(s: _Subject) -> int:
     """Independent expectation: 2(p^e − 1) cyclic, |G|+1 unique-involution 2-group, else |G|."""
-    if s.n == 1:
-        return 0
     if s.exponent == s.n:
         return 2 * (s.n - 1)
     if s.prime == 2 and s.group.cyclic_subgroups().class_number(2) == 1:
@@ -185,17 +172,14 @@ def _formula_lambda(s: _Subject) -> int:
     return s.n
 
 
-def _suite_lambda_matches_formula(subjects: Sequence[_Subject]) -> list[SuiteResult]:
+def _suite_lambda_matches_formula(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """The certified λ of every p-group equals the closed form."""
-    out = []
     for s in subjects:
         if s.prime is None:
             continue
         value, expected = s.certificates[0].value, _formula_lambda(s)
         methods = " and ".join(cert.method for cert in s.certificates)
-        out.append(_result("lambda-matches-formula", s, value == expected,
-                           f"lambda {value} by {methods}, formula {expected}"))
-    return out
+        yield s, value == expected, f"lambda {value} by {methods}, formula {expected}"
 
 
 _SUITES = (
@@ -217,7 +201,5 @@ def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
                          certify(group, "auto", cap=exact_cap, budget=time_budget))
                 for name, group in subjects]
 
-    results: list[SuiteResult] = []
-    for _, fn in _SUITES:
-        results.extend(fn(subjects))
-    return results
+    return [SuiteResult(name, s.name, passed, detail)
+            for name, fn in _SUITES for s, passed, detail in fn(subjects)]

@@ -131,7 +131,21 @@ def test_export_cayley_file_round_trip(tmp_path, capsys):
 def test_export_rejects_unknown_format(capsys):
     code, _, err = run(capsys, "export", "cyclic:3", "--format", "gml")
     assert code == 1
-    assert "unknown export format" in err
+    assert "argument --format: invalid choice" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("export", "cyclic:3", "--stable"),
+    ("export", "cyclic:3", "--pretty"),
+    ("export", "cyclic:3", "--search-cap", "8"),
+    ("export", "cyclic:3", "--time-budget", "1"),
+    ("check", "cyclic:8", "w.csv", "--search-cap", "8"),
+    ("check", "cyclic:8", "w.csv", "--time-budget", "1"),
+], ids=" ".join)
+def test_commands_refuse_options_they_do_not_read(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------

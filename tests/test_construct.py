@@ -29,6 +29,7 @@ from pglambda import (
     validate_group,
     validate_labelling,
 )
+from pglambda.groups import _two_generator_table
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,9 @@ def test_quaternion_needs_e_at_least_two():
     (make_elementary_abelian(2, 2), "general"),
     (make_heisenberg(3), "general"),
     (make_direct_product(make_cyclic(2), make_cyclic(8)), "general"),
+    # exponent |G|/2 and an involution outside <x>, but y⁻¹xy = x⁵: modular M16
+    (validate_group(_two_generator_table(8, 5, 0), family_tag="modular"), "general"),
+    (make_direct_product(make_cyclic(2), make_cyclic(16)), "general"),
 ], ids=lambda v: v if isinstance(v, str) else v.family_tag + str(v.order))
 def test_recognize_family_on_canonical_tables(group, family):
     assert recognize_family(group) == family

@@ -10,7 +10,8 @@ reach every constructive branch (degenerate, cyclic, quaternion,
 dihedral, semidihedral, class descent on an abelian, a non-abelian and a
 product group), the exact search (`analyze cyclic:6`, `lambda cyclic:12
 --method exact`), and a scrambled ingested table.  The `file:` spec is
-relative to tests/data because `analyze` echoes it.  Every exact
+relative to tests/data because `analyze` echoes it; so is the witness
+CSV that `check` reads.  Every exact
 certificate, `analyze cyclic:6` included, was captured again when the
 exact search came to order twin modules and to name the floor that
 refutes λ − 1.
@@ -171,6 +172,25 @@ GOLDEN += [
      "120aad7ffc544cb0f40c5b06c6f4e9de35e93451dfd3fa0432e11f0ecc595437"),
     ("lambda product:cyclic:16,cyclic:32 --method exact --search-cap 512 --stable",
      "3c6d4b51796466b8f53b36ffb02344db918adba8a548010cfccea3f586a17ad9"),
+]
+
+
+# `suite`, `check` and `export`: the JSON and `--pretty` suite reports, a
+# check of the witness `lambda cyclic:8 --witness-csv` writes, and each
+# export format.
+GOLDEN += [
+    ("suite --max-order 32 --stable",
+     "3fad32f5863664ab159be345c39da694b2f469332bcaedec04168ed584761eba"),
+    ("suite --max-order 8 --pretty",
+     "61fe4101bd9b827611f34710433f7e1fc78506a6f2f65bce7a2687afc6cebf11"),
+    ("check cyclic:8 cyclic8-witness.csv --stable",
+     "06ead4eae00d890e0bf9359c8d220a5d74a9da77070d32a6b9111a77d41e1815"),
+    ("export dihedral:16 --format dot",
+     "e7b53d467dc69d3a351f639635cf55fd1ea2db02110306a4f8217e2946a0b7e4"),
+    ("export dihedral:16 --format edges",
+     "b6dfcd1a9f95ed57f239aae63c1346781ea9e040d1a5f6a6fe11506c8e76d1d3"),
+    ("export dihedral:16 --format cayley",
+     "d450f6f484d802cbc6e3ad10bdc64e8547850fed32540f4ccce8a85e0d2136b0"),
 ]
 
 
