@@ -139,7 +139,7 @@ def _print_analyze_table(doc: dict) -> None:
         print(f"  {order:<5}  {count}")
     cert = doc["lambda"]
     if cert is None:
-        print(f"lambda         - ({doc.get('note', 'not computed')})")
+        print(f"lambda         - ({doc['note']})")
     else:
         print(f"lambda         {cert['lambda']}  (method {cert['method']}, "
               f"evidence {cert['evidence']['kind']})")
@@ -259,8 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of compact JSON")
-        p.add_argument("--stable", action="store_true",
-                       help="omit timing fields so output is byte-reproducible")
 
     def search_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--search-cap", type=_int_option("the search cap"),
@@ -272,6 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="group, class-number, and lambda report")
     p.add_argument("spec", help="group spec, e.g. semidihedral:16")
     output_options(p)
+    p.add_argument("--stable", action="store_true",
+                   help="omit the timing field so output is byte-reproducible")
     search_options(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         return 2
     except (SearchTimeoutError, TooLargeError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
-        if isinstance(exc, SearchTimeoutError) and exc.lower_bound is not None:
+        if isinstance(exc, SearchTimeoutError):
             print(f"proven lower bound: {exc.lower_bound}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

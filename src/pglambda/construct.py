@@ -197,8 +197,8 @@ def recognize_family(group: FiniteGroup) -> str:
 
     One of 'cyclic', 'quaternion', 'dihedral', 'semidihedral', 'general'.
     The decision is structural (the exponent, the number of involutions,
-    and the presentation relations verified on the table), never the
-    family_tag, so ingested tables classify the same as built ones.
+    and the presentation relations verified on the table), so ingested
+    tables classify the same as built ones.
     """
     n = group.order
     if n == 1:

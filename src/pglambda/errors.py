@@ -45,11 +45,10 @@ class TooLargeError(PglambdaError):
 class SearchTimeoutError(PglambdaError):
     """An exhaustive search exceeded its time budget.
 
-    ``lower_bound`` is proven (all smaller spans are infeasible), or
-    ``None`` when the search established none.
+    ``lower_bound`` is proven: all smaller spans are infeasible.
     """
 
-    def __init__(self, message: str, *, lower_bound: int | None = None) -> None:
+    def __init__(self, message: str, *, lower_bound: int) -> None:
         super().__init__(message)
         self.lower_bound = lower_bound
 

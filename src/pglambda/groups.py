@@ -79,26 +79,23 @@ class FiniteGroup:
     :func:`validate_group` for untrusted tables.
     """
 
-    __slots__ = ("mul", "order", "identity", "names", "family_tag",
+    __slots__ = ("mul", "order", "identity", "names",
                  "_inverses", "_subgroups", "_power_graph")
 
     def __init__(self, mul: Sequence[Sequence[int]],
                  identity: int = 0,
-                 names: Sequence[str] | None = None,
-                 family_tag: str | None = None) -> None:
+                 names: Sequence[str] | None = None) -> None:
         table = _square_table(mul)
         self.mul = table
         self.order = len(table)
         self.identity = int(identity)
         self.names = tuple(names) if names is not None else None
-        self.family_tag = family_tag
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
         self._power_graph = None  # powergraph.PowerGraph, see build_power_graph
 
     def __repr__(self) -> str:
-        tag = self.family_tag or "table"
-        return f"FiniteGroup(order={self.order}, family={tag!r})"
+        return f"FiniteGroup(order={self.order})"
 
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
@@ -275,8 +272,7 @@ def _greedy_generators(mul: Table, identity: int) -> Iterator[int]:
 def validate_group(mul: Sequence[Sequence[int]],
                    identity: int = 0,
                    *,
-                   names: Sequence[str] | None = None,
-                   family_tag: str | None = None) -> FiniteGroup:
+                   names: Sequence[str] | None = None) -> FiniteGroup:
     """Check the group axioms on a multiplication table.
 
     Checks run in a fixed order — closure, identity, associativity, Latin
@@ -302,11 +298,11 @@ def validate_group(mul: Sequence[Sequence[int]],
         raise ValueError("multiplication table must have at least one element")
     if not 0 <= identity < n:
         raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
-    return _checked_group(table, identity, range(n), names, family_tag)
+    return _checked_group(table, identity, range(n), names)
 
 
 def _checked_group(table: Table, identity: int, unranged: Iterable[int],
-                   names: Sequence[str] | None, family_tag: str | None) -> FiniteGroup:
+                   names: Sequence[str] | None) -> FiniteGroup:
     """validate_group on a square int table whose rows outside ``unranged``
     (ascending) are known to hold only cells in 0..n-1."""
     n = len(table)
@@ -342,7 +338,7 @@ def _checked_group(table: Table, identity: int, unranged: Iterable[int],
     if names is not None and ("" in names or len(set(names)) != n):
         g = next(g for g, name in enumerate(names) if not name or name in names[:g])
         raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")
-    return FiniteGroup(table, identity, names=names, family_tag=family_tag)
+    return FiniteGroup(table, identity, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +386,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
-    return FiniteGroup(_rotations(tuple(range(n))), 0, names=_power_names(n),
-                       family_tag="cyclic")
+    return FiniteGroup(_rotations(tuple(range(n))), 0, names=_power_names(n))
 
 
 def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
@@ -427,7 +422,7 @@ def make_dihedral(order: int) -> FiniteGroup:
     _two_exponent(order, 8, "dihedral")
     m = order // 2
     table = _two_generator_table(m, -1, 0)
-    return FiniteGroup(table, 0, names=_coset_names(m), family_tag="dihedral")
+    return FiniteGroup(table, 0, names=_coset_names(m))
 
 
 def make_quaternion(order: int) -> FiniteGroup:
@@ -439,7 +434,7 @@ def make_quaternion(order: int) -> FiniteGroup:
     _two_exponent(order, 8, "quaternion")
     m = order // 2
     table = _two_generator_table(m, -1, m // 2)
-    return FiniteGroup(table, 0, names=_coset_names(m), family_tag="quaternion")
+    return FiniteGroup(table, 0, names=_coset_names(m))
 
 
 def make_semidihedral(order: int) -> FiniteGroup:
@@ -450,7 +445,7 @@ def make_semidihedral(order: int) -> FiniteGroup:
     _two_exponent(order, 16, "semidihedral")
     m = order // 2
     table = _two_generator_table(m, m // 2 - 1, 0)
-    return FiniteGroup(table, 0, names=_coset_names(m), family_tag="semidihedral")
+    return FiniteGroup(table, 0, names=_coset_names(m))
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -458,8 +453,7 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     nh = h.order
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
     identity = g.identity * nh + h.identity
-    return FiniteGroup(_product_table(g.mul, h.mul), identity, names=names,
-                       family_tag="product")
+    return FiniteGroup(_product_table(g.mul, h.mul), identity, names=names)
 
 
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -482,7 +476,7 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     for _ in range(k - 1):
         table = _product_table(cyclic, table)  # the first digit is the most significant
     names = ["(" + ",".join(map(str, digits)) + ")" for digits in product(range(p), repeat=k)]
-    return FiniteGroup(table, 0, names=names, family_tag="elemab")
+    return FiniteGroup(table, 0, names=names)
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -508,7 +502,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
                                        for a2 in range(p) for b2 in range(p)))
              for a, b, c in triples]
     names = [f"({a},{b},{c})" for a, b, c in triples]
-    return FiniteGroup(table, 0, names=names, family_tag="heisenberg")
+    return FiniteGroup(table, 0, names=names)
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +611,7 @@ def parse_cayley(text: str) -> FiniteGroup:
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return _checked_group(tuple(table), 0, unranged, names, "file")
+    return _checked_group(tuple(table), 0, unranged, names)
 
 
 # ---------------------------------------------------------------------------

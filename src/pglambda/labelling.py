@@ -180,10 +180,10 @@ def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
     """The one derivation of a lower bound on λ: the first case that applies.
 
     0 on at most one vertex.  2(|G| − 1) when every vertex is universal:
-    a complete graph needs its labels 2 apart.  Otherwise all labels are
-    distinct (diameter ≤ 2) and the universal identity forces a further
-    gap of 2, giving |G|; a universal non-identity ``vertex`` is isolated
-    in the reduced complement, so for |G| ≥ 3 no Hamiltonian path exists
+    a complete graph needs its labels 2 apart.  Otherwise (so |G| ≥ 3) all
+    labels are distinct (diameter ≤ 2) and the universal identity forces a
+    further gap of 2, giving |G|; a universal non-identity ``vertex`` is
+    isolated in the reduced complement, so no Hamiltonian path exists
     there and the bound is |G| + 1.  On a p-group the bound is λ.
     """
     n = graph.n
@@ -191,10 +191,9 @@ def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
         return Evidence("degenerate", 0)
     if all(map(graph.is_universal, range(n))):
         return Evidence("complete-graph-bound", 2 * (n - 1))
-    if n >= 3:
-        for v in range(n):
-            if v != graph.group.identity and graph.is_universal(v):
-                return Evidence("universal-nonidentity-vertex", n + 1, vertex=v)
+    for v in range(n):
+        if v != graph.group.identity and graph.is_universal(v):
+            return Evidence("universal-nonidentity-vertex", n + 1, vertex=v)
     return Evidence("power-graph-bound", n)
 
 

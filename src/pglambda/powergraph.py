@@ -40,19 +40,14 @@ class Graph:
     ``neighbors[v]`` is an int whose bit u says u ~ v.  Immutable.
     """
 
-    __slots__ = ("n", "neighbors", "names")
+    __slots__ = ("n", "neighbors")
 
-    def __init__(self, n: int, neighbors: Sequence[int],
-                 names: Sequence[str] | None = None) -> None:
-        self.n = n
+    def __init__(self, neighbors: Sequence[int]) -> None:
         self.neighbors = tuple(neighbors)
-        self.names = tuple(names) if names is not None else None
+        self.n = len(self.neighbors)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, edges={self.edge_count()})"
-
-    def name(self, v: int) -> str:
-        return self.names[v] if self.names else str(v)
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool((self.neighbors[u] >> v) & 1)
@@ -81,9 +76,8 @@ class PowerGraph(Graph):
 
     __slots__ = ("group",)
 
-    def __init__(self, n: int, neighbors: Sequence[int], group: FiniteGroup,
-                 names: Sequence[str] | None = None) -> None:
-        super().__init__(n, neighbors, names=names)
+    def __init__(self, neighbors: Sequence[int], group: FiniteGroup) -> None:
+        super().__init__(neighbors)
         self.group = group
 
 
@@ -104,8 +98,7 @@ def build_power_graph(group: FiniteGroup) -> PowerGraph:
             for h in elements:
                 neighbors[h] |= gens_mask
         neighbors = [mask & ~(1 << v) for v, mask in enumerate(neighbors)]
-        group._power_graph = PowerGraph(group.order, neighbors, group,
-                                        names=group.names)
+        group._power_graph = PowerGraph(neighbors, group)
     return group._power_graph
 
 
@@ -167,11 +160,11 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: Graph, graph_name: str = "power") -> str:
-    """DOT rendering with element names as vertex labels."""
-    lines = [f"graph {graph_name} {{"]
+def to_dot(graph: PowerGraph) -> str:
+    """DOT rendering of the graph ``power`` with element names as vertex labels."""
+    lines = ["graph power {"]
     for v in range(graph.n):
-        lines.append(f'  v{v} [label="{_dot_escape(graph.name(v))}"];')
+        lines.append(f'  v{v} [label="{_dot_escape(graph.group.name(v))}"];')
     for u, v in graph.edges():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

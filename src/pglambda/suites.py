@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .construct import certify
+from .construct import certify, recognize_family
 from .groups import FiniteGroup, is_maximal_class, prime_power
 from .labelling import LambdaCertificate
 from .powergraph import build_power_graph, check_lower_hook, euler_phi, iter_bits
@@ -106,13 +106,13 @@ def _suite_congruences(subjects: Sequence[_Subject]) -> Iterator[_Check]:
         yield s, not problems, "; ".join(problems) or f"m({p}) = {m1}"
 
 
-def _family_class_expectations(tag: str, order: int) -> dict[int, int]:
+def _family_class_expectations(family: str, order: int) -> dict[int, int]:
     m = order // 2  # 2^e
     expected = {1: 1}
-    if tag == "dihedral":
+    if family == "dihedral":
         expected[2] = 1 + m
         q = 4
-    elif tag == "quaternion":
+    elif family == "quaternion":
         expected[2] = 1
         expected[4] = 1 + m // 2
         q = 8
@@ -127,12 +127,13 @@ def _family_class_expectations(tag: str, order: int) -> dict[int, int]:
 
 
 def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> Iterator[_Check]:
-    """Exact per-order class counts for the three maximal-class 2-group families."""
+    """Exact per-order class counts for the p-groups recognized as one of
+    the three maximal-class 2-group families."""
     for s in subjects:
-        tag = s.group.family_tag
-        if tag not in ("dihedral", "quaternion", "semidihedral"):
+        family = recognize_family(s.group) if s.prime == 2 else None
+        if family not in ("dihedral", "quaternion", "semidihedral"):
             continue
-        expected = _family_class_expectations(tag, s.n)
+        expected = _family_class_expectations(family, s.n)
         sub = s.group.cyclic_subgroups()
         actual = {d: sub.class_number(d) for d in expected}
         extra = [d for d in sub.by_order if d not in expected]

@@ -25,7 +25,7 @@ def s3_group() -> FiniteGroup:
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[_compose(p, q)] for q in perms] for p in perms]
-    return validate_group(table, family_tag="sym3")
+    return validate_group(table)
 
 
 @pytest.fixture()

@@ -209,22 +209,25 @@ def test_quaternion_needs_e_at_least_two():
 
 
 @pytest.mark.parametrize("group,family", [
-    (make_cyclic(1), "cyclic"),
-    (make_cyclic(16), "cyclic"),
-    (make_cyclic(27), "cyclic"),
-    (make_quaternion(8), "quaternion"),
-    (make_quaternion(32), "quaternion"),
-    (make_dihedral(8), "dihedral"),
-    (make_dihedral(32), "dihedral"),
-    (make_semidihedral(16), "semidihedral"),
-    (make_semidihedral(64), "semidihedral"),
-    (make_elementary_abelian(2, 2), "general"),
-    (make_heisenberg(3), "general"),
-    (make_direct_product(make_cyclic(2), make_cyclic(8)), "general"),
+    pytest.param(make_cyclic(1), "cyclic", id="cyclic1-cyclic"),
+    pytest.param(make_cyclic(16), "cyclic", id="cyclic16-cyclic"),
+    pytest.param(make_cyclic(27), "cyclic", id="cyclic27-cyclic"),
+    pytest.param(make_quaternion(8), "quaternion", id="quaternion8-quaternion"),
+    pytest.param(make_quaternion(32), "quaternion", id="quaternion32-quaternion"),
+    pytest.param(make_dihedral(8), "dihedral", id="dihedral8-dihedral"),
+    pytest.param(make_dihedral(32), "dihedral", id="dihedral32-dihedral"),
+    pytest.param(make_semidihedral(16), "semidihedral", id="semidihedral16-semidihedral"),
+    pytest.param(make_semidihedral(64), "semidihedral", id="semidihedral64-semidihedral"),
+    pytest.param(make_elementary_abelian(2, 2), "general", id="elemab4-general"),
+    pytest.param(make_heisenberg(3), "general", id="heisenberg27-general"),
+    pytest.param(make_direct_product(make_cyclic(2), make_cyclic(8)), "general",
+                 id="product16-general"),
     # exponent |G|/2 and an involution outside <x>, but y⁻¹xy = x⁵: modular M16
-    (validate_group(_two_generator_table(8, 5, 0), family_tag="modular"), "general"),
-    (make_direct_product(make_cyclic(2), make_cyclic(16)), "general"),
-], ids=lambda v: v if isinstance(v, str) else v.family_tag + str(v.order))
+    pytest.param(validate_group(_two_generator_table(8, 5, 0)), "general",
+                 id="modular16-general"),
+    pytest.param(make_direct_product(make_cyclic(2), make_cyclic(16)), "general",
+                 id="product32-general"),
+])
 def test_recognize_family_on_canonical_tables(group, family):
     assert recognize_family(group) == family
 
@@ -243,8 +246,7 @@ def _shuffled_copy(group, seed):
     for a in range(group.order):
         for b in range(group.order):
             mul[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
-    return validate_group(mul, identity=sigma[group.identity],
-                          family_tag="scrambled")
+    return validate_group(mul, identity=sigma[group.identity])
 
 
 @pytest.mark.parametrize("maker,family", [

@@ -443,7 +443,7 @@ def test_parse_cayley_rejects_repeated_and_empty_names(names, message):
 
 # The parser and validator before cells were shared ints and the Latin
 # property was read off the units: the reference for the differential tests.
-def _reference_validate_group(mul, identity=0, *, names=None, family_tag=None):
+def _reference_validate_group(mul, identity=0, *, names=None):
     table = groups_module._square_table([tuple(map(int, row)) for row in mul])
     n = len(table)
     if n == 0:
@@ -476,7 +476,7 @@ def _reference_validate_group(mul, identity=0, *, names=None, family_tag=None):
             raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return FiniteGroup(table, identity, names=names, family_tag=family_tag)
+    return FiniteGroup(table, identity, names=names)
 
 
 def _reference_parse_cayley(text):
@@ -509,7 +509,7 @@ def _reference_parse_cayley(text):
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return _reference_validate_group(table, 0, names=names, family_tag="file")
+    return _reference_validate_group(table, 0, names=names)
 
 
 def _outcome(call):
@@ -518,7 +518,7 @@ def _outcome(call):
         group = call()
     except (ValueError, TooLargeError) as exc:
         return type(exc), str(exc)
-    return group.mul, group.identity, group.names, group.family_tag
+    return group.mul, group.identity, group.names
 
 
 _SMALL_TABLES = [group.mul for _, group in catalogue(12)]

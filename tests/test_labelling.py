@@ -44,7 +44,7 @@ import pglambda._search as search_module
 
 def _complete_graph(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, [full ^ (1 << v) for v in range(n)])
+    return Graph([full ^ (1 << v) for v in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +64,7 @@ def test_k3_labels_0_1_3_violate_on_the_tight_pair():
 
 def test_distance_two_pairs_must_differ():
     # path a–b–c: a and c are at distance 2
-    graph = Graph(3, [0b010, 0b101, 0b010])
+    graph = Graph([0b010, 0b101, 0b010])
     bad = validate_labelling(graph, (0, 3, 0))
     assert [(v.u, v.v, v.distance, v.required) for v in bad] == [(0, 2, 2, 1)]
     assert validate_labelling(graph, (0, 2, 4)) == []
@@ -73,7 +73,7 @@ def test_distance_two_pairs_must_differ():
 
 def test_far_apart_vertices_are_unconstrained():
     # two disjoint edges: distance 1 within, infinite across
-    graph = Graph(4, [0b0010, 0b0001, 0b1000, 0b0100])
+    graph = Graph([0b0010, 0b0001, 0b1000, 0b0100])
     assert validate_labelling(graph, (0, 2, 0, 2)) == []
 
 
@@ -138,7 +138,7 @@ def test_validate_labelling_matches_the_all_pairs_definition(n, rnd, j, k):
         if rnd.random() < 0.4:
             neigh[u] |= 1 << v
             neigh[v] |= 1 << u
-    graph = Graph(n, neigh)
+    graph = Graph(neigh)
     labels = [rnd.randrange(-3, n + 3) for _ in range(n)]
     got = [(w.u, w.v, w.distance, w.gap, w.required)
            for w in validate_labelling(graph, labels, j, k)]
@@ -275,7 +275,7 @@ def test_ham_path_result_is_a_real_path():
     # 3-cube graph: bit-flip adjacency, Hamiltonian by Gray code
     n = 8
     masks = [sum(1 << (v ^ (1 << b)) for b in range(3)) for v in range(n)]
-    cube = Graph(n, masks)
+    cube = Graph(masks)
     path = _held_karp_path(masks)
     assert sorted(path) == list(range(n))
     assert all(cube.adjacent(a, b) for a, b in itertools.pairwise(path))
@@ -404,7 +404,7 @@ def test_exact_lambda_certificate_shape():
 def test_exact_lambda_searches_when_the_floor_falls_short():
     # the 4-cycle: floors 2 (an edge) and 3 (one path), but its complement
     # is two disjoint edges, so every ordering of it has a bump
-    graph = Graph(4, [0b0110, 0b1001, 0b1001, 0b0110])
+    graph = Graph([0b0110, 0b1001, 0b1001, 0b0110])
     cert = exact_lambda(graph)
     assert cert.value == 4 == _brute_force_lambda(list(graph.neighbors))
     assert cert.evidence == Evidence("exhaustive-search-at-span", 4, span=3)
@@ -423,7 +423,7 @@ def test_exact_lambda_invariant_under_relabelling():
             for v in range(graph.n):
                 if graph.adjacent(u, v):
                     masks[perm[u]] |= 1 << perm[v]
-        assert exact_lambda(Graph(graph.n, masks)).value == base
+        assert exact_lambda(Graph(masks)).value == base
 
 
 @settings(max_examples=25, deadline=None)
@@ -431,7 +431,7 @@ def test_exact_lambda_invariant_under_relabelling():
 def test_exact_lambda_witness_always_validates(n, rnd):
     # a random graph on n − 1 vertices, and a universal vertex
     masks = _random_graph(rnd, n - 1, 0.4)
-    graph = Graph(n, [mask | 1 << (n - 1) for mask in masks] + [(1 << (n - 1)) - 1])
+    graph = Graph([mask | 1 << (n - 1) for mask in masks] + [(1 << (n - 1)) - 1])
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []
     assert span(cert.witness) == cert.value
@@ -441,12 +441,12 @@ def test_exact_lambda_size_and_argument_errors():
     with pytest.raises(TooLargeError):
         exact_lambda(_complete_graph(5), max_vertices=4)
     with pytest.raises(ValueError):
-        exact_lambda(Graph(0, []))
+        exact_lambda(Graph([]))
 
 
 @pytest.mark.parametrize("graph", [
-    Graph(4, [0b0010, 0b0101, 0b1010, 0b0100]),  # the path P4
-    Graph(2, [0, 0]),                            # two isolated vertices
+    Graph([0b0010, 0b0101, 0b1010, 0b0100]),  # the path P4
+    Graph([0, 0]),                            # two isolated vertices
 ])
 def test_exact_lambda_refuses_a_graph_of_diameter_above_two(graph):
     with pytest.raises(ValueError, match="diameter at most 2"):
@@ -468,7 +468,7 @@ def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
 
 
 def test_exact_lambda_trivial_graph():
-    cert = exact_lambda(Graph(1, [0]))
+    cert = exact_lambda(Graph([0]))
     assert cert.value == 0
     assert cert.evidence.kind == "degenerate"
 
@@ -504,7 +504,7 @@ def _graphs_with_twins(draw, max_base: int, max_size: int) -> Graph:
     sizes = [draw(st.integers(min_value=1, max_value=max_size)) for _ in range(m)]
     base = _random_graph(rnd, m, draw(st.floats(min_value=0.2, max_value=0.9)))
     masks = _blow_up(base, sizes)
-    return Graph(len(masks), masks)
+    return Graph(masks)
 
 
 def _all_pairs_distance_two(d1: list[int]) -> list[int]:
@@ -562,7 +562,7 @@ def _brute_force_lambda(d1: list[int]) -> int:
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(
-    st.builds(lambda n, d, rnd: Graph(n, _random_graph(rnd, n, d)),
+    st.builds(lambda n, d, rnd: Graph(_random_graph(rnd, n, d)),
               st.integers(min_value=1, max_value=7),
               st.floats(min_value=0.3, max_value=1.0),
               st.randoms(use_true_random=False)),
@@ -641,13 +641,13 @@ def _graphs_with_a_universal_vertex(draw, max_n: int) -> Graph:
         for x in range(n):
             if (mask >> x) & 1:
                 shuffled[perm[v]] |= 1 << perm[x]
-    return Graph(n, shuffled)
+    return Graph(shuffled)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_graphs_with_a_universal_vertex(max_n=7))
-@example(Graph(1, [0]))
-@example(Graph(3, [0b110, 0b101, 0b011]))
+@example(Graph([0]))
+@example(Graph([0b110, 0b101, 0b011]))
 def test_exact_lambda_is_minimal_on_any_graph_of_diameter_two(graph):
     cert = exact_lambda(graph)
     assert validate_labelling(graph, cert.witness) == []

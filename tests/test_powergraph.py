@@ -170,7 +170,7 @@ def test_dot_output_is_deterministic_and_named():
 
 
 def test_plain_graph_adjacency_bits():
-    graph = Graph(3, [0b110, 0b001, 0b001])
+    graph = Graph([0b110, 0b001, 0b001])
     assert graph.adjacent(0, 1) and graph.adjacent(0, 2)
     assert not graph.adjacent(1, 2)
     assert graph.degree(0) == 2
