@@ -18,7 +18,7 @@ _MODULES = ("errors", "groups", "powergraph", "labelling", "construct", "catalog
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _MODULES or name in ("cli", "_search"):  # a submodule loads alone
         return import_module(f"{__name__}.{name}")
     if name == "__all__":
         value = ["__version__"] + [

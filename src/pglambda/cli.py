@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze (group + power-graph report), lambda (certificate),
-check (validate a labelling CSV), export (dot / edges / cayley), suite
-(property suites over the catalogue).  Every command takes its group as
-a spec string; the grammar is in :mod:`pglambda.groups`, which parses it.
+check (validate an L(2,1)-labelling CSV), export (dot / edges / cayley),
+suite (property suites over the catalogue).  Every command takes its
+group as a spec string, which :mod:`pglambda.groups` parses; only then
+does it import the graph, labelling or construction code it runs.
 
 Exit codes: 0 success, 1 input error, 2 mathematical violation or
 method disagreement, 3 resource limit (size cap or search timeout).
@@ -20,6 +21,8 @@ import time
 
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
+    DEFAULT_SEARCH_CAP,
+    DEFAULT_TIME_BUDGET,
     _digits_int,
     format_cayley,
     is_maximal_class,
@@ -27,16 +30,6 @@ from .groups import (
     parse_group_spec,
     prime_power,
 )
-from .labelling import (
-    DEFAULT_SEARCH_CAP,
-    DEFAULT_TIME_BUDGET,
-    certificate_doc,
-    format_labelling_csv,
-    parse_labelling_csv,
-    span,
-    validate_labelling,
-)
-from .powergraph import build_power_graph, to_dot, to_edge_list
 
 __all__ = ["main"]
 
@@ -49,12 +42,12 @@ def _emit(doc: object, pretty: bool) -> None:
     print(json.dumps(doc, sort_keys=True, indent=2 if pretty else None))
 
 
-def _int_option(what: str, least: int = 1):
-    """An argparse type: an integer ≥ ``least`` in ASCII digits, else an
-    input error (exit 1)."""
+def _int_option(what: str):
+    """An argparse type: a positive integer in ASCII digits, else an input
+    error (exit 1)."""
     def parse(text: str) -> int:
         try:
-            return _digits_int(text, what, least)
+            return _digits_int(text, what)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
@@ -79,8 +72,10 @@ def _time_budget(text: str) -> float:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from .construct import certify, recognize_family  # only certifying commands load it
     group = parse_group_spec(args.spec)
+    from .construct import certify, recognize_family
+    from .labelling import certificate_doc
+    from .powergraph import build_power_graph
     graph = build_power_graph(group)
     sub = group.cyclic_subgroups()
     pp = prime_power(group.order)
@@ -148,8 +143,9 @@ def _print_analyze_table(doc: dict) -> None:
 
 
 def cmd_lambda(args: argparse.Namespace) -> int:
-    from .construct import certify
     group = parse_group_spec(args.spec)
+    from .construct import certify
+    from .labelling import certificate_doc, format_labelling_csv
     certs = certify(group, args.method, cap=args.search_cap, budget=args.time_budget)
     if not certs:
         raise ValueError(
@@ -168,11 +164,13 @@ def cmd_lambda(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
+    from .labelling import parse_labelling_csv, span, validate_labelling
+    from .powergraph import build_power_graph
     graph = build_power_graph(group)
     with open(args.labelling, "r", encoding="utf-8") as handle:
         text = handle.read()
     labels = parse_labelling_csv(text, group.order, group.names)
-    violations = validate_labelling(graph, labels, j=args.j, k=args.k)
+    violations = validate_labelling(graph, labels)
     doc = {
         "valid": not violations,
         "span": span(labels),
@@ -184,12 +182,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
-    if args.format == "dot":
-        payload = to_dot(build_power_graph(group))
-    elif args.format == "edges":
-        payload = to_edge_list(build_power_graph(group))
-    else:
+    if args.format == "cayley":
         payload = format_cayley(group)
+    else:
+        from .powergraph import build_power_graph, to_dot, to_edge_list
+        graph = build_power_graph(group)
+        payload = to_dot(graph) if args.format == "dot" else to_edge_list(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
@@ -241,7 +239,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses '--' as an option's attached value (--search-cap=--, -j--),
+    """Refuses '--' as an option's attached value (--search-cap=--, -o--),
     which Python 3.10 and 3.11 turn into [] without calling the type."""
 
     def _get_values(self, action, arg_strings):
@@ -289,10 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a labelling CSV against a group")
     p.add_argument("spec")
     p.add_argument("labelling", help="CSV file with header element,label")
-    p.add_argument("-j", type=_int_option("a separation", 0), default=2,
-                   help="distance-1 separation (default 2)")
-    p.add_argument("-k", type=_int_option("a separation", 0), default=1,
-                   help="distance-2 separation (default 1)")
     output_options(p)
     p.set_defaults(func=cmd_check)
 

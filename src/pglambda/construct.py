@@ -26,10 +26,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ConstructionFailedError
-from .groups import FiniteGroup, prime_power
+from .groups import DEFAULT_SEARCH_CAP, DEFAULT_TIME_BUDGET, FiniteGroup, prime_power
 from .labelling import (
-    DEFAULT_SEARCH_CAP,
-    DEFAULT_TIME_BUDGET,
     ConstructionInfo,
     LambdaCertificate,
     certificate_problems,

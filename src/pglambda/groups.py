@@ -1,11 +1,11 @@
 """Finite groups as explicit multiplication tables.
 
-Groups live on element indices ``0..n-1`` with an immutable Cayley table,
-a tuple of row tuples.  The family constructors (cyclic, dihedral,
-generalized quaternion, semidihedral, elementary abelian, Heisenberg,
-direct product) fix a deterministic element enumeration — powers of x
-first, then the y-coset — so that everything computed downstream is
-reproducible.
+Groups live on element indices ``0..n-1``, element 0 the identity, with
+an immutable Cayley table, a tuple of row tuples.  The family
+constructors (cyclic, dihedral, generalized quaternion, semidihedral,
+elementary abelian, Heisenberg, direct product) fix a deterministic
+element enumeration — powers of x first, then the y-coset — so that
+everything computed downstream is reproducible.
 
 The cyclic structure has one record, ``FiniteGroup.cyclic_subgroups()``:
 the distinct cyclic subgroups in class order, with the cyclic classes
@@ -17,7 +17,8 @@ for the command line and the catalogue alike:
     cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
     elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
 with every parameter N, ORDER, P, K written in ASCII digits, the rule
-that the integer options and LAMBDA_MAX_ORDER follow too.
+that the integer options and LAMBDA_MAX_ORDER follow too.  The default
+limits are set here, so the command line reads them without the rest.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .errors import GroupValidationError, TooLargeError
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
+    "DEFAULT_SEARCH_CAP",
+    "DEFAULT_TIME_BUDGET",
     "CyclicSubgroups",
     "FiniteGroup",
     "format_cayley",
@@ -52,6 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 512
+DEFAULT_SEARCH_CAP = 32
+DEFAULT_TIME_BUDGET = 60.0
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -67,9 +72,9 @@ def max_group_order() -> int:
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    ``mul[g][h]`` is the product g·h on element indices.  Instances are
-    immutable after construction (the table is a tuple of row tuples) and
-    are therefore safe to share across threads.
+    ``mul[g][h]`` is the product g·h on element indices, element 0 the
+    identity.  Instances are immutable after construction (the table is
+    a tuple of row tuples) and are therefore safe to share across threads.
 
     Derived structures (inverses, the cyclic subgroups with the element
     orders and cyclic classes read off them, the power graph) are computed
@@ -79,16 +84,14 @@ class FiniteGroup:
     :func:`validate_group` for untrusted tables.
     """
 
-    __slots__ = ("mul", "order", "identity", "names",
-                 "_inverses", "_subgroups", "_power_graph")
+    __slots__ = ("mul", "order", "names", "_inverses", "_subgroups", "_power_graph")
+    identity = 0
 
     def __init__(self, mul: Sequence[Sequence[int]],
-                 identity: int = 0,
                  names: Sequence[str] | None = None) -> None:
         table = _square_table(mul)
         self.mul = table
         self.order = len(table)
-        self.identity = int(identity)
         self.names = tuple(names) if names is not None else None
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
@@ -229,10 +232,10 @@ def _square_table(mul: Sequence[Sequence[int]]) -> Table:
     return table
 
 
-def _greedy_generators(mul: Table, identity: int) -> Iterator[int]:
+def _greedy_generators(mul: Table) -> Iterator[int]:
     """Yield generators, each the smallest element not yet reached.
 
-    The reached set starts at the identity and is closed under right
+    The reached set starts at the identity 0 and is closed under right
     multiplication by the generators yielded so far; it grows when the
     caller asks for the next generator, and the generators run out once
     it holds every element.  On a group table it is the subgroup they
@@ -240,8 +243,8 @@ def _greedy_generators(mul: Table, identity: int) -> Iterator[int]:
     """
     n = len(mul)
     reached = bytearray(n)
-    reached[identity] = 1
-    members = [identity]
+    reached[0] = 1
+    members = [0]
     gens: list[int] = []
     for g in range(n):
         if reached[g]:
@@ -269,11 +272,10 @@ def _greedy_generators(mul: Table, identity: int) -> Iterator[int]:
             return
 
 
-def validate_group(mul: Sequence[Sequence[int]],
-                   identity: int = 0,
-                   *,
+def validate_group(mul: Sequence[Sequence[int]], *,
                    names: Sequence[str] | None = None) -> FiniteGroup:
-    """Check the group axioms on a multiplication table.
+    """Check the group axioms on a multiplication table whose identity is
+    element 0.
 
     Checks run in a fixed order — closure, identity, associativity, Latin
     square — and the first violation is reported with the offending
@@ -296,12 +298,10 @@ def validate_group(mul: Sequence[Sequence[int]],
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
-    if not 0 <= identity < n:
-        raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
-    return _checked_group(table, identity, range(n), names)
+    return _checked_group(table, range(n), names)
 
 
-def _checked_group(table: Table, identity: int, unranged: Iterable[int],
+def _checked_group(table: Table, unranged: Iterable[int],
                    names: Sequence[str] | None) -> FiniteGroup:
     """validate_group on a square int table whose rows outside ``unranged``
     (ascending) are known to hold only cells in 0..n-1."""
@@ -313,14 +313,13 @@ def _checked_group(table: Table, identity: int, unranged: Iterable[int],
             raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
 
     idx = tuple(range(n))
-    for line in (table[identity], tuple(row[identity] for row in table)):
+    for line in (table[0], tuple(row[0] for row in table)):
         if line != idx:
             g = next(g for g in idx if line[g] != g)
-            raise GroupValidationError(
-                f"element {identity} does not act as identity on element {g}")
+            raise GroupValidationError(f"element 0 does not act as identity on element {g}")
 
     # a generator exists only when n ≥ 2, so itemgetter returns tuples
-    for g in _greedy_generators(table, identity):
+    for g in _greedy_generators(table):
         lhs = list(map(table.__getitem__, (row[g] for row in table)))  # a ↦ c ↦ (a·g)·c
         rhs = list(map(itemgetter(*table[g]), table))                  # a ↦ c ↦ a·(g·c)
         if lhs != rhs:
@@ -330,7 +329,7 @@ def _checked_group(table: Table, identity: int, unranged: Iterable[int],
                 f"(a·b)·c != a·(b·c) for (a, b, c) = ({a}, {g}, {c})")
 
     for g, row in enumerate(table):  # units, see validate_group
-        if identity not in row:
+        if 0 not in row:
             raise GroupValidationError(f"row {g} is not a permutation of 0..{n - 1}")
 
     if names is not None and len(names) != n:
@@ -338,7 +337,7 @@ def _checked_group(table: Table, identity: int, unranged: Iterable[int],
     if names is not None and ("" in names or len(set(names)) != n):
         g = next(g for g, name in enumerate(names) if not name or name in names[:g])
         raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")
-    return FiniteGroup(table, identity, names=names)
+    return FiniteGroup(table, names)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +385,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
-    return FiniteGroup(_rotations(tuple(range(n))), 0, names=_power_names(n))
+    return FiniteGroup(_rotations(tuple(range(n))), _power_names(n))
 
 
 def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
@@ -422,7 +421,7 @@ def make_dihedral(order: int) -> FiniteGroup:
     _two_exponent(order, 8, "dihedral")
     m = order // 2
     table = _two_generator_table(m, -1, 0)
-    return FiniteGroup(table, 0, names=_coset_names(m))
+    return FiniteGroup(table, _coset_names(m))
 
 
 def make_quaternion(order: int) -> FiniteGroup:
@@ -434,7 +433,7 @@ def make_quaternion(order: int) -> FiniteGroup:
     _two_exponent(order, 8, "quaternion")
     m = order // 2
     table = _two_generator_table(m, -1, m // 2)
-    return FiniteGroup(table, 0, names=_coset_names(m))
+    return FiniteGroup(table, _coset_names(m))
 
 
 def make_semidihedral(order: int) -> FiniteGroup:
@@ -445,15 +444,14 @@ def make_semidihedral(order: int) -> FiniteGroup:
     _two_exponent(order, 16, "semidihedral")
     m = order // 2
     table = _two_generator_table(m, m // 2 - 1, 0)
-    return FiniteGroup(table, 0, names=_coset_names(m))
+    return FiniteGroup(table, _coset_names(m))
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
     nh = h.order
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
-    identity = g.identity * nh + h.identity
-    return FiniteGroup(_product_table(g.mul, h.mul), identity, names=names)
+    return FiniteGroup(_product_table(g.mul, h.mul), names)
 
 
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
@@ -476,7 +474,7 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     for _ in range(k - 1):
         table = _product_table(cyclic, table)  # the first digit is the most significant
     names = ["(" + ",".join(map(str, digits)) + ")" for digits in product(range(p), repeat=k)]
-    return FiniteGroup(table, 0, names=names)
+    return FiniteGroup(table, names)
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -502,7 +500,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
                                        for a2 in range(p) for b2 in range(p)))
              for a, b, c in triples]
     names = [f"({a},{b},{c})" for a, b, c in triples]
-    return FiniteGroup(table, 0, names=names)
+    return FiniteGroup(table, names)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +517,7 @@ def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     length of w·y as a word in the generators.  For a nilpotent group the
     chain ends with the trivial subgroup.
     """
-    gens = list(_greedy_generators(group.mul, group.identity))
+    gens = list(_greedy_generators(group.mul))
     series = [frozenset(range(group.order))]
     while True:
         nxt = group.subgroup_generated({group.commutator(h, y)
@@ -611,7 +609,7 @@ def parse_cayley(text: str) -> FiniteGroup:
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return _checked_group(tuple(table), 0, unranged, names)
+    return _checked_group(tuple(table), unranged, names)
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +622,15 @@ def _spec_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def _digits_int(text: str, what: str, least: int = 1) -> int:
-    """``text`` as an integer ≥ ``least``, written as _spec_digits says."""
+def _digits_int(text: str, what: str) -> int:
+    """``text`` as a positive integer, written as _spec_digits says."""
     if not _spec_digits(text):
-        kind = "a positive integer" if least == 1 else f"an integer >= {least}"
-        raise ValueError(f"{what} must be {kind} in ASCII digits, got {text!r}")
+        raise ValueError(f"{what} must be a positive integer in ASCII digits, got {text!r}")
     if len(text) > 4300:  # int() refuses these on Python 3.11, not on 3.10
         raise ValueError(f"{what} may have at most 4300 digits, got {len(text)}")
     value = int(text)
-    if value < least:
-        raise ValueError(f"{what} must be "
-                         f"{'positive' if least == 1 else f'>= {least}'}, got {value}")
+    if value < 1:
+        raise ValueError(f"{what} must be positive, got {value}")
     return value
 
 

@@ -1,12 +1,12 @@
 """L(2,1)-labellings: validation, span, path conversions, and exact search.
 
 A labelling is a tuple of labels indexed by vertex, valid when labels
-differ by ≥ j across edges and by ≥ k across distance-2 pairs
-(defaults j=2, k=1).  On a power graph every
-distinct pair is within distance 2, so a valid L(2,1)-labelling has all
-labels distinct; a span-|G| labelling is then the same data as a
-Hamiltonian path in the complement of the power graph minus the
-identity, and the two conversions here are mutually inverse.
+differ by ≥ 2 across edges and by ≥ 1 across distance-2 pairs: the
+L(2,1) rule, the only one checked.  On a power graph every distinct pair
+is within distance 2, so a valid labelling has all labels distinct; a
+span-|G| labelling is then the same data as a Hamiltonian path in the
+complement of the power graph minus the identity, and the two
+conversions here are mutually inverse.
 
 A certificate is a witness plus lower-bound evidence, and
 :func:`certificate_problems` is its one checker.
@@ -23,11 +23,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import TooLargeError
+from .groups import DEFAULT_SEARCH_CAP, DEFAULT_TIME_BUDGET
 from .powergraph import Graph, PowerGraph, iter_bits
 
 __all__ = [
-    "DEFAULT_SEARCH_CAP",
-    "DEFAULT_TIME_BUDGET",
     "Violation",
     "Evidence",
     "LambdaCertificate",
@@ -44,9 +43,6 @@ __all__ = [
     "format_labelling_csv",
     "parse_labelling_csv",
 ]
-
-DEFAULT_SEARCH_CAP = 32
-DEFAULT_TIME_BUDGET = 60.0
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +63,13 @@ class Violation(NamedTuple):
                 f"|gap| = {self.gap} < {self.required}")
 
 
-def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Violation]:
-    """Every violating pair with its distance; empty list means valid.
+def validate_labelling(graph: Graph, labels) -> list[Violation]:
+    """Every pair breaking the L(2,1) rule, with its distance; [] if valid.
 
     Distances beyond 2 are unconstrained; d = 2 means non-adjacent with a
     common neighbour.  Violations come in ascending (u, v) order, u < v.
-    Only pairs whose labels differ by less than max(j, k) can violate, so
-    the vertices are sorted by label and only pairs inside that window are
+    Only pairs whose labels differ by less than 2 can violate, so the
+    vertices are sorted by label and only pairs inside that window are
     tested.
     """
     n = graph.n
@@ -81,20 +77,19 @@ def validate_labelling(graph: Graph, labels, j: int = 2, k: int = 1) -> list[Vio
     if len(lab) != n:
         raise ValueError(f"expected {n} labels, got {len(lab)}")
     neigh = graph.neighbors
-    window = max(j, k)
     by_label = sorted(range(n), key=lab.__getitem__)
     out = []
     for i, x in enumerate(by_label):
         for t in range(i + 1, n):
             y = by_label[t]
             gap = lab[y] - lab[x]
-            if gap >= window:
+            if gap >= 2:
                 break
             u, v = min(x, y), max(x, y)
             if (neigh[u] >> v) & 1:
-                distance, required = 1, j
+                distance, required = 1, 2
             elif neigh[u] & neigh[v]:
-                distance, required = 2, k
+                distance, required = 2, 1
             else:
                 continue
             if gap < required:

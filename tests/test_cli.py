@@ -159,6 +159,8 @@ def test_export_rejects_unknown_format(capsys):
     ("export", "cyclic:3", "--time-budget", "1"),
     ("check", "cyclic:8", "w.csv", "--search-cap", "8"),
     ("check", "cyclic:8", "w.csv", "--time-budget", "1"),
+    ("check", "cyclic:8", "w.csv", "-j", "1"),  # check tests L(2,1) labellings only
+    ("check", "cyclic:8", "w.csv", "-k", "0"),
 ], ids=" ".join)
 def test_commands_refuse_options_they_do_not_read(argv, capsys):
     code, out, err = run(capsys, *argv)
@@ -437,16 +439,6 @@ def test_check_overlong_csv_field_is_an_input_error(tmp_path, capsys):
     code, _, err = run(capsys, "check", "cyclic:4", str(labelling))
     assert code == 1
     assert "field larger than field limit" in err
-
-
-def test_check_custom_separations(tmp_path, capsys):
-    csv = tmp_path / "tight.csv"
-    csv.write_text("element,label\n0,0\n1,1\n2,2\n", encoding="utf-8")
-    code, _, _ = run(capsys, "check", "cyclic:3", str(csv))
-    assert code == 2  # fails at the default j=2
-    code, out, _ = run(capsys, "check", "cyclic:3", str(csv), "-j", "1")
-    assert code == 0  # consecutive labels suffice when j=1
-    assert json.loads(out)["span"] == 2
 
 
 def test_check_accepts_mixed_names_and_indices(tmp_path, capsys):
@@ -731,40 +723,37 @@ def test_out_of_range_search_limits_are_input_errors(option, value, capsys):
     assert f"argument {option}" in err and value in err
 
 
+# Ids keep the numbers they had when check still took -j and -k.
 @pytest.mark.parametrize("argv,option", [
-    (["suite", "--max-order", "0"], "--max-order"),
-    (["suite", "--max-order", "-3"], "--max-order"),
-    (["check", "cyclic:8", "LABELS", "-j", "-1"], "-j"),
-    (["check", "cyclic:8", "LABELS", "-k", "-1"], "-k"),
-    (["check", "cyclic:8", "LABELS", "-j", "two"], "-j"),
+    pytest.param(["suite", "--max-order", "0"], "--max-order", id="argv0---max-order"),
+    pytest.param(["suite", "--max-order", "-3"], "--max-order", id="argv1---max-order"),
     # options follow the spec-parameter rule: ASCII digits only
-    (["check", "cyclic:8", "LABELS", "-k", "-0"], "-k"),
-    (["suite", "--max-order", "+8"], "--max-order"),
-    (["lambda", "cyclic:8", "--search-cap", " 1_6"], "--search-cap"),
-    (["lambda", "cyclic:8", "--search-cap", "\u0663\u0662"], "--search-cap"),
+    pytest.param(["suite", "--max-order", "+8"], "--max-order", id="argv6---max-order"),
+    pytest.param(["lambda", "cyclic:8", "--search-cap", " 1_6"], "--search-cap",
+                 id="argv7---search-cap"),
+    pytest.param(["lambda", "cyclic:8", "--search-cap", "\u0663\u0662"], "--search-cap",
+                 id="argv8---search-cap"),
 ])
-def test_out_of_range_counts_are_input_errors(argv, option, tmp_path, capsys):
-    labels = tmp_path / "zeros.csv"  # valid only if separations could be negative
-    labels.write_text("element,label\n" + "".join(f"{v},0\n" for v in range(8)),
-                      encoding="utf-8")
-    argv = [str(labels) if arg == "LABELS" else arg for arg in argv]
+def test_out_of_range_counts_are_input_errors(argv, option, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert f"argument {option}" in err and argv[-1] in err
 
 
+# Ids keep the numbers they had when check still took -j and -k.
 @pytest.mark.parametrize("argv,option", [
-    (["lambda", "cyclic:8", "--search-ca=--"], "--search-cap"),
-    (["lambda", "cyclic:8", "--time-budget=--"], "--time-budget"),
-    (["lambda", "cyclic:8", "--method=--"], "--method"),
-    (["lambda", "cyclic:8", "--witness-csv=--"], "--witness-csv"),
-    (["check", "cyclic:8", "w.csv", "-j--"], "-j"),
-    (["check", "cyclic:8", "w.csv", "-k=--"], "-k"),
-    (["suite", "--max-order=--"], "--max-order"),
-    (["suite", "--group=--"], "--group"),
-    (["export", "cyclic:8", "--output=--"], "--output"),
-    (["export", "cyclic:8", "-o--"], "--output/-o"),
+    pytest.param(["lambda", "cyclic:8", "--search-ca=--"], "--search-cap",
+                 id="argv0---search-cap"),
+    pytest.param(["lambda", "cyclic:8", "--time-budget=--"], "--time-budget",
+                 id="argv1---time-budget"),
+    pytest.param(["lambda", "cyclic:8", "--method=--"], "--method", id="argv2---method"),
+    pytest.param(["lambda", "cyclic:8", "--witness-csv=--"], "--witness-csv",
+                 id="argv3---witness-csv"),
+    pytest.param(["suite", "--max-order=--"], "--max-order", id="argv6---max-order"),
+    pytest.param(["suite", "--group=--"], "--group", id="argv7---group"),
+    pytest.param(["export", "cyclic:8", "--output=--"], "--output", id="argv8---output"),
+    pytest.param(["export", "cyclic:8", "-o--"], "--output/-o", id="argv9---output/-o"),
 ])
 def test_an_attached_double_dash_is_refused_as_an_option_value(argv, option, tmp_path,
                                                                capsys, monkeypatch):
@@ -776,12 +765,13 @@ def test_an_attached_double_dash_is_refused_as_an_option_value(argv, option, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+# Ids keep the numbers they had when check still took -k.
 @pytest.mark.parametrize("argv,setting", [
-    (["lambda", "cyclic:8", "--search-cap", "1" * 5000], "the search cap"),
-    (["check", "cyclic:8", "w.csv", "-k", "0" * 4301], "a separation"),
-    (["analyze", "cyclic:" + "1" * 5000], "cyclic order"),
-    (["analyze", "elemab:2," + "1" * 5000], "rank"),
-    (["lambda", "cyclic:8", "ENV"], "LAMBDA_MAX_ORDER"),
+    pytest.param(["lambda", "cyclic:8", "--search-cap", "1" * 5000], "the search cap",
+                 id="argv0-the search cap"),
+    pytest.param(["analyze", "cyclic:" + "1" * 5000], "cyclic order", id="argv2-cyclic order"),
+    pytest.param(["analyze", "elemab:2," + "1" * 5000], "rank", id="argv3-rank"),
+    pytest.param(["lambda", "cyclic:8", "ENV"], "LAMBDA_MAX_ORDER", id="argv4-LAMBDA_MAX_ORDER"),
 ])
 def test_integers_over_4300_digits_are_input_errors(argv, setting, capsys, monkeypatch):
     # Python 3.11's int() refuses them and 3.10's accepts them; both exit 1 here

@@ -238,15 +238,16 @@ def test_recognize_family_rejects_non_p_groups():
 
 
 def _shuffled_copy(group, seed):
-    """The same group on scrambled element indices (identity may move)."""
+    """The same group on scrambled element indices, the identity kept at 0."""
     rnd = random.Random(seed)
-    sigma = list(range(group.order))
+    sigma = list(range(1, group.order))
     rnd.shuffle(sigma)
+    sigma = [0, *sigma]
     mul = [[0] * group.order for _ in range(group.order)]
     for a in range(group.order):
         for b in range(group.order):
             mul[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
-    return validate_group(mul, identity=sigma[group.identity])
+    return validate_group(mul)
 
 
 @pytest.mark.parametrize("maker,family", [

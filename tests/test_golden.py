@@ -12,7 +12,8 @@ dihedral, semidihedral, class descent on an abelian, a non-abelian and a
 product group), the exact search (`analyze cyclic:6`, `lambda cyclic:12
 --method exact`), and a scrambled ingested table.  The `file:` spec is
 relative to tests/data because `analyze` echoes it; so is the witness
-CSV that `check` reads.  Every exact
+CSV that `check` reads, and the corrupted witness whose failing check
+(exit 2) is pinned on its own.  Every exact
 certificate, `analyze cyclic:6` included, was captured again when the
 exact search came to order twin modules and to name the floor that
 refutes λ − 1.  `lambda`, `check` and `suite` once took `--stable` too,
@@ -212,6 +213,18 @@ def test_stable_stdout_is_byte_identical(command, digest, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_a_failing_check_prints_the_same_violations(capsys, monkeypatch):
+    # the dihedral:8 witness with x³ relabelled 2: two edges 1 apart
+    # (required 2) and a distance-2 pair on one label (required 1)
+    monkeypatch.chdir(DATA)
+    code = main(["check", "dihedral:8", "dihedral8-corrupt-witness.csv"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert '"required": 2' in out and '"required": 1' in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "776e9c974605241137645cb3670983673d68979ba6c84898fd05607395ee78ad")
 
 
 def _random_graph(rng: random.Random) -> Graph:

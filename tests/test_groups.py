@@ -184,9 +184,9 @@ def test_validate_rejects_broken_associativity():
 
 
 def test_validate_rejects_non_latin_monoid():
-    # ({0,1}, AND) is a perfectly associative monoid with identity 1
-    with pytest.raises(GroupValidationError, match="row 0 is not a permutation"):
-        validate_group([[0, 0], [0, 1]], identity=1)
+    # ({0,1}, OR) is a perfectly associative monoid with identity 0
+    with pytest.raises(GroupValidationError, match="row 1 is not a permutation"):
+        validate_group([[0, 1], [1, 1]])
 
 
 def test_validate_rejects_a_swapped_intercalate_at_order_512():
@@ -214,13 +214,12 @@ def test_validate_decides_a_left_zero_band_with_identity():
 def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, rnd):
     _, group = subject
     n = group.order
-    sigma = list(range(n))
-    rnd.shuffle(sigma)
+    sigma = [0, *rnd.sample(range(1, n), n - 1)]  # the identity stays at 0
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
             table[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
-    scrambled = validate_group(table, identity=sigma[group.identity])
+    scrambled = validate_group(table)
 
     def invariants(g):
         graph = build_power_graph(g)
@@ -235,7 +234,7 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
     a, b = rnd.randrange(n), rnd.randrange(n)
     table[a][b] = rnd.choice([v for v in range(-1, n + 1) if v != table[a][b]])
     with pytest.raises(GroupValidationError):
-        validate_group(table, identity=sigma[group.identity])
+        validate_group(table)
 
 
 def test_validate_accepts_trivial_group():
@@ -443,24 +442,21 @@ def test_parse_cayley_rejects_repeated_and_empty_names(names, message):
 
 # The parser and validator before cells were shared ints and the Latin
 # property was read off the units: the reference for the differential tests.
-def _reference_validate_group(mul, identity=0, *, names=None):
+def _reference_validate_group(mul, *, names=None):
     table = groups_module._square_table([tuple(map(int, row)) for row in mul])
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
-    if not 0 <= identity < n:
-        raise ValueError(f"identity index {identity} out of range 0..{n - 1}")
     for g, row in enumerate(table):
         if min(row) < 0 or max(row) >= n:
             h = next(h for h, v in enumerate(row) if not 0 <= v < n)
             raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
     idx = tuple(range(n))
-    for line in (table[identity], tuple(row[identity] for row in table)):
+    for line in (table[0], tuple(row[0] for row in table)):
         if line != idx:
             g = next(g for g in idx if line[g] != g)
-            raise GroupValidationError(
-                f"element {identity} does not act as identity on element {g}")
-    for g in groups_module._greedy_generators(table, identity):
+            raise GroupValidationError(f"element 0 does not act as identity on element {g}")
+    for g in groups_module._greedy_generators(table):
         lhs = list(map(table.__getitem__, (row[g] for row in table)))
         rhs = list(map(itemgetter(*table[g]), table))
         if lhs != rhs:
@@ -476,7 +472,7 @@ def _reference_validate_group(mul, identity=0, *, names=None):
             raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return FiniteGroup(table, identity, names=names)
+    return FiniteGroup(table, names)
 
 
 def _reference_parse_cayley(text):
@@ -509,7 +505,7 @@ def _reference_parse_cayley(text):
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return _reference_validate_group(table, 0, names=names)
+    return _reference_validate_group(table, names=names)
 
 
 def _outcome(call):
@@ -606,11 +602,10 @@ def test_parse_cayley_agrees_with_the_reference_parser(text):
 @given(_tables(), st.data())
 def test_validate_group_agrees_with_the_reference_validator(table, data):
     n = len(table)
-    identity = data.draw(st.integers(min_value=-1, max_value=n))
     cell = data.draw(st.integers(min_value=-1, max_value=n))
     table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = cell
-    assert (_outcome(lambda: validate_group(table, identity))
-            == _outcome(lambda: _reference_validate_group(table, identity)))
+    assert (_outcome(lambda: validate_group(table))
+            == _outcome(lambda: _reference_validate_group(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +621,25 @@ def test_the_command_line_does_not_import_numpy():
 
 
 def test_a_command_loads_only_the_modules_it_runs(tmp_path):
-    search, construct = "pglambda._search", "pglambda.construct"
     # cyclic:8's power graph is complete, so labels 0, 2, .., 14 are valid
     labels = tmp_path / "labels.csv"
     labels.write_text("element,label\n" + "".join(f"{v},{2 * v}\n" for v in range(8)),
                       encoding="utf-8")
     table = _SRC.parent / "tests" / "data" / "semidihedral16-scrambled.txt"
-    cases = [  # argv, modules it must load, modules it must not
-        (["analyze", "cyclic:8", "--stable"], {construct}, {search, "csv"}),
-        (["analyze", f"file:{table}", "--stable"], {construct}, {search, "csv"}),
-        (["check", "cyclic:8", str(labels)], {"csv"}, {search, construct}),
-        (["export", "cyclic:8"], set(), {search, construct, "csv"}),
-        (["lambda", "cyclic:8", "--method", "exact"], {search}, {"csv"}),
+    mutated = tmp_path / "mutated.txt"  # one cell changed: not a group
+    mutated.write_text(table.read_text(encoding="utf-8").replace("1 0 5 6", "1 0 6 6", 1),
+                       encoding="utf-8")
+    spec = {"cli", "errors", "groups"}
+    graph = spec | {"powergraph"}
+    certify = graph | {"labelling", "construct"}
+    cases = [  # argv, exit code, the package modules it loads
+        (["analyze", "cyclic:8", "--stable"], 0, certify),
+        (["analyze", f"file:{table}", "--stable"], 0, certify),
+        (["analyze", f"file:{mutated}"], 1, spec),
+        (["check", "cyclic:8", str(labels)], 0, graph | {"labelling"}),
+        (["export", "cyclic:8"], 0, graph),
+        (["export", "cyclic:8", "--format", "cayley"], 0, spec),
+        (["lambda", "cyclic:8", "--method", "exact"], 0, certify | {"_search"}),
     ]
     probe = textwrap.dedent("""
         import contextlib, io, sys
@@ -645,16 +647,37 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
         bare = set(sys.modules)
         from pglambda.cli import main
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(sys.argv[2:]) == 0
-        print(" ".join(sorted(set(sys.modules) - bare)))
+            code = main(sys.argv[2:])
+        print(code, *sorted(set(sys.modules) - bare))
     """)
-    for argv, loads, skips in cases:
+    for argv, code, modules in cases:
         result = subprocess.run([sys.executable, "-c", probe, str(_SRC), *argv],
                                 capture_output=True, text=True, check=True)
-        loaded = set(result.stdout.split())
-        assert loads | {"pglambda.labelling"} <= loaded, argv
-        assert not loaded & (skips | {"dataclasses", "pglambda.suites",
-                                      "pglambda.catalog"}), argv
+        got, *loaded = result.stdout.split()
+        assert int(got) == code, argv
+        assert ({name for name in loaded if name.startswith("pglambda.")}
+                == {f"pglambda.{short}" for short in modules}), argv
+        assert ("csv" in loaded) == (argv[0] == "check"), argv
+        assert "dataclasses" not in loaded, argv
+
+
+def test_importing_the_command_line_from_the_package_loads_it_alone():
+    probe = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        from pglambda import cli
+        print(*sorted(name for name in sys.modules if name.startswith("pglambda")))
+        import pglambda
+        try:
+            pglambda.no_such_name
+        except AttributeError as exc:
+            print(exc)
+    """)
+    result = subprocess.run([sys.executable, "-c", probe, str(_SRC)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == [
+        "pglambda pglambda.cli pglambda.errors pglambda.groups",
+        "module 'pglambda' has no attribute 'no_such_name'"]
 
 
 # The package's public names, as re-exported before its imports became lazy.

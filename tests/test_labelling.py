@@ -111,16 +111,16 @@ def test_records_are_read_only_and_copy_whole():
     assert pickle.loads(pickle.dumps((cert, subgroups))) == (cert, subgroups)
 
 
-def _all_pairs_violations(graph, labels, j, k):
-    """The definition, pair by pair: the reference for validate_labelling."""
+def _all_pairs_violations(graph, labels):
+    """The L(2,1) definition, pair by pair: the reference for validate_labelling."""
     neigh = graph.neighbors
     out = []
     for u in range(graph.n):
         for v in range(u + 1, graph.n):
             if (neigh[u] >> v) & 1:
-                distance, required = 1, j
+                distance, required = 1, 2
             elif neigh[u] & neigh[v]:
-                distance, required = 2, k
+                distance, required = 2, 1
             else:
                 continue
             gap = abs(labels[u] - labels[v])
@@ -130,9 +130,8 @@ def _all_pairs_violations(graph, labels, j, k):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False),
-       st.integers(min_value=-1, max_value=4), st.integers(min_value=-1, max_value=4))
-def test_validate_labelling_matches_the_all_pairs_definition(n, rnd, j, k):
+@given(st.integers(min_value=1, max_value=14), st.randoms(use_true_random=False))
+def test_validate_labelling_matches_the_all_pairs_definition(n, rnd):
     neigh = [0] * n
     for u, v in itertools.combinations(range(n), 2):
         if rnd.random() < 0.4:
@@ -141,8 +140,8 @@ def test_validate_labelling_matches_the_all_pairs_definition(n, rnd, j, k):
     graph = Graph(neigh)
     labels = [rnd.randrange(-3, n + 3) for _ in range(n)]
     got = [(w.u, w.v, w.distance, w.gap, w.required)
-           for w in validate_labelling(graph, labels, j, k)]
-    assert got == _all_pairs_violations(graph, labels, j, k)
+           for w in validate_labelling(graph, labels)]
+    assert got == _all_pairs_violations(graph, labels)
 
 
 def test_span_examples():
