@@ -38,28 +38,6 @@ def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
     return classes
 
 
-def _distance_two(d1: Sequence[int], classes: dict[int, int]) -> list[int]:
-    """d2[v]: the vertices outside N[v] that share a neighbour with v.
-
-    A closed-twin class lies wholly inside N[v] or wholly outside it, and
-    its members' d1 masks differ only in members, which lie in N[v] when
-    the class does; so the union of d1 over one representative of each
-    class inside N[v], less N[v], is d2[v] for the whole class of v.
-    """
-    reps = 0
-    for members in classes.values():
-        reps |= members & -members
-    d2 = [0] * len(d1)
-    for closed, members in classes.items():
-        reach = 0
-        for w in iter_bits(closed & reps):
-            reach |= d1[w]
-        reach &= ~closed
-        for v in iter_bits(members):
-            d2[v] = reach
-    return d2
-
-
 def _path_cover_floor(n: int, classes: dict[int, int]) -> tuple[int, int]:
     """A proven floor on the span, and the closed-twin class T that sets
     it (0 when none does).
@@ -129,10 +107,16 @@ def _quotient(graph: Graph) -> _Quotient:
     diameter ≤ 2; ValueError on any other graph."""
     n = graph.n
     d1 = list(graph.neighbors)
+    everyone = (1 << n) - 1
     classes = _closed_twin_classes(d1)
-    d2 = _distance_two(d1, classes)
-    if any(d1[v] | d2[v] | 1 << v != (1 << n) - 1 for v in range(n)):
-        raise ValueError("the exact search needs a graph of diameter at most 2")
+    # a universal vertex puts every pair within 2 steps; else check each reach
+    if everyone not in classes:
+        for v in range(n):
+            reach = d1[v] | 1 << v
+            for u in iter_bits(d1[v]):
+                reach |= d1[u]
+            if reach != everyone:
+                raise ValueError("the exact search needs a graph of diameter at most 2")
     floor, setter = _path_cover_floor(n, classes)
     evidence = ("path-cover-floor", tuple(iter_bits(setter)) or None)
     clique = tuple(iter_bits(_greedy_clique(graph)))

@@ -626,7 +626,7 @@ def _digits_int(text: str, what: str) -> int:
     """``text`` as a positive integer, written as _spec_digits says."""
     if not _spec_digits(text):
         raise ValueError(f"{what} must be a positive integer in ASCII digits, got {text!r}")
-    if len(text) > 4300:  # int() refuses these on Python 3.11, not on 3.10
+    if len(text) > 4300:  # int() refuses these on Python 3.10.7 and later
         raise ValueError(f"{what} may have at most 4300 digits, got {len(text)}")
     value = int(text)
     if value < 1:
@@ -703,8 +703,9 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         make, *params = _FAMILIES[kind]
         # a one-parameter family reads all of rest, commas included
         parts = rest.split(",") if len(params) > 1 else [rest]
-        if len(parts) != len(params):  # only elemab takes two
-            raise ValueError(f"{kind} takes P,K — got {rest!r}")
+        if len(parts) != len(params):
+            raise ValueError(f"{kind} takes {len(params)} parameters "
+                             f"({', '.join(params)}) — got {rest!r}")
         return globals()[make](*map(_digits_int, parts, params))
     if kind == "product":
         left, right = _split_product(rest)

@@ -1,12 +1,11 @@
-"""L(2,1)-labellings: validation, span, path conversions, and exact search.
+"""L(2,1)-labellings: validation, span, path conversion, and exact search.
 
 A labelling is a tuple of labels indexed by vertex, valid when labels
 differ by ≥ 2 across edges and by ≥ 1 across distance-2 pairs: the
 L(2,1) rule, the only one checked.  On a power graph every distinct pair
 is within distance 2, so a valid labelling has all labels distinct; a
 span-|G| labelling is then the same data as a Hamiltonian path in the
-complement of the power graph minus the identity, and the two
-conversions here are mutually inverse.
+complement of the power graph minus the identity.
 
 A certificate is a witness plus lower-bound evidence, and
 :func:`certificate_problems` is its one checker.
@@ -36,7 +35,6 @@ __all__ = [
     "span",
     "check_ham_path",
     "path_to_labelling",
-    "labelling_to_path",
     "power_graph_lower_bound",
     "exact_lambda",
     "certificate_doc",
@@ -129,32 +127,6 @@ def path_to_labelling(graph: PowerGraph, path: Sequence[int]) -> tuple[int, ...]
     for i, v in enumerate(path):
         labels[v] = i
     return tuple(labels)
-
-
-def labelling_to_path(graph: PowerGraph, labels: Sequence[int]) -> tuple[int, ...]:
-    """Invert path_to_labelling for any valid span-|G| labelling.
-
-    Valid span-|G| labels occupy an interval of |G|+1 integers with one
-    interior hole, and the identity label sits at one end with the hole
-    beside it; the remaining labels are consecutive, and ordering their
-    preimages ascending gives the path.  Consecutive path vertices carry
-    labels 1 apart, so validity makes them non-adjacent: the path is a
-    Hamiltonian path of the reduced complement by this argument, and is
-    not checked again.  Re-anchoring the identity below the rest and
-    translating yields the canonical image {−2, 0, .., |G|−2}, so label
-    translations of the input produce the same path.
-    """
-    n = graph.n
-    violations = validate_labelling(graph, labels)
-    if violations:
-        raise ValueError(
-            f"not a valid L(2,1)-labelling: {len(violations)} violations, "
-            f"first: {violations[0]}")
-    got = span(labels)
-    if got != n:
-        raise ValueError(f"conversion needs span exactly {n}, got {got}")
-    identity = graph.group.identity
-    return tuple(sorted((v for v in range(n) if v != identity), key=labels.__getitem__))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from pglambda import (
     Evidence,
     LambdaCertificate,
+    PowerGraph,
     build_power_graph,
     certificate_problems,
     exact_lambda,
@@ -26,8 +27,10 @@ from pglambda import (
     span,
     validate_labelling,
 )
+from pglambda import _search
 from pglambda.catalog import _ENTRIES
 from pglambda.cli import main
+from pglambda.groups import _FAMILIES
 from pglambda.suites import run_suites
 
 
@@ -82,6 +85,19 @@ def test_parse_group_spec_rejects_malformed(spec):
     with pytest.raises(Exception):
         parse_group_spec(spec)
     assert main(["analyze", spec, "--stable"]) == 1
+
+
+@pytest.mark.parametrize("params", ["3", "3,5,7"])
+def test_a_wrong_parameter_count_names_the_parameters(params, capsys):
+    code, out, err = run(capsys, "analyze", f"elemab:{params}")
+    assert (code, out) == (1, "")
+    assert err == f"error: elemab takes 2 parameters (prime, rank) — got '{params}'\n"
+
+
+def test_the_parameter_count_message_is_read_from_the_family_row(monkeypatch):
+    monkeypatch.setitem(_FAMILIES, "triple", ("make_cyclic", "a", "b", "c"))
+    with pytest.raises(ValueError, match=r"^triple takes 3 parameters \(a, b, c\) — got '1,2'$"):
+        parse_group_spec("triple:1,2")
 
 
 def test_nested_product_specs_split_in_polynomial_time():
@@ -305,6 +321,21 @@ def test_exact_method_decides_cyclic_120_within_its_budget(capsys):
     graph = build_power_graph(make_cyclic(120))
     assert validate_labelling(graph, doc["labels"]) == []
     assert span(doc["labels"]) == 152
+
+
+def test_exact_method_refutes_the_floor_of_cyclic_45(capsys):
+    # λ(C45) = 72 lies above its floor 71, so the search must backtrack
+    # through every sequence at span 71 before it finds one at 72
+    graph = build_power_graph(make_cyclic(45))
+    assert _search._quotient(graph).floor == 71
+    code, out, _ = run(capsys, "lambda", "cyclic:45", "--method", "exact",
+                       "--search-cap", "45", "--time-budget", "10")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["lambda"] == 72
+    assert doc["evidence"] == {"kind": "exhaustive-search-at-span", "bound": 72, "span": 71}
+    assert validate_labelling(graph, doc["labels"]) == []
+    assert span(doc["labels"]) == 72
 
 
 @pytest.mark.parametrize("spec", [
@@ -564,6 +595,23 @@ def test_a_failed_property_exits_2_and_names_it(capsys, monkeypatch):
     assert doc["first_failure"] == "lambda-matches-formula: cyclic:2"
     assert err == ("failed property: lambda-matches-formula on cyclic:2 "
                    "(lambda 2 by constructive and exact-search, formula -1)\n")
+
+
+def test_an_identity_that_is_not_universal_fails_the_power_graph_shape(capsys,
+                                                                        monkeypatch):
+    # the identity loses its edge to element 1; only this check sees it
+    def without_one_identity_edge(group):
+        d1 = list(build_power_graph(group).neighbors)
+        d1[0] &= ~0b10
+        d1[1] &= ~0b01
+        return PowerGraph(d1, group)
+
+    monkeypatch.setattr("pglambda.suites.build_power_graph", without_one_identity_edge)
+    code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:4")
+    assert code == 2
+    assert json.loads(out)["first_failure"] == "power-graph-shape: cyclic:4"
+    assert err == ("failed property: power-graph-shape on cyclic:4 "
+                   "(identity is not universal)\n")
 
 
 def test_a_hook_that_holds_on_an_element_of_mixed_order_fails_the_suite(capsys,

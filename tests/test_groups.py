@@ -680,7 +680,7 @@ def test_importing_the_command_line_from_the_package_loads_it_alone():
         "module 'pglambda' has no attribute 'no_such_name'"]
 
 
-# The package's public names, as re-exported before its imports became lazy.
+# The package's public names.
 _PUBLIC_NAMES = [
     "ConstructionFailedError", "ConstructionInfo",
     "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
@@ -692,7 +692,7 @@ _PUBLIC_NAMES = [
     "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
     "certify", "check_ham_path", "check_lower_hook",
     "euler_phi", "exact_lambda", "format_cayley",
-    "format_labelling_csv", "is_maximal_class", "labelling_to_path",
+    "format_labelling_csv", "is_maximal_class",
     "lambda_p_group", "lower_central_series", "make_cyclic", "make_dihedral",
     "make_direct_product", "make_elementary_abelian", "make_heisenberg",
     "make_quaternion", "make_semidihedral", "max_group_order",
@@ -713,6 +713,8 @@ def test_the_package_exports_its_public_names():
     assert all(names[name] is getattr(pglambda, name) for name in _PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pglambda.no_such_name
+    with pytest.raises(AttributeError, match="no attribute 'labelling_to_path'"):
+        pglambda.labelling_to_path
 
 
 def test_the_readme_library_example_runs_in_a_fresh_interpreter():

@@ -1,4 +1,4 @@
-"""Labelling validation, path conversions, and the exact-search oracle."""
+"""Labelling validation, path conversion, and the exact-search oracle."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from pglambda import (
     check_ham_path,
     exact_lambda,
     format_labelling_csv,
-    labelling_to_path,
     lambda_p_group,
     make_cyclic,
     make_dihedral,
@@ -165,30 +164,6 @@ def test_path_to_labelling_on_the_involution_star():
     assert validate_labelling(graph, labels) == []
 
 
-def test_labelling_to_path_inverts_and_ignores_translation():
-    group = make_dihedral(8)
-    graph = build_power_graph(group)
-    path = lambda_p_group(group).construction.path
-    labels = path_to_labelling(graph, path)
-    assert labelling_to_path(graph, labels) == path
-    shifted = [v + 17 for v in labels]
-    assert labelling_to_path(graph, shifted) == path
-
-
-def test_labelling_to_path_rejects_wrong_span():
-    group = make_cyclic(4)
-    graph = build_power_graph(group)
-    with pytest.raises(ValueError, match="conversion needs span exactly 4, got 6"):
-        labelling_to_path(graph, (0, 2, 4, 6))  # valid but span 6, not 4
-
-
-def test_labelling_to_path_rejects_invalid_labelling():
-    group = make_elementary_abelian(2, 2)
-    graph = build_power_graph(group)
-    with pytest.raises(ValueError, match=r"not a valid L\(2,1\)-labelling"):
-        labelling_to_path(graph, (0, 1, 2, 4))  # identity gap 1
-
-
 def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
     group = make_elementary_abelian(2, 2)
     graph = build_power_graph(group)
@@ -208,8 +183,8 @@ def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
 def test_path_helpers_take_a_ham_path_or_a_vertex_sequence():
     # a path is a plain vertex tuple, and any sequence of vertices will do
     graph = build_power_graph(make_elementary_abelian(2, 2))
-    path = labelling_to_path(graph, (-2, 0, 1, 2))
-    assert path == (1, 2, 3)
+    path = (1, 2, 3)
+    check_ham_path(graph, path)
     assert path_to_labelling(graph, path) == path_to_labelling(graph, [1, 2, 3])
     assert path_to_labelling(graph, path) == path_to_labelling(graph, range(1, 4))
 
@@ -281,11 +256,12 @@ def test_ham_path_result_is_a_real_path():
 
 
 def test_group_ham_path_exists_for_dihedral_but_not_quaternion():
-    # D8: the exact witness has span |G| and converts to a complement path
+    # D8: the exact witness has span |G|, and its non-identity vertices,
+    # listed by label, make a complement path
     d8 = build_power_graph(make_dihedral(8))
     cert = exact_lambda(d8)
     assert cert.value == 8
-    check_ham_path(d8, labelling_to_path(d8, cert.witness))
+    check_ham_path(d8, sorted(range(1, 8), key=cert.witness.__getitem__))
 
     # Q8: its involution is universal, so isolated in the reduced complement
     q8 = build_power_graph(make_quaternion(8))
@@ -519,18 +495,25 @@ def _all_pairs_distance_two(d1: list[int]) -> list[int]:
     return d2
 
 
-@settings(max_examples=60, deadline=None)
-@given(_graphs_with_twins(max_base=8, max_size=4))
-def test_distance_two_masks_match_the_all_pairs_definition(graph):
-    d1 = list(graph.neighbors)
-    classes = search_module._closed_twin_classes(d1)
-    assert search_module._distance_two(d1, classes) == _all_pairs_distance_two(d1)
-
-
 def _diameter_at_most_two(d1: list[int]) -> bool:
     n = len(d1)
     d2 = _all_pairs_distance_two(d1)
     return all(d1[u] | d2[u] | 1 << u == (1 << n) - 1 for u in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs_with_twins(max_base=8, max_size=4))
+@example(Graph([0b1010, 0b0101, 0b1010, 0b0101]))  # C4: no universal vertex
+def test_the_search_refuses_exactly_the_graphs_of_diameter_above_two(graph):
+    d1 = list(graph.neighbors)
+    if _diameter_at_most_two(d1):
+        search_module._quotient(graph)
+    else:
+        with pytest.raises(ValueError, match="diameter at most 2"):
+            search_module._quotient(graph)
+    # a universal vertex added puts every pair within 2 steps
+    hub = graph.n
+    search_module._quotient(Graph([mask | 1 << hub for mask in d1] + [(1 << hub) - 1]))
 
 
 def _brute_force_lambda(d1: list[int]) -> int:
