@@ -24,6 +24,7 @@ from .groups import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
     _digits_int,
+    _read_bounded,
     format_cayley,
     is_maximal_class,
     max_group_order,
@@ -167,9 +168,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .labelling import parse_labelling_csv, span, validate_labelling
     from .powergraph import build_power_graph
     graph = build_power_graph(group)
-    with open(args.labelling, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    labels = parse_labelling_csv(text, group.order, group.names)
+    n = group.order  # 64 characters a row, the header's included
+    text = _read_bounded(args.labelling, 64 * (n + 1), ValueError,
+                         f"for a group of order {n}")
+    labels = parse_labelling_csv(text, n, group.names)
     violations = validate_labelling(graph, labels)
     doc = {
         "valid": not violations,
@@ -186,8 +188,8 @@ def cmd_export(args: argparse.Namespace) -> int:
         payload = format_cayley(group)
     else:
         from .powergraph import build_power_graph, to_dot, to_edge_list
-        graph = build_power_graph(group)
-        payload = to_dot(graph) if args.format == "dot" else to_edge_list(graph)
+        payload = (to_dot(group) if args.format == "dot"
+                   else to_edge_list(build_power_graph(group)))
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)

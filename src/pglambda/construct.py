@@ -11,10 +11,12 @@ semidihedral groups a short seed segment followed by an alternation,
 and generalized quaternion groups an alternation of ⟨x⟩ ∖ {1, z} with
 the coset ⟨x⟩y, a path on G ∖ {1, z} that yields span |G|+1 (the unique
 involution z is universal, so |G| is impossible).  Every path is read
-off the group's elements; nothing is searched for.  The dispatcher picks
+off the group's elements, and the witness labels the identity −2 and
+the i-th path vertex i; nothing is searched for.  The dispatcher picks
 the branch from the group itself; certificate_problems, not the
-construction, checks each witness and path against the power graph, and
-a failed check raises ConstructionFailedError (exit 2).
+construction, checks each witness against the power graph and each path
+against the witness's label order, and a failed check raises
+ConstructionFailedError (exit 2).
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and checks what they
@@ -36,7 +38,7 @@ from .labelling import (
     power_graph_lower_bound,
     span,
 )
-from .powergraph import PowerGraph, build_power_graph
+from .powergraph import build_power_graph
 
 __all__ = [
     "build_interleaved_path",
@@ -60,10 +62,10 @@ def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     return tuple(v for column in columns for v in column)
 
 
-def order_classes_for_descent(graph: PowerGraph) -> list[tuple[tuple[int, ...], ...]]:
+def order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Class members per order level, top order first, joinable in sequence.
 
-    Each level is a tuple of cyclic classes of ``graph.group`` (each a
+    Each level is a tuple of cyclic classes of the group (each a
     tuple of members), ready for build_interleaved_path.  Levels are
     reordered so the last class of each level is non-adjacent to the first
     class of the level below.  A class has at most one adjacent class per
@@ -73,9 +75,9 @@ def order_classes_for_descent(graph: PowerGraph) -> list[tuple[tuple[int, ...], 
     ConstructionFailedError.  A p-group realises every order p^i up to its
     exponent, so the levels are the realised orders above 1.
     """
-    group = graph.group
     if prime_power(group.order) is None:
         raise ValueError(f"order {group.order} is not a prime power")
+    graph = build_power_graph(group)
     sub = group.cyclic_subgroups()
 
     levels = []
@@ -97,10 +99,10 @@ def order_classes_for_descent(graph: PowerGraph) -> list[tuple[tuple[int, ...], 
     return levels
 
 
-def _descent_path(graph: PowerGraph) -> tuple[Path, Joints]:
+def _descent_path(group: FiniteGroup) -> tuple[Path, Joints]:
     vertices: list[int] = []
     joints: list[tuple[int, int]] = []
-    for level in order_classes_for_descent(graph):
+    for level in order_classes_for_descent(group):
         segment = build_interleaved_path(level)
         if vertices:
             joints.append((vertices[-1], segment[0]))
@@ -217,10 +219,10 @@ def recognize_family(group: FiniteGroup) -> str:
     return "general"
 
 
-def _construction(graph: PowerGraph, family: str) -> tuple[str, Path, Joints,
-                                                           tuple[int, ...]]:
+def _construction(group: FiniteGroup, family: str) -> tuple[str, Path, Joints,
+                                                            tuple[int, ...]]:
     """(kind, path, joints, witness) of the branch ``family`` dispatches to."""
-    group, n = graph.group, graph.n
+    graph, n = build_power_graph(group), group.order
     if n == 1:
         return "degenerate", (), (), (0,)
     if family == "cyclic":
@@ -242,7 +244,7 @@ def _construction(graph: PowerGraph, family: str) -> tuple[str, Path, Joints,
         path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
         kind = "seed-alternation"
     else:
-        path, joints = _descent_path(graph)
+        path, joints = _descent_path(group)
         kind = "class-interleaving-descent"
     return kind, path, joints, path_to_labelling(graph, path)
 
@@ -261,9 +263,8 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     certificate before it is returned; a failure raises
     ConstructionFailedError.
     """
-    family = recognize_family(group)
+    kind, path, joints, witness = _construction(group, recognize_family(group))
     graph = build_power_graph(group)
-    kind, path, joints, witness = _construction(graph, family)
     cert = LambdaCertificate(
         value=span(witness), witness=witness,
         evidence=power_graph_lower_bound(graph), method="constructive",

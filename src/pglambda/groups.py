@@ -95,7 +95,7 @@ class FiniteGroup:
         self.names = tuple(names) if names is not None else None
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
-        self._power_graph = None  # powergraph.PowerGraph, see build_power_graph
+        self._power_graph = None  # powergraph.Graph, vertex 0 the identity; see build_power_graph
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -557,6 +557,17 @@ def format_cayley(group: FiniteGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_bounded(path: str, limit: int, error: type[Exception], why: str) -> str:
+    """The UTF-8 text of a file, reading at most ``limit`` + 1 characters,
+    so that an endless or huge file costs no more; ``error`` when the
+    file holds more than ``limit``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read(limit + 1)
+    if len(text) > limit:
+        raise error(f"{path} holds more than {limit} characters, the limit {why}")
+    return text
+
+
 def parse_cayley(text: str) -> FiniteGroup:
     """Parse the text format and validate the table.
 
@@ -710,12 +721,11 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if kind == "product":
         left, right = _split_product(rest)
         g, h = parse_group_spec(left), parse_group_spec(right)
-        if g.order * h.order > max_group_order():
-            raise TooLargeError(
-                f"product order {g.order * h.order} exceeds the cap "
-                f"{max_group_order()} (LAMBDA_MAX_ORDER)")
+        _check_cap(g.order * h.order, "product")
         return make_direct_product(g, h)
     if kind == "file":
-        with open(rest, "r", encoding="utf-8") as handle:
-            return parse_cayley(handle.read())
+        cap = max_group_order()  # 64 characters a cell, count and names lines included
+        return parse_cayley(_read_bounded(rest, 64 * (cap + 1) ** 2, TooLargeError,
+                                         f"at the order cap {cap} (raise "
+                                         f"LAMBDA_MAX_ORDER to override)"))
     raise ValueError(f"unknown group family {kind!r}")

@@ -2,10 +2,12 @@
 
 A labelling is a tuple of labels indexed by vertex, valid when labels
 differ by ≥ 2 across edges and by ≥ 1 across distance-2 pairs: the
-L(2,1) rule, the only one checked.  On a power graph every distinct pair
-is within distance 2, so a valid labelling has all labels distinct; a
-span-|G| labelling is then the same data as a Hamiltonian path in the
-complement of the power graph minus the identity.
+L(2,1) rule, the only one checked.  On a power graph, vertex 0 is the
+identity and universal, so every distinct pair is within distance 2 and
+a valid labelling has all labels distinct.  At span |G| the identity's
+label then sits 2 from all others, which are consecutive, so the other
+vertices in label order are a Hamiltonian path in the complement of the
+power graph minus the identity: the same data as the labelling.
 
 A certificate is a witness plus lower-bound evidence, and
 :func:`certificate_problems` is its one checker.
@@ -23,7 +25,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import TooLargeError
 from .groups import DEFAULT_SEARCH_CAP, DEFAULT_TIME_BUDGET
-from .powergraph import Graph, PowerGraph, iter_bits
+from .powergraph import Graph, iter_bits
 
 __all__ = [
     "Violation",
@@ -33,7 +35,6 @@ __all__ = [
     "certificate_problems",
     "validate_labelling",
     "span",
-    "check_ham_path",
     "path_to_labelling",
     "power_graph_lower_bound",
     "exact_lambda",
@@ -107,23 +108,12 @@ def span(labels: Sequence[int]) -> int:
 # Hamiltonian paths in the reduced complement
 
 
-def check_ham_path(graph: PowerGraph, path: Sequence[int]) -> None:
-    """Raise ValueError unless the path covers G minus the identity exactly
-    once with every consecutive pair NON-adjacent in the power graph."""
-    expected = set(range(graph.n)) - {graph.group.identity}
-    got = list(path)
-    if len(got) != len(set(got)) or set(got) != expected:
-        raise ValueError("path does not cover the non-identity elements exactly once")
-    for a, b in zip(got, got[1:]):
-        if graph.adjacent(a, b):
-            raise ValueError(f"consecutive pair ({a}, {b}) is adjacent in the power graph")
-
-
-def path_to_labelling(graph: PowerGraph, path: Sequence[int]) -> tuple[int, ...]:
-    """Identity ↦ −2 and the i-th path vertex ↦ i: span |G|, and valid
-    when check_ham_path accepts the path, which is not checked here."""
+def path_to_labelling(graph: Graph, path: Sequence[int]) -> tuple[int, ...]:
+    """Identity 0 ↦ −2 and the i-th path vertex ↦ i: span |G|, and valid
+    when the path is a Hamiltonian path of the power graph's complement
+    minus the identity, which is not checked here."""
     labels = [0] * graph.n
-    labels[graph.group.identity] = -2
+    labels[0] = -2
     for i, v in enumerate(path):
         labels[v] = i
     return tuple(labels)
@@ -143,7 +133,7 @@ class Evidence(NamedTuple):
     vertices: tuple[int, ...] | None = None
 
 
-def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
+def power_graph_lower_bound(graph: Graph) -> Evidence:
     """The one derivation of a lower bound on λ: the first case that applies.
 
     0 on at most one vertex.  2(|G| − 1) when every vertex is universal:
@@ -158,8 +148,8 @@ def power_graph_lower_bound(graph: PowerGraph) -> Evidence:
         return Evidence("degenerate", 0)
     if all(map(graph.is_universal, range(n))):
         return Evidence("complete-graph-bound", 2 * (n - 1))
-    for v in range(n):
-        if v != graph.group.identity and graph.is_universal(v):
+    for v in range(1, n):
+        if graph.is_universal(v):
             return Evidence("universal-nonidentity-vertex", n + 1, vertex=v)
     return Evidence("power-graph-bound", n)
 
@@ -209,16 +199,17 @@ def _floor_evidence(graph: Graph, ev: Evidence) -> Evidence | None:
     return Evidence(ev.kind, bound, vertices=ev.vertices)
 
 
-def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str]:
-    """What is wrong with a certificate; empty when it checks out.
+def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
+    """What is wrong with a power graph's certificate; empty when it checks out.
 
     The witness must be a valid labelling of the graph, its span must be
     the certified λ, and λ may not fall below power_graph_lower_bound.
     The evidence must prove λ: its bound is λ, and it is a searched
     refutation of span λ − 1 (of which only that span is checked), or
     exactly what power_graph_lower_bound or the exact search's floor
-    derive from the graph.  A constructive path at λ = |G| must pass
-    check_ham_path.
+    derive from the graph.  A constructive path at λ = |G| must be the
+    non-identity vertices in label order, a complement path when the
+    witness is valid (see the module docstring).
     """
     if len(cert.witness) != graph.n:
         return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
@@ -236,11 +227,10 @@ def certificate_problems(graph: PowerGraph, cert: LambdaCertificate) -> list[str
               else ev == lower or ev == _floor_evidence(graph, ev))
     if ev.bound != cert.value or not proved:
         problems.append(f"{ev.kind} evidence does not prove lambda {cert.value}")
-    if cert.construction and cert.construction.path and cert.value == graph.n:
-        try:
-            check_ham_path(graph, cert.construction.path)
-        except ValueError as exc:
-            problems.append(f"construction path: {exc}")
+    path = cert.construction.path if cert.construction else ()
+    if path and cert.value == graph.n and (
+            list(path) != sorted(range(1, graph.n), key=cert.witness.__getitem__)):
+        problems.append("construction path is not the witness's label order")
     return problems
 
 

@@ -6,6 +6,9 @@ vertices within distance 2.  Elements generating the same cyclic
 subgroup form a cyclic class, a clique of the graph; the classes, their
 orders and their class numbers are read off
 ``FiniteGroup.cyclic_subgroups()``, where class i generates subgroup i.
+A power graph is a plain :class:`Graph` on the group's element indices,
+so vertex 0 is the identity; code that needs element names or classes
+takes the group itself.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .groups import FiniteGroup
 
 __all__ = [
     "Graph",
-    "PowerGraph",
     "build_power_graph",
     "euler_phi",
     "check_lower_hook",
@@ -71,17 +73,7 @@ class Graph:
         return self.degree(v) == self.n - 1
 
 
-class PowerGraph(Graph):
-    """Graph subclass that remembers the group it was built from."""
-
-    __slots__ = ("group",)
-
-    def __init__(self, neighbors: Sequence[int], group: FiniteGroup) -> None:
-        super().__init__(neighbors)
-        self.group = group
-
-
-def build_power_graph(group: FiniteGroup) -> PowerGraph:
+def build_power_graph(group: FiniteGroup) -> Graph:
     """Join distinct a, b whenever a ∈ ⟨b⟩ or b ∈ ⟨a⟩; cached on the group.
 
     Each generator of a cyclic subgroup is joined to the whole subgroup,
@@ -98,7 +90,7 @@ def build_power_graph(group: FiniteGroup) -> PowerGraph:
             for h in elements:
                 neighbors[h] |= gens_mask
         neighbors = [mask & ~(1 << v) for v, mask in enumerate(neighbors)]
-        group._power_graph = PowerGraph(neighbors, group)
+        group._power_graph = Graph(neighbors)
     return group._power_graph
 
 
@@ -160,11 +152,12 @@ def _dot_escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(graph: PowerGraph) -> str:
-    """DOT rendering of the graph ``power`` with element names as vertex labels."""
+def to_dot(group: FiniteGroup) -> str:
+    """DOT rendering of the power graph ``power`` with element names as vertex labels."""
+    graph = build_power_graph(group)
     lines = ["graph power {"]
     for v in range(graph.n):
-        lines.append(f'  v{v} [label="{_dot_escape(graph.group.name(v))}"];')
+        lines.append(f'  v{v} [label="{_dot_escape(group.name(v))}"];')
     for u, v in graph.edges():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

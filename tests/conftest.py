@@ -1,4 +1,5 @@
-"""Shared fixtures: an ingested permutation group and its Cayley file."""
+"""Shared fixtures: an ingested permutation group, its Cayley file, and a
+complement-path check written independently of the package."""
 
 from __future__ import annotations
 
@@ -33,3 +34,14 @@ def s3_cayley_file(tmp_path, s3_group):
     path = tmp_path / "s3.cayley"
     path.write_text(format_cayley(s3_group), encoding="utf-8")
     return path
+
+
+@pytest.fixture(scope="session")
+def assert_complement_path():
+    """Assert that a path is a Hamiltonian path of a power graph's
+    complement minus the identity 0: it covers the non-identity vertices
+    once, and no two consecutive vertices are adjacent."""
+    def check(graph, path):
+        assert sorted(path) == list(range(1, graph.n)), path
+        assert not any(graph.adjacent(a, b) for a, b in itertools.pairwise(path)), path
+    return check

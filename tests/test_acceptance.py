@@ -19,7 +19,6 @@ from pglambda import (
     build_power_graph,
     catalogue,
     certificate_problems,
-    check_ham_path,
     check_lower_hook,
     exact_lambda,
     lambda_p_group,
@@ -124,7 +123,7 @@ def test_constructive_matches_oracle_across_the_catalogue(capsys):
 #    Hamiltonian path
 
 
-def test_span_equals_order_iff_complement_path_exists(s3_group):
+def test_span_equals_order_iff_complement_path_exists(s3_group, assert_complement_path):
     subjects = catalogue(32)
     subjects.append(("sym3-ingested", s3_group))
     names = [name for name, _ in subjects]
@@ -141,7 +140,8 @@ def test_span_equals_order_iff_complement_path_exists(s3_group):
         cert = exact_lambda(graph)
         assert cert.value >= group.order, name
         if cert.value == group.order:  # the non-identity vertices by label
-            check_ham_path(graph, sorted(range(1, group.order), key=cert.witness.__getitem__))
+            assert_complement_path(
+                graph, sorted(range(1, group.order), key=cert.witness.__getitem__))
             found += 1
         else:
             assert certificate_problems(graph, cert) == [], name

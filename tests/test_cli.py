@@ -10,8 +10,8 @@ import pytest
 
 from pglambda import (
     Evidence,
+    Graph,
     LambdaCertificate,
-    PowerGraph,
     build_power_graph,
     certificate_problems,
     exact_lambda,
@@ -24,6 +24,7 @@ from pglambda import (
     make_quaternion,
     make_semidihedral,
     parse_group_spec,
+    parse_labelling_csv,
     span,
     validate_labelling,
 )
@@ -231,6 +232,13 @@ def test_analyze_large_non_p_group_skips_lambda(capsys):
     assert "lambda not computed" in doc["note"]
 
 
+def test_analyze_pretty_table_without_lambda(capsys):
+    code, out, _ = run(capsys, "analyze", "cyclic:36", "--pretty")
+    assert code == 0
+    assert ("lambda         - (order 36 is not a prime power and exceeds the "
+            "exact-search cap 32; lambda not computed)\n") in out
+
+
 def test_analyze_pretty_table(capsys):
     code, out, _ = run(capsys, "analyze", "quaternion:8", "--pretty", "--stable")
     assert code == 0
@@ -388,8 +396,8 @@ def test_a_construction_that_repeats_a_vertex_exits_2(capsys, monkeypatch):
     import pglambda.construct as construct
     descent = construct._descent_path
 
-    def repeating(graph):
-        path, joints = descent(graph)
+    def repeating(group):
+        path, joints = descent(group)
         return path[:1] + path[:-1], joints
 
     monkeypatch.setattr(construct, "_descent_path", repeating)
@@ -465,11 +473,26 @@ def test_check_incomplete_labelling_is_an_input_error(tmp_path, capsys):
 
 
 def test_check_overlong_csv_field_is_an_input_error(tmp_path, capsys):
+    # check stops reading at 64 characters a row; the CSV reader's own field
+    # limit still guards text handed to parse_labelling_csv directly
+    text = "element,label\n0," + "1" * 200_000 + "\n"
     labelling = tmp_path / "l.csv"
-    labelling.write_text("element,label\n0," + "1" * 200_000 + "\n", encoding="utf-8")
+    labelling.write_text(text, encoding="utf-8")
     code, _, err = run(capsys, "check", "cyclic:4", str(labelling))
     assert code == 1
-    assert "field larger than field limit" in err
+    assert err.endswith(" holds more than 320 characters, the limit for a group of order 4\n")
+    with pytest.raises(ValueError, match="field larger than field limit"):
+        parse_labelling_csv(text, 4)
+
+
+@pytest.mark.parametrize("size,code", [(128, 0), (129, 1)])
+def test_a_labelling_csv_over_64_characters_a_row_is_an_input_error(size, code, tmp_path,
+                                                                    capsys):
+    labelling = tmp_path / "l.csv"  # blank lines pad it; the reader skips them
+    labelling.write_text("element,label\n0,0\n".ljust(size, "\n"), encoding="utf-8")
+    got, _, err = run(capsys, "check", "cyclic:1", str(labelling))
+    assert got == code
+    assert ("holds more than 128 characters" in err) == (code == 1)
 
 
 def test_check_accepts_mixed_names_and_indices(tmp_path, capsys):
@@ -604,7 +627,7 @@ def test_an_identity_that_is_not_universal_fails_the_power_graph_shape(capsys,
         d1 = list(build_power_graph(group).neighbors)
         d1[0] &= ~0b10
         d1[1] &= ~0b01
-        return PowerGraph(d1, group)
+        return Graph(d1)
 
     monkeypatch.setattr("pglambda.suites.build_power_graph", without_one_identity_edge)
     code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:4")
@@ -676,6 +699,41 @@ def test_group_order_cap_gives_exit_3(capsys):
     assert "512" in err
 
 
+def test_product_order_cap_gives_exit_3(capsys):
+    code, out, err = run(capsys, "lambda", "product:cyclic:32,cyclic:32")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: product of order 1024 exceeds the cap 512 "
+                   "(raise LAMBDA_MAX_ORDER to override)\n")
+
+
+@pytest.mark.parametrize("size,code", [(1600, 0), (1601, 3)])
+def test_a_cayley_file_over_64_characters_a_cell_is_resource_limited(size, code, tmp_path,
+                                                                     capsys, monkeypatch):
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "4")  # limit 64 * (4 + 1)^2 = 1600
+    table = tmp_path / "c1.txt"  # the trivial group, padded by a comment line
+    table.write_text("1\n0\n".ljust(size, "#"), encoding="utf-8")
+    got, _, err = run(capsys, "analyze", f"file:{table}")
+    assert got == code
+    assert ("holds more than 1600 characters, the limit at the order cap 4 "
+            "(raise LAMBDA_MAX_ORDER to override)" in err) == (code == 3)
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
+@pytest.mark.parametrize("argv,code,message", [
+    (["analyze", "file:/dev/zero"], 3, "more than 16842816 characters"),
+    (["check", "cyclic:8", "/dev/zero"], 1, "more than 576 characters"),
+    (["suite", "--max-order", "1", "--group", "file:/dev/zero"], 3,
+     "more than 16842816 characters"),
+], ids=["analyze", "check", "suite"])
+def test_an_endless_file_is_refused_after_a_bounded_read(argv, code, message, capsys):
+    started = time.monotonic()
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("resource limit: " if code == 3 else "error: ")
+    assert message in err
+    assert time.monotonic() - started < 5
+
+
 def test_file_input_respects_the_group_order_cap(tmp_path, capsys, monkeypatch):
     table = tmp_path / "c64.txt"
     table.write_text(format_cayley(make_cyclic(64)), encoding="utf-8")
@@ -729,9 +787,14 @@ def test_corrupted_cayley_file(tmp_path, capsys):
      "(a·b)·c != a·(b·c) for (a, b, c) = (1, 1, 2)"),
     (["analyze"], "3\n0 1 2\n1 1 1\n2 2 2\n", "row 1 is not a permutation of 0..2"),
     (["check"], "2\n0 1\n1 0\nnames: a,a\n", "element 1 has an empty or repeated name 'a'"),
+    (["analyze"], "0\n", "element count must be positive"),
+    (["analyze"], "-3\n0\n", "element count must be positive"),
+    (["lambda", "product:cyclic:6,cyclic:7"], None,
+     "order 42 is not a prime power and exceeds the exact-search cap 32; "
+     "no method applies"),
 ], ids=["dihedral:6", "heisenberg:2", "quaternion:12", "constructive-cyclic:6",
         "cell-out-of-range", "no-identity", "not-associative", "not-latin",
-        "repeated-names"])
+        "repeated-names", "count-zero", "count-negative", "no-method"])
 def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
                                                 capsys):
     if table is not None:

@@ -12,7 +12,6 @@ from pglambda import (
     ConstructionFailedError,
     build_interleaved_path,
     build_power_graph,
-    check_ham_path,
     lambda_p_group,
     make_cyclic,
     make_dihedral,
@@ -86,7 +85,7 @@ def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch)
 def test_descent_levels_for_c2_x_c4():
     group = make_direct_product(make_cyclic(2), make_cyclic(4))
     graph = build_power_graph(group)
-    levels = order_classes_for_descent(graph)
+    levels = order_classes_for_descent(group)
     assert len(levels) == 2  # order-4 level, then order-2 level
     assert [len(level) for level in levels] == [2, 3]
     assert [{len(c) for c in level} for level in levels] == [{2}, {1}]
@@ -101,13 +100,13 @@ def test_descent_levels_for_c2_x_c4():
 def test_descent_rejects_levels_with_one_class():
     group = make_cyclic(8)
     with pytest.raises(ConstructionFailedError, match="interleaving needs >= 2"):
-        order_classes_for_descent(build_power_graph(group))
+        order_classes_for_descent(group)
 
 
 def test_descent_rejects_non_p_groups():
     group = make_cyclic(6)
     with pytest.raises(ValueError, match="is not a prime power"):
-        order_classes_for_descent(build_power_graph(group))
+        order_classes_for_descent(group)
 
 
 @pytest.mark.parametrize("group", [
@@ -117,10 +116,10 @@ def test_descent_rejects_non_p_groups():
     make_direct_product(make_cyclic(3), make_cyclic(9)),
     make_heisenberg(3),
 ], ids=["elemab2^2", "elemab3^2", "c2xc4", "c3xc9", "heis3"])
-def test_general_construction_yields_a_complement_path(group):
+def test_general_construction_yields_a_complement_path(group, assert_complement_path):
     cert = lambda_p_group(group)
     assert cert.construction.kind == "class-interleaving-descent"
-    check_ham_path(build_power_graph(group), cert.construction.path)
+    assert_complement_path(build_power_graph(group), cert.construction.path)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +127,13 @@ def test_general_construction_yields_a_complement_path(group):
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
-def test_dihedral_paths(e):
+def test_dihedral_paths(e, assert_complement_path):
     group = make_dihedral(2 ** (e + 1))
     cert = lambda_p_group(group)
     assert cert.construction.kind == "involution-alternation"
     path = cert.construction.path
     graph = build_power_graph(group)
-    check_ham_path(graph, path)
+    assert_complement_path(graph, path)
     # the alternation starts and ends on reflections (outside involutions)
     orders = group.cyclic_subgroups().orders
     assert orders[path[0]] == 2
@@ -149,11 +148,11 @@ def test_dihedral_needs_e_at_least_two():
 
 
 @pytest.mark.parametrize("e", [3, 4, 5])
-def test_semidihedral_paths(e):
+def test_semidihedral_paths(e, assert_complement_path):
     group = make_semidihedral(2 ** (e + 1))
     cert = lambda_p_group(group)
     assert cert.construction.kind == "seed-alternation"
-    check_ham_path(build_power_graph(group), cert.construction.path)
+    assert_complement_path(build_power_graph(group), cert.construction.path)
 
 
 def test_semidihedral_seed_for_order_16():

@@ -22,7 +22,6 @@ from pglambda import (
     catalogue,
     certificate_doc,
     certificate_problems,
-    check_ham_path,
     exact_lambda,
     format_labelling_csv,
     lambda_p_group,
@@ -164,27 +163,11 @@ def test_path_to_labelling_on_the_involution_star():
     assert validate_labelling(graph, labels) == []
 
 
-def test_check_ham_path_rejects_wrong_cover_and_adjacent_steps():
-    group = make_elementary_abelian(2, 2)
-    graph = build_power_graph(group)
-    check_ham_path(graph, (1, 2, 3))
-    cover = "does not cover the non-identity elements exactly once"
-    with pytest.raises(ValueError, match=cover):
-        check_ham_path(graph, (1, 2))  # missing a vertex
-    with pytest.raises(ValueError, match=cover):
-        check_ham_path(graph, (1, 2, 2))  # repeat
-    with pytest.raises(ValueError, match=cover):
-        check_ham_path(graph, (0, 1, 2, 3))  # the identity is not on the path
-    cyclic = build_power_graph(make_cyclic(4))
-    with pytest.raises(ValueError, match=r"consecutive pair \(1, 2\) is adjacent"):
-        check_ham_path(cyclic, (1, 2, 3))  # all pairs adjacent in C4
-
-
-def test_path_helpers_take_a_ham_path_or_a_vertex_sequence():
+def test_path_helpers_take_a_ham_path_or_a_vertex_sequence(assert_complement_path):
     # a path is a plain vertex tuple, and any sequence of vertices will do
     graph = build_power_graph(make_elementary_abelian(2, 2))
     path = (1, 2, 3)
-    check_ham_path(graph, path)
+    assert_complement_path(graph, path)
     assert path_to_labelling(graph, path) == path_to_labelling(graph, [1, 2, 3])
     assert path_to_labelling(graph, path) == path_to_labelling(graph, range(1, 4))
 
@@ -255,13 +238,13 @@ def test_ham_path_result_is_a_real_path():
     assert all(cube.adjacent(a, b) for a, b in itertools.pairwise(path))
 
 
-def test_group_ham_path_exists_for_dihedral_but_not_quaternion():
+def test_group_ham_path_exists_for_dihedral_but_not_quaternion(assert_complement_path):
     # D8: the exact witness has span |G|, and its non-identity vertices,
     # listed by label, make a complement path
     d8 = build_power_graph(make_dihedral(8))
     cert = exact_lambda(d8)
     assert cert.value == 8
-    check_ham_path(d8, sorted(range(1, 8), key=cert.witness.__getitem__))
+    assert_complement_path(d8, sorted(range(1, 8), key=cert.witness.__getitem__))
 
     # Q8: its involution is universal, so isolated in the reduced complement
     q8 = build_power_graph(make_quaternion(8))
@@ -332,6 +315,21 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
     assert certificate_problems(graph, low) == [
         "witness span 9 != lambda 8",
         "lambda 8 below the universal-nonidentity-vertex bound 9"]
+
+
+def test_a_constructive_path_must_be_the_witness_label_order():
+    # D8's alternation starts outside-involution, x; swapped, it is still a
+    # complement path (the involutions are pairwise non-adjacent), but no
+    # longer the path the witness labels
+    group = make_dihedral(8)
+    graph = build_power_graph(group)
+    cert = lambda_p_group(group)
+    assert cert.value == 8 and certificate_problems(graph, cert) == []
+    path = cert.construction.path
+    swapped = (path[1], path[0]) + path[2:]
+    bad = cert._replace(construction=cert.construction._replace(path=swapped))
+    assert certificate_problems(graph, bad) == [
+        "construction path is not the witness's label order"]
 
 
 @pytest.mark.parametrize("spec,evidence", [

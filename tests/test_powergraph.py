@@ -65,7 +65,7 @@ def test_cyclic_6_has_exactly_two_non_edges():
 def test_identity_is_universal():
     for group in (make_quaternion(8), make_elementary_abelian(2, 3)):
         graph = build_power_graph(group)
-        assert graph.is_universal(graph.group.identity)
+        assert graph.is_universal(group.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +162,8 @@ def test_edge_list_of_star():
 
 
 def test_dot_output_is_deterministic_and_named():
-    graph = build_power_graph(make_elementary_abelian(2, 2))
-    dot = to_dot(graph)
-    assert dot == to_dot(build_power_graph(make_elementary_abelian(2, 2)))
+    dot = to_dot(make_elementary_abelian(2, 2))
+    assert dot == to_dot(make_elementary_abelian(2, 2))
     assert dot.count(" -- ") == 3
     assert "(0,0)" in dot  # element names are the vertex labels
 
