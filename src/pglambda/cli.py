@@ -23,11 +23,11 @@ from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
     DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
+    _check_cap,
     _digits_int,
     _read_bounded,
     format_cayley,
     is_maximal_class,
-    max_group_order,
     parse_group_spec,
     prime_power,
 )
@@ -202,10 +202,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     from .catalog import catalogue  # imported here: no other command needs them
     from .suites import run_suites
 
-    if args.max_order > max_group_order():
-        raise TooLargeError(
-            f"--max-order {args.max_order} exceeds the cap {max_group_order()} "
-            "(LAMBDA_MAX_ORDER)")
+    _check_cap(args.max_order, "suite subject")
     subjects = catalogue(args.max_order)
     selected = {spec for spec, _ in subjects}
     subjects += [(spec, parse_group_spec(spec)) for spec in dict.fromkeys(args.group)

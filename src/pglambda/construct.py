@@ -13,14 +13,15 @@ the coset ⟨x⟩y, a path on G ∖ {1, z} that yields span |G|+1 (the unique
 involution z is universal, so |G| is impossible).  Every path is read
 off the group's elements, and the witness labels the identity −2 and
 the i-th path vertex i; nothing is searched for.  The dispatcher picks
-the branch from the group itself; certificate_problems, not the
-construction, checks each witness against the power graph and each path
-against the witness's label order, and a failed check raises
-ConstructionFailedError (exit 2).
+the branch from the group itself.  The constructions only construct:
+nothing here but :func:`certify` checks a certificate.
 
 :func:`certify` is the one place that decides which methods run on a
-group, this construction or the exact search, and checks what they
-return: every command and suite gets its certificates from it.
+group, this construction or the exact search, and the one place that
+checks what they return: it runs certificate_problems on each
+certificate as it is made, and a failed check, or two methods that
+disagree, raise ConstructionFailedError (exit 2).  Every command and
+suite gets its certificates from it.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     """Column-major interleaving of the classes: w11, w21, .., w_rN.
 
     Members are taken in ascending order and columns stop at the shortest
-    class.  Unchecked: certificate_problems checks the whole path.
+    class.  Unchecked: certify checks the whole path.
     """
     columns = zip(*(sorted(c) for c in classes))
     return tuple(v for column in columns for v in column)
@@ -71,9 +72,10 @@ def order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...],
     class of the level below.  A class has at most one adjacent class per
     lower level (its cyclic subgroup contains a unique subgroup of each
     order), so with at least two classes per level a non-adjacent choice
-    always exists; a level with fewer than two raises
-    ConstructionFailedError.  A p-group realises every order p^i up to its
-    exponent, so the levels are the realised orders above 1.
+    always exists.  Unchecked: a level with no such class keeps its first
+    class first, and certify rejects the path.  A p-group realises every
+    order p^i up to its exponent, so the levels are the realised orders
+    above 1.
     """
     if prime_power(group.order) is None:
         raise ValueError(f"order {group.order} is not a prime power")
@@ -84,15 +86,9 @@ def order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...],
     prev_last: int | None = None
     for order in reversed(tuple(sub.by_order)[1:]):
         level = [sub.generators[c] for c in sub.by_order[order]]
-        if len(level) < 2:
-            raise ConstructionFailedError(
-                f"{len(level)} class(es) of order {order}; interleaving needs >= 2")
         if prev_last is not None:
             pick = next((idx for idx, members in enumerate(level)
-                         if not graph.adjacent(prev_last, members[0])), None)
-            if pick is None:
-                raise ConstructionFailedError(
-                    f"every class of order {order} is adjacent to the level above")
+                         if not graph.adjacent(prev_last, members[0])), 0)
             level = [level[pick]] + level[:pick] + level[pick + 1:]
         levels.append(tuple(level))
         prev_last = level[-1][0]
@@ -171,25 +167,25 @@ def _locate_generators(group: FiniteGroup,
                        family: str) -> tuple[tuple[int, ...], int] | None:
     """Find (xs, y) realizing a dihedral, semidihedral or quaternion presentation.
 
-    x is the smallest-index element of order |G|/2, hence the least
-    generator of ⟨x⟩, whose record in the cyclic subgroups lists its
-    powers xs = (x⁰, .., x^(m−1)).  y is the smallest-index element outside
-    ⟨x⟩ of order 2 (order 4 for the quaternion family).  The relation
-    y⁻¹xy = x^twist is then verified on the table; None if any step fails.
+    x is the smallest-index element of order m = |G|/2: class order puts
+    ⟨x⟩ first among the cyclic subgroups of order m, and its record lists
+    the powers xs = (x⁰, .., x^(m−1)) of x.  y is the smallest-index
+    element outside ⟨x⟩ of order 2 (order 4 for the quaternion family).
+    The relation y⁻¹xy = x^twist is then verified on the table; None if
+    any step fails.
     """
     sub = group.cyclic_subgroups()
     m = group.order // 2
-    x = next((g for g, d in enumerate(sub.orders) if d == m), None)
-    if x is None:
+    if m not in sub.by_order:
         return None
-    xs = sub.elements[sub.index[x]]
+    xs = sub.elements[sub.by_order[m][0]]
     y_order = 4 if family == "quaternion" else 2
     y = next((g for g, d in enumerate(sub.orders) if d == y_order and g not in xs), None)
     if y is None:
         return None
     twist = m // 2 - 1 if family == "semidihedral" else m - 1
     mul = group.mul
-    return (xs, y) if mul[mul[group.inverses[y]][x]][y] == xs[twist] else None
+    return (xs, y) if mul[mul[group.inverses[y]][xs[1]]][y] == xs[twist] else None
 
 
 def recognize_family(group: FiniteGroup) -> str:
@@ -219,36 +215,6 @@ def recognize_family(group: FiniteGroup) -> str:
     return "general"
 
 
-def _construction(group: FiniteGroup, family: str) -> tuple[str, Path, Joints,
-                                                            tuple[int, ...]]:
-    """(kind, path, joints, witness) of the branch ``family`` dispatches to."""
-    graph, n = build_power_graph(group), group.order
-    if n == 1:
-        return "degenerate", (), (), (0,)
-    if family == "cyclic":
-        # cyclic p-group: subgroups are totally ordered, the graph is complete
-        return "cyclic-even-spacing", (), (), tuple(range(0, 2 * n, 2))
-    if family == "quaternion":
-        # the involution z is universal, so |G| is impossible: identity at
-        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
-        xs, y = _locate_generators(group, family)
-        path = _quaternion_path(group, xs, y)
-        labels = list(path_to_labelling(graph, path))
-        labels[xs[n // 4]] = n - 1
-        return "restricted-complement-path", path, (), tuple(labels)
-    joints: Joints = ()
-    if family == "dihedral":
-        xs, _ = _locate_generators(group, family)
-        path, kind = _involution_alternation_path(group, xs), "involution-alternation"
-    elif family == "semidihedral":
-        path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
-        kind = "seed-alternation"
-    else:
-        path, joints = _descent_path(group)
-        kind = "class-interleaving-descent"
-    return kind, path, joints, path_to_labelling(graph, path)
-
-
 def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     """λ of the power graph of any p-group, with witness and evidence.
 
@@ -259,21 +225,40 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     alternations; every other p-group → level descent; the last three all
     achieve λ = |G|.  The trivial group is a degenerate cyclic case with
     λ = 0.  The branches only build the witness: λ is its span and the
-    evidence is power_graph_lower_bound.  certificate_problems checks the
-    certificate before it is returned; a failure raises
-    ConstructionFailedError.
+    evidence is power_graph_lower_bound.  Unchecked: certify checks the
+    certificate.
     """
-    kind, path, joints, witness = _construction(group, recognize_family(group))
-    graph = build_power_graph(group)
-    cert = LambdaCertificate(
+    family = recognize_family(group)
+    graph, n = build_power_graph(group), group.order
+    joints: Joints = ()
+    if n == 1:
+        kind, path, witness = "degenerate", (), (0,)
+    elif family == "cyclic":
+        # cyclic p-group: subgroups are totally ordered, the graph is complete
+        kind, path, witness = "cyclic-even-spacing", (), tuple(range(0, 2 * n, 2))
+    elif family == "quaternion":
+        # the involution z is universal, so |G| is impossible: identity at
+        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
+        xs, y = _locate_generators(group, family)
+        path = _quaternion_path(group, xs, y)
+        labels = list(path_to_labelling(graph, path))
+        labels[xs[n // 4]] = n - 1
+        kind, witness = "restricted-complement-path", tuple(labels)
+    else:
+        if family == "dihedral":
+            xs, _ = _locate_generators(group, family)
+            kind, path = "involution-alternation", _involution_alternation_path(group, xs)
+        elif family == "semidihedral":
+            path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
+            kind = "seed-alternation"
+        else:
+            path, joints = _descent_path(group)
+            kind = "class-interleaving-descent"
+        witness = path_to_labelling(graph, path)
+    return LambdaCertificate(
         value=span(witness), witness=witness,
         evidence=power_graph_lower_bound(graph), method="constructive",
         construction=ConstructionInfo(kind, path, joints))
-    problems = certificate_problems(graph, cert)
-    if problems:
-        raise ConstructionFailedError(f"constructive certificate fails its check: "
-                                      f"{problems[0]}")
-    return cert
 
 
 def certify(group: FiniteGroup, method: str = "auto", *,
@@ -285,10 +270,11 @@ def certify(group: FiniteGroup, method: str = "auto", *,
     both on a p-group (or the trivial group) of order at most ``cap`` and
     the construction above it; on any other group it runs the exact
     search within the cap and nothing, returning [], beyond it.  The
-    exact search is limited to ``cap`` vertices and ``budget`` seconds,
-    and its certificate is checked here (lambda_p_group checks its own).
-    A failed check, or two methods that disagree, raise
-    ConstructionFailedError.
+    exact search is limited to ``cap`` vertices and ``budget`` seconds.
+    This is the one place that checks a certificate: each is checked
+    with certificate_problems as it is made, so a failed construction
+    ends the call before any search runs.  A failed check, or two
+    methods that disagree, raise ConstructionFailedError.
     """
     if method == "auto":
         if group.order == 1 or prime_power(group.order) is not None:
@@ -299,17 +285,20 @@ def certify(group: FiniteGroup, method: str = "auto", *,
             return []
     if method not in ("constructive", "exact", "both"):
         raise ValueError(f"unknown method {method!r}")
-    certs = []
-    if method != "exact":
-        certs.append(lambda_p_group(group))
-    if method != "constructive":
-        graph = build_power_graph(group)
-        cert = exact_lambda(graph, max_vertices=cap, time_budget=budget)
-        problems = certificate_problems(graph, cert)
+
+    def checked(cert: LambdaCertificate) -> LambdaCertificate:
+        problems = certificate_problems(build_power_graph(group), cert)
         if problems:
             raise ConstructionFailedError(
-                "\n".join(f"consistency failure: {p}" for p in problems))
-        certs.append(cert)
+                f"{cert.method} certificate fails its check: {problems[0]}")
+        return cert
+
+    certs = []
+    if method != "exact":
+        certs.append(checked(lambda_p_group(group)))
+    if method != "constructive":
+        certs.append(checked(exact_lambda(build_power_graph(group), max_vertices=cap,
+                                          time_budget=budget)))
     if len(certs) == 2 and certs[0].value != certs[1].value:
         raise ConstructionFailedError(
             f"disagreement: constructive lambda {certs[0].value} != "

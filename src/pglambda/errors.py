@@ -14,9 +14,10 @@ from :class:`PglambdaError`:
   time, carrying the lower bound it had proven;
 - :class:`ConstructionFailedError` (exit 2): a certificate failed its
   check, constructive (which would contradict the theorem it implements)
-  or from the exact search, or the two methods disagreed on λ.  The
-  constructions check nothing themselves, so every failed construction
-  exits 2 through ``certificate_problems``, never 1.
+  or from the exact search, or the two methods disagreed on λ.  Only
+  ``construct.certify`` raises it: it is the one place that checks a
+  certificate, and the constructions only construct, so every failed
+  construction exits 2 there, never 1.
 """
 
 from __future__ import annotations

@@ -124,7 +124,7 @@ class FiniteGroup:
         """
         if self._subgroups is None:
             mul, e, n = self.mul, self.identity, self.order
-            index, orders = [0] * n, [0] * n
+            orders = [0] * n
             walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
             for g in range(n):
                 if orders[g]:
@@ -141,13 +141,11 @@ class FiniteGroup:
                 walks.append((tuple(powers), gens))
             walks.sort(key=lambda walk: len(walk[0]))
             by_order: dict[int, list[int]] = {}
-            for i, (powers, gens) in enumerate(walks):
-                for h in gens:
-                    index[h] = i
+            for i, (powers, _) in enumerate(walks):
                 by_order.setdefault(len(powers), []).append(i)
             elements, generators = zip(*walks)
             self._subgroups = CyclicSubgroups(
-                elements, generators, tuple(index), tuple(orders),
+                elements, generators, tuple(orders),
                 {m: tuple(ids) for m, ids in by_order.items()})
         return self._subgroups
 
@@ -182,14 +180,13 @@ class CyclicSubgroups(NamedTuple):
 
     Subgroup i is ``elements[i]``, the powers g⁰, g¹, .. of its
     smallest-index generator g; ``generators[i]`` lists, ascending, every
-    element that generates it, its cyclic class.  ``index[h]`` is the
-    subgroup h generates and ``orders[h]`` the order of h; ``by_order``
-    maps each realised order, ascending, to its subgroups' indices.
+    element that generates it, its cyclic class.  ``orders[h]`` is the
+    order of h; ``by_order`` maps each realised order, ascending, to its
+    subgroups' indices.
     """
 
     elements: tuple[tuple[int, ...], ...]
     generators: tuple[tuple[int, ...], ...]
-    index: tuple[int, ...]
     orders: tuple[int, ...]
     by_order: dict[int, tuple[int, ...]]
 

@@ -19,7 +19,7 @@ from .groups import FiniteGroup, is_maximal_class, prime_power
 from .labelling import LambdaCertificate
 from .powergraph import build_power_graph, check_lower_hook, euler_phi
 
-__all__ = ["SuiteResult", "SUITE_NAMES", "run_suites"]
+__all__ = ["SuiteResult", "run_suites"]
 
 
 class SuiteResult(NamedTuple):
@@ -182,8 +182,6 @@ _SUITES = (
     ("lower-hook", _suite_lower_hook),
     ("lambda-matches-formula", _suite_lambda_matches_formula),
 )
-
-SUITE_NAMES = tuple(name for name, _ in _SUITES)
 
 
 def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,

@@ -281,7 +281,8 @@ def test_lambda_both_checks_the_exact_certificate(capsys, monkeypatch):
                         lambda *args, **kwargs: _INVALID_D8_CERT)
     code, _, err = run(capsys, "lambda", "dihedral:8", "--method", "both")
     assert code == 2
-    assert "consistency failure: witness violates labelling constraints" in err
+    assert err.startswith("exact-search certificate fails its check: "
+                          "witness violates labelling constraints")
 
 
 def test_lambda_constructive_emits_construction(capsys):
@@ -404,6 +405,29 @@ def test_a_construction_that_repeats_a_vertex_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "elemab:3,2")
     assert (code, out) == (2, "")
     assert err.startswith("constructive certificate fails its check: ")
+
+
+def test_descent_with_one_class_levels_fails_the_certificate_check(capsys, monkeypatch):
+    # every level of C8 is one class, and each is adjacent to the level
+    # above: the descent builds a path anyway, and only certify rejects it
+    monkeypatch.setattr("pglambda.construct.recognize_family", lambda group: "general")
+    code, out, err = run(capsys, "lambda", "cyclic:8", "--method", "constructive")
+    assert (code, out) == (2, "")
+    assert err.startswith("constructive certificate fails its check: ")
+
+
+def test_a_failed_construction_exits_2_before_the_search_runs(capsys, monkeypatch):
+    # each certificate is checked as it is made, so the broken construction
+    # is reported and the exact search, which would fail too, never runs
+    def failing_search(*args, **kwargs):
+        raise AssertionError("the exact search ran after a failed construction")
+
+    monkeypatch.setattr("pglambda.construct.recognize_family", lambda group: "cyclic")
+    monkeypatch.setattr("pglambda.construct.exact_lambda", failing_search)
+    code, out, err = run(capsys, "lambda", "elemab:2,2", "--method", "both")
+    assert (code, out) == (2, "")
+    assert err == ("constructive certificate fails its check: power-graph-bound "
+                   "evidence does not prove lambda 6\n")
 
 
 def _raise_top_label(cert):
@@ -593,7 +617,8 @@ def test_suite_counts_a_witness_without_a_path_as_a_failed_check(capsys, monkeyp
     code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "dihedral:8")
     assert code == 2
     assert out == ""
-    assert "consistency failure: witness violates labelling constraints" in err
+    assert err.startswith("exact-search certificate fails its check: "
+                          "witness violates labelling constraints")
 
 
 def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
@@ -607,7 +632,7 @@ def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
                         lambda *args, **kwargs: bad_q8)
     code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "quaternion:8")
     assert code == 2
-    assert "consistency failure" in err
+    assert err.startswith("exact-search certificate fails its check: ")
 
 
 def test_a_failed_property_exits_2_and_names_it(capsys, monkeypatch):
@@ -684,9 +709,10 @@ def test_suite_time_budget_bounds_the_exact_search(capsys):
 
 
 def test_suite_max_order_above_cap_is_resource_limited(capsys):
-    code, _, err = run(capsys, "suite", "--max-order", "1024")
-    assert code == 3
-    assert "LAMBDA_MAX_ORDER" in err
+    code, out, err = run(capsys, "suite", "--max-order", "1024")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: suite subject of order 1024 exceeds the cap 512 "
+                   "(raise LAMBDA_MAX_ORDER to override)\n")
 
 
 # ---------------------------------------------------------------------------

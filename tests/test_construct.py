@@ -21,6 +21,7 @@ from pglambda import (
     make_quaternion,
     make_semidihedral,
     catalogue,
+    certify,
     order_classes_for_descent,
     prime_power,
     recognize_family,
@@ -75,7 +76,7 @@ def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch)
     monkeypatch.setattr("pglambda.construct.build_interleaved_path", interleave)
     with pytest.raises(ConstructionFailedError,
                        match="constructive certificate fails its check"):
-        lambda_p_group(make_elementary_abelian(3, 2))
+        certify(make_elementary_abelian(3, 2), "constructive")
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +96,6 @@ def test_descent_levels_for_c2_x_c4():
     a = upper[-1][-1]
     b = lower[0][0]
     assert not graph.adjacent(a, b)
-
-
-def test_descent_rejects_levels_with_one_class():
-    group = make_cyclic(8)
-    with pytest.raises(ConstructionFailedError, match="interleaving needs >= 2"):
-        order_classes_for_descent(group)
 
 
 def test_descent_rejects_non_p_groups():
@@ -346,5 +341,5 @@ def test_construction_never_searches(monkeypatch):
             monkeypatch.setattr(module, "exact_lambda", no_search)
     groups = [group for _, group in catalogue(512) if prime_power(group.order)]
     for group in groups + [make_quaternion(512)]:
-        cert = lambda_p_group(group)
+        cert, = certify(group, "constructive")
         assert cert.method == "constructive"

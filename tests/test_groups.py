@@ -21,6 +21,7 @@ from pglambda import (
     TooLargeError,
     build_power_graph,
     catalogue,
+    certify,
     exact_lambda,
     format_cayley,
     is_maximal_class,
@@ -32,7 +33,6 @@ from pglambda import (
     make_heisenberg,
     make_quaternion,
     make_semidihedral,
-    lambda_p_group,
     parse_cayley,
     parse_group_spec,
     prime_power,
@@ -138,12 +138,13 @@ def test_the_cyclic_subgroup_record_across_the_catalogue():
         keys = [(len(elements), members[0])
                 for elements, members in zip(sub.elements, sub.generators)]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
-        assert all(sub.orders[h] == len(sub.elements[sub.index[h]]) for h in range(n))
-        # the generators partition G, each class inside its subgroup
+        # the generators partition G, each class inside its subgroup, whose
+        # elements are the powers of its least generator
         assert sorted(h for members in sub.generators for h in members) == list(range(n))
-        for i, members in enumerate(sub.generators):
+        for elements, members in zip(sub.elements, sub.generators):
             assert list(members) == sorted(members)
-            assert all(sub.index[h] == i and h in sub.elements[i] for h in members)
+            assert elements == (0,) or elements[:2] == (0, members[0])
+            assert all(sub.orders[h] == len(elements) and h in elements for h in members)
         assert list(sub.by_order) == sorted(sub.by_order)
         assert [i for ids in sub.by_order.values() for i in ids] == list(range(len(keys)))
         expected = _cyclic_subgroups_by_multiplication(group)
@@ -226,7 +227,7 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
         sub = g.cyclic_subgroups()
         classes = [sub.class_number(d) for d in sub.by_order]
         if prime_power(group.order):
-            return recognize_family(g), classes, lambda_p_group(g).value
+            return recognize_family(g), classes, certify(g, "constructive")[0].value
         return None, classes, exact_lambda(graph).value
 
     assert invariants(scrambled) == invariants(group)
@@ -640,6 +641,8 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
         (["export", "cyclic:8"], 0, graph),
         (["export", "cyclic:8", "--format", "cayley"], 0, spec),
         (["lambda", "cyclic:8", "--method", "exact"], 0, certify | {"_search"}),
+        (["lambda", "cyclic:8", "--witness-csv", str(tmp_path / "w.csv")], 0,
+         certify | {"_search"}),
     ]
     probe = textwrap.dedent("""
         import contextlib, io, sys
@@ -686,7 +689,7 @@ _PUBLIC_NAMES = [
     "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph",
     "GroupValidationError", "LambdaCertificate",
-    "PglambdaError", "SUITE_NAMES",
+    "PglambdaError",
     "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
     "__version__", "build_interleaved_path",
     "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
@@ -713,7 +716,7 @@ def test_the_package_exports_its_public_names():
     assert all(names[name] is getattr(pglambda, name) for name in _PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pglambda.no_such_name
-    for gone in ("labelling_to_path", "check_ham_path", "PowerGraph"):
+    for gone in ("labelling_to_path", "check_ham_path", "PowerGraph", "SUITE_NAMES"):
         with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
             getattr(pglambda, gone)
 
