@@ -8,6 +8,7 @@ apart across a non-adjacent pair and 2 apart across an adjacent pair, a
 *bump*: λ = n − 1 + the fewest bumps over all orderings (Georges, Mauro
 & Whittlesey 1994).  The members of a twin module are interchangeable,
 so the search orders modules, not vertices, and never meets a label.
+It starts at a floor that labelling.clique_deficiency proves.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import time
 from typing import NamedTuple, Sequence
 
 from .errors import SearchTimeoutError
+from .labelling import clique_deficiency
 from .powergraph import Graph, iter_bits
 
 
@@ -36,31 +38,6 @@ def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
         closed = mask | 1 << v
         classes[closed] = classes.get(closed, 0) | 1 << v
     return classes
-
-
-def _path_cover_floor(n: int, classes: dict[int, int]) -> tuple[int, int]:
-    """A proven floor on the span, and the closed-twin class T that sets
-    it (0 when none does).
-
-    The runs between bumps are paths in the complement, so span ≥
-    n − 2 + c for the fewest complement paths c covering the vertices.
-    Universal vertices are isolated there, one path each.  A class T of
-    the rest R is independent there, with complement neighbourhood N, so
-    a path holds at most one more T vertex than N vertices, and then is
-    T N T … N T: c counts |T| − |N| paths through T, one more when
-    R ⊄ T ∪ N, and T sets the floor when that beats R's one path.
-    """
-    everyone = (1 << n) - 1
-    universal = classes.get(everyone, 0)
-    rest = everyone & ~universal
-    paths, setter = (1 if rest else 0), 0
-    for closed, members in classes.items():
-        away = everyone & ~closed
-        excess = (members.bit_count() - away.bit_count()
-                  + (1 if rest & ~(members | away) else 0))
-        if closed != everyone and excess > paths:
-            paths, setter = excess, members
-    return n - 2 + universal.bit_count() + paths, setter
 
 
 def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
@@ -99,7 +76,7 @@ class _Quotient(NamedTuple):
     near: tuple[int, ...]
     tight: tuple[tuple[int, int, int], ...]  # (module, near | itself, its rank), by rank
     floor: int                               # spans below this are refuted
-    evidence: tuple[str, tuple[int, ...] | None]  # what sets the floor: kind, vertices
+    clique: tuple[int, ...]                  # the clique whose deficiency is the floor
 
 
 def _quotient(graph: Graph) -> _Quotient:
@@ -117,11 +94,14 @@ def _quotient(graph: Graph) -> _Quotient:
                 reach |= d1[u]
             if reach != everyone:
                 raise ValueError("the exact search needs a graph of diameter at most 2")
-    floor, setter = _path_cover_floor(n, classes)
-    evidence = ("path-cover-floor", tuple(iter_bits(setter)) or None)
-    clique = tuple(iter_bits(_greedy_clique(graph)))
-    if 2 * (len(clique) - 1) > floor:
-        floor, evidence = 2 * (len(clique) - 1), ("clique-packing", clique)
+    # the first clique of most deficiency: the universal vertices U (when
+    # there are any), U with each other closed-twin class, a greedy clique
+    universal = classes.get(everyone, 0)
+    cliques = [universal, *(universal | members for closed, members in classes.items()
+                            if closed != everyone), _greedy_clique(graph)]
+    floor, clique = max(((clique_deficiency(graph, k), k)
+                         for k in map(tuple, map(iter_bits, cliques)) if k),
+                        key=lambda pair: pair[0])
 
     members = tuple(m for _, m in sorted(_twin_modules(d1, classes).items()))
     home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
@@ -137,13 +117,13 @@ def _quotient(graph: Graph) -> _Quotient:
                      mask.bit_count() + (d1[mask.bit_length() - 1] | mask).bit_count())
                     for m, mask in enumerate(members)
                     if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
-    return _Quotient(n, members, tuple(near), tuple(tight), floor, evidence)
+    return _Quotient(n, members, tuple(near), tuple(tight), floor, clique)
 
 
 def least_span_labels(graph: Graph, time_budget: float
-                      ) -> tuple[list[int], tuple[str, tuple[int, ...] | None] | None]:
-    """exact_lambda's search: labels of least span from 0, and the floor
-    (kind, vertices) that refutes one less, or None when a search did.
+                      ) -> tuple[list[int], tuple[int, ...] | None]:
+    """exact_lambda's search: labels of least span from 0, and the clique
+    whose deficiency, the floor, refutes one less, or None when a search did.
 
     Depth first over module sequences, for bump allowances from the
     floor's up.  From the last module, moves without a bump come first,
@@ -242,4 +222,4 @@ def least_span_labels(graph: Graph, time_budget: float
         unused[m] ^= 1 << v
         label += 1 + (i > 0 and near[seq[i - 1]] >> m & 1)
         labels[v] = label
-    return labels, q.evidence if allowance == base else None
+    return labels, q.clique if allowance == base else None

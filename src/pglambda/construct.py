@@ -225,8 +225,8 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     alternations; every other p-group → level descent; the last three all
     achieve λ = |G|.  The trivial group is a degenerate cyclic case with
     λ = 0.  The branches only build the witness: λ is its span and the
-    evidence is power_graph_lower_bound.  Unchecked: certify checks the
-    certificate.
+    evidence is power_graph_lower_bound, the clique of universal vertices
+    (all of G, {1, z} or {1}).  Unchecked: certify checks the certificate.
     """
     family = recognize_family(group)
     graph, n = build_power_graph(group), group.order

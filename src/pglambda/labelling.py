@@ -10,13 +10,15 @@ vertices in label order are a Hamiltonian path in the complement of the
 power graph minus the identity: the same data as the labelling.
 
 A certificate is a witness plus lower-bound evidence, and
-:func:`certificate_problems` is its one checker.
+:func:`certificate_problems` is its one checker.  Every bound that no
+search proves is the deficiency of a clique, which
+:func:`clique_deficiency` alone derives and re-checks.
 
 The exact oracle is independent of all group theory.  On a graph of
 diameter ≤ 2, λ = n − 1 + the fewest bumps (adjacent consecutive
 vertices) over orderings of the vertices, and ``_search``, loaded on
-first use, searches sequences of twin modules for them, from a proven
-floor (the clique bound or a path-cover bound) up.
+first use, searches sequences of twin modules for them, from a floor
+that a clique proves up.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "validate_labelling",
     "span",
     "path_to_labelling",
+    "clique_deficiency",
     "power_graph_lower_bound",
     "exact_lambda",
     "certificate_doc",
@@ -124,34 +127,49 @@ def path_to_labelling(graph: Graph, path: Sequence[int]) -> tuple[int, ...]:
 
 
 class Evidence(NamedTuple):
-    """Why λ−1 is impossible: the lower-bound side of a certificate."""
+    """Why λ−1 is impossible: the lower-bound side of a certificate.
+
+    ``clique-deficiency`` names a clique as ``vertices``;
+    ``exhaustive-search-at-span`` names the refuted ``span``.
+    """
 
     kind: str
     bound: int
     span: int | None = None
-    vertex: int | None = None
     vertices: tuple[int, ...] | None = None
 
 
-def power_graph_lower_bound(graph: Graph) -> Evidence:
-    """The one derivation of a lower bound on λ: the first case that applies.
+def clique_deficiency(graph: Graph, clique: Sequence[int]) -> int | None:
+    """The lower bound on λ that a clique K proves, on any graph; None
+    unless K is a non-empty, strictly ascending clique of vertices in range.
 
-    0 on at most one vertex.  2(|G| − 1) when every vertex is universal:
-    a complete graph needs its labels 2 apart.  Otherwise (so |G| ≥ 3) all
-    labels are distinct (diameter ≤ 2) and the universal identity forces a
-    further gap of 2, giving |G|; a universal non-identity ``vertex`` is
-    isolated in the reduced complement, so no Hamiltonian path exists
-    there and the bound is |G| + 1.  On a p-group the bound is λ.
+    Let R be the vertices outside K adjacent to all of K.  Two vertices of
+    K ∪ R are within distance 2 through K, and a labelling of a graph
+    labels each induced subgraph, so λ ≥ λ(G[K ∪ R]).  There each K
+    vertex is isolated in the complement and R needs one more path, so
+    Georges, Mauro & Whittlesey (1994) give λ ≥ 2|K| − 2 + |R| + [R ≠ ∅].
     """
-    n = graph.n
-    if n <= 1:
-        return Evidence("degenerate", 0)
-    if all(map(graph.is_universal, range(n))):
-        return Evidence("complete-graph-bound", 2 * (n - 1))
-    for v in range(1, n):
-        if graph.is_universal(v):
-            return Evidence("universal-nonidentity-vertex", n + 1, vertex=v)
-    return Evidence("power-graph-bound", n)
+    n, nbrs = graph.n, graph.neighbors
+    mask = sum({1 << v for v in clique if 0 <= v < n})
+    if not clique or tuple(iter_bits(mask)) != tuple(clique):
+        return None
+    common = (1 << n) - 1  # K ∪ R: the closed neighbourhoods of K, ANDed
+    for v in clique:
+        common &= nbrs[v] | 1 << v
+    if common & mask != mask:
+        return None
+    rest = (common & ~mask).bit_count()
+    return 2 * len(clique) - 2 + rest + (rest > 0)
+
+
+def power_graph_lower_bound(graph: Graph) -> Evidence:
+    """The clique deficiency of the universal vertices U, the identity
+    among them on a power graph: 0 on one vertex, 2(|G| − 1) when U is all
+    of G, |G| when U = {e}, |G| + 1 when U = {e, z}, and λ on a p-group.
+    """
+    universal = tuple(v for v in range(graph.n) if graph.is_universal(v))
+    return Evidence("clique-deficiency", clique_deficiency(graph, universal),
+                    vertices=universal)
 
 
 class ConstructionInfo(NamedTuple):
@@ -172,44 +190,16 @@ class LambdaCertificate(NamedTuple):
     construction: ConstructionInfo | None = None
 
 
-def _floor_evidence(graph: Graph, ev: Evidence) -> Evidence | None:
-    """ev's floor re-derived from the bare graph; None when ev is none.
-
-    ``clique-packing``: pairwise adjacent vertices C take labels 2 apart,
-    so λ ≥ 2(|C| − 1).  ``path-cover-floor``: a universal vertex makes all
-    labels differ, and then λ ≥ n − 2 + u + |T| − |N| + [R ⊄ T ∪ N] for u
-    universal vertices, the rest R, and closed twins T (none, or the ones
-    given) with complement neighbourhood N (``_search._path_cover_floor``).
-    """
-    n, nbrs, everyone = graph.n, graph.neighbors, (1 << graph.n) - 1
-    vertices = ev.vertices or ()
-    mask = sum({1 << v for v in vertices if 0 <= v < n})
-    if tuple(iter_bits(mask)) != tuple(vertices):  # ascending, distinct, in range
-        return None
-    closed = {nbrs[v] | 1 << v for v in vertices}
-    if ev.kind == "clique-packing" and all(c & mask == mask for c in closed):
-        bound = 2 * (len(vertices) - 1)
-    elif (ev.kind == "path-cover-floor" and len(closed) <= 1 and everyone not in closed
-          and (universal := sum(1 << v for v in range(n) if graph.is_universal(v)))):
-        away = everyone & ~closed.pop() if closed else 0
-        bound = (n - 2 + universal.bit_count() + len(vertices) - away.bit_count()
-                 + (1 if everyone & ~(universal | mask | away) else 0))
-    else:
-        return None
-    return Evidence(ev.kind, bound, vertices=ev.vertices)
-
-
 def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     """What is wrong with a power graph's certificate; empty when it checks out.
 
     The witness must be a valid labelling of the graph, its span must be
     the certified λ, and λ may not fall below power_graph_lower_bound.
     The evidence must prove λ: its bound is λ, and it is a searched
-    refutation of span λ − 1 (of which only that span is checked), or
-    exactly what power_graph_lower_bound or the exact search's floor
-    derive from the graph.  A constructive path at λ = |G| must be the
-    non-identity vertices in label order, a complement path when the
-    witness is valid (see the module docstring).
+    refutation of span λ − 1 (of which only that span is checked), or a
+    clique, with no span, whose clique_deficiency is λ.  A constructive
+    path at λ = |G| must be the non-identity vertices in label order, a
+    complement path when the witness is valid (see the module docstring).
     """
     if len(cert.witness) != graph.n:
         return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
@@ -220,11 +210,12 @@ def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     if span(cert.witness) != cert.value:
         problems.append(f"witness span {span(cert.witness)} != lambda {cert.value}")
     lower = power_graph_lower_bound(graph)
-    if cert.value < lower.bound:
+    if lower.bound is not None and cert.value < lower.bound:  # None: no universal vertex
         problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.bound}")
     ev = cert.evidence
     proved = (ev.span == ev.bound - 1 if ev.kind == "exhaustive-search-at-span"
-              else ev == lower or ev == _floor_evidence(graph, ev))
+              else ev.kind == "clique-deficiency" and ev.span is None
+              and clique_deficiency(graph, ev.vertices or ()) == ev.bound)
     if ev.bound != cert.value or not proved:
         problems.append(f"{ev.kind} evidence does not prove lambda {cert.value}")
     path = cert.construction.path if cert.construction else ()
@@ -240,10 +231,10 @@ def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
 
     Knows nothing about groups: works on the bare graph, which is what
     makes it an independent oracle.  Every power graph has diameter ≤ 2;
-    any other graph raises ValueError.  The evidence is the floor when
-    the first bump allowance probed succeeds (``path-cover-floor`` or
-    ``clique-packing``), and the refutation of span λ − 1 when a probe
-    searched and failed.
+    any other graph raises ValueError.  The evidence is the clique whose
+    deficiency sets the floor when the first bump allowance probed
+    succeeds, and the refutation of span λ − 1 when a probe searched and
+    failed.
 
     Raises SearchTimeoutError with the proven bound when the budget runs
     out, and TooLargeError above ``max_vertices``.
@@ -255,15 +246,13 @@ def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
         raise TooLargeError(f"exact search capped at {max_vertices} vertices, "
                             f"graph has {n}")
     from ._search import least_span_labels
-    labels, floor = least_span_labels(graph, time_budget)
+    labels, clique = least_span_labels(graph, time_budget)
     sigma = max(labels)
-    if sigma == 0:
-        evidence = Evidence(kind="degenerate", bound=0)
-    elif floor is None:
+    if clique is None:
         evidence = Evidence(kind="exhaustive-search-at-span", span=sigma - 1,
                             bound=sigma)
     else:
-        evidence = Evidence(kind=floor[0], bound=sigma, vertices=floor[1])
+        evidence = Evidence(kind="clique-deficiency", bound=sigma, vertices=clique)
     return LambdaCertificate(value=sigma, witness=tuple(labels), evidence=evidence,
                              method="exact-search")
 

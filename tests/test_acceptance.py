@@ -270,13 +270,12 @@ def test_q8_has_no_span_8_labelling_and_no_complement_path():
 
     cert = exact_lambda(graph)
     assert cert.value == 9
-    # span 8 refuted by the path-cover floor: 8 − 2 + 2 universal vertices
-    # + 1 path for the other six, re-derived by certificate_problems
-    assert cert.evidence == Evidence("path-cover-floor", 9)
+    # span 8 refuted by the clique {1, x²} of universal vertices: 2·2 − 2
+    # + 6 common neighbours + 1, re-derived by certificate_problems
+    assert cert.evidence == Evidence("clique-deficiency", 9, vertices=(0, 2))
     assert certificate_problems(graph, cert) == []
 
     # x² is universal, so isolated in the reduced complement: no path
-    lower = power_graph_lower_bound(graph)
-    assert (lower.bound, lower.kind) == (9, "universal-nonidentity-vertex")
+    assert power_graph_lower_bound(graph) == cert.evidence
 
     assert time.perf_counter() - started < 5.0

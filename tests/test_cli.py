@@ -311,7 +311,7 @@ def test_exact_method_decides_the_former_timeouts(spec, expected, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == expected
-    assert doc["evidence"]["kind"] == "path-cover-floor"
+    assert doc["evidence"]["kind"] == "clique-deficiency"
     assert doc["evidence"]["bound"] == expected
     graph = build_power_graph(parse_group_spec(spec))
     assert validate_labelling(graph, doc["labels"]) == []
@@ -326,8 +326,10 @@ def test_exact_method_decides_cyclic_120_within_its_budget(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == 152
-    assert doc["evidence"] == {"kind": "path-cover-floor", "bound": 152}
     graph = build_power_graph(make_cyclic(120))
+    universal = [v for v in range(120) if graph.is_universal(v)]  # e and 32 generators
+    assert doc["evidence"] == {"kind": "clique-deficiency", "bound": 152,
+                               "vertices": universal}
     assert validate_labelling(graph, doc["labels"]) == []
     assert span(doc["labels"]) == 152
 
@@ -426,7 +428,7 @@ def test_a_failed_construction_exits_2_before_the_search_runs(capsys, monkeypatc
     monkeypatch.setattr("pglambda.construct.exact_lambda", failing_search)
     code, out, err = run(capsys, "lambda", "elemab:2,2", "--method", "both")
     assert (code, out) == (2, "")
-    assert err == ("constructive certificate fails its check: power-graph-bound "
+    assert err == ("constructive certificate fails its check: clique-deficiency "
                    "evidence does not prove lambda 6\n")
 
 
@@ -439,17 +441,29 @@ def _raise_top_label(cert):
                          evidence=cert.evidence._replace(bound=cert.value + 1))
 
 
-@pytest.mark.parametrize("spec,kind,corrupt", [
-    ("dihedral:8", "power-graph-bound", _raise_top_label),
-    ("quaternion:8", "universal-nonidentity-vertex",
-     lambda cert: cert._replace(evidence=cert.evidence._replace(vertex=1))),
-])
-def test_corrupted_constructive_evidence_exits_2(spec, kind, corrupt, capsys, monkeypatch):
+def _evidence(**fields):
+    return lambda cert: cert._replace(evidence=cert.evidence._replace(**fields))
+
+
+@pytest.mark.parametrize("spec,corrupt", [
+    ("dihedral:8", _raise_top_label),                    # {e} proves 8, not 9
+    ("quaternion:8", _evidence(vertices=(1, 3))),        # x, x³: a clique proving 5
+    ("quaternion:8", _evidence(vertices=(0, 1, 4))),     # x, y: not a clique
+    ("quaternion:8", _evidence(vertices=(0, 2, 8))),     # out of range
+    ("quaternion:8", _evidence(vertices=(2, 0))),        # unsorted
+    ("quaternion:8", _evidence(vertices=(0, 2, 2))),     # a repeated vertex
+    ("quaternion:8", _evidence(vertices=())),            # empty
+    ("quaternion:8", _evidence(vertices=None)),
+    ("quaternion:8", _evidence(bound=10)),               # off by one
+    ("quaternion:8", _evidence(span=8)),                 # a leftover span
+], ids=["raised-lambda", "weak-clique", "non-clique", "out-of-range", "unsorted",
+        "repeated", "empty", "no-vertices", "bound-off-by-one", "leftover-span"])
+def test_corrupted_constructive_evidence_exits_2(spec, corrupt, capsys, monkeypatch):
     monkeypatch.setattr("pglambda.construct.LambdaCertificate",
                         lambda **fields: corrupt(LambdaCertificate(**fields)))
     code, out, err = run(capsys, "lambda", spec, "--method", "constructive")
     assert (code, out) == (2, "")
-    assert err == (f"constructive certificate fails its check: {kind} evidence "
+    assert err == ("constructive certificate fails its check: clique-deficiency evidence "
                    "does not prove lambda 9\n")  # 8 + 1 on D8, 9 on Q8
 
 
@@ -459,7 +473,7 @@ def test_a_complete_graph_bound_on_an_incomplete_graph_exits_2(capsys, monkeypat
     monkeypatch.setattr("pglambda.construct.recognize_family", lambda group: "cyclic")
     code, out, err = run(capsys, "lambda", "elemab:2,2", "--method", "constructive")
     assert (code, out) == (2, "")
-    assert err == ("constructive certificate fails its check: power-graph-bound "
+    assert err == ("constructive certificate fails its check: clique-deficiency "
                    "evidence does not prove lambda 6\n")
 
 

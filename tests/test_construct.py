@@ -10,6 +10,7 @@ import pytest
 
 from pglambda import (
     ConstructionFailedError,
+    Evidence,
     build_interleaved_path,
     build_power_graph,
     lambda_p_group,
@@ -180,7 +181,7 @@ def test_quaternion_labellings(e):
     assert labels[group.identity] == -2
     z = 2 ** (e - 1)  # the unique involution x^(2^(e-1))
     assert group.cyclic_subgroups().orders[z] == 2
-    assert cert.evidence.vertex == z
+    assert cert.evidence.vertices == (group.identity, z)
     assert labels[z] == n - 1
     # x^k (index k) for k ≠ 0, m/2 alternates with x^k y (index m + k),
     # starting inside; the last two x^k y close the path
@@ -276,7 +277,7 @@ def test_scrambled_table_still_gets_a_constructive_certificate(maker, value, kin
 def test_dispatcher_on_the_trivial_group():
     cert = lambda_p_group(make_cyclic(1))
     assert cert.value == 0
-    assert cert.evidence.kind == "degenerate"
+    assert cert.evidence == Evidence("clique-deficiency", 0, vertices=(0,))
     assert cert.construction.kind == "degenerate"
 
 
@@ -304,11 +305,14 @@ def test_dispatcher_routes_and_values(group, value, kind):
 
 
 def test_dispatcher_evidence_kinds():
-    assert lambda_p_group(make_cyclic(4)).evidence.kind == "complete-graph-bound"
-    q8 = lambda_p_group(make_quaternion(8))
-    assert q8.evidence.kind == "universal-nonidentity-vertex"
-    assert q8.evidence.vertex == 2
-    assert lambda_p_group(make_dihedral(8)).evidence.kind == "power-graph-bound"
+    # the universal vertices: all of C4, the identity and x² in Q8, the
+    # identity alone in D8
+    assert lambda_p_group(make_cyclic(4)).evidence == Evidence(
+        "clique-deficiency", 6, vertices=(0, 1, 2, 3))
+    assert lambda_p_group(make_quaternion(8)).evidence == Evidence(
+        "clique-deficiency", 9, vertices=(0, 2))
+    assert lambda_p_group(make_dihedral(8)).evidence == Evidence(
+        "clique-deficiency", 8, vertices=(0,))
 
 
 def test_descent_certificate_reports_non_adjacent_joints():

@@ -693,7 +693,7 @@ _PUBLIC_NAMES = [
     "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
     "__version__", "build_interleaved_path",
     "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
-    "certify", "check_lower_hook",
+    "certify", "check_lower_hook", "clique_deficiency",
     "euler_phi", "exact_lambda", "format_cayley",
     "format_labelling_csv", "is_maximal_class",
     "lambda_p_group", "lower_central_series", "make_cyclic", "make_dihedral",

@@ -22,6 +22,7 @@ from pglambda import (
     catalogue,
     certificate_doc,
     certificate_problems,
+    clique_deficiency,
     exact_lambda,
     format_labelling_csv,
     lambda_p_group,
@@ -248,7 +249,7 @@ def test_group_ham_path_exists_for_dihedral_but_not_quaternion(assert_complement
 
     # Q8: its involution is universal, so isolated in the reduced complement
     q8 = build_power_graph(make_quaternion(8))
-    assert power_graph_lower_bound(q8).kind == "universal-nonidentity-vertex"
+    assert power_graph_lower_bound(q8) == Evidence("clique-deficiency", 9, vertices=(0, 2))
     assert exact_lambda(q8).value == 9
 
 
@@ -256,20 +257,38 @@ def test_group_ham_path_exists_for_dihedral_but_not_quaternion(assert_complement
 # lower bounds
 
 
+# The clique that sets the exact search's floor, which is λ on each, and
+# its deficiency: the universal vertices U (every vertex of C8; the
+# identity and the four generators of C12; the identity alone; the
+# identity and x² in Q8), U with a class of closed twins, or a greedy
+# clique.  Together they give every bound the power graph and the floor
+# have proved: 2(n − 1), n + φ(n), n, n + 1, the twin-class floor and the
+# greedy clique's.
+_CLIQUES = [
+    ("cyclic:8", Evidence("clique-deficiency", 14, vertices=tuple(range(8)))),
+    ("cyclic:12", Evidence("clique-deficiency", 16, vertices=(0, 1, 5, 7, 11))),
+    # the four elements of order 5 are closed twins whose only complement
+    # neighbours are the three involutions
+    ("product:cyclic:2,cyclic:10",
+     Evidence("clique-deficiency", 21, vertices=(0, 2, 4, 6, 8))),
+    ("cyclic:1", Evidence("clique-deficiency", 0, vertices=(0,))),
+    ("dihedral:8", Evidence("clique-deficiency", 8, vertices=(0,))),
+    ("quaternion:8", Evidence("clique-deficiency", 9, vertices=(0, 2))),
+    ("cyclic:30", Evidence("clique-deficiency", 40, vertices=(
+        0, 1, 2, 4, 6, 7, 8, 11, 12, 13, 14, 16, 17, 18, 19, 22, 23, 24, 26, 28, 29))),
+]
+
+
 def test_lower_bound_kinds():
-    assert power_graph_lower_bound(build_power_graph(make_cyclic(1))).kind == "degenerate"
-
-    plain = power_graph_lower_bound(build_power_graph(make_dihedral(8)))
-    assert plain == Evidence("power-graph-bound", 8)
-
-    q8 = power_graph_lower_bound(build_power_graph(make_quaternion(8)))
-    assert q8 == Evidence("universal-nonidentity-vertex", 9, vertex=2)  # x², the involution
-
-    # a cyclic p-group's power graph is complete: labels 2 apart
-    c2 = power_graph_lower_bound(build_power_graph(make_cyclic(2)))
-    assert c2 == Evidence("complete-graph-bound", 2)
-    c8 = power_graph_lower_bound(build_power_graph(make_cyclic(8)))
-    assert c8 == Evidence("complete-graph-bound", 14)
+    for spec, evidence in _CLIQUES:
+        graph = build_power_graph(parse_group_spec(spec))
+        assert clique_deficiency(graph, evidence.vertices) == evidence.bound, spec
+        lower = power_graph_lower_bound(graph)
+        assert lower.vertices == tuple(v for v in range(graph.n) if graph.is_universal(v))
+        if lower.vertices == evidence.vertices:  # the universal vertices U
+            assert lower == evidence, spec
+        else:  # a floor that beats U
+            assert lower.bound < evidence.bound, spec
 
 
 # ---------------------------------------------------------------------------
@@ -284,29 +303,17 @@ def test_exact_lambda_of_complete_graphs(n):
 
 
 def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
+    # a clique's deficiency is re-derived (test_cli corrupts it); of a
+    # search, only the span it refutes is checked
     graph = build_power_graph(make_quaternion(8))
     cert = exact_lambda(graph)
-    assert cert.evidence == Evidence("path-cover-floor", 9)
+    assert cert.evidence == Evidence("clique-deficiency", 9, vertices=(0, 2))
     assert certificate_problems(graph, cert) == []
-    held = Evidence("universal-nonidentity-vertex", 9, vertex=2)
-    assert certificate_problems(graph, cert._replace(evidence=held)) == []
+    searched = Evidence("exhaustive-search-at-span", 9, span=8)
+    assert certificate_problems(graph, cert._replace(evidence=searched)) == []
     for evidence in (Evidence("exhaustive-search-at-span", 9, span=7),
-                     Evidence("universal-nonidentity-vertex", 9, vertex=1),
-                     Evidence("universal-nonidentity-vertex", 9),
-                     Evidence("complete-graph-bound", 9),
-                     Evidence("power-graph-bound", 9),
-                     Evidence("degenerate", 9),
                      Evidence("exhaustive-search-at-span", 10, span=9),
-                     Evidence("path-cover-floor", 9, span=8),
-                     Evidence("path-cover-floor", 10),
-                     Evidence("path-cover-floor", 9, vertices=(1, 3)),  # x, x³: no excess
-                     Evidence("path-cover-floor", 9, vertices=(1, 4)),  # not closed twins
-                     Evidence("path-cover-floor", 9, vertices=(0, 2)),  # universal
-                     Evidence("path-cover-floor", 9, vertices=(3, 1)),
-                     Evidence("clique-packing", 9, vertices=(0, 1, 2, 3)),  # bound 6
-                     Evidence("clique-packing", 9, vertices=(0, 1, 2, 3, 4)),
-                     Evidence("clique-packing", 9, vertices=(0, 1, 8)),
-                     Evidence("no-such-kind", 9)):
+                     Evidence("no-such-kind", 9, vertices=(0, 2))):
         assert certificate_problems(graph, cert._replace(evidence=evidence)) == [
             f"{evidence.kind} evidence does not prove lambda 9"], evidence
     assert certificate_problems(graph, cert._replace(witness=cert.witness[:7])) == [
@@ -314,7 +321,7 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
     low = cert._replace(value=8, evidence=Evidence("exhaustive-search-at-span", 8, span=7))
     assert certificate_problems(graph, low) == [
         "witness span 9 != lambda 8",
-        "lambda 8 below the universal-nonidentity-vertex bound 9"]
+        "lambda 8 below the clique-deficiency bound 9"]
 
 
 def test_a_constructive_path_must_be_the_witness_label_order():
@@ -332,55 +339,35 @@ def test_a_constructive_path_must_be_the_witness_label_order():
         "construction path is not the witness's label order"]
 
 
-@pytest.mark.parametrize("spec,evidence", [
-    # ties with the clique floor: every vertex of C8 is universal, and C12
-    # has a clique of nine
-    ("cyclic:8", Evidence("path-cover-floor", 14)),
-    ("cyclic:12", Evidence("path-cover-floor", 16)),
-    # the four elements of order 5 are closed twins whose only complement
-    # neighbours are the three involutions
-    ("product:cyclic:2,cyclic:10", Evidence("path-cover-floor", 21, vertices=(2, 4, 6, 8))),
-])
+@pytest.mark.parametrize("spec,evidence", _CLIQUES)
 def test_exact_floor_evidence_is_re_derived_from_the_graph(spec, evidence):
     graph = build_power_graph(parse_group_spec(spec))
     cert = exact_lambda(graph)
     assert cert.evidence == evidence
     assert certificate_problems(graph, cert) == []
-    if evidence.vertices:
-        fewer = evidence._replace(vertices=evidence.vertices[:-1])
-        assert certificate_problems(graph, cert._replace(evidence=fewer)) == [
-            f"path-cover-floor evidence does not prove lambda {cert.value}"]
-
-
-def test_clique_packing_evidence_is_re_derived_from_the_graph():
-    graph = build_power_graph(make_cyclic(4))
-    clique = Evidence("clique-packing", 6, vertices=(0, 1, 2, 3))
-    cert = exact_lambda(graph)._replace(evidence=clique)
-    assert certificate_problems(graph, cert) == []
     assert certificate_doc(cert)["evidence"] == {
-        "kind": "clique-packing", "bound": 6, "vertices": [0, 1, 2, 3]}
-    for vertices in ((0, 1, 2), (0, 1, 2, 3, 3), (0, 1, 2, 4), (1, 0, 2, 3)):
-        bad = cert._replace(evidence=clique._replace(vertices=vertices))
-        assert certificate_problems(graph, bad) == [
-            "clique-packing evidence does not prove lambda 6"], vertices
+        "kind": "clique-deficiency", "bound": evidence.bound,
+        "vertices": list(evidence.vertices)}
 
 
 def test_exact_lambda_certificate_shape():
     cert = exact_lambda(build_power_graph(make_quaternion(8)))
     assert cert.value == 9
     assert cert.method == "exact-search"
-    assert cert.evidence == Evidence("path-cover-floor", 9)
+    assert cert.evidence == Evidence("clique-deficiency", 9, vertices=(0, 2))
     assert min(cert.witness) == 0
     assert validate_labelling(build_power_graph(make_quaternion(8)), cert.witness) == []
 
 
 def test_exact_lambda_searches_when_the_floor_falls_short():
-    # the 4-cycle: floors 2 (an edge) and 3 (one path), but its complement
-    # is two disjoint edges, so every ordering of it has a bump
+    # the 4-cycle: floors 2 (an edge) and 3 (a vertex and its two
+    # neighbours), but its complement is two disjoint edges, so every
+    # ordering of it has a bump
     graph = Graph([0b0110, 0b1001, 0b1001, 0b0110])
     cert = exact_lambda(graph)
     assert cert.value == 4 == _brute_force_lambda(list(graph.neighbors))
     assert cert.evidence == Evidence("exhaustive-search-at-span", 4, span=3)
+    assert certificate_problems(graph, cert) == []  # no universal vertex, so no U bound
 
 
 def test_exact_lambda_invariant_under_relabelling():
@@ -443,7 +430,7 @@ def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
 def test_exact_lambda_trivial_graph():
     cert = exact_lambda(Graph([0]))
     assert cert.value == 0
-    assert cert.evidence.kind == "degenerate"
+    assert cert.evidence == Evidence("clique-deficiency", 0, vertices=(0,))
 
 
 def _random_graph(rnd: random.Random, n: int, density: float) -> list[int]:
@@ -551,9 +538,34 @@ def test_exact_floor_never_exceeds_brute_force_lambda(graph):
     d1 = list(graph.neighbors)
     assume(_diameter_at_most_two(d1))
     truth = _brute_force_lambda(d1)
-    classes = search_module._closed_twin_classes(d1)
-    assert search_module._path_cover_floor(graph.n, classes)[0] <= truth
+    _assert_clique_bounds_are_sound(graph, truth)
     assert exact_lambda(graph).value == truth
+
+
+def _assert_clique_bounds_are_sound(graph: Graph, truth: int) -> None:
+    """Every non-empty clique's deficiency, and the search's floor when the
+    diameter is at most 2, are at most λ = truth; a non-clique has none."""
+    for mask in range(1, 1 << graph.n):
+        vertices = tuple(v for v in range(graph.n) if mask >> v & 1)
+        bound = clique_deficiency(graph, vertices)
+        if all(graph.adjacent(u, v) for u, v in itertools.combinations(vertices, 2)):
+            assert bound is not None and bound <= truth, vertices
+        else:
+            assert bound is None, vertices
+    if _diameter_at_most_two(list(graph.neighbors)):
+        assert search_module._quotient(graph).floor <= truth
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(lambda n, d, rnd: Graph(_random_graph(rnd, n, d)),
+                 st.integers(min_value=1, max_value=6),
+                 st.floats(min_value=0.0, max_value=1.0),
+                 st.randoms(use_true_random=False)))
+@example(Graph([0b0010, 0b0101, 0b1010, 0b0100]))  # the path P4, of diameter 3
+@example(Graph([0, 0]))                            # two isolated vertices
+def test_clique_deficiency_never_exceeds_lambda_on_any_graph(graph):
+    # no diameter or universal vertex is needed: λ by brute force over labels
+    _assert_clique_bounds_are_sound(graph, _brute_force_span(list(graph.neighbors)))
 
 
 @settings(max_examples=150, deadline=None)
