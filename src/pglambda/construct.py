@@ -6,15 +6,15 @@ down instead of searched for: within one element order, cyclic classes
 are pairwise non-adjacent (or equal), so interleaving the classes of
 each order level column by column gives a complement path, and the
 levels chain together because each class is adjacent to at most one
-class of the level below it.  Dihedral groups get a direct alternation,
-semidihedral groups a short seed segment followed by an alternation,
-and generalized quaternion groups an alternation of ⟨x⟩ ∖ {1, z} with
-the coset ⟨x⟩y, a path on G ∖ {1, z} that yields span |G|+1 (the unique
-involution z is universal, so |G| is impossible).  Every path is read
-off the group's elements, and the witness labels the identity −2 and
-the i-th path vertex i; nothing is searched for.  The dispatcher picks
-the branch from the group itself.  The constructions only construct:
-nothing here but :func:`certify` checks a certificate.
+class of the level below it.  The dihedral, semidihedral and
+generalized quaternion groups have a cyclic ⟨x⟩ of index 2 and a single
+class of each order from 8 up, so one coset alternation of ⟨x⟩ with
+⟨x⟩y builds their paths instead; the quaternion involution z is
+universal, so that path leaves z out and yields span |G|+1.  Every path
+is read off the group's elements, and the witness labels the identity
+−2, the i-th path vertex i and z |G|−1; nothing is searched for.  The
+dispatcher picks the branch from the group itself.  The constructions
+only construct: nothing here but :func:`certify` checks a certificate.
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and the one place that
@@ -117,45 +117,25 @@ def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
     return pairs + tuple(first[short:]) + tuple(second[short:])
 
 
-def _involution_alternation_path(group: FiniteGroup, xs: Sequence[int]) -> Path:
-    """Dihedral path: outside involutions alternated with ⟨x⟩ ∖ {1}.
+def _coset_alternation(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
+    """⟨x⟩ less its universal vertices alternated with the coset ⟨x⟩y.
 
-    Each outside element w generates only {1, w}, so it is non-adjacent
-    to all of ⟨x⟩; with 2^e outside elements against 2^e − 1 inside ones
-    the alternation starts and ends outside.
+    Inside, ascending k in x^k; outside, the involutions of the coset
+    first, ascending k in x^k y within each part; the path starts inside.
+    With z = x^(m/2):
+
+    - each x^k y generates {1, x^k y} or {1, x^k y, z, x^(k+m/2) y}, so
+      in ⟨x⟩ ∖ {1} it is adjacent only to z, and in the coset only to
+      x^(k+m/2) y;
+    - dihedral and semidihedral: z is inside position m/2 − 1, between
+      coset positions m/2 − 2 and m/2 − 1, both involutions;
+    - generalized quaternion: z is universal, so the path leaves it out;
+    - the path ends on two coset elements whose k differ by 1 or 2, never
+      by m/2, since m ≥ 8 in the semidihedral family.
     """
-    outside = sorted(set(range(group.order)).difference(xs))
-    return _alternate(outside, xs[1:])
-
-
-def _seed_alternation_path(group: FiniteGroup, xs: Sequence[int],
-                           y: int) -> tuple[Path, Joints]:
-    """Semidihedral path: a 6-vertex seed, then outside/high-order alternation.
-
-    The seed pairs the three outside elements y, x²y, x⁴y with the three
-    ⟨x⟩-elements of order ≤ 4; the tail alternates the remaining 2^e − 3
-    outside elements (ascending k in x^k y) with the 2^e − 4 elements of
-    ⟨x⟩ of order ≥ 8, starting and ending outside.
-    """
-    m = len(xs)
-    xys = [group.mul[xk][y] for xk in xs]
-    seed = (xys[0], xs[m // 2], xys[2], xs[m // 4], xys[4], xs[3 * m // 4])
-    tail_outside = [xky for k, xky in enumerate(xys) if k not in (0, 2, 4)]
-    tail_inside = [xk for k, xk in enumerate(xs) if k % (m // 4)]
-    return seed + _alternate(tail_outside, tail_inside), ((seed[-1], tail_outside[0]),)
-
-
-def _quaternion_path(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
-    """Generalized quaternion path on G ∖ {1, z}, z = x^(m/2) the involution.
-
-    Each x^k y generates {1, x^k y, z, x^(k+m/2) y}, so it is non-adjacent
-    to ⟨x⟩ ∖ {1, z} and to x^(k±1) y: the m − 2 elements of ⟨x⟩ ∖ {1, z}
-    (ascending k in x^k) alternate with the m elements x^k y (ascending
-    k), starting inside, and the last two x^k y end the path.
-    """
-    m = len(xs)
-    inside = [xk for k, xk in enumerate(xs) if k % (m // 2)]
-    outside = [group.mul[xk][y] for xk in xs]
+    graph, orders = build_power_graph(group), group.cyclic_subgroups().orders
+    inside = [xk for xk in xs if not graph.is_universal(xk)]
+    outside = sorted((group.mul[xk][y] for xk in xs), key=lambda g: orders[g] != 2)
     return _alternate(inside, outside)
 
 
@@ -219,11 +199,11 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     """λ of the power graph of any p-group, with witness and evidence.
 
     Dispatch on recognize_family: cyclic → even labels 0,2,.. on the
-    complete power graph (λ = 2(p^e − 1)); generalized quaternion → its
-    unique involution is a universal non-identity vertex, so a restricted
-    path gives λ = |G|+1; dihedral/semidihedral → their explicit
-    alternations; every other p-group → level descent; the last three all
-    achieve λ = |G|.  The trivial group is a degenerate cyclic case with
+    complete power graph (λ = 2(p^e − 1)); dihedral, semidihedral and
+    generalized quaternion → the coset alternation; every other p-group
+    → level descent.  A path's witness is path_to_labelling of it: span
+    |G|, or |G| + 1 in the quaternion family, whose path leaves out the
+    universal z.  The trivial group is a degenerate cyclic case with
     λ = 0.  The branches only build the witness: λ is its span and the
     evidence is power_graph_lower_bound, the clique of universal vertices
     (all of G, {1, z} or {1}).  Unchecked: certify checks the certificate.
@@ -236,24 +216,13 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     elif family == "cyclic":
         # cyclic p-group: subgroups are totally ordered, the graph is complete
         kind, path, witness = "cyclic-even-spacing", (), tuple(range(0, 2 * n, 2))
-    elif family == "quaternion":
-        # the involution z is universal, so |G| is impossible: identity at
-        # −2, the path on G ∖ {1, z} at 0..|G|−3, z at |G|−1 (gap ≥ 2 to all)
-        xs, y = _locate_generators(group, family)
-        path = _quaternion_path(group, xs, y)
-        labels = list(path_to_labelling(graph, path))
-        labels[xs[n // 4]] = n - 1
-        kind, witness = "restricted-complement-path", tuple(labels)
     else:
-        if family == "dihedral":
-            xs, _ = _locate_generators(group, family)
-            kind, path = "involution-alternation", _involution_alternation_path(group, xs)
-        elif family == "semidihedral":
-            path, joints = _seed_alternation_path(group, *_locate_generators(group, family))
-            kind = "seed-alternation"
-        else:
+        if family == "general":
             path, joints = _descent_path(group)
             kind = "class-interleaving-descent"
+        else:
+            path = _coset_alternation(group, *_locate_generators(group, family))
+            kind = "restricted-complement-path" if family == "quaternion" else "coset-alternation"
         witness = path_to_labelling(graph, path)
     return LambdaCertificate(
         value=span(witness), witness=witness,

@@ -112,10 +112,11 @@ def span(labels: Sequence[int]) -> int:
 
 
 def path_to_labelling(graph: Graph, path: Sequence[int]) -> tuple[int, ...]:
-    """Identity 0 ↦ −2 and the i-th path vertex ↦ i: span |G|, and valid
-    when the path is a Hamiltonian path of the power graph's complement
-    minus the identity, which is not checked here."""
-    labels = [0] * graph.n
+    """Identity 0 ↦ −2, the i-th path vertex ↦ i, and any vertex off the
+    path ↦ len(path) + 1, 2 above the rest.  Valid (unchecked) when the
+    path is a Hamiltonian path of the complement of the power graph minus
+    the identity and at most one other universal vertex."""
+    labels = [len(path) + 1] * graph.n
     labels[0] = -2
     for i, v in enumerate(path):
         labels[v] = i

@@ -246,17 +246,17 @@ def test_constructive_paths_round_trip_and_validate():
         cert = lambda_p_group(group)
         if not cert.construction or not cert.construction.path:
             continue
-        if cert.value != group.order:
-            continue  # the quaternion witness parks one vertex off the path
         seen_path_kinds.add(cert.construction.kind)
         graph = build_power_graph(group)
         path = cert.construction.path
 
         labels = path_to_labelling(graph, path)
+        assert cert.witness == labels, spec
         assert validate_labelling(graph, labels) == [], spec
-        assert span(labels) == group.order, spec
-        assert tuple(sorted(range(1, group.order), key=labels.__getitem__)) == tuple(path), spec
-    assert seen_path_kinds >= {"involution-alternation", "seed-alternation",
+        assert span(labels) == group.order + (cert.construction.kind == "restricted-complement-path"), spec
+        # the quaternion path leaves out the universal involution, labelled last
+        assert tuple(sorted(range(1, group.order), key=labels.__getitem__)[:len(path)]) == path, spec
+    assert seen_path_kinds == {"coset-alternation", "restricted-complement-path",
                                "class-interleaving-descent"}
 
 

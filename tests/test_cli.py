@@ -290,7 +290,7 @@ def test_lambda_constructive_emits_construction(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["lambda"] == 16
-    assert doc["construction"]["kind"] == "involution-alternation"
+    assert doc["construction"]["kind"] == "coset-alternation"
     assert len(doc["construction"]["path"]) == 15
 
 

@@ -24,6 +24,7 @@ from pglambda import (
     catalogue,
     certify,
     order_classes_for_descent,
+    path_to_labelling,
     prime_power,
     recognize_family,
     span,
@@ -126,47 +127,30 @@ def test_general_construction_yields_a_complement_path(group, assert_complement_
 def test_dihedral_paths(e, assert_complement_path):
     group = make_dihedral(2 ** (e + 1))
     cert = lambda_p_group(group)
-    assert cert.construction.kind == "involution-alternation"
-    path = cert.construction.path
-    graph = build_power_graph(group)
-    assert_complement_path(graph, path)
-    # the alternation starts and ends on reflections (outside involutions)
-    orders = group.cyclic_subgroups().orders
-    assert orders[path[0]] == 2
-    assert orders[path[-1]] == 2
+    assert cert.construction.kind == "coset-alternation"
+    assert_complement_path(build_power_graph(group), cert.construction.path)
 
 
 def test_dihedral_needs_e_at_least_two():
     # the smallest dihedral 2-group is of order 8 = 2^(2+1)
     with pytest.raises(ValueError, match="dihedral order .* >= 8, got 4"):
         make_dihedral(4)
-    assert lambda_p_group(make_dihedral(8)).construction.kind == "involution-alternation"
+    assert lambda_p_group(make_dihedral(8)).construction.kind == "coset-alternation"
 
 
 @pytest.mark.parametrize("e", [3, 4, 5])
 def test_semidihedral_paths(e, assert_complement_path):
     group = make_semidihedral(2 ** (e + 1))
     cert = lambda_p_group(group)
-    assert cert.construction.kind == "seed-alternation"
+    assert cert.construction.kind == "coset-alternation"
     assert_complement_path(build_power_graph(group), cert.construction.path)
-
-
-def test_semidihedral_seed_for_order_16():
-    cert = lambda_p_group(make_semidihedral(16))
-    # y, x^4, x^2y, x^2, x^4y, x^6 in the canonical table (y = index 8)
-    seed = cert.construction.path[:6]
-    assert seed == (8, 4, 10, 2, 12, 6)
-    assert cert.construction.joints == ((6, cert.construction.path[6]),)
-    graph = build_power_graph(make_semidihedral(16))
-    for a, b in itertools.pairwise(seed):
-        assert not graph.adjacent(a, b)
 
 
 def test_semidihedral_needs_e_at_least_three():
     # the smallest semidihedral 2-group is of order 16 = 2^(3+1)
     with pytest.raises(ValueError, match="semidihedral order .* >= 16, got 8"):
         make_semidihedral(8)
-    assert lambda_p_group(make_semidihedral(16)).construction.kind == "seed-alternation"
+    assert lambda_p_group(make_semidihedral(16)).construction.kind == "coset-alternation"
 
 
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
@@ -258,8 +242,8 @@ def test_recognition_is_invariant_under_relabelling(maker, family):
 
 
 @pytest.mark.parametrize("maker,value,kind", [
-    (make_dihedral, 16, "involution-alternation"),
-    (make_semidihedral, 16, "seed-alternation"),
+    (make_dihedral, 16, "coset-alternation"),
+    (make_semidihedral, 16, "coset-alternation"),
     (make_quaternion, 17, "restricted-complement-path"),
 ], ids=["dihedral", "semidihedral", "quaternion"])
 def test_scrambled_table_still_gets_a_constructive_certificate(maker, value, kind):
@@ -268,6 +252,37 @@ def test_scrambled_table_still_gets_a_constructive_certificate(maker, value, kin
     assert cert.value == value
     assert cert.construction.kind == kind
     assert validate_labelling(build_power_graph(group), cert.witness) == []
+
+
+@pytest.mark.parametrize("maker,order", [
+    *((make_dihedral, 2 ** e) for e in range(3, 10)),
+    *((make_semidihedral, 2 ** e) for e in range(4, 10)),
+    *((make_quaternion, 2 ** e) for e in range(3, 10)),
+], ids=lambda arg: arg.__name__.removeprefix("make_") if callable(arg) else str(arg))
+def test_coset_alternation_certifies_every_family(maker, order):
+    # each canonical group, and two relabellings of it up to order 128:
+    # the path runs over the non-universal non-identity elements, and in
+    # the semidihedral family it passes the central involution z between
+    # two involutions
+    canonical = maker(order)
+    family = maker.__name__.removeprefix("make_")
+    copies = [canonical] + [_shuffled_copy(canonical, seed) for seed in (3, 11) if order <= 128]
+    for group in copies:
+        cert, = certify(group, "constructive")
+        graph = build_power_graph(group)
+        path = cert.construction.path
+        assert cert.value == order + (family == "quaternion")
+        assert cert.construction.kind == (
+            "restricted-complement-path" if family == "quaternion" else "coset-alternation")
+        assert cert.construction.joints == ()
+        assert cert.witness == path_to_labelling(graph, path)
+        assert sorted(path) == [v for v in range(1, order) if not graph.is_universal(v)]
+        assert not any(graph.adjacent(a, b) for a, b in itertools.pairwise(path))
+        if family == "semidihedral":
+            orders = group.cyclic_subgroups().orders
+            z, = {group.mul[g][g] for g in range(order)} & {g for g in range(order) if orders[g] == 2}
+            i = path.index(z)
+            assert orders[path[i - 1]] == orders[path[i + 1]] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +304,8 @@ def test_dispatcher_rejects_non_p_groups():
 @pytest.mark.parametrize("group,value,kind", [
     (make_cyclic(9), 16, "cyclic-even-spacing"),
     (make_quaternion(8), 9, "restricted-complement-path"),
-    (make_dihedral(8), 8, "involution-alternation"),
-    (make_semidihedral(16), 16, "seed-alternation"),
+    (make_dihedral(8), 8, "coset-alternation"),
+    (make_semidihedral(16), 16, "coset-alternation"),
     (make_elementary_abelian(3, 2), 9, "class-interleaving-descent"),
     (make_heisenberg(3), 27, "class-interleaving-descent"),
 ], ids=["c9", "q8", "d8", "sd16", "elemab3^2", "heis3"])

@@ -325,15 +325,16 @@ def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
 
 
 def test_a_constructive_path_must_be_the_witness_label_order():
-    # D8's alternation starts outside-involution, x; swapped, it is still a
-    # complement path (the involutions are pairwise non-adjacent), but no
+    # D8's alternation ends on two reflections; swapped, it is still a
+    # complement path (the reflections are pairwise non-adjacent), but no
     # longer the path the witness labels
     group = make_dihedral(8)
     graph = build_power_graph(group)
     cert = lambda_p_group(group)
     assert cert.value == 8 and certificate_problems(graph, cert) == []
     path = cert.construction.path
-    swapped = (path[1], path[0]) + path[2:]
+    swapped = path[:-2] + (path[-1], path[-2])
+    assert not any(graph.adjacent(a, b) for a, b in itertools.pairwise(swapped))
     bad = cert._replace(construction=cert.construction._replace(path=swapped))
     assert certificate_problems(graph, bad) == [
         "construction path is not the witness's label order"]
