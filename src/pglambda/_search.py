@@ -14,6 +14,7 @@ It starts at a floor that labelling.clique_deficiency proves.
 from __future__ import annotations
 
 import time
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import SearchTimeoutError
@@ -128,7 +129,8 @@ def least_span_labels(graph: Graph, time_budget: float
     Depth first over module sequences, for bump allowances from the
     floor's up.  From the last module, moves without a bump come first,
     and among either kind the module of highest rank (members left, plus
-    the vertices left in it or beside it), ties to the lower number.
+    the vertices left in it or beside it), ties to the lower number, sorted
+    once per frame: the search restores its state before a frame resumes.
     ``failed`` maps a (members left per module, last module) state to the
     most bumps its rest was shown not to fit in.  One bound prunes: the
     members left of a tight module follow distinct vertices, each a bump
@@ -146,33 +148,22 @@ def least_span_labels(graph: Graph, time_budget: float
         weight.append(radix)
         radix *= mask.bit_count() + 1
     left, rank = [0] * k, [0] * k
-    by_rank = [0] * (2 * q.n + 1)  # rank ↦ the modules with members left, as bits
-    ranks = key = rest = used = 0  # ranks: bits of the non-empty by_rank
+    key = rest = used = 0
     seq, failed = [], {}  # the modules placed, and the failed states
 
     def moves(bumping: int, spare: int):
-        for wanted in (~bumping, bumping) if spare else (~bumping,):
-            todo = ranks
-            while todo:
-                r = todo.bit_length() - 1
-                todo ^= 1 << r
-                yield from iter_bits(by_rank[r] & wanted)
+        live = sorted(compress(range(k), left), key=rank.__getitem__, reverse=True)
+        yield from (m for m in live if not bumping >> m & 1)
+        if spare:
+            yield from (m for m in live if bumping >> m & 1)
 
     def shift(m: int, step: int) -> None:
         """Put back (step > 0) or take (step < 0) |step| members of module m."""
-        nonlocal ranks, key, rest
-        for t in covers[m]:  # out of their buckets …
-            if left[t]:
-                by_rank[rank[t]] ^= 1 << t
-                if not by_rank[rank[t]]:
-                    ranks ^= 1 << rank[t]
+        nonlocal key, rest
         left[m] += step
         rank[m] += step
-        for t in covers[m]:  # … and back in at their new rank
+        for t in covers[m]:
             rank[t] += step
-            if left[t]:
-                by_rank[rank[t]] |= 1 << t
-                ranks |= 1 << rank[t]
         key += step * weight[m]
         rest += step
 

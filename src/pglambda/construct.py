@@ -13,8 +13,10 @@ class of each order from 8 up, so one coset alternation of ⟨x⟩ with
 universal, so that path leaves z out and yields span |G|+1.  Every path
 is read off the group's elements, and the witness labels the identity
 −2, the i-th path vertex i and z |G|−1; nothing is searched for.  The
-dispatcher picks the branch from the group itself.  The constructions
-only construct: nothing here but :func:`certify` checks a certificate.
+dispatcher picks the branch from the group's exponent and number of
+involutions, not from a presentation checked on its table.  The
+constructions only construct: nothing here but :func:`certify` checks a
+certificate.
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and the one place that
@@ -107,7 +109,7 @@ def _descent_path(group: FiniteGroup) -> tuple[Path, Joints]:
 
 
 # ---------------------------------------------------------------------------
-# the three 2-group families: xs = (x⁰, .., x^(m−1)) lists ⟨x⟩, |x| = m = |G|/2
+# the three 2-group families: a cyclic ⟨x⟩ of order m = |G|/2 and its coset ⟨x⟩y
 
 
 def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
@@ -117,12 +119,14 @@ def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
     return pairs + tuple(first[short:]) + tuple(second[short:])
 
 
-def _coset_alternation(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
+def _coset_alternation(group: FiniteGroup) -> Path:
     """⟨x⟩ less its universal vertices alternated with the coset ⟨x⟩y.
 
-    Inside, ascending k in x^k; outside, the involutions of the coset
-    first, ascending k in x^k y within each part; the path starts inside.
-    With z = x^(m/2):
+    ⟨x⟩ is the first cyclic subgroup of order m = |G|/2, its record the
+    powers x⁰, .., x^(m−1); y is the first element of least order outside
+    it, 2 in D and SD and 4 in Q.  Inside, ascending k in x^k; outside,
+    the coset's involutions first, ascending k in x^k y within each part;
+    the path starts inside.  With z = x^(m/2):
 
     - each x^k y generates {1, x^k y} or {1, x^k y, z, x^(k+m/2) y}, so
       in ⟨x⟩ ∖ {1} it is adjacent only to z, and in the coset only to
@@ -133,9 +137,12 @@ def _coset_alternation(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
     - the path ends on two coset elements whose k differ by 1 or 2, never
       by m/2, since m ≥ 8 in the semidihedral family.
     """
-    graph, orders = build_power_graph(group), group.cyclic_subgroups().orders
+    graph, sub = build_power_graph(group), group.cyclic_subgroups()
+    xs = sub.elements[sub.by_order[group.order // 2][0]]
+    members = set(xs)
+    _, y = min((d, g) for g, d in enumerate(sub.orders) if g not in members)
     inside = [xk for xk in xs if not graph.is_universal(xk)]
-    outside = sorted((group.mul[xk][y] for xk in xs), key=lambda g: orders[g] != 2)
+    outside = sorted((group.mul[xk][y] for xk in xs), key=lambda g: sub.orders[g] != 2)
     return _alternate(inside, outside)
 
 
@@ -143,55 +150,32 @@ def _coset_alternation(group: FiniteGroup, xs: Sequence[int], y: int) -> Path:
 # recognition and the dispatcher
 
 
-def _locate_generators(group: FiniteGroup,
-                       family: str) -> tuple[tuple[int, ...], int] | None:
-    """Find (xs, y) realizing a dihedral, semidihedral or quaternion presentation.
-
-    x is the smallest-index element of order m = |G|/2: class order puts
-    ⟨x⟩ first among the cyclic subgroups of order m, and its record lists
-    the powers xs = (x⁰, .., x^(m−1)) of x.  y is the smallest-index
-    element outside ⟨x⟩ of order 2 (order 4 for the quaternion family).
-    The relation y⁻¹xy = x^twist is then verified on the table; None if
-    any step fails.
-    """
-    sub = group.cyclic_subgroups()
-    m = group.order // 2
-    if m not in sub.by_order:
-        return None
-    xs = sub.elements[sub.by_order[m][0]]
-    y_order = 4 if family == "quaternion" else 2
-    y = next((g for g, d in enumerate(sub.orders) if d == y_order and g not in xs), None)
-    if y is None:
-        return None
-    twist = m // 2 - 1 if family == "semidihedral" else m - 1
-    mul = group.mul
-    return (xs, y) if mul[mul[group.inverses[y]][xs[1]]][y] == xs[twist] else None
-
-
 def recognize_family(group: FiniteGroup) -> str:
-    """Which constructive branch a p-group dispatches to.
+    """Which constructive branch a p-group dispatches to: 'cyclic',
+    'quaternion', 'dihedral', 'semidihedral' or 'general'.
 
-    One of 'cyclic', 'quaternion', 'dihedral', 'semidihedral', 'general'.
-    The decision is structural (the exponent, the number of involutions,
-    and the presentation relations verified on the table), so ingested
-    tables classify the same as built ones.
+    Read off the exponent e and the involution count i = m(2), so ingested
+    tables classify the same as built ones: e = |G| is cyclic, and i = 1
+    generalized quaternion.  With 2e = |G|, Burnside's classification of
+    2-groups with a cyclic subgroup of index 2 leaves C_{|G|/2}×C2 and the
+    modular group, both with i = 3, dihedral (i = |G|/2 + 1) and
+    semidihedral (i = |G|/4 + 1); the order guards keep out C2×C2 and
+    C4×C2, whose i = 3 meets those counts.
     """
     n = group.order
-    if n == 1:
-        return "cyclic"
-    if prime_power(n) is None:
+    if n > 1 and prime_power(n) is None:
         raise ValueError(f"order {n} is not a prime power")
     sub = group.cyclic_subgroups()
-    if max(sub.by_order) == n:
+    exponent, involutions = max(sub.by_order), sub.class_number(2)
+    if exponent == n:
         return "cyclic"
-    if sub.class_number(2) == 1:
-        # non-cyclic with a unique involution: generalized quaternion
+    if involutions == 1:
         return "quaternion"
-    # ⟨x⟩ has index 2, so x, y and y⁻¹xy = x^twist present the whole group
-    if n >= 8 and _locate_generators(group, "dihedral") is not None:
-        return "dihedral"
-    if n >= 16 and _locate_generators(group, "semidihedral") is not None:
-        return "semidihedral"
+    if 2 * exponent == n:
+        if n >= 8 and involutions == n // 2 + 1:
+            return "dihedral"
+        if n >= 16 and involutions == n // 4 + 1:
+            return "semidihedral"
     return "general"
 
 
@@ -221,7 +205,7 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
             path, joints = _descent_path(group)
             kind = "class-interleaving-descent"
         else:
-            path = _coset_alternation(group, *_locate_generators(group, family))
+            path = _coset_alternation(group)
             kind = "restricted-complement-path" if family == "quaternion" else "coset-alternation"
         witness = path_to_labelling(graph, path)
     return LambdaCertificate(

@@ -153,7 +153,7 @@ def _dot_escape(label: str) -> str:
 
 
 def to_dot(group: FiniteGroup) -> str:
-    """DOT rendering of the power graph ``power`` with element names as vertex labels."""
+    """DOT rendering of the power graph, with element names as vertex labels."""
     graph = build_power_graph(group)
     lines = ["graph power {"]
     for v in range(graph.n):

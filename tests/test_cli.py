@@ -224,6 +224,19 @@ def test_analyze_non_p_group_uses_exact_search(capsys):
     assert doc["lambda"]["method"] == "exact-search"
 
 
+def test_analyze_reports_the_exponent_as_the_lcm_of_element_orders(tmp_path, capsys):
+    # S3 has elements of orders 2 and 3 but none of order 6: its exponent
+    # is 6, not the largest element order
+    table = tmp_path / "S3.txt"
+    table.write_text("6\n0 1 2 3 4 5\n1 0 4 5 2 3\n2 3 0 1 5 4\n"
+                     "3 2 5 4 0 1\n4 5 1 0 3 2\n5 4 3 2 1 0\n")
+    code, out, _ = run(capsys, "analyze", f"file:{table}", "--stable")
+    assert code == 0
+    doc = json.loads(out)
+    assert [d for d, _ in doc["class_numbers"]] == [1, 2, 3]
+    assert doc["group"]["exponent"] == 6
+
+
 def test_analyze_large_non_p_group_skips_lambda(capsys):
     code, out, _ = run(capsys, "analyze", "product:cyclic:6,cyclic:7", "--stable")
     assert code == 0

@@ -201,11 +201,17 @@ def test_quaternion_needs_e_at_least_two():
     pytest.param(make_heisenberg(3), "general", id="heisenberg27-general"),
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(8)), "general",
                  id="product16-general"),
-    # exponent |G|/2 and an involution outside <x>, but y⁻¹xy = x⁵: modular M16
+    # exponent |G|/2 and 3 involutions, neither 9 nor 5: modular M16
     pytest.param(validate_group(_two_generator_table(8, 5, 0)), "general",
                  id="modular16-general"),
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(16)), "general",
                  id="product32-general"),
+    # exponent |G|/2 and 3 = |G|/4 + 1 involutions, below the semidihedral orders
+    pytest.param(make_direct_product(make_cyclic(2), make_cyclic(4)), "general",
+                 id="product8-general"),
+    # exponent |G|/2 and 3 involutions, as C16×C2 has: modular M32
+    pytest.param(validate_group(_two_generator_table(16, 9, 0)), "general",
+                 id="modular32-general"),
 ])
 def test_recognize_family_on_canonical_tables(group, family):
     assert recognize_family(group) == family

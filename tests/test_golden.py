@@ -185,6 +185,18 @@ GOLDEN += [
 ]
 
 
+# The two quick calls whose power graph refutes its floor, so that the
+# search backtracks through every sequence at one span before it finds
+# one at the next: among `cyclic:N` for N < 130 and the products of two
+# cyclic groups up to order 130, the only ones that do so within 3 s.
+GOLDEN += [
+    ("lambda cyclic:45 --method exact --search-cap 45 --time-budget 10",
+     "b3ea0a9d248d91062cf868df6b53df6e935689407115235222094f78c777864a"),
+    ("lambda product:cyclic:5,cyclic:9 --method exact --search-cap 45 --time-budget 10",
+     "ccd60718cea772c6f15224d19317630985eac8983ebf7ca26ce007db681523fc"),
+]
+
+
 # `suite`, `check` and `export`: the JSON and `--pretty` suite reports, a
 # check of the witness `lambda cyclic:8 --witness-csv` writes, and each
 # export format.
