@@ -142,7 +142,7 @@ def _coset_alternation(group: FiniteGroup) -> Path:
     members = set(xs)
     _, y = min((d, g) for g, d in enumerate(sub.orders) if g not in members)
     inside = [xk for xk in xs if not graph.is_universal(xk)]
-    outside = sorted((group.mul[xk][y] for xk in xs), key=lambda g: sub.orders[g] != 2)
+    outside = sorted((group.product(xk, y) for xk in xs), key=lambda g: sub.orders[g] != 2)
     return _alternate(inside, outside)
 
 

@@ -1,9 +1,10 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups given by their product.
 
-Groups live on element indices ``0..n-1``, element 0 the identity, with
-an immutable Cayley table, a tuple of row tuples.  The family
-constructors (cyclic, dihedral, generalized quaternion, semidihedral,
-elementary abelian, Heisenberg, direct product) fix a deterministic
+Groups live on element indices ``0..n-1``, element 0 the identity, and
+multiply through ``FiniteGroup.product``: by lookup in a Cayley table,
+or by formula in the family constructors (cyclic, dihedral, generalized
+quaternion, semidihedral, elementary abelian, Heisenberg, direct
+product), which hold no table.  Each family fixes a deterministic
 element enumeration — powers of x first, then the y-coset — so that
 everything computed downstream is reproducible.
 
@@ -23,11 +24,12 @@ limits are set here, so the command line reads them without the rest.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
-from itertools import chain, product
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from operator import itemgetter, xor
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupValidationError, TooLargeError
 
@@ -59,6 +61,7 @@ DEFAULT_SEARCH_CAP = 32
 DEFAULT_TIME_BUDGET = 60.0
 
 Table = tuple[tuple[int, ...], ...]
+Product = Callable[[int, int], int]
 
 
 def max_group_order() -> int:
@@ -70,11 +73,15 @@ def max_group_order() -> int:
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table.
+    """A finite group given by its product.
 
-    ``mul[g][h]`` is the product g·h on element indices, element 0 the
-    identity.  Instances are immutable after construction (the table is
-    a tuple of row tuples) and are therefore safe to share across threads.
+    ``product(g, h)`` is g·h on element indices, element 0 the identity.
+    A group made from a table, ``FiniteGroup(mul, names)``, multiplies by
+    lookup; :meth:`from_product` takes the product as a callable, which
+    the family constructors compute by formula, and holds no table.
+    ``mul``, the Cayley table as a tuple of row tuples, is built from the
+    product on first read.  Instances are immutable after construction and
+    are therefore safe to share across threads.
 
     Derived structures (inverses, the cyclic subgroups with the element
     orders and cyclic classes read off them, the power graph) are computed
@@ -84,21 +91,38 @@ class FiniteGroup:
     :func:`validate_group` for untrusted tables.
     """
 
-    __slots__ = ("mul", "order", "names", "_inverses", "_subgroups", "_power_graph")
+    __slots__ = ("product", "order", "names", "_mul", "_inverses", "_subgroups", "_power_graph")
     identity = 0
 
     def __init__(self, mul: Sequence[Sequence[int]],
                  names: Sequence[str] | None = None) -> None:
         table = _square_table(mul)
-        self.mul = table
+        self.product: Product = lambda a, b: table[a][b]
         self.order = len(table)
         self.names = tuple(names) if names is not None else None
+        self._mul: Table | None = table
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
         self._power_graph = None  # powergraph.Graph, vertex 0 the identity; see build_power_graph
 
+    @classmethod
+    def from_product(cls, order: int, product: Product,
+                     names: Sequence[str] | None = None) -> FiniteGroup:
+        """The group on 0..order−1 that multiplies by ``product``, with no table."""
+        group = cls((), names)  # an empty table, replaced by the product
+        group.order, group.product, group._mul = order, product, None
+        return group
+
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+    @property
+    def mul(self) -> Table:
+        """The Cayley table, ``mul[g][h]`` = g·h; built from the product on first read."""
+        if self._mul is None:
+            n, product = self.order, self.product
+            self._mul = tuple(tuple(map(product, repeat(g, n), range(n))) for g in range(n))
+        return self._mul
 
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
@@ -123,7 +147,7 @@ class FiniteGroup:
         order puts the subgroups in class order.
         """
         if self._subgroups is None:
-            mul, e, n = self.mul, self.identity, self.order
+            product, e, n = self.product, self.identity, self.order
             orders = [0] * n
             walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
             for g in range(n):
@@ -133,7 +157,7 @@ class FiniteGroup:
                 acc = g
                 while acc != e:
                     powers.append(acc)
-                    acc = mul[acc][g]
+                    acc = product(acc, g)
                 m = len(powers)
                 gens = tuple(sorted(powers[k] for k in range(m) if math.gcd(k, m) == 1))
                 for h in gens:
@@ -149,29 +173,10 @@ class FiniteGroup:
                 {m: tuple(ids) for m, ids in by_order.items()})
         return self._subgroups
 
-    def subgroup_generated(self, generators: Iterable[int]) -> frozenset[int]:
-        """Close the generators under products by worklist saturation.
-
-        A finite set closed under multiplication is a subgroup, so no
-        inverses are needed.
-        """
-        gens = sorted(set(generators))
-        reached = {self.identity}
-        work = [self.identity]
-        mul = self.mul
-        while work:
-            a = work.pop()
-            for g in gens:
-                b = mul[a][g]
-                if b not in reached:
-                    reached.add(b)
-                    work.append(b)
-        return frozenset(reached)
-
     def commutator(self, a: int, b: int) -> int:
         """a⁻¹·b⁻¹·a·b."""
-        mul, inv = self.mul, self.inverses
-        return mul[mul[inv[a]][inv[b]]][mul[a][b]]
+        product, inv = self.product, self.inverses
+        return product(product(inv[a], inv[b]), product(a, b))
 
 
 class CyclicSubgroups(NamedTuple):
@@ -229,21 +234,23 @@ def _square_table(mul: Sequence[Sequence[int]]) -> Table:
     return table
 
 
-def _greedy_generators(mul: Table) -> Iterator[int]:
-    """Yield generators, each the smallest element not yet reached.
+def _greedy_generators(order: int, product: Product, candidates: Iterable[int] | None = None,
+                       members: list[int] | None = None) -> Iterator[int]:
+    """Yield generators, each the first candidate not yet reached; by
+    default the candidates are every element, ascending.
 
-    The reached set starts at the identity 0 and is closed under right
-    multiplication by the generators yielded so far; it grows when the
-    caller asks for the next generator, and the generators run out once
-    it holds every element.  On a group table it is the subgroup they
-    generate, so there are at most log₂ n of them.
+    The reached set, ``members`` (a new [0] when not given; a given list
+    must be [0] too), is closed in place under right multiplication by the
+    generators yielded so far; it grows when the caller asks for the next
+    generator, and the generators run out once it holds every element.  On
+    a group it is the subgroup they generate, so there are at most log₂ n
+    of them.
     """
-    n = len(mul)
-    reached = bytearray(n)
+    members = [0] if members is None else members
+    reached = bytearray(order)
     reached[0] = 1
-    members = [0]
     gens: list[int] = []
-    for g in range(n):
+    for g in range(order) if candidates is None else candidates:
         if reached[g]:
             continue
         yield g
@@ -252,20 +259,20 @@ def _greedy_generators(mul: Table) -> Iterator[int]:
         # need only g; each new member needs every generator
         work = []
         for r in members:
-            h = mul[r][g]
+            h = product(r, g)
             if not reached[h]:
                 reached[h] = 1
                 work.append(h)
         members.extend(work)
         while work:
-            row = mul[work.pop()]
+            a = work.pop()
             for q in gens:
-                h = row[q]
+                h = product(a, q)
                 if not reached[h]:
                     reached[h] = 1
                     members.append(h)
                     work.append(h)
-        if len(members) == n:
+        if len(members) == order:
             return
 
 
@@ -316,7 +323,7 @@ def _checked_group(table: Table, unranged: Iterable[int],
             raise GroupValidationError(f"element 0 does not act as identity on element {g}")
 
     # a generator exists only when n ≥ 2, so itemgetter returns tuples
-    for g in _greedy_generators(table):
+    for g in _greedy_generators(n, lambda a, b: table[a][b]):
         lhs = list(map(table.__getitem__, (row[g] for row in table)))  # a ↦ c ↦ (a·g)·c
         rhs = list(map(itemgetter(*table[g]), table))                  # a ↦ c ↦ a·(g·c)
         if lhs != rhs:
@@ -363,50 +370,37 @@ def _coset_names(m: int) -> list[str]:
     return _power_names(m) + outside
 
 
-def _rotations(values: tuple[int, ...]) -> Table:
-    """Rotation a of values is values[a:] + values[:a]."""
-    return tuple(values[a:] + values[:a] for a in range(len(values)))
-
-
-def _product_table(g: Table, h: Table) -> Table:
-    """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
-    nh = len(h)
-    # shifted[b][k] is row b of h moved to the block of g-element k
-    shifted = [[tuple(map((k * nh).__add__, row)) for k in range(len(g))] for row in h]
-    return tuple(tuple(chain.from_iterable(map(shifted[b].__getitem__, row_a)))
-                 for row_a in g for b in range(nh))
-
-
 def make_cyclic(n: int) -> FiniteGroup:
-    """Cyclic group C_n: mul[i][j] = (i + j) mod n, identity 0."""
+    """Cyclic group C_n: i·j = (i + j) mod n, identity 0."""
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
-    return FiniteGroup(_rotations(tuple(range(n))), _power_names(n))
+    return FiniteGroup.from_product(n, lambda a, b: (a + b) % n, _power_names(n))
 
 
-def _two_generator_table(m: int, twist: int, y_square: int) -> Table:
-    """Table for ⟨x, y⟩ with |x| = m, y·x^b = x^{twist·b}·y, y² = x^{y_square}.
+def _two_generator_group(order: int, twist: int, y_square: int) -> FiniteGroup:
+    """⟨x, y⟩ with |x| = m = order/2, y·x^b = x^{twist·b}·y, y² = x^{y_square}.
 
     Elements are encoded as x^a y^s ↦ a + s·m, so
-    (x^a y^s)(x^b y^t) = x^{a + twist^s·b + [s and t]·y_square} y^{s xor t}.
-    Row x^a is two rotations; row x^a y reads two rotations through
-    b ↦ twist·b mod m.
+    (x^a y^s)(x^b y^t) = x^{a + twist^s·b + [s and t]·y_square} y^{s xor t};
+    the a of x^a y is its index less m, which vanishes mod m.
     """
-    powers = _rotations(tuple(range(m)))        # x^a · x^b = x^{a+b}
-    coset = _rotations(tuple(range(m, 2 * m)))  # x^a · x^b y = x^{a+b} y
-    twisted = itemgetter(*(twist * b % m for b in range(m)))
-    x_rows = [powers[a] + coset[a] for a in range(m)]
-    y_rows = [twisted(coset[a]) + twisted(powers[(a + y_square) % m]) for a in range(m)]
-    return tuple(x_rows + y_rows)
+    m = order // 2
+
+    def product(u: int, v: int) -> int:
+        if u < m:
+            return (u + v) % m if v < m else (u + v) % m + m
+        if v < m:
+            return (u + twist * v) % m + m
+        return (u + twist * v + y_square) % m
+    return FiniteGroup.from_product(order, product, _coset_names(m))
 
 
-def _two_exponent(order: int, smallest: int, family: str) -> int:
+def _two_exponent(order: int, smallest: int, family: str) -> None:
     if order < smallest or order & (order - 1):
         raise ValueError(
             f"{family} order must be 2^(e+1) with order >= {smallest}, got {order}")
     _check_cap(order, f"{family} group")
-    return order.bit_length() - 2
 
 
 def make_dihedral(order: int) -> FiniteGroup:
@@ -416,9 +410,7 @@ def make_dihedral(order: int) -> FiniteGroup:
     x^0..x^(2^e−1) then y, xy, .., x^(2^e−1)y.
     """
     _two_exponent(order, 8, "dihedral")
-    m = order // 2
-    table = _two_generator_table(m, -1, 0)
-    return FiniteGroup(table, _coset_names(m))
+    return _two_generator_group(order, -1, 0)
 
 
 def make_quaternion(order: int) -> FiniteGroup:
@@ -428,9 +420,7 @@ def make_quaternion(order: int) -> FiniteGroup:
     outside ⟨x⟩ has order 4 and x^(2^(e−1)) is the unique involution.
     """
     _two_exponent(order, 8, "quaternion")
-    m = order // 2
-    table = _two_generator_table(m, -1, m // 2)
-    return FiniteGroup(table, _coset_names(m))
+    return _two_generator_group(order, -1, order // 4)
 
 
 def make_semidihedral(order: int) -> FiniteGroup:
@@ -439,20 +429,21 @@ def make_semidihedral(order: int) -> FiniteGroup:
     Presentation x^(2^e) = y² = 1, y⁻¹xy = x^(−1+2^(e−1)).
     """
     _two_exponent(order, 16, "semidihedral")
-    m = order // 2
-    table = _two_generator_table(m, m // 2 - 1, 0)
-    return FiniteGroup(table, _coset_names(m))
+    return _two_generator_group(order, order // 4 - 1, 0)
 
 
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
-    nh = h.order
+    g_product, h_product, nh = g.product, h.product, h.order
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
-    return FiniteGroup(_product_table(g.mul, h.mul), names)
+    return FiniteGroup.from_product(
+        g.order * nh, lambda u, v: g_product(u // nh, v // nh) * nh + h_product(u % nh, v % nh),
+        names)
 
 
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
-    """k-fold direct power of C_p, on base-p digit vectors."""
+    """k-fold direct power of C_p, on base-p digit vectors, the first digit
+    the most significant: digitwise addition mod p, XOR when p = 2."""
     # p**k ≥ max(p, 2**k): a huge p or k is refused before the primality
     # test or the power, which would not finish
     cap = max_group_order()
@@ -466,12 +457,21 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
         raise _power_over_cap(p, k, "elementary abelian group")
     n = p ** k
     _check_cap(n, "elementary abelian group")
-    cyclic = _rotations(tuple(range(p)))
-    table = cyclic
-    for _ in range(k - 1):
-        table = _product_table(cyclic, table)  # the first digit is the most significant
-    names = ["(" + ",".join(map(str, digits)) + ")" for digits in product(range(p), repeat=k)]
-    return FiniteGroup(table, names)
+    names = ["(" + ",".join(map(str, digits)) + ")"
+             for digits in itertools.product(range(p), repeat=k)]
+    if p == 2:
+        return FiniteGroup.from_product(n, xor, names)
+    if k == 1:
+        return FiniteGroup.from_product(n, lambda u, v: (u + v) % p, names)
+    # add[u][v] sums digitwise below p^(k − k//2): one lookup a half, no digit loop
+    low = p ** (k // 2)
+    add = [[0]]
+    for _ in range(k - k // 2):
+        s = len(add)
+        add = [[(a + b) % p * s + c for b in range(p) for c in row]
+               for a in range(p) for row in add]
+    return FiniteGroup.from_product(
+        n, lambda u, v: add[u // low][v // low] * low + add[u % low][v % low], names)
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -488,16 +488,12 @@ def make_heisenberg(p: int) -> FiniteGroup:
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p ** 3
     _check_cap(n, "Heisenberg group")
-    # blocks[q][s][c'] = q·p + (s + c') mod p: the run of p products that share
-    # their first two coordinates q = (a+a', b+b') and the shift s = c + a·b'
-    rotations = _rotations(tuple(range(p)))
-    blocks = [[tuple(map((q * p).__add__, rot)) for rot in rotations] for q in range(p * p)]
-    triples = list(product(range(p), repeat=3))
-    table = [tuple(chain.from_iterable(blocks[(a + a2) % p * p + (b + b2) % p][(c + a * b2) % p]
-                                       for a2 in range(p) for b2 in range(p)))
-             for a, b, c in triples]
-    names = [f"({a},{b},{c})" for a, b, c in triples]
-    return FiniteGroup(table, names)
+    pp = p * p
+    names = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
+    # a·b' ≡ a·(a'·p + b') mod p, and a·p² + b·p + c ≡ c
+    return FiniteGroup.from_product(n, lambda u, v: (
+        (u // pp + v // pp) % p * pp + (u // p + v // p) % p * p
+        + (u + v + u // pp * (v // p)) % p), names)
 
 
 # ---------------------------------------------------------------------------
@@ -505,20 +501,26 @@ def make_heisenberg(p: int) -> FiniteGroup:
 
 
 def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
-    """Chain γ₁ = G, γ_{i+1} = ⟨[h, g] : h ∈ γᵢ, g ∈ G⟩, until stable.
+    """Chain γ₁ = G, γ_{i+1} = [γᵢ, G], until stable.
 
-    Each step generates the subgroup (closure by worklist saturation) from
-    the commutators [h, y] with h in the previous term and y in a
-    generating set of G.  These suffice: γᵢ is normal, so [h, w·y] =
-    [h, y]·[h, w]·[[h, w], y] is a product of them by induction on the
-    length of w·y as a word in the generators.  For a nilpotent group the
-    chain ends with the trivial subgroup.
+    [H, G] is the normal closure of the commutators [s, t] with s in a
+    generating set of H and t in one of G, so each step closes from those
+    and adds the conjugates t⁻¹·s·t of each generator s it takes; a
+    subgroup that holds the conjugates of its generators by the generators
+    of G is normal.  An abelian group stops after one step, and a
+    nilpotent group's chain ends with the trivial subgroup.
     """
-    gens = list(_greedy_generators(group.mul))
-    series = [frozenset(range(group.order))]
+    order, product, inv = group.order, group.product, group.inverses
+    top = list(_greedy_generators(order, product))
+    series, gens = [frozenset(range(order))], top
     while True:
-        nxt = group.subgroup_generated({group.commutator(h, y)
-                                        for h in series[-1] for y in gens})
+        members = [group.identity]
+        work = [group.commutator(s, t) for s in gens for t in top]
+        gens = []
+        for s in _greedy_generators(order, product, work, members):  # work grows as it is read
+            gens.append(s)
+            work.extend(product(product(inv[t], s), t) for t in top)
+        nxt = frozenset(members)
         if nxt == series[-1]:
             break
         series.append(nxt)
@@ -546,9 +548,7 @@ def format_cayley(group: FiniteGroup) -> str:
     The optional ``names:`` line is comma-separated, so it is omitted when
     any element name itself contains a comma (e.g. product groups).
     """
-    lines = [str(group.order)]
-    for g in range(group.order):
-        lines.append(" ".join(map(str, group.mul[g])))
+    lines = [str(group.order), *(" ".join(map(str, row)) for row in group.mul)]
     if group.names and not any("," in name for name in group.names):
         lines.append("names: " + ",".join(group.names))
     return "\n".join(lines) + "\n"

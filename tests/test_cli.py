@@ -10,6 +10,7 @@ import pytest
 
 from pglambda import (
     Evidence,
+    FiniteGroup,
     Graph,
     LambdaCertificate,
     build_power_graph,
@@ -280,6 +281,22 @@ def test_lambda_both_methods_agree(capsys):
     doc = json.loads(out)
     assert doc["lambda"] == 9
     assert set(doc) >= {"lambda", "method", "evidence", "labels"}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, spec, *options]
+    for spec in ("cyclic:16", "dihedral:32", "quaternion:16", "semidihedral:32",
+                 "elemab:3,3", "elemab:2,5", "heisenberg:3", "product:cyclic:2,dihedral:8")
+    for command, *options in (("analyze", "--stable"), ("lambda", "--method", "both"))
+], ids=" ".join)
+def test_family_groups_never_build_their_table(argv, capsys, monkeypatch):
+    def refuse(group):
+        raise AssertionError(f"the Cayley table of {argv[1]} was built")
+
+    monkeypatch.setattr(FiniteGroup, "mul", property(refuse))
+    assert run(capsys, *argv)[0] == 0
+    with pytest.raises(AssertionError, match="table of"):  # export reads the table
+        main(["export", argv[1], "--format", "cayley"])
 
 
 # λ(D8) = 8, with a witness that is no labelling of its power graph

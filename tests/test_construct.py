@@ -31,7 +31,7 @@ from pglambda import (
     validate_group,
     validate_labelling,
 )
-from pglambda.groups import _two_generator_table
+from pglambda.groups import _two_generator_group
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_quaternion_needs_e_at_least_two():
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(8)), "general",
                  id="product16-general"),
     # exponent |G|/2 and 3 involutions, neither 9 nor 5: modular M16
-    pytest.param(validate_group(_two_generator_table(8, 5, 0)), "general",
+    pytest.param(validate_group(_two_generator_group(16, 5, 0).mul), "general",
                  id="modular16-general"),
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(16)), "general",
                  id="product32-general"),
@@ -210,7 +210,7 @@ def test_quaternion_needs_e_at_least_two():
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(4)), "general",
                  id="product8-general"),
     # exponent |G|/2 and 3 involutions, as C16×C2 has: modular M32
-    pytest.param(validate_group(_two_generator_table(16, 9, 0)), "general",
+    pytest.param(validate_group(_two_generator_group(32, 9, 0).mul), "general",
                  id="modular32-general"),
 ])
 def test_recognize_family_on_canonical_tables(group, family):

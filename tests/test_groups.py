@@ -93,6 +93,34 @@ def test_constructor_tables_are_pinned(spec, table_digest, names_digest):
     assert hashlib.sha256("\n".join(group.names).encode()).hexdigest() == names_digest
 
 
+def _family_specs(limit):
+    """Every built-in family group of order ≤ limit, and products of two."""
+    specs = [f"cyclic:{n}" for n in range(1, limit + 1)]
+    specs += [f"{family}:{2 ** e}" for e in range(3, limit.bit_length())
+              for family in ("dihedral", "quaternion", "semidihedral")
+              if family != "semidihedral" or e >= 4]
+    specs += [f"elemab:{p},{k}" for p in (2, 3, 5, 7, 11) for k in range(1, 8) if p ** k <= limit]
+    specs += [f"heisenberg:{p}" for p in (3, 5) if p ** 3 <= limit]
+    factors = ["cyclic:2", "cyclic:3", "dihedral:8", "quaternion:16", "semidihedral:16",
+               "elemab:3,2", "elemab:2,3", "heisenberg:3", "product:cyclic:2,cyclic:4"]
+    specs += [f"product:{a},{b}" for a in factors for b in factors
+              if parse_group_spec(a).order * parse_group_spec(b).order <= limit]
+    return specs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_family_specs(128)), st.data())
+def test_family_products_make_a_group_table(spec, data):
+    # the product is a formula; the table is built from it on first read
+    group = parse_group_spec(spec)
+    n = group.order
+    table = group.mul
+    assert validate_group(table, names=group.names).mul == table
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=64))
+    assert all(group.product(a, b) == table[a][b] for a, b in pairs)
+
+
 def _power(group, g, k):
     """g**k by k repeated multiplications, independent of the group's records."""
     acc = group.identity
@@ -457,7 +485,7 @@ def _reference_validate_group(mul, *, names=None):
         if line != idx:
             g = next(g for g in idx if line[g] != g)
             raise GroupValidationError(f"element 0 does not act as identity on element {g}")
-    for g in groups_module._greedy_generators(table):
+    for g in groups_module._greedy_generators(n, lambda a, b: table[a][b]):
         lhs = list(map(table.__getitem__, (row[g] for row in table)))
         rhs = list(map(itemgetter(*table[g]), table))
         if lhs != rhs:
