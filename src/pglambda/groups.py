@@ -97,21 +97,23 @@ class FiniteGroup:
     def __init__(self, mul: Sequence[Sequence[int]],
                  names: Sequence[str] | None = None) -> None:
         table = _square_table(mul)
-        self.product: Product = lambda a, b: table[a][b]
-        self.order = len(table)
-        self.names = tuple(names) if names is not None else None
-        self._mul: Table | None = table
-        self._inverses: tuple[int, ...] | None = None
-        self._subgroups: CyclicSubgroups | None = None
-        self._power_graph = None  # powergraph.Graph, vertex 0 the identity; see build_power_graph
+        self._init(len(table), lambda a, b: table[a][b], names, table)
 
     @classmethod
     def from_product(cls, order: int, product: Product,
                      names: Sequence[str] | None = None) -> FiniteGroup:
         """The group on 0..order−1 that multiplies by ``product``, with no table."""
-        group = cls((), names)  # an empty table, replaced by the product
-        group.order, group.product, group._mul = order, product, None
+        group = cls.__new__(cls)
+        group._init(order, product, names, None)
         return group
+
+    def _init(self, order: int, product: Product, names: Sequence[str] | None,
+              table: Table | None) -> None:
+        self.order, self.product, self._mul = order, product, table
+        self.names = tuple(names) if names is not None else None
+        self._inverses: tuple[int, ...] | None = None
+        self._subgroups: CyclicSubgroups | None = None
+        self._power_graph = None  # powergraph.Graph, vertex 0 the identity; see build_power_graph
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -234,26 +236,20 @@ def _square_table(mul: Sequence[Sequence[int]]) -> Table:
     return table
 
 
-def _greedy_generators(order: int, product: Product, candidates: Iterable[int] | None = None,
-                       members: list[int] | None = None) -> Iterator[int]:
-    """Yield generators, each the first candidate not yet reached; by
-    default the candidates are every element, ascending.
+class _Closure:
+    """A subgroup grown one generator at a time: ``members``, identity
+    first, closed under right multiplication by the generators ``gens``."""
 
-    The reached set, ``members`` (a new [0] when not given; a given list
-    must be [0] too), is closed in place under right multiplication by the
-    generators yielded so far; it grows when the caller asks for the next
-    generator, and the generators run out once it holds every element.  On
-    a group it is the subgroup they generate, so there are at most log₂ n
-    of them.
-    """
-    members = [0] if members is None else members
-    reached = bytearray(order)
-    reached[0] = 1
-    gens: list[int] = []
-    for g in range(order) if candidates is None else candidates:
-        if reached[g]:
-            continue
-        yield g
+    def __init__(self, order: int, product: Product) -> None:
+        self.product, self.members, self.gens = product, [0], []
+        self.reached = bytearray(order)
+        self.reached[0] = 1
+
+    def add(self, g: int) -> bool:
+        """Close under g too; False, changing nothing, when g is a member."""
+        if self.reached[g]:
+            return False
+        product, members, gens, reached = self.product, self.members, self.gens, self.reached
         gens.append(g)
         # earlier members are closed under the earlier generators, so they
         # need only g; each new member needs every generator
@@ -272,8 +268,14 @@ def _greedy_generators(order: int, product: Product, candidates: Iterable[int] |
                     reached[h] = 1
                     members.append(h)
                     work.append(h)
-        if len(members) == order:
-            return
+        return True
+
+
+def _greedy_generators(order: int, product: Product) -> Iterator[int]:
+    """Yield generators, each the least element not yet reached from the
+    earlier ones; on a group there are at most log₂ n of them."""
+    closure = _Closure(order, product)
+    return (g for g in range(order) if closure.add(g))
 
 
 def validate_group(mul: Sequence[Sequence[int]], *,
@@ -461,17 +463,14 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
              for digits in itertools.product(range(p), repeat=k)]
     if p == 2:
         return FiniteGroup.from_product(n, xor, names)
-    if k == 1:
-        return FiniteGroup.from_product(n, lambda u, v: (u + v) % p, names)
-    # add[u][v] sums digitwise below p^(k − k//2): one lookup a half, no digit loop
-    low = p ** (k // 2)
-    add = [[0]]
-    for _ in range(k - k // 2):
-        s = len(add)
-        add = [[(a + b) % p * s + c for b in range(p) for c in row]
-               for a in range(p) for row in add]
-    return FiniteGroup.from_product(
-        n, lambda u, v: add[u // low][v // low] * low + add[u % low][v % low], names)
+
+    def product(u: int, v: int) -> int:  # digit by digit, the least significant first
+        w, s = 0, 1
+        while u or v:
+            w += (u % p + v % p) % p * s
+            u, v, s = u // p, v // p, s * p
+        return w
+    return FiniteGroup.from_product(n, product, names)
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -514,13 +513,13 @@ def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     top = list(_greedy_generators(order, product))
     series, gens = [frozenset(range(order))], top
     while True:
-        members = [group.identity]
+        closure = _Closure(order, product)
         work = [group.commutator(s, t) for s in gens for t in top]
-        gens = []
-        for s in _greedy_generators(order, product, work, members):  # work grows as it is read
-            gens.append(s)
-            work.extend(product(product(inv[t], s), t) for t in top)
-        nxt = frozenset(members)
+        for s in work:  # work grows by the conjugates of each generator taken
+            if closure.add(s):
+                work.extend(product(product(inv[t], s), t) for t in top)
+        gens = closure.gens
+        nxt = frozenset(closure.members)
         if nxt == series[-1]:
             break
         series.append(nxt)
