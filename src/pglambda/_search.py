@@ -8,7 +8,9 @@ apart across a non-adjacent pair and 2 apart across an adjacent pair, a
 *bump*: λ = n − 1 + the fewest bumps over all orderings (Georges, Mauro
 & Whittlesey 1994).  The members of a twin module are interchangeable,
 so the search orders modules, not vertices, and never meets a label.
-It starts at a floor that labelling.clique_deficiency proves.
+It starts at the larger of n − 1 and the best deficiency, which
+labelling.clique_deficiency proves, of a clique made of closed-twin
+classes; on every power graph tried, that floor is λ.
 """
 
 from __future__ import annotations
@@ -22,23 +24,37 @@ from .labelling import clique_deficiency
 from .powergraph import Graph, iter_bits
 
 
-def _greedy_clique(graph: Graph) -> int:
-    """Bitmask of a maximal clique found greedily by descending degree."""
-    mask = 0
-    for v in sorted(range(graph.n), key=lambda u: (-graph.degree(u), u)):
-        if graph.neighbors[v] & mask == mask:
-            mask |= 1 << v
-    return mask
+# Cliques _twin_clique visits at most.  No power graph of order ≤ 512 tried
+# needs more than 512, but a dense graph without twins can need exponentially
+# many: there the floor is the best clique found within the budget.
+_CLIQUE_NODES = 20_000
 
 
-def _closed_twin_classes(d1: Sequence[int]) -> dict[int, int]:
-    """Closed neighbourhood N[v] = d1[v] | {v} ↦ bitmask of the vertices
-    sharing it, in order of each class's smallest vertex."""
-    classes: dict[int, int] = {}
-    for v, mask in enumerate(d1):
-        closed = mask | 1 << v
-        classes[closed] = classes.get(closed, 0) | 1 << v
-    return classes
+def _twin_clique(classes: dict[int, int], everyone: int) -> int:
+    """The first union of closed-twin classes of most clique deficiency,
+    depth first in class order.  A class joins K when it lies in C, the
+    intersection of K's closed neighbourhoods (K ∪ R), and a branch stops
+    when 2|C| − 2 cannot beat the best.  A closed twin of K lies in R, and
+    moving it into K adds 1 to the deficiency, or 0 when it is all of R,
+    so these unions reach the most deficiency of any clique.
+    """
+    order = list(classes.items())
+    best, found, visits = -1, 0, 0
+    stack = [(0, 0, everyone)]  # (first class left to try, K, C)
+    while stack and visits < _CLIQUE_NODES:
+        start, k, common = stack.pop()
+        if 2 * common.bit_count() - 2 <= best:
+            continue
+        visits += 1
+        rest = common.bit_count() - k.bit_count()
+        bound = 2 * k.bit_count() - 2 + rest + (rest > 0)
+        if k and bound > best:
+            best, found = bound, k
+        for i in range(len(order) - 1, start - 1, -1):  # pushed last, visited first
+            closed, members = order[i]
+            if members & common == members:
+                stack.append((i + 1, k | members, common & closed))
+    return found
 
 
 def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
@@ -86,7 +102,9 @@ def _quotient(graph: Graph) -> _Quotient:
     n = graph.n
     d1 = list(graph.neighbors)
     everyone = (1 << n) - 1
-    classes = _closed_twin_classes(d1)
+    classes: dict[int, int] = {}  # N[v] ↦ the vertices sharing it, by least vertex
+    for v, mask in enumerate(d1):
+        classes[mask | 1 << v] = classes.get(mask | 1 << v, 0) | 1 << v
     # a universal vertex puts every pair within 2 steps; else check each reach
     if everyone not in classes:
         for v in range(n):
@@ -95,14 +113,8 @@ def _quotient(graph: Graph) -> _Quotient:
                 reach |= d1[u]
             if reach != everyone:
                 raise ValueError("the exact search needs a graph of diameter at most 2")
-    # the first clique of most deficiency: the universal vertices U (when
-    # there are any), U with each other closed-twin class, a greedy clique
-    universal = classes.get(everyone, 0)
-    cliques = [universal, *(universal | members for closed, members in classes.items()
-                            if closed != everyone), _greedy_clique(graph)]
-    floor, clique = max(((clique_deficiency(graph, k), k)
-                         for k in map(tuple, map(iter_bits, cliques)) if k),
-                        key=lambda pair: pair[0])
+    clique = tuple(iter_bits(_twin_clique(classes, everyone)))
+    floor = clique_deficiency(graph, clique)
 
     members = tuple(m for _, m in sorted(_twin_modules(d1, classes).items()))
     home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
@@ -124,20 +136,21 @@ def _quotient(graph: Graph) -> _Quotient:
 def least_span_labels(graph: Graph, time_budget: float
                       ) -> tuple[list[int], tuple[int, ...] | None]:
     """exact_lambda's search: labels of least span from 0, and the clique
-    whose deficiency, the floor, refutes one less, or None when a search did.
+    whose deficiency, the floor, is that span, or None when it is less.
 
-    Depth first over module sequences, for bump allowances from the
-    floor's up.  From the last module, moves without a bump come first,
-    and among either kind the module of highest rank (members left, plus
-    the vertices left in it or beside it), ties to the lower number, sorted
-    once per frame: the search restores its state before a frame resumes.
-    ``failed`` maps a (members left per module, last module) state to the
-    most bumps its rest was shown not to fit in.  One bound prunes: the
-    members left of a tight module follow distinct vertices, each a bump
-    unless it is left apart from the module (or is the last one placed,
-    and apart), so a tight module's rank less the vertices left, less one
-    when the last is apart, counts bumps into it; the counts add up.  Past
-    the deadline raises SearchTimeoutError: λ ≥ the span probed.
+    Depth first over module sequences, for bump allowances from the floor's
+    (0 when the floor is below n − 1) up.  From the last module, moves
+    without a bump come first, and among either kind the module of highest
+    rank (members left, plus the vertices left in it or beside it), ties to
+    the lower number, sorted once per frame: the search restores its state
+    before a frame resumes.  ``failed`` maps a (members left per module,
+    last module) state to the most bumps its rest was shown not to fit in.
+    One bound prunes: the members left of a tight module follow distinct
+    vertices, each a bump unless it is left apart from the module (or is the
+    last one placed, and apart), so a tight module's rank less the vertices
+    left, less one when the last is apart, counts bumps into it; the counts
+    add up.  Past the deadline raises SearchTimeoutError: λ ≥ the span
+    probed.
     """
     deadline = time.monotonic() + time_budget
     q = _quotient(graph)
@@ -169,7 +182,7 @@ def least_span_labels(graph: Graph, time_budget: float
 
     for m, mask in enumerate(members):
         shift(m, mask.bit_count())
-    allowance = base = q.floor - (q.n - 1)
+    allowance = max(q.floor - (q.n - 1), 0)  # n labels span at least n − 1
     frames = [moves(0, allowance)]
     ticks = 0
     while rest:
@@ -213,4 +226,4 @@ def least_span_labels(graph: Graph, time_budget: float
         unused[m] ^= 1 << v
         label += 1 + (i > 0 and near[seq[i - 1]] >> m & 1)
         labels[v] = label
-    return labels, q.clique if allowance == base else None
+    return labels, q.clique if q.n - 1 + allowance == q.floor else None

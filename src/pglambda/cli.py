@@ -21,7 +21,6 @@ import time
 
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
-    DEFAULT_SEARCH_CAP,
     DEFAULT_TIME_BUDGET,
     _check_cap,
     _digits_int,
@@ -84,7 +83,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     # analyze certifies p-groups constructively only
-    certs = certify(group, "constructive" if is_p else "auto",
+    cert, = certify(group, "constructive" if is_p else "exact",
                     cap=args.search_cap, budget=args.time_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
@@ -103,11 +102,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "edges": graph.edge_count(),
         },
         "class_numbers": [[d, len(ids)] for d, ids in sub.by_order.items()],
-        "lambda": certificate_doc(certs[0]) if certs else None,
+        "lambda": certificate_doc(cert),
     }
-    if not certs:
-        doc["note"] = (f"order {group.order} is not a prime power and exceeds the "
-                       f"exact-search cap {args.search_cap}; lambda not computed")
     if not args.stable:
         doc["timing_ms"] = round(elapsed_ms, 3)
 
@@ -134,11 +130,8 @@ def _print_analyze_table(doc: dict) -> None:
     for order, count in doc["class_numbers"]:
         print(f"  {order:<5}  {count}")
     cert = doc["lambda"]
-    if cert is None:
-        print(f"lambda         - ({doc['note']})")
-    else:
-        print(f"lambda         {cert['lambda']}  (method {cert['method']}, "
-              f"evidence {cert['evidence']['kind']})")
+    print(f"lambda         {cert['lambda']}  (method {cert['method']}, "
+          f"evidence {cert['evidence']['kind']})")
     if "timing_ms" in doc:
         print(f"time           {doc['timing_ms']} ms")
 
@@ -148,10 +141,6 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     from .construct import certify
     from .labelling import certificate_doc, format_labelling_csv
     certs = certify(group, args.method, cap=args.search_cap, budget=args.time_budget)
-    if not certs:
-        raise ValueError(
-            f"order {group.order} is not a prime power and exceeds the "
-            f"exact-search cap {args.search_cap}; no method applies")
     if len(certs) == 2:
         print(f"constructive {certs[0].value} / exact-search {certs[1].value}: agree",
               file=sys.stderr)
@@ -259,8 +248,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def search_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--search-cap", type=_int_option("the search cap"),
-                       default=DEFAULT_SEARCH_CAP, metavar="N",
-                       help="max group order for the exact search")
+                       metavar="N", help="max group order for the exact search "
+                       "(default: the group-order cap, LAMBDA_MAX_ORDER or 512)")
         p.add_argument("--time-budget", type=_time_budget, default=DEFAULT_TIME_BUDGET,
                        metavar="SECONDS", help="time limit for the exact search")
 

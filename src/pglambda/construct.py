@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import ConstructionFailedError
-from .groups import DEFAULT_SEARCH_CAP, DEFAULT_TIME_BUDGET, FiniteGroup, prime_power
+from .groups import DEFAULT_TIME_BUDGET, FiniteGroup, max_group_order, prime_power
 from .labelling import (
     ConstructionInfo,
     LambdaCertificate,
@@ -215,27 +215,27 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
 
 
 def certify(group: FiniteGroup, method: str = "auto", *,
-            cap: int = DEFAULT_SEARCH_CAP,
+            cap: int | None = None,
             budget: float = DEFAULT_TIME_BUDGET) -> list[LambdaCertificate]:
     """The checked certificates ``method`` yields, constructive first.
 
     ``method`` is 'constructive', 'exact', 'both' or 'auto'.  'auto' runs
-    both on a p-group (or the trivial group) of order at most ``cap`` and
-    the construction above it; on any other group it runs the exact
-    search within the cap and nothing, returning [], beyond it.  The
-    exact search is limited to ``cap`` vertices and ``budget`` seconds.
+    both on a p-group (or the trivial group) of order at most ``cap``, the
+    construction alone on a larger one, and the exact search on every
+    other group, which the search decides at its floor on every power
+    graph tried.  The exact search is limited to ``cap`` vertices, the
+    group-order cap (LAMBDA_MAX_ORDER) unless given, and ``budget`` seconds.
     This is the one place that checks a certificate: each is checked
     with certificate_problems as it is made, so a failed construction
     ends the call before any search runs.  A failed check, or two
     methods that disagree, raise ConstructionFailedError.
     """
+    cap = max_group_order() if cap is None else cap
     if method == "auto":
         if group.order == 1 or prime_power(group.order) is not None:
             method = "both" if group.order <= cap else "constructive"
-        elif group.order <= cap:
-            method = "exact"
         else:
-            return []
+            method = "exact"
     if method not in ("constructive", "exact", "both"):
         raise ValueError(f"unknown method {method!r}")
 

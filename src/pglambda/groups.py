@@ -35,7 +35,6 @@ from .errors import GroupValidationError, TooLargeError
 
 __all__ = [
     "DEFAULT_MAX_ORDER",
-    "DEFAULT_SEARCH_CAP",
     "DEFAULT_TIME_BUDGET",
     "CyclicSubgroups",
     "FiniteGroup",
@@ -57,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ORDER = 512
-DEFAULT_SEARCH_CAP = 32
 DEFAULT_TIME_BUDGET = 60.0
 
 Table = tuple[tuple[int, ...], ...]

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import TooLargeError
-from .groups import DEFAULT_SEARCH_CAP, DEFAULT_TIME_BUDGET
+from .groups import DEFAULT_TIME_BUDGET, max_group_order
 from .powergraph import Graph, iter_bits
 
 __all__ = [
@@ -226,34 +226,32 @@ def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     return problems
 
 
-def exact_lambda(graph: Graph, *, max_vertices: int = DEFAULT_SEARCH_CAP,
+def exact_lambda(graph: Graph, *, max_vertices: int | None = None,
                  time_budget: float = DEFAULT_TIME_BUDGET) -> LambdaCertificate:
     """Minimum L(2,1) span of a graph of diameter ≤ 2, by exhaustive search.
 
     Knows nothing about groups: works on the bare graph, which is what
     makes it an independent oracle.  Every power graph has diameter ≤ 2;
     any other graph raises ValueError.  The evidence is the clique whose
-    deficiency sets the floor when the first bump allowance probed
-    succeeds, and the refutation of span λ − 1 when a probe searched and
-    failed.
+    deficiency sets the floor when that is λ, and otherwise the
+    refutation of span λ − 1: by a probe that searched and failed, or, at
+    λ = n − 1, by the n distinct labels.
 
     Raises SearchTimeoutError with the proven bound when the budget runs
-    out, and TooLargeError above ``max_vertices``.
+    out, and TooLargeError above ``max_vertices``, by default the
+    group-order cap (LAMBDA_MAX_ORDER).
     """
     n = graph.n
     if n == 0:
         raise ValueError("graph has no vertices")
-    if n > max_vertices:
-        raise TooLargeError(f"exact search capped at {max_vertices} vertices, "
-                            f"graph has {n}")
+    cap = max_group_order() if max_vertices is None else max_vertices
+    if n > cap:
+        raise TooLargeError(f"exact search capped at {cap} vertices, graph has {n}")
     from ._search import least_span_labels
     labels, clique = least_span_labels(graph, time_budget)
     sigma = max(labels)
-    if clique is None:
-        evidence = Evidence(kind="exhaustive-search-at-span", span=sigma - 1,
-                            bound=sigma)
-    else:
-        evidence = Evidence(kind="clique-deficiency", bound=sigma, vertices=clique)
+    evidence = (Evidence("clique-deficiency", sigma, vertices=clique) if clique
+                else Evidence("exhaustive-search-at-span", sigma, span=sigma - 1))
     return LambdaCertificate(value=sigma, witness=tuple(labels), evidence=evidence,
                              method="exact-search")
 

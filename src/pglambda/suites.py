@@ -4,10 +4,11 @@ Each suite checks one statement about power graphs of finite groups that
 certification does not already check, and reports per-group pass/fail
 records.  Every subject is certified before any suite runs, by one call
 to construct.certify with the 'auto' dispatch of the `lambda` command:
-the construction on p-groups, the exact search on any group of order at
-most ``exact_cap`` (the command line's --search-cap).  certify checks
-every certificate and raises when the two methods disagree, so the
-suites read only checked, agreeing values.
+both methods on p-groups of order at most ``exact_cap`` (the command
+line's --search-cap, by default the group-order cap), the construction
+alone on larger ones, and the exact search on every other group.
+certify checks every certificate and raises when the two methods
+disagree, so the suites read only checked, agreeing values.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ _SUITES = (
 
 
 def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
-               exact_cap: int, time_budget: float) -> list[SuiteResult]:
+               exact_cap: int | None, time_budget: float) -> list[SuiteResult]:
     """Certify the named groups, e.g. catalogue(max_order), then run every
     suite over them."""
     subjects = [_Subject(name, group,

@@ -29,7 +29,6 @@ from pglambda import (
     span,
     validate_labelling,
 )
-from pglambda import _search
 from pglambda.catalog import _ENTRIES
 from pglambda.cli import main
 from pglambda.groups import _FAMILIES
@@ -238,19 +237,32 @@ def test_analyze_reports_the_exponent_as_the_lcm_of_element_orders(tmp_path, cap
     assert doc["group"]["exponent"] == 6
 
 
-def test_analyze_large_non_p_group_skips_lambda(capsys):
+def test_analyze_large_non_p_group_prints_lambda(capsys):
+    # every group within the order cap gets a checked lambda, decided at
+    # the exact search's floor
     code, out, _ = run(capsys, "analyze", "product:cyclic:6,cyclic:7", "--stable")
     assert code == 0
     doc = json.loads(out)
-    assert doc["lambda"] is None
-    assert "lambda not computed" in doc["note"]
-
-
-def test_analyze_pretty_table_without_lambda(capsys):
+    assert set(doc) == {"spec", "group", "graph", "class_numbers", "lambda"}
+    assert (doc["lambda"]["lambda"], doc["lambda"]["method"]) == (60, "exact-search")
+    assert doc["lambda"]["evidence"]["kind"] == "clique-deficiency"
     code, out, _ = run(capsys, "analyze", "cyclic:36", "--pretty")
     assert code == 0
-    assert ("lambda         - (order 36 is not a prime power and exceeds the "
-            "exact-search cap 32; lambda not computed)\n") in out
+    assert "lambda         52  (method exact-search, evidence clique-deficiency)\n" in out
+
+
+def test_auto_runs_both_methods_on_p_groups_within_the_search_cap(capsys):
+    code, out, err = run(capsys, "lambda", "dihedral:64")
+    assert code == 0
+    assert "constructive 64 / exact-search 64: agree" in err
+    # above an explicitly lowered cap, a p-group gets the construction alone
+    code, out, err = run(capsys, "lambda", "dihedral:64", "--search-cap", "32")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "constructive"
+    # and every other group the exact search
+    code, out, err = run(capsys, "lambda", "product:cyclic:6,cyclic:7")
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["lambda"], json.loads(out)["method"]) == (60, "exact-search")
 
 
 def test_analyze_pretty_table(capsys):
@@ -362,21 +374,6 @@ def test_exact_method_decides_cyclic_120_within_its_budget(capsys):
                                "vertices": universal}
     assert validate_labelling(graph, doc["labels"]) == []
     assert span(doc["labels"]) == 152
-
-
-def test_exact_method_refutes_the_floor_of_cyclic_45(capsys):
-    # λ(C45) = 72 lies above its floor 71, so the search must backtrack
-    # through every sequence at span 71 before it finds one at 72
-    graph = build_power_graph(make_cyclic(45))
-    assert _search._quotient(graph).floor == 71
-    code, out, _ = run(capsys, "lambda", "cyclic:45", "--method", "exact",
-                       "--search-cap", "45", "--time-budget", "10")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["lambda"] == 72
-    assert doc["evidence"] == {"kind": "exhaustive-search-at-span", "bound": 72, "span": 71}
-    assert validate_labelling(graph, doc["labels"]) == []
-    assert span(doc["labels"]) == 72
 
 
 @pytest.mark.parametrize("spec", [
@@ -741,14 +738,16 @@ def test_catalogue_entries_are_sorted_unique_and_of_their_order(capsys, monkeypa
     assert json.loads(out)["subjects"] == sum(order <= 8 for order, _ in _ENTRIES)
 
 
-def test_suite_time_budget_bounds_the_exact_search(capsys):
-    # the exact search on C112 outlasts the budget by far (its floor, 176,
-    # still stands after 20 s); the suite stops with exit 3 and that bound
+def test_suite_time_budget_bounds_the_exact_search(capsys, monkeypatch):
+    # the search reads the clock once every 1,024 steps and places one
+    # vertex a step, so a zero budget stops it on any graph of 1,024
+    # vertices or more; the suite exits 3 with the floor it had proved
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "2048")
     started = time.monotonic()
-    code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:112",
-                       "--search-cap", "112", "--time-budget", "0.5")
+    code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "dihedral:2048",
+                       "--time-budget", "0")
     assert code == 3
-    assert "proven lower bound: 176\n" in err, err
+    assert "proven lower bound: 2048\n" in err, err
     assert time.monotonic() - started < 10
 
 
@@ -815,7 +814,8 @@ def test_file_input_respects_the_group_order_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_exact_search_cap_gives_exit_3(capsys):
-    code, _, err = run(capsys, "lambda", "dihedral:64", "--method", "exact")
+    code, _, err = run(capsys, "lambda", "dihedral:64", "--method", "exact",
+                       "--search-cap", "32")
     assert code == 3
     assert "exact search capped at 32" in err
 
@@ -859,12 +859,9 @@ def test_corrupted_cayley_file(tmp_path, capsys):
     (["check"], "2\n0 1\n1 0\nnames: a,a\n", "element 1 has an empty or repeated name 'a'"),
     (["analyze"], "0\n", "element count must be positive"),
     (["analyze"], "-3\n0\n", "element count must be positive"),
-    (["lambda", "product:cyclic:6,cyclic:7"], None,
-     "order 42 is not a prime power and exceeds the exact-search cap 32; "
-     "no method applies"),
 ], ids=["dihedral:6", "heisenberg:2", "quaternion:12", "constructive-cyclic:6",
         "cell-out-of-range", "no-identity", "not-associative", "not-latin",
-        "repeated-names", "count-zero", "count-negative", "no-method"])
+        "repeated-names", "count-zero", "count-negative"])
 def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
                                                 capsys):
     if table is not None:

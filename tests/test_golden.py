@@ -185,15 +185,16 @@ GOLDEN += [
 ]
 
 
-# The two quick calls whose power graph refutes its floor, so that the
-# search backtracks through every sequence at one span before it finds
-# one at the next: among `cyclic:N` for N < 130 and the products of two
-# cyclic groups up to order 130, the only ones that do so within 3 s.
+# The two quick calls whose power graph refuted the floor of three
+# candidate cliques (71, where λ = 72), so that the search backtracked.
+# Captured again when the floor became the best clique of closed-twin
+# classes, which is 72: only the evidence changed, from a refutation of
+# span 71 to a clique, and λ and the labels did not.
 GOLDEN += [
     ("lambda cyclic:45 --method exact --search-cap 45 --time-budget 10",
-     "b3ea0a9d248d91062cf868df6b53df6e935689407115235222094f78c777864a"),
+     "bba1358f83f78540ce3d1a05e529df5ac6a664c402a3d8855402db092d06477e"),
     ("lambda product:cyclic:5,cyclic:9 --method exact --search-cap 45 --time-budget 10",
-     "ccd60718cea772c6f15224d19317630985eac8983ebf7ca26ce007db681523fc"),
+     "a5c26558c927840119bf4d0573f95220473f87994e3e6599b72fa8bf6663ceb0"),
 ]
 
 
@@ -217,10 +218,12 @@ GOLDEN += [
 
 
 # A product with a table-backed factor; family groups multiply by formula,
-# and the factor by lookup in the table it was read with.
+# and the factor by lookup in the table it was read with.  Captured again
+# when `auto` came to search every non-p-group: λ = 48 with its exact
+# certificate replaced "lambda": null and the note that it was not computed.
 GOLDEN += [
     ("analyze product:file:semidihedral16-scrambled.txt,cyclic:3 --stable",
-     "3f424514c9852073192925f21b7e1e50960bc40ada93426ab5e9bd84f61d1b64"),
+     "a561b4973d9afa0066554e8b94eb4f70c6b84fc825b44e114a015cab28f396fe"),
 ]
 
 
@@ -296,7 +299,8 @@ def test_exact_certificates_on_random_graphs_are_unchanged():
     # Two sha256 digests of exact_lambda on 2,000 seeded random graphs of
     # diameter at most 2: one over (value, witness), as the code computed
     # it before the evidence kinds became two, and one over the evidence,
-    # captured when they did.
+    # captured again when the floor became the best twin-class clique
+    # (144 graphs searched before, 130 after).
     rng = random.Random(20240601)
     certified, evidence = hashlib.sha256(), hashlib.sha256()
     for _ in range(2000):
@@ -306,4 +310,4 @@ def test_exact_certificates_on_random_graphs_are_unchanged():
     assert certified.hexdigest() == (
         "ff5706fd00576fc3b5175ddb5f0bb5147bf492728ed3dd045de398845349af27")
     assert evidence.hexdigest() == (
-        "61b4e3a621fa80e373291ba7f90d4a656051b03a43cf8767dfb561adca0aa9c1")
+        "907f1c031096152041f62977dde8d5e24717bbd2781f0eb8d4cf4d391902c328")

@@ -714,7 +714,7 @@ def test_importing_the_command_line_from_the_package_loads_it_alone():
 # The package's public names.
 _PUBLIC_NAMES = [
     "ConstructionFailedError", "ConstructionInfo",
-    "CyclicSubgroups", "DEFAULT_MAX_ORDER", "DEFAULT_SEARCH_CAP",
+    "CyclicSubgroups", "DEFAULT_MAX_ORDER",
     "DEFAULT_TIME_BUDGET", "Evidence", "FiniteGroup", "Graph",
     "GroupValidationError", "LambdaCertificate",
     "PglambdaError",

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import inspect
 import itertools
 import pickle
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -260,10 +262,9 @@ def test_group_ham_path_exists_for_dihedral_but_not_quaternion(assert_complement
 # The clique that sets the exact search's floor, which is λ on each, and
 # its deficiency: the universal vertices U (every vertex of C8; the
 # identity and the four generators of C12; the identity alone; the
-# identity and x² in Q8), U with a class of closed twins, or a greedy
-# clique.  Together they give every bound the power graph and the floor
-# have proved: 2(n − 1), n + φ(n), n, n + 1, the twin-class floor and the
-# greedy clique's.
+# identity and x² in Q8), or U with more classes of closed twins.
+# Together they give every bound the power graph and the floor have
+# proved: 2(n − 1), n + φ(n), n, n + 1 and larger twin-class cliques.
 _CLIQUES = [
     ("cyclic:8", Evidence("clique-deficiency", 14, vertices=tuple(range(8)))),
     ("cyclic:12", Evidence("clique-deficiency", 16, vertices=(0, 1, 5, 7, 11))),
@@ -671,14 +672,113 @@ def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
             self.calls += 1
             return 0.0 if self.calls == 1 else 1e9
 
-    # C36's first bump budget takes many steps, so the search is
-    # guaranteed to consult the clock at least once
-    graph = build_power_graph(make_cyclic(36))
+    # a dense random graph with a universal vertex backtracks for seconds
+    # at its floor, so the search is guaranteed to consult the clock
+    masks = _random_graph(random.Random(1), 19, 0.85)
+    graph = Graph([mask | 1 << 19 for mask in masks] + [(1 << 19) - 1])
 
     monkeypatch.setattr(search_module, "time", LeapClock())
     with pytest.raises(SearchTimeoutError) as info:
-        exact_lambda(graph, max_vertices=36, time_budget=1.0)
-    assert info.value.lower_bound == search_module._quotient(graph).floor
+        exact_lambda(graph, time_budget=1.0)
+    assert info.value.lower_bound == search_module._quotient(graph).floor == 25
+
+
+def test_exact_lambda_refutes_the_floor_of_a_graph_that_backtracks():
+    # λ = 14 lies above the floor 11 of this graph on 10 vertices (one of
+    # test_golden's random graphs), so the search must backtrack through
+    # every sequence at spans 11, 12 and 13 before it finds one at 14
+    graph = Graph([1018, 893, 1018, 983, 1007, 983, 959, 893, 255, 255])
+    assert search_module._quotient(graph).floor == 11
+    cert = exact_lambda(graph)
+    assert cert.value == 14 == _brute_force_lambda(list(graph.neighbors))
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 14, span=13)
+    assert certificate_problems(graph, cert) == []
+
+
+def _petersen() -> Graph:
+    masks = [0] * 10
+    for i in range(5):
+        for u, v in ((i, (i + 1) % 5), (5 + i, 5 + (i + 2) % 5), (i, 5 + i)):
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+    return Graph(masks)
+
+
+def test_a_floor_below_n_minus_1_is_not_evidence():
+    # the Petersen graph has diameter 2 and no universal vertex: its best
+    # clique, a vertex and its three neighbours, proves 4, while distinct
+    # labels prove 9 = λ.  The search starts at 9, and the evidence is not
+    # the clique; λ and witness are those of the search that started at 4.
+    graph = _petersen()
+    assert search_module._quotient(graph).floor == 4
+    cert = exact_lambda(graph)
+    assert cert.witness == (0, 6, 1, 3, 7, 4, 2, 8, 9, 5)
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 9, span=8)
+    assert certificate_problems(graph, cert) == []
+
+
+def test_graphs_without_a_universal_vertex_keep_lambda_and_witness():
+    # 200 seeded graphs of diameter 2 without a universal vertex: the sha256
+    # of their (λ, witness) pairs, as the search computed them when it
+    # started at the floor even below n − 1, and every clique named as
+    # evidence proves λ
+    rng = random.Random(9)
+    digest, count = hashlib.sha256(), 0
+    while count < 200:
+        n = rng.randint(5, 12)
+        masks = _random_graph(rng, n, rng.uniform(0.4, 0.8))
+        if any(m.bit_count() == n - 1 for m in masks) or not _diameter_at_most_two(masks):
+            continue
+        count += 1
+        graph = Graph(masks)
+        cert = exact_lambda(graph)
+        digest.update(repr((cert.value, cert.witness)).encode())
+        if cert.evidence.kind == "clique-deficiency":
+            assert clique_deficiency(graph, cert.evidence.vertices) == cert.value
+    assert digest.hexdigest() == (
+        "f67b98f6529bf076727c6e1976a420d4f817fe770d2c65e84fee16712ebf6d5d")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_graphs_with_a_universal_vertex(max_n=9),
+                 _graphs_with_twins(max_base=5, max_size=3).filter(
+                     lambda g: g.n <= 9 and _diameter_at_most_two(list(g.neighbors)))))
+@example(Graph([0b0110, 0b1001, 0b1001, 0b0110]))  # C4
+@example(_petersen())
+def test_the_floor_is_the_best_clique_deficiency(graph):
+    # over every clique, not only unions of closed-twin classes
+    best = max(bound for mask in range(1, 1 << graph.n)
+               if (bound := clique_deficiency(graph, tuple(
+                   v for v in range(graph.n) if mask >> v & 1))) is not None)
+    q = search_module._quotient(graph)
+    assert q.floor == best == clique_deficiency(graph, q.clique)
+
+
+def test_the_floor_enumeration_stops_at_its_node_budget():
+    # G(40, 0.9) has no twins, so every clique is a union of classes; the
+    # enumeration would take seconds, and the budget ends it with a clique
+    # that still proves its floor
+    rng = random.Random(0)
+    graph = Graph(_random_graph(rng, 40, 0.9))
+    assert len(set(m | 1 << v for v, m in enumerate(graph.neighbors))) == 40
+    started = time.monotonic()
+    q = search_module._quotient(graph)
+    assert time.monotonic() - started < 1.0
+    assert clique_deficiency(graph, q.clique) == q.floor
+
+
+@pytest.mark.parametrize("spec,value", [
+    ("cyclic:36", 52), ("cyclic:45", 72), ("cyclic:56", 96), ("cyclic:63", 108),
+    ("cyclic:112", 192), ("cyclic:504", 648),
+    ("product:cyclic:2,product:cyclic:2,cyclic:25", 109),
+    ("product:cyclic:6,cyclic:7", 60),
+])
+def test_groups_the_search_once_backtracked_on_are_decided_at_their_floor(spec, value):
+    graph = build_power_graph(parse_group_spec(spec))
+    cert = exact_lambda(graph)
+    assert cert.value == value
+    assert cert.evidence.kind == "clique-deficiency"
+    assert certificate_problems(graph, cert) == []
 
 
 # ---------------------------------------------------------------------------
