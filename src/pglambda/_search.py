@@ -15,6 +15,7 @@ classes; on every power graph tried, that floor is λ.
 
 from __future__ import annotations
 
+import math
 import time
 from itertools import compress
 from typing import NamedTuple, Sequence
@@ -26,11 +27,12 @@ from .powergraph import Graph, iter_bits
 
 # Cliques _twin_clique visits at most.  No power graph of order ≤ 512 tried
 # needs more than 512, but a dense graph without twins can need exponentially
-# many: there the floor is the best clique found within the budget.
+# many: there the floor is the best clique found within the budget, or by
+# the search's deadline, which the enumeration reads every 1,024 visits.
 _CLIQUE_NODES = 20_000
 
 
-def _twin_clique(classes: dict[int, int], everyone: int) -> int:
+def _twin_clique(classes: dict[int, int], everyone: int, deadline: float) -> int:
     """The first union of closed-twin classes of most clique deficiency,
     depth first in class order.  A class joins K when it lies in C, the
     intersection of K's closed neighbourhoods (K ∪ R), and a branch stops
@@ -54,6 +56,8 @@ def _twin_clique(classes: dict[int, int], everyone: int) -> int:
             closed, members = order[i]
             if members & common == members:
                 stack.append((i + 1, k | members, common & closed))
+        if visits % 1024 == 0 and time.monotonic() > deadline:
+            break  # as at _CLIQUE_NODES, with the best clique so far
     return found
 
 
@@ -96,9 +100,10 @@ class _Quotient(NamedTuple):
     clique: tuple[int, ...]                  # the clique whose deficiency is the floor
 
 
-def _quotient(graph: Graph) -> _Quotient:
+def _quotient(graph: Graph, deadline: float = math.inf) -> _Quotient:
     """Twin modules, their adjacency, and the floor of a graph of
-    diameter ≤ 2; ValueError on any other graph."""
+    diameter ≤ 2, from the cliques visited by ``deadline`` (of
+    time.monotonic); ValueError on any other graph."""
     n = graph.n
     d1 = list(graph.neighbors)
     everyone = (1 << n) - 1
@@ -113,7 +118,7 @@ def _quotient(graph: Graph) -> _Quotient:
                 reach |= d1[u]
             if reach != everyone:
                 raise ValueError("the exact search needs a graph of diameter at most 2")
-    clique = tuple(iter_bits(_twin_clique(classes, everyone)))
+    clique = tuple(iter_bits(_twin_clique(classes, everyone, deadline)))
     floor = clique_deficiency(graph, clique)
 
     members = tuple(m for _, m in sorted(_twin_modules(d1, classes).items()))
@@ -153,7 +158,7 @@ def least_span_labels(graph: Graph, time_budget: float
     probed.
     """
     deadline = time.monotonic() + time_budget
-    q = _quotient(graph)
+    q = _quotient(graph, deadline)
     members, near, tight, k = q.members, q.near, q.tight, len(q.members)
     covers = [tuple(iter_bits(near[m] | 1 << m)) for m in range(k)]
     weight, radix = [], 1  # members left per module, as one mixed-radix key

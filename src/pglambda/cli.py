@@ -91,7 +91,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "spec": args.spec,
         "group": {
             "order": group.order,
-            "exponent": math.lcm(*sub.by_order),
+            "exponent": sub.exponent(),
             "prime": pp[0] if pp else None,
             "family": recognize_family(group) if is_p else "not-a-p-group",
             "maximal_class": is_maximal_class(group) if (

@@ -166,7 +166,7 @@ def recognize_family(group: FiniteGroup) -> str:
     if n > 1 and prime_power(n) is None:
         raise ValueError(f"order {n} is not a prime power")
     sub = group.cyclic_subgroups()
-    exponent, involutions = max(sub.by_order), sub.class_number(2)
+    exponent, involutions = sub.exponent(), sub.class_number(2)
     if exponent == n:
         return "cyclic"
     if involutions == 1:

@@ -1,12 +1,14 @@
 """Finite groups given by their product.
 
-Groups live on element indices ``0..n-1``, element 0 the identity, and
-multiply through ``FiniteGroup.product``: by lookup in a Cayley table,
-or by formula in the family constructors (cyclic, dihedral, generalized
-quaternion, semidihedral, elementary abelian, Heisenberg, direct
-product), which hold no table.  Each family fixes a deterministic
-element enumeration — powers of x first, then the y-coset — so that
-everything computed downstream is reproducible.
+A group is its order, its product and its element names,
+``FiniteGroup(order, product, names)``, on element indices ``0..n-1``,
+element 0 the identity.  The family constructors (cyclic, dihedral,
+generalized quaternion, semidihedral, elementary abelian, Heisenberg,
+direct product) multiply by formula; a group that :func:`validate_group`
+made from a Cayley table multiplies by lookup in it.  No group holds a
+table: :func:`format_cayley` writes one from the product.  Each family
+fixes a deterministic element enumeration — powers of x first, then the
+y-coset — so that everything computed downstream is reproducible.
 
 The cyclic structure has one record, ``FiniteGroup.cyclic_subgroups()``:
 the distinct cyclic subgroups in class order, with the cyclic classes
@@ -27,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from itertools import repeat
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -71,15 +72,14 @@ def max_group_order() -> int:
 
 
 class FiniteGroup:
-    """A finite group given by its product.
+    """A finite group: its order, its product and, optionally, its element names.
 
-    ``product(g, h)`` is g·h on element indices, element 0 the identity.
-    A group made from a table, ``FiniteGroup(mul, names)``, multiplies by
-    lookup; :meth:`from_product` takes the product as a callable, which
-    the family constructors compute by formula, and holds no table.
-    ``mul``, the Cayley table as a tuple of row tuples, is built from the
-    product on first read.  Instances are immutable after construction and
-    are therefore safe to share across threads.
+    ``product(g, h)`` is g·h on element indices 0..order−1, element 0 the
+    identity.  The family constructors compute it by formula; a group read
+    from a Cayley table multiplies by lookup in that table.  No group keeps
+    a table of its own: :func:`format_cayley` writes one from the product.
+    Instances are immutable after construction and are therefore safe to
+    share across threads.
 
     Derived structures (inverses, the cyclic subgroups with the element
     orders and cyclic classes read off them, the power graph) are computed
@@ -89,25 +89,12 @@ class FiniteGroup:
     :func:`validate_group` for untrusted tables.
     """
 
-    __slots__ = ("product", "order", "names", "_mul", "_inverses", "_subgroups", "_power_graph")
+    __slots__ = ("product", "order", "names", "_inverses", "_subgroups", "_power_graph")
     identity = 0
 
-    def __init__(self, mul: Sequence[Sequence[int]],
+    def __init__(self, order: int, product: Product,
                  names: Sequence[str] | None = None) -> None:
-        table = _square_table(mul)
-        self._init(len(table), lambda a, b: table[a][b], names, table)
-
-    @classmethod
-    def from_product(cls, order: int, product: Product,
-                     names: Sequence[str] | None = None) -> FiniteGroup:
-        """The group on 0..order−1 that multiplies by ``product``, with no table."""
-        group = cls.__new__(cls)
-        group._init(order, product, names, None)
-        return group
-
-    def _init(self, order: int, product: Product, names: Sequence[str] | None,
-              table: Table | None) -> None:
-        self.order, self.product, self._mul = order, product, table
+        self.order, self.product = order, product
         self.names = tuple(names) if names is not None else None
         self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
@@ -115,14 +102,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
-
-    @property
-    def mul(self) -> Table:
-        """The Cayley table, ``mul[g][h]`` = g·h; built from the product on first read."""
-        if self._mul is None:
-            n, product = self.order, self.product
-            self._mul = tuple(tuple(map(product, repeat(g, n), range(n))) for g in range(n))
-        return self._mul
 
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
@@ -173,11 +152,6 @@ class FiniteGroup:
                 {m: tuple(ids) for m, ids in by_order.items()})
         return self._subgroups
 
-    def commutator(self, a: int, b: int) -> int:
-        """a⁻¹·b⁻¹·a·b."""
-        product, inv = self.product, self.inverses
-        return product(product(inv[a], inv[b]), product(a, b))
-
 
 class CyclicSubgroups(NamedTuple):
     """The distinct cyclic subgroups of a group, each stored once, in class
@@ -198,6 +172,10 @@ class CyclicSubgroups(NamedTuple):
     def class_number(self, d: int) -> int:
         """m(d), the number of cyclic subgroups of order d; 0 when none."""
         return len(self.by_order.get(d, ()))
+
+    def exponent(self) -> int:
+        """The exponent of the group, the lcm of its element orders."""
+        return math.lcm(*self.by_order)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -341,7 +319,7 @@ def _checked_group(table: Table, unranged: Iterable[int],
     if names is not None and ("" in names or len(set(names)) != n):
         g = next(g for g, name in enumerate(names) if not name or name in names[:g])
         raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")
-    return FiniteGroup(table, names)
+    return FiniteGroup(n, lambda a, b: table[a][b], names)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +353,7 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, "cyclic group")
-    return FiniteGroup.from_product(n, lambda a, b: (a + b) % n, _power_names(n))
+    return FiniteGroup(n, lambda a, b: (a + b) % n, _power_names(n))
 
 
 def _two_generator_group(order: int, twist: int, y_square: int) -> FiniteGroup:
@@ -393,7 +371,7 @@ def _two_generator_group(order: int, twist: int, y_square: int) -> FiniteGroup:
         if v < m:
             return (u + twist * v) % m + m
         return (u + twist * v + y_square) % m
-    return FiniteGroup.from_product(order, product, _coset_names(m))
+    return FiniteGroup(order, product, _coset_names(m))
 
 
 def _two_exponent(order: int, smallest: int, family: str) -> None:
@@ -436,7 +414,7 @@ def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
     g_product, h_product, nh = g.product, h.product, h.order
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
-    return FiniteGroup.from_product(
+    return FiniteGroup(
         g.order * nh, lambda u, v: g_product(u // nh, v // nh) * nh + h_product(u % nh, v % nh),
         names)
 
@@ -460,7 +438,7 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     names = ["(" + ",".join(map(str, digits)) + ")"
              for digits in itertools.product(range(p), repeat=k)]
     if p == 2:
-        return FiniteGroup.from_product(n, xor, names)
+        return FiniteGroup(n, xor, names)
 
     def product(u: int, v: int) -> int:  # digit by digit, the least significant first
         w, s = 0, 1
@@ -468,7 +446,7 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
             w += (u % p + v % p) % p * s
             u, v, s = u // p, v // p, s * p
         return w
-    return FiniteGroup.from_product(n, product, names)
+    return FiniteGroup(n, product, names)
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -488,7 +466,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
     pp = p * p
     names = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
     # a·b' ≡ a·(a'·p + b') mod p, and a·p² + b·p + c ≡ c
-    return FiniteGroup.from_product(n, lambda u, v: (
+    return FiniteGroup(n, lambda u, v: (
         (u // pp + v // pp) % p * pp + (u // p + v // p) % p * p
         + (u + v + u // pp * (v // p)) % p), names)
 
@@ -512,7 +490,8 @@ def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     series, gens = [frozenset(range(order))], top
     while True:
         closure = _Closure(order, product)
-        work = [group.commutator(s, t) for s in gens for t in top]
+        # [s, t] = s⁻¹·t⁻¹·s·t
+        work = [product(product(inv[s], inv[t]), product(s, t)) for s in gens for t in top]
         for s in work:  # work grows by the conjugates of each generator taken
             if closure.add(s):
                 work.extend(product(product(inv[t], s), t) for t in top)
@@ -545,7 +524,8 @@ def format_cayley(group: FiniteGroup) -> str:
     The optional ``names:`` line is comma-separated, so it is omitted when
     any element name itself contains a comma (e.g. product groups).
     """
-    lines = [str(group.order), *(" ".join(map(str, row)) for row in group.mul)]
+    n, product = group.order, group.product
+    lines = [str(n), *(" ".join(str(product(g, h)) for h in range(n)) for g in range(n))]
     if group.names and not any("," in name for name in group.names):
         lines.append("names: " + ",".join(group.names))
     return "\n".join(lines) + "\n"

@@ -49,10 +49,6 @@ class _Subject(NamedTuple):
         pp = prime_power(self.n)
         return pp[0] if pp else None
 
-    @property
-    def exponent(self) -> int:
-        return max(self.group.cyclic_subgroups().by_order)
-
 
 # A suite yields (subject, passed, detail); run_suites adds its name.
 _Check = tuple[_Subject, bool, str]
@@ -80,7 +76,7 @@ def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> Iterator[_Check]:
 def _suite_congruences(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
     for s in subjects:
-        p, exponent = s.prime, s.exponent
+        p, exponent = s.prime, s.group.cyclic_subgroups().exponent()
         if p is None or exponent == s.n:
             continue
         if p == 2 and is_maximal_class(s.group):
@@ -159,7 +155,7 @@ def _suite_lower_hook(subjects: Sequence[_Subject]) -> Iterator[_Check]:
 
 def _formula_lambda(s: _Subject) -> int:
     """Independent expectation: 2(p^e − 1) cyclic, |G|+1 unique-involution 2-group, else |G|."""
-    if s.exponent == s.n:
+    if s.group.cyclic_subgroups().exponent() == s.n:
         return 2 * (s.n - 1)
     if s.prime == 2 and s.group.cyclic_subgroups().class_number(2) == 1:
         return s.n + 1

@@ -23,7 +23,9 @@ from pglambda import (
     make_semidihedral,
     catalogue,
     certify,
+    format_cayley,
     order_classes_for_descent,
+    parse_cayley,
     path_to_labelling,
     prime_power,
     recognize_family,
@@ -202,7 +204,7 @@ def test_quaternion_needs_e_at_least_two():
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(8)), "general",
                  id="product16-general"),
     # exponent |G|/2 and 3 involutions, neither 9 nor 5: modular M16
-    pytest.param(validate_group(_two_generator_group(16, 5, 0).mul), "general",
+    pytest.param(parse_cayley(format_cayley(_two_generator_group(16, 5, 0))), "general",
                  id="modular16-general"),
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(16)), "general",
                  id="product32-general"),
@@ -210,7 +212,7 @@ def test_quaternion_needs_e_at_least_two():
     pytest.param(make_direct_product(make_cyclic(2), make_cyclic(4)), "general",
                  id="product8-general"),
     # exponent |G|/2 and 3 involutions, as C16×C2 has: modular M32
-    pytest.param(validate_group(_two_generator_group(32, 9, 0).mul), "general",
+    pytest.param(parse_cayley(format_cayley(_two_generator_group(32, 9, 0))), "general",
                  id="modular32-general"),
 ])
 def test_recognize_family_on_canonical_tables(group, family):
@@ -231,7 +233,7 @@ def _shuffled_copy(group, seed):
     mul = [[0] * group.order for _ in range(group.order)]
     for a in range(group.order):
         for b in range(group.order):
-            mul[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
+            mul[sigma[a]][sigma[b]] = sigma[group.product(a, b)]
     return validate_group(mul)
 
 
@@ -286,7 +288,7 @@ def test_coset_alternation_certifies_every_family(maker, order):
         assert not any(graph.adjacent(a, b) for a, b in itertools.pairwise(path))
         if family == "semidihedral":
             orders = group.cyclic_subgroups().orders
-            z, = {group.mul[g][g] for g in range(order)} & {g for g in range(order) if orders[g] == 2}
+            z, = {group.product(g, g) for g in range(order)} & {g for g in range(order) if orders[g] == 2}
             i = path.index(z)
             assert orders[path[i - 1]] == orders[path[i + 1]] == 2
 

@@ -112,35 +112,41 @@ def _family_specs(limit):
     return specs
 
 
+def _table(group):
+    """The Cayley table, rows as tuples, written out from the group's product."""
+    n = group.order
+    return tuple(tuple(group.product(a, b) for b in range(n)) for a in range(n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_family_specs(128)))
 def test_family_products_make_a_group_table(spec):
-    # the product is a formula; the table is built from it on first read
+    # the product is a formula, and the table written out from it is a group's
     group = parse_group_spec(spec)
-    table = group.mul
-    assert validate_group(table, names=group.names).mul == table
+    table = _table(group)
+    assert _table(validate_group(table, names=group.names)) == table
 
 
 def _power(group, g, k):
     """g**k by k repeated multiplications, independent of the group's records."""
     acc = group.identity
     for _ in range(k):
-        acc = group.mul[acc][g]
+        acc = group.product(acc, g)
     return acc
 
 
 def test_inverses_cancel():
     for group in (make_quaternion(16), make_semidihedral(32), make_heisenberg(3)):
         for g in range(group.order):
-            assert group.mul[g][group.inverses[g]] == group.identity
-            assert group.mul[group.inverses[g]][g] == group.identity
+            assert group.product(g, group.inverses[g]) == group.identity
+            assert group.product(group.inverses[g], g) == group.identity
 
 
 def test_element_orders_and_exponent_from_the_cyclic_subgroups():
     sub = make_semidihedral(16).cyclic_subgroups()
-    assert max(sub.by_order) == 8
+    assert sub.exponent() == 8
     assert sorted(sub.orders) == [1, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8, 8, 8, 8]
-    assert max(make_cyclic(12).cyclic_subgroups().by_order) == 12
+    assert make_cyclic(12).cyclic_subgroups().exponent() == 12
 
 
 def _cyclic_subgroups_by_multiplication(group) -> dict[int, set[frozenset[int]]]:
@@ -150,7 +156,7 @@ def _cyclic_subgroups_by_multiplication(group) -> dict[int, set[frozenset[int]]]
         powers, acc = {group.identity}, g
         while acc != group.identity:
             powers.add(acc)
-            acc = group.mul[acc][g]
+            acc = group.product(acc, g)
         found.setdefault(len(powers), set()).add(frozenset(powers))
     return found
 
@@ -222,7 +228,7 @@ def test_validate_rejects_a_swapped_intercalate_at_order_512():
     # In C2^9 (index XOR), rows {1, 5} and columns {2, 6} form a 2×2 Latin
     # subsquare.  Swapping its two symbols keeps a Latin square with
     # identity 0, so only associativity can fail.
-    table = [list(row) for row in make_elementary_abelian(2, 9).mul]
+    table = [list(row) for row in _table(make_elementary_abelian(2, 9))]
     for a, c in ((1, 2), (1, 6), (5, 2), (5, 6)):
         table[a][c] ^= 4
     with pytest.raises(GroupValidationError, match=re.escape("(a·b)·c != a·(b·c)")):
@@ -247,7 +253,7 @@ def test_scrambled_catalogue_tables_keep_invariants_and_mutations_fail(subject, 
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            table[sigma[a]][sigma[b]] = sigma[group.mul[a][b]]
+            table[sigma[a]][sigma[b]] = sigma[group.product(a, b)]
     scrambled = validate_group(table)
 
     def invariants(g):
@@ -286,16 +292,16 @@ def test_dihedral_relations():
     x, y = 1, 8
     m = 8
     assert group.cyclic_subgroups().orders[x] == m
-    assert group.mul[y][y] == group.identity
-    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    assert group.product(y, y) == group.identity
+    conj = group.product(group.product(group.inverses[y], x), y)
     assert conj == _power(group, x, m - 1)
 
 
 def test_quaternion_relations_and_unique_involution():
     group = make_quaternion(16)
     x, y = 1, 8
-    assert group.mul[y][y] == _power(group, x, 4)  # y^2 = x^(m/2)
-    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    assert group.product(y, y) == _power(group, x, 4)  # y^2 = x^(m/2)
+    conj = group.product(group.product(group.inverses[y], x), y)
     assert conj == _power(group, x, 7)
     involutions = [g for g in range(16) if group.cyclic_subgroups().orders[g] == 2]
     assert involutions == [4]  # x^(m/2) and nothing else
@@ -305,9 +311,9 @@ def test_semidihedral_relations():
     group = make_semidihedral(32)
     x, y = 1, 16
     m = 16
-    conj = group.mul[group.mul[group.inverses[y]][x]][y]
+    conj = group.product(group.product(group.inverses[y], x), y)
     assert conj == _power(group, x, m // 2 - 1)
-    assert group.mul[y][y] == group.identity
+    assert group.product(y, y) == group.identity
 
 
 def test_elementary_abelian_every_element_has_order_p():
@@ -320,7 +326,7 @@ def test_heisenberg_is_nonabelian_of_exponent_p():
     group = make_heisenberg(3)
     assert group.order == 27
     assert max(group.cyclic_subgroups().by_order) == 3
-    assert any(group.mul[a][b] != group.mul[b][a]
+    assert any(group.product(a, b) != group.product(b, a)
                for a in range(27) for b in range(27))
 
 
@@ -414,14 +420,14 @@ def test_cayley_round_trip_preserves_table_and_names():
     group = make_quaternion(8)
     text = format_cayley(group)
     back = parse_cayley(text)
-    assert back.mul == group.mul
+    assert _table(back) == _table(group)
     assert back.names == group.names
 
 
 def test_cayley_round_trip_via_ingested_group(s3_group):
     text = format_cayley(s3_group)
     back = parse_cayley(text)
-    assert back.mul == s3_group.mul
+    assert _table(back) == _table(s3_group)
     assert back.order == 6
     assert sorted(back.cyclic_subgroups().orders) == [1, 2, 2, 2, 3, 3]
 
@@ -501,7 +507,7 @@ def _reference_validate_group(mul, *, names=None):
             raise GroupValidationError(f"column {h} is not a permutation of 0..{n - 1}")
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return FiniteGroup(table, names)
+    return FiniteGroup(n, lambda a, b: table[a][b], names)
 
 
 def _reference_parse_cayley(text):
@@ -543,10 +549,10 @@ def _outcome(call):
         group = call()
     except (ValueError, TooLargeError) as exc:
         return type(exc), str(exc)
-    return group.mul, group.identity, group.names
+    return _table(group), group.identity, group.names
 
 
-_SMALL_TABLES = [group.mul for _, group in catalogue(12)]
+_SMALL_TABLES = [_table(group) for _, group in catalogue(12)]
 
 
 def _monoid(kind, n):

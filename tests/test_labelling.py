@@ -11,6 +11,7 @@ import random
 import re
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -765,6 +766,24 @@ def test_the_floor_enumeration_stops_at_its_node_budget():
     q = search_module._quotient(graph)
     assert time.monotonic() - started < 1.0
     assert clique_deficiency(graph, q.clique) == q.floor
+
+
+def test_the_floor_enumeration_stops_at_the_deadline(monkeypatch):
+    # it reads the clock every 1,024 visits; past the deadline the first
+    # read stops it as a node budget of 1,024 would, with a clique in hand
+    graph = Graph(_random_graph(random.Random(0), 40, 0.9))
+    reads = []
+    clock = types.SimpleNamespace(monotonic=lambda: reads.append(1) or time.monotonic())
+    monkeypatch.setattr(search_module, "time", clock)
+    stopped = search_module._quotient(graph, deadline=0)
+    assert len(reads) == 1
+    assert clique_deficiency(graph, stopped.clique) == stopped.floor
+    monkeypatch.setattr(search_module, "_CLIQUE_NODES", 1024)
+    assert search_module._quotient(graph) == stopped
+    monkeypatch.setattr(search_module, "_CLIQUE_NODES", 2048)  # it had more to visit
+    reads.clear()
+    search_module._quotient(graph)
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("spec,value", [

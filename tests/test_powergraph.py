@@ -30,7 +30,7 @@ def _is_power_of(group, a: int, b: int) -> bool:
     for _ in range(group.order):
         if acc == a:
             return True
-        acc = group.mul[acc][b]
+        acc = group.product(acc, b)
     return False
 
 
