@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 # Each public name is declared once, in its own module's __all__.  The
 # package re-exports them on first use (PEP 562), in dependency order, so
 # importing one module, the command line say, loads only what it imports.
-_MODULES = ("errors", "groups", "powergraph", "labelling", "construct", "catalog", "suites")
+_MODULES = ("errors", "groups", "powergraph", "labelling", "construct", "suites")
 
 
 def __getattr__(name: str):

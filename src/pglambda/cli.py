@@ -188,8 +188,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    from .catalog import catalogue  # imported here: no other command needs them
-    from .suites import run_suites
+    from .suites import catalogue, run_suites  # imported here: no other command needs them
 
     _check_cap(args.max_order, "suite subject")
     subjects = catalogue(args.max_order)

@@ -44,8 +44,6 @@ from .labelling import (
 from .powergraph import build_power_graph
 
 __all__ = [
-    "build_interleaved_path",
-    "order_classes_for_descent",
     "recognize_family",
     "lambda_p_group",
     "certify",
@@ -55,7 +53,7 @@ Path = tuple[int, ...]
 Joints = tuple[tuple[int, int], ...]
 
 
-def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
+def _build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     """Column-major interleaving of the classes: w11, w21, .., w_rN.
 
     Members are taken in ascending order and columns stop at the shortest
@@ -65,11 +63,11 @@ def build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
     return tuple(v for column in columns for v in column)
 
 
-def order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
+def _order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
     """Class members per order level, top order first, joinable in sequence.
 
     Each level is a tuple of cyclic classes of the group (each a
-    tuple of members), ready for build_interleaved_path.  Levels are
+    tuple of members), ready for _build_interleaved_path.  Levels are
     reordered so the last class of each level is non-adjacent to the first
     class of the level below.  A class has at most one adjacent class per
     lower level (its cyclic subgroup contains a unique subgroup of each
@@ -100,8 +98,8 @@ def order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...],
 def _descent_path(group: FiniteGroup) -> tuple[Path, Joints]:
     vertices: list[int] = []
     joints: list[tuple[int, int]] = []
-    for level in order_classes_for_descent(group):
-        segment = build_interleaved_path(level)
+    for level in _order_classes_for_descent(group):
+        segment = _build_interleaved_path(level)
         if vertices:
             joints.append((vertices[-1], segment[0]))
         vertices.extend(segment)

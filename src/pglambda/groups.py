@@ -41,7 +41,6 @@ __all__ = [
     "FiniteGroup",
     "format_cayley",
     "is_maximal_class",
-    "lower_central_series",
     "make_cyclic",
     "make_dihedral",
     "make_direct_product",
@@ -475,7 +474,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
 # lower central series
 
 
-def lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
+def _lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     """Chain γ₁ = G, γ_{i+1} = [γᵢ, G], until stable.
 
     [H, G] is the normal closure of the commutators [s, t] with s in a
@@ -508,10 +507,8 @@ def is_maximal_class(group: FiniteGroup) -> bool:
     pp = prime_power(group.order)
     if pp is None:
         raise ValueError(f"order {group.order} is not a prime power")
-    series = lower_central_series(group)
-    if series[-1] != frozenset({group.identity}):
-        raise ValueError("lower central series does not terminate at the identity")
-    return len(series) - 1 == pp[1] - 1
+    # a p-group is nilpotent: its series ends at {1}, after class + 1 terms
+    return len(_lower_central_series(group)) == pp[1]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .groups import FiniteGroup
 __all__ = [
     "Graph",
     "build_power_graph",
-    "euler_phi",
     "check_lower_hook",
     "to_dot",
     "to_edge_list",
@@ -92,22 +91,6 @@ def build_power_graph(group: FiniteGroup) -> Graph:
         neighbors = [mask & ~(1 << v) for v, mask in enumerate(neighbors)]
         group._power_graph = Graph(neighbors)
     return group._power_graph
-
-
-def euler_phi(n: int) -> int:
-    """Count of 1 ≤ k ≤ n coprime to n."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
-    result, m, d = n, n, 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ from pglambda import (
     span,
     validate_labelling,
 )
-from pglambda.catalog import _ENTRIES
 from pglambda.cli import main
 from pglambda.groups import _FAMILIES
-from pglambda.suites import run_suites
+from pglambda.suites import _ENTRIES, run_suites
 
 
 def run(capsys, *argv):
@@ -608,6 +607,18 @@ def test_suite_passes_on_small_catalogue(capsys):
     suites = {r["suite"] for r in doc["results"]}
     assert "lower-hook" in suites and "lambda-matches-formula" in suites
     assert any(r["subject"] == "cyclic:6" for r in doc["results"])
+
+
+def test_suite_passes_on_the_whole_catalogue(capsys):
+    # heisenberg:5, of order 125, is the only subject above 81
+    code, out, _ = run(capsys, "suite", "--max-order", "125")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["subjects"] == len(_ENTRIES) == 51
+    assert (doc["checks"], doc["failures"]) == (177, 0)
+    assert {r["suite"] for r in doc["results"] if r["subject"] == "heisenberg:5"} == {
+        "power-graph-shape", "class-number-congruences", "lower-hook",
+        "lambda-matches-formula"}
 
 
 def test_suite_adds_a_catalogued_group_once(capsys):

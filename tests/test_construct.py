@@ -11,7 +11,6 @@ import pytest
 from pglambda import (
     ConstructionFailedError,
     Evidence,
-    build_interleaved_path,
     build_power_graph,
     lambda_p_group,
     make_cyclic,
@@ -24,7 +23,6 @@ from pglambda import (
     catalogue,
     certify,
     format_cayley,
-    order_classes_for_descent,
     parse_cayley,
     path_to_labelling,
     prime_power,
@@ -33,6 +31,7 @@ from pglambda import (
     validate_group,
     validate_labelling,
 )
+from pglambda.construct import _build_interleaved_path, _order_classes_for_descent
 from pglambda.groups import _two_generator_group
 
 
@@ -41,11 +40,11 @@ from pglambda.groups import _two_generator_group
 
 
 def test_interleaving_is_column_major():
-    assert build_interleaved_path([(1, 2), (3, 4)]) == (1, 3, 2, 4)
+    assert _build_interleaved_path([(1, 2), (3, 4)]) == (1, 3, 2, 4)
 
 
 def test_interleaving_sorts_class_members():
-    assert build_interleaved_path([(2, 1), (4, 3)]) == (1, 3, 2, 4)
+    assert _build_interleaved_path([(2, 1), (4, 3)]) == (1, 3, 2, 4)
 
 
 def test_interleaving_accepts_family_and_plain_lists():
@@ -57,8 +56,8 @@ def test_interleaving_accepts_family_and_plain_lists():
     classes = tuple(sub.generators[i] for i in sub.by_order[3])
     assert len(classes) == 4 and all(len(c) == 2 for c in classes)
 
-    segment = build_interleaved_path(classes)
-    assert segment == build_interleaved_path([list(c) for c in classes])
+    segment = _build_interleaved_path(classes)
+    assert segment == _build_interleaved_path([list(c) for c in classes])
     assert sorted(segment) == sorted(itertools.chain(*classes))
     for a, b in itertools.pairwise(segment):
         assert not graph.adjacent(a, b)
@@ -66,18 +65,18 @@ def test_interleaving_accepts_family_and_plain_lists():
 
 def test_interleaving_stops_at_the_shortest_class():
     # the interleaving checks nothing; the certificate check sees what it drops
-    assert build_interleaved_path([(1, 2)]) == (1, 2)
-    assert build_interleaved_path([(1, 2), (3,)]) == (1, 3)
-    assert build_interleaved_path([(), ()]) == ()
+    assert _build_interleaved_path([(1, 2)]) == (1, 2)
+    assert _build_interleaved_path([(1, 2), (3,)]) == (1, 3)
+    assert _build_interleaved_path([(), ()]) == ()
 
 
 @pytest.mark.parametrize("interleave", [
-    lambda classes: build_interleaved_path([classes[0]] * len(classes)),  # shared vertices
+    lambda classes: _build_interleaved_path([classes[0]] * len(classes)),  # shared vertices
     lambda classes: tuple(v for c in classes for v in sorted(c)),  # adjacent steps
-    lambda classes: build_interleaved_path([classes[0], ()]),  # unequal sizes
+    lambda classes: _build_interleaved_path([classes[0], ()]),  # unequal sizes
 ], ids=["shared", "adjacent", "unequal"])
 def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch):
-    monkeypatch.setattr("pglambda.construct.build_interleaved_path", interleave)
+    monkeypatch.setattr("pglambda.construct._build_interleaved_path", interleave)
     with pytest.raises(ConstructionFailedError,
                        match="constructive certificate fails its check"):
         certify(make_elementary_abelian(3, 2), "constructive")
@@ -90,7 +89,7 @@ def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch)
 def test_descent_levels_for_c2_x_c4():
     group = make_direct_product(make_cyclic(2), make_cyclic(4))
     graph = build_power_graph(group)
-    levels = order_classes_for_descent(group)
+    levels = _order_classes_for_descent(group)
     assert len(levels) == 2  # order-4 level, then order-2 level
     assert [len(level) for level in levels] == [2, 3]
     assert [{len(c) for c in level} for level in levels] == [{2}, {1}]
@@ -105,7 +104,7 @@ def test_descent_levels_for_c2_x_c4():
 def test_descent_rejects_non_p_groups():
     group = make_cyclic(6)
     with pytest.raises(ValueError, match="is not a prime power"):
-        order_classes_for_descent(group)
+        _order_classes_for_descent(group)
 
 
 @pytest.mark.parametrize("group", [
@@ -307,6 +306,11 @@ def test_dispatcher_on_the_trivial_group():
 def test_dispatcher_rejects_non_p_groups():
     with pytest.raises(ValueError, match="is not a prime power"):
         lambda_p_group(make_cyclic(12))
+
+
+def test_certify_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        certify(make_cyclic(4), "bogus")
 
 
 @pytest.mark.parametrize("group,value,kind", [

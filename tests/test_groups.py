@@ -25,7 +25,6 @@ from pglambda import (
     exact_lambda,
     format_cayley,
     is_maximal_class,
-    lower_central_series,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -347,6 +346,10 @@ def test_direct_product_orders_are_lcms():
     (lambda: make_heisenberg(6), ValueError, "p must be an odd prime, got 6"),
     (lambda: make_cyclic(513), TooLargeError, "exceeds the cap"),
     (lambda: make_elementary_abelian(2, 10), TooLargeError, "exceeds the cap"),
+    (lambda: make_elementary_abelian(2, 0), ValueError, "k must be >= 1, got 0"),
+    (lambda: validate_group([]), ValueError, "must have at least one element"),
+    (lambda: validate_group([[0, 1], [1, 0]], names=["e"]), ValueError,
+     "expected 2 element names, got 1"),
 ], ids=[  # the case ids from when each input error had its own class
     "<lambda>-ParameterTooSmallError0",
     "<lambda>-ParameterTooSmallError1",
@@ -357,6 +360,9 @@ def test_direct_product_orders_are_lcms():
     "<lambda>-ValueError",
     "<lambda>-TooLargeError0",
     "<lambda>-TooLargeError1",
+    "elemab-rank-0",
+    "validate-empty-table",
+    "validate-name-count",
 ])
 def test_constructor_parameter_errors(build, exc, message):
     with pytest.raises(exc, match=message):
@@ -383,12 +389,12 @@ def test_parse_cayley_refuses_an_order_above_the_cap_before_reading_rows(monkeyp
 
 
 def test_lower_central_series_of_abelian_group_stops_immediately():
-    series = lower_central_series(make_cyclic(8))
+    series = groups_module._lower_central_series(make_cyclic(8))
     assert [len(term) for term in series] == [8, 1]
 
 
 def test_lower_central_series_of_dihedral_16():
-    series = lower_central_series(make_dihedral(16))
+    series = groups_module._lower_central_series(make_dihedral(16))
     assert [len(term) for term in series] == [16, 4, 2, 1]
 
 
@@ -677,6 +683,7 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path):
         (["lambda", "cyclic:8", "--method", "exact"], 0, certify | {"_search"}),
         (["lambda", "cyclic:8", "--witness-csv", str(tmp_path / "w.csv")], 0,
          certify | {"_search"}),
+        (["suite", "--max-order", "2"], 0, certify | {"_search", "suites"}),
     ]
     probe = textwrap.dedent("""
         import contextlib, io, sys
@@ -725,15 +732,15 @@ _PUBLIC_NAMES = [
     "GroupValidationError", "LambdaCertificate",
     "PglambdaError",
     "SearchTimeoutError", "SuiteResult", "TooLargeError", "Violation",
-    "__version__", "build_interleaved_path",
+    "__version__",
     "build_power_graph", "catalogue", "certificate_doc", "certificate_problems",
     "certify", "check_lower_hook", "clique_deficiency",
     "euler_phi", "exact_lambda", "format_cayley",
     "format_labelling_csv", "is_maximal_class",
-    "lambda_p_group", "lower_central_series", "make_cyclic", "make_dihedral",
+    "lambda_p_group", "make_cyclic", "make_dihedral",
     "make_direct_product", "make_elementary_abelian", "make_heisenberg",
     "make_quaternion", "make_semidihedral", "max_group_order",
-    "order_classes_for_descent", "parse_cayley",
+    "parse_cayley",
     "parse_group_spec", "parse_labelling_csv", "path_to_labelling", "power_graph_lower_bound",
     "prime_power", "recognize_family", "run_suites", "span", "to_dot",
     "to_edge_list", "validate_group", "validate_labelling",
@@ -750,7 +757,9 @@ def test_the_package_exports_its_public_names():
     assert all(names[name] is getattr(pglambda, name) for name in _PUBLIC_NAMES)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         pglambda.no_such_name
-    for gone in ("labelling_to_path", "check_ham_path", "PowerGraph", "SUITE_NAMES"):
+    for gone in ("labelling_to_path", "check_ham_path", "PowerGraph", "SUITE_NAMES",
+                 "build_interleaved_path", "lower_central_series",
+                 "order_classes_for_descent"):
         with pytest.raises(AttributeError, match=f"no attribute '{gone}'"):
             getattr(pglambda, gone)
 

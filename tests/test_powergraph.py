@@ -77,6 +77,11 @@ def test_euler_phi_matches_gcd_count(n):
     assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
+def test_euler_phi_rejects_n_below_1():
+    with pytest.raises(ValueError, match="euler_phi needs n >= 1, got 0"):
+        euler_phi(0)
+
+
 def test_cyclic_classes_of_c12_one_class_per_divisor():
     sub = make_cyclic(12).cyclic_subgroups()
     assert tuple(sub.by_order) == (1, 2, 3, 4, 6, 12)
