@@ -28,8 +28,6 @@ suite gets its certificates from it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import ConstructionFailedError
 from .groups import DEFAULT_TIME_BUDGET, FiniteGroup, max_group_order, prime_power
 from .labelling import (
@@ -53,68 +51,36 @@ Path = tuple[int, ...]
 Joints = tuple[tuple[int, int], ...]
 
 
-def _build_interleaved_path(classes: Sequence[Sequence[int]]) -> Path:
-    """Column-major interleaving of the classes: w11, w21, .., w_rN.
+def _descent_path(group: FiniteGroup) -> tuple[Path, Joints]:
+    """The class-interleaving descent and its level joints.
 
-    Members are taken in ascending order and columns stop at the shortest
-    class.  Unchecked: certify checks the whole path.
+    The order levels run top order first.  Each level moves to its front a
+    class non-adjacent to the path so far, records that joint, and extends
+    the path column by column over its classes (w11, w21, .., w_rN, members
+    ascending, columns stopping at the shortest class).  A class has at
+    most one adjacent class per lower level (its cyclic subgroup contains a
+    unique subgroup of each order), so with at least two classes per level
+    a non-adjacent choice always exists; a level without one keeps its
+    first class first.  A p-group realises every order p^i up to its
+    exponent, so the levels are the realised orders above 1.  Unchecked:
+    certify checks the whole path.
     """
-    columns = zip(*(sorted(c) for c in classes))
-    return tuple(v for column in columns for v in column)
-
-
-def _order_classes_for_descent(group: FiniteGroup) -> list[tuple[tuple[int, ...], ...]]:
-    """Class members per order level, top order first, joinable in sequence.
-
-    Each level is a tuple of cyclic classes of the group (each a
-    tuple of members), ready for _build_interleaved_path.  Levels are
-    reordered so the last class of each level is non-adjacent to the first
-    class of the level below.  A class has at most one adjacent class per
-    lower level (its cyclic subgroup contains a unique subgroup of each
-    order), so with at least two classes per level a non-adjacent choice
-    always exists.  Unchecked: a level with no such class keeps its first
-    class first, and certify rejects the path.  A p-group realises every
-    order p^i up to its exponent, so the levels are the realised orders
-    above 1.
-    """
-    if prime_power(group.order) is None:
-        raise ValueError(f"order {group.order} is not a prime power")
-    graph = build_power_graph(group)
-    sub = group.cyclic_subgroups()
-
-    levels = []
-    prev_last: int | None = None
+    graph, sub = build_power_graph(group), group.cyclic_subgroups()
+    path: list[int] = []
+    joints: list[tuple[int, int]] = []
     for order in reversed(tuple(sub.by_order)[1:]):
         level = [sub.generators[c] for c in sub.by_order[order]]
-        if prev_last is not None:
-            pick = next((idx for idx, members in enumerate(level)
-                         if not graph.adjacent(prev_last, members[0])), 0)
-            level = [level[pick]] + level[:pick] + level[pick + 1:]
-        levels.append(tuple(level))
-        prev_last = level[-1][0]
-    return levels
-
-
-def _descent_path(group: FiniteGroup) -> tuple[Path, Joints]:
-    vertices: list[int] = []
-    joints: list[tuple[int, int]] = []
-    for level in _order_classes_for_descent(group):
-        segment = _build_interleaved_path(level)
-        if vertices:
-            joints.append((vertices[-1], segment[0]))
-        vertices.extend(segment)
-    return tuple(vertices), tuple(joints)
+        if path:
+            pick = next((i for i, members in enumerate(level)
+                         if not graph.adjacent(path[-1], members[0])), 0)
+            level.insert(0, level.pop(pick))
+            joints.append((path[-1], level[0][0]))
+        path.extend(v for column in zip(*level) for v in column)
+    return tuple(path), tuple(joints)
 
 
 # ---------------------------------------------------------------------------
 # the three 2-group families: a cyclic ⟨x⟩ of order m = |G|/2 and its coset ⟨x⟩y
-
-
-def _alternate(first: Sequence[int], second: Sequence[int]) -> Path:
-    """first[0], second[0], first[1], second[1], .., then the rest of the longer."""
-    short = min(len(first), len(second))
-    pairs = tuple(v for pair in zip(first, second) for v in pair)
-    return pairs + tuple(first[short:]) + tuple(second[short:])
 
 
 def _coset_alternation(group: FiniteGroup) -> Path:
@@ -141,7 +107,8 @@ def _coset_alternation(group: FiniteGroup) -> Path:
     _, y = min((d, g) for g, d in enumerate(sub.orders) if g not in members)
     inside = [xk for xk in xs if not graph.is_universal(xk)]
     outside = sorted((group.product(xk, y) for xk in xs), key=lambda g: sub.orders[g] != 2)
-    return _alternate(inside, outside)
+    # the coset outnumbers inside by 1 (D, SD) or 2 (Q); its last elements close the path
+    return tuple(v for pair in zip(inside, outside) for v in pair) + tuple(outside[len(inside):])
 
 
 # ---------------------------------------------------------------------------

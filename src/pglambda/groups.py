@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from operator import itemgetter, xor
+from operator import index, itemgetter, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupValidationError, TooLargeError
@@ -275,7 +275,12 @@ def validate_group(mul: Sequence[Sequence[int]], *,
 
     Returns a :class:`FiniteGroup` on success.
     """
-    table = _square_table([tuple(map(int, row)) for row in mul])
+    try:
+        table = _square_table([tuple(map(index, row)) for row in mul])
+    except TypeError:
+        g, h, cell = next((g, h, v) for g, row in enumerate(mul) for h, v in enumerate(row)
+                          if not hasattr(v, "__index__"))
+        raise ValueError(f"cell ({g}, {h}) holds {cell!r}, not an integer") from None
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
@@ -529,14 +534,17 @@ def format_cayley(group: FiniteGroup) -> str:
 
 
 def _read_bounded(path: str, limit: int, error: type[Exception], why: str) -> str:
-    """The UTF-8 text of a file, reading at most ``limit`` + 1 characters,
-    so that an endless or huge file costs no more; ``error`` when the
-    file holds more than ``limit``."""
+    """The UTF-8 text of a file, read 2^20 characters at a time and no
+    further than past ``limit``, so neither an endless file nor a huge
+    limit costs more; ``error`` when the file holds more than ``limit``."""
+    chunks, size = [], 0
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read(limit + 1)
-    if len(text) > limit:
+        while size <= limit and (chunk := handle.read(1 << 20)):
+            chunks.append(chunk)
+            size += len(chunk)
+    if size > limit:
         raise error(f"{path} holds more than {limit} characters, the limit {why}")
-    return text
+    return "".join(chunks)
 
 
 def parse_cayley(text: str) -> FiniteGroup:
@@ -633,43 +641,36 @@ _FAMILIES = {
 }
 
 
-def _spec_shape_ok(spec: str, seen: dict[str, bool]) -> bool:
-    """Grammar-only validity, used to split product:SPEC,SPEC arguments."""
-    kind, sep, rest = spec.partition(":")
-    if not sep:
-        return False
-    if kind in _FAMILIES:
-        parts = rest.split(",")
-        return len(parts) == len(_FAMILIES[kind]) - 1 and all(map(_spec_digits, parts))
-    if kind == "product":
-        return _first_split(rest, seen) is not None
-    if kind == "file":
-        return bool(rest)
-    return False
-
-
-def _first_split(rest: str, seen: dict[str, bool]) -> tuple[str, str] | None:
-    """The split at the leftmost comma giving two well-formed specs.
-
-    ``seen`` memoizes shape verdicts: nested products would otherwise test
-    the same substrings again and again, exponentially often.
-    """
-    def shape_ok(spec: str) -> bool:
-        if spec not in seen:
-            seen[spec] = _spec_shape_ok(spec, seen)
-        return seen[spec]
-
-    for i, ch in enumerate(rest):
-        if ch == "," and shape_ok(rest[:i]) and shape_ok(rest[i + 1:]):
-            return rest[:i], rest[i + 1:]
-    return None
-
-
 def _split_product(rest: str) -> tuple[str, str]:
-    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs."""
+    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs.
+
+    Well-formed is grammar only: a family and its count of digit
+    parameters, a non-empty file path, or a product that splits so.  The
+    verdicts are memoized: nested products would otherwise test the same
+    substrings again and again, exponentially often.
+    """
     if rest.count("product:") >= _MAX_PRODUCTS:
         raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
-    parts = _first_split(rest, {})
+    seen: dict[str, bool] = {}
+
+    def first_split(text: str) -> tuple[str, str] | None:
+        return next(((text[:i], text[i + 1:]) for i, ch in enumerate(text)
+                     if ch == "," and well_formed(text[:i]) and well_formed(text[i + 1:])), None)
+
+    def well_formed(spec: str) -> bool:
+        if spec not in seen:
+            kind, _, params = spec.partition(":")
+            if kind in _FAMILIES:
+                parts = params.split(",")
+                seen[spec] = (len(parts) == len(_FAMILIES[kind]) - 1
+                              and all(map(_spec_digits, parts)))
+            elif kind == "product":
+                seen[spec] = first_split(params) is not None
+            else:
+                seen[spec] = kind == "file" and bool(params)
+        return seen[spec]
+
+    parts = first_split(rest)
     if parts is None:
         raise ValueError(f"cannot split {rest!r} into two group specs")
     return parts

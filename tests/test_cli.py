@@ -812,6 +812,18 @@ def test_a_cayley_file_over_64_characters_a_cell_is_resource_limited(size, code,
             "(raise LAMBDA_MAX_ORDER to override)" in err) == (code == 3)
 
 
+@pytest.mark.parametrize("cap", ["16384", "1000000000000"])
+def test_a_small_cayley_file_reads_under_a_huge_order_cap(cap, tmp_path, capsys, monkeypatch):
+    # the limit 64 * (cap + 1)^2 is 17 GB at 16384 and past any buffer at
+    # 10^12; the file is read in chunks, so nothing that size is allocated
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", cap)
+    table = tmp_path / "c2.txt"
+    table.write_text("2\n0 1\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", f"file:{table}", "--stable")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lambda"]["lambda"] == 2
+
+
 @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="needs /dev/zero")
 @pytest.mark.parametrize("argv,code,message", [
     (["analyze", "file:/dev/zero"], 3, "more than 16842816 characters"),

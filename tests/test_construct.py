@@ -31,80 +31,83 @@ from pglambda import (
     validate_group,
     validate_labelling,
 )
-from pglambda.construct import _build_interleaved_path, _order_classes_for_descent
+from pglambda.construct import _descent_path
 from pglambda.groups import _two_generator_group
-
-
-# ---------------------------------------------------------------------------
-# interleaving
-
-
-def test_interleaving_is_column_major():
-    assert _build_interleaved_path([(1, 2), (3, 4)]) == (1, 3, 2, 4)
-
-
-def test_interleaving_sorts_class_members():
-    assert _build_interleaved_path([(2, 1), (4, 3)]) == (1, 3, 2, 4)
-
-
-def test_interleaving_accepts_family_and_plain_lists():
-    # a descent level (a tuple of member tuples) and the same classes as
-    # plain lists interleave identically
-    group = make_elementary_abelian(3, 2)
-    graph = build_power_graph(group)
-    sub = group.cyclic_subgroups()
-    classes = tuple(sub.generators[i] for i in sub.by_order[3])
-    assert len(classes) == 4 and all(len(c) == 2 for c in classes)
-
-    segment = _build_interleaved_path(classes)
-    assert segment == _build_interleaved_path([list(c) for c in classes])
-    assert sorted(segment) == sorted(itertools.chain(*classes))
-    for a, b in itertools.pairwise(segment):
-        assert not graph.adjacent(a, b)
-
-
-def test_interleaving_stops_at_the_shortest_class():
-    # the interleaving checks nothing; the certificate check sees what it drops
-    assert _build_interleaved_path([(1, 2)]) == (1, 2)
-    assert _build_interleaved_path([(1, 2), (3,)]) == (1, 3)
-    assert _build_interleaved_path([(), ()]) == ()
-
-
-@pytest.mark.parametrize("interleave", [
-    lambda classes: _build_interleaved_path([classes[0]] * len(classes)),  # shared vertices
-    lambda classes: tuple(v for c in classes for v in sorted(c)),  # adjacent steps
-    lambda classes: _build_interleaved_path([classes[0], ()]),  # unequal sizes
-], ids=["shared", "adjacent", "unequal"])
-def test_a_bad_interleaving_fails_the_certificate_check(interleave, monkeypatch):
-    monkeypatch.setattr("pglambda.construct._build_interleaved_path", interleave)
-    with pytest.raises(ConstructionFailedError,
-                       match="constructive certificate fails its check"):
-        certify(make_elementary_abelian(3, 2), "constructive")
 
 
 # ---------------------------------------------------------------------------
 # level descent
 
 
+def test_interleaving_is_column_major():
+    # elemab:3,2 has one level, four classes of two: the path takes the
+    # least member of each class in class order, then the other members,
+    # and no step of it is an edge
+    group = make_elementary_abelian(3, 2)
+    graph = build_power_graph(group)
+    sub = group.cyclic_subgroups()
+    classes = [sub.generators[i] for i in sub.by_order[3]]
+    assert len(classes) == 4 and all(len(c) == 2 for c in classes)
+    assert all(list(c) == sorted(c) for c in classes)
+
+    path, joints = _descent_path(group)
+    assert joints == ()
+    assert path == tuple(c[0] for c in classes) + tuple(c[1] for c in classes)
+    assert not any(graph.adjacent(a, b) for a, b in itertools.pairwise(path))
+
+
+def test_interleaving_sorts_class_members():
+    # within each level the path meets a class's members in ascending order
+    for group in (make_elementary_abelian(3, 2), make_heisenberg(3),
+                  make_direct_product(make_cyclic(2), make_cyclic(4))):
+        sub = group.cyclic_subgroups()
+        path = _descent_path(group)[0]
+        for order in tuple(sub.by_order)[1:]:
+            for c in sub.by_order[order]:
+                members = sub.generators[c]
+                assert [v for v in path if v in members] == sorted(members)
+
+
+def test_interleaving_accepts_family_and_plain_lists():
+    # a family group and the same group read from its table as plain
+    # lists give one descent path
+    for group in (make_elementary_abelian(3, 2), make_heisenberg(3)):
+        n = group.order
+        plain = validate_group([[group.product(a, b) for b in range(n)] for a in range(n)])
+        assert _descent_path(plain) == _descent_path(group)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda path: path[:1] + path[:-1],  # a shared vertex
+    lambda path: tuple(sorted(path)),  # adjacent steps: x = 1, then x² = 2
+    lambda path: path[:4],  # dropped vertices: one column of four classes
+], ids=["shared", "adjacent", "unequal"])
+def test_a_bad_interleaving_fails_the_certificate_check(corrupt, monkeypatch):
+    group = make_elementary_abelian(3, 2)
+    path = corrupt(_descent_path(group)[0])
+    monkeypatch.setattr("pglambda.construct._descent_path", lambda group: (path, ()))
+    with pytest.raises(ConstructionFailedError,
+                       match="constructive certificate fails its check"):
+        certify(group, "constructive")
+
+
 def test_descent_levels_for_c2_x_c4():
+    # the order-4 level (two classes of two), one joint, then the order-2
+    # level (three involutions): every non-identity element once, and the
+    # joint is not an edge
     group = make_direct_product(make_cyclic(2), make_cyclic(4))
     graph = build_power_graph(group)
-    levels = _order_classes_for_descent(group)
-    assert len(levels) == 2  # order-4 level, then order-2 level
-    assert [len(level) for level in levels] == [2, 3]
-    assert [{len(c) for c in level} for level in levels] == [{2}, {1}]
-
-    # the junction between consecutive levels must avoid the edge
-    upper, lower = levels
-    a = upper[-1][-1]
-    b = lower[0][0]
-    assert not graph.adjacent(a, b)
+    orders = group.cyclic_subgroups().orders
+    path, joints = _descent_path(group)
+    assert sorted(path) == list(range(1, 8))
+    assert [orders[v] for v in path] == [4, 4, 4, 4, 2, 2, 2]
+    assert joints == ((path[3], path[4]),)
+    assert not graph.adjacent(*joints[0])
 
 
 def test_descent_rejects_non_p_groups():
-    group = make_cyclic(6)
     with pytest.raises(ValueError, match="is not a prime power"):
-        _order_classes_for_descent(group)
+        lambda_p_group(make_cyclic(6))
 
 
 @pytest.mark.parametrize("group", [

@@ -227,6 +227,27 @@ GOLDEN += [
 ]
 
 
+# `lambda SPEC --method constructive` on the largest descent and coset
+# alternation subjects, so that each written-down path is pinned up to
+# order 512: two elementary abelian groups, a Heisenberg group and a
+# product on the descent, and the order-512 dihedral and semidihedral
+# groups on the alternation.
+GOLDEN += [
+    ("lambda elemab:2,9 --method constructive",
+     "625bbe9124a3a43183dc58efac9363625b5de6ceea0980745ccc663e2c891669"),
+    ("lambda elemab:3,5 --method constructive",
+     "16679c7992d67a604adcc40daa496c826cf41d832ce41b675bd8fde3724cee5e"),
+    ("lambda heisenberg:7 --method constructive",
+     "f1bb435162ff1158e62bb32abca072c520461769802e0954f9b9c07d9aab96b1"),
+    ("lambda product:cyclic:16,cyclic:32 --method constructive",
+     "712f7a657439e1264cd8c65ff267cb98ae38144db8aeb7fa509a4efc07c2a55d"),
+    ("lambda dihedral:512 --method constructive",
+     "10780a306a06fe784bf1a2cad69696370df886617a627222a700d7f0a210e676"),
+    ("lambda semidihedral:512 --method constructive",
+     "be052d19bf4956964e70ccdb69459cd42bdfa81418032b9ff7a2eec7ade54bb7"),
+]
+
+
 def _test_id(command: str) -> str:
     """The call's test id: the command as it was written when the JSON
     forms of lambda, check and suite also took --stable, so that each test

@@ -282,6 +282,21 @@ def test_validate_rejects_non_square():
         validate_group([[0, 1]])
 
 
+@pytest.mark.parametrize("table,cell", [
+    ([[0, 1.9], [1.2, 0]], "cell (0, 1) holds 1.9"),
+    ([[0, 1], [1, "0"]], "cell (1, 1) holds '0'"),
+    ([[0, 1.0], [1, 0]], "cell (0, 1) holds 1.0"),
+], ids=["fractions", "string", "integral-float"])
+def test_validate_rejects_cells_that_are_not_integers(table, cell):
+    # a cell is read with operator.index, never truncated by int()
+    with pytest.raises(ValueError, match=re.escape(cell) + ", not an integer"):
+        validate_group(table)
+
+
+def test_validate_reads_integer_like_cells():
+    assert validate_group([[0, True], [True, False]]).order == 2
+
+
 # ---------------------------------------------------------------------------
 # family constructors
 
