@@ -12,11 +12,12 @@ class of each order from 8 up, so one coset alternation of ⟨x⟩ with
 ⟨x⟩y builds their paths instead; the quaternion involution z is
 universal, so that path leaves z out and yields span |G|+1.  Every path
 is read off the group's elements, and the witness labels the identity
-−2, the i-th path vertex i and z |G|−1; nothing is searched for.  The
-dispatcher picks the branch from the group's exponent and number of
-involutions, not from a presentation checked on its table.  The
-constructions only construct: nothing here but :func:`certify` checks a
-certificate.
+−2, the i-th path vertex i and z |G|−1; nothing is searched for.  A
+certificate holds λ only as its witness's span, and its evidence is the
+clique of universal vertices.  The dispatcher picks the branch from the
+group's exponent and number of involutions, not from a presentation
+checked on its table.  The constructions only construct: nothing here
+but :func:`certify` checks a certificate.
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and the one place that
@@ -37,7 +38,6 @@ from .labelling import (
     exact_lambda,
     path_to_labelling,
     power_graph_lower_bound,
-    span,
 )
 from .powergraph import build_power_graph
 
@@ -152,17 +152,15 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     generalized quaternion → the coset alternation; every other p-group
     → level descent.  A path's witness is path_to_labelling of it: span
     |G|, or |G| + 1 in the quaternion family, whose path leaves out the
-    universal z.  The trivial group is a degenerate cyclic case with
-    λ = 0.  The branches only build the witness: λ is its span and the
+    universal z.  The trivial group is cyclic, with witness (0,) and
+    λ = 0.  The branches only build the witness, whose span is λ; the
     evidence is power_graph_lower_bound, the clique of universal vertices
     (all of G, {1, z} or {1}).  Unchecked: certify checks the certificate.
     """
     family = recognize_family(group)
     graph, n = build_power_graph(group), group.order
     joints: Joints = ()
-    if n == 1:
-        kind, path, witness = "degenerate", (), (0,)
-    elif family == "cyclic":
+    if family == "cyclic":
         # cyclic p-group: subgroups are totally ordered, the graph is complete
         kind, path, witness = "cyclic-even-spacing", (), tuple(range(0, 2 * n, 2))
     else:
@@ -173,10 +171,8 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
             path = _coset_alternation(group)
             kind = "restricted-complement-path" if family == "quaternion" else "coset-alternation"
         witness = path_to_labelling(graph, path)
-    return LambdaCertificate(
-        value=span(witness), witness=witness,
-        evidence=power_graph_lower_bound(graph), method="constructive",
-        construction=ConstructionInfo(kind, path, joints))
+    return LambdaCertificate(witness, power_graph_lower_bound(graph), "constructive",
+                             ConstructionInfo(kind, path, joints))
 
 
 def certify(group: FiniteGroup, method: str = "auto", *,

@@ -9,7 +9,8 @@ label then sits 2 from all others, which are consecutive, so the other
 vertices in label order are a Hamiltonian path in the complement of the
 power graph minus the identity: the same data as the labelling.
 
-A certificate is a witness plus lower-bound evidence, and
+A certificate is a witness and lower-bound evidence, and holds λ only
+as the witness's span and the evidence's bound;
 :func:`certificate_problems` is its one checker.  Every bound that no
 search proves is the deficiency of a clique, which
 :func:`clique_deficiency` alone derives and re-checks.
@@ -131,12 +132,12 @@ class Evidence(NamedTuple):
     """Why λ−1 is impossible: the lower-bound side of a certificate.
 
     ``clique-deficiency`` names a clique as ``vertices``;
-    ``exhaustive-search-at-span`` names the refuted ``span``.
+    ``exhaustive-search-at-span`` names none: a search refuted span
+    ``bound`` − 1.
     """
 
     kind: str
     bound: int
-    span: int | None = None
     vertices: tuple[int, ...] | None = None
 
 
@@ -182,25 +183,31 @@ class ConstructionInfo(NamedTuple):
 
 
 class LambdaCertificate(NamedTuple):
-    """λ value with a witness labelling and lower-bound evidence."""
+    """A witness labelling, whose span is λ, and lower-bound evidence."""
 
-    value: int
     witness: tuple[int, ...]
     evidence: Evidence
     method: str
     construction: ConstructionInfo | None = None
 
+    @property
+    def value(self) -> int:
+        """λ: the span of the witness."""
+        return span(self.witness)
+
 
 def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     """What is wrong with a power graph's certificate; empty when it checks out.
 
-    The witness must be a valid labelling of the graph, its span must be
-    the certified λ, and λ may not fall below power_graph_lower_bound.
-    The evidence must prove λ: its bound is λ, and it is a searched
-    refutation of span λ − 1 (of which only that span is checked), or a
-    clique, with no span, whose clique_deficiency is λ.  A constructive
-    path at λ = |G| must be the non-identity vertices in label order, a
-    complement path when the witness is valid (see the module docstring).
+    λ is the witness's span, so the witness need only be a valid
+    labelling of the graph: then it lies above every proven bound,
+    power_graph_lower_bound's included.  The evidence must prove λ: its
+    bound is λ, and it is a searched refutation of span λ − 1, taken on
+    trust and naming no clique, or a clique whose clique_deficiency is λ.
+    A constructive path at λ = |G| must be the non-identity vertices in
+    label order, a complement path when the witness is valid (see the
+    module docstring).  Each rule rejects some certificate that the
+    others pass.
     """
     if len(cert.witness) != graph.n:
         return [f"witness has {len(cert.witness)} labels for {graph.n} vertices"]
@@ -208,19 +215,14 @@ def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     violations = validate_labelling(graph, cert.witness)
     if violations:
         problems.append(f"witness violates labelling constraints: {violations[0]}")
-    if span(cert.witness) != cert.value:
-        problems.append(f"witness span {span(cert.witness)} != lambda {cert.value}")
-    lower = power_graph_lower_bound(graph)
-    if lower.bound is not None and cert.value < lower.bound:  # None: no universal vertex
-        problems.append(f"lambda {cert.value} below the {lower.kind} bound {lower.bound}")
-    ev = cert.evidence
-    proved = (ev.span == ev.bound - 1 if ev.kind == "exhaustive-search-at-span"
-              else ev.kind == "clique-deficiency" and ev.span is None
+    ev, value = cert.evidence, cert.value
+    proved = (ev.vertices is None if ev.kind == "exhaustive-search-at-span"
+              else ev.kind == "clique-deficiency"
               and clique_deficiency(graph, ev.vertices or ()) == ev.bound)
-    if ev.bound != cert.value or not proved:
-        problems.append(f"{ev.kind} evidence does not prove lambda {cert.value}")
+    if ev.bound != value or not proved:
+        problems.append(f"{ev.kind} evidence does not prove lambda {value}")
     path = cert.construction.path if cert.construction else ()
-    if path and cert.value == graph.n and (
+    if path and value == graph.n and (
             list(path) != sorted(range(1, graph.n), key=cert.witness.__getitem__)):
         problems.append("construction path is not the witness's label order")
     return problems
@@ -249,11 +251,9 @@ def exact_lambda(graph: Graph, *, max_vertices: int | None = None,
         raise TooLargeError(f"exact search capped at {cap} vertices, graph has {n}")
     from ._search import least_span_labels
     labels, clique = least_span_labels(graph, time_budget)
-    sigma = max(labels)
-    evidence = (Evidence("clique-deficiency", sigma, vertices=clique) if clique
-                else Evidence("exhaustive-search-at-span", sigma, span=sigma - 1))
-    return LambdaCertificate(value=sigma, witness=tuple(labels), evidence=evidence,
-                             method="exact-search")
+    evidence = Evidence("clique-deficiency" if clique else "exhaustive-search-at-span",
+                        max(labels), clique)
+    return LambdaCertificate(tuple(labels), evidence, "exact-search")
 
 
 # ---------------------------------------------------------------------------

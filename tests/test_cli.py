@@ -324,10 +324,11 @@ def test_family_groups_never_build_their_table(argv, capsys, monkeypatch):
     assert made[-1] == [n, n * n]
 
 
-# λ(D8) = 8, with a witness that is no labelling of its power graph
+# λ(D8) = 8 with its true evidence, the identity's clique, and a witness
+# of span 8 that is no labelling of its power graph
 _INVALID_D8_CERT = LambdaCertificate(
-    value=8, witness=tuple(range(8)),
-    evidence=Evidence(kind="exhaustive-search-at-span", bound=8, span=7),
+    witness=tuple(range(7)) + (8,),
+    evidence=Evidence(kind="clique-deficiency", bound=8, vertices=(0,)),
     method="exact-search")
 
 
@@ -424,7 +425,7 @@ def test_methods_that_disagree_exit_2(capsys, monkeypatch):
     # an exact certificate for lambda(D8) + 1 that passes its own check
     graph = build_power_graph(parse_group_spec("dihedral:8"))
     exact = _raise_top_label(exact_lambda(graph))._replace(
-        evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8))
+        evidence=Evidence(kind="exhaustive-search-at-span", bound=9))
     assert certificate_problems(graph, exact) == []
     monkeypatch.setattr("pglambda.construct.exact_lambda", lambda *args, **kwargs: exact)
     for argv in (["lambda", "dihedral:8", "--method", "both"],
@@ -477,7 +478,7 @@ def _raise_top_label(cert):
     high = max(cert.witness)
     top = cert.witness.index(high)
     witness = cert.witness[:top] + (high + 1,) + cert.witness[top + 1:]
-    return cert._replace(value=cert.value + 1, witness=witness,
+    return cert._replace(witness=witness,
                          evidence=cert.evidence._replace(bound=cert.value + 1))
 
 
@@ -495,16 +496,36 @@ def _evidence(**fields):
     ("quaternion:8", _evidence(vertices=())),            # empty
     ("quaternion:8", _evidence(vertices=None)),
     ("quaternion:8", _evidence(bound=10)),               # off by one
-    ("quaternion:8", _evidence(span=8)),                 # a leftover span
+    ("quaternion:8", _evidence(kind="exhaustive-search-at-span")),  # naming a clique
 ], ids=["raised-lambda", "weak-clique", "non-clique", "out-of-range", "unsorted",
-        "repeated", "empty", "no-vertices", "bound-off-by-one", "leftover-span"])
+        "repeated", "empty", "no-vertices", "bound-off-by-one", "search-naming-a-clique"])
 def test_corrupted_constructive_evidence_exits_2(spec, corrupt, capsys, monkeypatch):
-    monkeypatch.setattr("pglambda.construct.LambdaCertificate",
-                        lambda **fields: corrupt(LambdaCertificate(**fields)))
+    _corrupt_constructive(monkeypatch, corrupt)
     code, out, err = run(capsys, "lambda", spec, "--method", "constructive")
     assert (code, out) == (2, "")
-    assert err == ("constructive certificate fails its check: clique-deficiency evidence "
-                   "does not prove lambda 9\n")  # 8 + 1 on D8, 9 on Q8
+    assert err.startswith("constructive certificate fails its check: ")
+    assert err.endswith(" evidence does not prove lambda 9\n")  # 8 + 1 on D8, 9 on Q8
+
+
+def _corrupt_constructive(monkeypatch, corrupt):
+    monkeypatch.setattr("pglambda.construct.LambdaCertificate",
+                        lambda *args: corrupt(LambdaCertificate(*args)))
+
+
+@pytest.mark.parametrize("corrupt,problem", [
+    (lambda cert: cert._replace(witness=cert.witness[:7]),
+     "witness has 7 labels for 8 vertices"),
+    (lambda cert: cert._replace(construction=cert.construction._replace(
+        path=cert.construction.path[::-1])),
+     "construction path is not the witness's label order"),
+], ids=["short-witness", "path-off-label-order"])
+def test_a_certificate_failing_one_rule_alone_exits_2(corrupt, problem, capsys,
+                                                       monkeypatch):
+    # the labelling and evidence rules alone are covered above and below
+    _corrupt_constructive(monkeypatch, corrupt)
+    code, out, err = run(capsys, "lambda", "dihedral:8", "--method", "constructive")
+    assert (code, out) == (2, "")
+    assert err == f"constructive certificate fails its check: {problem}\n"
 
 
 def test_a_complete_graph_bound_on_an_incomplete_graph_exits_2(capsys, monkeypatch):
@@ -691,14 +712,15 @@ def test_suite_checks_an_exact_certificate_above_the_order(capsys, monkeypatch):
     # lambda(Q8) = 9 > |G|: the suites read only the value, so the witness
     # must be checked where the certificate is made
     bad_q8 = LambdaCertificate(
-        value=9, witness=tuple(range(8)),
-        evidence=Evidence(kind="exhaustive-search-at-span", bound=9, span=8),
+        witness=tuple(range(7)) + (9,),
+        evidence=Evidence(kind="exhaustive-search-at-span", bound=9),
         method="exact-search")
     monkeypatch.setattr("pglambda.construct.exact_lambda",
                         lambda *args, **kwargs: bad_q8)
     code, _, err = run(capsys, "suite", "--max-order", "1", "--group", "quaternion:8")
     assert code == 2
-    assert err.startswith("exact-search certificate fails its check: ")
+    assert err.startswith("exact-search certificate fails its check: "
+                          "witness violates labelling constraints")
 
 
 def test_a_failed_property_exits_2_and_names_it(capsys, monkeypatch):

@@ -300,10 +300,11 @@ def test_coset_alternation_certifies_every_family(maker, order):
 
 
 def test_dispatcher_on_the_trivial_group():
+    # the trivial group is cyclic: its even spacing is the one label 0
     cert = lambda_p_group(make_cyclic(1))
-    assert cert.value == 0
+    assert cert.witness == (0,) and cert.value == 0
     assert cert.evidence == Evidence("clique-deficiency", 0, vertices=(0,))
-    assert cert.construction.kind == "degenerate"
+    assert cert.construction.kind == "cyclic-even-spacing"
 
 
 def test_dispatcher_rejects_non_p_groups():

@@ -7,10 +7,11 @@ checker), so any change to the bytes a user sees fails here.  The
 quaternion:64 and quaternion:512 digests were captured while the
 quaternion path was still found by a Hamiltonian search; the written-down
 path replacing it prints the same bytes from order 16 up.  The specs
-reach every constructive branch (degenerate, cyclic, quaternion,
-dihedral, semidihedral, class descent on an abelian, a non-abelian and a
-product group), the exact search (`analyze cyclic:6`, `lambda cyclic:12
---method exact`), and a scrambled ingested table.  The `file:` spec is
+reach every constructive branch (cyclic, the trivial group included,
+quaternion, dihedral, semidihedral, class descent on an abelian, a
+non-abelian and a product group), the exact search (`analyze
+cyclic:6`, `lambda cyclic:12 --method exact`), and a scrambled ingested
+table.  The `file:` spec is
 relative to tests/data because `analyze` echoes it; so is the witness
 CSV that `check` reads, and the corrupted witness whose failing check
 (exit 2) is pinned on its own.  Every exact
@@ -24,7 +25,10 @@ changed, and exit codes, λ, witnesses and every other field did not.
 none of their bytes; their digests predate its removal.  The six
 dihedral and semidihedral `analyze` and `lambda` digests were captured
 again when one coset alternation came to build those paths: only each
-constructive certificate's `labels` and `construction` changed.
+constructive certificate's `labels` and `construction` changed.  The
+two `cyclic:1` digests were captured again when the trivial group came
+to take the cyclic branch: only `construction.kind` changed, from
+`degenerate` to `cyclic-even-spacing`.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from pglambda.cli import main
 DATA = Path(__file__).parent / "data"
 
 GOLDEN = [
-    ("analyze cyclic:1 --stable", "6a85cefe8d029e58301945250d2558b718868a71ee50c245f18f3205fe7e963e"),
+    ("analyze cyclic:1 --stable", "4d2ff7a9ac3c4091b288c2102573ed8016eff2f61786456be085f1b82695c804"),
     ("analyze cyclic:16 --stable", "489215fc00c609e5fc48a46c24a8c95771f398e29eead46ca426c64c9febe32c"),
     ("analyze quaternion:16 --stable", "d6c3ea42fe58f1c5ac6c89bae6b80f2a003b18639811c6044e580e67e6e73510"),
     ("analyze dihedral:32 --stable", "f5526f3ab63ff251cbe5ed34f531775af813d08d1dfd0f423b932a7b629d5805"),
@@ -49,7 +53,7 @@ GOLDEN = [
     ("analyze elemab:3,2 --stable", "48fece28297250461dd040340d764a647f5ebc1a1a49af30107dd8ed70103514"),
     ("analyze heisenberg:3 --stable", "ba04d0dd2f9841853c721f52288485e524316273801e5ce1a07ff34c5c49e73a"),
     ("analyze product:cyclic:2,cyclic:8 --stable", "80201453e20c47a5f577ec5a3347126a6c01a7ab76b6c773c5a8b70c6d23558d"),
-    ("lambda cyclic:1", "f4ac84be3d76e038809ff46a3f312abf30c904dcffbb3795d5b36313543a713f"),
+    ("lambda cyclic:1", "6266ee3b0ab6bee4fe2f4de0238e9fd1c442c140f6d53e6775587ab127594ee3"),
     ("lambda cyclic:16", "64d2d8c3540aac61f49585ff96b46731c134f196480d9c84593671b2bebb44dc"),
     ("lambda quaternion:16", "c1980b1d1be7fc433c35bb89964be9e1f989a5463be3156719362373eba12a1c"),
     ("lambda quaternion:64", "50f5f2b8d0f7f074a97c08204456ea79cc2f66b1ee7654b186151f255f658780"),
@@ -321,7 +325,8 @@ def test_exact_certificates_on_random_graphs_are_unchanged():
     # diameter at most 2: one over (value, witness), as the code computed
     # it before the evidence kinds became two, and one over the evidence,
     # captured again when the floor became the best twin-class clique
-    # (144 graphs searched before, 130 after).
+    # (144 graphs searched before, 130 after), and again when search
+    # evidence dropped its span, which was always bound − 1.
     rng = random.Random(20240601)
     certified, evidence = hashlib.sha256(), hashlib.sha256()
     for _ in range(2000):
@@ -331,4 +336,4 @@ def test_exact_certificates_on_random_graphs_are_unchanged():
     assert certified.hexdigest() == (
         "ff5706fd00576fc3b5175ddb5f0bb5147bf492728ed3dd045de398845349af27")
     assert evidence.hexdigest() == (
-        "907f1c031096152041f62977dde8d5e24717bbd2781f0eb8d4cf4d391902c328")
+        "dc070939cff6c75c60d9a03aadea9c0574256179c2cdbc7a9763e8d6135a4a05")

@@ -305,25 +305,30 @@ def test_exact_lambda_of_complete_graphs(n):
 
 
 def test_certificate_problems_re_derive_every_evidence_kind_but_the_search():
-    # a clique's deficiency is re-derived (test_cli corrupts it); of a
-    # search, only the span it refutes is checked
+    # a clique's deficiency is re-derived (test_cli corrupts it); a search
+    # is taken on trust when its bound is λ and it names no clique.  Each
+    # certificate below fails one rule alone.
     graph = build_power_graph(make_quaternion(8))
     cert = exact_lambda(graph)
     assert cert.evidence == Evidence("clique-deficiency", 9, vertices=(0, 2))
     assert certificate_problems(graph, cert) == []
-    searched = Evidence("exhaustive-search-at-span", 9, span=8)
+    searched = Evidence("exhaustive-search-at-span", 9)
     assert certificate_problems(graph, cert._replace(evidence=searched)) == []
-    for evidence in (Evidence("exhaustive-search-at-span", 9, span=7),
-                     Evidence("exhaustive-search-at-span", 10, span=9),
+    for evidence in (Evidence("exhaustive-search-at-span", 10),
+                     Evidence("exhaustive-search-at-span", 9, vertices=(0, 2)),
                      Evidence("no-such-kind", 9, vertices=(0, 2))):
         assert certificate_problems(graph, cert._replace(evidence=evidence)) == [
             f"{evidence.kind} evidence does not prove lambda 9"], evidence
     assert certificate_problems(graph, cert._replace(witness=cert.witness[:7])) == [
         "witness has 7 labels for 8 vertices"]
-    low = cert._replace(value=8, evidence=Evidence("exhaustive-search-at-span", 8, span=7))
-    assert certificate_problems(graph, low) == [
-        "witness span 9 != lambda 8",
-        "lambda 8 below the clique-deficiency bound 9"]
+    # λ = 8 falls below the universal-vertex bound 9, and the witness of
+    # span 8 that claims it is invalid: no separate check of that bound
+    top = cert.witness.index(9)
+    low = cert._replace(witness=cert.witness[:top] + (8,) + cert.witness[top + 1:],
+                        evidence=Evidence("exhaustive-search-at-span", 8))
+    problems = certificate_problems(graph, low)
+    assert len(problems) == 1
+    assert problems[0].startswith("witness violates labelling constraints: ")
 
 
 def test_a_constructive_path_must_be_the_witness_label_order():
@@ -369,8 +374,8 @@ def test_exact_lambda_searches_when_the_floor_falls_short():
     graph = Graph([0b0110, 0b1001, 0b1001, 0b0110])
     cert = exact_lambda(graph)
     assert cert.value == 4 == _brute_force_lambda(list(graph.neighbors))
-    assert cert.evidence == Evidence("exhaustive-search-at-span", 4, span=3)
-    assert certificate_problems(graph, cert) == []  # no universal vertex, so no U bound
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 4)
+    assert certificate_problems(graph, cert) == []
 
 
 def test_exact_lambda_invariant_under_relabelling():
@@ -692,7 +697,7 @@ def test_exact_lambda_refutes_the_floor_of_a_graph_that_backtracks():
     assert search_module._quotient(graph).floor == 11
     cert = exact_lambda(graph)
     assert cert.value == 14 == _brute_force_lambda(list(graph.neighbors))
-    assert cert.evidence == Evidence("exhaustive-search-at-span", 14, span=13)
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 14)
     assert certificate_problems(graph, cert) == []
 
 
@@ -714,7 +719,7 @@ def test_a_floor_below_n_minus_1_is_not_evidence():
     assert search_module._quotient(graph).floor == 4
     cert = exact_lambda(graph)
     assert cert.witness == (0, 6, 1, 3, 7, 4, 2, 8, 9, 5)
-    assert cert.evidence == Evidence("exhaustive-search-at-span", 9, span=8)
+    assert cert.evidence == Evidence("exhaustive-search-at-span", 9)
     assert certificate_problems(graph, cert) == []
 
 
