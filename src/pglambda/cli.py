@@ -21,6 +21,7 @@ import time
 
 from .errors import ConstructionFailedError, SearchTimeoutError, TooLargeError
 from .groups import (
+    DEFAULT_MAX_ORDER,
     DEFAULT_TIME_BUDGET,
     _check_cap,
     _digits_int,
@@ -142,8 +143,7 @@ def cmd_lambda(args: argparse.Namespace) -> int:
     from .labelling import certificate_doc, format_labelling_csv
     certs = certify(group, args.method, cap=args.search_cap, budget=args.time_budget)
     if len(certs) == 2:
-        print(f"constructive {certs[0].value} / exact-search {certs[1].value}: agree",
-              file=sys.stderr)
+        print(" / ".join(f"{c.method} {c.value}" for c in certs) + ": agree", file=sys.stderr)
     cert = certs[0]
     if args.witness_csv:
         with open(args.witness_csv, "w", encoding="utf-8", newline="") as handle:
@@ -157,9 +157,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .labelling import parse_labelling_csv, span, validate_labelling
     from .powergraph import build_power_graph
     graph = build_power_graph(group)
-    n = group.order  # 64 characters a row, the header's included
-    text = _read_bounded(args.labelling, 64 * (n + 1), ValueError,
-                         f"for a group of order {n}")
+    n = group.order  # 64 a row with the header, plus what a name quoted as "a""b" needs over 32
+    limit = 64 * (n + 1) + sum(max(0, 2 * len(name) + 2 - 32) for name in group.names or ())
+    text = _read_bounded(args.labelling, limit, ValueError, f"for a group of order {n}")
     labels = parse_labelling_csv(text, n, group.names)
     violations = validate_labelling(graph, labels)
     doc = {
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def search_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--search-cap", type=_int_option("the search cap"),
                        metavar="N", help="max group order for the exact search "
-                       "(default: the group-order cap, LAMBDA_MAX_ORDER or 512)")
+                       f"(default: the group-order cap, LAMBDA_MAX_ORDER or {DEFAULT_MAX_ORDER})")
         p.add_argument("--time-budget", type=_time_budget, default=DEFAULT_TIME_BUDGET,
                        metavar="SECONDS", help="time limit for the exact search")
 

@@ -29,7 +29,7 @@ suite gets its certificates from it.
 
 from __future__ import annotations
 
-from .errors import ConstructionFailedError
+from .errors import ConstructionFailedError, TooLargeError
 from .groups import DEFAULT_TIME_BUDGET, FiniteGroup, max_group_order, prime_power
 from .labelling import (
     ConstructionInfo,
@@ -184,12 +184,13 @@ def certify(group: FiniteGroup, method: str = "auto", *,
     both on a p-group (or the trivial group) of order at most ``cap``, the
     construction alone on a larger one, and the exact search on every
     other group, which the search decides at its floor on every power
-    graph tried.  The exact search is limited to ``cap`` vertices, the
-    group-order cap (LAMBDA_MAX_ORDER) unless given, and ``budget`` seconds.
+    graph tried.  The one cap on the exact search is here: a group of more
+    than ``cap`` elements, LAMBDA_MAX_ORDER unless given, raises
+    TooLargeError where the search would start; ``budget`` bounds its seconds.
     This is the one place that checks a certificate: each is checked
     with certificate_problems as it is made, so a failed construction
-    ends the call before any search runs.  A failed check, or two
-    methods that disagree, raise ConstructionFailedError.
+    ends the call before any search runs or is refused.  A failed check,
+    or two methods that disagree, raise ConstructionFailedError.
     """
     cap = max_group_order() if cap is None else cap
     if method == "auto":
@@ -211,10 +212,11 @@ def certify(group: FiniteGroup, method: str = "auto", *,
     if method != "exact":
         certs.append(checked(lambda_p_group(group)))
     if method != "constructive":
-        certs.append(checked(exact_lambda(build_power_graph(group), max_vertices=cap,
-                                          time_budget=budget)))
+        if group.order > cap:
+            raise TooLargeError(f"exact search capped at {cap} vertices, graph has {group.order}")
+        certs.append(checked(exact_lambda(build_power_graph(group), time_budget=budget)))
     if len(certs) == 2 and certs[0].value != certs[1].value:
         raise ConstructionFailedError(
-            f"disagreement: constructive lambda {certs[0].value} != "
-            f"exact-search lambda {certs[1].value} for order {group.order}")
+            f"disagreement: {certs[0].method} lambda {certs[0].value} != "
+            f"{certs[1].method} lambda {certs[1].value} for order {group.order}")
     return certs

@@ -253,8 +253,7 @@ def _greedy_generators(order: int, product: Product) -> Iterator[int]:
     return (g for g in range(order) if closure.add(g))
 
 
-def validate_group(mul: Sequence[Sequence[int]], *,
-                   names: Sequence[str] | None = None) -> FiniteGroup:
+def validate_group(mul: Sequence[Sequence[int]]) -> FiniteGroup:
     """Check the group axioms on a multiplication table whose identity is
     element 0.
 
@@ -273,7 +272,7 @@ def validate_group(mul: Sequence[Sequence[int]], *,
     holds the identity e; when every row does, the monoid is a group and
     every column is a permutation too.
 
-    Returns a :class:`FiniteGroup` on success.
+    Returns a :class:`FiniteGroup` on success, without element names.
     """
     try:
         table = _square_table([tuple(map(index, row)) for row in mul])
@@ -284,13 +283,14 @@ def validate_group(mul: Sequence[Sequence[int]], *,
     n = len(table)
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
-    return _checked_group(table, range(n), names)
+    return _checked_group(table, range(n))
 
 
 def _checked_group(table: Table, unranged: Iterable[int],
-                   names: Sequence[str] | None) -> FiniteGroup:
+                   names: Sequence[str] | None = None) -> FiniteGroup:
     """validate_group on a square int table whose rows outside ``unranged``
-    (ascending) are known to hold only cells in 0..n-1."""
+    (ascending) are known to hold only cells in 0..n-1; then the n names
+    parse_cayley read, if any, must be non-empty and distinct."""
     n = len(table)
     for g in unranged:
         row = table[g]
@@ -318,8 +318,6 @@ def _checked_group(table: Table, unranged: Iterable[int],
         if 0 not in row:
             raise GroupValidationError(f"row {g} is not a permutation of 0..{n - 1}")
 
-    if names is not None and len(names) != n:
-        raise ValueError(f"expected {n} element names, got {len(names)}")
     if names is not None and ("" in names or len(set(names)) != n):
         g = next(g for g, name in enumerate(names) if not name or name in names[:g])
         raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")

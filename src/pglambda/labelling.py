@@ -24,10 +24,10 @@ that a clique proves up.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple, Sequence
 
-from .errors import TooLargeError
-from .groups import DEFAULT_TIME_BUDGET, max_group_order
+from .groups import DEFAULT_TIME_BUDGET
 from .powergraph import Graph, iter_bits
 
 __all__ = [
@@ -66,17 +66,21 @@ class Violation(NamedTuple):
                 f"|gap| = {self.gap} < {self.required}")
 
 
-def validate_labelling(graph: Graph, labels) -> list[Violation]:
+def validate_labelling(graph: Graph, labels: Sequence[int]) -> list[Violation]:
     """Every pair breaking the L(2,1) rule, with its distance; [] if valid.
 
     Distances beyond 2 are unconstrained; d = 2 means non-adjacent with a
     common neighbour.  Violations come in ascending (u, v) order, u < v.
     Only pairs whose labels differ by less than 2 can violate, so the
     vertices are sorted by label and only pairs inside that window are
-    tested.
+    tested.  A label that is not an integer raises ValueError.
     """
     n = graph.n
-    lab = [int(v) for v in labels]
+    try:
+        lab = list(map(index, labels))
+    except TypeError:
+        v, label = next((v, x) for v, x in enumerate(labels) if not hasattr(x, "__index__"))
+        raise ValueError(f"label of vertex {v} is {label!r}, not an integer") from None
     if len(lab) != n:
         raise ValueError(f"expected {n} labels, got {len(lab)}")
     neigh = graph.neighbors
@@ -228,8 +232,7 @@ def certificate_problems(graph: Graph, cert: LambdaCertificate) -> list[str]:
     return problems
 
 
-def exact_lambda(graph: Graph, *, max_vertices: int | None = None,
-                 time_budget: float = DEFAULT_TIME_BUDGET) -> LambdaCertificate:
+def exact_lambda(graph: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET) -> LambdaCertificate:
     """Minimum L(2,1) span of a graph of diameter ≤ 2, by exhaustive search.
 
     Knows nothing about groups: works on the bare graph, which is what
@@ -240,15 +243,10 @@ def exact_lambda(graph: Graph, *, max_vertices: int | None = None,
     λ = n − 1, by the n distinct labels.
 
     Raises SearchTimeoutError with the proven bound when the budget runs
-    out, and TooLargeError above ``max_vertices``, by default the
-    group-order cap (LAMBDA_MAX_ORDER).
+    out.  It has no size cap: certify decides what is small enough to search.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         raise ValueError("graph has no vertices")
-    cap = max_group_order() if max_vertices is None else max_vertices
-    if n > cap:
-        raise TooLargeError(f"exact search capped at {cap} vertices, graph has {n}")
     from ._search import least_span_labels
     labels, clique = least_span_labels(graph, time_budget)
     evidence = Evidence("clique-deficiency" if clique else "exhaustive-search-at-span",

@@ -82,7 +82,7 @@ FIXTURES = [
 def test_exact_lambda_fixtures(spec, expected):
     group = parse_group_spec(spec)
     started = time.perf_counter()
-    cert = exact_lambda(build_power_graph(group), max_vertices=group.order)
+    cert = exact_lambda(build_power_graph(group))
     elapsed = time.perf_counter() - started
     assert cert.value == expected
     assert elapsed < 10.0

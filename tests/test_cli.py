@@ -602,6 +602,22 @@ def test_check_accepts_mixed_names_and_indices(tmp_path, capsys):
     assert json.loads(out)["valid"] is True
 
 
+@pytest.mark.parametrize("spec,names", [
+    ("product:cyclic:1," * 25 + "cyclic:2", None),  # names as export --format dot prints them
+    ("file:long.txt", ("a" * 100, "b" * 100)),
+    ("file:long.txt", ('"' * 100, "x" + '"' * 99)),  # every quote doubled in the CSV
+], ids=["nested-product", "long-names", "quote-names"])
+def test_check_reads_a_csv_keyed_by_long_names(spec, names, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if names:
+        Path("long.txt").write_text(f"2\n0 1\n1 0\nnames: {','.join(names)}\n", encoding="utf-8")
+    first, second = ('"' + name.replace('"', '""') + '"' for name in parse_group_spec(spec).names)
+    Path("w.csv").write_text(f"element,label\n{first},0\n{second},2\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", spec, "w.csv")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["valid"] is True
+
+
 def test_check_numeric_keys_are_indices_not_names(tmp_path, capsys):
     # the identity of cyclic:4 is *named* "1", but a numeric key always
     # means an index, so "1" here collides with the row for x (element 1)

@@ -317,6 +317,20 @@ def test_certify_rejects_an_unknown_method():
         certify(make_cyclic(4), "bogus")
 
 
+def test_certify_checks_the_construction_before_refusing_the_search(monkeypatch):
+    # under 'both', a bad construction is reported, not the cap
+    group = make_elementary_abelian(3, 2)
+    monkeypatch.setattr("pglambda.construct._descent_path", lambda group: ((1, 2), ()))
+    with pytest.raises(ConstructionFailedError, match="constructive certificate fails"):
+        certify(group, "both", cap=8)
+
+
+def test_certify_auto_above_the_cap_constructs_alone(monkeypatch):
+    monkeypatch.setattr("pglambda.construct.exact_lambda", None)  # never called
+    cert, = certify(make_dihedral(64), "auto", cap=32)
+    assert cert.method == "constructive" and cert.value == 64
+
+
 @pytest.mark.parametrize("group,value,kind", [
     (make_cyclic(9), 16, "cyclic-even-spacing"),
     (make_quaternion(8), 9, "restricted-complement-path"),

@@ -25,6 +25,7 @@ from pglambda import (
     catalogue,
     certificate_doc,
     certificate_problems,
+    certify,
     clique_deficiency,
     exact_lambda,
     format_labelling_csv,
@@ -85,6 +86,15 @@ def test_a_labelling_is_one_label_per_vertex_in_any_sequence():
     assert validate_labelling(graph, [0, 2]) == []
     with pytest.raises(ValueError, match="expected 2 labels, got 1"):
         validate_labelling(graph, (0,))
+
+
+def test_a_label_that_is_not_an_integer_is_named():
+    # int() would truncate 0.9 and 2.1 to a valid labelling of K2 with gap 1.2 < 2
+    graph = _complete_graph(2)
+    with pytest.raises(ValueError, match="label of vertex 0 is 0.9, not an integer"):
+        validate_labelling(graph, (0.9, 2.1))
+    with pytest.raises(ValueError, match="label of vertex 1 is '2', not an integer"):
+        validate_labelling(graph, [0, "2"])
 
 
 def test_a_labelling_iterates_indexes_and_measures_its_labels():
@@ -406,8 +416,9 @@ def test_exact_lambda_witness_always_validates(n, rnd):
 
 
 def test_exact_lambda_size_and_argument_errors():
-    with pytest.raises(TooLargeError):
-        exact_lambda(_complete_graph(5), max_vertices=4)
+    # certify caps the search; exact_lambda itself refuses only an empty graph
+    with pytest.raises(TooLargeError, match="exact search capped at 16 vertices, graph has 24"):
+        certify(make_cyclic(24), "exact", cap=16)
     with pytest.raises(ValueError):
         exact_lambda(Graph([]))
 
@@ -428,7 +439,7 @@ def test_exact_search_depth_is_not_bounded_by_the_recursion_limit():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 40)
     try:
-        cert = exact_lambda(graph, max_vertices=graph.n)
+        cert = exact_lambda(graph)
     finally:
         sys.setrecursionlimit(limit)
     assert cert.value == graph.n
