@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from itertools import compress
+from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 from .errors import SearchTimeoutError
@@ -61,8 +61,8 @@ def _twin_clique(classes: dict[int, int], everyone: int, deadline: float) -> int
     return found
 
 
-def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
-    """Twin modules, each named by its least member: least member ↦ members.
+def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> list[int]:
+    """Twin modules, as bitmasks of their members, in least-member order.
 
     The closed-twin classes of two or more vertices, then the vertices
     left over grouped by open neighbourhood.  This partitions the
@@ -79,8 +79,7 @@ def _twin_modules(d1: Sequence[int], classes: dict[int, int]) -> dict[int, int]:
         else:
             nbrs = d1[members.bit_length() - 1]
             by_open[nbrs] = by_open.get(nbrs, 0) | members
-    modules.extend(by_open.values())
-    return {(members & -members).bit_length() - 1: members for members in modules}
+    return sorted(modules + list(by_open.values()), key=lambda members: members & -members)
 
 
 class _Quotient(NamedTuple):
@@ -92,7 +91,6 @@ class _Quotient(NamedTuple):
     vertex is): moving from m to one of them is a bump.
     """
 
-    n: int
     members: tuple[int, ...]                 # module ↦ bitmask of its vertices
     near: tuple[int, ...]
     tight: tuple[tuple[int, int, int], ...]  # (module, near | itself, its rank), by rank
@@ -104,15 +102,14 @@ def _quotient(graph: Graph, deadline: float = math.inf) -> _Quotient:
     """Twin modules, their adjacency, and the floor of a graph of
     diameter ≤ 2, from the cliques visited by ``deadline`` (of
     time.monotonic); ValueError on any other graph."""
-    n = graph.n
     d1 = list(graph.neighbors)
-    everyone = (1 << n) - 1
+    everyone = (1 << graph.n) - 1
     classes: dict[int, int] = {}  # N[v] ↦ the vertices sharing it, by least vertex
     for v, mask in enumerate(d1):
         classes[mask | 1 << v] = classes.get(mask | 1 << v, 0) | 1 << v
     # a universal vertex puts every pair within 2 steps; else check each reach
     if everyone not in classes:
-        for v in range(n):
+        for v in range(graph.n):
             reach = d1[v] | 1 << v
             for u in iter_bits(d1[v]):
                 reach |= d1[u]
@@ -121,7 +118,7 @@ def _quotient(graph: Graph, deadline: float = math.inf) -> _Quotient:
     clique = tuple(iter_bits(_twin_clique(classes, everyone, deadline)))
     floor = clique_deficiency(graph, clique)
 
-    members = tuple(m for _, m in sorted(_twin_modules(d1, classes).items()))
+    members = tuple(_twin_modules(d1, classes))
     home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
     near = []
     for mask in members:
@@ -135,7 +132,7 @@ def _quotient(graph: Graph, deadline: float = math.inf) -> _Quotient:
                      mask.bit_count() + (d1[mask.bit_length() - 1] | mask).bit_count())
                     for m, mask in enumerate(members)
                     if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
-    return _Quotient(n, members, tuple(near), tuple(tight), floor, clique)
+    return _Quotient(members, tuple(near), tuple(tight), floor, clique)
 
 
 def least_span_labels(graph: Graph, time_budget: float
@@ -147,15 +144,17 @@ def least_span_labels(graph: Graph, time_budget: float
     (0 when the floor is below n − 1) up.  From the last module, moves
     without a bump come first, and among either kind the module of highest
     rank (members left, plus the vertices left in it or beside it), ties to
-    the lower number, sorted once per frame: the search restores its state
-    before a frame resumes.  ``failed`` maps a (members left per module,
-    last module) state to the most bumps its rest was shown not to fit in.
-    One bound prunes: the members left of a tight module follow distinct
-    vertices, each a bump unless it is left apart from the module (or is the
-    last one placed, and apart), so a tight module's rank less the vertices
-    left, less one when the last is apart, counts bumps into it; the counts
-    add up.  Past the deadline raises SearchTimeoutError: λ ≥ the span
-    probed.
+    the lower number.  Only the top frame's moves are held, so the frames
+    cost O(n + k) memory for k modules: the search restores its state
+    before a frame resumes, and the frame re-derives its order from that
+    state and goes on after the module it undid.  ``failed`` maps a
+    (members left per module, last module) state to the most bumps its rest
+    was shown not to fit in.  One bound prunes: the members left of a tight
+    module follow distinct vertices, each a bump unless it is left apart
+    from the module (or is the last one placed, and apart), so a tight
+    module's rank less the vertices left, less one when the last is apart,
+    counts bumps into it; the counts add up.  Past the deadline raises
+    SearchTimeoutError: λ ≥ the span probed.
     """
     deadline = time.monotonic() + time_budget
     q = _quotient(graph, deadline)
@@ -169,11 +168,16 @@ def least_span_labels(graph: Graph, time_budget: float
     key = rest = used = 0
     seq, failed = [], {}  # the modules placed, and the failed states
 
-    def moves(bumping: int, spare: int):
+    def moves(after: int = -1):
+        """The top frame's moves, in order, read from the search state:
+        every one, or those after module ``after`` when the frame resumes."""
+        bumping = near[seq[-1]] if seq else 0
         live = sorted(compress(range(k), left), key=rank.__getitem__, reverse=True)
-        yield from (m for m in live if not bumping >> m & 1)
-        if spare:
-            yield from (m for m in live if bumping >> m & 1)
+        order = chain((m for m in live if not bumping >> m & 1),
+                      (m for m in live if bumping >> m & 1) if used < allowance else ())
+        if after >= 0:  # the moves up to it were tried before the frame was left
+            next(m for m in order if m == after)
+        return order
 
     def shift(m: int, step: int) -> None:
         """Put back (step > 0) or take (step < 0) |step| members of module m."""
@@ -187,26 +191,26 @@ def least_span_labels(graph: Graph, time_budget: float
 
     for m, mask in enumerate(members):
         shift(m, mask.bit_count())
-    allowance = max(q.floor - (q.n - 1), 0)  # n labels span at least n − 1
-    frames = [moves(0, allowance)]
+    allowance = max(q.floor - (graph.n - 1), 0)  # n labels span at least n − 1
+    top = moves()
     ticks = 0
     while rest:
         ticks += 1
         if ticks % 1024 == 0 and time.monotonic() > deadline:
-            s = q.n - 1 + allowance
+            s = graph.n - 1 + allowance
             raise SearchTimeoutError(f"no result within {time_budget:.1f}s; "
                                      f"proven lambda >= {s}", lower_bound=s)
-        m = next(frames[-1], -1)
+        m = next(top, -1)
         if m < 0:  # every move from here fails
-            frames.pop()
             if not seq:  # every sequence: allow one more bump
                 allowance += 1
-                frames.append(moves(0, allowance))
+                top = moves()
                 continue
             last = seq.pop()
             failed[key * k + last] = allowance - used
             used -= near[seq[-1]] >> last & 1 if seq else 0
             shift(last, 1)
+            top = moves(last)
             continue
         bump = near[seq[-1]] >> m & 1 if seq else 0
         shift(m, -1)
@@ -221,14 +225,14 @@ def least_span_labels(graph: Graph, time_budget: float
             continue
         seq.append(m)
         used += bump
-        frames.append(moves(near[m], spare))
+        top = moves()
 
     unused = list(members)  # steps of 1, and of 2 across a bump
-    labels = [0] * q.n
+    labels = [0] * graph.n
     label = -1
     for i, m in enumerate(seq):
         v = (unused[m] & -unused[m]).bit_length() - 1
         unused[m] ^= 1 << v
         label += 1 + (i > 0 and near[seq[i - 1]] >> m & 1)
         labels[v] = label
-    return labels, q.clique if q.n - 1 + allowance == q.floor else None
+    return labels, q.clique if graph.n - 1 + allowance == q.floor else None

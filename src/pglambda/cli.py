@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 import time
 
@@ -26,6 +25,7 @@ from .groups import (
     _check_cap,
     _digits_int,
     _read_bounded,
+    _spec_digits,
     format_cayley,
     is_maximal_class,
     parse_group_spec,
@@ -54,14 +54,11 @@ def _int_option(what: str):
     return parse
 
 
-_SECONDS = re.compile(r"[0-9]+(\.[0-9]*)?|\.[0-9]+")
-
-
 def _time_budget(text: str) -> float:
     """Seconds in ASCII digits with at most one decimal point, and finite:
-    signs, exponents, underscores, spaces and other digits are refused,
-    as in the integer options."""
-    value = float(text) if _SECONDS.fullmatch(text) else math.nan
+    the integer options' digit rule once the point is removed, so signs,
+    exponents, underscores, spaces and other digits are refused."""
+    value = float(text) if _spec_digits(text.replace(".", "", 1)) else math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"must be a finite number of seconds >= 0 in ASCII digits, got {text!r}")

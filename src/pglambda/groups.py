@@ -605,8 +605,9 @@ def parse_cayley(text: str) -> FiniteGroup:
 
 
 def _spec_digits(text: str) -> bool:
-    """The one rule for the integers a user writes (spec parameters, parsed
-    or split, integer options and LAMBDA_MAX_ORDER): ASCII digits."""
+    """The one rule for every number a user writes (spec parameters, parsed
+    or split, integer options, LAMBDA_MAX_ORDER, and --time-budget once its
+    one decimal point is removed): ASCII digits."""
     return text.isascii() and text.isdigit()
 
 

@@ -11,6 +11,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -698,6 +699,39 @@ def test_exact_lambda_timeout_reports_proven_bound(monkeypatch):
     with pytest.raises(SearchTimeoutError) as info:
         exact_lambda(graph, time_budget=1.0)
     assert info.value.lower_bound == search_module._quotient(graph).floor == 25
+
+
+@pytest.mark.parametrize("index", [1, 10])
+def test_the_memo_and_the_tight_module_prune_decide_within_a_step_budget(
+        monkeypatch, index):
+    # a step clock, whose reads are 1, 2, 3, …: the search reads it once per
+    # 1,024 steps of its loop and once per 1,024 cliques visited, so the
+    # budget counts steps on any machine.  Graphs 1 and 10 of a seeded run of
+    # dense graphs take 46 and 63 reads; without the failed-state memo they
+    # take 228 and 513, and without the tight-module prune 596 and 410
+    rnd = random.Random(1)
+    for _ in range(index + 1):
+        masks = _random_graph(rnd, 15, 0.85)
+    graph = Graph([mask | 1 << 15 for mask in masks] + [(1 << 15) - 1])
+    clock = types.SimpleNamespace(monotonic=itertools.count(1).__next__)
+    monkeypatch.setattr(search_module, "time", clock)
+    assert exact_lambda(graph, time_budget=100).value == 20
+
+
+def test_the_search_memory_is_linear_in_the_group(monkeypatch):
+    # 768 vertices in 512 modules, decided at the floor: holding the top
+    # frame's moves alone traces about 0.4 MB, and a search that kept a
+    # sorted copy of the live modules in every frame would trace over 8 MB
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "768")
+    graph = build_power_graph(parse_group_spec("product:cyclic:3,elemab:2,8"))
+    tracemalloc.start()
+    try:
+        cert = exact_lambda(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.value == 768
+    assert peak < 2_000_000
 
 
 def test_exact_lambda_refutes_the_floor_of_a_graph_that_backtracks():
