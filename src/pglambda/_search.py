@@ -1,6 +1,10 @@
 """The search of labelling.exact_lambda, which imports this module on
 first call: a command that does not search does not compile it.  The
-search reads the clock only here.
+search reads the clock only here: in the set-up, which finds the floor
+first and then reads the deadline every 1,024 neighbour steps of the
+diameter check and the module walk, and in the search loop.  Past the
+deadline it raises SearchTimeoutError with the bound proven so far: the
+floor during the diameter check, the larger of it and n − 1 after it.
 
 On a graph of diameter ≤ 2 every two labels differ, so listing the
 vertices by label gives an ordering in which consecutive labels are 1
@@ -88,51 +92,70 @@ class _Quotient(NamedTuple):
     Modules are numbered in the order of their least members.  ``near[m]``
     holds the modules, as bits, whose members are adjacent to m's (m's own
     when they are pairwise adjacent, which makes m *tight*, as a single
-    vertex is): moving from m to one of them is a bump.
+    vertex is): moving from m to one of them is a bump.  ``covers[m]``
+    lists the modules of near[m] and m itself, ascending.
     """
 
     members: tuple[int, ...]                 # module ↦ bitmask of its vertices
     near: tuple[int, ...]
-    tight: tuple[tuple[int, int, int], ...]  # (module, near | itself, its rank), by rank
+    covers: tuple[tuple[int, ...], ...]
     floor: int                               # spans below this are refuted
     clique: tuple[int, ...]                  # the clique whose deficiency is the floor
 
 
-def _quotient(graph: Graph, deadline: float = math.inf) -> _Quotient:
+def _timeout(time_budget: float, bound: int) -> SearchTimeoutError:
+    """The error past the deadline, when λ ≥ ``bound`` is proven."""
+    return SearchTimeoutError(f"no result within {time_budget:.1f}s; "
+                              f"proven lambda >= {bound}", lower_bound=bound)
+
+
+def _quotient(graph: Graph, deadline: float = math.inf,
+              time_budget: float = math.inf) -> _Quotient:
     """Twin modules, their adjacency, and the floor of a graph of
     diameter ≤ 2, from the cliques visited by ``deadline`` (of
-    time.monotonic); ValueError on any other graph."""
+    time.monotonic); ValueError on any other graph.  The floor comes
+    first, as it bounds λ on any graph; then the diameter check and the
+    module walk read the clock every 1,024 neighbour steps, and past the
+    deadline raise SearchTimeoutError: λ ≥ the floor, and ≥ n − 1 too
+    once the diameter is known to be at most 2."""
     d1 = list(graph.neighbors)
     everyone = (1 << graph.n) - 1
     classes: dict[int, int] = {}  # N[v] ↦ the vertices sharing it, by least vertex
     for v, mask in enumerate(d1):
         classes[mask | 1 << v] = classes.get(mask | 1 << v, 0) | 1 << v
+    clique = tuple(iter_bits(_twin_clique(classes, everyone, deadline)))
+    floor = clique_deficiency(graph, clique)
+    steps = 0
+
+    def step(bound: int) -> None:
+        nonlocal steps
+        steps += 1
+        if steps % 1024 == 0 and time.monotonic() > deadline:
+            raise _timeout(time_budget, bound)
+
     # a universal vertex puts every pair within 2 steps; else check each reach
     if everyone not in classes:
         for v in range(graph.n):
             reach = d1[v] | 1 << v
             for u in iter_bits(d1[v]):
                 reach |= d1[u]
+                step(floor)
             if reach != everyone:
                 raise ValueError("the exact search needs a graph of diameter at most 2")
-    clique = tuple(iter_bits(_twin_clique(classes, everyone, deadline)))
-    floor = clique_deficiency(graph, clique)
 
     members = tuple(_twin_modules(d1, classes))
     home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
-    near = []
-    for mask in members:
+    near, covers = [], []
+    for m, mask in enumerate(members):
         beside, todo = 0, d1[mask.bit_length() - 1]
         while todo:  # one step per neighbouring module
             other = home[(todo & -todo).bit_length() - 1]
             beside |= 1 << other
             todo &= ~members[other]
+            step(max(floor, graph.n - 1))
         near.append(beside)
-    tight = sorted(((m, near[m] | 1 << m,
-                     mask.bit_count() + (d1[mask.bit_length() - 1] | mask).bit_count())
-                    for m, mask in enumerate(members)
-                    if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
-    return _Quotient(members, tuple(near), tuple(tight), floor, clique)
+        covers.append(tuple(iter_bits(beside | 1 << m)))
+    return _Quotient(members, tuple(near), tuple(covers), floor, clique)
 
 
 def least_span_labels(graph: Graph, time_budget: float
@@ -157,9 +180,8 @@ def least_span_labels(graph: Graph, time_budget: float
     SearchTimeoutError: λ ≥ the span probed.
     """
     deadline = time.monotonic() + time_budget
-    q = _quotient(graph, deadline)
-    members, near, tight, k = q.members, q.near, q.tight, len(q.members)
-    covers = [tuple(iter_bits(near[m] | 1 << m)) for m in range(k)]
+    q = _quotient(graph, deadline, time_budget)
+    members, near, covers, k = q.members, q.near, q.covers, len(q.members)
     weight, radix = [], 1  # members left per module, as one mixed-radix key
     for mask in members:
         weight.append(radix)
@@ -191,15 +213,16 @@ def least_span_labels(graph: Graph, time_budget: float
 
     for m, mask in enumerate(members):
         shift(m, mask.bit_count())
+    # the tight modules as (module, near | itself, its first rank), by that rank
+    tight = sorted(((m, near[m] | 1 << m, rank[m]) for m, mask in enumerate(members)
+                    if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
     allowance = max(q.floor - (graph.n - 1), 0)  # n labels span at least n − 1
     top = moves()
     ticks = 0
     while rest:
         ticks += 1
         if ticks % 1024 == 0 and time.monotonic() > deadline:
-            s = graph.n - 1 + allowance
-            raise SearchTimeoutError(f"no result within {time_budget:.1f}s; "
-                                     f"proven lambda >= {s}", lower_bound=s)
+            raise _timeout(time_budget, graph.n - 1 + allowance)
         m = next(top, -1)
         if m < 0:  # every move from here fails
             if not seq:  # every sequence: allow one more bump

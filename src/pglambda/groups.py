@@ -80,22 +80,21 @@ class FiniteGroup:
     Instances are immutable after construction and are therefore safe to
     share across threads.
 
-    Derived structures (inverses, the cyclic subgroups with the element
-    orders and cyclic classes read off them, the power graph) are computed
-    on first use and cached here, so each is built once per group.
+    Derived structures (the cyclic subgroups with the element orders and
+    cyclic classes read off them, the power graph) are computed on first
+    use and cached here, so each is built once per group.
 
     This class does not itself verify the group axioms; go through
     :func:`validate_group` for untrusted tables.
     """
 
-    __slots__ = ("product", "order", "names", "_inverses", "_subgroups", "_power_graph")
+    __slots__ = ("product", "order", "names", "_subgroups", "_power_graph")
     identity = 0
 
     def __init__(self, order: int, product: Product,
                  names: Sequence[str] | None = None) -> None:
         self.order, self.product = order, product
         self.names = tuple(names) if names is not None else None
-        self._inverses: tuple[int, ...] | None = None
         self._subgroups: CyclicSubgroups | None = None
         self._power_graph = None  # powergraph.Graph, vertex 0 the identity; see build_power_graph
 
@@ -104,17 +103,6 @@ class FiniteGroup:
 
     def name(self, g: int) -> str:
         return self.names[g] if self.names else str(g)
-
-    @property
-    def inverses(self) -> tuple[int, ...]:
-        """inverses[g] = g⁻¹, read off the cyclic subgroups: (h^k)⁻¹ = h^(m−k)."""
-        if self._inverses is None:
-            inv = [self.identity] * self.order
-            for powers in self.cyclic_subgroups().elements:
-                for k, h in enumerate(powers):
-                    inv[h] = powers[-k]
-            self._inverses = tuple(inv)
-        return self._inverses
 
     def cyclic_subgroups(self) -> CyclicSubgroups:
         """Every cyclic subgroup, from one walk of ⟨g⟩ per subgroup; cached.
@@ -201,16 +189,6 @@ def _is_prime(n: int) -> bool:
 # validation
 
 
-def _square_table(mul: Sequence[Sequence[int]]) -> Table:
-    """The table as a tuple of row tuples; ValueError unless it is square."""
-    table = tuple(map(tuple, mul))
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise ValueError(f"multiplication table must be square, got {n} rows "
-                         f"of lengths {sorted({len(row) for row in table})}")
-    return table
-
-
 class _Closure:
     """A subgroup grown one generator at a time: ``members``, identity
     first, closed under right multiplication by the generators ``gens``."""
@@ -275,12 +253,15 @@ def validate_group(mul: Sequence[Sequence[int]]) -> FiniteGroup:
     Returns a :class:`FiniteGroup` on success, without element names.
     """
     try:
-        table = _square_table([tuple(map(index, row)) for row in mul])
+        table = tuple(tuple(map(index, row)) for row in mul)
     except TypeError:
         g, h, cell = next((g, h, v) for g, row in enumerate(mul) for h, v in enumerate(row)
                           if not hasattr(v, "__index__"))
         raise ValueError(f"cell ({g}, {h}) holds {cell!r}, not an integer") from None
     n = len(table)
+    if any(len(row) != n for row in table):
+        raise ValueError(f"multiplication table must be square, got {n} rows "
+                         f"of lengths {sorted({len(row) for row in table})}")
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
     return _checked_group(table, range(n))
@@ -328,17 +309,16 @@ def _checked_group(table: Table, unranged: Iterable[int],
 # family constructors
 
 
+def _over_cap(order: int | str, what: str) -> TooLargeError:
+    """The error for an order over the cap, an int or a power "p^k"
+    written out without forming it."""
+    return TooLargeError(f"{what} of order {order} exceeds the cap {max_group_order()} "
+                         f"(raise LAMBDA_MAX_ORDER to override)")
+
+
 def _check_cap(n: int, what: str) -> None:
-    cap = max_group_order()
-    if n > cap:
-        raise TooLargeError(f"{what} of order {n} exceeds the cap {cap} "
-                            f"(raise LAMBDA_MAX_ORDER to override)")
-
-
-def _power_over_cap(p: int, k: int, what: str) -> TooLargeError:
-    """The error for an order p**k known to exceed the cap without forming it."""
-    return TooLargeError(f"{what} of order {p}^{k} exceeds the cap "
-                         f"{max_group_order()} (raise LAMBDA_MAX_ORDER to override)")
+    if n > max_group_order():
+        raise _over_cap(n, what)
 
 
 def _power_names(n: int) -> list[str]:
@@ -348,6 +328,11 @@ def _power_names(n: int) -> list[str]:
 def _coset_names(m: int) -> list[str]:
     outside = ["y"] + ["xy"] * (m > 1) + [f"x^{k}y" for k in range(2, m)]
     return _power_names(m) + outside
+
+
+def _digit_names(p: int, k: int) -> list[str]:
+    """The names (d1,…,dk) of the base-p digit vectors, in index order."""
+    return [f"({','.join(map(str, d))})" for d in itertools.product(range(p), repeat=k)]
 
 
 def make_cyclic(n: int) -> FiniteGroup:
@@ -428,17 +413,16 @@ def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     # test or the power, which would not finish
     cap = max_group_order()
     if p > cap:
-        raise _power_over_cap(p, k, "elementary abelian group")
+        raise _over_cap(f"{p}^{k}", "elementary abelian group")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= cap.bit_length():
-        raise _power_over_cap(p, k, "elementary abelian group")
+        raise _over_cap(f"{p}^{k}", "elementary abelian group")
     n = p ** k
     _check_cap(n, "elementary abelian group")
-    names = ["(" + ",".join(map(str, digits)) + ")"
-             for digits in itertools.product(range(p), repeat=k)]
+    names = _digit_names(p, k)
     if p == 2:
         return FiniteGroup(n, xor, names)
 
@@ -460,17 +444,16 @@ def make_heisenberg(p: int) -> FiniteGroup:
     if p == 2:
         raise ValueError("the construction needs an odd prime; p=2 was given")
     if p > max_group_order():  # before the primality test, slow for huge p
-        raise _power_over_cap(p, 3, "Heisenberg group")
+        raise _over_cap(f"{p}^3", "Heisenberg group")
     if not _is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     n = p ** 3
     _check_cap(n, "Heisenberg group")
     pp = p * p
-    names = [f"({a},{b},{c})" for a, b, c in itertools.product(range(p), repeat=3)]
     # a·b' ≡ a·(a'·p + b') mod p, and a·p² + b·p + c ≡ c
     return FiniteGroup(n, lambda u, v: (
         (u // pp + v // pp) % p * pp + (u // p + v // p) % p * p
-        + (u + v + u // pp * (v // p)) % p), names)
+        + (u + v + u // pp * (v // p)) % p), _digit_names(p, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +470,10 @@ def _lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
     of G is normal.  An abelian group stops after one step, and a
     nilpotent group's chain ends with the trivial subgroup.
     """
-    order, product, inv = group.order, group.product, group.inverses
+    order, product, inv = group.order, group.product, [0] * group.order
+    for powers in group.cyclic_subgroups().elements:  # (h^k)⁻¹ = h^(m−k)
+        for k, h in enumerate(powers):
+            inv[h] = powers[-k]
     top = list(_greedy_generators(order, product))
     series, gens = [frozenset(range(order))], top
     while True:
@@ -640,6 +626,18 @@ _FAMILIES = {
 }
 
 
+def _family_parts(kind: str, params: str) -> list[str]:
+    """The parameter texts of a family in _FAMILIES, split at commas;
+    ValueError naming the parameters when their count is wrong.  A
+    one-parameter family reads all of ``params``, commas included."""
+    names = _FAMILIES[kind][1:]
+    parts = params.split(",") if len(names) > 1 else [params]
+    if len(parts) != len(names):
+        raise ValueError(f"{kind} takes {len(names)} parameters "
+                         f"({', '.join(names)}) — got {params!r}")
+    return parts
+
+
 def _split_product(rest: str) -> tuple[str, str]:
     """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs.
 
@@ -660,9 +658,10 @@ def _split_product(rest: str) -> tuple[str, str]:
         if spec not in seen:
             kind, _, params = spec.partition(":")
             if kind in _FAMILIES:
-                parts = params.split(",")
-                seen[spec] = (len(parts) == len(_FAMILIES[kind]) - 1
-                              and all(map(_spec_digits, parts)))
+                try:
+                    seen[spec] = all(map(_spec_digits, _family_parts(kind, params)))
+                except ValueError:  # a wrong parameter count
+                    seen[spec] = False
             elif kind == "product":
                 seen[spec] = first_split(params) is not None
             else:
@@ -682,13 +681,8 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         raise ValueError(
             f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
     if kind in _FAMILIES:
-        make, *params = _FAMILIES[kind]
-        # a one-parameter family reads all of rest, commas included
-        parts = rest.split(",") if len(params) > 1 else [rest]
-        if len(parts) != len(params):
-            raise ValueError(f"{kind} takes {len(params)} parameters "
-                             f"({', '.join(params)}) — got {rest!r}")
-        return globals()[make](*map(_digits_int, parts, params))
+        make, *names = _FAMILIES[kind]
+        return globals()[make](*map(_digits_int, _family_parts(kind, rest), names))
     if kind == "product":
         left, right = _split_product(rest)
         g, h = parse_group_spec(left), parse_group_spec(right)

@@ -29,6 +29,7 @@ from pglambda import (
     span,
     validate_labelling,
 )
+import pglambda.suites as suites_module
 from pglambda.cli import main
 from pglambda.groups import _FAMILIES
 from pglambda.suites import _ENTRIES, run_suites
@@ -127,6 +128,18 @@ def test_huge_spec_parameters_are_refused_at_once(spec, capsys):
     assert code in (1, 3)
     assert "Traceback" not in err
     assert time.monotonic() - started < 2.0
+
+
+@pytest.mark.parametrize("spec,order,what", [
+    ("elemab:1000000000000000003,2", "1000000000000000003^2", "elementary abelian group"),
+    ("elemab:2,1000000000000", "2^1000000000000", "elementary abelian group"),
+    ("heisenberg:1000000000000000003", "1000000000000000003^3", "Heisenberg group"),
+])
+def test_a_huge_power_order_is_refused_without_forming_it(spec, order, what, capsys):
+    code, out, err = run(capsys, "analyze", spec)
+    assert (code, out) == (3, "")
+    assert err == (f"resource limit: {what} of order {order} exceeds the cap 512 "
+                   "(raise LAMBDA_MAX_ORDER to override)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -775,6 +788,44 @@ def test_a_hook_that_holds_on_an_element_of_mixed_order_fails_the_suite(capsys,
     assert json.loads(out)["first_failure"] == "lower-hook: cyclic:10"
     assert err == ("failed property: lower-hook on cyclic:10 "
                    "(holds; element order 10 implies a break)\n")
+
+
+def test_a_class_of_the_wrong_size_fails_the_power_graph_shape(capsys, monkeypatch):
+    # with φ(d) read as d, the classes of orders 2 and 4 look short
+    monkeypatch.setattr("pglambda.suites.euler_phi", lambda n: n)
+    code, out, err = run(capsys, "suite", "--max-order", "1", "--group", "cyclic:4")
+    assert code == 2
+    assert json.loads(out)["first_failure"] == "power-graph-shape: cyclic:4"
+    assert err == ("failed property: power-graph-shape on cyclic:4 (class of order 2 "
+                   "has 1 members; class of order 4 has 2 members)\n")
+
+
+def _with_record(spec, **fields):
+    """The suites' subject for spec, its cyclic-subgroup record altered
+    after the power graph is built from it, as certification builds it."""
+    group = parse_group_spec(spec)
+    build_power_graph(group)
+    group._subgroups = group.cyclic_subgroups()._replace(**fields)
+    return suites_module._Subject(spec, group, [])
+
+
+def test_classes_that_miss_an_element_fail_the_power_graph_shape():
+    sub = make_cyclic(4).cyclic_subgroups()  # drop the subgroup of order 4
+    subject = _with_record("cyclic:4", elements=sub.elements[:-1],
+                           generators=sub.generators[:-1])
+    (_, passed, detail), = suites_module._suite_power_graph_shape([subject])
+    assert (passed, detail) == (False, "classes cover 2 of 4 elements")
+
+
+@pytest.mark.parametrize("spec,order,detail", [
+    ("elemab:3,2", 3, "m(3) = 3 is not 1+3 mod 9"),
+    ("product:cyclic:3,cyclic:9", 9, "m(9) = 2 is not divisible by 3"),
+])
+def test_a_class_number_off_by_one_fails_the_congruences(spec, order, detail):
+    by_order = parse_group_spec(spec).cyclic_subgroups().by_order
+    subject = _with_record(spec, by_order={**by_order, order: by_order[order][1:]})
+    (_, passed, found), = suites_module._suite_congruences([subject])
+    assert (passed, found) == (False, detail)
 
 
 def test_semidihedral_class_numbers_match_the_family_expectations():

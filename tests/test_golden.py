@@ -252,6 +252,19 @@ GOLDEN += [
 ]
 
 
+# `export --format dot` on the element-naming families: the digit-vector
+# names of an elementary abelian and a Heisenberg group, alone and as a
+# product factor.
+GOLDEN += [
+    ("export elemab:3,2 --format dot",
+     "a38bddfe30ed9e4416908fda21768ef3e49d904d58c2a461f61ae2b2398f6878"),
+    ("export heisenberg:3 --format dot",
+     "9ad63d2c3820f65b894c668045527423e6a78cec3e0a44a614059075f9a4315e"),
+    ("export product:cyclic:2,heisenberg:3 --format dot",
+     "dd06c1f1e74ceb1ccd0f1c500cd549e866aabc29bf189a04c0a5d34e2029b528"),
+]
+
+
 def _test_id(command: str) -> str:
     """The call's test id: the command as it was written when the JSON
     forms of lambda, check and suite also took --stable, so that each test

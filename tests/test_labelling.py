@@ -820,20 +820,49 @@ def test_the_floor_enumeration_stops_at_its_node_budget():
 
 def test_the_floor_enumeration_stops_at_the_deadline(monkeypatch):
     # it reads the clock every 1,024 visits; past the deadline the first
-    # read stops it as a node budget of 1,024 would, with a clique in hand
+    # read stops it as a node budget of 1,024 would, with a clique in hand,
+    # and the diameter check's first read, at its 1,024th neighbour step,
+    # raises with that clique's deficiency as the bound
     graph = Graph(_random_graph(random.Random(0), 40, 0.9))
     reads = []
     clock = types.SimpleNamespace(monotonic=lambda: reads.append(1) or time.monotonic())
     monkeypatch.setattr(search_module, "time", clock)
-    stopped = search_module._quotient(graph, deadline=0)
-    assert len(reads) == 1
-    assert clique_deficiency(graph, stopped.clique) == stopped.floor
+    with pytest.raises(SearchTimeoutError) as info:
+        search_module._quotient(graph, deadline=0)
+    assert len(reads) == 2
     monkeypatch.setattr(search_module, "_CLIQUE_NODES", 1024)
-    assert search_module._quotient(graph) == stopped
+    reads.clear()
+    stopped = search_module._quotient(graph)
+    assert info.value.lower_bound == stopped.floor == clique_deficiency(graph, stopped.clique)
+    at_1024 = len(reads)
     monkeypatch.setattr(search_module, "_CLIQUE_NODES", 2048)  # it had more to visit
     reads.clear()
     search_module._quotient(graph)
-    assert len(reads) == 2
+    assert len(reads) == at_1024 + 1
+
+
+def test_the_set_up_stops_at_the_deadline_with_the_bound_it_has_proven(monkeypatch):
+    # G(500, 0.95) stops in its diameter check, where λ ≥ the floor alone
+    # is proven, long before its whole set-up (0.35–0.43 s on a 2-vCPU VM)
+    # would end
+    graph = Graph(_random_graph(random.Random(1), 500, 0.95))
+    started = time.monotonic()
+    with pytest.raises(SearchTimeoutError) as info:
+        exact_lambda(graph, time_budget=0)
+    assert time.monotonic() - started < 0.25
+    monkeypatch.setattr(search_module, "_CLIQUE_NODES", 1024)  # where the deadline stopped it
+    q = search_module._quotient(graph)
+    assert info.value.lower_bound == clique_deficiency(graph, q.clique) == q.floor == 471
+    # G(40, 0.5) passes its diameter check within 1,024 neighbour steps and
+    # stops in the module walk, where λ ≥ n − 1 = 39 > the floor 26 is proven;
+    # the step clock is read once for the deadline and once in the walk
+    graph = Graph(_random_graph(random.Random(0), 40, 0.5))
+    clock = types.SimpleNamespace(monotonic=itertools.count(1).__next__)
+    monkeypatch.setattr(search_module, "time", clock)
+    with pytest.raises(SearchTimeoutError, match=r"^no result within 0\.0s; proven lambda >= 39$"):
+        exact_lambda(graph, time_budget=0)
+    assert clock.monotonic() == 3
+    assert search_module._quotient(graph).floor == 26
 
 
 @pytest.mark.parametrize("spec,value", [
