@@ -612,6 +612,9 @@ def _digits_int(text: str, what: str) -> int:
 # A product of more factors than this has order ≥ 2^33 unless factors are
 # trivial; the limit bounds the depth and the cost of splitting a spec.
 _MAX_PRODUCTS = 32
+# Commas a split may try, in all its nested products together, before it
+# refuses the spec: tries can grow with the square of the spec's length.
+_MAX_SPLIT_TRIES = 1 << 16
 
 # family -> (constructor, the name of each comma-separated parameter).  The
 # constructor is named, not held, so the call goes through the module
@@ -642,36 +645,58 @@ def _split_product(rest: str) -> tuple[str, str]:
     """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs.
 
     Well-formed is grammar only: a family and its count of digit
-    parameters, a non-empty file path, or a product that splits so.  The
-    verdicts are memoized: nested products would otherwise test the same
-    substrings again and again, exponentially often.
+    parameters, a non-empty file path, or a product that splits so.  A
+    substring is named by its offsets into ``rest`` and its verdict
+    memoized: nested products would otherwise test the same substrings
+    again and again, exponentially often.  A split refuses the spec once
+    it has tried _MAX_SPLIT_TRIES commas.
     """
     if rest.count("product:") >= _MAX_PRODUCTS:
         raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
-    seen: dict[str, bool] = {}
+    seen: dict[tuple[int, int], bool] = {}
+    tries = 0
 
-    def first_split(text: str) -> tuple[str, str] | None:
-        return next(((text[:i], text[i + 1:]) for i, ch in enumerate(text)
-                     if ch == "," and well_formed(text[:i]) and well_formed(text[i + 1:])), None)
+    def first_split(start: int, stop: int) -> int | None:
+        nonlocal tries
+        comma = rest.find(",", start, stop)
+        while comma >= 0:
+            tries += 1
+            if tries > _MAX_SPLIT_TRIES:
+                raise ValueError(f"cannot split {rest!r} into two group specs "
+                                 f"within {_MAX_SPLIT_TRIES} commas tried")
+            if well_formed(start, comma) and well_formed(comma + 1, stop):
+                return comma
+            comma = rest.find(",", comma + 1, stop)
+        return None
 
-    def well_formed(spec: str) -> bool:
-        if spec not in seen:
-            kind, _, params = spec.partition(":")
+    def digit_params(kind: str, start: int, stop: int) -> bool:
+        # the commas are counted in place, so only a text that holds the
+        # family's count of them is sliced and read for digits
+        comma = start - 1
+        for _ in _FAMILIES[kind][2:]:
+            comma = rest.find(",", comma + 1, stop)
+            if comma < 0:
+                return False
+        return (rest.find(",", comma + 1, stop) < 0
+                and all(map(_spec_digits, rest[start:stop].split(","))))
+
+    def well_formed(start: int, stop: int) -> bool:
+        if (start, stop) not in seen:
+            kind = next((k for k in (*_FAMILIES, "product", "file")
+                         if rest.startswith(k + ":", start, stop)), "")
+            params = start + len(kind) + 1
             if kind in _FAMILIES:
-                try:
-                    seen[spec] = all(map(_spec_digits, _family_parts(kind, params)))
-                except ValueError:  # a wrong parameter count
-                    seen[spec] = False
+                seen[start, stop] = digit_params(kind, params, stop)
             elif kind == "product":
-                seen[spec] = first_split(params) is not None
+                seen[start, stop] = first_split(params, stop) is not None
             else:
-                seen[spec] = kind == "file" and bool(params)
-        return seen[spec]
+                seen[start, stop] = kind == "file" and params < stop
+        return seen[start, stop]
 
-    parts = first_split(rest)
-    if parts is None:
+    comma = first_split(0, len(rest))
+    if comma is None:
         raise ValueError(f"cannot split {rest!r} into two group specs")
-    return parts
+    return rest[:comma], rest[comma + 1:]
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:

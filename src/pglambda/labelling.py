@@ -259,21 +259,17 @@ def exact_lambda(graph: Graph, *, time_budget: float = DEFAULT_TIME_BUDGET) -> L
 
 
 def certificate_doc(cert: LambdaCertificate) -> dict:
-    """Certificate as a plain JSON-ready dict: {lambda, method, evidence, labels}."""
-    doc: dict[str, object] = {
+    """Certificate as a JSON-ready dict: {lambda, method, evidence, labels},
+    and the construction when there is one.  The records' tuples stay
+    tuples, which json.dumps writes as lists."""
+    doc = {
         "lambda": cert.value,
         "method": cert.method,
-        "evidence": {key: list(value) if isinstance(value, tuple) else value
-                     for key, value in cert.evidence._asdict().items()
-                     if value is not None},
-        "labels": list(cert.witness),
+        "evidence": {k: v for k, v in cert.evidence._asdict().items() if v is not None},
+        "labels": cert.witness,
     }
     if cert.construction is not None:
-        doc["construction"] = {
-            "kind": cert.construction.kind,
-            "path": list(cert.construction.path),
-            "joints": [list(j) for j in cert.construction.joints],
-        }
+        doc["construction"] = cert.construction._asdict()
     return doc
 
 

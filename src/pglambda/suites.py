@@ -8,8 +8,10 @@ The catalogue order (ascending order, then spec) is the iteration order
 everywhere; nothing downstream re-sorts.
 
 Each suite checks one statement about power graphs of finite groups that
-certification does not already check, and reports per-group pass/fail
-records.  Every subject is certified before any suite runs, by one call
+certification does not already check.  It is a predicate over one
+subject, returning (passed, detail), or None where its statement does
+not apply; run_suites is the one loop over suites and subjects, and
+turns each verdict into a pass/fail record.  Every subject is certified before any suite runs, by one call
 to construct.certify with the 'auto' dispatch of the `lambda` command:
 both methods on p-groups of order at most ``exact_cap`` (the command
 line's --search-cap, by default the group-order cap), the construction
@@ -20,7 +22,7 @@ disagree, so the suites read only checked, agreeing values.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .construct import certify, recognize_family
 from .groups import FiniteGroup, is_maximal_class, parse_group_spec, prime_power
@@ -88,68 +90,57 @@ class SuiteResult(NamedTuple):
 
 
 class _Subject(NamedTuple):
-    """A named group and the certificates certify returned for it.
+    """A named group, its order, its prime when it is a p-group (else
+    None), and the certificates certify returned for it.
 
     The group caches its own power graph and cyclic subgroups.
     """
 
     name: str
     group: FiniteGroup
+    n: int
+    prime: int | None
     certificates: list[LambdaCertificate]
 
-    @property
-    def n(self) -> int:
-        return self.group.order
 
-    @property
-    def prime(self) -> int | None:
-        pp = prime_power(self.n)
-        return pp[0] if pp else None
+_Check = tuple[bool, str] | None  # a suite's verdict on one subject
 
 
-# A suite yields (subject, passed, detail); run_suites adds its name.
-_Check = tuple[_Subject, bool, str]
-
-
-def _suite_power_graph_shape(subjects: Sequence[_Subject]) -> Iterator[_Check]:
+def _suite_power_graph_shape(s: _Subject) -> _Check:
     """Identity universal (so diameter ≤ 2), class sizes φ(d), classes cover G."""
-    for s in subjects:
-        problems = []
-        graph = build_power_graph(s.group)
-        if s.n > 1 and not graph.is_universal(s.group.identity):
-            problems.append("identity is not universal")
-        covered = 0
-        sub = s.group.cyclic_subgroups()
-        for elements, members in zip(sub.elements, sub.generators):
-            if len(members) != euler_phi(len(elements)):
-                problems.append(
-                    f"class of order {len(elements)} has {len(members)} members")
-            covered += len(members)
-        if covered != s.n:
-            problems.append(f"classes cover {covered} of {s.n} elements")
-        yield s, not problems, "; ".join(problems) or "ok"
+    problems = []
+    graph = build_power_graph(s.group)
+    if s.n > 1 and not graph.is_universal(s.group.identity):
+        problems.append("identity is not universal")
+    covered = 0
+    sub = s.group.cyclic_subgroups()
+    for elements, members in zip(sub.elements, sub.generators):
+        if len(members) != euler_phi(len(elements)):
+            problems.append(
+                f"class of order {len(elements)} has {len(members)} members")
+        covered += len(members)
+    if covered != s.n:
+        problems.append(f"classes cover {covered} of {s.n} elements")
+    return not problems, "; ".join(problems) or "ok"
 
 
-def _suite_congruences(subjects: Sequence[_Subject]) -> Iterator[_Check]:
+def _suite_congruences(s: _Subject) -> _Check:
     """m(p) ≡ 1+p (mod p²) and p | m(p^i) for qualifying p-groups."""
-    for s in subjects:
-        p, exponent = s.prime, s.group.cyclic_subgroups().exponent()
-        if p is None or exponent == s.n:
-            continue
-        if p == 2 and is_maximal_class(s.group):
-            continue
-        problems = []
-        sub = s.group.cyclic_subgroups()
-        m1 = sub.class_number(p)
-        if m1 % (p * p) != (1 + p) % (p * p):
-            problems.append(f"m({p}) = {m1} is not 1+{p} mod {p * p}")
-        q = p * p
-        while q <= exponent:
-            mi = sub.class_number(q)
-            if mi % p != 0:
-                problems.append(f"m({q}) = {mi} is not divisible by {p}")
-            q *= p
-        yield s, not problems, "; ".join(problems) or f"m({p}) = {m1}"
+    p, sub = s.prime, s.group.cyclic_subgroups()
+    exponent = sub.exponent()
+    if p is None or exponent == s.n or p == 2 and is_maximal_class(s.group):
+        return None
+    problems = []
+    m1 = sub.class_number(p)
+    if m1 % (p * p) != (1 + p) % (p * p):
+        problems.append(f"m({p}) = {m1} is not 1+{p} mod {p * p}")
+    q = p * p
+    while q <= exponent:
+        mi = sub.class_number(q)
+        if mi % p != 0:
+            problems.append(f"m({q}) = {mi} is not divisible by {p}")
+        q *= p
+    return not problems, "; ".join(problems) or f"m({p}) = {m1}"
 
 
 def _family_class_expectations(family: str, order: int) -> dict[int, int]:
@@ -172,25 +163,23 @@ def _family_class_expectations(family: str, order: int) -> dict[int, int]:
     return expected
 
 
-def _suite_family_class_numbers(subjects: Sequence[_Subject]) -> Iterator[_Check]:
+def _suite_family_class_numbers(s: _Subject) -> _Check:
     """Exact per-order class counts for the p-groups recognized as one of
     the three maximal-class 2-group families."""
-    for s in subjects:
-        family = recognize_family(s.group) if s.prime == 2 else None
-        if family not in ("dihedral", "quaternion", "semidihedral"):
-            continue
-        expected = _family_class_expectations(family, s.n)
-        sub = s.group.cyclic_subgroups()
-        actual = {d: sub.class_number(d) for d in expected}
-        extra = [d for d in sub.by_order if d not in expected]
-        ok = actual == expected and not extra
-        detail = (f"class numbers {sorted(actual.items())}" if ok else
-                  f"expected {sorted(expected.items())}, got {sorted(actual.items())}"
-                  + (f", unexpected orders {extra}" if extra else ""))
-        yield s, ok, detail
+    family = recognize_family(s.group) if s.prime == 2 else None
+    if family not in ("dihedral", "quaternion", "semidihedral"):
+        return None
+    expected = _family_class_expectations(family, s.n)
+    sub = s.group.cyclic_subgroups()
+    actual = {d: sub.class_number(d) for d in expected}
+    extra = [d for d in sub.by_order if d not in expected]
+    ok = actual == expected and not extra
+    return ok, (f"class numbers {sorted(actual.items())}" if ok else
+                f"expected {sorted(expected.items())}, got {sorted(actual.items())}"
+                + (f", unexpected orders {extra}" if extra else ""))
 
 
-def _suite_lower_hook(subjects: Sequence[_Subject]) -> Iterator[_Check]:
+def _suite_lower_hook(s: _Subject) -> _Check:
     """The hook holds exactly when every element order is a prime power.
 
     In a cyclic group of prime-power order the subgroups form a chain, so
@@ -198,16 +187,14 @@ def _suite_lower_hook(subjects: Sequence[_Subject]) -> Iterator[_Check]:
     element whose order has two prime divisors p ≠ q hooks the classes of
     orders p and q, and those are not adjacent.
     """
-    for s in subjects:
-        sub = s.group.cyclic_subgroups()
-        mixed = next((d for d in sub.by_order if d > 1 and prime_power(d) is None), None)
-        triple = check_lower_hook(s.group)
-        found = ("holds" if triple is None else
-                 f"counterexample of orders {tuple(len(sub.elements[c]) for c in triple)}")
-        if mixed is None:
-            yield s, triple is None, found
-        else:
-            yield s, triple is not None, f"{found}; element order {mixed} implies a break"
+    sub = s.group.cyclic_subgroups()
+    mixed = next((d for d in sub.by_order if d > 1 and prime_power(d) is None), None)
+    triple = check_lower_hook(s.group)
+    found = ("holds" if triple is None else
+             f"counterexample of orders {tuple(len(sub.elements[c]) for c in triple)}")
+    if mixed is None:
+        return triple is None, found
+    return triple is not None, f"{found}; element order {mixed} implies a break"
 
 
 def _formula_lambda(s: _Subject) -> int:
@@ -219,14 +206,13 @@ def _formula_lambda(s: _Subject) -> int:
     return s.n
 
 
-def _suite_lambda_matches_formula(subjects: Sequence[_Subject]) -> Iterator[_Check]:
+def _suite_lambda_matches_formula(s: _Subject) -> _Check:
     """The certified λ of every p-group equals the closed form."""
-    for s in subjects:
-        if s.prime is None:
-            continue
-        value, expected = s.certificates[0].value, _formula_lambda(s)
-        methods = " and ".join(cert.method for cert in s.certificates)
-        yield s, value == expected, f"lambda {value} by {methods}, formula {expected}"
+    if s.prime is None:
+        return None
+    value, expected = s.certificates[0].value, _formula_lambda(s)
+    methods = " and ".join(cert.method for cert in s.certificates)
+    return value == expected, f"lambda {value} by {methods}, formula {expected}"
 
 
 _SUITES = (
@@ -241,10 +227,9 @@ _SUITES = (
 def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
                exact_cap: int | None, time_budget: float) -> list[SuiteResult]:
     """Certify the named groups, e.g. catalogue(max_order), then run every
-    suite over them."""
-    subjects = [_Subject(name, group,
-                         certify(group, "auto", cap=exact_cap, budget=time_budget))
-                for name, group in subjects]
-
-    return [SuiteResult(name, s.name, passed, detail)
-            for name, fn in _SUITES for s, passed, detail in fn(subjects)]
+    suite on each of them, suite by suite."""
+    checked = [_Subject(name, group, group.order, pp and pp[0],
+                        certify(group, "auto", cap=exact_cap, budget=time_budget))
+               for name, group in subjects for pp in [prime_power(group.order)]]
+    return [SuiteResult(suite, s.name, *check) for suite, fn in _SUITES for s in checked
+            if (check := fn(s)) is not None]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,7 @@ from pglambda import (
 )
 import pglambda.suites as suites_module
 from pglambda.cli import main
-from pglambda.groups import _FAMILIES
+from pglambda.groups import _FAMILIES, prime_power
 from pglambda.suites import _ENTRIES, run_suites
 
 
@@ -113,6 +114,28 @@ def test_nested_product_specs_split_in_polynomial_time():
     assert time.monotonic() - started < 2.0
     with pytest.raises(ValueError, match="at most 32 products"):
         parse_group_spec("product:" * 33 + "cyclic:1" + ",cyclic:1" * 33)
+
+
+@pytest.mark.parametrize("spec", [
+    "product:" * 31 + "cyclic:1," + "1," * 1000 + "cyclic:1",
+    "product:" * 31 + "cyclic:1," + "1," * 2000 + "cyclic:1",
+    "product:cyclic:1," + "1," * 32000 + "cyclic:1",
+], ids=["nested-1000-commas", "nested-2000-commas", "flat-32000-commas"])
+def test_a_product_that_cannot_split_is_refused_at_once(spec, capsys):
+    # the nested ones reach the bound on commas tried; the flat one is
+    # refused within it, its substrings named by offsets, not copied
+    started = time.monotonic()
+    code, _, err = run(capsys, "analyze", spec)
+    assert time.monotonic() - started < 1.0
+    assert code == 1 and err.startswith("error: cannot split ")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^cannot split "):
+            parse_group_spec(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000
 
 
 @pytest.mark.parametrize("spec", [
@@ -806,15 +829,16 @@ def _with_record(spec, **fields):
     group = parse_group_spec(spec)
     build_power_graph(group)
     group._subgroups = group.cyclic_subgroups()._replace(**fields)
-    return suites_module._Subject(spec, group, [])
+    pp = prime_power(group.order)
+    return suites_module._Subject(spec, group, group.order, pp and pp[0], [])
 
 
 def test_classes_that_miss_an_element_fail_the_power_graph_shape():
     sub = make_cyclic(4).cyclic_subgroups()  # drop the subgroup of order 4
     subject = _with_record("cyclic:4", elements=sub.elements[:-1],
                            generators=sub.generators[:-1])
-    (_, passed, detail), = suites_module._suite_power_graph_shape([subject])
-    assert (passed, detail) == (False, "classes cover 2 of 4 elements")
+    assert suites_module._suite_power_graph_shape(subject) == (
+        False, "classes cover 2 of 4 elements")
 
 
 @pytest.mark.parametrize("spec,order,detail", [
@@ -824,8 +848,7 @@ def test_classes_that_miss_an_element_fail_the_power_graph_shape():
 def test_a_class_number_off_by_one_fails_the_congruences(spec, order, detail):
     by_order = parse_group_spec(spec).cyclic_subgroups().by_order
     subject = _with_record(spec, by_order={**by_order, order: by_order[order][1:]})
-    (_, passed, found), = suites_module._suite_congruences([subject])
-    assert (passed, found) == (False, detail)
+    assert suites_module._suite_congruences(subject) == (False, detail)
 
 
 def test_semidihedral_class_numbers_match_the_family_expectations():

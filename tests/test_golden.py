@@ -34,6 +34,7 @@ to take the cyclic branch: only `construction.kind` changed, from
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -41,6 +42,7 @@ import pytest
 
 from pglambda import Graph, exact_lambda
 from pglambda.cli import main
+from pglambda.labelling import certificate_doc
 
 DATA = Path(__file__).parent / "data"
 
@@ -221,6 +223,23 @@ GOLDEN += [
 ]
 
 
+# The benchmark's suite call; a suite call whose lower-hook suite reports
+# counterexamples, on the groups whose element orders are not prime
+# powers; and `lambda --pretty` on an exact and a constructive certificate,
+# the indented form of the certificate JSON.
+GOLDEN += [
+    ("suite --max-order 81 --time-budget 2.0",
+     "69efe384e82e4864b1431a07a24ac4d81297fce34acb39b8da54a5320a05f165"),
+    ("suite --max-order 16 --group cyclic:6 --group cyclic:30 "
+     "--group product:cyclic:2,cyclic:10",
+     "3ff54cf26c2a5edf245fafaae13f62c6a62f782771913b15ba23c357eb44a894"),
+    ("lambda cyclic:12 --method exact --pretty",
+     "fece6df628d9f770fc0919ac35e449cf079de922c9419d79c336a87f5dbc7225"),
+    ("lambda semidihedral:16 --pretty",
+     "8c68f54d1a6bf4cd215c61ce3c9cdc98f53b6ac08f206287ba5e2e09532b2d4f"),
+]
+
+
 # A product with a table-backed factor; family groups multiply by formula,
 # and the factor by lookup in the table it was read with.  Captured again
 # when `auto` came to search every non-p-group: λ = 48 with its exact
@@ -293,6 +312,17 @@ def test_a_failing_check_prints_the_same_violations(capsys, monkeypatch):
     assert '"required": 2' in out and '"required": 1' in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "776e9c974605241137645cb3670983673d68979ba6c84898fd05607395ee78ad")
+
+
+def test_a_search_refutation_serializes_the_same():
+    # no command prints exhaustive-search-at-span evidence: the graph of
+    # test_exact_lambda_refutes_the_floor_of_a_graph_that_backtracks, whose
+    # λ = 14 lies above every clique's floor, is the one that shows it
+    cert = exact_lambda(Graph([1018, 893, 1018, 983, 1007, 983, 959, 893, 255, 255]))
+    text = json.dumps(certificate_doc(cert), sort_keys=True)
+    assert '"kind": "exhaustive-search-at-span"' in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "6043843be082979c64896f7c398c57016ac5f325b9c397f93b2aee1407461e96")
 
 
 def _random_graph(rng: random.Random) -> Graph:

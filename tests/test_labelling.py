@@ -366,7 +366,7 @@ def test_exact_floor_evidence_is_re_derived_from_the_graph(spec, evidence):
     assert certificate_problems(graph, cert) == []
     assert certificate_doc(cert)["evidence"] == {
         "kind": "clique-deficiency", "bound": evidence.bound,
-        "vertices": list(evidence.vertices)}
+        "vertices": evidence.vertices}
 
 
 def test_exact_lambda_certificate_shape():
