@@ -147,7 +147,8 @@ def _quotient(graph: Graph, deadline: float = math.inf,
     home = {v: m for m, mask in enumerate(members) for v in iter_bits(mask)}
     near, covers = [], []
     for m, mask in enumerate(members):
-        beside, todo = 0, d1[mask.bit_length() - 1]
+        # a single vertex is tight, so it starts beside itself
+        beside, todo = (0 if mask & (mask - 1) else 1 << m), d1[mask.bit_length() - 1]
         while todo:  # one step per neighbouring module
             other = home[(todo & -todo).bit_length() - 1]
             beside |= 1 << other
@@ -165,19 +166,22 @@ def least_span_labels(graph: Graph, time_budget: float
 
     Depth first over module sequences, for bump allowances from the floor's
     (0 when the floor is below n − 1) up.  From the last module, moves
-    without a bump come first, and among either kind the module of highest
-    rank (members left, plus the vertices left in it or beside it), ties to
-    the lower number.  Only the top frame's moves are held, so the frames
-    cost O(n + k) memory for k modules: the search restores its state
-    before a frame resumes, and the frame re-derives its order from that
-    state and goes on after the module it undid.  ``failed`` maps a
-    (members left per module, last module) state to the most bumps its rest
-    was shown not to fit in.  One bound prunes: the members left of a tight
-    module follow distinct vertices, each a bump unless it is left apart
-    from the module (or is the last one placed, and apart), so a tight
-    module's rank less the vertices left, less one when the last is apart,
-    counts bumps into it; the counts add up.  Past the deadline raises
-    SearchTimeoutError: λ ≥ the span probed.
+    without a bump come first.  Within either kind, tight modules come
+    first, since each of their members needs a vertex apart from it next
+    to it, and the members of the other modules are kept to be those
+    separators; then the module of highest rank (members left, plus the
+    vertices left in it or beside it), ties to the lower number.  Only the
+    top frame's moves are held, so the frames cost O(n + k) memory for k
+    modules: the search restores its state before a frame resumes, and the
+    frame re-derives its order from that state and goes on after the
+    module it undid.  ``failed`` maps a (members left per module, last
+    module) state to the most bumps its rest was shown not to fit in.  One
+    bound prunes: the members left of a tight module follow distinct
+    vertices, each a bump unless it is left apart from the module (or is
+    the last one placed, and apart), so a tight module's rank less the
+    vertices left, less one when the last is apart, counts bumps into it;
+    the counts add up.  Past the deadline raises SearchTimeoutError: λ ≥
+    the span probed.
     """
     deadline = time.monotonic() + time_budget
     q = _quotient(graph, deadline, time_budget)
@@ -187,6 +191,7 @@ def least_span_labels(graph: Graph, time_budget: float
         weight.append(radix)
         radix *= mask.bit_count() + 1
     left, rank = [0] * k, [0] * k
+    is_tight = [near[m] >> m & 1 for m in range(k)]
     key = rest = used = 0
     seq, failed = [], {}  # the modules placed, and the failed states
 
@@ -195,6 +200,7 @@ def least_span_labels(graph: Graph, time_budget: float
         every one, or those after module ``after`` when the frame resumes."""
         bumping = near[seq[-1]] if seq else 0
         live = sorted(compress(range(k), left), key=rank.__getitem__, reverse=True)
+        live.sort(key=is_tight.__getitem__, reverse=True)  # stable: by rank within each
         order = chain((m for m in live if not bumping >> m & 1),
                       (m for m in live if bumping >> m & 1) if used < allowance else ())
         if after >= 0:  # the moves up to it were tried before the frame was left
@@ -213,9 +219,9 @@ def least_span_labels(graph: Graph, time_budget: float
 
     for m, mask in enumerate(members):
         shift(m, mask.bit_count())
-    # the tight modules as (module, near | itself, its first rank), by that rank
-    tight = sorted(((m, near[m] | 1 << m, rank[m]) for m, mask in enumerate(members)
-                    if near[m] >> m & 1 or mask & (mask - 1) == 0), key=lambda t: -t[2])
+    # the tight modules as (module, near, its first rank), by that rank
+    tight = sorted(((m, near[m], rank[m]) for m in range(k) if is_tight[m]),
+                   key=lambda t: -t[2])
     allowance = max(q.floor - (graph.n - 1), 0)  # n labels span at least n − 1
     top = moves()
     ticks = 0

@@ -24,6 +24,7 @@ from .groups import (
     DEFAULT_TIME_BUDGET,
     _check_cap,
     _digits_int,
+    _quote,
     _read_bounded,
     _spec_digits,
     format_cayley,
@@ -61,7 +62,7 @@ def _time_budget(text: str) -> float:
     value = float(text) if _spec_digits(text.replace(".", "", 1)) else math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number of seconds >= 0 in ASCII digits, got {text!r}")
+            f"must be a finite number of seconds >= 0 in ASCII digits, got {_quote(text)}")
     return value
 
 

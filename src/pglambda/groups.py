@@ -301,7 +301,7 @@ def _checked_group(table: Table, unranged: Iterable[int],
 
     if names is not None and ("" in names or len(set(names)) != n):
         g = next(g for g, name in enumerate(names) if not name or name in names[:g])
-        raise ValueError(f"element {g} has an empty or repeated name {names[g]!r}")
+        raise ValueError(f"element {g} has an empty or repeated name {_quote(names[g])}")
     return FiniteGroup(n, lambda a, b: table[a][b], names)
 
 
@@ -550,7 +550,7 @@ def parse_cayley(text: str) -> FiniteGroup:
     try:
         n = int(lines[0])
     except ValueError as exc:
-        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from exc
+        raise ValueError(f"first line must be the element count, got {_quote(lines[0])}") from exc
     if n < 1:
         raise ValueError("element count must be positive")
     _check_cap(n, "Cayley table")
@@ -590,6 +590,15 @@ def parse_cayley(text: str) -> FiniteGroup:
 # group spec strings
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for a message: whole when it holds at most 200
+    characters, else its first 64 and its length, so that an error on a
+    huge input stays one short line."""
+    if len(text) <= 200:
+        return repr(text)
+    return f"{text[:64]!r} (the first 64 of {len(text)} characters)"
+
+
 def _spec_digits(text: str) -> bool:
     """The one rule for every number a user writes (spec parameters, parsed
     or split, integer options, LAMBDA_MAX_ORDER, and --time-budget once its
@@ -600,7 +609,7 @@ def _spec_digits(text: str) -> bool:
 def _digits_int(text: str, what: str) -> int:
     """``text`` as a positive integer, written as _spec_digits says."""
     if not _spec_digits(text):
-        raise ValueError(f"{what} must be a positive integer in ASCII digits, got {text!r}")
+        raise ValueError(f"{what} must be a positive integer in ASCII digits, got {_quote(text)}")
     if len(text) > 4300:  # int() refuses these on Python 3.10.7 and later
         raise ValueError(f"{what} may have at most 4300 digits, got {len(text)}")
     value = int(text)
@@ -637,7 +646,7 @@ def _family_parts(kind: str, params: str) -> list[str]:
     parts = params.split(",") if len(names) > 1 else [params]
     if len(parts) != len(names):
         raise ValueError(f"{kind} takes {len(names)} parameters "
-                         f"({', '.join(names)}) — got {params!r}")
+                         f"({', '.join(names)}) — got {_quote(params)}")
     return parts
 
 
@@ -662,7 +671,7 @@ def _split_product(rest: str) -> tuple[str, str]:
         while comma >= 0:
             tries += 1
             if tries > _MAX_SPLIT_TRIES:
-                raise ValueError(f"cannot split {rest!r} into two group specs "
+                raise ValueError(f"cannot split {_quote(rest)} into two group specs "
                                  f"within {_MAX_SPLIT_TRIES} commas tried")
             if well_formed(start, comma) and well_formed(comma + 1, stop):
                 return comma
@@ -695,7 +704,7 @@ def _split_product(rest: str) -> tuple[str, str]:
 
     comma = first_split(0, len(rest))
     if comma is None:
-        raise ValueError(f"cannot split {rest!r} into two group specs")
+        raise ValueError(f"cannot split {_quote(rest)} into two group specs")
     return rest[:comma], rest[comma + 1:]
 
 
@@ -704,7 +713,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(
-            f"bad group spec {spec!r}: expected FAMILY:PARAMS, e.g. cyclic:8")
+            f"bad group spec {_quote(spec)}: expected FAMILY:PARAMS, e.g. cyclic:8")
     if kind in _FAMILIES:
         make, *names = _FAMILIES[kind]
         return globals()[make](*map(_digits_int, _family_parts(kind, rest), names))
@@ -718,4 +727,4 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         return parse_cayley(_read_bounded(rest, 64 * (cap + 1) ** 2, TooLargeError,
                                          f"at the order cap {cap} (raise "
                                          f"LAMBDA_MAX_ORDER to override)"))
-    raise ValueError(f"unknown group family {kind!r}")
+    raise ValueError(f"unknown group family {_quote(kind)}")

@@ -143,33 +143,20 @@ def _suite_congruences(s: _Subject) -> _Check:
     return not problems, "; ".join(problems) or f"m({p}) = {m1}"
 
 
-def _family_class_expectations(family: str, order: int) -> dict[int, int]:
-    m = order // 2  # 2^e
-    expected = {1: 1}
-    if family == "dihedral":
-        expected[2] = 1 + m
-        q = 4
-    elif family == "quaternion":
-        expected[2] = 1
-        expected[4] = 1 + m // 2
-        q = 8
-    else:  # semidihedral
-        expected[2] = 1 + m // 2
-        expected[4] = 1 + m // 4
-        q = 8
-    while q <= m:
-        expected[q] = 1
-        q *= 2
-    return expected
+# A maximal-class 2-group G has one cyclic subgroup of each order 1, 2, 4,
+# …, |G|/2, except at the orders d its family maps to k: 1 + |G|/k there.
+_FAMILY_EXCEPTIONS = {"dihedral": {2: 2}, "quaternion": {4: 4},
+                      "semidihedral": {2: 4, 4: 8}}
 
 
 def _suite_family_class_numbers(s: _Subject) -> _Check:
     """Exact per-order class counts for the p-groups recognized as one of
     the three maximal-class 2-group families."""
     family = recognize_family(s.group) if s.prime == 2 else None
-    if family not in ("dihedral", "quaternion", "semidihedral"):
+    if family not in _FAMILY_EXCEPTIONS:
         return None
-    expected = _family_class_expectations(family, s.n)
+    expected = {1 << i: 1 for i in range(s.n.bit_length() - 1)}
+    expected.update((d, 1 + s.n // k) for d, k in _FAMILY_EXCEPTIONS[family].items())
     sub = s.group.cyclic_subgroups()
     actual = {d: sub.class_number(d) for d in expected}
     extra = [d for d in sub.by_order if d not in expected]

@@ -139,6 +139,45 @@ def test_a_product_that_cannot_split_is_refused_at_once(spec, capsys):
 
 
 @pytest.mark.parametrize("spec", [
+    "product:cyclic:1," + "1," * 32000 + "cyclic:1",
+    "x" * 100000,
+    "cyclic:" + "a" * 100000,
+    "elemab:" + "1," * 50000,
+    "x" * 100000 + ":1",
+], ids=["cannot-split", "bad-spec", "not-digits", "parameter-count", "unknown-family"])
+def test_an_error_quotes_a_long_spec_by_its_first_64_characters(spec, capsys):
+    # each message once echoed the whole text, a stderr line of 64–100 KB
+    code, out, err = run(capsys, "analyze", spec)
+    assert code == 1 and not out
+    assert len(err) < 400 and " (the first 64 of " in err
+
+
+def test_an_error_quotes_a_text_of_200_characters_whole(capsys):
+    code, _, err = run(capsys, "analyze", "x" * 200)
+    assert (code, err) == (1, f"error: bad group spec '{'x' * 200}': expected FAMILY:PARAMS, "
+                              "e.g. cyclic:8\n")
+    code, _, err = run(capsys, "analyze", "x" * 201)
+    assert (code, err) == (1, f"error: bad group spec '{'x' * 64}' (the first 64 of 201 "
+                              "characters): expected FAMILY:PARAMS, e.g. cyclic:8\n")
+
+
+def test_a_long_first_line_name_or_time_budget_is_quoted_short(capsys, tmp_path):
+    table = tmp_path / "long.txt"
+    table.write_text("9" * 300 + "x\n0\n")
+    code, _, err = run(capsys, "analyze", f"file:{table}")
+    assert (code, err) == (1, f"error: first line must be the element count, got "
+                              f"'{'9' * 64}' (the first 64 of 301 characters)\n")
+    table.write_text(f"2\n0 1\n1 0\nnames: {'a' * 100000},{'a' * 100000}\n")
+    code, _, err = run(capsys, "analyze", f"file:{table}")
+    assert (code, err) == (1, f"error: element 1 has an empty or repeated name "
+                              f"'{'a' * 64}' (the first 64 of 100000 characters)\n")
+    code, _, err = run(capsys, "lambda", "cyclic:8", "--time-budget", "9" * 1000)
+    assert code == 1
+    assert err.splitlines()[-1].endswith(
+        f"got '{'9' * 64}' (the first 64 of 1000 characters)")
+
+
+@pytest.mark.parametrize("spec", [
     "dihedral:1" + "0" * 400,             # above float range
     "quaternion:100000000000000000039",   # a prime far above the cap
     "heisenberg:1000000000000000003",

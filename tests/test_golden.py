@@ -28,7 +28,10 @@ again when one coset alternation came to build those paths: only each
 constructive certificate's `labels` and `construction` changed.  The
 two `cyclic:1` digests were captured again when the trivial group came
 to take the cyclic branch: only `construction.kind` changed, from
-`degenerate` to `cyclic-even-spacing`.
+`degenerate` to `cyclic-even-spacing`.  The seventeen `lambda … --method
+exact` digests on 2-groups whose involutions form a twin module were
+captured again when the exact search came to try tight modules first:
+only each certificate's `labels` changed, and λ and its evidence did not.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ GOLDEN += [
     ("lambda cyclic:4 --method exact",
      "c768185ea64c02682790771d98a5dff6efd47e7d978de70e8943ed74fbea7b73"),
     ("lambda elemab:2,2 --method exact",
-     "3e29c9ed504f1bf5481f67482b8fb271070ef7affeda6c3395a84c61a3f505f4"),
+     "274f0ed1f539d13f3562ad0e67c0688075b5395c224e10cb0d32efaf53b8865b"),
     ("lambda cyclic:5 --method exact",
      "1bac9b67d13ba2a545cee17d31470dec7ba79511e8d5bf648af771dc0f82e3d0"),
     ("lambda cyclic:6 --method exact",
@@ -92,11 +95,11 @@ GOLDEN += [
     ("lambda cyclic:8 --method exact",
      "ebb521428fa2f68933d713ec45b94f77d22f8898be004092e8684e8ba2c93fbc"),
     ("lambda dihedral:8 --method exact",
-     "d8b3017ba67c223c48b970311c30f54c7882d423605565049be3a0fea8f17dcd"),
+     "163eaa7523e5e51400dc8832978b76d4580f372ee227a5708a02529916d6ae5d"),
     ("lambda elemab:2,3 --method exact",
-     "4b278e98c54eeb519089bd9563a5afb91805a3f14911bd903b807a29ec59e89d"),
+     "2df6069c999df430bb56c79b690e7f624ee11c04e26779aedd3ecebf4ac512c9"),
     ("lambda product:cyclic:2,cyclic:4 --method exact",
-     "88f5d6ade46455f62aaffe7564b5d68d721ef58120cb500acb0e650d73ccb6dc"),
+     "f93879e2f7320d267fb97b239d1d44545f98ad264e44d271f982cc1b828b373d"),
     ("lambda quaternion:8 --method exact",
      "5c01fb5dca2f74819e6e496f2f601bc128fd6bc17c3db912d0c913314d272de3"),
     ("lambda cyclic:9 --method exact",
@@ -116,17 +119,17 @@ GOLDEN += [
     ("lambda cyclic:16 --method exact",
      "75c968c95dbe441e69f41870fa0c7b45c5259ab85f28971f49d4239a0fc19610"),
     ("lambda dihedral:16 --method exact",
-     "7f4b9697c17da40da430e7065bd7c2a6a29c165f7a82c5ee769d263e337571cc"),
+     "ab719dfb5572edd820db7a0dd84d8fe5e4a59eb04023ae99edee194998993b0b"),
     ("lambda elemab:2,4 --method exact",
-     "3eb91b83243b5cce23e20e616266d3da7dbe8f9879d0ec95e591ff2cd082b9ff"),
+     "f8d27d63de9b473cfe74cd36585b8716d5005d8a97aa68fd73fb5a905323a825"),
     ("lambda product:cyclic:2,cyclic:8 --method exact",
-     "ba4c3655dd8c28c0c18ca69297cfe96658faebd1fdb5d2542917cc753d1edbcc"),
+     "8c694f4bc0998b6a428bdc218107a1efe2784a53fb87bbd55cd6aeeb738dabd5"),
     ("lambda product:cyclic:4,cyclic:4 --method exact",
      "2a1e77c2281cc3f1df0b74bfa0d126212e4f55c8e55693d61a928ff207166215"),
     ("lambda quaternion:16 --method exact",
      "1550ce5493722a66275a968ba511d9665e1066f4077e983126f56f2361ef7672"),
     ("lambda semidihedral:16 --method exact",
-     "0932972080b069193a500ce857aa6377ae49c427d7f559feaa75ffea1539e5f6"),
+     "8e9e6fe1f65e9f2769bd1d0e44e07b98a5728ebee2b13400db6db116d640cd02"),
     ("lambda cyclic:25 --method exact",
      "316dc251120ff6700d165f67009337afbfb14b6b2297729d49ae86833e89d854"),
     ("lambda elemab:5,2 --method exact",
@@ -142,17 +145,17 @@ GOLDEN += [
     ("lambda cyclic:32 --method exact",
      "749cc872182100c3e04e59d531127d32c51fa22365a04361b95a373cf9b51bfd"),
     ("lambda dihedral:32 --method exact",
-     "5ea1df0d18fc17c76dee1682d5a95862cb23a22bf3344afbc7df655846804181"),
+     "b9837fb886f062cc3637738bc30d7c10f305d72bd805c95d4ef7b7e3c079f930"),
     ("lambda elemab:2,5 --method exact",
-     "6b2f8fb6d0d1592b6e87acb9bdd5275e29948b261bcd0a41286c8e4490814a20"),
+     "fa25995d1445b81623ea69daf87a6ba61959cdc4139efad506c130c4d2e93b2c"),
     ("lambda product:cyclic:2,cyclic:16 --method exact",
-     "49acb399b776f71fe5bd2a308289b49de0c9b7a01b865608c5e8f3809e0eb765"),
+     "e36ab4803e041fd8722902548ab5a1f2739d3bbb362e1a846ef50ff9869734a3"),
     ("lambda product:cyclic:4,cyclic:8 --method exact",
      "f0b0c763008ac63a54d51fc9c04e906c4a785868d121005f226eaac4258eabd8"),
     ("lambda quaternion:32 --method exact",
      "115aa6a5d8ebcaabbc83bbabf223134d84b37ed5cad09379006a1b5242f5d365"),
     ("lambda semidihedral:32 --method exact",
-     "264d43144a40df43657cd4897fa759bd80b1047585f8ed856027bb82fdc77708"),
+     "c1c4805610d7376b1dd6129a0e430f54bf6b0b7157a736f18a20b7b827d8b7b2"),
 ]
 
 
@@ -167,9 +170,9 @@ GOLDEN += [
     ("lambda heisenberg:5 --method exact --search-cap 512",
      "035ee234604dc237ba9656a84249d27ef2219cc551cdd45c5d7965b1ecbee357"),
     ("lambda semidihedral:128 --method exact --search-cap 512",
-     "6e6b4ea1d010b28f2fe3a7cc9ab5f9869359a6f5aca52012fd243313cfb59269"),
+     "895dc2ace7f4184e4d1a966bb2812f72ac57e8b61de83ea7e5d5ae423dd714db"),
     ("lambda dihedral:256 --method exact --search-cap 512",
-     "1c60a096ffe02e4bc245e1ad5927c7681abb245d0c00e93e8448fc70d3dec3df"),
+     "ed5474ab221fd9330dcc58869528b052548a4f663fd347242d92adcff2d0f9b7"),
     ("lambda quaternion:256 --method exact --search-cap 512",
      "9c6d6345ab4de9c9226600d1d5e436757207902106785ce650a65ac445ee946c"),
     ("lambda elemab:3,5 --method exact --search-cap 512",
@@ -179,11 +182,11 @@ GOLDEN += [
     ("lambda cyclic:512 --method exact --search-cap 512",
      "3e7abb163f0bae09cae8d51df19ff2a59fcb6a82a9d4181d826a9a90b992e843"),
     ("lambda elemab:2,9 --method exact --search-cap 512",
-     "ef3b97d1d7eb3bcdf853515257acf6e4df28d5b8f52b9a821c39a8c47a860712"),
+     "63cfa27cc9dcf4f328f74c5c2995ae94c44ed186d57410182a71d45c704cbedd"),
     ("lambda dihedral:512 --method exact --search-cap 512",
-     "1fc79946ddc3eb9d8cc19cdddf8fd288a34f9566f8a72b93627586e350c98506"),
+     "2d775ee95e6f8229b43ba3e75435bf87031633892a2712114061f9544265a203"),
     ("lambda semidihedral:512 --method exact --search-cap 512",
-     "f081e4841fc3408628b62a23042dec08997aae6c8800e5d85dbaebddb3b82960"),
+     "a84391bc45d6e7fbdecb9cbd747123126333db70d3313904c3a0d8f9f93a6f83"),
     ("lambda quaternion:512 --method exact --search-cap 512",
      "787879b8dc37917b942e83334379e81672b3a43aaa86338218c0a0058d4ce093"),
     ("lambda product:cyclic:16,cyclic:32 --method exact --search-cap 512",
@@ -284,6 +287,17 @@ GOLDEN += [
 ]
 
 
+# A suite call whose family-class-numbers suite reads each maximal-class
+# family at order 512, and at its least order: quaternion:8 and
+# semidihedral:16, where the last exception to one class per order meets m.
+GOLDEN += [
+    ("suite --max-order 8 --group dihedral:512 --group quaternion:512 "
+     "--group semidihedral:512 --group quaternion:8 --group semidihedral:16 "
+     "--search-cap 16",
+     "8a11e29087f1bfe031ed8657cf4218ef88fd5d46f51a3b1ddaadcf2b2388ee24"),
+]
+
+
 def _test_id(command: str) -> str:
     """The call's test id: the command as it was written when the JSON
     forms of lambda, check and suite also took --stable, so that each test
@@ -317,12 +331,13 @@ def test_a_failing_check_prints_the_same_violations(capsys, monkeypatch):
 def test_a_search_refutation_serializes_the_same():
     # no command prints exhaustive-search-at-span evidence: the graph of
     # test_exact_lambda_refutes_the_floor_of_a_graph_that_backtracks, whose
-    # λ = 14 lies above every clique's floor, is the one that shows it
+    # λ = 14 lies above every clique's floor, is the one that shows it.
+    # Captured again when tight modules came first: only the labels changed
     cert = exact_lambda(Graph([1018, 893, 1018, 983, 1007, 983, 959, 893, 255, 255]))
     text = json.dumps(certificate_doc(cert), sort_keys=True)
     assert '"kind": "exhaustive-search-at-span"' in text
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "6043843be082979c64896f7c398c57016ac5f325b9c397f93b2aee1407461e96")
+        "8ba5a7e2d4ebd8049a6692b8950118334e7376b9888bc03fc151ccc10a6ebf43")
 
 
 def _random_graph(rng: random.Random) -> Graph:
@@ -364,19 +379,24 @@ def _random_graph(rng: random.Random) -> Graph:
 
 
 def test_exact_certificates_on_random_graphs_are_unchanged():
-    # Two sha256 digests of exact_lambda on 2,000 seeded random graphs of
-    # diameter at most 2: one over (value, witness), as the code computed
-    # it before the evidence kinds became two, and one over the evidence,
-    # captured again when the floor became the best twin-class clique
-    # (144 graphs searched before, 130 after), and again when search
-    # evidence dropped its span, which was always bound − 1.
+    # Three sha256 digests of exact_lambda on 2,000 seeded random graphs of
+    # diameter at most 2: one over (value, witness), captured again when
+    # tight modules came first among the search's moves; one over the
+    # evidence, captured again when the floor became the best twin-class
+    # clique (144 graphs searched before, 130 after), and again when search
+    # evidence dropped its span, which was always bound − 1; and one over
+    # the values alone, captured before the move order changed, which no
+    # change of witness may move.
     rng = random.Random(20240601)
-    certified, evidence = hashlib.sha256(), hashlib.sha256()
+    certified, evidence, values = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for _ in range(2000):
         cert = exact_lambda(_random_graph(rng))
         certified.update(repr((cert.value, cert.witness)).encode())
         evidence.update(repr(cert.evidence).encode())
+        values.update(repr(cert.value).encode())
     assert certified.hexdigest() == (
-        "ff5706fd00576fc3b5175ddb5f0bb5147bf492728ed3dd045de398845349af27")
+        "48e542bb8f538c8d56fc607eea37479938e99e0fc587aae2c91bf6a7c3668529")
     assert evidence.hexdigest() == (
         "dc070939cff6c75c60d9a03aadea9c0574256179c2cdbc7a9763e8d6135a4a05")
+    assert values.hexdigest() == (
+        "0dcc73040cbd033e3ada40169dec2a66038c6dcd92aed18077cf31391dda8a9a")

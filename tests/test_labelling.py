@@ -43,6 +43,8 @@ from pglambda import (
     span,
     validate_labelling,
 )
+from pglambda.groups import _two_generator_group
+from pglambda.powergraph import iter_bits
 import pglambda._search as search_module
 
 
@@ -768,13 +770,25 @@ def test_a_floor_below_n_minus_1_is_not_evidence():
     assert certificate_problems(graph, cert) == []
 
 
+@settings(max_examples=100, deadline=None)
+@given(_graphs_with_a_universal_vertex(max_n=9))
+@example(_petersen())
+@example(build_power_graph(parse_group_spec("dihedral:16")))
+def test_a_module_is_near_itself_exactly_when_it_is_tight(graph):
+    # tight: its members pairwise adjacent, which a single vertex's are
+    q = search_module._quotient(graph)
+    for m, mask in enumerate(q.members):
+        tight = all((graph.neighbors[v] | 1 << v) & mask == mask for v in iter_bits(mask))
+        assert q.near[m] >> m & 1 == tight
+
+
 def test_graphs_without_a_universal_vertex_keep_lambda_and_witness():
     # 200 seeded graphs of diameter 2 without a universal vertex: the sha256
-    # of their (λ, witness) pairs, as the search computed them when it
-    # started at the floor even below n − 1, and every clique named as
-    # evidence proves λ
+    # of their (λ, witness) pairs, captured again when tight modules came
+    # first among the search's moves, and of their λ alone, as the search
+    # computed it before; and every clique named as evidence proves λ
     rng = random.Random(9)
-    digest, count = hashlib.sha256(), 0
+    digest, values, count = hashlib.sha256(), hashlib.sha256(), 0
     while count < 200:
         n = rng.randint(5, 12)
         masks = _random_graph(rng, n, rng.uniform(0.4, 0.8))
@@ -784,10 +798,13 @@ def test_graphs_without_a_universal_vertex_keep_lambda_and_witness():
         graph = Graph(masks)
         cert = exact_lambda(graph)
         digest.update(repr((cert.value, cert.witness)).encode())
+        values.update(repr(cert.value).encode())
         if cert.evidence.kind == "clique-deficiency":
             assert clique_deficiency(graph, cert.evidence.vertices) == cert.value
     assert digest.hexdigest() == (
-        "f67b98f6529bf076727c6e1976a420d4f817fe770d2c65e84fee16712ebf6d5d")
+        "7fad572c351af8c194dac123a3d3260ae9bb663128a930033da56f464b2e0f2f")
+    assert values.hexdigest() == (
+        "badb02b2e40aed62ad18aa73a2954eb886b4998adfed9cd4c612df69d2a71fef")
 
 
 @settings(max_examples=200, deadline=None)
@@ -877,6 +894,19 @@ def test_groups_the_search_once_backtracked_on_are_decided_at_their_floor(spec, 
     assert cert.value == value
     assert cert.evidence.kind == "clique-deficiency"
     assert certificate_problems(graph, cert) == []
+
+
+def test_every_dihedral_group_up_to_order_300_is_decided_at_its_floor():
+    # no spec builds D_2m when m is not a power of 2, so its presentation
+    # does.  Its reflections form one module that is not tight; taken first
+    # by rank, they left the rotations without separators, and 41 of these
+    # searches ran past half a second, D_88's for 8.5 s, until tight modules
+    # came first.  The clique {e} proves λ ≥ 2m.
+    started = time.monotonic()
+    for m in range(2, 151):
+        cert, = certify(_two_generator_group(2 * m, -1, 0), "exact", budget=2.0)
+        assert (cert.value, cert.evidence.kind) == (2 * m, "clique-deficiency")
+    assert time.monotonic() - started < 2.0
 
 
 # ---------------------------------------------------------------------------
