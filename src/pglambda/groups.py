@@ -26,6 +26,7 @@ limits are set here, so the command line reads them without the rest.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -181,10 +182,6 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return (p, k) if n == 1 else None
 
 
-def _is_prime(n: int) -> bool:
-    return prime_power(n) == (n, 1)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -325,11 +322,6 @@ def _power_names(n: int) -> list[str]:
     return ["1"] + ["x"] * (n > 1) + [f"x^{k}" for k in range(2, n)]
 
 
-def _coset_names(m: int) -> list[str]:
-    outside = ["y"] + ["xy"] * (m > 1) + [f"x^{k}y" for k in range(2, m)]
-    return _power_names(m) + outside
-
-
 def _digit_names(p: int, k: int) -> list[str]:
     """The names (d1,…,dk) of the base-p digit vectors, in index order."""
     return [f"({','.join(map(str, d))})" for d in itertools.product(range(p), repeat=k)]
@@ -358,7 +350,8 @@ def _two_generator_group(order: int, twist: int, y_square: int) -> FiniteGroup:
         if v < m:
             return (u + twist * v) % m + m
         return (u + twist * v + y_square) % m
-    return FiniteGroup(order, product, _coset_names(m))
+    powers = _power_names(m)
+    return FiniteGroup(order, product, powers + ["y"] + [f"{a}y" for a in powers[1:]])
 
 
 def _two_exponent(order: int, smallest: int, family: str) -> None:
@@ -400,39 +393,37 @@ def make_semidihedral(order: int) -> FiniteGroup:
 def make_direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on index pairs (a, b) ↦ a·|H| + b."""
     g_product, h_product, nh = g.product, h.product, h.order
+    _check_cap(g.order * nh, "product")
     names = [f"({g.name(a)},{h.name(b)})" for a in range(g.order) for b in range(nh)]
     return FiniteGroup(
         g.order * nh, lambda u, v: g_product(u // nh, v // nh) * nh + h_product(u % nh, v % nh),
         names)
 
 
+def _check_prime(p: int, k: int, what: str, prime: str) -> None:
+    """Refuse p as the prime of a group ``what`` of order p^k: over the cap,
+    before the primality test, which would not finish on a huge p; then,
+    when p is not prime, with "p must be {prime}"."""
+    if p > max_group_order():
+        raise _over_cap(f"{p}^{k}", what)
+    if prime_power(p) != (p, 1):
+        raise ValueError(f"p must be {prime}, got {p}")
+
+
 def make_elementary_abelian(p: int, k: int) -> FiniteGroup:
     """k-fold direct power of C_p, on base-p digit vectors, the first digit
-    the most significant: digitwise addition mod p, XOR when p = 2."""
-    # p**k ≥ max(p, 2**k): a huge p or k is refused before the primality
-    # test or the power, which would not finish
-    cap = max_group_order()
-    if p > cap:
-        raise _over_cap(f"{p}^{k}", "elementary abelian group")
-    if not _is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    the most significant: XOR when p = 2, else make_direct_product's
+    (a, b) ↦ a·p + b folded over k copies of C_p."""
+    _check_prime(p, k, "elementary abelian group", "prime")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k >= cap.bit_length():
+    # p**k ≥ 2**k: a huge k is refused before the power, which would not finish
+    if k >= max_group_order().bit_length():
         raise _over_cap(f"{p}^{k}", "elementary abelian group")
     n = p ** k
     _check_cap(n, "elementary abelian group")
-    names = _digit_names(p, k)
-    if p == 2:
-        return FiniteGroup(n, xor, names)
-
-    def product(u: int, v: int) -> int:  # digit by digit, the least significant first
-        w, s = 0, 1
-        while u or v:
-            w += (u % p + v % p) % p * s
-            u, v, s = u // p, v // p, s * p
-        return w
-    return FiniteGroup(n, product, names)
+    power = xor if p == 2 else functools.reduce(make_direct_product, [make_cyclic(p)] * k).product
+    return FiniteGroup(n, power, _digit_names(p, k))
 
 
 def make_heisenberg(p: int) -> FiniteGroup:
@@ -443,10 +434,7 @@ def make_heisenberg(p: int) -> FiniteGroup:
     """
     if p == 2:
         raise ValueError("the construction needs an odd prime; p=2 was given")
-    if p > max_group_order():  # before the primality test, slow for huge p
-        raise _over_cap(f"{p}^3", "Heisenberg group")
-    if not _is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_prime(p, 3, "Heisenberg group", "an odd prime")
     n = p ** 3
     _check_cap(n, "Heisenberg group")
     pp = p * p
@@ -650,8 +638,11 @@ def _family_parts(kind: str, params: str) -> list[str]:
     return parts
 
 
-def _split_product(rest: str) -> tuple[str, str]:
-    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs.
+def _split_product(rest: str) -> dict[tuple[int, int], int]:
+    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs,
+    and so every product nested in it; return the comma of each, keyed by
+    the offsets of its 'SPEC,SPEC' text in ``rest``, (0, len(rest)) for
+    the whole.
 
     Well-formed is grammar only: a family and its count of digit
     parameters, a non-empty file path, or a product that splits so.  A
@@ -663,6 +654,7 @@ def _split_product(rest: str) -> tuple[str, str]:
     if rest.count("product:") >= _MAX_PRODUCTS:
         raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
     seen: dict[tuple[int, int], bool] = {}
+    splits: dict[tuple[int, int], int] = {}
     tries = 0
 
     def first_split(start: int, stop: int) -> int | None:
@@ -674,6 +666,7 @@ def _split_product(rest: str) -> tuple[str, str]:
                 raise ValueError(f"cannot split {_quote(rest)} into two group specs "
                                  f"within {_MAX_SPLIT_TRIES} commas tried")
             if well_formed(start, comma) and well_formed(comma + 1, stop):
+                splits[start, stop] = comma
                 return comma
             comma = rest.find(",", comma + 1, stop)
         return None
@@ -702,10 +695,9 @@ def _split_product(rest: str) -> tuple[str, str]:
                 seen[start, stop] = kind == "file" and params < stop
         return seen[start, stop]
 
-    comma = first_split(0, len(rest))
-    if comma is None:
+    if first_split(0, len(rest)) is None:
         raise ValueError(f"cannot split {_quote(rest)} into two group specs")
-    return rest[:comma], rest[comma + 1:]
+    return splits
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -718,10 +710,14 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         make, *names = _FAMILIES[kind]
         return globals()[make](*map(_digits_int, _family_parts(kind, rest), names))
     if kind == "product":
-        left, right = _split_product(rest)
-        g, h = parse_group_spec(left), parse_group_spec(right)
-        _check_cap(g.order * h.order, "product")
-        return make_direct_product(g, h)
+        splits = _split_product(rest)
+
+        def product(start: int, stop: int) -> FiniteGroup:  # of the two specs in rest[start:stop]
+            comma = splits[start, stop]
+            return make_direct_product(*(
+                product(a + len("product:"), b) if rest.startswith("product:", a, b)
+                else parse_group_spec(rest[a:b]) for a, b in ((start, comma), (comma + 1, stop))))
+        return product(0, len(rest))
     if kind == "file":
         cap = max_group_order()  # 64 characters a cell, count and names lines included
         return parse_cayley(_read_bounded(rest, 64 * (cap + 1) ** 2, TooLargeError,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .groups import DEFAULT_TIME_BUDGET
+from .groups import DEFAULT_TIME_BUDGET, _quote
 from .powergraph import Graph, iter_bits
 
 __all__ = [
@@ -288,7 +288,8 @@ def parse_labelling_csv(text: str, n: int,
     Returns the labels indexed by vertex.  A numeric element column is
     always read as an index (names like "1" cannot shadow it); anything
     else must match a known element name.  Malformed rows, unknown
-    elements, duplicates and missing elements raise ValueError.
+    elements, duplicates and missing elements raise ValueError, which
+    quotes a long cell by its first 64 characters (``groups._quote``).
     """
     import csv  # only reading untrusted CSV input needs csv and io
     import io
@@ -303,22 +304,22 @@ def parse_labelling_csv(text: str, n: int,
     out: dict[int, int] = {}
     for row in rows[1:]:
         if len(row) != 2:
-            raise ValueError(f"labelling row {row!r} must have 2 columns")
+            raise ValueError(f"labelling row [{', '.join(map(_quote, row))}] must have 2 columns")
         key, value = row[0].strip(), row[1].strip()
         try:
             vertex = int(key)
         except ValueError:
             if key not in name_index:
-                raise ValueError(f"unknown element {key!r}") from None
+                raise ValueError(f"unknown element {_quote(key)}") from None
             vertex = name_index[key]
         if not 0 <= vertex < n:
             raise ValueError(f"element index {vertex} out of range 0..{n - 1}")
         try:
             label = int(value)
         except ValueError as exc:
-            raise ValueError(f"label {value!r} is not an integer") from exc
+            raise ValueError(f"label {_quote(value)} is not an integer") from exc
         if vertex in out:
-            raise ValueError(f"element {key!r} labelled twice")
+            raise ValueError(f"element {_quote(key)} labelled twice")
         out[vertex] = label
     if len(out) != n:
         missing = next(v for v in range(n) if v not in out)

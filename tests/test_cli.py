@@ -30,6 +30,7 @@ from pglambda import (
     span,
     validate_labelling,
 )
+import pglambda.groups as groups_module
 import pglambda.suites as suites_module
 from pglambda.cli import main
 from pglambda.groups import _FAMILIES, prime_power
@@ -114,6 +115,15 @@ def test_nested_product_specs_split_in_polynomial_time():
     assert time.monotonic() - started < 2.0
     with pytest.raises(ValueError, match="at most 32 products"):
         parse_group_spec("product:" * 33 + "cyclic:1" + ",cyclic:1" * 33)
+
+
+def test_a_nested_product_spec_is_split_once(monkeypatch):
+    # each nested product was split again, with a fresh memo: 31 splits here
+    split, texts = groups_module._split_product, []
+    monkeypatch.setattr(groups_module, "_split_product",
+                        lambda rest: texts.append(rest) or split(rest))
+    assert parse_group_spec("product:" * 31 + "cyclic:1" + ",cyclic:1" * 31).order == 1
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("spec", [
@@ -202,6 +212,41 @@ def test_a_huge_power_order_is_refused_without_forming_it(spec, order, what, cap
     assert (code, out) == (3, "")
     assert err == (f"resource limit: {what} of order {order} exceeds the cap 512 "
                    "(raise LAMBDA_MAX_ORDER to override)\n")
+
+
+def _over(what, order, cap):
+    return (3, f"resource limit: {what} of order {order} exceeds the cap {cap} "
+               "(raise LAMBDA_MAX_ORDER to override)\n")
+
+
+# which check refuses first: the cap on p, the primality test, the rank, the
+# cap on p^k, and a product's factors before the product
+@pytest.mark.parametrize("cap,spec,expected", [
+    *((cap, spec, (1, f"error: p must be prime, got {p}\n"))
+      for cap in (None, "7") for spec, p in (("elemab:4,2", 4), ("elemab:1,2", 1))),
+    *((cap, "elemab:3,0", (1, "error: rank must be positive, got 0\n")) for cap in (None, "7")),
+    *((cap, "heisenberg:2", (1, "error: the construction needs an odd prime; p=2 was given\n"))
+      for cap in (None, "7")),
+    (None, "elemab:513,1", _over("elementary abelian group", "513^1", 512)),
+    ("7", "elemab:513,1", _over("elementary abelian group", "513^1", 7)),
+    (None, "elemab:3,6", _over("elementary abelian group", 729, 512)),
+    ("7", "elemab:3,6", _over("elementary abelian group", "3^6", 7)),
+    (None, "heisenberg:9", (1, "error: p must be an odd prime, got 9\n")),
+    ("7", "heisenberg:9", _over("Heisenberg group", "9^3", 7)),
+    (None, "heisenberg:515", _over("Heisenberg group", "515^3", 512)),
+    ("7", "heisenberg:515", _over("Heisenberg group", "515^3", 7)),
+    (None, "product:cyclic:32,cyclic:32", _over("product", 1024, 512)),
+    ("7", "product:cyclic:32,cyclic:32", _over("cyclic group", 32, 7)),
+    (None, "product:cyclic:16,product:cyclic:8,cyclic:8", _over("product", 1024, 512)),
+    ("7", "product:cyclic:16,product:cyclic:8,cyclic:8", _over("cyclic group", 16, 7)),
+])
+def test_prime_rank_and_product_refusals_are_pinned(cap, spec, expected, capsys, monkeypatch):
+    if cap is None:
+        monkeypatch.delenv("LAMBDA_MAX_ORDER", raising=False)
+    else:
+        monkeypatch.setenv("LAMBDA_MAX_ORDER", cap)
+    code, out, err = run(capsys, "analyze", spec)
+    assert (code, err) == expected and not out
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +746,32 @@ def test_check_numeric_keys_are_indices_not_names(tmp_path, capsys):
     code, _, err = run(capsys, "check", "cyclic:4", str(csv))
     assert code == 1
     assert "labelled twice" in err
+
+
+@pytest.mark.parametrize("rows,message", [
+    ("0,0,x^2", "labelling row ['0', '0', 'x^2'] must have 2 columns"),
+    ("0", "labelling row ['0'] must have 2 columns"),
+    ("z,0", "unknown element 'z'"),
+    ("0,a", "label 'a' is not an integer"),
+    ("x,0\nx,2", "element 'x' labelled twice"),
+], ids=["three-columns", "one-column", "unknown-element", "label", "twice"])
+def test_labelling_csv_errors_quote_short_text_whole(rows, message, tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text(f"element,label\n{rows}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "cyclic:4", str(csv))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("row", ["a" * 30000 + ",0", "0,0," + "b" * 30000, "0," + "7" * 29999 + "x"],
+                         ids=["unknown-element", "third-column", "label"])
+def test_labelling_csv_errors_quote_a_long_cell_by_its_first_64_characters(row, tmp_path,
+                                                                           capsys):
+    # each message once echoed the whole cell, a stderr line of about 30 KB
+    csv = tmp_path / "long.csv"
+    csv.write_text(f"element,label\n{row}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "dihedral:512", str(csv))
+    assert code == 1 and not out
+    assert len(err) < 400 and " (the first 64 of 30000 characters)" in err
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,9 @@ def test_cyclic_element_orders_match_gcd_formula(n):
 
 
 # sha256 of format_cayley and of the newline-joined element names, captured
-# from the array-based constructors that preceded the tuple tables
+# from the array-based constructors that preceded the tuple tables; those of
+# elemab:3,5 and elemab:5,3 from the digit-by-digit product that preceded
+# the direct power of C_p
 TABLE_DIGESTS = [
     ("cyclic:1", "0d807166fc72faa019e0f69b9b72ece72ada2463e1485dc869814ff4f59a063b", "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"),
     ("cyclic:12", "7851b23909dcd6b0b3710a570675e1b20a744318b994e7d69409a42aeb72571b", "3e780495e40015f3e0f941f290d30daaac8f04f64b7a0484c02eaa2d50b2d85c"),
@@ -76,6 +78,8 @@ TABLE_DIGESTS = [
     ("elemab:7,3", "c04e7932f0508a092cc78e11aee318a023bc2b9fd773e543bf42e61dd468c2b1", "ea6210528044ba0615a703d853f8b4e945f65fa72f350b84201446f0d2260810"),
     ("elemab:3,3", "952d71fd377f8b71a6b3806243d8eb2cd3907212e0b87f310fdf1825abe138dc", "99240fcaaca319e5378193693f52428e5b5012de0469c651e5bf6c8ea5dfb1c4"),
     ("elemab:2,4", "a9133db0956b569a8efbd4390b7fd4d0d0f2daf369ad70a21e9cf6242d8b59ed", "a70081fed2112e85688a4005d2474854eda1225a0b76e010181d1e6c68478fd1"),
+    ("elemab:3,5", "5f6341b2bdd7a57c490cddb454edac03eed70b5304198e3b22a91ad2401a5153", "cb3b8de5988e65ed0fc9f66be0bc43754605ea64c1fd5c0a79c6f8a5233c4b2f"),
+    ("elemab:5,3", "f651bf436a5cb76ed031bd07770e70403d79b738513a9e225832c47135796380", "153bd60ead13032782afe443616e1645a44ac239b8c1d1a892ef96712d6e9125"),
     ("heisenberg:3", "0261a80f916a387feac2bf169a39c4d0a460b17212bcc0bd8367413cdb25c8b3", "99240fcaaca319e5378193693f52428e5b5012de0469c651e5bf6c8ea5dfb1c4"),
     ("heisenberg:5", "1936ad7d4036e6b3153a9fb4c9013e001c89878d0d3f3946160645f454c28f9d", "153bd60ead13032782afe443616e1645a44ac239b8c1d1a892ef96712d6e9125"),
     ("heisenberg:7", "162dcb00ab47d24f8a6b57d060e6aa1ada1a051074ae049eb36ceb3643929428", "ea6210528044ba0615a703d853f8b4e945f65fa72f350b84201446f0d2260810"),
@@ -387,6 +391,13 @@ def test_size_cap_tracks_environment(monkeypatch):
     with pytest.raises(TooLargeError):
         make_cyclic(17)
     make_cyclic(16)  # at the cap is fine
+
+
+def test_a_direct_product_checks_its_own_order_against_the_cap(monkeypatch):
+    monkeypatch.setenv("LAMBDA_MAX_ORDER", "16")
+    with pytest.raises(TooLargeError, match=r"^product of order 32 exceeds the cap 16 "):
+        make_direct_product(make_cyclic(8), make_cyclic(4))
+    assert make_direct_product(make_cyclic(8), make_cyclic(2)).order == 16
 
 
 def test_parse_cayley_refuses_an_order_above_the_cap_before_reading_rows(monkeypatch):
