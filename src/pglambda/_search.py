@@ -25,7 +25,7 @@ from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
 from .errors import SearchTimeoutError
-from .labelling import clique_deficiency
+from .labelling import _deficiency, clique_deficiency
 from .powergraph import Graph, iter_bits
 
 
@@ -52,9 +52,7 @@ def _twin_clique(classes: dict[int, int], everyone: int, deadline: float) -> int
         if 2 * common.bit_count() - 2 <= best:
             continue
         visits += 1
-        rest = common.bit_count() - k.bit_count()
-        bound = 2 * k.bit_count() - 2 + rest + (rest > 0)
-        if k and bound > best:
+        if k and (bound := _deficiency(k, common)) > best:
             best, found = bound, k
         for i in range(len(order) - 1, start - 1, -1):  # pushed last, visited first
             closed, members = order[i]

@@ -164,8 +164,14 @@ def clique_deficiency(graph: Graph, clique: Sequence[int]) -> int | None:
         common &= nbrs[v] | 1 << v
     if common & mask != mask:
         return None
-    rest = (common & ~mask).bit_count()
-    return 2 * len(clique) - 2 + rest + (rest > 0)
+    return _deficiency(mask, common)
+
+
+def _deficiency(k: int, common: int) -> int:
+    """2|K| − 2 + |R| + [R ≠ ∅] for a non-empty clique K, given as a
+    bitmask inside ``common``, the mask of K ∪ R."""
+    rest = (common & ~k).bit_count()
+    return 2 * k.bit_count() - 2 + rest + (rest > 0)
 
 
 def power_graph_lower_bound(graph: Graph) -> Evidence:
@@ -289,7 +295,8 @@ def parse_labelling_csv(text: str, n: int,
     always read as an index (names like "1" cannot shadow it); anything
     else must match a known element name.  Malformed rows, unknown
     elements, duplicates and missing elements raise ValueError, which
-    quotes a long cell by its first 64 characters (``groups._quote``).
+    quotes a long cell by its first 64 characters (``groups._quote``) and
+    a row of more than 8 cells by its first 8 and its cell count.
     """
     import csv  # only reading untrusted CSV input needs csv and io
     import io
@@ -304,7 +311,10 @@ def parse_labelling_csv(text: str, n: int,
     out: dict[int, int] = {}
     for row in rows[1:]:
         if len(row) != 2:
-            raise ValueError(f"labelling row [{', '.join(map(_quote, row))}] must have 2 columns")
+            cells = ", ".join(map(_quote, row[:8]))
+            shown = (f"[{cells}]" if len(row) <= 8 else
+                     f"[{cells}, ...] (the first 8 of {len(row)} cells)")
+            raise ValueError(f"labelling row {shown} must have 2 columns")
         key, value = row[0].strip(), row[1].strip()
         try:
             vertex = int(key)

@@ -105,24 +105,20 @@ def check_lower_hook(group: FiniteGroup) -> tuple[int, int, int] | None:
     V₁ = V₂ is forced when their orders are equal.  It holds in every
     p-group but can fail elsewhere.  Classes are named by their index in
     ``group.cyclic_subgroups()`` and checked in that order.
+
+    Class order ascends in order, and two distinct cyclic subgroups of one
+    order are never comparable, so never adjacent: the classes U hooks are
+    the classes before U that U's representative is adjacent to, and two
+    of them of one order are a counterexample as a non-adjacent pair.
     """
     graph = build_power_graph(group)
-    sub = group.cyclic_subgroups()
-    reps = [gens[0] for gens in sub.generators]
-    sizes = [len(elements) for elements in sub.elements]
-    m = len(reps)
-
-    class_adj = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if graph.adjacent(reps[i], reps[j]):
-                class_adj[i] |= 1 << j
-                class_adj[j] |= 1 << i
-
-    for u in range(m):
-        below = [v for v in iter_bits(class_adj[u]) if sizes[v] <= sizes[u]]
-        for v1, v2 in combinations(below, 2):
-            if sizes[v1] == sizes[v2] or not (class_adj[v1] >> v2) & 1:
+    reps = [gens[0] for gens in group.cyclic_subgroups().generators]
+    index = {rep: c for c, rep in enumerate(reps)}
+    rep_mask = sum(1 << rep for rep in reps)
+    for u, rep in enumerate(reps):
+        joined = map(index.get, iter_bits(graph.neighbors[rep] & rep_mask))
+        for v1, v2 in combinations(sorted(c for c in joined if c < u), 2):
+            if not graph.adjacent(reps[v1], reps[v2]):
                 return u, v1, v2
     return None
 

@@ -751,10 +751,13 @@ def test_check_numeric_keys_are_indices_not_names(tmp_path, capsys):
 @pytest.mark.parametrize("rows,message", [
     ("0,0,x^2", "labelling row ['0', '0', 'x^2'] must have 2 columns"),
     ("0", "labelling row ['0'] must have 2 columns"),
+    ("0,1,2,3,4,5,6,7",
+     "labelling row ['0', '1', '2', '3', '4', '5', '6', '7'] must have 2 columns"),
     ("z,0", "unknown element 'z'"),
     ("0,a", "label 'a' is not an integer"),
     ("x,0\nx,2", "element 'x' labelled twice"),
-], ids=["three-columns", "one-column", "unknown-element", "label", "twice"])
+], ids=["three-columns", "one-column", "eight-columns", "unknown-element", "label",
+        "twice"])
 def test_labelling_csv_errors_quote_short_text_whole(rows, message, tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text(f"element,label\n{rows}\n", encoding="utf-8")
@@ -772,6 +775,17 @@ def test_labelling_csv_errors_quote_a_long_cell_by_its_first_64_characters(row, 
     code, out, err = run(capsys, "check", "dihedral:512", str(csv))
     assert code == 1 and not out
     assert len(err) < 400 and " (the first 64 of 30000 characters)" in err
+
+
+def test_a_labelling_row_of_many_cells_names_its_first_8_and_its_count(tmp_path, capsys):
+    # the message once listed every cell, a stderr line of about 75 KB
+    csv = tmp_path / "wide.csv"
+    csv.write_text("element,label\n0" + ",1" * 15000 + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "dihedral:512", str(csv))
+    assert (code, out) == (1, "")
+    assert len(err) < 400
+    assert err == ("error: labelling row ['0', '1', '1', '1', '1', '1', '1', '1', ...] "
+                   "(the first 8 of 15001 cells) must have 2 columns\n")
 
 
 # ---------------------------------------------------------------------------
@@ -971,6 +985,17 @@ def test_semidihedral_class_numbers_match_the_family_expectations():
         "semidihedral:16": "class numbers [(1, 1), (2, 5), (4, 3), (8, 1)]",
         "semidihedral:32": "class numbers [(1, 1), (2, 9), (4, 5), (8, 1), (16, 1)]",
     }
+
+
+def test_a_wrong_family_exception_fails_the_family_class_numbers(capsys, monkeypatch):
+    # dihedral's exception moved from order 2 to order 4: D8 has five
+    # subgroups of order 2 and one of order 4, not one and five
+    monkeypatch.setitem(suites_module._FAMILY_EXCEPTIONS, "dihedral", {4: 2})
+    code, out, err = run(capsys, "suite", "--max-order", "8")
+    assert code == 2
+    assert json.loads(out)["first_failure"] == "family-class-numbers: dihedral:8"
+    assert err == ("failed property: family-class-numbers on dihedral:8 (expected "
+                   "[(1, 1), (2, 1), (4, 5)], got [(1, 1), (2, 5), (4, 1)])\n")
 
 
 def test_catalogue_entries_are_sorted_unique_and_of_their_order(capsys, monkeypatch):

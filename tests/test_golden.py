@@ -298,6 +298,18 @@ GOLDEN += [
 ]
 
 
+# A suite call over larger subjects: the class-number congruences at orders
+# 243-512 and the lower hook over up to 512 classes (elemab:2,9), and its
+# counterexamples, of orders (6, 2, 3) and (10, 2, 5), on four non-p-groups.
+GOLDEN += [
+    ("suite --max-order 1 --group elemab:3,5 --group heisenberg:7 "
+     "--group elemab:2,9 --group product:cyclic:16,cyclic:32 --group cyclic:210 "
+     "--group product:cyclic:6,cyclic:10 --group product:cyclic:3,dihedral:16 "
+     "--group product:cyclic:5,quaternion:16",
+     "b63a12663af5113b60185e1cdcab59e1e0848f0735d26ae653a8326a119b9b7e"),
+]
+
+
 def _test_id(command: str) -> str:
     """The call's test id: the command as it was written when the JSON
     forms of lambda, check and suite also took --stable, so that each test

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -19,9 +20,11 @@ from pglambda import (
     make_heisenberg,
     make_quaternion,
     make_semidihedral,
+    parse_group_spec,
     to_dot,
     to_edge_list,
 )
+from pglambda.suites import _ENTRIES
 
 
 def _is_power_of(group, a: int, b: int) -> bool:
@@ -150,6 +153,42 @@ def test_lower_hook_counterexample_in_c6():
 def test_lower_hook_vacuous_on_symmetric_group(s3_group):
     # no element order divides a larger one here, so nothing to hook
     assert check_lower_hook(s3_group) is None
+
+
+def _all_pairs_lower_hook(group):
+    """The reference lower-hook check: a class-adjacency matrix over all
+    pairs of classes, then, for each class U in class order, every pair of
+    classes adjacent to U of order at most U's."""
+    graph = build_power_graph(group)
+    sub = group.cyclic_subgroups()
+    reps = [gens[0] for gens in sub.generators]
+    sizes = [len(elements) for elements in sub.elements]
+    m = len(reps)
+    class_adj = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if graph.adjacent(reps[i], reps[j]):
+                class_adj[i] |= 1 << j
+                class_adj[j] |= 1 << i
+    for u in range(m):
+        below = [v for v in range(m) if (class_adj[u] >> v) & 1 and sizes[v] <= sizes[u]]
+        for v1, v2 in itertools.combinations(below, 2):
+            if sizes[v1] == sizes[v2] or not (class_adj[v1] >> v2) & 1:
+                return u, v1, v2
+    return None
+
+
+_LARGER_HOOK_SPECS = (
+    "elemab:3,5", "heisenberg:7", "elemab:2,9", "product:cyclic:16,cyclic:32",
+    "cyclic:210", "product:cyclic:6,cyclic:10", "product:cyclic:3,dihedral:16",
+    "product:cyclic:5,quaternion:16",
+)
+
+
+@pytest.mark.parametrize("spec", [spec for _, spec in _ENTRIES] + list(_LARGER_HOOK_SPECS))
+def test_lower_hook_matches_the_all_pairs_check(spec):
+    group = parse_group_spec(spec)
+    assert check_lower_hook(group) == _all_pairs_lower_hook(group)
 
 
 # ---------------------------------------------------------------------------
