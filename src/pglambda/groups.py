@@ -20,8 +20,9 @@ for the command line and the catalogue alike:
     cyclic:N | dihedral:ORDER | quaternion:ORDER | semidihedral:ORDER |
     elemab:P,K | heisenberg:P | product:SPEC,SPEC | file:PATH
 with every parameter N, ORDER, P, K written in ASCII digits, the rule
-that the integer options and LAMBDA_MAX_ORDER follow too.  The default
-limits are set here, so the command line reads them without the rest.
+that the integer options and LAMBDA_MAX_ORDER follow too.  A PATH inside
+a product ends at its first comma.  The default limits are set here, so
+the command line reads them without the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import itertools
 import math
 import os
+import re
 from operator import index, itemgetter, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -506,11 +508,12 @@ def format_cayley(group: FiniteGroup) -> str:
 
 
 def _read_bounded(path: str, limit: int, error: type[Exception], why: str) -> str:
-    """The UTF-8 text of a file, read 2^20 characters at a time and no
-    further than past ``limit``, so neither an endless file nor a huge
-    limit costs more; ``error`` when the file holds more than ``limit``."""
+    """The UTF-8 text of a file, less a leading byte-order mark, read 2^20
+    characters at a time and no further than past ``limit``, so neither an
+    endless file nor a huge limit costs more; ``error`` when the file
+    holds more than ``limit``."""
     chunks, size = [], 0
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         while size <= limit and (chunk := handle.read(1 << 20)):
             chunks.append(chunk)
             size += len(chunk)
@@ -588,9 +591,10 @@ def _quote(text: str) -> str:
 
 
 def _spec_digits(text: str) -> bool:
-    """The one rule for every number a user writes (spec parameters, parsed
-    or split, integer options, LAMBDA_MAX_ORDER, and --time-budget once its
-    one decimal point is removed): ASCII digits."""
+    """The one rule for every number a user writes (spec parameters, alone
+    or in a product, labelling-CSV element indices, integer options,
+    LAMBDA_MAX_ORDER, and --time-budget once its one decimal point is
+    removed): ASCII digits."""
     return text.isascii() and text.isdigit()
 
 
@@ -607,11 +611,8 @@ def _digits_int(text: str, what: str) -> int:
 
 
 # A product of more factors than this has order ≥ 2^33 unless factors are
-# trivial; the limit bounds the depth and the cost of splitting a spec.
+# trivial; the limit bounds the depth to which _read_factor recurses.
 _MAX_PRODUCTS = 32
-# Commas a split may try, in all its nested products together, before it
-# refuses the spec: tries can grow with the square of the spec's length.
-_MAX_SPLIT_TRIES = 1 << 16
 
 # family -> (constructor, the name of each comma-separated parameter).  The
 # constructor is named, not held, so the call goes through the module
@@ -638,66 +639,29 @@ def _family_parts(kind: str, params: str) -> list[str]:
     return parts
 
 
-def _split_product(rest: str) -> dict[tuple[int, int], int]:
-    """Split 'SPEC,SPEC' at the leftmost comma giving two well-formed specs,
-    and so every product nested in it; return the comma of each, keyed by
-    the offsets of its 'SPEC,SPEC' text in ``rest``, (0, len(rest)) for
-    the whole.
-
-    Well-formed is grammar only: a family and its count of digit
-    parameters, a non-empty file path, or a product that splits so.  A
-    substring is named by its offsets into ``rest`` and its verdict
-    memoized: nested products would otherwise test the same substrings
-    again and again, exponentially often.  A split refuses the spec once
-    it has tried _MAX_SPLIT_TRIES commas.
+def _read_factor(spec: str, start: int) -> tuple[str | tuple, int]:
+    """The factor of a product spec that begins at offset ``start``, and
+    the offset where it ends.  Each factor has one end: a family's after
+    its count of ASCII-digit parameters, a file: path's at its first
+    comma, a product's after its second factor.  A family or file factor
+    is its spec text, a product the pair of its factors.  ValueError,
+    without a message, when no factor begins at ``start`` or no comma
+    follows a product's first factor.
     """
-    if rest.count("product:") >= _MAX_PRODUCTS:
-        raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
-    seen: dict[tuple[int, int], bool] = {}
-    splits: dict[tuple[int, int], int] = {}
-    tries = 0
-
-    def first_split(start: int, stop: int) -> int | None:
-        nonlocal tries
-        comma = rest.find(",", start, stop)
-        while comma >= 0:
-            tries += 1
-            if tries > _MAX_SPLIT_TRIES:
-                raise ValueError(f"cannot split {_quote(rest)} into two group specs "
-                                 f"within {_MAX_SPLIT_TRIES} commas tried")
-            if well_formed(start, comma) and well_formed(comma + 1, stop):
-                splits[start, stop] = comma
-                return comma
-            comma = rest.find(",", comma + 1, stop)
-        return None
-
-    def digit_params(kind: str, start: int, stop: int) -> bool:
-        # the commas are counted in place, so only a text that holds the
-        # family's count of them is sliced and read for digits
-        comma = start - 1
-        for _ in _FAMILIES[kind][2:]:
-            comma = rest.find(",", comma + 1, stop)
-            if comma < 0:
-                return False
-        return (rest.find(",", comma + 1, stop) < 0
-                and all(map(_spec_digits, rest[start:stop].split(","))))
-
-    def well_formed(start: int, stop: int) -> bool:
-        if (start, stop) not in seen:
-            kind = next((k for k in (*_FAMILIES, "product", "file")
-                         if rest.startswith(k + ":", start, stop)), "")
-            params = start + len(kind) + 1
-            if kind in _FAMILIES:
-                seen[start, stop] = digit_params(kind, params, stop)
-            elif kind == "product":
-                seen[start, stop] = first_split(params, stop) is not None
-            else:
-                seen[start, stop] = kind == "file" and params < stop
-        return seen[start, stop]
-
-    if first_split(0, len(rest)) is None:
-        raise ValueError(f"cannot split {_quote(rest)} into two group specs")
-    return splits
+    if spec.startswith("product:", start):
+        left, comma = _read_factor(spec, start + len("product:"))
+        if not spec.startswith(",", comma):
+            raise ValueError
+        right, end = _read_factor(spec, comma + 1)
+        return (left, right), end
+    kind = next((k for k in (*_FAMILIES, "file") if spec.startswith(k + ":", start)), None)
+    if kind is None:
+        raise ValueError
+    params = "[^,]+" if kind == "file" else ",".join(["[0-9]+"] * len(_FAMILIES[kind][1:]))
+    found = re.compile(params).match(spec, start + len(kind) + 1)
+    if found is None:
+        raise ValueError
+    return spec[start:found.end()], found.end()
 
 
 def parse_group_spec(spec: str) -> FiniteGroup:
@@ -710,14 +674,20 @@ def parse_group_spec(spec: str) -> FiniteGroup:
         make, *names = _FAMILIES[kind]
         return globals()[make](*map(_digits_int, _family_parts(kind, rest), names))
     if kind == "product":
-        splits = _split_product(rest)
+        if rest.count("product:") >= _MAX_PRODUCTS:
+            raise ValueError(f"a group spec may hold at most {_MAX_PRODUCTS} products")
+        try:
+            factors, end = _read_factor(spec, 0)
+        except ValueError:
+            end = -1
+        if end != len(spec):
+            raise ValueError(f"cannot split {_quote(rest)} into two group specs")
 
-        def product(start: int, stop: int) -> FiniteGroup:  # of the two specs in rest[start:stop]
-            comma = splits[start, stop]
-            return make_direct_product(*(
-                product(a + len("product:"), b) if rest.startswith("product:", a, b)
-                else parse_group_spec(rest[a:b]) for a, b in ((start, comma), (comma + 1, stop))))
-        return product(0, len(rest))
+        def build(factor: str | tuple) -> FiniteGroup:
+            if isinstance(factor, str):
+                return parse_group_spec(factor)
+            return make_direct_product(*map(build, factor))
+        return build(factors)
     if kind == "file":
         cap = max_group_order()  # 64 characters a cell, count and names lines included
         return parse_cayley(_read_bounded(rest, 64 * (cap + 1) ** 2, TooLargeError,

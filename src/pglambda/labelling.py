@@ -27,7 +27,7 @@ from __future__ import annotations
 from operator import index
 from typing import NamedTuple, Sequence
 
-from .groups import DEFAULT_TIME_BUDGET, _quote
+from .groups import DEFAULT_TIME_BUDGET, _quote, _spec_digits
 from .powergraph import Graph, iter_bits
 
 __all__ = [
@@ -291,12 +291,13 @@ def parse_labelling_csv(text: str, n: int,
                         names: Sequence[str] | None = None) -> tuple[int, ...]:
     """Read a labelling CSV; elements may be indices or element names.
 
-    Returns the labels indexed by vertex.  A numeric element column is
-    always read as an index (names like "1" cannot shadow it); anything
-    else must match a known element name.  Malformed rows, unknown
-    elements, duplicates and missing elements raise ValueError, which
-    quotes a long cell by its first 64 characters (``groups._quote``) and
-    a row of more than 8 cells by its first 8 and its cell count.
+    Returns the labels indexed by vertex.  An element written in ASCII
+    digits is always read as an index (names like "1" cannot shadow it);
+    anything else, "+1", "1_0" and "١" included, must match a known
+    element name.  Malformed rows, unknown elements, duplicates and
+    missing elements raise ValueError, which quotes a long cell by its
+    first 64 characters (``groups._quote``) and a row of more than 8
+    cells by its first 8 and its cell count.
     """
     import csv  # only reading untrusted CSV input needs csv and io
     import io
@@ -316,12 +317,12 @@ def parse_labelling_csv(text: str, n: int,
                      f"[{cells}, ...] (the first 8 of {len(row)} cells)")
             raise ValueError(f"labelling row {shown} must have 2 columns")
         key, value = row[0].strip(), row[1].strip()
-        try:
+        if _spec_digits(key) and len(key) <= 4300:  # int() refuses longer ones
             vertex = int(key)
-        except ValueError:
-            if key not in name_index:
-                raise ValueError(f"unknown element {_quote(key)}") from None
+        elif key in name_index:
             vertex = name_index[key]
+        else:
+            raise ValueError(f"unknown element {_quote(key)}")
         if not 0 <= vertex < n:
             raise ValueError(f"element index {vertex} out of range 0..{n - 1}")
         try:

@@ -118,12 +118,24 @@ def test_nested_product_specs_split_in_polynomial_time():
 
 
 def test_a_nested_product_spec_is_split_once(monkeypatch):
-    # each nested product was split again, with a fresh memo: 31 splits here
-    split, texts = groups_module._split_product, []
-    monkeypatch.setattr(groups_module, "_split_product",
-                        lambda rest: texts.append(rest) or split(rest))
+    # one pass: each of the 31 products and 32 cyclic:1 factors is read
+    # once, where a search for the split tried about 5,000 commas
+    read, starts = groups_module._read_factor, []
+    monkeypatch.setattr(groups_module, "_read_factor",
+                        lambda spec, start: starts.append(start) or read(spec, start))
     assert parse_group_spec("product:" * 31 + "cyclic:1" + ",cyclic:1" * 31).order == 1
-    assert len(texts) == 1
+    assert len(starts) == len(set(starts)) == 63
+
+
+def test_a_file_path_in_a_product_ends_at_its_first_comma(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("a,b.txt").write_text("2\n0 1\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "file:a,b.txt", "--stable")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["group"]["order"] == 2
+    code, out, err = run(capsys, "analyze", "product:file:a,b.txt,cyclic:2")
+    assert (code, out, err) == (1, "", "error: cannot split 'file:a,b.txt,cyclic:2' "
+                                       "into two group specs\n")
 
 
 @pytest.mark.parametrize("spec", [
@@ -132,8 +144,8 @@ def test_a_nested_product_spec_is_split_once(monkeypatch):
     "product:cyclic:1," + "1," * 32000 + "cyclic:1",
 ], ids=["nested-1000-commas", "nested-2000-commas", "flat-32000-commas"])
 def test_a_product_that_cannot_split_is_refused_at_once(spec, capsys):
-    # the nested ones reach the bound on commas tried; the flat one is
-    # refused within it, its substrings named by offsets, not copied
+    # read in one pass, each is refused where its first factor ends and no
+    # second factor begins, with no copy of the spec's substrings
     started = time.monotonic()
     code, _, err = run(capsys, "analyze", spec)
     assert time.monotonic() - started < 1.0
@@ -746,6 +758,39 @@ def test_check_numeric_keys_are_indices_not_names(tmp_path, capsys):
     code, _, err = run(capsys, "check", "cyclic:4", str(csv))
     assert code == 1
     assert "labelled twice" in err
+
+
+def test_check_keys_that_are_not_ascii_digits_are_names(tmp_path, capsys):
+    # int() once read '1_0' as index 10, '+2' as 2 and '١' as 1
+    table = tmp_path / "t.txt"
+    table.write_text("4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\nnames: e,1_0,+2,١\n",
+                     encoding="utf-8")
+    csv = tmp_path / "w.csv"
+    csv.write_text("element,label\ne,0\n1_0,2\n+2,4\n١,6\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", f"file:{table}", str(csv))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["valid"] is True
+
+
+def test_a_key_of_more_than_4300_digits_is_an_unknown_element(tmp_path, capsys):
+    csv = tmp_path / "w.csv"
+    csv.write_text("element,label\n" + "1" * 4301 + ",0\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "dihedral:512", str(csv))
+    assert (code, out, err) == (1, "", f"error: unknown element '{'1' * 64}' "
+                                       f"(the first 64 of 4301 characters)\n")
+
+
+@pytest.mark.parametrize("name,text,argv", [
+    ("bom.csv", "element,label\n0,0\n1,2\n", ["check", "cyclic:2", "bom.csv"]),
+    ("bom.txt", "2\n0 1\n1 0\n", ["analyze", "file:bom.txt", "--stable"]),
+], ids=["labelling-csv", "cayley-table"])
+def test_a_file_may_start_with_a_utf8_bom(name, text, argv, tmp_path, capsys, monkeypatch):
+    # each was read with the BOM as part of its first cell or line
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
 
 
 @pytest.mark.parametrize("rows,message", [

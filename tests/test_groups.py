@@ -10,9 +10,10 @@ import sys
 import textwrap
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pglambda.groups as groups_module
 from pglambda import (
@@ -674,6 +675,129 @@ def test_validate_group_agrees_with_the_reference_validator(table, data):
     table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = cell
     assert (_outcome(lambda: validate_group(table))
             == _outcome(lambda: _reference_validate_group(table)))
+
+
+# ---------------------------------------------------------------------------
+# product specs
+
+
+def _reference_split_product(rest):
+    """The memoized leftmost split that read product specs before the
+    one-pass reader: the comma of every product, keyed by the offsets of
+    its 'SPEC,SPEC' text in ``rest``.  A file: path may hold commas here."""
+    max_products, max_tries, families = 32, 1 << 16, groups_module._FAMILIES
+    if rest.count("product:") >= max_products:
+        raise ValueError(f"a group spec may hold at most {max_products} products")
+    seen, splits, tries = {}, {}, 0
+
+    def first_split(start, stop):
+        nonlocal tries
+        comma = rest.find(",", start, stop)
+        while comma >= 0:
+            tries += 1
+            if tries > max_tries:
+                raise ValueError(f"cannot split {groups_module._quote(rest)} into two group "
+                                 f"specs within {max_tries} commas tried")
+            if well_formed(start, comma) and well_formed(comma + 1, stop):
+                splits[start, stop] = comma
+                return comma
+            comma = rest.find(",", comma + 1, stop)
+        return None
+
+    def digit_params(kind, start, stop):
+        comma = start - 1
+        for _ in families[kind][2:]:
+            comma = rest.find(",", comma + 1, stop)
+            if comma < 0:
+                return False
+        return (rest.find(",", comma + 1, stop) < 0
+                and all(map(groups_module._spec_digits, rest[start:stop].split(","))))
+
+    def well_formed(start, stop):
+        if (start, stop) not in seen:
+            kind = next((k for k in (*families, "product", "file")
+                         if rest.startswith(k + ":", start, stop)), "")
+            params = start + len(kind) + 1
+            if kind in families:
+                seen[start, stop] = digit_params(kind, params, stop)
+            elif kind == "product":
+                seen[start, stop] = first_split(params, stop) is not None
+            else:
+                seen[start, stop] = kind == "file" and params < stop
+        return seen[start, stop]
+
+    if first_split(0, len(rest)) is None:
+        raise ValueError(f"cannot split {groups_module._quote(rest)} into two group specs")
+    return splits
+
+
+def _reference_factors(rest):
+    """The two factors of 'SPEC,SPEC' by the reference split: a spec text
+    each, or for a product the pair of its factors."""
+    splits = _reference_split_product(rest)
+
+    def factors(start, stop):
+        comma = splits[start, stop]
+        return tuple(factors(a + len("product:"), b) if rest.startswith("product:", a, b)
+                     else rest[a:b] for a, b in ((start, comma), (comma + 1, stop)))
+    return factors(0, len(rest))
+
+
+def _factors(rest):
+    """The factors parse_group_spec finds in 'product:' + rest, each factor
+    that is not a product left as its spec text."""
+    with mock.patch.multiple(groups_module, parse_group_spec=lambda spec: spec,
+                             make_direct_product=lambda g, h: (g, h)):
+        return parse_group_spec("product:" + rest)
+
+
+def _split_outcome(read, rest):
+    try:
+        return read(rest)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _holds_a_comma_file(factors):
+    if isinstance(factors, str):
+        return factors.startswith("file:") and "," in factors
+    return any(map(_holds_a_comma_file, factors))
+
+
+# factors mostly well formed, and near misses: families with too few or
+# many parameters or non-digits, empty and comma-holding file paths, words
+_DIGITS = st.text("0123", min_size=1, max_size=2)
+_FACTORS = st.recursive(
+    st.one_of(
+        st.builds("cyclic:{}".format, _DIGITS),
+        st.builds("elemab:{},{}".format, _DIGITS, _DIGITS),
+        st.builds("file:{}".format, st.text("ab.:", min_size=1, max_size=3)),
+        st.builds("{}:{}".format, st.sampled_from(("cyclic", "elemab", "heisenberg")),
+                  st.lists(st.text("0123x", max_size=2), min_size=1, max_size=3).map(",".join)),
+        st.builds("file:{}".format, st.text("ab,:", max_size=4)),
+        st.sampled_from(("", "x", "1", "file:", "product:", "cyclic:", "file:a,cyclic:2")),
+    ),
+    lambda inner: st.builds("product:{},{}".format, inner, inner),
+    max_leaves=6,
+)
+_PRODUCT_RESTS = st.one_of(
+    st.builds("{},{}".format, _FACTORS, _FACTORS),
+    st.lists(st.sampled_from(("product:", "cyclic:", "elemab:", "file:", "1", "2,3", ",",
+                              "a", ":")), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@example("product:cyclic:2,file:a,elemab:2,3")
+@example("file:a,b,cyclic:2")
+@example("cyclic:2,cyclic:3,")
+@given(_PRODUCT_RESTS)
+def test_a_product_spec_reads_as_the_reference_split_unless_a_file_path_holds_a_comma(rest):
+    # the reference may end a file: path after a comma; the reader never does
+    expected = _split_outcome(_reference_factors, rest)
+    assert "commas tried" not in str(expected)
+    if not _holds_a_comma_file(expected):
+        assert _split_outcome(_factors, rest) == expected
 
 
 # ---------------------------------------------------------------------------
