@@ -4,8 +4,9 @@ A group is its order, its product and its element names,
 ``FiniteGroup(order, product, names)``, on element indices ``0..n-1``,
 element 0 the identity.  The family constructors (cyclic, dihedral,
 generalized quaternion, semidihedral, elementary abelian, Heisenberg,
-direct product) multiply by formula; a group that :func:`validate_group`
-made from a Cayley table multiplies by lookup in it.  No group holds a
+direct product) multiply by formula; a group that :func:`parse_cayley`
+read from a Cayley table, or :func:`validate_group` made from a table of
+ints, multiplies by lookup in it.  No group holds a
 table: :func:`format_cayley` writes one from the product.  Each family
 fixes a deterministic element enumeration — powers of x first, then the
 y-coset — so that everything computed downstream is reproducible.
@@ -33,7 +34,7 @@ import math
 import os
 import re
 from operator import index, itemgetter, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import GroupValidationError, TooLargeError
 
@@ -263,21 +264,17 @@ def validate_group(mul: Sequence[Sequence[int]]) -> FiniteGroup:
                          f"of lengths {sorted({len(row) for row in table})}")
     if n == 0:
         raise ValueError("multiplication table must have at least one element")
-    return _checked_group(table, range(n))
-
-
-def _checked_group(table: Table, unranged: Iterable[int],
-                   names: Sequence[str] | None = None) -> FiniteGroup:
-    """validate_group on a square int table whose rows outside ``unranged``
-    (ascending) are known to hold only cells in 0..n-1; then the n names
-    parse_cayley read, if any, must be non-empty and distinct."""
-    n = len(table)
-    for g in unranged:
-        row = table[g]
+    for g, row in enumerate(table):
         if min(row) < 0 or max(row) >= n:
             h = next(h for h, v in enumerate(row) if not 0 <= v < n)
             raise GroupValidationError(f"cell ({g}, {h}) holds {row[h]}, outside 0..{n - 1}")
+    return _checked_group(table)
 
+
+def _checked_group(table: Table, names: Sequence[str] | None = None) -> FiniteGroup:
+    """validate_group on a square table of cells in 0..n-1; then the n
+    names parse_cayley read, if any, must be non-empty and distinct."""
+    n = len(table)
     idx = tuple(range(n))
     for line in (table[0], tuple(row[0] for row in table)):
         if line != idx:
@@ -525,12 +522,14 @@ def _read_bounded(path: str, limit: int, error: type[Exception], why: str) -> st
 def parse_cayley(text: str) -> FiniteGroup:
     """Parse the text format and validate the table.
 
-    Line 1 is the element count n, the next n lines are the table rows
-    (0-based indices), and an optional final line ``names: a,b,c`` gives
-    the elements distinct, non-empty names.  Element 0 must be the
-    identity.  Blank lines and lines starting with ``#`` are ignored.
+    Line 1 is the element count n in ASCII digits, the next n lines are
+    the table rows, each cell an element index "0" to "n-1", and an
+    optional final line ``names: a,b,c`` gives the elements distinct,
+    non-empty names.  Element 0 must be the identity.  Blank lines and
+    lines starting with ``#`` are ignored.
 
-    Raises ValueError on malformed input, TooLarge when the count exceeds
+    Raises ValueError on malformed input, naming the first cell in
+    reading order that is not "0" to "n-1"; TooLarge when the count exceeds
     the group-order cap (before any row is parsed); the validate_group
     errors propagate for tables that are not groups.
     """
@@ -538,12 +537,7 @@ def parse_cayley(text: str) -> FiniteGroup:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty Cayley-table input")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the element count, got {_quote(lines[0])}") from exc
-    if n < 1:
-        raise ValueError("element count must be positive")
+    n = _digits_int(lines[0], "the element count")
     _check_cap(n, "Cayley table")
 
     rows = lines[1:]
@@ -554,27 +548,24 @@ def parse_cayley(text: str) -> FiniteGroup:
     if len(rows) != n:
         raise ValueError(f"expected {n} table rows, got {len(rows)}")
 
-    # "0".."n-1" map to n shared ints, in range, which Light's test compares
-    # by identity; a row with any other token goes through int() instead
+    # a cell is one of "0".."n-1", read as one of n shared ints, which
+    # Light's test compares by identity
     cells = dict(zip(map(str, range(n)), range(n)))
     table = []
-    unranged = []
     for g, row in enumerate(rows):
         tokens = row.split()
         try:
             entries = tuple(map(cells.__getitem__, tokens))
         except KeyError:
-            try:
-                entries = tuple(map(int, tokens))
-            except ValueError as exc:
-                raise ValueError(f"table row {g} holds a non-integer token") from exc
-            unranged.append(g)
+            h = next(h for h, token in enumerate(tokens) if token not in cells)
+            raise ValueError(f"cell ({g}, {h}) holds {_quote(tokens[h])}, "
+                             f"not one of 0..{n - 1}") from None
         if len(entries) != n:
             raise ValueError(f"table row {g} has {len(entries)} entries, expected {n}")
         table.append(entries)
     if names is not None and len(names) != n:
         raise ValueError(f"expected {n} element names, got {len(names)}")
-    return _checked_group(tuple(table), unranged, names)
+    return _checked_group(tuple(table), names)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +583,8 @@ def _quote(text: str) -> str:
 
 def _spec_digits(text: str) -> bool:
     """The one rule for every number a user writes (spec parameters, alone
-    or in a product, labelling-CSV element indices, integer options,
+    or in a product, a Cayley table's count line, labelling-CSV element
+    indices and labels after an optional "-", integer options,
     LAMBDA_MAX_ORDER, and --time-budget once its one decimal point is
     removed): ASCII digits."""
     return text.isascii() and text.isdigit()

@@ -294,10 +294,11 @@ def parse_labelling_csv(text: str, n: int,
     Returns the labels indexed by vertex.  An element written in ASCII
     digits is always read as an index (names like "1" cannot shadow it);
     anything else, "+1", "1_0" and "١" included, must match a known
-    element name.  Malformed rows, unknown elements, duplicates and
-    missing elements raise ValueError, which quotes a long cell by its
-    first 64 characters (``groups._quote``) and a row of more than 8
-    cells by its first 8 and its cell count.
+    element name.  A label is an optional "-" and ASCII digits, at most
+    4,300 characters.  Malformed rows, unknown elements, other labels,
+    duplicates and missing elements raise ValueError, which quotes a
+    long cell by its first 64 characters (``groups._quote``) and a row of
+    more than 8 cells by its first 8 and its cell count.
     """
     import csv  # only reading untrusted CSV input needs csv and io
     import io
@@ -325,10 +326,9 @@ def parse_labelling_csv(text: str, n: int,
             raise ValueError(f"unknown element {_quote(key)}")
         if not 0 <= vertex < n:
             raise ValueError(f"element index {vertex} out of range 0..{n - 1}")
-        try:
-            label = int(value)
-        except ValueError as exc:
-            raise ValueError(f"label {_quote(value)} is not an integer") from exc
+        if not _spec_digits(value.removeprefix("-")) or len(value) > 4300:
+            raise ValueError(f"label {_quote(value)} is not an integer")
+        label = int(value)
         if vertex in out:
             raise ValueError(f"element {_quote(key)} labelled twice")
         out[vertex] = label

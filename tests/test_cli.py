@@ -187,8 +187,9 @@ def test_a_long_first_line_name_or_time_budget_is_quoted_short(capsys, tmp_path)
     table = tmp_path / "long.txt"
     table.write_text("9" * 300 + "x\n0\n")
     code, _, err = run(capsys, "analyze", f"file:{table}")
-    assert (code, err) == (1, f"error: first line must be the element count, got "
-                              f"'{'9' * 64}' (the first 64 of 301 characters)\n")
+    assert (code, err) == (1, f"error: the element count must be a positive integer in "
+                              f"ASCII digits, got '{'9' * 64}' (the first 64 of 301 "
+                              f"characters)\n")
     table.write_text(f"2\n0 1\n1 0\nnames: {'a' * 100000},{'a' * 100000}\n")
     code, _, err = run(capsys, "analyze", f"file:{table}")
     assert (code, err) == (1, f"error: element 1 has an empty or repeated name "
@@ -793,6 +794,23 @@ def test_a_file_may_start_with_a_utf8_bom(name, text, argv, tmp_path, capsys, mo
     assert json.loads(out)
 
 
+@pytest.mark.parametrize("name,text,message", [
+    ("t.txt", "2\n0 ١\n١ +0\n", "cell (0, 1) holds '١', not one of 0..1"),
+    ("t.txt", "+2\n0 1\n1 0\n",
+     "the element count must be a positive integer in ASCII digits, got '+2'"),
+    ("t.txt", "2\n00 1\n1 0_0\n", "cell (0, 0) holds '00', not one of 0..1"),
+    ("w.csv", "element,label\n0,٠\n1,+2\n", "label '٠' is not an integer"),
+], ids=["table-cells", "table-count", "table-zeros", "labels"])
+def test_a_number_not_in_ascii_digits_is_refused_in_a_table_or_a_label(
+        name, text, message, tmp_path, capsys, monkeypatch):
+    # int() once read each of these, and every call exited 0
+    monkeypatch.chdir(tmp_path)
+    Path(name).write_text(text, encoding="utf-8")
+    argv = ["check", "cyclic:2", name] if name == "w.csv" else ["analyze", f"file:{name}"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("rows,message", [
     ("0,0,x^2", "labelling row ['0', '0', 'x^2'] must have 2 columns"),
     ("0", "labelling row ['0'] must have 2 columns"),
@@ -1179,18 +1197,20 @@ def test_corrupted_cayley_file(tmp_path, capsys):
      "quaternion order must be 2^(e+1) with order >= 8, got 12"),
     (["lambda", "cyclic:6", "--method", "constructive"], None,
      "order 6 is not a prime power"),
-    (["analyze"], "2\n0 1\n1 5\n", "cell (1, 1) holds 5, outside 0..1"),
+    (["analyze"], "2\n0 1\n1 5\n", "cell (1, 1) holds '5', not one of 0..1"),
+    (["analyze"], "3\n0 1 5\n1 2\n2 0 1\n", "cell (0, 2) holds '5', not one of 0..2"),
     (["analyze"], "2\n1 0\n0 1\n",
      "element 0 does not act as identity on element 0"),
     (["analyze"], "4\n0 1 2 3\n1 2 3 0\n2 3 1 1\n3 0 1 2\n",
      "(a·b)·c != a·(b·c) for (a, b, c) = (1, 1, 2)"),
     (["analyze"], "3\n0 1 2\n1 1 1\n2 2 2\n", "row 1 is not a permutation of 0..2"),
     (["check"], "2\n0 1\n1 0\nnames: a,a\n", "element 1 has an empty or repeated name 'a'"),
-    (["analyze"], "0\n", "element count must be positive"),
-    (["analyze"], "-3\n0\n", "element count must be positive"),
+    (["analyze"], "0\n", "the element count must be positive, got 0"),
+    (["analyze"], "-3\n0\n",
+     "the element count must be a positive integer in ASCII digits, got '-3'"),
 ], ids=["dihedral:6", "heisenberg:2", "quaternion:12", "constructive-cyclic:6",
-        "cell-out-of-range", "no-identity", "not-associative", "not-latin",
-        "repeated-names", "count-zero", "count-negative"])
+        "cell-out-of-range", "cell-before-short-row", "no-identity", "not-associative",
+        "not-latin", "repeated-names", "count-zero", "count-negative"])
 def test_input_errors_exit_1_with_their_message(argv, table, message, tmp_path,
                                                 capsys):
     if table is not None:

@@ -10,6 +10,7 @@ search budgets short, so the whole file runs in a few seconds.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import os
 import re
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from pglambda import TooLargeError, max_group_order, parse_group_spec
 from pglambda.cli import _build_parser, main
 from pglambda.groups import _quote
+from pglambda.labelling import parse_labelling_csv
 
 # text that can travel through argv, a file and the environment
 _TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -143,6 +145,41 @@ def test_a_time_budget_is_accepted_exactly_when_it_is_ascii_digits_with_one_poin
         assert "argument --time-budget" in err.getvalue() and _quote(text) in err.getvalue()
     else:
         assert args.time_budget == float(text)
+
+
+# labels as a user may write them: signs, underscores, points, spaces and
+# other digits around decimal numbers
+_LABEL_TEXT = st.one_of(
+    _NUMBER, _TEXT,
+    st.text("0123456789-+_. \u0660\u0663\uff11", max_size=5),
+    st.builds("{}{}{}".format, st.sampled_from(("", "-", "+", "--", " ")), _NUMBER,
+              st.sampled_from(("", "_0", ".0", " ", "-"))),
+)
+
+
+@_SETTINGS
+@example("+2")
+@example("\u0660")
+@example("1_0")
+@example("-")
+@example("--1")
+@example("-0")
+@example("1" * 5000)
+@given(text=_LABEL_TEXT)
+def test_a_label_is_accepted_exactly_when_it_is_ascii_digits_after_an_optional_minus(text):
+    cells = io.StringIO()
+    csv.writer(cells).writerow(["0", text])  # quoted as a CSV writer would
+    try:
+        labels = parse_labelling_csv("element,label\n" + cells.getvalue(), 1)
+    except ValueError as exc:
+        labels, err = None, str(exc)
+    value = text.strip()  # the reader strips each cell
+    accepted = re.fullmatch(r"-?[0-9]+", value) is not None and len(value) <= 4300
+    assert (labels is not None) == accepted
+    if labels is None:
+        assert err == f"label {_quote(value)} is not an integer"
+    else:
+        assert labels == (int(value),)
 
 
 @_SETTINGS

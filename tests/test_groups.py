@@ -506,8 +506,9 @@ def test_parse_cayley_rejects_repeated_and_empty_names(names, message):
     assert type(info.value) is ValueError
 
 
-# The parser and validator before cells were shared ints and the Latin
-# property was read off the units: the reference for the differential tests.
+# The references for the differential tests: the validator before cells
+# were shared ints and the Latin property was read off the units, and a
+# parser that looks each cell up among "0".."n-1" one token at a time.
 def _reference_validate_group(mul, *, names=None):
     table = tuple(tuple(map(int, row)) for row in mul)
     n = len(table)
@@ -549,12 +550,7 @@ def _reference_parse_cayley(text):
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty Cayley-table input")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"first line must be the element count, got {lines[0]!r}") from exc
-    if n < 1:
-        raise ValueError("element count must be positive")
+    n = groups_module._digits_int(lines[0], "the element count")
     groups_module._check_cap(n, "Cayley table")
     rows = lines[1:]
     names = None
@@ -563,12 +559,14 @@ def _reference_parse_cayley(text):
         rows = rows[:-1]
     if len(rows) != n:
         raise ValueError(f"expected {n} table rows, got {len(rows)}")
+    spellings = [str(v) for v in range(n)]
     table = []
     for g, row in enumerate(rows):
-        try:
-            entries = [int(tok) for tok in row.split()]
-        except ValueError as exc:
-            raise ValueError(f"table row {g} holds a non-integer token") from exc
+        entries = []
+        for h, tok in enumerate(row.split()):
+            if tok not in spellings:
+                raise ValueError(f"cell ({g}, {h}) holds {tok!r}, not one of 0..{n - 1}")
+            entries.append(spellings.index(tok))
         if len(entries) != n:
             raise ValueError(f"table row {g} has {len(entries)} entries, expected {n}")
         table.append(entries)
@@ -600,7 +598,8 @@ def _monoid(kind, n):
 
 
 def _odd_tokens(value, n):
-    """Tokens int() reads, but not as "0".."n-1", and tokens it rejects."""
+    """Cell spellings other than "0".."n-1": ones int() reads, as value,
+    -1 or n, and ones it rejects; the parsers refuse them all."""
     digit = chr(0x660 + value) if 0 <= value < 10 else str(value)  # Arabic-Indic
     return [f"0{value}", f"+{value}", f"{value}_0", digit, "-1", str(n), "x",
             f"{value}.0", ""]
