@@ -77,12 +77,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .powergraph import build_power_graph
     graph = build_power_graph(group)
     sub = group.cyclic_subgroups()
-    pp = prime_power(group.order)
-    is_p = group.order == 1 or pp is not None
+    pp, family = prime_power(group.order), recognize_family(group)
 
     started = time.perf_counter()
-    # analyze certifies p-groups constructively only
-    cert, = certify(group, "constructive" if is_p else "exact",
+    # analyze runs one method: the construction on every group with a family
+    cert, = certify(group, "exact" if family == "not-a-p-group" else "constructive",
                     cap=args.search_cap, budget=args.time_budget)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
 
@@ -92,9 +91,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "order": group.order,
             "exponent": sub.exponent(),
             "prime": pp[0] if pp else None,
-            "family": recognize_family(group) if is_p else "not-a-p-group",
-            "maximal_class": is_maximal_class(group) if (
-                is_p and group.order > 1) else None,
+            "family": family,
+            "maximal_class": is_maximal_class(group) if pp else None,
         },
         "graph": {
             "vertices": graph.n,

@@ -14,10 +14,12 @@ universal, so that path leaves z out and yields span |G|+1.  Every path
 is read off the group's elements, and the witness labels the identity
 −2, the i-th path vertex i and z |G|−1; nothing is searched for.  A
 certificate holds λ only as its witness's span, and its evidence is the
-clique of universal vertices.  The dispatcher picks the branch from the
-group's exponent and number of involutions, not from a presentation
-checked on its table.  The constructions only construct: nothing here
-but :func:`certify` checks a certificate.
+clique of universal vertices.  :func:`recognize_family` picks the branch
+from the group's exponent and number of involutions, not from a
+presentation checked on its table, and answers 'not-a-p-group', no
+branch, for every order that is neither 1 nor a prime power.  The
+constructions only construct: nothing here but :func:`certify` checks a
+certificate.
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and the one place that
@@ -116,11 +118,15 @@ def _coset_alternation(group: FiniteGroup) -> Path:
 
 
 def recognize_family(group: FiniteGroup) -> str:
-    """Which constructive branch a p-group dispatches to: 'cyclic',
-    'quaternion', 'dihedral', 'semidihedral' or 'general'.
+    """Which of the paper's cases a group is, and so which constructive
+    branch it dispatches to: 'cyclic', 'quaternion', 'dihedral',
+    'semidihedral' or 'general' for a p-group or the trivial group, and
+    'not-a-p-group' for every other order, which gets no construction.
 
-    Read off the exponent e and the involution count i = m(2), so ingested
-    tables classify the same as built ones: e = |G| is cyclic, and i = 1
+    This is the one dispatch decision: certify's 'auto', lambda_p_group,
+    analyze and the suites all read it.  A p-group's family is read off
+    the exponent e and the involution count i = m(2), so ingested tables
+    classify the same as built ones: e = |G| is cyclic, and i = 1
     generalized quaternion.  With 2e = |G|, Burnside's classification of
     2-groups with a cyclic subgroup of index 2 leaves C_{|G|/2}×C2 and the
     modular group, both with i = 3, dihedral (i = |G|/2 + 1) and
@@ -129,7 +135,7 @@ def recognize_family(group: FiniteGroup) -> str:
     """
     n = group.order
     if n > 1 and prime_power(n) is None:
-        raise ValueError(f"order {n} is not a prime power")
+        return "not-a-p-group"
     sub = group.cyclic_subgroups()
     exponent, involutions = sub.exponent(), sub.class_number(2)
     if exponent == n:
@@ -155,9 +161,13 @@ def lambda_p_group(group: FiniteGroup) -> LambdaCertificate:
     universal z.  The trivial group is cyclic, with witness (0,) and
     λ = 0.  The branches only build the witness, whose span is λ; the
     evidence is power_graph_lower_bound, the clique of universal vertices
-    (all of G, {1, z} or {1}).  Unchecked: certify checks the certificate.
+    (all of G, {1, z} or {1}).  The answer 'not-a-p-group' raises
+    ValueError: no branch covers it.  Unchecked: certify checks the
+    certificate.
     """
     family = recognize_family(group)
+    if family == "not-a-p-group":
+        raise ValueError(f"order {group.order} is not a prime power")
     graph, n = build_power_graph(group), group.order
     joints: Joints = ()
     if family == "cyclic":
@@ -180,13 +190,14 @@ def certify(group: FiniteGroup, method: str = "auto", *,
             budget: float = DEFAULT_TIME_BUDGET) -> list[LambdaCertificate]:
     """The checked certificates ``method`` yields, constructive first.
 
-    ``method`` is 'constructive', 'exact', 'both' or 'auto'.  'auto' runs
-    both on a p-group (or the trivial group) of order at most ``cap``, the
-    construction alone on a larger one, and the exact search on every
-    other group, which the search decides at its floor on every power
-    graph tried.  The one cap on the exact search is here: a group of more
-    than ``cap`` elements, LAMBDA_MAX_ORDER unless given, raises
-    TooLargeError where the search would start; ``budget`` bounds its seconds.
+    ``method`` is 'constructive', 'exact', 'both' or 'auto'.  'auto' reads
+    recognize_family: the answer 'not-a-p-group' runs the exact search
+    alone, which decides at its floor on every power graph tried; any
+    other answer runs both methods on a group of order at most ``cap``
+    and the construction alone on a larger one.  The one cap on the exact
+    search is here: a group of more than ``cap`` elements,
+    LAMBDA_MAX_ORDER unless given, raises TooLargeError where the search
+    would start; ``budget`` bounds its seconds.
     This is the one place that checks a certificate: each is checked
     with certificate_problems as it is made, so a failed construction
     ends the call before any search runs or is refused.  A failed check,
@@ -194,10 +205,8 @@ def certify(group: FiniteGroup, method: str = "auto", *,
     """
     cap = max_group_order() if cap is None else cap
     if method == "auto":
-        if group.order == 1 or prime_power(group.order) is not None:
-            method = "both" if group.order <= cap else "constructive"
-        else:
-            method = "exact"
+        method = ("exact" if recognize_family(group) == "not-a-p-group"
+                  else "both" if group.order <= cap else "constructive")
     if method not in ("constructive", "exact", "both"):
         raise ValueError(f"unknown method {method!r}")
 

@@ -11,13 +11,17 @@ Each suite checks one statement about power graphs of finite groups that
 certification does not already check.  It is a predicate over one
 subject, returning (passed, detail), or None where its statement does
 not apply; run_suites is the one loop over suites and subjects, and
-turns each verdict into a pass/fail record.  Every subject is certified before any suite runs, by one call
-to construct.certify with the 'auto' dispatch of the `lambda` command:
-both methods on p-groups of order at most ``exact_cap`` (the command
-line's --search-cap, by default the group-order cap), the construction
-alone on larger ones, and the exact search on every other group.
-certify checks every certificate and raises when the two methods
-disagree, so the suites read only checked, agreeing values.
+turns each verdict into a pass/fail record.  Every subject is certified
+before any suite runs, by one call to construct.certify with the 'auto'
+dispatch of the `lambda` command, which reads construct.recognize_family:
+both methods on a group it names a family of (a p-group or the trivial
+group) of order at most ``exact_cap`` (the command line's --search-cap,
+by default the group-order cap), the construction alone on a larger one,
+and the exact search on a group it answers 'not-a-p-group'.  certify
+checks every certificate and raises when the two methods disagree, so
+the suites read only checked, agreeing values.  The family suite reads
+the same answer: only a 2-group is named dihedral, semidihedral or
+quaternion.
 """
 
 from __future__ import annotations
@@ -110,7 +114,7 @@ def _suite_power_graph_shape(s: _Subject) -> _Check:
     """Identity universal (so diameter ≤ 2), class sizes φ(d), classes cover G."""
     problems = []
     graph = build_power_graph(s.group)
-    if s.n > 1 and not graph.is_universal(s.group.identity):
+    if not graph.is_universal(s.group.identity):
         problems.append("identity is not universal")
     sub = s.group.cyclic_subgroups()
     for elements, members in zip(sub.elements, sub.generators):
@@ -148,9 +152,9 @@ _FAMILY_EXCEPTIONS = {"dihedral": {2: 2}, "quaternion": {4: 4},
 
 
 def _suite_family_class_numbers(s: _Subject) -> _Check:
-    """Exact per-order class counts for the p-groups recognized as one of
-    the three maximal-class 2-group families."""
-    family = recognize_family(s.group) if s.prime == 2 else None
+    """Exact per-order class counts for the groups recognized as one of
+    the three maximal-class 2-group families; no other group is named so."""
+    family = recognize_family(s.group)
     if family not in _FAMILY_EXCEPTIONS:
         return None
     expected = {1 << i: 1 for i in range(s.n.bit_length() - 1)}

@@ -1,8 +1,10 @@
-"""Constructive complement paths and the p-group lambda dispatcher."""
+"""Constructive complement paths, the one dispatch, and the constructions
+on non-p-groups that no dispatch reaches yet."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import sys
 
@@ -10,8 +12,12 @@ import pytest
 
 from pglambda import (
     ConstructionFailedError,
+    ConstructionInfo,
     Evidence,
+    LambdaCertificate,
+    TooLargeError,
     build_power_graph,
+    certificate_problems,
     lambda_p_group,
     make_cyclic,
     make_dihedral,
@@ -24,14 +30,17 @@ from pglambda import (
     certify,
     format_cayley,
     parse_cayley,
+    parse_group_spec,
     path_to_labelling,
+    power_graph_lower_bound,
     prime_power,
     recognize_family,
     span,
     validate_group,
     validate_labelling,
 )
-from pglambda.construct import _descent_path
+from pglambda.cli import main
+from pglambda.construct import _coset_alternation, _descent_path
 from pglambda.groups import _two_generator_group
 
 
@@ -190,6 +199,9 @@ def test_quaternion_needs_e_at_least_two():
 # ---------------------------------------------------------------------------
 # family recognition
 
+_S3_TABLE = ("6\n0 1 2 3 4 5\n1 0 4 5 2 3\n2 3 0 1 5 4\n3 2 5 4 0 1\n"
+             "4 5 1 0 3 2\n5 4 3 2 1 0\n")
+
 
 @pytest.mark.parametrize("group,family", [
     pytest.param(make_cyclic(1), "cyclic", id="cyclic1-cyclic"),
@@ -216,14 +228,13 @@ def test_quaternion_needs_e_at_least_two():
     # exponent |G|/2 and 3 involutions, as C16×C2 has: modular M32
     pytest.param(parse_cayley(format_cayley(_two_generator_group(32, 9, 0))), "general",
                  id="modular32-general"),
+    # every other order gets no construction
+    pytest.param(make_cyclic(6), "not-a-p-group", id="cyclic6-not-a-p-group"),
+    pytest.param(parse_cayley(_S3_TABLE), "not-a-p-group", id="s3-not-a-p-group"),
+    pytest.param(_two_generator_group(6, -1, 0), "not-a-p-group", id="dihedral6-not-a-p-group"),
 ])
 def test_recognize_family_on_canonical_tables(group, family):
     assert recognize_family(group) == family
-
-
-def test_recognize_family_rejects_non_p_groups():
-    with pytest.raises(ValueError, match="is not a prime power"):
-        recognize_family(make_cyclic(6))
 
 
 def _shuffled_copy(group, seed):
@@ -245,7 +256,10 @@ def _shuffled_copy(group, seed):
     (lambda: make_quaternion(16), "quaternion"),
     (lambda: make_cyclic(8), "cyclic"),
     (lambda: make_direct_product(make_cyclic(4), make_cyclic(4)), "general"),
-], ids=["d16", "sd16", "q16", "c8", "c4xc4"])
+    (lambda: make_cyclic(6), "not-a-p-group"),
+    (lambda: parse_cayley(_S3_TABLE), "not-a-p-group"),
+    (lambda: _two_generator_group(6, -1, 0), "not-a-p-group"),
+], ids=["d16", "sd16", "q16", "c8", "c4xc4", "c6", "s3", "d6"])
 def test_recognition_is_invariant_under_relabelling(maker, family):
     for seed in (3, 11):
         assert recognize_family(_shuffled_copy(maker(), seed)) == family
@@ -392,3 +406,155 @@ def test_construction_never_searches(monkeypatch):
     for group in groups + [make_quaternion(512)]:
         cert, = certify(group, "constructive")
         assert cert.method == "constructive"
+
+
+# ---------------------------------------------------------------------------
+# the one dispatch: certify's 'auto' and what analyze prints, group by group
+
+BOTH, CONSTRUCTIVE, EXACT = ["constructive", "exact-search"], ["constructive"], ["exact-search"]
+_TABLES = {
+    "s3-table": _S3_TABLE,
+    "d6-table": format_cayley(_two_generator_group(6, -1, 0)),
+    "d30-table": format_cayley(_two_generator_group(30, -1, 0)),
+}
+
+# subject: (methods at cap |G|, methods at cap |G| - 1 or the error raised,
+#           and the prime, family and maximal_class that analyze --stable prints)
+_DISPATCH = {
+    "cyclic:1": (BOTH, None, None, "cyclic", None),
+    "cyclic:2": (BOTH, CONSTRUCTIVE, 2, "cyclic", False),
+    "cyclic:3": (BOTH, CONSTRUCTIVE, 3, "cyclic", False),
+    "cyclic:4": (BOTH, CONSTRUCTIVE, 2, "cyclic", True),
+    "elemab:2,2": (BOTH, CONSTRUCTIVE, 2, "general", True),
+    "cyclic:5": (BOTH, CONSTRUCTIVE, 5, "cyclic", False),
+    "cyclic:6": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "cyclic:7": (BOTH, CONSTRUCTIVE, 7, "cyclic", False),
+    "cyclic:8": (BOTH, CONSTRUCTIVE, 2, "cyclic", False),
+    "dihedral:8": (BOTH, CONSTRUCTIVE, 2, "dihedral", True),
+    "elemab:2,3": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "product:cyclic:2,cyclic:4": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "quaternion:8": (BOTH, CONSTRUCTIVE, 2, "quaternion", True),
+    "cyclic:9": (BOTH, CONSTRUCTIVE, 3, "cyclic", True),
+    "elemab:3,2": (BOTH, CONSTRUCTIVE, 3, "general", True),
+    "cyclic:10": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "cyclic:11": (BOTH, CONSTRUCTIVE, 11, "cyclic", False),
+    "cyclic:12": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "product:cyclic:2,cyclic:6": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "cyclic:13": (BOTH, CONSTRUCTIVE, 13, "cyclic", False),
+    "cyclic:15": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "cyclic:16": (BOTH, CONSTRUCTIVE, 2, "cyclic", False),
+    "dihedral:16": (BOTH, CONSTRUCTIVE, 2, "dihedral", True),
+    "elemab:2,4": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "product:cyclic:2,cyclic:8": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "product:cyclic:4,cyclic:4": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "quaternion:16": (BOTH, CONSTRUCTIVE, 2, "quaternion", True),
+    "semidihedral:16": (BOTH, CONSTRUCTIVE, 2, "semidihedral", True),
+    "cyclic:25": (BOTH, CONSTRUCTIVE, 5, "cyclic", True),
+    "elemab:5,2": (BOTH, CONSTRUCTIVE, 5, "general", True),
+    "cyclic:27": (BOTH, CONSTRUCTIVE, 3, "cyclic", False),
+    "elemab:3,3": (BOTH, CONSTRUCTIVE, 3, "general", False),
+    "heisenberg:3": (BOTH, CONSTRUCTIVE, 3, "general", True),
+    "product:cyclic:3,cyclic:9": (BOTH, CONSTRUCTIVE, 3, "general", False),
+    "cyclic:30": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "cyclic:32": (BOTH, CONSTRUCTIVE, 2, "cyclic", False),
+    "dihedral:32": (BOTH, CONSTRUCTIVE, 2, "dihedral", True),
+    "elemab:2,5": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "product:cyclic:2,cyclic:16": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "product:cyclic:4,cyclic:8": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "quaternion:32": (BOTH, CONSTRUCTIVE, 2, "quaternion", True),
+    "semidihedral:32": (BOTH, CONSTRUCTIVE, 2, "semidihedral", True),
+    "cyclic:49": (BOTH, CONSTRUCTIVE, 7, "cyclic", True),
+    "elemab:7,2": (BOTH, CONSTRUCTIVE, 7, "general", True),
+    "cyclic:64": (BOTH, CONSTRUCTIVE, 2, "cyclic", False),
+    "dihedral:64": (BOTH, CONSTRUCTIVE, 2, "dihedral", True),
+    "elemab:2,6": (BOTH, CONSTRUCTIVE, 2, "general", False),
+    "quaternion:64": (BOTH, CONSTRUCTIVE, 2, "quaternion", True),
+    "semidihedral:64": (BOTH, CONSTRUCTIVE, 2, "semidihedral", True),
+    "cyclic:81": (BOTH, CONSTRUCTIVE, 3, "cyclic", False),
+    "product:cyclic:3,cyclic:27": (BOTH, CONSTRUCTIVE, 3, "general", False),
+    "product:cyclic:9,cyclic:9": (BOTH, CONSTRUCTIVE, 3, "general", False),
+    "heisenberg:5": (BOTH, CONSTRUCTIVE, 5, "general", True),
+    "product:cyclic:2,cyclic:3": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "product:cyclic:6,cyclic:6": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "s3-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "d6-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "d30-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
+}
+
+
+@pytest.mark.parametrize("subject", [
+    *(spec for spec, _ in catalogue(512)),
+    "cyclic:1", "cyclic:6", "cyclic:30", "product:cyclic:2,cyclic:3", "product:cyclic:6,cyclic:6",
+    *_TABLES,
+])
+def test_the_dispatch_is_pinned(subject, tmp_path, capsys):
+    # certify's 'auto' at the cap |G| and one below it, and the group block
+    # analyze prints, read from the one classification of each group
+    spec = subject
+    if subject in _TABLES:
+        spec = f"file:{tmp_path / 'table.txt'}"
+        (tmp_path / "table.txt").write_text(_TABLES[subject], encoding="utf-8")
+    group = parse_group_spec(spec)
+    at_cap, below_cap, prime, family, maximal_class = _DISPATCH[subject]
+    assert [c.method for c in certify(group, "auto", cap=group.order)] == at_cap
+    if below_cap is TooLargeError:
+        with pytest.raises(TooLargeError, match="exact search capped"):
+            certify(group, "auto", cap=group.order - 1)
+    elif group.order > 1:
+        assert [c.method for c in certify(group, "auto", cap=group.order - 1)] == below_cap
+    assert main(["analyze", spec, "--stable"]) == 0
+    printed = json.loads(capsys.readouterr().out)["group"]
+    assert (printed["prime"], printed["family"], printed["maximal_class"]) == (
+        prime, family, maximal_class)
+
+
+# ---------------------------------------------------------------------------
+# the constructions beyond p-groups, which no dispatch reaches yet
+
+
+def _path_certificate(group, path, kind, joints=()):
+    """The unchecked certificate a path gives: its labelling and the
+    universal-vertex clique, as lambda_p_group assembles them."""
+    graph = build_power_graph(group)
+    return graph, LambdaCertificate(path_to_labelling(graph, path), power_graph_lower_bound(graph),
+                                    "constructive", ConstructionInfo(kind, path, joints))
+
+
+def test_the_coset_alternation_certifies_every_dihedral_group():
+    # D_2m for m = 2..128, odd m included, which dihedral: refuses
+    for m in range(2, 129):
+        group = _two_generator_group(2 * m, -1, 0)
+        graph, cert = _path_certificate(group, _coset_alternation(group), "coset-alternation")
+        assert (cert.value, certificate_problems(graph, cert)) == (2 * m, []), m
+
+
+@pytest.mark.parametrize("spec", [
+    "product:cyclic:6,cyclic:6", "product:cyclic:10,cyclic:10", "product:cyclic:6,cyclic:12",
+    "product:elemab:2,2,elemab:3,2", "product:cyclic:2,product:cyclic:6,cyclic:6",
+    "product:elemab:3,2,elemab:5,2", "product:elemab:2,3,elemab:3,2",
+    "product:heisenberg:3,elemab:2,2",
+])
+def test_the_descent_certifies_non_p_groups_with_two_classes_per_order(spec):
+    # every element order d > 1 is the order of two or more cyclic
+    # subgroups, so the descent is a complement path: λ = |G|, as the
+    # exact search finds
+    group = parse_group_spec(spec)
+    sub = group.cyclic_subgroups()
+    assert prime_power(group.order) is None
+    assert all(len(ids) >= 2 for d, ids in sub.by_order.items() if d > 1)
+    path, joints = _descent_path(group)
+    graph, cert = _path_certificate(group, path, "class-interleaving-descent", joints)
+    assert certificate_problems(graph, cert) == []
+    assert cert.value == group.order == certify(group, "exact")[0].value
+
+
+@pytest.mark.parametrize("spec", ["product:cyclic:2,cyclic:6", "product:cyclic:6,cyclic:7"])
+def test_the_descent_fails_where_an_order_has_one_class_of_two_or_more(spec):
+    # two members of one class are adjacent, and that class is a level alone
+    group = parse_group_spec(spec)
+    sub = group.cyclic_subgroups()
+    assert any(len(ids) == 1 and len(sub.generators[ids[0]]) >= 2
+               for d, ids in sub.by_order.items())
+    path, joints = _descent_path(group)
+    graph, cert = _path_certificate(group, path, "class-interleaving-descent", joints)
+    assert certificate_problems(graph, cert) != []

@@ -149,6 +149,7 @@ def test_element_orders_and_exponent_from_the_cyclic_subgroups():
     assert sub.exponent() == 8
     assert sorted(sub.orders) == [1, 2, 2, 2, 2, 2, 4, 4, 4, 4, 4, 4, 8, 8, 8, 8]
     assert make_cyclic(12).cyclic_subgroups().exponent() == 12
+    assert repr(make_cyclic(8)) == "FiniteGroup(order=8)"
 
 
 def _cyclic_subgroups_by_multiplication(group) -> dict[int, set[frozenset[int]]]:
