@@ -30,7 +30,6 @@ from .groups import (
     format_cayley,
     is_maximal_class,
     parse_group_spec,
-    prime_power,
 )
 
 __all__ = ["main"]
@@ -77,7 +76,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from .powergraph import build_power_graph
     graph = build_power_graph(group)
     sub = group.cyclic_subgroups()
-    pp, family = prime_power(group.order), recognize_family(group)
+    prime, family = sub.prime(), recognize_family(group)
 
     started = time.perf_counter()
     # analyze runs one method: the construction on every group with a family
@@ -90,9 +89,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "group": {
             "order": group.order,
             "exponent": sub.exponent(),
-            "prime": pp[0] if pp else None,
+            "prime": prime,
             "family": family,
-            "maximal_class": is_maximal_class(group) if pp else None,
+            "maximal_class": is_maximal_class(group) if prime else None,
         },
         "graph": {
             "vertices": graph.n,

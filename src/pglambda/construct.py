@@ -17,9 +17,9 @@ certificate holds λ only as its witness's span, and its evidence is the
 clique of universal vertices.  :func:`recognize_family` picks the branch
 from the group's exponent and number of involutions, not from a
 presentation checked on its table, and answers 'not-a-p-group', no
-branch, for every order that is neither 1 nor a prime power.  The
-constructions only construct: nothing here but :func:`certify` checks a
-certificate.
+branch, for every nontrivial group whose cyclic-subgroup record has no
+prime.  The constructions only construct: nothing here but
+:func:`certify` checks a certificate.
 
 :func:`certify` is the one place that decides which methods run on a
 group, this construction or the exact search, and the one place that
@@ -32,7 +32,7 @@ suite gets its certificates from it.
 from __future__ import annotations
 
 from .errors import ConstructionFailedError, TooLargeError
-from .groups import DEFAULT_TIME_BUDGET, FiniteGroup, max_group_order, prime_power
+from .groups import DEFAULT_TIME_BUDGET, FiniteGroup, max_group_order
 from .labelling import (
     ConstructionInfo,
     LambdaCertificate,
@@ -121,22 +121,23 @@ def recognize_family(group: FiniteGroup) -> str:
     """Which of the paper's cases a group is, and so which constructive
     branch it dispatches to: 'cyclic', 'quaternion', 'dihedral',
     'semidihedral' or 'general' for a p-group or the trivial group, and
-    'not-a-p-group' for every other order, which gets no construction.
+    'not-a-p-group' for every other group, which gets no construction.
 
     This is the one dispatch decision: certify's 'auto', lambda_p_group,
-    analyze and the suites all read it.  A p-group's family is read off
-    the exponent e and the involution count i = m(2), so ingested tables
-    classify the same as built ones: e = |G| is cyclic, and i = 1
-    generalized quaternion.  With 2e = |G|, Burnside's classification of
+    analyze and the suites all read it.  Everything is read off the
+    cyclic-subgroup record, so ingested tables classify the same as built
+    ones: a nontrivial group whose record has no prime is 'not-a-p-group',
+    and a p-group's family comes from the exponent e and the involution
+    count i = m(2).  e = |G| is cyclic, and i = 1 generalized
+    quaternion.  With 2e = |G|, Burnside's classification of
     2-groups with a cyclic subgroup of index 2 leaves C_{|G|/2}×C2 and the
     modular group, both with i = 3, dihedral (i = |G|/2 + 1) and
     semidihedral (i = |G|/4 + 1); the order guards keep out C2×C2 and
     C4×C2, whose i = 3 meets those counts.
     """
-    n = group.order
-    if n > 1 and prime_power(n) is None:
+    n, sub = group.order, group.cyclic_subgroups()
+    if n > 1 and sub.prime() is None:
         return "not-a-p-group"
-    sub = group.cyclic_subgroups()
     exponent, involutions = sub.exponent(), sub.class_number(2)
     if exponent == n:
         return "cyclic"

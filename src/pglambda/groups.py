@@ -13,8 +13,8 @@ y-coset — so that everything computed downstream is reproducible.
 
 The cyclic structure has one record, ``FiniteGroup.cyclic_subgroups()``:
 the distinct cyclic subgroups in class order, with the cyclic classes
-(their generators), every element's order and the class numbers m(d)
-read off it.
+(their generators), every element's order, the class numbers m(d) and
+the group's prime, when it is a p-group, read off it.
 
 Groups are named by spec strings, which :func:`parse_group_spec` builds
 for the command line and the catalogue alike:
@@ -152,7 +152,9 @@ class CyclicSubgroups(NamedTuple):
     smallest-index generator g; ``generators[i]`` lists, ascending, every
     element that generates it, its cyclic class.  ``orders[h]`` is the
     order of h; ``by_order`` maps each realised order, ascending, to its
-    subgroups' indices.
+    subgroups' indices.  The class facts are read off ``by_order``: m(d),
+    the exponent, and the prime, which is the one p-group test that the
+    dispatch, analyze, is_maximal_class and the suites read.
     """
 
     elements: tuple[tuple[int, ...], ...]
@@ -167,6 +169,19 @@ class CyclicSubgroups(NamedTuple):
     def exponent(self) -> int:
         """The exponent of the group, the lcm of its element orders."""
         return math.lcm(*self.by_order)
+
+    def prime(self) -> int | None:
+        """p when the group is a p-group, else None, the trivial group included.
+
+        By Cauchy's theorem a group is a p-group exactly when every element
+        order is a power of p, and a p-group realises every p^i up to its
+        exponent, so the realised orders run 1, p, p², …, the exponent.
+        The order of an element's power divides its own, so the least
+        realised order above 1 is the only candidate for p.
+        """
+        orders = tuple(self.by_order)
+        p = orders[1] if len(orders) > 1 else None
+        return p if p and orders == tuple(p ** i for i in range(len(orders))) else None
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -479,12 +494,16 @@ def _lower_central_series(group: FiniteGroup) -> list[frozenset[int]]:
 
 
 def is_maximal_class(group: FiniteGroup) -> bool:
-    """True iff a p-group of order pⁿ has nilpotency class exactly n−1."""
-    pp = prime_power(group.order)
-    if pp is None:
+    """True iff a p-group of order pⁿ has nilpotency class exactly n−1.
+
+    p is the cyclic-subgroup record's prime; a group without one, the
+    trivial group included, is refused with ValueError.
+    """
+    p = group.cyclic_subgroups().prime()
+    if p is None:
         raise ValueError(f"order {group.order} is not a prime power")
     # a p-group is nilpotent: its series ends at {1}, after class + 1 terms
-    return len(_lower_central_series(group)) == pp[1]
+    return p ** len(_lower_central_series(group)) == group.order
 
 
 # ---------------------------------------------------------------------------

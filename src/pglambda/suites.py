@@ -21,7 +21,9 @@ and the exact search on a group it answers 'not-a-p-group'.  certify
 checks every certificate and raises when the two methods disagree, so
 the suites read only checked, agreeing values.  The family suite reads
 the same answer: only a 2-group is named dihedral, semidihedral or
-quaternion.
+quaternion.  The suites about p-groups read the prime off the group's
+cyclic-subgroup record, the same test recognize_family makes; no suite
+factors the order.
 """
 
 from __future__ import annotations
@@ -94,16 +96,16 @@ class SuiteResult(NamedTuple):
 
 
 class _Subject(NamedTuple):
-    """A named group, its order, its prime when it is a p-group (else
-    None), and the certificates certify returned for it.
+    """A named group, its order, and the certificates certify returned for it.
 
-    The group caches its own power graph and cyclic subgroups.
+    The group caches its own power graph and cyclic subgroups; the suites
+    read every class fact, its prime included, off the cyclic-subgroup
+    record.
     """
 
     name: str
     group: FiniteGroup
     n: int
-    prime: int | None
     certificates: list[LambdaCertificate]
 
 
@@ -133,7 +135,8 @@ def _suite_congruences(s: _Subject) -> _Check:
     A p-group realises every order p^i up to its exponent, so the orders
     of ``by_order`` above p are p², p³, …, the exponent, ascending.
     """
-    p, sub = s.prime, s.group.cyclic_subgroups()
+    sub = s.group.cyclic_subgroups()
+    p = sub.prime()
     if p is None or sub.exponent() == s.n or p == 2 and is_maximal_class(s.group):
         return None
     problems = []
@@ -185,16 +188,17 @@ def _suite_lower_hook(s: _Subject) -> _Check:
 
 def _formula_lambda(s: _Subject) -> int:
     """Independent expectation: 2(p^e − 1) cyclic, |G|+1 unique-involution 2-group, else |G|."""
-    if s.group.cyclic_subgroups().exponent() == s.n:
+    sub = s.group.cyclic_subgroups()
+    if sub.exponent() == s.n:
         return 2 * (s.n - 1)
-    if s.prime == 2 and s.group.cyclic_subgroups().class_number(2) == 1:
+    if sub.prime() == 2 and sub.class_number(2) == 1:
         return s.n + 1
     return s.n
 
 
 def _suite_lambda_matches_formula(s: _Subject) -> _Check:
     """The certified λ of every p-group equals the closed form."""
-    if s.prime is None:
+    if s.group.cyclic_subgroups().prime() is None:
         return None
     value, expected = s.certificates[0].value, _formula_lambda(s)
     methods = " and ".join(cert.method for cert in s.certificates)
@@ -214,8 +218,8 @@ def run_suites(subjects: Sequence[tuple[str, FiniteGroup]], *,
                exact_cap: int | None, time_budget: float) -> list[SuiteResult]:
     """Certify the named groups, e.g. catalogue(max_order), then run every
     suite on each of them, suite by suite."""
-    checked = [_Subject(name, group, group.order, pp and pp[0],
+    checked = [_Subject(name, group, group.order,
                         certify(group, "auto", cap=exact_cap, budget=time_budget))
-               for name, group in subjects for pp in [prime_power(group.order)]]
+               for name, group in subjects]
     return [SuiteResult(suite, s.name, *check) for suite, fn in _SUITES for s in checked
             if (check := fn(s)) is not None]

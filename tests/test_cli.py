@@ -33,7 +33,7 @@ from pglambda import (
 import pglambda.groups as groups_module
 import pglambda.suites as suites_module
 from pglambda.cli import main
-from pglambda.groups import _FAMILIES, prime_power
+from pglambda.groups import _FAMILIES
 from pglambda.suites import _ENTRIES, run_suites
 
 
@@ -1016,8 +1016,7 @@ def _with_record(spec, **fields):
     group = parse_group_spec(spec)
     build_power_graph(group)
     group._subgroups = group.cyclic_subgroups()._replace(**fields)
-    pp = prime_power(group.order)
-    return suites_module._Subject(spec, group, group.order, pp and pp[0], [])
+    return suites_module._Subject(spec, group, group.order, [])
 
 
 def test_classes_that_miss_an_element_fail_the_power_graph_shape():

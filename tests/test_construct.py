@@ -265,6 +265,26 @@ def test_recognition_is_invariant_under_relabelling(maker, family):
         assert recognize_family(_shuffled_copy(maker(), seed)) == family
 
 
+def test_the_record_prime_agrees_with_factoring_the_order():
+    # the one p-group test reads the realised element orders; prime_power,
+    # which factors the order, is the reference it must match
+    groups = [group for _, group in catalogue(512)]
+    groups += map(make_cyclic, range(1, 513))
+    groups += (_two_generator_group(2 * m, -1, 0) for m in range(2, 257))
+    groups += (make_direct_product(make_cyclic(a), make_cyclic(b))
+               for b in range(1, 129) for a in range(1, b + 1) if b % a == 0 and a * b <= 512)
+    groups += map(parse_group_spec, [
+        "product:dihedral:16,cyclic:8", "product:heisenberg:3,elemab:3,2",
+        "product:quaternion:8,heisenberg:3", "product:semidihedral:32,cyclic:12",
+        "product:heisenberg:5,cyclic:4"])
+    groups += (_shuffled_copy(group, seed) for seed in (3, 11) for group in [
+        parse_cayley(_S3_TABLE), _two_generator_group(6, -1, 0), make_semidihedral(16),
+        make_heisenberg(3), make_direct_product(make_cyclic(4), make_cyclic(4))])
+    for group in groups:
+        pp = prime_power(group.order)
+        assert group.cyclic_subgroups().prime() == (pp and pp[0]), group.order
+
+
 @pytest.mark.parametrize("maker,value,kind", [
     (make_dihedral, 16, "coset-alternation"),
     (make_semidihedral, 16, "coset-alternation"),
@@ -416,6 +436,8 @@ _TABLES = {
     "s3-table": _S3_TABLE,
     "d6-table": format_cayley(_two_generator_group(6, -1, 0)),
     "d30-table": format_cayley(_two_generator_group(30, -1, 0)),
+    "sd16-shuffled-table": format_cayley(_shuffled_copy(make_semidihedral(16), 5)),
+    "heis3-shuffled-table": format_cayley(_shuffled_copy(make_heisenberg(3), 5)),
 }
 
 # subject: (methods at cap |G|, methods at cap |G| - 1 or the error raised,
@@ -479,6 +501,8 @@ _DISPATCH = {
     "s3-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
     "d6-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
     "d30-table": (EXACT, TooLargeError, None, "not-a-p-group", None),
+    "sd16-shuffled-table": (BOTH, CONSTRUCTIVE, 2, "semidihedral", True),
+    "heis3-shuffled-table": (BOTH, CONSTRUCTIVE, 3, "general", True),
 }
 
 

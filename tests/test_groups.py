@@ -434,14 +434,18 @@ def test_lower_central_series_of_dihedral_16():
     (lambda: make_cyclic(8), False),
     (lambda: make_direct_product(make_cyclic(2), make_cyclic(8)), False),
     (lambda: make_elementary_abelian(2, 3), False),
+    (lambda: make_cyclic(4), True),           # cyclic of order p²: class 1 = n−1
+    (lambda: make_cyclic(2), False),          # class 1 ≠ n−1 = 0 for order p
 ])
 def test_is_maximal_class(build, expected):
     assert is_maximal_class(build()) is expected
 
 
 def test_is_maximal_class_rejects_non_p_groups():
-    with pytest.raises(ValueError, match="order 6 is not a prime power"):
-        is_maximal_class(make_cyclic(6))
+    # the trivial group has no prime either
+    for n in (6, 1):
+        with pytest.raises(ValueError, match=f"order {n} is not a prime power"):
+            is_maximal_class(make_cyclic(n))
 
 
 # ---------------------------------------------------------------------------
